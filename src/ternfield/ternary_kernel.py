@@ -1,14 +1,28 @@
-"""Carriers for 3-rings/3-fields and brute-force verification of their axioms.
+"""Carriers for 3-rings/3-fields and exact verification of their axioms.
 
 A carrier is a finite ordered set of elements (identified by index) together
 with dense operation tables: a ternary addition nu and, usually, a binary
 multiplication mu whose derived ternary product is mu(mu(x,y),z).  Tables are
-immutable after construction and all verdicts are deterministic: every scan
-reports the lexicographically least witness.
+immutable after construction and all verdicts are deterministic: every
+failure reports the lexicographically least witness.
 
-The O(n^5) scans (total associativity, ternary distributivity) run in a
-compiled extension when available and fall back to NumPy broadcasting
-otherwise; both backends return identical witnesses.
+`check_ternary_group` and `check_distributivity` reach a verdict in four
+steps, and the Verdict's `method` records which step decided it:
+
+1. cheap invariants, O(n^3) or less: closure, commutativity and unique
+   solvability of nu, associativity of mu ("cheap");
+2. the size gate: carriers above `check_limit()` raise CarrierSizeError;
+3. an exact O(n^3) certificate: by the Hosszu-Gluskin theorem a
+   commutative ternary group is nu(x,y,z) = x+y+z+k over an abelian group,
+   and the certificate checks that form and, for mu, that every
+   translation is affine for it; a passing certificate is a PASS
+   ("certificate");
+4. otherwise the O(n^5) scan, the only witness locator ("scan").  A
+   certificate can fail on a table the scan passes, so a failed
+   certificate decides nothing by itself.
+
+The scans run in a compiled extension when available and fall back to NumPy
+broadcasting otherwise; both backends return identical witnesses.
 """
 
 import json
@@ -51,19 +65,23 @@ class CarrierSizeError(ValueError):
 
 
 class Verdict:
-    """Outcome of an axiom scan; falsy iff some axiom failed.
+    """Outcome of an axiom check; falsy iff some axiom failed.
 
     axiom: short name of the first failing axiom, witness: the least
-    counterexample tuple (element indices), detail: human-readable account.
+    counterexample tuple (element indices), detail: human-readable account,
+    method: how the verdict was reached -- "cheap" (an O(n^3) invariant),
+    "certificate" (an exact O(n^3) sufficient condition) or "scan" (the
+    exhaustive O(n^5) scan); not part of `as_dict`.
     """
 
-    __slots__ = ("ok", "axiom", "witness", "detail")
+    __slots__ = ("ok", "axiom", "witness", "detail", "method")
 
-    def __init__(self, ok, axiom=None, witness=None, detail=None):
+    def __init__(self, ok, axiom=None, witness=None, detail=None, method=None):
         self.ok = bool(ok)
         self.axiom = axiom
         self.witness = witness
         self.detail = detail
+        self.method = method
 
     def __bool__(self):
         return self.ok
@@ -80,9 +98,6 @@ class Verdict:
             "witness": list(self.witness) if self.witness is not None else None,
             "detail": self.detail,
         }
-
-
-_PASS = Verdict(True)
 
 
 def _table(data, shape, what):
@@ -207,18 +222,92 @@ def _first_foreign(table, foreign_map, labels, opname):
     outside = foreign_map.get(idx, "?")
     args = ",".join(labels[v] for v in idx)
     return Verdict(False, "closure", idx,
-                   f"{opname}({args}) = {outside} not in carrier")
+                   f"{opname}({args}) = {outside} not in carrier", method="cheap")
 
 
-def _nu_of(obj):
-    nu = obj.nu if isinstance(obj, TernaryCarrier) else obj.nu
-    return nu
+def _retract(nu):
+    """(o, k) with x o y = nu(x, e, y), e the unique t having nu(0,0,t) = 0,
+    and k = nu(0,0,0); None when nu(0,0,t) = 0 has no unique solution."""
+    sols = np.flatnonzero(nu[0, 0] == 0)
+    if len(sols) != 1:
+        return None
+    return np.ascontiguousarray(nu[:, int(sols[0]), :]), int(nu[0, 0, 0])
+
+
+def _is_coset_form(nu, o, k):
+    """Whether o is associative and nu(x,y,z) = ((x o y) o z) o k everywhere."""
+    left = o[o]                     # [x,y,z] -> (x o y) o z
+    if not (left == o[:, o]).all():
+        return False
+    return bool((o[left, k] == nu).all())
+
+
+def _assoc_certificate(nu):
+    """Exact O(n^3) sufficient condition for total associativity of a
+    commutative, uniquely solvable nu.
+
+    With o and k from `_retract`, it checks that o is associative and that
+    nu(x,y,z) = ((x o y) o z) o k on the whole table.  Sufficient: a
+    symmetric nu makes o commutative (x o y = nu(x,e,y) = nu(y,e,x)), so
+    all three regroupings of nu(nu(a,b,c),d,e) equal a o b o c o d o e o k
+    o k.  Passes on every commutative ternary group: by the Hosszu-Gluskin
+    theorem nu(x,y,z) = x+y+z+k over the retract (G,+) at 0, whose identity
+    is 0 because e is the querelement of 0, and then x o y = x+y.
+    """
+    r = _retract(nu)
+    return r is not None and _is_coset_form(nu, *r)
+
+
+def _distrib_certificate(nu, mu):
+    """Exact O(n^3) sufficient condition for the three ternary
+    distributivity laws of mu(mu(x,y),z) over nu, for a binary mu.
+
+    First nu must be x+y+z+k over an abelian group: o from `_retract` is
+    commutative and associative, has identity 0, every row of o contains 0
+    (so every element has an inverse), and nu = ((x o y) o z) o k.  Then
+    for every left translation x -> mu(w,x) and right translation
+    x -> mu(x,w), call it f, with c = f(0) and g(x) = f(x) - c: g must be
+    a homomorphism of o with g(k) = c+c+k.  Then
+    f(x+y+z+k) = g(x)+g(y)+g(z)+(c+c+k)+c = f(x)+f(y)+f(z)+k, so every
+    translation is an endomorphism of nu, and so are their composites:
+    law 1 is R_e R_d, law 2 is R_e L_a and law 3 is L_mu(a,b).  Passes on
+    every field with a unit: the unit in laws 1 and 3 makes every
+    translation an endomorphism of nu, and an endomorphism f of
+    x+y+z+k has exactly this form (put y = z = 0, then x = 0).
+
+    The translations are checked in chunks of n/2, so the two cubes of a
+    chunk hold at most n^3 entries together.
+    """
+    r = _retract(nu)
+    if r is None:
+        return False
+    o, k = r
+    n = len(o)
+    zero = o == 0
+    if not ((o[0] == np.arange(n)).all() and (o == o.T).all()
+            and zero.any(axis=1).all() and _is_coset_form(nu, o, k)):
+        return False
+    neg = np.argmax(zero, axis=1)            # x o neg[x] = 0
+    trans = np.concatenate([mu, mu.T])       # rows: x -> mu(w,x), x -> mu(x,w)
+    c = trans[:, 0]
+    g = o[trans, neg[c][:, None]]
+    if not (g[:, k] == o[o[c, c], k]).all():
+        return False
+    step = max(1, n // 2)
+    for s in range(0, 2 * n, step):
+        gs = g[s:s + step]
+        if not (gs[:, o] == o[gs[:, :, None], gs[:, None, :]]).all():
+            return False
+    return True
 
 
 def check_ternary_group(carrier, limit=None):
     """Verify the additive axioms: closure, full commutativity, unique
     solvability of nu(a,b,x)=c, and total associativity (checked in that
-    order, cheapest first).  Returns a Verdict with the least witness."""
+    order, cheapest first).  Returns a Verdict with the least witness.
+
+    Associativity is decided by `_assoc_certificate` when it passes, and by
+    the O(n^5) scan otherwise."""
     n = carrier.n
     nu = carrier.nu
     labels = carrier.labels
@@ -231,37 +320,47 @@ def check_ternary_group(carrier, limit=None):
     if bad.any():
         i, j, k = (int(v) for v in np.unravel_index(int(np.argmax(bad)), bad.shape))
         return Verdict(False, "commutativity", (i, j, k),
-                       f"nu is not symmetric at ({labels[i]},{labels[j]},{labels[k]})")
+                       f"nu is not symmetric at ({labels[i]},{labels[j]},{labels[k]})",
+                       method="cheap")
     # unique solvability of nu(a,b,x)=c: each row must be a permutation
     rows_ok = (np.sort(nu, axis=2) == np.arange(n, dtype=np.int32)).all(axis=2)
     if not rows_ok.all():
         a, b = (int(v) for v in np.unravel_index(int(np.argmax(~rows_ok)), rows_ok.shape))
         return Verdict(False, "solvability", (a, b),
-                       f"nu({labels[a]},{labels[b]},x) does not reach every element exactly once")
+                       f"nu({labels[a]},{labels[b]},x) does not reach every element exactly once",
+                       method="cheap")
     gate = check_limit(limit)
     if n > gate:
         raise CarrierSizeError(
             f"carrier size {n} exceeds the exhaustive-check gate {gate} "
             "(raise it via the limit argument or TERNARY_MAX_CARRIER)")
+    if _assoc_certificate(nu):
+        return Verdict(True, method="certificate")
     w = _kernels.assoc3(nu.reshape(-1), n)
     if w is not None:
         a, b, c, d, e = w
         return Verdict(False, "associativity", w,
                        "the regroupings of nu disagree at "
-                       f"({labels[a]},{labels[b]},{labels[c]},{labels[d]},{labels[e]})")
-    return _PASS
+                       f"({labels[a]},{labels[b]},{labels[c]},{labels[d]},{labels[e]})",
+                       method="scan")
+    return Verdict(True, method="scan")
 
 
 def check_distributivity(obj, limit=None):
     """Verify multiplication: closure, associativity, and the three ternary
     distributivity laws over nu.  Accepts a TernaryCarrier (derived ternary
-    product) or a ProperThreeThreeField (genuine ternary product)."""
+    product) or a ProperThreeThreeField (genuine ternary product).
+
+    For a binary mu the laws are decided by `_distrib_certificate` when it
+    passes, and by the O(n^5) scan otherwise; a genuine ternary product is
+    always scanned."""
     n = obj.n
     labels = obj.labels
     nu = obj.nu
     if (nu < 0).any():
         return _first_foreign(nu, getattr(obj, "nu_foreign", {}), labels, "nu")
     if isinstance(obj, ProperThreeThreeField):
+        mu = None
         tmu = obj.ternary_mu
         if (tmu < 0).any():
             return _first_foreign(tmu, obj.tmu_foreign, labels, "mu")
@@ -279,20 +378,24 @@ def check_distributivity(obj, limit=None):
         if bad.any():
             i, j, k = (int(v) for v in np.unravel_index(int(np.argmax(bad)), bad.shape))
             return Verdict(False, "mu-associativity", (i, j, k),
-                           f"mu is not associative at ({labels[i]},{labels[j]},{labels[k]})")
+                           f"mu is not associative at ({labels[i]},{labels[j]},{labels[k]})",
+                           method="cheap")
         tmu = obj.derived_ternary_mu()
     gate = check_limit(limit)
     if n > gate:
         raise CarrierSizeError(
             f"carrier size {n} exceeds the exhaustive-check gate {gate} "
             "(raise it via the limit argument or TERNARY_MAX_CARRIER)")
+    if mu is not None and _distrib_certificate(nu, mu):
+        return Verdict(True, method="certificate")
     w = _kernels.distrib3(nu.reshape(-1), np.ascontiguousarray(tmu).reshape(-1), n)
     if w is not None:
         law, a, b, c, d, e = w
         return Verdict(False, f"distributivity-law-{law}", (a, b, c, d, e),
                        f"law {law} fails at "
-                       f"({labels[a]},{labels[b]},{labels[c]},{labels[d]},{labels[e]})")
-    return _PASS
+                       f"({labels[a]},{labels[b]},{labels[c]},{labels[d]},{labels[e]})",
+                       method="scan")
+    return Verdict(True, method="scan")
 
 
 def quer_add(carrier, x):

@@ -1,7 +1,13 @@
-"""Axioms, carriers and the two scan backends."""
+"""Axioms, carriers, the O(n^3) certificates and the two scan backends."""
+
+import contextlib
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternfield import (
     CarrierSizeError,
@@ -18,6 +24,8 @@ from ternfield import (
     twisted_coset,
 )
 from ternfield import _axioms_py
+from ternfield import ternary_kernel as tk
+from ternfield.poly_fields import build_f0, product_field
 
 try:
     from ternfield import _axioms
@@ -236,3 +244,193 @@ def test_backends_agree_on_distributivity_witnesses():
         w1 = _axioms.distrib3(nu.reshape(-1), bad.reshape(-1), f.n)
         w2 = _axioms_py.distrib3(nu.reshape(-1), bad.reshape(-1), f.n)
         assert w1 == w2 and w1 is not None
+
+
+# -- certificates against the scan ---------------------------------------------
+#
+# The scan is the oracle: a passing certificate must mean the NumPy scan finds
+# no witness, the certificate must pass on every valid field (so the fast path
+# is really taken), and with the certificate failing the verdict must be the
+# scan's, witness, axiom and detail alike.
+
+ROSTER = {
+    **{f"odd({m})": functools.partial(odd_residue_field, m, check=False)
+       for m in (4, 8, 16, 32, 64)},
+    **{f"F0({k})": functools.partial(build_f0, k, check="light") for k in (2, 3, 4, 5, 6)},
+    "F0(2,2)": functools.partial(build_f0, 2, 2, check="light"),
+    "F0(3,2)": functools.partial(build_f0, 3, 2, check="light"),
+    "F0(2)xF0(3)": lambda: product_field(build_f0(2), build_f0(3), check="light").field,
+    "F0(3)xF0(3)": lambda: product_field(build_f0(3), build_f0(3), check="light").field,
+}
+
+
+# the roster fields whose scans take well under a second on NumPy (n <= 16)
+SMALL = ["odd(4)", "odd(8)", "odd(16)", "odd(32)", "F0(2)", "F0(3)", "F0(4)", "F0(5)",
+         "F0(2,2)", "F0(2)xF0(3)", "F0(3)xF0(3)"]
+
+
+@functools.lru_cache(maxsize=None)
+def roster_field(name):
+    return ROSTER[name]()
+
+
+def relabel(carrier, perm):
+    """The same structure with element i renamed perm[i]."""
+    perm = np.asarray(perm, dtype=np.int32)
+    inv = np.argsort(perm)
+    nu = perm[carrier.nu[np.ix_(inv, inv, inv)]]
+    mu = perm[carrier.mu[np.ix_(inv, inv)]]
+    return TernaryCarrier([carrier.labels[i] for i in inv], nu, mu)
+
+
+def with_tables(carrier, nu=None, mu=None):
+    return TernaryCarrier(carrier.labels,
+                          carrier.nu if nu is None else nu,
+                          carrier.mu if mu is None else mu)
+
+
+@contextlib.contextmanager
+def scan_only():
+    with mock.patch.object(tk, "_assoc_certificate", lambda nu: False), \
+            mock.patch.object(tk, "_distrib_certificate", lambda nu, mu: False):
+        yield
+
+
+def assert_agrees_with_scan(carrier):
+    """Both checks give the scan's verdict; returns the fast verdicts."""
+    n = carrier.n
+    fast = (check_ternary_group(carrier, limit=n), check_distributivity(carrier, limit=n))
+    with scan_only():
+        slow = (check_ternary_group(carrier, limit=n), check_distributivity(carrier, limit=n))
+    for f, s in zip(fast, slow):
+        assert f.as_dict() == s.as_dict()
+        assert f.method in ("cheap", "certificate", "scan")
+        if f.method != "certificate":
+            assert f.method == s.method
+    return fast
+
+
+def perturbations(carrier, rng):
+    """Tables passing every cheap invariant that a scan has to judge:
+    pi o nu, and mu conjugated by a permutation sigma."""
+    n = carrier.n
+    pi = rng.permutation(n).astype(np.int32)
+    yield with_tables(carrier, nu=pi[carrier.nu])
+    sigma = rng.permutation(n).astype(np.int32)
+    inv = np.argsort(sigma)
+    yield with_tables(carrier, mu=sigma[carrier.mu[np.ix_(inv, inv)]])
+
+
+@pytest.mark.parametrize("name", list(ROSTER))
+def test_certificates_pass_on_valid_fields(name):
+    c = roster_field(name).carrier
+    rng = np.random.default_rng(len(name))
+    for carrier in (c, relabel(c, rng.permutation(c.n))):
+        assert tk._assoc_certificate(carrier.nu)
+        assert tk._distrib_certificate(carrier.nu, carrier.mu)
+        v_add = check_ternary_group(carrier, limit=carrier.n)
+        v_mul = check_distributivity(carrier, limit=carrier.n)
+        assert v_add.method == v_mul.method == "certificate"
+        assert v_add and v_mul
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_passing_certificate_means_no_scan_witness(name):
+    c = roster_field(name).carrier
+    flat = c.nu.reshape(-1)
+    assert tk._assoc_certificate(c.nu) and _axioms_py.assoc3(flat, c.n) is None
+    assert tk._distrib_certificate(c.nu, c.mu)
+    assert _axioms_py.distrib3(flat, c.derived_ternary_mu().reshape(-1), c.n) is None
+
+
+def test_relabelled_unit_off_index_zero_agrees_with_scan():
+    rng = np.random.default_rng(3)
+    for name in ("odd(16)", "F0(4)", "F0(2)xF0(3)"):
+        f = roster_field(name)
+        perm = rng.permutation(f.n)
+        while perm[f.one] == 0:
+            perm = rng.permutation(f.n)
+        fast = assert_agrees_with_scan(relabel(f.carrier, perm))
+        assert [v.method for v in fast] == ["certificate", "certificate"]
+
+
+@pytest.mark.parametrize("name", ["odd(8)", "odd(16)", "odd(32)", "F0(3)", "F0(4)",
+                                  "F0(5)", "F0(2,2)", "F0(2)xF0(3)", "F0(3)xF0(3)"])
+def test_failing_verdicts_are_the_scans(name):
+    f = roster_field(name)
+    rng = np.random.default_rng(f.n)
+    for carrier in perturbations(relabel(f.carrier, rng.permutation(f.n)), rng):
+        assert_agrees_with_scan(carrier)
+
+
+@pytest.mark.parametrize("pair", [("odd(8)", "F0(3)"), ("odd(16)", "F0(4)"),
+                                  ("odd(32)", "F0(5)"), ("odd(32)", "F0(3)xF0(3)"),
+                                  ("odd(64)", "F0(6)"), ("odd(64)", "F0(3,2)")])
+def test_swapped_nu_mu_pairs_agree_with_scan(pair):
+    a, b = (roster_field(name).carrier for name in pair)
+    for nu_of, mu_of in ((a, b), (b, a)):
+        v_add, v_mul = assert_agrees_with_scan(with_tables(nu_of, mu=mu_of.mu))
+        assert v_add.method == "certificate"
+        assert v_mul.method == ("certificate" if v_mul else "scan")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["odd(4)", "odd(8)", "odd(16)", "F0(3)", "F0(4)", "F0(2,2)"]),
+       st.integers(0, 2**32 - 1), st.sampled_from(["relabel", "pi-nu", "mu"]))
+def test_certificates_agree_with_scan_on_random_tables(name, seed, kind):
+    f = roster_field(name)
+    rng = np.random.default_rng(seed)
+    carrier = relabel(f.carrier, rng.permutation(f.n))
+    if kind != "relabel":
+        carrier = list(perturbations(carrier, rng))[kind == "mu"]
+    assert_agrees_with_scan(carrier)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_certificates_agree_with_scan_on_arbitrary_tables(n, seed):
+    rng = np.random.default_rng(seed)
+    nu = rng.integers(0, n, size=(n, n, n), dtype=np.int32)
+    nu = np.minimum(nu, nu.transpose(1, 0, 2)) if seed % 2 else nu
+    mu = rng.integers(0, n, size=(n, n), dtype=np.int32)
+    assert_agrees_with_scan(TernaryCarrier([str(i) for i in range(n)], nu, mu))
+
+
+def test_associative_retract_alone_certifies_nothing():
+    # x+y+z+2[x,y,z all odd] on Z/4 is symmetric and uniquely solvable and
+    # its retract at 0 is Z/4, yet it is not of the form x+y+z+k
+    v = np.arange(4)
+    odd = v % 2
+    nu = (v[:, None, None] + v[None, :, None] + v[None, None, :]
+          + 2 * odd[:, None, None] * odd[None, :, None] * odd[None, None, :]) % 4
+    carrier = TernaryCarrier("0123", nu, (v[:, None] * v[None, :]) % 4)
+    assert not tk._assoc_certificate(carrier.nu)
+    v_add, v_mul = assert_agrees_with_scan(carrier)
+    assert not v_add and v_add.method == "scan"
+    assert v_mul.method == "scan"
+
+
+def test_retract_without_identity_certifies_nothing():
+    # nu factors through {0,1} -> 0, {2} -> 1 onto Z/2, so the retract
+    # x o y = nu(x,2,y) has no identity; distributivity fails
+    nu = [[[2, 2, 0], [2, 2, 0], [0, 0, 2]], [[2, 2, 0], [2, 2, 0], [0, 0, 2]],
+          [[0, 0, 2], [0, 0, 2], [2, 2, 0]]]
+    mu = [[0, 1, 2], [1, 1, 2], [2, 2, 1]]
+    carrier = TernaryCarrier("abc", nu, mu)
+    assert not tk._distrib_certificate(carrier.nu, carrier.mu)
+    v_mul = assert_agrees_with_scan(carrier)[1]
+    assert not v_mul and v_mul.method == "scan"
+
+
+def test_verdict_method_records_how_it_was_reached():
+    f = roster_field("F0(3)")
+    v = check_ternary_group(f.carrier)
+    assert v.method == "certificate" and set(v.as_dict()) == {"ok", "axiom", "witness", "detail"}
+    nu = f.carrier.nu.copy()
+    nu[0, 1, 2] = nu[0, 2, 1] = (nu[0, 1, 2] + 1) % f.n
+    assert check_ternary_group(with_tables(f.carrier, nu=nu)).method == "cheap"
+    sub = [f.index("1"), f.index("x^2")]
+    coset = twisted_coset(f, sub, f.index("x"))
+    v = check_distributivity(coset)
+    assert v and v.method == "scan"
+    assert check_ternary_group(f.carrier) is not check_ternary_group(f.carrier)
