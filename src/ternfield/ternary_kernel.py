@@ -21,8 +21,12 @@ steps, and the Verdict's `method` records which step decided it:
    certificate can fail on a table the scan passes, so a failed
    certificate decides nothing by itself.
 
-The scans run in a compiled extension when available and fall back to NumPy
-broadcasting otherwise; both backends return identical witnesses.
+Steps 2-4 are the "decision" (`_decide_associativity`,
+`_decide_distributivity`).  `FiniteThreeField` and `ProperThreeThreeField`
+validate themselves with the same invariant and decision functions, so each
+invariant has one implementation and runs once per construction.  The scans
+broadcast one outer index at a time with NumPy, so peak memory stays at a
+few n^4 slices.
 """
 
 import json
@@ -30,22 +34,17 @@ import os
 
 import numpy as np
 
-try:
-    from . import _axioms as _kernels
-except ImportError:
-    from . import _axioms_py as _kernels
-
 # Exhaustive O(n^5) checks are size-gated; the built-in exhibits fit in 32.
 DEFAULT_CHECK_LIMIT = 32
-# O(n^3) vectorized checks are always run, but guard against absurd tables.
+# Carriers above this size are refused before the O(n^3) certificates.
 _CUBIC_LIMIT = 512
 
 FOREIGN = -1  # table entry for a result that falls outside the carrier
 
 
 def kernel_backend():
-    """Name of the active scan backend: "cython" or "numpy"."""
-    return _kernels.backend_name()
+    """Name of the scan backend; the scans are NumPy only."""
+    return "numpy"
 
 
 def check_limit(limit=None):
@@ -163,14 +162,6 @@ class TernaryCarrier:
                         mu_f[(i, j)] = label(r)
         return cls([label(v) for v in values], nu_t, mu_t, nu_f, mu_f)
 
-    def nu_at(self, i, j, k):
-        return int(self.nu[i, j, k])
-
-    def mu_at(self, i, j):
-        if self.mu is None:
-            raise StructureError("carrier has no binary multiplication")
-        return int(self.mu[i, j])
-
     def derived_ternary_mu(self):
         """Dense table of the derived ternary product mu(mu(x,y),z)."""
         if self.mu is None:
@@ -214,15 +205,65 @@ class TernaryCarrier:
         return f"TernaryCarrier({self.n} elements)"
 
 
-def _first_foreign(table, foreign_map, labels, opname):
-    flat = table.reshape(-1)
-    pos = int(np.argmax(flat < 0))
-    idx = np.unravel_index(pos, table.shape)
-    idx = tuple(int(v) for v in idx)
+def _least(mask):
+    """Index tuple of the first True entry of a boolean array, row-major."""
+    return tuple(int(v) for v in np.unravel_index(int(np.argmax(mask)), mask.shape))
+
+
+def _closure(table, foreign_map, labels, opname):
+    """Closure of an operation table: a failing Verdict at the least entry
+    that leaves the carrier, or None when the table is closed."""
+    foreign = table < 0
+    if not foreign.any():
+        return None
+    idx = _least(foreign)
     outside = foreign_map.get(idx, "?")
     args = ",".join(labels[v] for v in idx)
     return Verdict(False, "closure", idx,
                    f"{opname}({args}) = {outside} not in carrier", method="cheap")
+
+
+def _nu_invariants(nu, labels):
+    """Commutativity, then unique solvability of nu(a,b,x) = c, for a closed
+    nu: the first failing Verdict, or None."""
+    # all argument permutations: two transpositions generate S3
+    bad = (nu != nu.transpose(1, 0, 2)) | (nu != nu.transpose(0, 2, 1))
+    if bad.any():
+        i, j, k = _least(bad)
+        return Verdict(False, "commutativity", (i, j, k),
+                       f"nu is not symmetric at ({labels[i]},{labels[j]},{labels[k]})",
+                       method="cheap")
+    # each row nu(a,b,.) must be a permutation
+    rows_ok = (np.sort(nu, axis=2) == np.arange(len(nu), dtype=np.int32)).all(axis=2)
+    if not rows_ok.all():
+        a, b = _least(~rows_ok)
+        return Verdict(False, "solvability", (a, b),
+                       f"nu({labels[a]},{labels[b]},x) does not reach every element exactly once",
+                       method="cheap")
+    return None
+
+
+def _mu_invariants(mu, labels):
+    """Associativity of a closed binary mu: the failing Verdict or None, and
+    the derived ternary product mu(mu(x,y),z) it compared."""
+    left = mu[mu]          # [i,j,k] -> mu[mu[i,j],k]
+    bad = left != mu[:, mu]
+    if bad.any():
+        i, j, k = _least(bad)
+        return Verdict(False, "mu-associativity", (i, j, k),
+                       f"mu is not associative at ({labels[i]},{labels[j]},{labels[k]})",
+                       method="cheap"), left
+    return None, left
+
+
+def _zero_element(nu, tmu, unit):
+    """The least z other than `unit` that is additively neutral
+    (nu(z,z,x) = x) and absorbs the ternary product tmu, or None."""
+    idx = np.arange(len(nu), dtype=np.int32)
+    for z in range(len(nu)):
+        if z != unit and (nu[z, z] == idx).all() and (tmu[z] == z).all():
+            return z
+    return None
 
 
 def _retract(nu):
@@ -301,42 +342,73 @@ def _distrib_certificate(nu, mu):
     return True
 
 
-def check_ternary_group(carrier, limit=None):
-    """Verify the additive axioms: closure, full commutativity, unique
-    solvability of nu(a,b,x)=c, and total associativity (checked in that
-    order, cheapest first).  Returns a Verdict with the least witness.
+def _assoc_scan(t):
+    """First (a,b,c,d,e), row-major, where the three regroupings of the
+    ternary operation t disagree, or None if t is totally associative.
+    One outer index at a time, so peak memory stays at a few n^4."""
+    for a in range(len(t)):
+        ta = t[a]
+        v1 = t[ta]                # [b,c,d,e] = t[t[a,b,c],d,e]
+        v2 = ta[t, :]             # [b,c,d,e] = t[a,t[b,c,d],e]
+        v3 = ta[:, t]             # [b,c,d,e] = t[a,b,t[c,d,e]]
+        bad = (v1 != v2) | (v1 != v3)
+        if bad.any():
+            return (a, *_least(bad))
+    return None
 
-    Associativity is decided by `_assoc_certificate` when it passes, and by
-    the O(n^5) scan otherwise."""
-    n = carrier.n
-    nu = carrier.nu
-    labels = carrier.labels
-    if (nu < 0).any():
-        return _first_foreign(nu, getattr(carrier, "nu_foreign", {}), labels, "nu")
+
+def _distrib_scan(s, m):
+    """First (law, a, b, c, d, e) violating a ternary distributivity law of
+    m over s, or None; quintuples row-major, laws 1, 2, 3 at each:
+
+    law 1: m(s(a,b,c), d, e) = s(m(a,d,e), m(b,d,e), m(c,d,e))
+    law 2: m(a, s(b,c,d), e) = s(m(a,b,e), m(a,c,e), m(a,d,e))
+    law 3: m(a, b, s(c,d,e)) = s(m(a,b,c), m(a,b,d), m(a,b,e))
+    """
+    for a in range(len(s)):
+        ma = m[a]
+        lhs1 = m[s[a]]                                     # [b,c,d,e]
+        rhs1 = s[ma[np.newaxis, np.newaxis, :, :],
+                 m[:, np.newaxis, :, :],
+                 m[np.newaxis, :, :, :]]
+        bad1 = lhs1 != rhs1
+        lhs2 = ma[s, :]
+        rhs2 = s[ma[:, np.newaxis, np.newaxis, :],
+                 ma[np.newaxis, :, np.newaxis, :],
+                 ma[np.newaxis, np.newaxis, :, :]]
+        bad2 = lhs2 != rhs2
+        lhs3 = ma[:, s]
+        rhs3 = s[ma[:, :, np.newaxis, np.newaxis],
+                 ma[:, np.newaxis, :, np.newaxis],
+                 ma[:, np.newaxis, np.newaxis, :]]
+        bad3 = lhs3 != rhs3
+        bad = bad1 | bad2 | bad3
+        if bad.any():
+            w = _least(bad)
+            law = 1 if bad1[w] else 2 if bad2[w] else 3
+            return (law, a, *w)
+    return None
+
+
+def _gate(n, limit):
+    """Raise CarrierSizeError unless an n-element carrier may be decided:
+    the O(n^3) guard, then the exhaustive-check gate."""
     if n > _CUBIC_LIMIT:
         raise CarrierSizeError(f"carrier size {n} exceeds the O(n^3) guard")
-    # commutativity under all argument permutations: two transpositions generate S3
-    bad = (nu != nu.transpose(1, 0, 2)) | (nu != nu.transpose(0, 2, 1))
-    if bad.any():
-        i, j, k = (int(v) for v in np.unravel_index(int(np.argmax(bad)), bad.shape))
-        return Verdict(False, "commutativity", (i, j, k),
-                       f"nu is not symmetric at ({labels[i]},{labels[j]},{labels[k]})",
-                       method="cheap")
-    # unique solvability of nu(a,b,x)=c: each row must be a permutation
-    rows_ok = (np.sort(nu, axis=2) == np.arange(n, dtype=np.int32)).all(axis=2)
-    if not rows_ok.all():
-        a, b = (int(v) for v in np.unravel_index(int(np.argmax(~rows_ok)), rows_ok.shape))
-        return Verdict(False, "solvability", (a, b),
-                       f"nu({labels[a]},{labels[b]},x) does not reach every element exactly once",
-                       method="cheap")
     gate = check_limit(limit)
     if n > gate:
         raise CarrierSizeError(
             f"carrier size {n} exceeds the exhaustive-check gate {gate} "
             "(raise it via the limit argument or TERNARY_MAX_CARRIER)")
+
+
+def _decide_associativity(nu, labels, limit):
+    """Total associativity of a nu that passed `_nu_invariants`: the gate,
+    then `_assoc_certificate`, then the scan."""
+    _gate(len(nu), limit)
     if _assoc_certificate(nu):
         return Verdict(True, method="certificate")
-    w = _kernels.assoc3(nu.reshape(-1), n)
+    w = _assoc_scan(nu)
     if w is not None:
         a, b, c, d, e = w
         return Verdict(False, "associativity", w,
@@ -344,6 +416,39 @@ def check_ternary_group(carrier, limit=None):
                        f"({labels[a]},{labels[b]},{labels[c]},{labels[d]},{labels[e]})",
                        method="scan")
     return Verdict(True, method="scan")
+
+
+def _decide_distributivity(nu, mu, tmu, labels, limit):
+    """The three distributivity laws of the ternary product tmu over nu: the
+    gate, then `_distrib_certificate` when tmu is derived from a binary mu
+    (mu None for a genuine ternary product), then the scan."""
+    _gate(len(nu), limit)
+    if mu is not None and _distrib_certificate(nu, mu):
+        return Verdict(True, method="certificate")
+    w = _distrib_scan(nu, tmu)
+    if w is not None:
+        law, a, b, c, d, e = w
+        return Verdict(False, f"distributivity-law-{law}", (a, b, c, d, e),
+                       f"law {law} fails at "
+                       f"({labels[a]},{labels[b]},{labels[c]},{labels[d]},{labels[e]})",
+                       method="scan")
+    return Verdict(True, method="scan")
+
+
+def check_ternary_group(carrier, limit=None):
+    """Verify the additive axioms: closure, full commutativity, unique
+    solvability of nu(a,b,x)=c, and total associativity (checked in that
+    order, cheapest first).  Returns a Verdict with the least witness.
+
+    Associativity is decided by `_assoc_certificate` when it passes, and by
+    the O(n^5) scan otherwise."""
+    nu, labels = carrier.nu, carrier.labels
+    v = _closure(nu, getattr(carrier, "nu_foreign", {}), labels, "nu")
+    if v is None:
+        v = _nu_invariants(nu, labels)
+    if v is not None:
+        return v
+    return _decide_associativity(nu, labels, limit)
 
 
 def check_distributivity(obj, limit=None):
@@ -354,48 +459,23 @@ def check_distributivity(obj, limit=None):
     For a binary mu the laws are decided by `_distrib_certificate` when it
     passes, and by the O(n^5) scan otherwise; a genuine ternary product is
     always scanned."""
-    n = obj.n
-    labels = obj.labels
-    nu = obj.nu
-    if (nu < 0).any():
-        return _first_foreign(nu, getattr(obj, "nu_foreign", {}), labels, "nu")
+    nu, labels = obj.nu, obj.labels
+    v = _closure(nu, getattr(obj, "nu_foreign", {}), labels, "nu")
+    if v is not None:
+        return v
     if isinstance(obj, ProperThreeThreeField):
-        mu = None
-        tmu = obj.ternary_mu
-        if (tmu < 0).any():
-            return _first_foreign(tmu, obj.tmu_foreign, labels, "mu")
+        mu, tmu = None, obj.ternary_mu
+        v = _closure(tmu, obj.tmu_foreign, labels, "mu")
     else:
-        if obj.mu is None:
-            raise StructureError("carrier has no multiplication to check")
-        if (obj.mu < 0).any():
-            return _first_foreign(obj.mu, getattr(obj, "mu_foreign", {}), labels, "mu")
-        if n > _CUBIC_LIMIT:
-            raise CarrierSizeError(f"carrier size {n} exceeds the O(n^3) guard")
         mu = obj.mu
-        left = mu[mu]          # [i,j,k] -> mu[mu[i,j],k]
-        right = mu[:, mu]      # [i,j,k] -> mu[i,mu[j,k]]
-        bad = left != right
-        if bad.any():
-            i, j, k = (int(v) for v in np.unravel_index(int(np.argmax(bad)), bad.shape))
-            return Verdict(False, "mu-associativity", (i, j, k),
-                           f"mu is not associative at ({labels[i]},{labels[j]},{labels[k]})",
-                           method="cheap")
-        tmu = obj.derived_ternary_mu()
-    gate = check_limit(limit)
-    if n > gate:
-        raise CarrierSizeError(
-            f"carrier size {n} exceeds the exhaustive-check gate {gate} "
-            "(raise it via the limit argument or TERNARY_MAX_CARRIER)")
-    if mu is not None and _distrib_certificate(nu, mu):
-        return Verdict(True, method="certificate")
-    w = _kernels.distrib3(nu.reshape(-1), np.ascontiguousarray(tmu).reshape(-1), n)
-    if w is not None:
-        law, a, b, c, d, e = w
-        return Verdict(False, f"distributivity-law-{law}", (a, b, c, d, e),
-                       f"law {law} fails at "
-                       f"({labels[a]},{labels[b]},{labels[c]},{labels[d]},{labels[e]})",
-                       method="scan")
-    return Verdict(True, method="scan")
+        if mu is None:
+            raise StructureError("carrier has no multiplication to check")
+        v = _closure(mu, getattr(obj, "mu_foreign", {}), labels, "mu")
+        if v is None:
+            v, tmu = _mu_invariants(mu, labels)
+    if v is not None:
+        return v
+    return _decide_distributivity(nu, mu, tmu, labels, limit)
 
 
 def quer_add(carrier, x):
@@ -407,15 +487,6 @@ def quer_add(carrier, x):
             f"nu({carrier.labels[x]},{carrier.labels[x]},t)={carrier.labels[x]} "
             f"has {len(sols)} solutions; not a ternary group")
     return int(sols[0])
-
-
-def quer_total(carrier):
-    """Whether quer_add is defined for every element (no exceptions raised)."""
-    nu = carrier.nu
-    n = carrier.n
-    diag = nu[np.arange(n), np.arange(n), :]  # [x, t] = nu(x,x,t)
-    counts = (diag == np.arange(n, dtype=np.int32)[:, None]).sum(axis=1)
-    return bool((counts == 1).all())
 
 
 def _ternary_units(tmu, n):
@@ -449,14 +520,7 @@ def detect_derived_structure(obj):
             hits = [e for e in range(n) if (mu[e] == idx).all() and (mu[:, e] == idx).all()]
             unit = hits[0] if hits else None
             tmu = obj.derived_ternary_mu()
-    zero = None
-    if tmu is not None:
-        for z in range(n):
-            if z == unit:
-                continue
-            if (nu[z, z] == idx).all() and (tmu[z] == z).all():
-                zero = z
-                break
+    zero = None if tmu is None else _zero_element(nu, tmu, unit)
     return {"unit": unit, "zero": zero}
 
 
@@ -545,38 +609,38 @@ class FiniteThreeField:
 
     def _validate(self, check, limit):
         c = self.carrier
-        n = c.n
         if c.mu is None:
             raise StructureError("a 3-field needs a binary multiplication")
-        if (c.nu < 0).any() or (c.mu < 0).any():
-            raise StructureError("field operations must be closed")
-        idx = np.arange(n, dtype=np.int32)
+        v = _closure(c.nu, c.nu_foreign, c.labels, "nu")
+        if v is None:
+            v = _closure(c.mu, c.mu_foreign, c.labels, "mu")
+        if v is not None:
+            raise StructureError(f"field operations must be closed: {v.detail}")
+        idx = np.arange(c.n, dtype=np.int32)
         if not ((c.mu[self.one] == idx).all() and (c.mu[:, self.one] == idx).all()):
             raise StructureError(f"{self.label(self.one)} is not a two-sided unit")
         self._inv = self._inverse_table()
-        # additive structure: cheap parts always
-        bad = (c.nu != c.nu.transpose(1, 0, 2)) | (c.nu != c.nu.transpose(0, 2, 1))
-        if bad.any():
-            raise StructureError("nu is not commutative")
-        if not (np.sort(c.nu, axis=2) == idx).all():
-            raise StructureError("nu(a,b,x)=c is not uniquely solvable")
-        mu = c.mu
-        if not (mu[mu] == mu[:, mu]).all():
-            raise StructureError("mu is not associative")
-        found = detect_derived_structure(c)
-        if found["zero"] is not None:
+        v = _nu_invariants(c.nu, c.labels)
+        if v is None:
+            v, tmu = _mu_invariants(c.mu, c.labels)
+        if v is not None:
+            raise StructureError(v.detail)
+        zero = _zero_element(c.nu, tmu, self.one)
+        if zero is not None:
             raise StructureError(
-                f"additive zero {self.label(found['zero'])} present; not a proper 3-field")
+                f"additive zero {self.label(zero)} present; not a proper 3-field")
         if check == "light":
             return
-        gate = check_limit(limit)
-        if check == "full" or n <= gate:
-            v = check_ternary_group(c, limit=n if check == "full" else limit)
-            if not v:
-                raise StructureError(f"additive axioms fail: {v.detail}")
-            v = check_distributivity(c, limit=n if check == "full" else limit)
-            if not v:
-                raise StructureError(f"distributivity fails: {v.detail}")
+        if check == "full":
+            limit = c.n
+        elif c.n > check_limit(limit):
+            return
+        v = _decide_associativity(c.nu, c.labels, limit)
+        if not v:
+            raise StructureError(f"additive axioms fail: {v.detail}")
+        v = _decide_distributivity(c.nu, c.mu, tmu, c.labels, limit)
+        if not v:
+            raise StructureError(f"distributivity fails: {v.detail}")
 
     # -- derived views -------------------------------------------------------
 
@@ -649,23 +713,26 @@ class ProperThreeThreeField:
             self._validate(limit)
 
     def _validate(self, limit):
-        if (self.nu < 0).any() or (self.ternary_mu < 0).any():
-            raise StructureError("operations must be closed")
-        v = check_ternary_group(self, limit=limit)
+        nu, tmu, labels = self.nu, self.ternary_mu, self.labels
+        v = _closure(nu, self.nu_foreign, labels, "nu")
+        if v is None:
+            v = _closure(tmu, self.tmu_foreign, labels, "mu")
+        if v is not None:
+            raise StructureError(f"operations must be closed: {v.detail}")
+        v = _nu_invariants(nu, labels)
+        if v is None:
+            v = _decide_associativity(nu, labels, limit)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
-        units = _ternary_units(self.ternary_mu, self.n)
+        units = _ternary_units(tmu, self.n)
         if units:
             raise StructureError(
-                f"multiplicative unit {self.labels[units[0]]} found; "
+                f"multiplicative unit {labels[units[0]]} found; "
                 "not a proper (3,3)-field")
-        gate = check_limit(limit)
-        if self.n > gate:
-            raise CarrierSizeError(f"carrier size {self.n} exceeds gate {gate}")
-        w = _kernels.assoc3(self.ternary_mu.reshape(-1), self.n)
+        w = _assoc_scan(tmu)
         if w is not None:
             raise StructureError(f"ternary multiplication not associative at {w}")
-        v = check_distributivity(self, limit=limit)
+        v = _decide_distributivity(nu, None, tmu, labels, limit)
         if not v:
             raise StructureError(f"distributivity fails: {v.detail}")
 

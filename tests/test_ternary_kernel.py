@@ -1,7 +1,9 @@
-"""Axioms, carriers, the O(n^3) certificates and the two scan backends."""
+"""Axioms, carriers, the O(n^3) certificates, the O(n^5) scans and
+FiniteThreeField's validation."""
 
 import contextlib
 import functools
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -23,14 +25,8 @@ from ternfield import (
     quer_add,
     twisted_coset,
 )
-from ternfield import _axioms_py
 from ternfield import ternary_kernel as tk
 from ternfield.poly_fields import build_f0, product_field
-
-try:
-    from ternfield import _axioms
-except ImportError:
-    _axioms = None
 
 
 @pytest.fixture(scope="module")
@@ -201,49 +197,76 @@ def test_carrier_json_round_trip(odd8):
     assert rebuilt.n == odd8.n
 
 
-# -- backend differential ------------------------------------------------------
+# -- the scans against a pure-Python reference ----------------------------------
+#
+# The references walk the quintuples in row-major order with the laws in the
+# order 1, 2, 3, one entry at a time, so the first failure they meet is the
+# least witness the vectorised scans must report.
+
+def reference_assoc(t):
+    t = t.tolist()
+    for a, b, c, d, e in itertools.product(range(len(t)), repeat=5):
+        v1 = t[t[a][b][c]][d][e]
+        if v1 != t[a][t[b][c][d]][e] or v1 != t[a][b][t[c][d][e]]:
+            return (a, b, c, d, e)
+    return None
+
+
+def reference_distrib(s, m):
+    s, m = s.tolist(), m.tolist()
+    for a, b, c, d, e in itertools.product(range(len(s)), repeat=5):
+        if m[s[a][b][c]][d][e] != s[m[a][d][e]][m[b][d][e]][m[c][d][e]]:
+            return (1, a, b, c, d, e)
+        if m[a][s[b][c][d]][e] != s[m[a][b][e]][m[a][c][e]][m[a][d][e]]:
+            return (2, a, b, c, d, e)
+        if m[a][b][s[c][d][e]] != s[m[a][b][c]][m[a][b][d]][m[a][b][e]]:
+            return (3, a, b, c, d, e)
+    return None
+
 
 def test_compiled_backend_is_active():
-    assert kernel_backend() in ("cython", "numpy")
+    assert kernel_backend() == "numpy"
 
 
-@pytest.mark.skipif(_axioms is None, reason="compiled extension unavailable")
-def test_backends_agree_on_valid_tables():
+def test_assoc_scan_passes_valid_tables():
     for modulus in (4, 8, 16):
-        f = odd_residue_field(modulus, check=False)
-        flat = f.carrier.nu.reshape(-1)
-        assert _axioms.assoc3(flat, f.n) is None
-        assert _axioms_py.assoc3(flat, f.n) is None
+        nu = odd_residue_field(modulus, check=False).carrier.nu
+        assert tk._assoc_scan(nu) is None
+        assert reference_assoc(nu) is None
 
 
-@pytest.mark.skipif(_axioms is None, reason="compiled extension unavailable")
-def test_backends_agree_on_random_tables():
+def test_assoc_scan_matches_reference_on_random_tables():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4, 5):
         for _ in range(12):
             op = rng.integers(0, n, size=(n, n, n), dtype=np.int32)
-            flat = np.ascontiguousarray(op).reshape(-1)
-            assert _axioms.assoc3(flat, n) == _axioms_py.assoc3(flat, n)
+            assert tk._assoc_scan(op) == reference_assoc(op)
 
 
-@pytest.mark.skipif(_axioms is None, reason="compiled extension unavailable")
-def test_backends_agree_on_distributivity_witnesses():
+def test_distrib_scan_matches_reference_on_random_tables():
+    # several laws usually fail at the least witness, which pins the law order
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 4):
+        for _ in range(12):
+            s, m = rng.integers(0, n, size=(2, n, n, n), dtype=np.int32)
+            assert tk._distrib_scan(s, m) == reference_distrib(s, m)
+
+
+@pytest.mark.parametrize("build", [functools.partial(odd_residue_field, 8, check=False),
+                                   functools.partial(build_f0, 3, check="light")],
+                         ids=["odd(8)", "F0(3)"])
+def test_distrib_scan_matches_reference(build):
+    f = build()
+    nu, tmu = f.carrier.nu, f.carrier.derived_ternary_mu()
+    assert tk._distrib_scan(nu, tmu) is None
+    assert reference_distrib(nu, tmu) is None
     rng = np.random.default_rng(11)
-    f = odd_residue_field(8, check=False)
-    nu = np.ascontiguousarray(f.carrier.nu, dtype=np.int32)
-    # tmu[a,b,c] = (a*b)*c
-    tmu = np.ascontiguousarray(
-        np.array([[[f.mu(f.mu(a, b), c) for c in range(f.n)]
-                   for b in range(f.n)] for a in range(f.n)], dtype=np.int32))
-    assert _axioms.distrib3(nu.reshape(-1), tmu.reshape(-1), f.n) is None
-    assert _axioms_py.distrib3(nu.reshape(-1), tmu.reshape(-1), f.n) is None
     for _ in range(8):
         bad = tmu.copy()
         a, b, c = rng.integers(0, f.n, size=3)
         bad[a, b, c] = (bad[a, b, c] + 1) % f.n
-        w1 = _axioms.distrib3(nu.reshape(-1), bad.reshape(-1), f.n)
-        w2 = _axioms_py.distrib3(nu.reshape(-1), bad.reshape(-1), f.n)
-        assert w1 == w2 and w1 is not None
+        w = tk._distrib_scan(nu, bad)
+        assert w is not None and w == reference_distrib(nu, bad)
 
 
 # -- certificates against the scan ---------------------------------------------
@@ -337,10 +360,9 @@ def test_certificates_pass_on_valid_fields(name):
 @pytest.mark.parametrize("name", SMALL)
 def test_passing_certificate_means_no_scan_witness(name):
     c = roster_field(name).carrier
-    flat = c.nu.reshape(-1)
-    assert tk._assoc_certificate(c.nu) and _axioms_py.assoc3(flat, c.n) is None
+    assert tk._assoc_certificate(c.nu) and tk._assoc_scan(c.nu) is None
     assert tk._distrib_certificate(c.nu, c.mu)
-    assert _axioms_py.distrib3(flat, c.derived_ternary_mu().reshape(-1), c.n) is None
+    assert tk._distrib_scan(c.nu, c.derived_ternary_mu()) is None
 
 
 def test_relabelled_unit_off_index_zero_agrees_with_scan():
@@ -434,3 +456,93 @@ def test_verdict_method_records_how_it_was_reached():
     v = check_distributivity(coset)
     assert v and v.method == "scan"
     assert check_ternary_group(f.carrier) is not check_ternary_group(f.carrier)
+
+
+# -- FiniteThreeField validation ---------------------------------------------
+#
+# FiniteThreeField validates itself with the checkers' own invariant and
+# decision functions: every check mode rejects a broken cheap invariant, only
+# "auto" and "full" reach the scan, and each invariant runs once.
+
+def _non_symmetric_nu(c):
+    nu = c.nu.copy()
+    nu[0, 1, 2], nu[0, 1, 3] = nu[0, 1, 3], nu[0, 1, 2]
+    return with_tables(c, nu=nu)
+
+
+def _non_permutation_row(c):
+    nu = c.nu.copy()
+    for cell in itertools.permutations((0, 1, 2)):
+        nu[cell] = c.nu[0, 1, 3]          # nu(0,1,.) takes that value twice
+    return with_tables(c, nu=nu)
+
+
+def _non_associative_mu(c):
+    # swap an intercalate of the group table: still a Latin square with the
+    # same unit and inverses, but no longer associative
+    mu = c.mu.copy()
+    seven, nine = c.index("7"), c.index("9")
+    for row in (c.index("3"), c.index("13")):
+        mu[row, seven], mu[row, nine] = mu[row, nine], mu[row, seven]
+    return with_tables(c, mu=mu)
+
+
+BROKEN = {  # kind -> (carrier, unit index, what the error names)
+    "non-symmetric nu": (lambda: _non_symmetric_nu(roster_field("odd(16)").carrier), 0,
+                         "not symmetric"),
+    "non-permutation nu row": (lambda: _non_permutation_row(roster_field("odd(16)").carrier),
+                               0, "exactly once"),
+    "non-associative mu": (lambda: _non_associative_mu(roster_field("odd(16)").carrier), 0,
+                           "not associative"),
+    # a zero absorbs the product, so it has no inverse: that check catches it
+    "additive zero": (lambda: binary_derived_carrier(3), 1, "inverse"),
+}
+
+
+@pytest.mark.parametrize("check", ["light", "auto", "full"])
+@pytest.mark.parametrize("kind", list(BROKEN))
+def test_every_check_mode_rejects_a_broken_invariant(kind, check):
+    build, one, what = BROKEN[kind]
+    with pytest.raises(StructureError, match=what):
+        FiniteThreeField(build(), one, check=check)
+
+
+@pytest.mark.parametrize("check", ["light", "auto", "full"])
+def test_only_the_scanning_modes_reject_a_scan_only_failure(check):
+    # nu of a relabelled odd(16) with the multiplication of F0(4) passes every
+    # cheap invariant; distributivity fails, and only the scan can say so
+    odd16, f4 = roster_field("odd(16)"), roster_field("F0(4)")
+    relabelled = relabel(odd16.carrier, np.random.default_rng(5).permutation(odd16.n))
+    carrier = with_tables(relabelled, mu=f4.carrier.mu)
+    if check == "light":
+        FiniteThreeField(carrier, f4.one, check=check)
+    else:
+        with pytest.raises(StructureError, match="distributivity fails: law 1"):
+            FiniteThreeField(carrier, f4.one, check=check)
+
+
+def test_auto_construction_runs_each_invariant_once():
+    c = roster_field("odd(32)").carrier
+
+    def counting(name):
+        return mock.patch.object(tk, name, wraps=getattr(tk, name))
+
+    with counting("_closure") as closure, counting("_nu_invariants") as nu_inv, \
+            counting("_mu_invariants") as mu_inv, counting("_zero_element") as zero, \
+            counting("_assoc_certificate") as assoc, \
+            counting("_distrib_certificate") as distrib, \
+            mock.patch.object(TernaryCarrier, "derived_ternary_mu") as derived:
+        FiniteThreeField(c, 0, check="auto")
+    assert closure.call_count == 2                  # nu, then mu
+    assert nu_inv.call_count == mu_inv.call_count == zero.call_count == 1
+    assert assoc.call_count == distrib.call_count == 1
+    assert derived.call_count == 0                  # mu(mu(x,y),z) is built once
+
+
+def test_check_distributivity_builds_no_second_ternary_product():
+    c = roster_field("odd(16)").carrier
+    with mock.patch.object(TernaryCarrier, "derived_ternary_mu") as derived:
+        assert check_distributivity(c, limit=c.n).method == "certificate"
+        with scan_only():
+            assert check_distributivity(c, limit=c.n).method == "scan"
+    assert derived.call_count == 0
