@@ -8,14 +8,19 @@ detected along two independent routes — a compositional inverse exists, or
 the image generates the whole carrier — which must agree.
 
 Composition tables follow the convention table[P][Q] = P(Q(x)) (substitute
-Q into P).
+Q into P).  `composition_table` builds the whole table at once from the
+multiplication table mu: row k of a power table holds every Q^k (iterating
+mu from the unit), the bit planes of each P written in powers of x select
+which powers to XOR together as coefficient masks, and a search over the
+sorted carrier masks turns the results back into element indices.
+`compose_elements` is the same substitution for one pair, step by step.
 """
 
 import numpy as np
 
 from .ternary_kernel import FiniteThreeField, StructureError
 from .pair_envelope import Morphism
-from .poly_fields import generated_subalgebra
+from .poly_fields import _subalgebra_closure
 
 # compact one-letter names for the small single-variable fields
 _LETTERS = {
@@ -65,6 +70,24 @@ def compose_elements(field, i, j):
     return alg.index_of[out]
 
 
+def composition_table(field):
+    """C[i, j] = P_i(P_j(x)) for every pair of elements."""
+    alg = _algebra_of(field)
+    n = field.n
+    masks = np.array(alg.carrier, dtype=np.int64)
+    mu = field.carrier.mu
+    powers = np.empty((alg.m_count, n), dtype=np.int64)   # [k, j] -> P_j^k
+    powers[0] = field.one
+    for k in range(1, alg.m_count):
+        powers[k] = mu[powers[k - 1], np.arange(n)]
+    power_masks = masks[powers]
+    xmasks = np.array([alg.to_x(m) for m in alg.carrier], dtype=np.int64)
+    out = np.zeros((n, n), dtype=np.int64)
+    for k in range(alg.m_count):
+        out ^= (xmasks[:, None] >> k & 1) * power_masks[k]
+    return np.searchsorted(masks, out).astype(np.int32)
+
+
 class PolyEndo:
     """Substitution endomorphism x -> image of a singly generated field."""
 
@@ -72,8 +95,7 @@ class PolyEndo:
         self.field = field
         self.image = int(image)
         if mapping is None:
-            mapping = [compose_elements(field, v, self.image)
-                       for v in range(field.n)]
+            mapping = composition_table(field)[:, self.image]
         self.morphism = Morphism(field, field, mapping)
         self.mapping = self.morphism.mapping
 
@@ -93,10 +115,9 @@ class PolyEndo:
 def enumerate_endomorphisms(field):
     """One verified endomorphism per candidate generator image — for F0(n)
     every element qualifies, so the count equals the field size."""
-    out = []
-    for image in range(field.n):
-        out.append(PolyEndo(field, image))
-    return out
+    table = composition_table(field)
+    return [PolyEndo(field, image, mapping=table[:, image])
+            for image in range(field.n)]
 
 
 class CompositionTable:
@@ -202,10 +223,7 @@ def cayley_table(field, mode="multiplication"):
             raise StructureError("unit row/column mismatch")
         return t
     if mode == "composition":
-        table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            for j in range(n):
-                table[i, j] = compose_elements(field, i, j)
+        table = composition_table(field)
         labels = list(field.labels)
         identity = labels.index("x") if "x" in labels else field.one
         return CompositionTable(field, range(n), table, identity, "composition")
@@ -217,22 +235,16 @@ def automorphism_group(field):
     image generates the carrier), asserted to agree; returns the composition
     Cayley table with identity x."""
     endos = enumerate_endomorphisms(field)
+    # the composition table, read back from the validated maps: P_i(P_j)
+    comp = np.array([p.mapping for p in endos], dtype=np.int32).T
     labels = list(field.labels)
     x_idx = labels.index("x") if "x" in labels else field.one
 
-    invertible = set()
-    for p in endos:
-        for q in endos:
-            if (compose_elements(field, p.image, q.image) == x_idx
-                    and compose_elements(field, q.image, p.image) == x_idx):
-                invertible.add(p.image)
-                break
+    inverse = ((comp == x_idx) & (comp.T == x_idx)).any(axis=1)
+    invertible = {p.image for p in endos if inverse[p.image]}
 
-    generating = set()
-    for p in endos:
-        closure, _ = generated_subalgebra(field, [p.image])
-        if len(closure) == field.n:
-            generating.add(p.image)
+    generating = {p.image for p in endos if len(
+        _subalgebra_closure(field, [field.one, p.image])[0]) == field.n}
 
     if invertible != generating:
         raise StructureError(
@@ -241,15 +253,11 @@ def automorphism_group(field):
             f"{sorted(generating)}")
 
     elements = sorted(invertible)
-    pos = {e: i for i, e in enumerate(elements)}
-    k = len(elements)
-    table = np.empty((k, k), dtype=np.int32)
-    for a, ea in enumerate(elements):
-        for b, eb in enumerate(elements):
-            c = compose_elements(field, ea, eb)
-            if c not in pos:
-                raise StructureError("automorphisms are not closed under composition")
-            table[a, b] = pos[c]
+    pos = np.full(field.n, -1, dtype=np.int32)
+    pos[elements] = np.arange(len(elements))
+    table = pos[comp[np.ix_(elements, elements)]]
+    if (table < 0).any():
+        raise StructureError("automorphisms are not closed under composition")
     return CompositionTable(field, elements, table, pos[x_idx], "composition")
 
 

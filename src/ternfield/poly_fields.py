@@ -35,6 +35,8 @@ _BUILD_LIMIT = 512
 # enumerating 2^rank coefficient masks is the hard wall for algebra carriers
 _ALGEBRA_RANK_LIMIT = 20
 DEFAULT_KRONECKER_CAP = 8
+# event-array entries one chunk of a closure round holds
+_CLOSURE_CELLS = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +692,19 @@ class QuotientAlgebra:
                     out ^= 1 << int(t)
         return out
 
+    def mul_table(self):
+        """mul(a, b) for every pair of carrier masks, as an (n, n) mask array
+        in carrier order: one carry-less pass over the monomial products,
+        then the echelon rows in the order `_reduce` applies them."""
+        masks = np.array(self.carrier, dtype=np.int64)
+        bits = masks[:, None] >> np.arange(self.m_count) & 1     # [a, i]
+        out = np.zeros((len(masks), len(masks)), dtype=np.int64)
+        for i, j in zip(*np.nonzero(self.ptab >= 0)):
+            out ^= (bits[:, i, None] & bits[None, :, j]) << self.ptab[i, j]
+        for p, row in self._rows.items():
+            out ^= (out >> p & 1) * row
+        return out
+
     def normal_form(self, mask):
         return self._reduce(mask)
 
@@ -811,17 +826,13 @@ def build_quotient_field(spec, check="auto"):
     if n > _BUILD_LIMIT:
         raise CarrierSizeError(
             f"carrier of size {n} exceeds the build limit {_BUILD_LIMIT}")
-    masks = np.array(alg.carrier, dtype=np.int64)
-    lookup = np.full(1 << alg.m_count, -1, dtype=np.int64)
+    masks = np.array(alg.carrier, dtype=np.int32)
+    lookup = np.full(1 << alg.m_count, -1, dtype=np.int32)
     lookup[masks] = np.arange(n)
-    x3 = masks[:, None, None] ^ masks[None, :, None] ^ masks[None, None, :]
-    nu = lookup[x3].astype(np.int32)
-    mu = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        for b in range(a, n):
-            r = lookup[alg.mul(alg.carrier[a], alg.carrier[b])]
-            mu[a, b] = r
-            mu[b, a] = r
+    nu = masks[:, None, None] ^ masks[None, :, None] ^ masks[None, None, :]
+    for slab in nu:      # np.take copies its indices as int64: one slab at a time
+        np.take(lookup, slab, out=slab)
+    mu = lookup[alg.mul_table()]
     labels = [alg.label(m) for m in alg.carrier]
     carrier = TernaryCarrier(labels, nu, mu)
     origin = {
@@ -1057,16 +1068,7 @@ def prime_subfield(field):
     isomorphism is constructed, not assumed."""
     if hasattr(field, "quotient_by_ideal") and not isinstance(field, FiniteThreeField):
         return PrimeSubfieldResult(field, math.inf, None)
-    closed = {field.one}
-    frontier = [field.one]
-    while frontier:
-        arr = np.array(sorted(closed), dtype=np.int64)
-        new = set(np.unique(field.carrier.nu[np.ix_(arr, arr, arr)]).tolist())
-        new |= set(np.unique(field.carrier.mu[np.ix_(arr, arr)]).tolist())
-        new -= closed
-        closed |= new
-        frontier = sorted(new)
-    indices = sorted(closed)
+    indices, _ = _subalgebra_closure(field, [field.one])
     sub_carrier = field.subset_carrier(indices)
     sub = FiniteThreeField(sub_carrier, indices.index(field.one),
                            origin={"kind": "prime_subfield"})
@@ -1165,33 +1167,63 @@ def eval_hom(p, field, targets, env=None):
     return total
 
 
+def _subalgebra_closure(field, seeds):
+    """Close the seed indices under mu and nu, one round at a time.
+
+    A round reads every event over the sorted closed set of m elements in
+    the order of the (m, m, m+1) array E[a, b] = [mu(a,b), nu(a,b,c) for
+    each c], row-major; each result not yet reached is credited to its first
+    event.  Rows of E are taken in chunks of at most _CLOSURE_CELLS entries.
+    Returns the sorted reached indices and the steps (r, a, b, c) in the
+    order reached: r = mu(a,b) when c is -1, else r = nu(a,b,c).
+    """
+    nu, mu = field.carrier.nu, field.carrier.mu
+    reached = np.zeros(field.n, dtype=bool)
+    reached[seeds] = True
+    steps = []
+    while not reached.all():
+        arr = np.flatnonzero(reached)
+        m = len(arr)
+        seen = reached.copy()
+        rows = max(1, _CLOSURE_CELLS // (m * (m + 1)))
+        for lo in range(0, m, rows):
+            a = arr[lo:lo + rows]
+            events = np.empty((len(a), m, m + 1), dtype=nu.dtype)
+            events[:, :, 0] = mu[np.ix_(a, arr)]
+            events[:, :, 1:] = nu[np.ix_(a, arr, arr)]
+            flat = events.ravel()
+            pos = np.flatnonzero(~seen[flat])
+            new, first = np.unique(flat[pos], return_index=True)
+            seen[new] = True
+            ia, ib, ic = np.unravel_index(pos[first], events.shape)
+            c = np.where(ic == 0, -1, arr[ic - 1])
+            steps.extend(zip(new.tolist(), a[ia].tolist(), arr[ib].tolist(), c.tolist()))
+        if (seen == reached).all():
+            break
+        reached = seen
+    return np.flatnonzero(reached).tolist(), steps
+
+
 def generated_subalgebra(field, targets):
     """BFS closure of {1} and the targets under both operations, with an
-    explicit polynomial witness for every element reached."""
+    explicit polynomial witness for every element reached: x_i for the i-th
+    target, a*b or a+b+c over the witnesses of the event that first reached
+    it (see `_subalgebra_closure`)."""
+    targets = [int(t) for t in targets]
+    for t in targets:
+        if not 0 <= t < field.n:
+            raise StructureError(
+                f"target {t} is not an element of the {field.n}-element field")
     k = len(targets)
     vars = tuple(f"x{i+1}" for i in range(k)) if k > 1 else ("x",)
     one_poly = TernaryPolynomial.constant(1, vars)
     witness = {field.one: one_poly}
     for i, t in enumerate(targets):
-        witness.setdefault(int(t), TernaryPolynomial.variable(vars[i], vars))
-    frontier = sorted(witness)
-    closed = set(witness)
-    while frontier:
-        arr = sorted(closed)
-        new = {}
-        for a in arr:
-            for b in arr:
-                r = field.mu(a, b)
-                if r not in closed and r not in new:
-                    new[r] = witness[a] * witness[b]
-                for c in arr:
-                    s = field.nu(a, b, c)
-                    if s not in closed and s not in new:
-                        new[s] = witness[a] + witness[b] + witness[c]
-        witness.update(new)
-        closed |= set(new)
-        frontier = sorted(new)
-    indices = sorted(closed)
+        witness.setdefault(t, TernaryPolynomial.variable(vars[i], vars))
+    indices, steps = _subalgebra_closure(field, list(witness))
+    for r, a, b, c in steps:
+        witness[r] = (witness[a] * witness[b] if c < 0
+                      else witness[a] + witness[b] + witness[c])
     return indices, {i: witness[i] for i in indices}
 
 

@@ -246,8 +246,13 @@ def _nu_invariants(nu, labels):
 def _mu_invariants(mu, labels):
     """Associativity of a closed binary mu: the failing Verdict or None, and
     the derived ternary product mu(mu(x,y),z) it compared."""
+    n = len(mu)
     left = mu[mu]          # [i,j,k] -> mu[mu[i,j],k]
-    bad = left != mu[:, mu]
+    # [i,j,k] -> mu[i,mu[j,k]], built C-contiguous: mu[:, mu] comes out with
+    # its first axis innermost in memory, which makes the comparison with
+    # `left` several times slower
+    right = np.take(mu, mu.ravel(), axis=1).reshape(n, n, n)
+    bad = left != right
     if bad.any():
         i, j, k = _least(bad)
         return Verdict(False, "mu-associativity", (i, j, k),
@@ -294,18 +299,22 @@ def _assoc_certificate(nu):
     o k.  Passes on every commutative ternary group: by the Hosszu-Gluskin
     theorem nu(x,y,z) = x+y+z+k over the retract (G,+) at 0, whose identity
     is 0 because e is the querelement of 0, and then x o y = x+y.
+
+    Returns the accepted retract (o, k), or None when the check fails.
     """
     r = _retract(nu)
-    return r is not None and _is_coset_form(nu, *r)
+    return r if r is not None and _is_coset_form(nu, *r) else None
 
 
-def _distrib_certificate(nu, mu):
+def _distrib_certificate(nu, mu, coset=None):
     """Exact O(n^3) sufficient condition for the three ternary
     distributivity laws of mu(mu(x,y),z) over nu, for a binary mu.
 
     First nu must be x+y+z+k over an abelian group: o from `_retract` is
     commutative and associative, has identity 0, every row of o contains 0
-    (so every element has an inverse), and nu = ((x o y) o z) o k.  Then
+    (so every element has an inverse), and nu = ((x o y) o z) o k.  `coset`
+    is the retract (o, k) when `_assoc_certificate` has already accepted
+    this nu, so that associativity and the form are settled.  Then
     for every left translation x -> mu(w,x) and right translation
     x -> mu(x,w), call it f, with c = f(0) and g(x) = f(x) - c: g must be
     a homomorphism of o with g(k) = c+c+k.  Then
@@ -319,14 +328,15 @@ def _distrib_certificate(nu, mu):
     The translations are checked in chunks of n/2, so the two cubes of a
     chunk hold at most n^3 entries together.
     """
-    r = _retract(nu)
+    r = coset or _retract(nu)
     if r is None:
         return False
     o, k = r
     n = len(o)
     zero = o == 0
     if not ((o[0] == np.arange(n)).all() and (o == o.T).all()
-            and zero.any(axis=1).all() and _is_coset_form(nu, o, k)):
+            and zero.any(axis=1).all()
+            and (coset is not None or _is_coset_form(nu, o, k))):
         return False
     neg = np.argmax(zero, axis=1)            # x o neg[x] = 0
     trans = np.concatenate([mu, mu.T])       # rows: x -> mu(w,x), x -> mu(x,w)
@@ -404,26 +414,29 @@ def _gate(n, limit):
 
 def _decide_associativity(nu, labels, limit):
     """Total associativity of a nu that passed `_nu_invariants`: the gate,
-    then `_assoc_certificate`, then the scan."""
+    then `_assoc_certificate`, then the scan.  Returns the Verdict and the
+    retract the certificate accepted (None when the scan decided)."""
     _gate(len(nu), limit)
-    if _assoc_certificate(nu):
-        return Verdict(True, method="certificate")
+    coset = _assoc_certificate(nu)
+    if coset:
+        return Verdict(True, method="certificate"), coset
     w = _assoc_scan(nu)
     if w is not None:
         a, b, c, d, e = w
         return Verdict(False, "associativity", w,
                        "the regroupings of nu disagree at "
                        f"({labels[a]},{labels[b]},{labels[c]},{labels[d]},{labels[e]})",
-                       method="scan")
-    return Verdict(True, method="scan")
+                       method="scan"), None
+    return Verdict(True, method="scan"), None
 
 
-def _decide_distributivity(nu, mu, tmu, labels, limit):
+def _decide_distributivity(nu, mu, tmu, labels, limit, coset=None):
     """The three distributivity laws of the ternary product tmu over nu: the
     gate, then `_distrib_certificate` when tmu is derived from a binary mu
-    (mu None for a genuine ternary product), then the scan."""
+    (mu None for a genuine ternary product), then the scan.  `coset` is the
+    retract `_decide_associativity` accepted for the same nu, if any."""
     _gate(len(nu), limit)
-    if mu is not None and _distrib_certificate(nu, mu):
+    if mu is not None and _distrib_certificate(nu, mu, coset):
         return Verdict(True, method="certificate")
     w = _distrib_scan(nu, tmu)
     if w is not None:
@@ -448,7 +461,7 @@ def check_ternary_group(carrier, limit=None):
         v = _nu_invariants(nu, labels)
     if v is not None:
         return v
-    return _decide_associativity(nu, labels, limit)
+    return _decide_associativity(nu, labels, limit)[0]
 
 
 def check_distributivity(obj, limit=None):
@@ -635,10 +648,10 @@ class FiniteThreeField:
             limit = c.n
         elif c.n > check_limit(limit):
             return
-        v = _decide_associativity(c.nu, c.labels, limit)
+        v, coset = _decide_associativity(c.nu, c.labels, limit)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
-        v = _decide_distributivity(c.nu, c.mu, tmu, c.labels, limit)
+        v = _decide_distributivity(c.nu, c.mu, tmu, c.labels, limit, coset)
         if not v:
             raise StructureError(f"distributivity fails: {v.detail}")
 
@@ -721,7 +734,7 @@ class ProperThreeThreeField:
             raise StructureError(f"operations must be closed: {v.detail}")
         v = _nu_invariants(nu, labels)
         if v is None:
-            v = _decide_associativity(nu, labels, limit)
+            v, _ = _decide_associativity(nu, labels, limit)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
         units = _ternary_units(tmu, self.n)

@@ -1,12 +1,15 @@
 """Tests for substitution endomorphisms, automorphism groups, and their
 Cayley/composition tables on the singly generated quotient fields."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from ternfield import (
     CompositionTable,
     StructureError,
+    TernaryPolynomial,
     automorphism_group,
     build_f0,
     cayley_table,
@@ -16,7 +19,9 @@ from ternfield import (
     odd_residue_field,
     truncation_morphism,
 )
-from ternfield.automorphisms import PolyEndo, compose_elements
+from ternfield import automorphisms
+from ternfield.automorphisms import PolyEndo, compose_elements, composition_table
+from ternfield.poly_fields import generated_subalgebra
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +69,17 @@ def test_substitution_example_x_squared_into_itself():
     f = build_f0(3)
     b = f.index("x^2")
     assert compose_elements(f, b, b) == f.one
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_composition_table_matches_compose_elements(n):
+    f = build_f0(n)
+    table = composition_table(f)
+    assert table.shape == (f.n, f.n)
+    for i in range(f.n):
+        for j in range(f.n):
+            assert table[i, j] == compose_elements(f, i, j)
+    assert (cayley_table(f, mode="composition").table == table).all()
 
 
 def test_substitution_is_associative():
@@ -117,11 +133,33 @@ def test_endo_repr_and_identity_flag():
 # automorphism groups
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n,order", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 8)])
+@pytest.mark.parametrize("n,order", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 8),
+                                     (6, 16), (7, 32)])
 def test_automorphism_group_orders(n, order):
     aut = automorphism_group(build_f0(n))
     assert aut.order == order
     assert aut.is_latin_square()
+
+
+def test_automorphism_group_builds_no_polynomials_and_composes_no_pairs():
+    calls = []
+
+    def counting(name):
+        original = getattr(TernaryPolynomial, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            return original(self, *args)
+        return mock.patch.object(TernaryPolynomial, name, counted)
+
+    f = build_f0(5)
+    with counting("__mul__"), counting("__add__"), counting("__radd__"), \
+            mock.patch.object(automorphisms, "compose_elements",
+                              wraps=compose_elements) as compose:
+        assert automorphism_group(f).order == 8
+        assert calls == [] and compose.call_count == 0
+        generated_subalgebra(f, [f.index("x")])     # the counters do count
+        assert "__mul__" in calls and "__add__" in calls
 
 
 def test_four_element_field_has_one_nontrivial_automorphism():

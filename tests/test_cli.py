@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line interface via subprocess: exit
 codes, JSON schemas, table formats, and deterministic output."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+
+from ternfield import cli
+from ternfield import ternary_kernel as tk
 
 RUNNER = [sys.executable, "-c",
           "from ternfield.cli import main; raise SystemExit(main())"]
@@ -132,6 +138,19 @@ def test_field_check_passes_on_valid_field():
     assert doc["distributivity"] is True
     assert doc["unit"] == "1"
     assert doc["zero_element"] is None
+
+
+@pytest.mark.parametrize("spec", ["odd(32)", "F0(5)", "F0(2)xF0(3)"])
+def test_field_check_decides_each_axiom_group_once(spec):
+    # the field is built with the cheap invariants only; the checkers decide
+    with mock.patch.object(tk, "_assoc_certificate", wraps=tk._assoc_certificate) as assoc, \
+            mock.patch.object(tk, "_distrib_certificate",
+                              wraps=tk._distrib_certificate) as distrib, \
+            contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["field", "check", "--spec", spec, "--format", "json"]) == 0
+    assert json.loads(out.getvalue())["passed"] is True
+    assert assoc.call_count == distrib.call_count == 1
 
 
 def test_field_check_gate_and_overrides():

@@ -1,6 +1,7 @@
 """Polynomials, quotient fields, parity, norms and the completely-even law."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from ternfield import (
 )
 from ternfield.poly_fields import (
     QuotientAlgebra,
+    generated_subalgebra,
     gf2_divmod,
     gf2_mul,
     gf2_str,
@@ -301,6 +303,22 @@ def test_extra_relations_cut_the_field():
     assert f.n == 2
 
 
+@pytest.mark.parametrize("exponents,relations", [
+    ((3,), ()), ((5,), ()), ((2, 2), ()), ((3, 2), ()), ((2, 2, 2), ()),
+    ((3,), ("x^2 - 2*x + 1",)),      # the relation of the test above
+    ((2, 2), ("x1 - x2",)),          # two echelon rows to reduce by
+])
+def test_mul_table_matches_scalar_mul(exponents, relations):
+    spec = QuotientFieldSpec(exponents, relations=[P(r) for r in relations])
+    alg = QuotientAlgebra(spec.exponents, spec.relations)
+    assert len(alg._rows) == {(): 0, ("x^2 - 2*x + 1",): 1, ("x1 - x2",): 2}[relations]
+    table = alg.mul_table()
+    assert table.shape == (len(alg.carrier),) * 2
+    for a, ma in enumerate(alg.carrier):
+        for b, mb in enumerate(alg.carrier):
+            assert table[a, b] == alg.mul(ma, mb)
+
+
 def test_odd_relation_is_rejected():
     with pytest.raises(StructureError, match="not even"):
         build_quotient_field(QuotientFieldSpec((3,), relations=(P("x"),)))
@@ -408,3 +426,82 @@ def test_eval_hom_surjectivity_report():
     report = eval_hom_surjectivity(f, [f.index("x")])
     assert report["surjective_onto_field"]
     assert report["count"] == f.n
+
+
+# -- closure with witnesses -----------------------------------------------------------------------
+
+def reference_subalgebra(field, targets):
+    """The closure element by element: each round walks the sorted closed
+    set as (a, b) -> mu(a,b), then c -> nu(a,b,c), and credits each new
+    element to its first event."""
+    k = len(targets)
+    vars = tuple(f"x{i+1}" for i in range(k)) if k > 1 else ("x",)
+    witness = {field.one: TernaryPolynomial.constant(1, vars)}
+    for i, t in enumerate(targets):
+        witness.setdefault(int(t), TernaryPolynomial.variable(vars[i], vars))
+    frontier = sorted(witness)
+    closed = set(witness)
+    while frontier:
+        arr = sorted(closed)
+        new = {}
+        for a in arr:
+            for b in arr:
+                r = field.mu(a, b)
+                if r not in closed and r not in new:
+                    new[r] = witness[a] * witness[b]
+                for c in arr:
+                    s = field.nu(a, b, c)
+                    if s not in closed and s not in new:
+                        new[s] = witness[a] + witness[b] + witness[c]
+        witness.update(new)
+        closed |= set(new)
+        frontier = sorted(new)
+    indices = sorted(closed)
+    return indices, {i: witness[i] for i in indices}
+
+
+CLOSURE_FIELDS = {
+    **{f"F0({k})": (lambda k=k: build_f0(k, check="light")) for k in (3, 4, 5, 6)},
+    **{f"odd({m})": (lambda m=m: odd_residue_field(m, check="light")) for m in (16, 32, 64)},
+    "F0(2)xF0(3)": lambda: product_field(build_f0(2), build_f0(3), check="light").field,
+}
+
+
+def assert_closure_matches_reference(f, targets):
+    indices, witnesses = generated_subalgebra(f, targets)
+    ref_indices, ref_witnesses = reference_subalgebra(f, targets)
+    assert indices == ref_indices
+    assert list(witnesses) == ref_indices
+    assert {i: str(w) for i, w in witnesses.items()} == \
+        {i: str(w) for i, w in ref_witnesses.items()}
+    return indices
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_FIELDS))
+def test_closure_matches_the_elementwise_reference(name):
+    f = CLOSURE_FIELDS[name]()
+    rng = random.Random(name)
+    for _ in range(12 if f.n <= 16 else 4):
+        targets = [rng.randrange(f.n) for _ in range(rng.choice((1, 2, 3)))]
+        assert_closure_matches_reference(f, targets)
+
+
+def test_closure_of_sets_that_do_not_generate_the_field():
+    f = build_f0(5)
+    x, x2, x4 = f.index("x"), f.index("x^2"), f.index("x^4")
+    sizes = {}
+    for name, targets in (("x^2", [x2]), ("x^4", [x4]), ("x^3+x+1", [f.index("x^3+x+1")]),
+                          ("1", [f.one]), ("none", []), ("x^2,x^4", [x2, x4]),
+                          ("x,x", [x, x]), ("x^2,x^2", [x2, x2])):
+        sizes[name] = len(assert_closure_matches_reference(f, targets))
+    assert sizes == {"x^2": 4, "x^4": 2, "x^3+x+1": 4, "1": 1, "none": 1,
+                     "x^2,x^4": 4, "x,x": 16, "x^2,x^2": 4}
+
+
+def test_closure_rejects_targets_outside_the_field():
+    f = build_f0(3)
+    for bad in (-1, f.n, f.n + 5):
+        with pytest.raises(StructureError, match="not an element"):
+            generated_subalgebra(f, [bad])
+        with pytest.raises(StructureError, match="not an element"):
+            generated_subalgebra(f, [f.index("x"), bad])

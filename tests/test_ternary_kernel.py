@@ -315,7 +315,8 @@ def with_tables(carrier, nu=None, mu=None):
 @contextlib.contextmanager
 def scan_only():
     with mock.patch.object(tk, "_assoc_certificate", lambda nu: False), \
-            mock.patch.object(tk, "_distrib_certificate", lambda nu, mu: False):
+            mock.patch.object(tk, "_distrib_certificate",
+                              lambda nu, mu, coset=None: False):
         yield
 
 
@@ -531,12 +532,27 @@ def test_auto_construction_runs_each_invariant_once():
             counting("_mu_invariants") as mu_inv, counting("_zero_element") as zero, \
             counting("_assoc_certificate") as assoc, \
             counting("_distrib_certificate") as distrib, \
+            counting("_retract") as retract, counting("_is_coset_form") as coset, \
             mock.patch.object(TernaryCarrier, "derived_ternary_mu") as derived:
         FiniteThreeField(c, 0, check="auto")
     assert closure.call_count == 2                  # nu, then mu
     assert nu_inv.call_count == mu_inv.call_count == zero.call_count == 1
     assert assoc.call_count == distrib.call_count == 1
+    # the distributivity certificate reuses the retract the associativity
+    # certificate accepted, so the coset form of nu is checked once
+    assert retract.call_count == coset.call_count == 1
     assert derived.call_count == 0                  # mu(mu(x,y),z) is built once
+
+
+def test_standalone_distributivity_check_still_checks_the_coset_form():
+    c = roster_field("odd(32)").carrier
+    with mock.patch.object(tk, "_is_coset_form", wraps=tk._is_coset_form) as coset:
+        assert check_distributivity(c, limit=c.n).method == "certificate"
+    assert coset.call_count == 1
+    # a nu that is not of coset form fails the certificate on its own
+    bad = with_tables(c, nu=np.random.default_rng(3).permutation(c.n).astype(np.int32)[c.nu])
+    assert tk._assoc_certificate(bad.nu) is None
+    assert not tk._distrib_certificate(bad.nu, bad.mu)
 
 
 def test_check_distributivity_builds_no_second_ternary_product():
