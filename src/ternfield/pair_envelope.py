@@ -27,6 +27,7 @@ from .ternary_kernel import (
     FiniteThreeField,
     StructureError,
     TernaryCarrier,
+    _renumber,
     quer_add,
 )
 
@@ -49,20 +50,6 @@ class RingTable:
         self._ideals = None
         if check:
             self.validate_ring()
-
-    @classmethod
-    def from_ops(cls, values, add, mul, zero, one, label=str, check=True):
-        values = list(values)
-        index = {v: i for i, v in enumerate(values)}
-        n = len(values)
-        add_t = np.empty((n, n), dtype=np.int32)
-        mul_t = np.empty((n, n), dtype=np.int32)
-        for i, x in enumerate(values):
-            for j, y in enumerate(values):
-                add_t[i, j] = index[add(x, y)]
-                mul_t[i, j] = index[mul(x, y)]
-        return cls([label(v) for v in values], add_t, mul_t,
-                   index[zero], index[one], check=check)
 
     def validate_ring(self):
         n = self.n
@@ -133,13 +120,13 @@ class RingTable:
         return out
 
     def ideal_closure(self, generators):
-        """Smallest two-sided ideal containing the generators."""
-        orbit = set()
+        """Smallest two-sided ideal containing the generators: the sums of
+        the products u*g*v (both sides at once, as the ring need not be
+        commutative)."""
+        hit = np.zeros(self.n, dtype=bool)
         for g in generators:
-            for u in range(self.n):
-                orbit.add(self.mul_at(u, g))
-                orbit.add(self.mul_at(g, u))
-        return frozenset(self._additive_closure(orbit))
+            hit[self.mul[self.mul[:, g]]] = True      # [u, v] -> (u*g)*v
+        return frozenset(self._additive_closure(np.flatnonzero(hit).tolist()))
 
     def all_ideals(self):
         """Every two-sided ideal, by closing the principal ideals under sums."""
@@ -277,16 +264,8 @@ class EnvelopeRing(RingTable):
             self._validate_envelope()
 
     def _validate_envelope(self):
-        base = self.base
-        n = base.n
         # the base embeds as a 3-morphism: ternary sums and products agree
-        for a in range(n):
-            for b in range(n):
-                if self.mul_at(a, b) != base.mu(a, b):
-                    raise StructureError("odd part does not reproduce mu")
-                for c in range(n):
-                    if self.add_at(self.add_at(a, b), c) != base.nu(a, b, c):
-                        raise StructureError("odd part does not reproduce nu")
+        ThreeRingMap(self.base, self, range(self.base.n))
         # parity grading
         par = self.parity
         if not ((par[self.add] == (par[:, None] + par[None, :]) % 2).all()
@@ -350,21 +329,12 @@ def units_as_3field(ring, check="auto"):
         raise StructureError(
             f"not local with residue ring of two elements "
             f"({len(maximal)} maximal ideals)")
-    m = maximal[0]
-    units = [i for i in range(ring.n) if i not in m]
-    back = {g: s for s, g in enumerate(units)}
-    k = len(units)
-    nu = np.empty((k, k, k), dtype=np.int32)
-    mu = np.empty((k, k), dtype=np.int32)
-    for a, ga in enumerate(units):
-        for b, gb in enumerate(units):
-            gab = ring.add_at(ga, gb)
-            mu[a, b] = back[ring.mul_at(ga, gb)]
-            for c, gc in enumerate(units):
-                nu[a, b, c] = back[ring.add_at(gab, gc)]
-    labels = [ring.labels[g] for g in units]
-    carrier = TernaryCarrier(labels, nu, mu)
-    return FiniteThreeField(carrier, back[ring.one],
+    u = np.setdiff1d(np.arange(ring.n), sorted(maximal[0]))
+    ix = np.ix_(u, u)
+    mu = _renumber(ring.mul[ix], u, ring.n)
+    nu = _renumber(ring.add[ring.add[ix][..., None], u], u, ring.n)
+    carrier = TernaryCarrier([ring.labels[g] for g in u], nu, mu)
+    return FiniteThreeField(carrier, _renumber(ring.one, u, ring.n),
                             origin={"kind": "units_of_ring"}, check=check)
 
 
@@ -485,13 +455,12 @@ class ThreeRingMap:
             raise StructureError("mapping must cover the field")
         if m[f.one] != r.one:
             raise StructureError("unit must go to one")
-        for a in range(f.n):
-            for b in range(f.n):
-                if m[f.mu(a, b)] != r.mul_at(m[a], m[b]):
-                    raise StructureError("products are not preserved")
-                for c in range(f.n):
-                    if m[f.nu(a, b, c)] != r.add_at(r.add_at(m[a], m[b]), m[c]):
-                        raise StructureError("ternary sums are not preserved")
+        m = np.asarray(m, dtype=np.intp)
+        ix = np.ix_(m, m)
+        if not (m[f.carrier.mu] == r.mul[ix]).all():
+            raise StructureError("products are not preserved")
+        if not (m[f.carrier.nu] == r.add[r.add[ix][..., None], m]).all():
+            raise StructureError("ternary sums are not preserved")
 
     def __call__(self, i):
         return self.mapping[i]
@@ -581,38 +550,20 @@ def quotient_by_ideal(field, ideal, check="auto"):
             witness = {"ideal": sorted(cand),
                        "odd_members": [field.label(i) for i in meets]}
             break
-    # partition the odd part along the translation action of the ideal
-    class_of = {}
-    reps = []
-    for r in range(n):
-        if r in class_of:
-            continue
-        members = sorted({env.add_at(r, q) for q in ideal.elements})
-        members = [m for m in members if m < n]
-        rep = members[0]
-        reps.append(rep)
-        for m in members:
-            class_of[m] = rep
-    rep_index = {rep: i for i, rep in enumerate(reps)}
-    k = len(reps)
-    nu = np.empty((k, k, k), dtype=np.int32)
-    mu = np.empty((k, k), dtype=np.int32)
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            mu[a, b] = rep_index[class_of[field.mu(ra, rb)]]
-            for c, rc in enumerate(reps):
-                nu[a, b, c] = rep_index[class_of[field.nu(ra, rb, rc)]]
+    # partition the odd part along the translation action of the ideal: the
+    # class of r is r + ideal, named by its least odd member
+    members = env.add[:n, sorted(ideal.elements)]
+    class_of = np.where(members < n, members, n).min(axis=1)
+    reps = np.unique(class_of)
+    cls = _renumber(class_of, reps, n)          # class position of each element
+    c = field.carrier
+    mu = cls[c.mu[np.ix_(reps, reps)]]
+    nu = cls[c.nu[np.ix_(reps, reps, reps)]]
     # representative independence
-    for x in range(n):
-        for y in range(n):
-            if class_of[field.mu(x, y)] != reps[mu[rep_index[class_of[x]],
-                                                   rep_index[class_of[y]]]]:
-                raise StructureError("multiplication is not constant on classes")
-            for z in range(n):
-                if class_of[field.nu(x, y, z)] != reps[nu[rep_index[class_of[x]],
-                                                          rep_index[class_of[y]],
-                                                          rep_index[class_of[z]]]]:
-                    raise StructureError("addition is not constant on classes")
+    if not (cls[c.mu] == mu[np.ix_(cls, cls)]).all():
+        raise StructureError("multiplication is not constant on classes")
+    if not (cls[c.nu] == nu[np.ix_(cls, cls, cls)]).all():
+        raise StructureError("addition is not constant on classes")
     report = {
         "evenly_maximal": witness is None,
         "witness": witness,
@@ -624,7 +575,7 @@ def quotient_by_ideal(field, ideal, check="auto"):
             f"at {witness['odd_members']}", witness)
     labels = [field.label(r) for r in reps]
     carrier = TernaryCarrier(labels, nu, mu)
-    out = FiniteThreeField(carrier, rep_index[class_of[field.one]],
+    out = FiniteThreeField(carrier, cls[field.one],
                            origin={"kind": "quotient"}, check=check)
     return QuotientResult(out, labels, report)
 

@@ -1041,7 +1041,7 @@ def product_field(*factors, check="auto"):
         iso = None
         if free_size == field.n:
             free_field = build_quotient_field(QuotientFieldSpec(exponents),
-                                              check="none")
+                                              check=False)
             iso = field_isomorphism(field, free_field)
         free_comparison = {
             "free_field_size": free_size,

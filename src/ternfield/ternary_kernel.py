@@ -131,37 +131,6 @@ class TernaryCarrier:
         self.nu_foreign = dict(nu_foreign or {})
         self.mu_foreign = dict(mu_foreign or {})
 
-    @classmethod
-    def from_ops(cls, values, nu, mu=None, label=str):
-        """Materialize tables from callables over an ordered list of values."""
-        values = list(values)
-        index = {v: i for i, v in enumerate(values)}
-        if len(index) != len(values):
-            raise StructureError("carrier values must be distinct")
-        n = len(values)
-        nu_t = np.empty((n, n, n), dtype=np.int32)
-        nu_f = {}
-        for i, x in enumerate(values):
-            for j, y in enumerate(values):
-                for k, z in enumerate(values):
-                    r = nu(x, y, z)
-                    got = index.get(r, FOREIGN)
-                    nu_t[i, j, k] = got
-                    if got == FOREIGN:
-                        nu_f[(i, j, k)] = label(r)
-        mu_t = None
-        mu_f = {}
-        if mu is not None:
-            mu_t = np.empty((n, n), dtype=np.int32)
-            for i, x in enumerate(values):
-                for j, y in enumerate(values):
-                    r = mu(x, y)
-                    got = index.get(r, FOREIGN)
-                    mu_t[i, j] = got
-                    if got == FOREIGN:
-                        mu_f[(i, j)] = label(r)
-        return cls([label(v) for v in values], nu_t, mu_t, nu_f, mu_f)
-
     def derived_ternary_mu(self):
         """Dense table of the derived ternary product mu(mu(x,y),z)."""
         if self.mu is None:
@@ -208,6 +177,15 @@ class TernaryCarrier:
 def _least(mask):
     """Index tuple of the first True entry of a boolean array, row-major."""
     return tuple(int(v) for v in np.unravel_index(int(np.argmax(mask)), mask.shape))
+
+
+def _renumber(table, subset, n):
+    """Positions in `subset` of the indices in `table`, a table of an
+    n-element parent already gathered over the subset with np.ix_; FOREIGN
+    where a result lies outside the subset."""
+    back = np.full(n, FOREIGN, dtype=np.int32)
+    back[subset] = np.arange(len(subset), dtype=np.int32)
+    return back[table]
 
 
 def _closure(table, foreign_map, labels, opname):
@@ -542,10 +520,14 @@ class FiniteThreeField:
     identity `one` and whose ternary addition has no zero element.
 
     check: "auto" gates the O(n^5) scans by carrier size, "full" forces them,
-    "light" runs only the cheap invariants, False trusts the caller.
+    "light" runs only the cheap invariants, False trusts the caller; any
+    other value raises ValueError.
     """
 
     def __init__(self, carrier, one, origin=None, check="auto", limit=None):
+        if not (check is False or check in ("light", "auto", "full")):
+            raise ValueError(
+                f"check must be False, 'light', 'auto' or 'full', not {check!r}")
         self.carrier = carrier
         self.one = int(one)
         self.origin = dict(origin) if origin else {}
@@ -638,10 +620,8 @@ class FiniteThreeField:
             v, tmu = _mu_invariants(c.mu, c.labels)
         if v is not None:
             raise StructureError(v.detail)
-        zero = _zero_element(c.nu, tmu, self.one)
-        if zero is not None:
-            raise StructureError(
-                f"additive zero {self.label(zero)} present; not a proper 3-field")
+        # no zero check: with a two-sided unit, inverses and an associative
+        # mu, mu(mu(z,1),z^-1) = 1, so no z other than the unit absorbs tmu
         if check == "light":
             return
         if check == "full":
@@ -659,44 +639,30 @@ class FiniteThreeField:
 
     def subset_carrier(self, indices):
         """Carrier restricted to a subset, foreign results marked."""
-        indices = [int(i) for i in indices]
-        back = {g: s for s, g in enumerate(indices)}
-        n = len(indices)
-        nu = np.empty((n, n, n), dtype=np.int32)
-        nu_f = {}
-        for a, ga in enumerate(indices):
-            for b, gb in enumerate(indices):
-                for c, gc in enumerate(indices):
-                    r = self.nu(ga, gb, gc)
-                    nu[a, b, c] = back.get(r, FOREIGN)
-                    if r not in back:
-                        nu_f[(a, b, c)] = self.label(r)
-        mu = np.empty((n, n), dtype=np.int32)
-        mu_f = {}
-        for a, ga in enumerate(indices):
-            for b, gb in enumerate(indices):
-                r = self.mu(ga, gb)
-                mu[a, b] = back.get(r, FOREIGN)
-                if r not in back:
-                    mu_f[(a, b)] = self.label(r)
-        labels = [self.label(g) for g in indices]
-        return TernaryCarrier(labels, nu, mu, nu_f, mu_f)
+        s = np.array([int(i) for i in indices], dtype=np.intp)
+        nu = self.carrier.nu[np.ix_(s, s, s)]
+        mu = self.carrier.mu[np.ix_(s, s)]
+        sub_nu, sub_mu = _renumber(nu, s, self.n), _renumber(mu, s, self.n)
+        return TernaryCarrier([self.label(g) for g in s], sub_nu, sub_mu,
+                              self._foreign_labels(sub_nu, nu),
+                              self._foreign_labels(sub_mu, mu))
+
+    def _foreign_labels(self, sub, full):
+        """Label of every result that left the subset, keyed by the argument
+        positions (a renumbered table `sub` and its gathered table `full`)."""
+        return {tuple(w): self.label(full[tuple(w)])
+                for w in np.argwhere(sub == FOREIGN).tolist()}
 
     def is_subfield(self, indices):
         """Whether the subset is a unital 3-subfield (unit, closure, inverses)."""
-        s = set(int(i) for i in indices)
+        s = np.unique(np.array([int(i) for i in indices], dtype=np.intp))
         if self.one not in s:
             return False
-        for a in s:
-            if self.inv(a) not in s:
-                return False
-            for b in s:
-                if self.mu(a, b) not in s:
-                    return False
-                for c in s:
-                    if self.nu(a, b, c) not in s:
-                        return False
-        return True
+        if self._inv is None:
+            self._inv = self._inverse_table()
+        c = self.carrier
+        return all((_renumber(t, s, self.n) != FOREIGN).all()
+                   for t in (self._inv[s], c.mu[np.ix_(s, s)], c.nu[np.ix_(s, s, s)]))
 
     def to_json(self):
         doc = self.carrier.to_json(one=self.one)
@@ -771,29 +737,22 @@ def twisted_coset(field, subfield_indices, t):
         raise StructureError("t must lie outside the subfield")
     if field.mu(t, t) not in set(f1):
         raise StructureError("t*t must lie in the subfield")
-    coset = sorted({field.mu(t, f) for f in f1})
-    back = {g: s for s, g in enumerate(coset)}
-    n = len(coset)
-    nu = np.empty((n, n, n), dtype=np.int32)
-    tmu = np.empty((n, n, n), dtype=np.int32)
-    for a, ga in enumerate(coset):
-        for b, gb in enumerate(coset):
-            gab = field.mu(ga, gb)
-            for c, gc in enumerate(coset):
-                r = field.nu(ga, gb, gc)
-                if r not in back:
-                    raise StructureError(
-                        f"coset not closed under nu: nu({field.label(ga)},"
-                        f"{field.label(gb)},{field.label(gc)}) = {field.label(r)}")
-                nu[a, b, c] = back[r]
-                m = field.mu(gab, gc)
-                if m not in back:
-                    raise StructureError(
-                        f"coset not closed under the ternary product at "
-                        f"({field.label(ga)},{field.label(gb)},{field.label(gc)})")
-                tmu[a, b, c] = back[m]
-    labels = [field.label(g) for g in coset]
-    return ProperThreeThreeField(labels, nu, tmu)
+    mu = field.carrier.mu
+    coset = np.unique(mu[t, f1])
+    full = field.carrier.nu[np.ix_(coset, coset, coset)]
+    nu = _renumber(full, coset, field.n)
+    # mu(mu(a,b),c) over the coset only, never the whole-field mu[mu] cube
+    tmu = _renumber(mu[mu[np.ix_(coset, coset)][:, :, None], coset], coset, field.n)
+    bad = (nu == FOREIGN) | (tmu == FOREIGN)
+    if bad.any():
+        w = _least(bad)
+        a, b, c = (field.label(coset[i]) for i in w)
+        if nu[w] == FOREIGN:
+            raise StructureError(f"coset not closed under nu: "
+                                 f"nu({a},{b},{c}) = {field.label(full[w])}")
+        raise StructureError(
+            f"coset not closed under the ternary product at ({a},{b},{c})")
+    return ProperThreeThreeField([field.label(g) for g in coset], nu, tmu)
 
 
 def odd_residue_field(modulus, check="auto"):

@@ -7,6 +7,7 @@ from ternfield import (
     EnvelopeRing,
     Morphism,
     RingMorphism,
+    RingTable,
     StructureError,
     build_envelope,
     build_f0,
@@ -18,6 +19,7 @@ from ternfield import (
     residue_ring,
     retract_addition,
     ring_isomorphism,
+    triangular_field,
     units_as_3field,
     verify_local,
 )
@@ -292,3 +294,131 @@ def test_no_isomorphism_between_different_rings():
     assert ring_isomorphism(residue_ring(4), residue_ring(8)) is None
     env = build_envelope(build_f0(3))  # 8 elements, characteristic 2
     assert ring_isomorphism(env, residue_ring(8)) is None
+
+
+# -- the table-first paths against their scalar definitions -------------------------------
+
+def reference_units_as_3field(ring):
+    """The complement of the maximal ideal, built one cell at a time:
+    (labels, nu, mu, unit position)."""
+    m = ring.maximal_ideals()[0]
+    units = [i for i in range(ring.n) if i not in m]
+    back = {g: s for s, g in enumerate(units)}
+    k = len(units)
+    nu = np.empty((k, k, k), dtype=np.int32)
+    mu = np.empty((k, k), dtype=np.int32)
+    for a, ga in enumerate(units):
+        for b, gb in enumerate(units):
+            gab = ring.add_at(ga, gb)
+            mu[a, b] = back[ring.mul_at(ga, gb)]
+            for c, gc in enumerate(units):
+                nu[a, b, c] = back[ring.add_at(gab, gc)]
+    return [ring.labels[g] for g in units], nu, mu, back[ring.one]
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda m=m: odd_residue_field(m), id=f"odd({m})") for m in (4, 8, 16, 32)),
+    *(pytest.param(lambda k=k: build_f0(k), id=f"F0({k})") for k in (3, 4, 5)),
+])
+def test_units_as_3field_matches_reference(build):
+    env = build_envelope(build())
+    labels, nu, mu, one = reference_units_as_3field(env)
+    got = units_as_3field(env)
+    assert list(got.labels) == labels and got.one == one
+    assert (got.carrier.nu == nu).all() and (got.carrier.mu == mu).all()
+
+
+def reference_quotient(field, ideal):
+    """Classes r + ideal in first-seen order, named by their least odd
+    member, and the class tables: (representative labels, nu, mu, unit)."""
+    env, n = ideal.env, field.n
+    class_of, reps = {}, []
+    for r in range(n):
+        if r in class_of:
+            continue
+        members = [m for m in sorted({env.add_at(r, q) for q in ideal.elements}) if m < n]
+        reps.append(members[0])
+        for m in members:
+            class_of[m] = members[0]
+    rep_index = {rep: i for i, rep in enumerate(reps)}
+    k = len(reps)
+    nu = np.empty((k, k, k), dtype=np.int32)
+    mu = np.empty((k, k), dtype=np.int32)
+    for a, ra in enumerate(reps):
+        for b, rb in enumerate(reps):
+            mu[a, b] = rep_index[class_of[field.mu(ra, rb)]]
+            for c, rc in enumerate(reps):
+                nu[a, b, c] = rep_index[class_of[field.nu(ra, rb, rc)]]
+    return ([field.label(r) for r in reps], nu, mu, rep_index[class_of[field.one]])
+
+
+@pytest.mark.parametrize("build", [lambda: odd_residue_field(16), lambda: build_f0(4)],
+                         ids=["odd(16)", "F0(4)"])
+def test_quotient_by_every_principal_pair_ideal_matches_reference(build):
+    f = build()
+    env = build_envelope(f)
+    for alpha in f.elements():
+        ideal = IdealHandle(env, [env.pair_index(alpha)])
+        labels, nu, mu, one = reference_quotient(f, ideal)
+        got = quotient_by_ideal(f, ideal)
+        assert got.class_reps == labels and got.field.one == one
+        assert (got.field.carrier.nu == nu).all() and (got.field.carrier.mu == mu).all()
+
+
+# -- two-sided ideals in a noncommutative ring -----------------------------------------------
+
+def matrix_ring_z2():
+    """M2(Z/2): matrix [[a,b],[c,d]] at index 8a+4b+2c+d."""
+    codes = np.arange(16)
+    weights = 1 << np.arange(3, -1, -1)
+    mats = ((codes[:, None] & weights) > 0).astype(np.int64).reshape(16, 2, 2)
+    prod = np.einsum("iab,jbc->ijac", mats, mats) % 2
+    mul = prod.reshape(16, 16, 4) @ weights
+    add = codes[:, None] ^ codes[None, :]
+    labels = [str(m.tolist()) for m in mats]
+    return RingTable(labels, add, mul, zero=0, one=0b1001)
+
+
+def test_simple_matrix_ring_has_only_the_zero_maximal_ideal():
+    # M2(Z/2) is simple; a one-sided closure of {u*g, g*u} would report
+    # nine 8-element "maximal ideals"
+    ring = matrix_ring_z2()
+    assert not ring.is_commutative()
+    assert ring.maximal_ideals() == [frozenset({ring.zero})]
+    assert verify_local(ring)["maximal_ideals"] == [[ring.zero]]
+
+
+@pytest.mark.parametrize("build", [
+    matrix_ring_z2,
+    lambda: build_envelope(triangular_field(2, build_f0(2)).field),
+], ids=["M2(Z/2)", "U(T2(F0(2)))"])
+def test_every_ideal_is_two_sided(build):
+    ring = build()
+    everything = np.arange(ring.n)
+    for ideal in ring.all_ideals():
+        members = sorted(ideal)
+        assert set(ring.mul[np.ix_(everything, members)].ravel().tolist()) <= ideal
+        assert set(ring.mul[np.ix_(members, everything)].ravel().tolist()) <= ideal
+
+
+# -- ThreeRingMap rejections -------------------------------------------------------------------
+
+def test_three_ring_map_rejects_a_map_that_breaks_products():
+    # into Z/2 x Z/2 (bit pairs, one = 11): every map from F0(2) = {1, x}
+    # with 1 -> 11 keeps ternary sums, but x*x = 1 needs x -> 11
+    f2 = build_f0(2)
+    codes = np.arange(4)
+    pairs = RingTable(["00", "01", "10", "11"], codes[:, None] ^ codes,
+                      codes[:, None] & codes, zero=0, one=3)
+    mapping = [0, 0]
+    mapping[f2.one] = 3
+    mapping[f2.index("x")] = 1
+    with pytest.raises(StructureError, match="products are not preserved"):
+        ThreeRingMap(f2, pairs, mapping)
+
+
+def test_three_ring_map_rejects_a_map_that_breaks_ternary_sums():
+    # sending all of {1, 3} to 1 in Z/4 keeps products, but 1+1+1 = 3
+    f4 = odd_residue_field(4)
+    with pytest.raises(StructureError, match="ternary sums are not preserved"):
+        ThreeRingMap(f4, residue_ring(4), [1, 1])

@@ -23,10 +23,11 @@ from ternfield import (
     kernel_backend,
     odd_residue_field,
     quer_add,
+    triangular_field,
     twisted_coset,
 )
 from ternfield import ternary_kernel as tk
-from ternfield.poly_fields import build_f0, product_field
+from ternfield.poly_fields import build_f0, generated_subalgebra, product_field
 
 
 @pytest.fixture(scope="module")
@@ -536,7 +537,8 @@ def test_auto_construction_runs_each_invariant_once():
             mock.patch.object(TernaryCarrier, "derived_ternary_mu") as derived:
         FiniteThreeField(c, 0, check="auto")
     assert closure.call_count == 2                  # nu, then mu
-    assert nu_inv.call_count == mu_inv.call_count == zero.call_count == 1
+    assert nu_inv.call_count == mu_inv.call_count == 1
+    assert zero.call_count == 0                     # a 3-field's group mu has no zero
     assert assoc.call_count == distrib.call_count == 1
     # the distributivity certificate reuses the retract the associativity
     # certificate accepted, so the coset form of nu is checked once
@@ -562,3 +564,171 @@ def test_check_distributivity_builds_no_second_ternary_product():
         with scan_only():
             assert check_distributivity(c, limit=c.n).method == "scan"
     assert derived.call_count == 0
+
+
+# -- sub-tables against their scalar definitions ------------------------------
+
+def reference_subset_carrier(field, indices):
+    """The restriction built one cell at a time: (labels, nu, mu, nu_foreign,
+    mu_foreign)."""
+    back = {g: s for s, g in enumerate(indices)}
+    n = len(indices)
+    nu = np.empty((n, n, n), dtype=np.int32)
+    mu = np.empty((n, n), dtype=np.int32)
+    nu_f, mu_f = {}, {}
+    for (a, ga), (b, gb) in itertools.product(enumerate(indices), repeat=2):
+        r = field.mu(ga, gb)
+        mu[a, b] = back.get(r, tk.FOREIGN)
+        if r not in back:
+            mu_f[(a, b)] = field.label(r)
+        for c, gc in enumerate(indices):
+            r = field.nu(ga, gb, gc)
+            nu[a, b, c] = back.get(r, tk.FOREIGN)
+            if r not in back:
+                nu_f[(a, b, c)] = field.label(r)
+    return [field.label(g) for g in indices], nu, mu, nu_f, mu_f
+
+
+def reference_is_subfield(field, indices):
+    s = set(indices)
+    return field.one in s and all(
+        field.inv(a) in s and field.mu(a, b) in s
+        and all(field.nu(a, b, c) in s for c in s)
+        for a in s for b in s)
+
+
+def cyclic_subgroup(field, t):
+    """The powers of t: closed under mu and inverses, not always under nu."""
+    out = [field.one]
+    while field.mu(out[-1], t) != field.one:
+        out.append(field.mu(out[-1], t))
+    return out
+
+
+def random_subsets(field, count, seed):
+    """Random index lists in random order, plus the closures of single
+    elements, which are subfields, and the powers of every element."""
+    rng = np.random.default_rng(seed)
+    out = [rng.permutation(field.n)[:rng.integers(1, min(field.n, 12) + 1)].tolist()
+           for _ in range(count)]
+    return (out + [generated_subalgebra(field, [t])[0]
+                   for t in range(0, field.n, max(1, field.n // 8))]
+            + [cyclic_subgroup(field, t) for t in range(field.n)])
+
+
+@pytest.mark.parametrize("name", ["F0(4)", "F0(5)", "odd(32)"])
+def test_subset_carrier_matches_reference(name):
+    f = roster_field(name)
+    for s in random_subsets(f, 20, seed=11):
+        c = f.subset_carrier(s)
+        labels, nu, mu, nu_f, mu_f = reference_subset_carrier(f, s)
+        assert list(c.labels) == labels
+        assert (c.nu == nu).all() and (c.mu == mu).all()
+        assert c.nu_foreign == nu_f and c.mu_foreign == mu_f
+        assert all(type(v) is int for key in (*c.nu_foreign, *c.mu_foreign) for v in key)
+
+
+def test_is_subfield_matches_reference_on_every_subset_of_f0_3():
+    f = roster_field("F0(3)")
+    subsets = [list(s) for r in range(f.n + 1) for s in itertools.combinations(range(f.n), r)]
+    assert len(subsets) == 16
+    verdicts = [f.is_subfield(s) for s in subsets]
+    assert verdicts == [reference_is_subfield(f, s) for s in subsets]
+    assert sum(verdicts) == 3        # {1}, {1, x^2} and the whole field
+
+
+@pytest.mark.parametrize("name", ["odd(16)", "F0(5)"])
+def test_is_subfield_matches_reference_on_random_subsets(name):
+    f = roster_field(name)
+    subsets = random_subsets(f, 40, seed=12)
+    verdicts = [f.is_subfield(s) for s in subsets]
+    assert verdicts == [reference_is_subfield(f, s) for s in subsets]
+    assert any(verdicts)
+    # some group of powers is not closed under nu: only nu decides there
+    assert not all(verdicts[-f.n:])
+
+
+def reference_twisted_coset(field, f1, t):
+    """The coset tables built one cell at a time; raises at the first cell,
+    row-major, that leaves the coset, nu before the ternary product."""
+    coset = sorted({field.mu(t, f) for f in f1})
+    back = {g: s for s, g in enumerate(coset)}
+    n = len(coset)
+    nu = np.empty((n, n, n), dtype=np.int32)
+    tmu = np.empty((n, n, n), dtype=np.int32)
+    for (a, ga), (b, gb), (c, gc) in itertools.product(enumerate(coset), repeat=3):
+        r = field.nu(ga, gb, gc)
+        if r not in back:
+            raise StructureError(
+                f"coset not closed under nu: nu({field.label(ga)},"
+                f"{field.label(gb)},{field.label(gc)}) = {field.label(r)}")
+        nu[a, b, c] = back[r]
+        m = field.mu(field.mu(ga, gb), gc)
+        if m not in back:
+            raise StructureError(
+                f"coset not closed under the ternary product at "
+                f"({field.label(ga)},{field.label(gb)},{field.label(gc)})")
+        tmu[a, b, c] = back[m]
+    return [field.label(g) for g in coset], nu, tmu
+
+
+@functools.lru_cache(maxsize=None)
+def triangular_f0_2():
+    return triangular_field(2, build_f0(2)).field
+
+
+def test_twisted_coset_matches_reference_over_every_subfield():
+    f = triangular_f0_2()
+    subfields = sorted({tuple(generated_subalgebra(f, [a, b])[0])
+                        for a in range(f.n) for b in range(a, f.n)})
+    messages = set()
+    for sub in subfields:
+        for t in range(f.n):
+            if t in sub or f.mu(t, t) not in sub:
+                continue
+            try:
+                expected = reference_twisted_coset(f, sub, t)
+            except StructureError as exc:
+                with pytest.raises(StructureError) as got:
+                    twisted_coset(f, sub, t)
+                assert str(got.value) == str(exc)
+                messages.add(str(exc))
+                continue
+            try:
+                coset = twisted_coset(f, sub, t)
+            except StructureError as exc:        # a unit: not a proper (3,3)-field
+                assert "multiplicative unit" in str(exc)
+                continue
+            labels, nu, tmu = expected
+            assert list(coset.labels) == labels
+            assert (coset.nu == nu).all() and (coset.ternary_mu == tmu).all()
+    assert len(messages) == 16
+
+
+@pytest.mark.parametrize("sub,t,witness", [
+    (["[1;1,1]", "[1;q(1),1]"], "[1;q(1),x]", "[1;x,x],[1;x,x],[1;x,x]"),
+    (["[1;q(1),1]", "[1;q(1),x]"], "[1;1,1]", "[1;1,1],[1;1,x],[1;1,1]"),
+    (["[1;q(1),1]", "[1;q(x),x]"], "[x;1,x]", "[x;1,x],[x;x,1],[x;1,x]"),
+    (["[1;q(1),1]", "[x;1,x]"], "[1;q(1),x]", "[1;q(1),x],[x;x,1],[1;q(1),x]"),
+    (["[1;q(1),1]", "[x;q(x),1]"], "[1;x,1]", "[1;x,1],[x;x,1],[1;x,1]"),
+])
+def test_twisted_coset_closure_failures_name_the_least_cell(sub, t, witness):
+    f = triangular_f0_2()
+    with pytest.raises(StructureError) as got:
+        twisted_coset(f, generated_subalgebra(f, [f.index(s) for s in sub])[0], f.index(t))
+    assert str(got.value) == f"coset not closed under the ternary product at ({witness})"
+
+
+# -- the check argument ---------------------------------------------------------
+
+@pytest.mark.parametrize("check", ["lite", "none", True, None, "Auto"])
+def test_unknown_check_value_is_rejected(odd8, check):
+    with pytest.raises(ValueError, match="False, 'light', 'auto' or 'full'"):
+        FiniteThreeField(odd8.carrier, odd8.one, check=check)
+
+
+def test_light_product_runs_no_certificate():
+    f1, f3 = build_f0(1), build_f0(3)
+    with mock.patch.object(tk, "_assoc_certificate", wraps=tk._assoc_certificate) as assoc:
+        product_field(f1, f3, check="light")
+    assert assoc.call_count == 0
