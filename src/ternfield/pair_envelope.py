@@ -275,16 +275,8 @@ class EnvelopeRing(RingTable):
     def is_pair(self, i):
         return i >= self.base.n
 
-    def alpha_of(self, i):
-        if not self.is_pair(i):
-            raise StructureError("not a pair element")
-        return i - self.base.n
-
     def pair_index(self, alpha):
         return self.base.n + int(alpha)
-
-    def odd_indices(self):
-        return range(self.base.n)
 
     def pair_indices(self):
         return range(self.base.n, 2 * self.base.n)

@@ -25,8 +25,11 @@ Steps 2-4 are the "decision" (`_decide_associativity`,
 `_decide_distributivity`).  `FiniteThreeField` and `ProperThreeThreeField`
 validate themselves with the same invariant and decision functions, so each
 invariant has one implementation and runs once per construction.  The scans
-broadcast one outer index at a time with NumPy, so peak memory stays at a
-few n^4 slices.
+walk the quintuples in row-major order, in blocks of consecutive (a, b)
+pairs that grow from one pair to about _BLOCK_ENTRIES entries, so an early
+witness costs one n^3 block and no array a scan allocates holds more than
+max(n^3, _BLOCK_ENTRIES) entries.  The cheap invariants run over chunks of
+their first index of about _BLOCK_ENTRIES entries.
 """
 
 import json
@@ -38,6 +41,9 @@ import numpy as np
 DEFAULT_CHECK_LIMIT = 32
 # Carriers above this size are refused before the O(n^3) certificates.
 _CUBIC_LIMIT = 512
+# Entries in a block of the O(n^5) scans and in a chunk of the O(n^3)
+# invariants: each array they hold at once stays about a MiB.
+_BLOCK_ENTRIES = 2 ** 18
 
 FOREIGN = -1  # table entry for a result that falls outside the carrier
 
@@ -191,52 +197,70 @@ def _renumber(table, subset, n):
 def _closure(table, foreign_map, labels, opname):
     """Closure of an operation table: a failing Verdict at the least entry
     that leaves the carrier, or None when the table is closed."""
-    foreign = table < 0
-    if not foreign.any():
+    if table.min() >= 0:               # no n^3 mask for a closed table
         return None
-    idx = _least(foreign)
+    idx = _least(table < 0)
     outside = foreign_map.get(idx, "?")
     args = ",".join(labels[v] for v in idx)
     return Verdict(False, "closure", idx,
                    f"{opname}({args}) = {outside} not in carrier", method="cheap")
 
 
+def _chunks(n, width):
+    """Slices of consecutive first indices, `width` entries per index, about
+    _BLOCK_ENTRIES entries per slice."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return [slice(i, min(n, i + step)) for i in range(0, n, step)]
+
+
 def _nu_invariants(nu, labels):
     """Commutativity, then unique solvability of nu(a,b,x) = c, for a closed
-    nu: the first failing Verdict, or None."""
-    # all argument permutations: two transpositions generate S3
-    bad = (nu != nu.transpose(1, 0, 2)) | (nu != nu.transpose(0, 2, 1))
-    if bad.any():
-        i, j, k = _least(bad)
-        return Verdict(False, "commutativity", (i, j, k),
-                       f"nu is not symmetric at ({labels[i]},{labels[j]},{labels[k]})",
-                       method="cheap")
-    # each row nu(a,b,.) must be a permutation
-    rows_ok = (np.sort(nu, axis=2) == np.arange(len(nu), dtype=np.int32)).all(axis=2)
-    if not rows_ok.all():
-        a, b = _least(~rows_ok)
-        return Verdict(False, "solvability", (a, b),
-                       f"nu({labels[a]},{labels[b]},x) does not reach every element exactly once",
-                       method="cheap")
+    nu: the first failing Verdict, or None.  Each runs over chunks of the
+    first index, in order, so its first failing chunk holds its least
+    witness."""
+    n = len(nu)
+    for rows in _chunks(n, n * n):
+        part = nu[rows]
+        # all argument permutations: two transpositions generate S3
+        bad = (part != nu[:, rows].transpose(1, 0, 2)) | (part != part.transpose(0, 2, 1))
+        if bad.any():
+            i, j, k = _least(bad)
+            i += rows.start
+            return Verdict(False, "commutativity", (i, j, k),
+                           f"nu is not symmetric at ({labels[i]},{labels[j]},{labels[k]})",
+                           method="cheap")
+    idx = np.arange(n, dtype=np.int32)
+    for rows in _chunks(n, n * n):
+        # each row nu(a,b,.) must be a permutation
+        rows_ok = (np.sort(nu[rows], axis=2) == idx).all(axis=2)
+        if not rows_ok.all():
+            a, b = _least(~rows_ok)
+            a += rows.start
+            return Verdict(False, "solvability", (a, b),
+                           f"nu({labels[a]},{labels[b]},x) does not reach every element exactly once",
+                           method="cheap")
     return None
 
 
 def _mu_invariants(mu, labels):
-    """Associativity of a closed binary mu: the failing Verdict or None, and
-    the derived ternary product mu(mu(x,y),z) it compared."""
+    """Associativity of a closed binary mu, over chunks of the first index:
+    the failing Verdict at the least witness, or None."""
     n = len(mu)
-    left = mu[mu]          # [i,j,k] -> mu[mu[i,j],k]
-    # [i,j,k] -> mu[i,mu[j,k]], built C-contiguous: mu[:, mu] comes out with
-    # its first axis innermost in memory, which makes the comparison with
-    # `left` several times slower
-    right = np.take(mu, mu.ravel(), axis=1).reshape(n, n, n)
-    bad = left != right
-    if bad.any():
-        i, j, k = _least(bad)
-        return Verdict(False, "mu-associativity", (i, j, k),
-                       f"mu is not associative at ({labels[i]},{labels[j]},{labels[k]})",
-                       method="cheap"), left
-    return None, left
+    flat = mu.ravel()
+    for rows in _chunks(n, n * n):
+        left = mu[mu[rows]]                # [i,j,k] -> mu[mu[i,j],k]
+        # [i,j,k] -> mu[i,mu[j,k]], built C-contiguous: mu[rows][:, mu]
+        # comes out with its first axis innermost in memory, which makes the
+        # comparison with `left` several times slower
+        right = np.take(mu[rows], flat, axis=1).reshape(-1, n, n)
+        bad = left != right
+        if bad.any():
+            i, j, k = _least(bad)
+            i += rows.start
+            return Verdict(False, "mu-associativity", (i, j, k),
+                           f"mu is not associative at ({labels[i]},{labels[j]},{labels[k]})",
+                           method="cheap")
+    return None
 
 
 def _zero_element(nu, tmu, unit):
@@ -330,18 +354,38 @@ def _distrib_certificate(nu, mu, coset=None):
     return True
 
 
+def _scan_blocks(n):
+    """(a, b0, b1) for each block of the O(n^5) scans: the (a, b) pairs with
+    b0 <= b < b1, consecutive in row-major order and inside one a.  The first
+    block is one pair and each next one twice as many, up to
+    max(1, min(n, _BLOCK_ENTRIES // n^3)) pairs, so an early witness costs
+    one n^3 block and a passing scan soon runs on cache-sized ones."""
+    cap = max(1, min(n, _BLOCK_ENTRIES // n ** 3))
+    r = 1
+    for a in range(n):
+        b0 = 0
+        while b0 < n:
+            b1 = min(n, b0 + r)
+            yield a, b0, b1
+            b0, r = b1, min(2 * r, cap)
+
+
 def _assoc_scan(t):
     """First (a,b,c,d,e), row-major, where the three regroupings of the
     ternary operation t disagree, or None if t is totally associative.
-    One outer index at a time, so peak memory stays at a few n^4."""
-    for a in range(len(t)):
+
+    The quintuples are compared in the blocks of `_scan_blocks`, each an
+    (r,n,n,n) array over (b,c,d,e); the first block that holds a violation
+    holds the least one, and no array is larger than a block."""
+    for a, b0, b1 in _scan_blocks(len(t)):
         ta = t[a]
-        v1 = t[ta]                # [b,c,d,e] = t[t[a,b,c],d,e]
-        v2 = ta[t, :]             # [b,c,d,e] = t[a,t[b,c,d],e]
-        v3 = ta[:, t]             # [b,c,d,e] = t[a,b,t[c,d,e]]
-        bad = (v1 != v2) | (v1 != v3)
-        if bad.any():
-            return (a, *_least(bad))
+        tb = ta[b0:b1]
+        v1 = np.take(t, tb, axis=0)           # [b,c,d,e] = t[t[a,b,c],d,e]
+        v2 = np.take(ta, t[b0:b1], axis=0)    # [b,c,d,e] = t[a,t[b,c,d],e]
+        v3 = np.take(tb, t, axis=1)           # [b,c,d,e] = t[a,b,t[c,d,e]]
+        if not (np.array_equal(v1, v2) and np.array_equal(v1, v3)):
+            b, *cde = _least((v1 != v2) | (v1 != v3))
+            return (a, b0 + b, *cde)
     return None
 
 
@@ -352,29 +396,36 @@ def _distrib_scan(s, m):
     law 1: m(s(a,b,c), d, e) = s(m(a,d,e), m(b,d,e), m(c,d,e))
     law 2: m(a, s(b,c,d), e) = s(m(a,b,e), m(a,c,e), m(a,d,e))
     law 3: m(a, b, s(c,d,e)) = s(m(a,b,c), m(a,b,d), m(a,b,e))
+
+    Blocks as in `_assoc_scan`.  The right-hand sides are read from the
+    flattened s at x*n^2 + y*n + z, with the terms that depend on a only
+    summed once per a.  Those indices are int32 like the tables: `_gate`
+    keeps n at most _CUBIC_LIMIT, so n^3 stays below 2^31.
     """
-    for a in range(len(s)):
-        ma = m[a]
-        lhs1 = m[s[a]]                                     # [b,c,d,e]
-        rhs1 = s[ma[np.newaxis, np.newaxis, :, :],
-                 m[:, np.newaxis, :, :],
-                 m[np.newaxis, :, :, :]]
-        bad1 = lhs1 != rhs1
-        lhs2 = ma[s, :]
-        rhs2 = s[ma[:, np.newaxis, np.newaxis, :],
-                 ma[np.newaxis, :, np.newaxis, :],
-                 ma[np.newaxis, np.newaxis, :, :]]
-        bad2 = lhs2 != rhs2
-        lhs3 = ma[:, s]
-        rhs3 = s[ma[:, :, np.newaxis, np.newaxis],
-                 ma[:, np.newaxis, :, np.newaxis],
-                 ma[:, np.newaxis, np.newaxis, :]]
-        bad3 = lhs3 != rhs3
-        bad = bad1 | bad2 | bad3
-        if bad.any():
-            w = _least(bad)
+    n = len(s)
+    flat = s.ravel()
+    m1 = m * n
+    for a, b0, b1 in _scan_blocks(n):
+        if b0 == 0:
+            ma = m[a]
+            ma1 = ma * n
+            ma2 = ma1 * n
+            p1 = ma2 + m                           # [c,d,e] -> m(a,d,e) n^2 + m(c,d,e)
+            p2 = ma1[:, None, :] + ma[None, :, :]  # [c,d,e] -> m(a,c,e) n + m(a,d,e)
+        mb = ma[b0:b1]
+        lhs1 = np.take(m, s[a, b0:b1], axis=0)
+        rhs1 = np.take(flat, p1 + m1[b0:b1, None])
+        lhs2 = np.take(ma, s[b0:b1], axis=0)
+        rhs2 = np.take(flat, p2 + ma2[b0:b1, None, None, :])
+        lhs3 = np.take(mb, s, axis=1)
+        rhs3 = np.take(flat, (ma2[b0:b1, :, None] + ma1[b0:b1, None, :])[..., None]
+                       + mb[:, None, None, :])
+        if not (np.array_equal(lhs1, rhs1) and np.array_equal(lhs2, rhs2)
+                and np.array_equal(lhs3, rhs3)):
+            bad1, bad2 = lhs1 != rhs1, lhs2 != rhs2
+            w = _least(bad1 | bad2 | (lhs3 != rhs3))
             law = 1 if bad1[w] else 2 if bad2[w] else 3
-            return (law, a, *w)
+            return (law, a, b0 + w[0], *w[1:])
     return None
 
 
@@ -408,15 +459,19 @@ def _decide_associativity(nu, labels, limit):
     return Verdict(True, method="scan"), None
 
 
-def _decide_distributivity(nu, mu, tmu, labels, limit, coset=None):
-    """The three distributivity laws of the ternary product tmu over nu: the
-    gate, then `_distrib_certificate` when tmu is derived from a binary mu
-    (mu None for a genuine ternary product), then the scan.  `coset` is the
-    retract `_decide_associativity` accepted for the same nu, if any."""
+def _decide_distributivity(nu, mul, labels, limit, coset=None):
+    """The three distributivity laws over nu of the ternary product given by
+    mul: a binary (n,n) mu, whose product is mu(mu(x,y),z), or a genuine
+    (n,n,n) ternary product.  The gate, then `_distrib_certificate` for a
+    binary mu, then the scan; the derived product is built only for the
+    scan.  `coset` is the retract `_decide_associativity` accepted for the
+    same nu, if any."""
     _gate(len(nu), limit)
-    if mu is not None and _distrib_certificate(nu, mu, coset):
-        return Verdict(True, method="certificate")
-    w = _distrib_scan(nu, tmu)
+    if mul.ndim == 2:
+        if _distrib_certificate(nu, mul, coset):
+            return Verdict(True, method="certificate")
+        mul = mul[mul]                     # [i,j,k] -> mu[mu[i,j],k]
+    w = _distrib_scan(nu, mul)
     if w is not None:
         law, a, b, c, d, e = w
         return Verdict(False, f"distributivity-law-{law}", (a, b, c, d, e),
@@ -455,18 +510,18 @@ def check_distributivity(obj, limit=None):
     if v is not None:
         return v
     if isinstance(obj, ProperThreeThreeField):
-        mu, tmu = None, obj.ternary_mu
-        v = _closure(tmu, obj.tmu_foreign, labels, "mu")
+        mul = obj.ternary_mu
+        v = _closure(mul, obj.tmu_foreign, labels, "mu")
     else:
-        mu = obj.mu
-        if mu is None:
+        mul = obj.mu
+        if mul is None:
             raise StructureError("carrier has no multiplication to check")
-        v = _closure(mu, getattr(obj, "mu_foreign", {}), labels, "mu")
+        v = _closure(mul, getattr(obj, "mu_foreign", {}), labels, "mu")
         if v is None:
-            v, tmu = _mu_invariants(mu, labels)
+            v = _mu_invariants(mul, labels)
     if v is not None:
         return v
-    return _decide_distributivity(nu, mu, tmu, labels, limit)
+    return _decide_distributivity(nu, mul, labels, limit)
 
 
 def quer_add(carrier, x):
@@ -617,7 +672,7 @@ class FiniteThreeField:
         self._inv = self._inverse_table()
         v = _nu_invariants(c.nu, c.labels)
         if v is None:
-            v, tmu = _mu_invariants(c.mu, c.labels)
+            v = _mu_invariants(c.mu, c.labels)
         if v is not None:
             raise StructureError(v.detail)
         # no zero check: with a two-sided unit, inverses and an associative
@@ -631,7 +686,7 @@ class FiniteThreeField:
         v, coset = _decide_associativity(c.nu, c.labels, limit)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
-        v = _decide_distributivity(c.nu, c.mu, tmu, c.labels, limit, coset)
+        v = _decide_distributivity(c.nu, c.mu, c.labels, limit, coset)
         if not v:
             raise StructureError(f"distributivity fails: {v.detail}")
 
@@ -711,7 +766,7 @@ class ProperThreeThreeField:
         w = _assoc_scan(tmu)
         if w is not None:
             raise StructureError(f"ternary multiplication not associative at {w}")
-        v = _decide_distributivity(nu, None, tmu, labels, limit)
+        v = _decide_distributivity(nu, tmu, labels, limit)
         if not v:
             raise StructureError(f"distributivity fails: {v.detail}")
 

@@ -4,6 +4,7 @@ FiniteThreeField's validation."""
 import contextlib
 import functools
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -268,6 +269,180 @@ def test_distrib_scan_matches_reference(build):
         bad[a, b, c] = (bad[a, b, c] + 1) % f.n
         w = tk._distrib_scan(nu, bad)
         assert w is not None and w == reference_distrib(nu, bad)
+
+
+# -- the scans' blocks -----------------------------------------------------------
+#
+# The scans compare the quintuples in blocks of consecutive (a, b) pairs: one
+# pair, then twice as many per block up to a cap.  A single planted fault puts
+# the least witness at a chosen (a, b), so that it lands on either side of a
+# block boundary.  With the block budget patched to 1 entry every block is one
+# pair.  Unpatched, the blocks of a = 0 are b = 0 | 1-2 | 3-4 at n = 5,
+# 0 | 1-2 | 3-6 | 7 at n = 8 and 0 | 1-2 | 3-6 | 7-14 | 15 at n = 16, and
+# each later a is one block.
+
+BLOCK_TARGETS = {
+    5: [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (4, 4)],
+    8: [(0, 0), (0, 1), (0, 2), (0, 3), (0, 6), (0, 7), (1, 0), (7, 0), (7, 7)],
+    16: [(0, 0), (0, 1), (0, 2), (0, 3), (0, 6), (0, 7), (0, 14), (0, 15), (1, 0),
+         (1, 15)],
+}
+
+
+def spare(n, *used):
+    """Two distinct elements outside `used`."""
+    return [v for v in range(n) if v not in used][:2]
+
+
+def assoc_fault(n, a, b):
+    """A constant table k with t(a,b,z) = z: the only quintuple whose
+    regroupings disagree is (a, b, a, b, z), where t(a,b,t(c,d,e)) reads the
+    fault twice."""
+    k, z = spare(n, a, b)
+    t = np.full((n, n, n), k, dtype=np.int32)
+    t[a, b, z] = z
+    return t, (a, b, a, b, z)
+
+
+def law3_fault(n, a, b):
+    """Constant s and m, except m(a,b,k) = w: only law 3 at (a, b, ...) reads
+    the fault, so the least witness is (3, a, b, 0, 0, 0)."""
+    k, w = spare(n, a, b)
+    s = np.full((n, n, n), k, dtype=np.int32)
+    m = s.copy()
+    m[a, b, k] = w
+    return s, m, (3, a, b, 0, 0, 0)
+
+
+@pytest.fixture(params=["cap", "one pair"])
+def block_budget(request, monkeypatch):
+    if request.param == "one pair":
+        monkeypatch.setattr(tk, "_BLOCK_ENTRIES", 1)
+    return request.param
+
+
+@pytest.mark.parametrize("n", sorted(BLOCK_TARGETS))
+def test_scan_blocks_cover_the_pairs_in_row_major_order(n, block_budget):
+    blocks = list(tk._scan_blocks(n))
+    pairs = [(a, b) for a, b0, b1 in blocks for b in range(b0, b1)]
+    assert pairs == list(itertools.product(range(n), repeat=2))
+    sizes = [b1 - b0 for a, b0, b1 in blocks]
+    cap = 1 if block_budget == "one pair" else n
+    assert max(sizes) == cap and sizes[:2] == [1, min(2, cap)]
+
+
+@pytest.mark.parametrize("n", sorted(BLOCK_TARGETS))
+def test_least_witness_on_either_side_of_a_block_boundary(n, block_budget):
+    for a, b in BLOCK_TARGETS[n]:
+        t, want = assoc_fault(n, a, b)
+        assert tk._assoc_scan(t) == reference_assoc(t) == want
+        s, m, want = law3_fault(n, a, b)
+        assert tk._distrib_scan(s, m) == reference_distrib(s, m) == want
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_law_tie_break_when_laws_fail_at_one_quintuple(n, block_budget):
+    # constant s = m = 0 with one cell of m faulted: law 1 reads m(0,d,e),
+    # law 2 reads m(a,0,e) and law 3 reads m(a,b,0)
+    cases = {
+        (0, 0, 0): (1, 0, 0, 0, 0, 0),          # all three laws at one quintuple
+        (0, 0, 2): (1, 0, 0, 0, 0, 2),          # laws 1 and 2
+        (n - 1, 0, 0): (2, n - 1, 0, 0, 0, 0),  # laws 2 and 3, in the last a
+    }
+    for cell, want in cases.items():
+        s = np.zeros((n, n, n), dtype=np.int32)
+        m = s.copy()
+        m[cell] = 1
+        assert tk._distrib_scan(s, m) == reference_distrib(s, m) == want
+    # a fault of s at (0,0,0) breaks every law everywhere
+    s = np.zeros((n, n, n), dtype=np.int32)
+    s[0, 0, 0] = 1
+    m = np.zeros_like(s)
+    assert tk._distrib_scan(s, m) == reference_distrib(s, m) == (1, 0, 0, 0, 0, 0)
+
+
+def test_early_witness_scans_stay_below_one_slab():
+    # pi o nu on odd(128), n = 64: the witness is (0,0,0,0,1), in the first
+    # block, and an n^4 int32 slab would be 64 MiB
+    f = odd_residue_field(128, check=False)
+    n = f.n
+    nu = np.random.default_rng(0).permutation(n).astype(np.int32)[f.carrier.nu]
+    tmu = f.carrier.derived_ternary_mu()
+    slab = n ** 4 * np.dtype(np.int32).itemsize
+    tracemalloc.start()
+    try:
+        w_assoc = tk._assoc_scan(nu)
+        _, peak_assoc = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        w_distrib = tk._distrib_scan(nu, tmu)
+        _, peak_distrib = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w_assoc == (0, 0, 0, 0, 1)
+    assert w_distrib is not None and w_distrib[1:3] == (0, 0)
+    assert peak_assoc < slab and peak_distrib < slab
+
+
+# -- the chunked invariants against the whole-cube formulas ---------------------
+
+def whole_cube_invariants(nu, mu, labels):
+    """The cheap invariants over whole n^3 cubes: (axiom, witness, detail) of
+    the first failure, commutativity, solvability, then mu-associativity."""
+    n = len(nu)
+    bad = (nu != nu.transpose(1, 0, 2)) | (nu != nu.transpose(0, 2, 1))
+    if bad.any():
+        w = tk._least(bad)
+        return ("commutativity", w,
+                "nu is not symmetric at ({},{},{})".format(*(labels[v] for v in w)))
+    rows_ok = (np.sort(nu, axis=2) == np.arange(n)).all(axis=2)
+    if not rows_ok.all():
+        a, b = tk._least(~rows_ok)
+        return ("solvability", (a, b),
+                f"nu({labels[a]},{labels[b]},x) does not reach every element exactly once")
+    bad = mu[mu] != mu[np.arange(n)[:, None, None], mu[None, :, :]]
+    if bad.any():
+        w = tk._least(bad)
+        return ("mu-associativity", w,
+                "mu is not associative at ({},{},{})".format(*(labels[v] for v in w)))
+    return None
+
+
+def chunked_invariants(nu, mu, labels):
+    v = tk._nu_invariants(nu, labels)
+    if v is None:
+        v = tk._mu_invariants(mu, labels)
+    return None if v is None else (v.axiom, v.witness, v.detail)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 32])
+def test_chunked_invariants_match_the_whole_cube(rows, monkeypatch):
+    c = roster_field("odd(64)").carrier
+    n, labels = c.n, c.labels
+    monkeypatch.setattr(tk, "_BLOCK_ENTRIES", rows * n * n)   # rows per chunk
+    rng = np.random.default_rng(rows)
+    assert chunked_invariants(c.nu, c.mu, labels) is None
+    seen = set()
+    for _ in range(24):
+        # faults whose least index lies anywhere, chunk edges included
+        i, j, k = sorted(rng.integers(0, n, size=3))
+        nu, mu = c.nu.copy(), c.mu.copy()
+        kind = rng.integers(0, 4)
+        if kind == 0:                       # one cell: no longer symmetric
+            nu[j, i, k] = (nu[j, i, k] + 1) % n
+        elif kind == 1:                     # symmetric, a row hits a value twice
+            for cell in itertools.permutations((i, j, k)):
+                nu[cell] = (c.nu[i, j, k] + 1) % n
+        elif kind == 2:                     # mu no longer associative
+            mu[i, j] = (mu[i, j] + 1) % n
+        else:                               # a relabelled nu: passes
+            pi = rng.permutation(n)
+            inv = np.argsort(pi)
+            nu = pi[c.nu[np.ix_(inv, inv, inv)]].astype(np.int32)
+            mu = pi[c.mu[np.ix_(inv, inv)]].astype(np.int32)
+        want = whole_cube_invariants(nu, mu, labels)
+        assert chunked_invariants(nu, mu, labels) == want
+        seen.add(None if want is None else want[0])
+    assert len(seen) >= 3
 
 
 # -- certificates against the scan ---------------------------------------------
@@ -543,7 +718,7 @@ def test_auto_construction_runs_each_invariant_once():
     # the distributivity certificate reuses the retract the associativity
     # certificate accepted, so the coset form of nu is checked once
     assert retract.call_count == coset.call_count == 1
-    assert derived.call_count == 0                  # mu(mu(x,y),z) is built once
+    assert derived.call_count == 0                  # the certificates need no mu(mu(x,y),z)
 
 
 def test_standalone_distributivity_check_still_checks_the_coset_form():
