@@ -84,11 +84,15 @@ class RingTable:
     def mul_at(self, i, j):
         return int(self.mul[i, j])
 
-    def neg_at(self, i):
+    @property
+    def neg(self):
+        """The additive inverse of every element, as an index array."""
         if self._neg is None:
-            pos = self.add == self.zero
-            self._neg = np.argmax(pos, axis=1)
-        return int(self._neg[i])
+            self._neg = np.argmax(self.add == self.zero, axis=1)
+        return self._neg
+
+    def neg_at(self, i):
+        return int(self.neg[i])
 
     def sub_at(self, i, j):
         return self.add_at(i, self.neg_at(j))
@@ -176,6 +180,81 @@ def residue_ring(m):
     add = ((vals[:, None] + vals[None, :]) % m).astype(np.int32)
     mul = ((vals[:, None] * vals[None, :]) % m).astype(np.int32)
     return RingTable([str(v) for v in range(m)], add, mul, 0, 1 % m)
+
+
+class _TupleTables:
+    """Tables of a carrier of tuples over a ring: ternary addition by
+    coordinates, and the bilinear product given by structure constants.
+
+    Each term (out, i, j, sign) adds sign * a[i] * b[j] to coordinate out of
+    a * b.  Both tables are gathers over the ring's add, mul and neg tables,
+    and every result tuple is named by its carrier index through one lookup
+    in the sorted tuple codes."""
+
+    def __init__(self, ring, tuples, terms):
+        self.ring = ring
+        self.tuples = np.asarray(tuples, dtype=np.intp)
+        self.n, self.width = self.tuples.shape
+        self._terms = [(int(o), int(i), int(j), sign < 0)
+                       for o, i, j, sign in terms]
+        self._powers = ring.n ** np.arange(self.width, dtype=np.int64)
+        codes = self.tuples @ self._powers
+        self._order = np.argsort(codes)
+        self._codes = codes[self._order]
+        self._mu = None
+
+    def locate(self, coords, what):
+        """Carrier index of every tuple in a (..., width) coordinate array."""
+        codes = coords @ self._powers
+        pos = np.minimum(np.searchsorted(self._codes, codes), self.n - 1)
+        if (self._codes[pos] != codes).any():
+            raise StructureError(f"{what} left the carrier")
+        return self._order[pos].astype(np.int32)
+
+    def products(self, a, b):
+        """Coordinates of a[p] * b[q] for (p, width) and (q, width) tuple
+        arrays, as a (p, q, width) array."""
+        ring = self.ring
+        mul, add = ring.mul.ravel(), ring.add.ravel()
+        rows = a.T[:, :, None] * ring.n          # [i, p, 1]: flat row offsets
+        cols = b.T[:, None, :]                   # [j, 1, q]
+        out = np.full((self.width, len(a), len(b)), ring.zero, dtype=np.int32)
+        for o, i, j, negate in self._terms:
+            term = mul[rows[i] + cols[j]]
+            if negate:
+                term = ring.neg[term]
+            out[o] = add[out[o] * ring.n + term]
+        return np.moveaxis(out, 0, -1)
+
+    @property
+    def mu(self):
+        """The (n, n) multiplication table, built on first use."""
+        if self._mu is None:
+            V = self.tuples
+            self._mu = self.locate(self.products(V, V), "multiplication")
+        return self._mu
+
+    def nu(self):
+        """The (n, n, n) ternary addition table.  nu(a, b, c) = (a + b) + c:
+        each pairwise sum is named by its place among the distinct sums, the
+        sums plus each carrier tuple are located in slabs of n sums, and nu
+        is one gather from that table."""
+        add, V, n = self.ring.add, self.tuples, self.n
+        pairs = add[V[:, None], V[None]].reshape(n * n, self.width)
+        _, first, which = np.unique(pairs @ self._powers, return_index=True,
+                                    return_inverse=True)
+        sums = pairs[first]
+        plus = np.empty((len(sums), n), dtype=np.int32)    # [sum, c] = sum + c
+        for lo in range(0, len(sums), n):
+            plus[lo:lo + n] = self.locate(add[sums[lo:lo + n, None], V[None]],
+                                          "ternary addition")
+        return plus[which.reshape(n, n)]
+
+    def field(self, labels, one, origin, check):
+        """The FiniteThreeField on these tables; one is the unit's tuple."""
+        carrier = TernaryCarrier(labels, self.nu(), self.mu)
+        unit = int(self.locate(np.asarray(one), "the unit"))
+        return FiniteThreeField(carrier, unit, origin=origin, check=check)
 
 
 class Pair:
@@ -330,8 +409,9 @@ def units_as_3field(ring, check="auto"):
                             origin={"kind": "units_of_ring"}, check=check)
 
 
-class Morphism:
-    """Structure-preserving map between two unital 3-fields."""
+class _IndexMap:
+    """A map between finite structures, held as the image index of every
+    source element; each subclass validates its own structure."""
 
     def __init__(self, source, target, mapping, check=True):
         self.source = source
@@ -339,6 +419,26 @@ class Morphism:
         self.mapping = tuple(int(v) for v in mapping)
         if check:
             self.validate()
+
+    def __call__(self, i):
+        return self.mapping[i]
+
+    def compose(self, other):
+        """self after other (other.source -> self.target)."""
+        if other.target is not self.source:
+            raise StructureError("morphisms are not composable")
+        return type(self)(other.source, self.target,
+                          [self.mapping[v] for v in other.mapping], check=False)
+
+    def is_bijective(self):
+        return len(set(self.mapping)) == len(self.mapping)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
+
+
+class Morphism(_IndexMap):
+    """Structure-preserving map between two unital 3-fields."""
 
     def validate(self):
         s, t = self.source, self.target
@@ -354,36 +454,13 @@ class Morphism:
         if not (m[s.carrier.mu] == t.carrier.mu[np.ix_(m, m)]).all():
             raise StructureError("multiplication is not preserved")
 
-    def __call__(self, i):
-        return self.mapping[i]
-
     @classmethod
     def identity(cls, field):
         return cls(field, field, range(field.n), check=False)
 
-    def compose(self, other):
-        """self after other (other.source -> self.target)."""
-        if other.target is not self.source:
-            raise StructureError("morphisms are not composable")
-        return Morphism(other.source, self.target,
-                        [self.mapping[v] for v in other.mapping], check=False)
 
-    def is_bijective(self):
-        return len(set(self.mapping)) == len(self.mapping)
-
-    def __repr__(self):
-        return f"Morphism({self.source!r} -> {self.target!r})"
-
-
-class RingMorphism:
+class RingMorphism(_IndexMap):
     """Unital morphism between two RingTables."""
-
-    def __init__(self, source, target, mapping, check=True):
-        self.source = source
-        self.target = target
-        self.mapping = tuple(int(v) for v in mapping)
-        if check:
-            self.validate()
 
     def validate(self):
         s, t = self.source, self.target
@@ -397,27 +474,12 @@ class RingMorphism:
         if not (m[s.mul] == t.mul[np.ix_(m, m)]).all():
             raise StructureError("multiplication is not preserved")
 
-    def __call__(self, i):
-        return self.mapping[i]
-
     def kernel(self):
         return sorted(i for i, v in enumerate(self.mapping)
                       if v == self.target.zero)
 
     def image(self):
         return sorted(set(self.mapping))
-
-    def is_bijective(self):
-        return len(set(self.mapping)) == len(self.mapping)
-
-    def compose(self, other):
-        if other.target is not self.source:
-            raise StructureError("morphisms are not composable")
-        return RingMorphism(other.source, self.target,
-                            [self.mapping[v] for v in other.mapping], check=False)
-
-    def __repr__(self):
-        return f"RingMorphism({self.source!r} -> {self.target!r})"
 
 
 def lift_morphism(phi, env_source=None, env_target=None):

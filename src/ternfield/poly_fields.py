@@ -29,7 +29,13 @@ from .ternary_kernel import (
     TernaryCarrier,
     odd_residue_field,
 )
-from .pair_envelope import Morphism, build_envelope, field_isomorphism
+from .pair_envelope import (
+    Morphism,
+    RingTable,
+    _TupleTables,
+    build_envelope,
+    field_isomorphism,
+)
 
 _BUILD_LIMIT = 512
 # enumerating 2^rank coefficient masks is the hard wall for algebra carriers
@@ -846,7 +852,10 @@ def build_quotient_field(spec, check="auto"):
 
 
 def _build_z2odd_quotient(spec, check="auto"):
-    """Base (Z/2^mZ)^odd: coefficient vectors over Z/2^m with odd constant."""
+    """Base (Z/2^mZ)^odd: coefficient vectors over Z/2^m with odd constant,
+    ordered by their reversed tuples.  Addition is by coordinates and the
+    product has the structure constants of the truncated monomial products
+    (u^i * u^j = u^ptab[i,j]), so both tables are gathers over Z/2^m."""
     m = spec.base
     mod = 1 << m
     alg = QuotientAlgebra(spec.exponents)
@@ -855,31 +864,15 @@ def _build_z2odd_quotient(spec, check="auto"):
     if size > _BUILD_LIMIT:
         raise CarrierSizeError(
             f"carrier of size {size} exceeds the build limit {_BUILD_LIMIT}")
-    vectors = [v for v in itertools.product(range(mod), repeat=M) if v[0] % 2]
-    vectors = [tuple(reversed(v)) for v in
-               sorted(tuple(reversed(v)) for v in vectors)]
-    index = {v: i for i, v in enumerate(vectors)}
-
-    def vec_mul(a, b):
-        out = [0] * M
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                t = alg.ptab[i, j]
-                if t >= 0 and cb:
-                    out[t] = (out[t] + ca * cb) % mod
-        return tuple(out)
-
-    n = len(vectors)
-    nu = np.empty((n, n, n), dtype=np.int32)
-    mu = np.empty((n, n), dtype=np.int32)
-    for a, va in enumerate(vectors):
-        for b, vb in enumerate(vectors):
-            mu[a, b] = index[vec_mul(va, vb)]
-            ab = tuple((x + y) % mod for x, y in zip(va, vb))
-            for c, vc in enumerate(vectors):
-                nu[a, b, c] = index[tuple((x + y) % mod for x, y in zip(ab, vc))]
+    # Z/2^m is a ring by construction; RingTable's O(mod^3) validation would
+    # cost more than the field it serves
+    vals = np.arange(mod)
+    ring = RingTable(vals, np.add.outer(vals, vals) % mod,
+                     np.multiply.outer(vals, vals) % mod, 0, 1, check=False)
+    rev = np.indices((mod,) * M).reshape(M, -1).T       # reversed tuples, sorted
+    vectors = rev[rev[:, -1] % 2 == 1, ::-1]
+    terms = [(t, i, j, 1) for (i, j), t in np.ndenumerate(alg.ptab) if t >= 0]
+    tables = _TupleTables(ring, vectors, terms)
 
     def vec_label(v):
         parts = []
@@ -900,16 +893,14 @@ def _build_z2odd_quotient(spec, check="auto"):
                          (str(c) if not factors else f"{c}*{body}"))
         return "+".join(parts) if parts else "0"
 
-    labels = [vec_label(v) for v in vectors]
-    carrier = TernaryCarrier(labels, nu, mu)
-    one = index[tuple([1] + [0] * (M - 1))]
     origin = {
         "kind": "quotient_field",
         "base": m,
         "exponents": list(spec.exponents),
         "relations": [],
     }
-    return FiniteThreeField(carrier, one, origin=origin, check=check)
+    return tables.field([vec_label(v) for v in vectors.tolist()],
+                        (1,) + (0,) * (M - 1), origin, check)
 
 
 def build_f0(*exponents, relations=(), check="auto"):

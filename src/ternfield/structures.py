@@ -7,9 +7,15 @@ addition and scalar multiplication, Toeplitz/triangular matrices keep their
 diagonals in F and the remaining entries in U(F), quaternions are 4-tuples
 with odd coordinate sum, and a group 3-algebra is the set of U(F)-valued
 functions on a finite group with odd value sum, multiplied by convolution.
+
+Each constructed field only lists its product as structure-constant terms
+(out, i, j, sign): coordinate out of a*b sums sign * a[i] * b[j].  The
+tables are then whole-array gathers over the envelope's add, mul and neg
+tables (``pair_envelope._TupleTables``).
 """
 
 import itertools
+import random
 
 import numpy as np
 
@@ -19,7 +25,7 @@ from .ternary_kernel import (
     StructureError,
     TernaryCarrier,
 )
-from .pair_envelope import Morphism, build_envelope
+from .pair_envelope import Morphism, _TupleTables, build_envelope
 from .poly_fields import QuotientFieldSpec, build_quotient_field
 
 _ENUM_LIMIT = 1 << 16
@@ -86,15 +92,13 @@ class ThreeVectorSpace:
 
 
 def _odd_sum_tuples(env, field, width):
-    """All tuples over U(F) of the given width whose coordinate sum is odd."""
-    vectors = []
-    for v in itertools.product(range(env.n), repeat=width):
-        s = env.zero
-        for c in v:
-            s = env.add_at(s, c)
-        if s < field.n:
-            vectors.append(v)
-    return vectors
+    """All tuples over U(F) of the given width whose coordinate sum is odd,
+    as a (count, width) array in lexicographic (itertools.product) order."""
+    tuples = np.indices((env.n,) * width).reshape(width, -1).T
+    total = tuples[:, 0]
+    for c in range(1, width):
+        total = env.add[total, tuples[:, c]]
+    return tuples[total < field.n]
 
 
 def free_space(field, n):
@@ -195,39 +199,16 @@ def free_resolution(space, generators):
 # shared table builder for tuple carriers
 # ---------------------------------------------------------------------------
 
-def _tuple_field(field, env, values, mu_op, one_value, label_of, origin,
-                 check="auto"):
-    """Build a FiniteThreeField on a list of envelope-index tuples, with
-    componentwise ternary addition and the supplied multiplication."""
-    n = len(values)
-    if n > _TABLE_LIMIT:
-        raise CarrierSizeError(f"carrier of size {n} exceeds the table limit")
-    w = len(values[0])
-    V = np.array(values, dtype=np.int64)
-    powers = env.n ** np.arange(w, dtype=np.int64)
-    codes = V @ powers
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
-    EA = env.add.astype(np.int64)
-    nu = np.empty((n, n, n), dtype=np.int32)
-    for a in range(n):
-        s_a = EA[V[a][None, :], V]                 # (n, w) pairwise sums
-        t_a = EA[s_a[:, None, :], V[None, :, :]]   # (n, n, w) triple sums
-        ncodes = t_a.reshape(-1, w) @ powers
-        pos = np.searchsorted(sorted_codes, ncodes)
-        if (pos >= n).any() or (sorted_codes[np.minimum(pos, n - 1)] != ncodes).any():
-            raise StructureError("ternary addition left the carrier")
-        nu[a] = order[pos].reshape(n, n)
-    index = {v: i for i, v in enumerate(values)}
-    mu = np.empty((n, n), dtype=np.int32)
-    for a, va in enumerate(values):
-        for b, vb in enumerate(values):
-            mu[a, b] = index[mu_op(va, vb)]
-    labels = [label_of(v) for v in values]
-    carrier = TernaryCarrier(labels, nu, mu)
-    built = FiniteThreeField(carrier, index[one_value], origin=origin,
-                             check=check)
-    return built, index
+def _tuple_field(tables, one_value, label_of, origin, check="auto"):
+    """The FiniteThreeField on a _TupleTables carrier of envelope-index
+    tuples, with the tuple -> index map."""
+    if tables.n > _TABLE_LIMIT:
+        raise CarrierSizeError(
+            f"carrier of size {tables.n} exceeds the table limit")
+    values = [tuple(v) for v in tables.tuples.tolist()]
+    built = tables.field([label_of(v) for v in values], one_value, origin,
+                         check)
+    return built, {v: i for i, v in enumerate(values)}
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +249,13 @@ def toeplitz_field(n, field, check="auto"):
         for rest in itertools.product(range(env.n), repeat=n - 1)
     )
 
-    def mu_op(s, t):
-        out = []
-        for k in range(n):
-            acc = env.zero
-            for i in range(k + 1):
-                acc = env.add_at(acc, env.mul_at(s[i], t[k - i]))
-            out.append(acc)
-        return tuple(out)
-
+    # band k of a product collects a_i * b_(k-i)
+    terms = [(k, i, k - i, 1) for k in range(n) for i in range(k + 1)]
     one_value = (field.one,) + (env.zero,) * (n - 1)
     label_of = lambda v: "t(" + ",".join(env.labels[c] for c in v) + ")"
-    built, index = _tuple_field(field, env, values, mu_op, one_value, label_of,
-                                {"kind": "toeplitz", "size": n}, check=check)
+    built, index = _tuple_field(_TupleTables(env, values, terms), one_value,
+                                label_of, {"kind": "toeplitz", "size": n},
+                                check=check)
     mu_table = built.carrier.mu
     if not (mu_table == mu_table.T).all():
         raise StructureError("Toeplitz multiplication must be commutative")
@@ -354,15 +329,9 @@ def triangular_field(n, field, check="auto"):
     def entry(v, r, c):
         return v[cell_at[(r, c)]] if r >= c else env.zero
 
-    def mu_op(s, t):
-        out = []
-        for (r, c) in cells:
-            acc = env.zero
-            for k in range(c, r + 1):
-                acc = env.add_at(acc, env.mul_at(entry(s, r, k), entry(t, k, c)))
-            out.append(acc)
-        return tuple(out)
-
+    # cell (r, c) of a product collects a[r, k] * b[k, c] for c <= k <= r
+    terms = [(t, cell_at[(r, k)], cell_at[(k, c)], 1)
+             for t, (r, c) in enumerate(cells) for k in range(c, r + 1)]
     one_value = tuple(field.one if r == c else env.zero for (r, c) in cells)
 
     def label_of(v):
@@ -372,8 +341,9 @@ def triangular_field(n, field, check="auto"):
                                  for c in range(r + 1)))
         return "[" + ";".join(rows) + "]"
 
-    built, index = _tuple_field(field, env, values, mu_op, one_value, label_of,
-                                {"kind": "triangular", "size": n}, check=check)
+    built, _ = _tuple_field(_TupleTables(env, values, terms), one_value,
+                            label_of, {"kind": "triangular", "size": n},
+                            check=check)
 
     mu_table = built.carrier.mu
     witness = None
@@ -382,36 +352,10 @@ def triangular_field(n, field, check="auto"):
         a, b = clash[0]
         witness = (built.label(int(a)), built.label(int(b)))
 
-    # dual route for invertibility: forward substitution must agree with the
-    # multiplication table on every element
-    for a, va in enumerate(values):
-        inv = _triangular_inverse(env, field, va, n, cell_at)
-        j = index[inv]
-        if built.mu(a, j) != built.one or built.mu(j, a) != built.one:
-            raise StructureError("forward-substitution inverse disagrees")
-
     entries = {i: [[entry(v, r, c) for c in range(n)] for r in range(n)]
                for i, v in enumerate(values)}
     return MatrixFieldResult(built, env, (n, n), entries,
                              noncommutative_witness=witness)
-
-
-def _triangular_inverse(env, field, v, n, cell_at):
-    """Invert a lower-triangular matrix over the envelope by forward
-    substitution; the diagonal is odd, hence invertible."""
-    def entry(r, c):
-        return v[cell_at[(r, c)]] if r >= c else env.zero
-
-    out = [[env.zero] * n for _ in range(n)]
-    for r in range(n):
-        out[r][r] = field.inv(entry(r, r))
-    for r in range(n):
-        for c in range(r):
-            acc = env.zero
-            for k in range(c, r):
-                acc = env.add_at(acc, env.mul_at(entry(r, k), out[k][c]))
-            out[r][c] = env.neg_at(env.mul_at(out[r][r], acc))
-    return tuple(out[r][c] for (r, c) in sorted(cell_at, key=cell_at.get))
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +382,15 @@ class QuaternionFieldResult:
         return self.index[v]
 
 
+# the Hamilton product: 1, i1, i2, i3 with i1 i2 = i3 and each i_k^2 = -1
+_HAMILTON = (
+    (0, 0, 0, 1), (0, 1, 1, -1), (0, 2, 2, -1), (0, 3, 3, -1),
+    (1, 0, 1, 1), (1, 1, 0, 1), (1, 2, 3, 1), (1, 3, 2, -1),
+    (2, 0, 2, 1), (2, 1, 3, -1), (2, 2, 0, 1), (2, 3, 1, 1),
+    (3, 0, 3, 1), (3, 1, 2, 1), (3, 2, 1, -1), (3, 3, 0, 1),
+)
+
+
 def quaternion_field(field, check="auto"):
     """(F^4)^free with the quaternion product.  Requires every carrier
     element to have odd norm a0^2+a1^2+a2^2+a3^2; the inverse is then the
@@ -446,36 +399,23 @@ def quaternion_field(field, check="auto"):
     size = (2 * field.n) ** 4 // 2
     if size > _TABLE_LIMIT:
         raise CarrierSizeError(f"carrier of size {size} exceeds the table limit")
-    values = sorted(_odd_sum_tuples(env, field, 4))
-
-    add = env.add_at
-    mul = env.mul_at
-    neg = env.neg_at
-
-    def mu_op(a, b):
-        c0 = add(add(mul(a[0], b[0]), neg(mul(a[1], b[1]))),
-                 add(neg(mul(a[2], b[2])), neg(mul(a[3], b[3]))))
-        c1 = add(add(mul(a[0], b[1]), mul(a[1], b[0])),
-                 add(mul(a[2], b[3]), neg(mul(a[3], b[2]))))
-        c2 = add(add(mul(a[0], b[2]), neg(mul(a[1], b[3]))),
-                 add(mul(a[2], b[0]), mul(a[3], b[1])))
-        c3 = add(add(mul(a[0], b[3]), mul(a[1], b[2])),
-                 add(neg(mul(a[2], b[1])), mul(a[3], b[0])))
-        return (c0, c1, c2, c3)
-
-    for v in values:
-        norm = env.zero
-        for c in v:
-            norm = add(norm, mul(c, c))
-        if norm >= field.n:
-            raise StructureError(
-                "norm of (" + ",".join(env.labels[c] for c in v) + ") is even; "
-                "the quaternion construction needs odd norms throughout")
+    tables = _TupleTables(env, _odd_sum_tuples(env, field, 4), _HAMILTON)
+    squares = env.mul[tables.tuples, tables.tuples]
+    norm = squares[:, 0]
+    for c in range(1, 4):
+        norm = env.add[norm, squares[:, c]]
+    even = np.flatnonzero(norm >= field.n)
+    if even.size:
+        v = tables.tuples[even[0]]
+        raise StructureError(
+            "norm of (" + ",".join(env.labels[c] for c in v) + ") is even; "
+            "the quaternion construction needs odd norms throughout")
 
     one_value = (env.one, env.zero, env.zero, env.zero)
     label_of = lambda v: "(" + ",".join(env.labels[c] for c in v) + ")"
-    built, index = _tuple_field(field, env, values, mu_op, one_value, label_of,
+    built, index = _tuple_field(tables, one_value, label_of,
                                 {"kind": "quaternion"}, check=check)
+    values = list(index)
 
     mu_table = built.carrier.mu
     commutative = bool((mu_table == mu_table.T).all())
@@ -593,9 +533,14 @@ def _cyclic_generator(g, identity):
 def group_algebra(group_table, field, check="auto"):
     """U(F)-valued functions on a finite group with odd value sum, under
     convolution.  Exhaustively tests two-sided invertibility to decide
-    whether the algebra is a 3-field (sampling beyond the table limit), and
-    for cyclic groups of 2-power order over the one-element field constructs
-    the isomorphism with the single-variable quotient field of that size."""
+    whether the algebra is a 3-field, and for cyclic groups of 2-power order
+    over the one-element field constructs the isomorphism with the
+    single-variable quotient field of that size.
+
+    Beyond the table limit only 64 random elements are tested
+    (verdict_mode "sampled"): a witness there is a proof of failure, but a
+    sampled is_3field of True is not a proof that every element is
+    invertible."""
     g = np.asarray(group_table, dtype=np.int64)
     identity = _check_group_table(g)
     k = g.shape[0]
@@ -604,48 +549,34 @@ def group_algebra(group_table, field, check="auto"):
     size = (2 * field.n) ** k // 2
     if size > _ENUM_LIMIT:
         raise CarrierSizeError(f"carrier of size {size} is too large")
-    vectors = sorted(_odd_sum_tuples(env, field, k))
-    index = {v: i for i, v in enumerate(vectors)}
-
-    conv_pairs = [[] for _ in range(k)]
-    for g1 in range(k):
-        for g2 in range(k):
-            conv_pairs[int(g[g1, g2])].append((g1, g2))
-
-    def mu_op(a, b):
-        out = []
-        for target in range(k):
-            acc = env.zero
-            for g1, g2 in conv_pairs[target]:
-                acc = env.add_at(acc, env.mul_at(a[g1], b[g2]))
-            out.append(acc)
-        return tuple(out)
-
+    # convolution: coordinate g1*g2 of a product collects a[g1] * b[g2]
+    terms = [(g[g1, g2], g1, g2, 1) for g1 in range(k) for g2 in range(k)]
+    tables = _TupleTables(env, _odd_sum_tuples(env, field, k), terms)
+    vectors = tables.tuples
     one_value = tuple(env.one if t == identity else env.zero for t in range(k))
-    n = len(vectors)
+    n = tables.n
     sampled = n > _TABLE_LIMIT
     witness = None
 
     if not sampled:
-        mu = np.empty((n, n), dtype=np.int32)
-        for a, va in enumerate(vectors):
-            for b, vb in enumerate(vectors):
-                mu[a, b] = index[mu_op(va, vb)]
-        one_idx = index[one_value]
-        for a in range(n):
-            hits = np.flatnonzero(mu[a] == one_idx)
-            if hits.size == 0 or mu[int(hits[0]), a] != one_idx:
-                witness = vectors[a]
-                break
+        mu = tables.mu
+        one_idx = tables.locate(np.asarray(one_value), "the unit")
+        right = mu == one_idx
+        first = right.argmax(axis=1)              # least b with a * b = 1
+        two_sided = right.any(axis=1) & (mu[first, np.arange(n)] == one_idx)
+        lacking = np.flatnonzero(~two_sided)
+        if lacking.size:
+            witness = vectors[lacking[0]]
         verdict_mode = "exhaustive"
     else:
-        import random
         rng = random.Random(0)
+        one = np.asarray(one_value)
         for _ in range(64):
-            va = vectors[rng.randrange(n)]
-            if not any(mu_op(va, vb) == one_value and mu_op(vb, va) == one_value
-                       for vb in vectors):
-                witness = va
+            a = rng.randrange(n)
+            row = tables.products(vectors[a:a + 1], vectors)[0]     # a * b
+            col = tables.products(vectors, vectors[a:a + 1])[:, 0]  # b * a
+            if not ((row == one).all(axis=1) & (col == one).all(axis=1)).any():
+                witness = vectors[a]
                 break
         verdict_mode = "sampled"
 
@@ -654,7 +585,7 @@ def group_algebra(group_table, field, check="auto"):
     iso = None
     if is_3field and not sampled:
         label_of = lambda v: "(" + ",".join(env.labels[c] for c in v) + ")"
-        built, _ = _tuple_field(field, env, vectors, mu_op, one_value, label_of,
+        built, _ = _tuple_field(tables, one_value, label_of,
                                 {"kind": "group_algebra", "group_order": k},
                                 check=check)
         gen = _cyclic_generator(g, identity)
@@ -665,13 +596,10 @@ def group_algebra(group_table, field, check="auto"):
             powers = [identity]
             while len(powers) < k:
                 powers.append(int(g[powers[-1], gen]))
-            mapping = [0] * n
-            for i, v in enumerate(vectors):
-                xmask = 0
-                for exp, gidx in enumerate(powers):
-                    if v[gidx] == env.one:
-                        xmask |= 1 << exp
-                mapping[i] = alg.index_of[alg.normal_form(alg.from_x(xmask))]
+            # bit e of the x-mask is set where g^e carries the one
+            xmasks = (vectors[:, powers] == env.one) @ (1 << np.arange(k))
+            mapping = [alg.index_of[alg.normal_form(alg.from_x(int(x)))]
+                       for x in xmasks]
             iso = Morphism(built, target, mapping)
             if not iso.is_bijective():
                 raise StructureError(

@@ -301,6 +301,13 @@ def test_struct_toeplitz():
     assert doc["isomorphic_to_size"] == 4
 
 
+def test_struct_toeplitz_over_eight_residues():
+    # n = 256: the isomorphism target is the quotient field over (Z/8Z)^odd
+    doc = run_json("struct", "toeplitz", "3", "--spec", "odd(8)")
+    assert doc["size"] == 256
+    assert doc["constructed_isomorphism"] is True
+
+
 def test_struct_triangular():
     doc = run_json("struct", "triangular", "2", "--spec", "odd(4)")
     assert doc["size"] == 16

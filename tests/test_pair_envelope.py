@@ -187,6 +187,28 @@ def test_lifted_morphism_acts_on_pairs(f8):
         assert lifted(env8.pair_index(alpha)) == env4.pair_index(phi(alpha))
 
 
+def test_composition_keeps_the_morphism_kind(f8):
+    f4 = odd_residue_field(4)
+    f2 = odd_residue_field(2)
+    phi = Morphism(f8, f4, [f4.index(str(int(f8.label(i)) % 4))
+                            for i in f8.elements()])
+    psi = Morphism(f4, f2, [f2.one] * f4.n)
+    both = psi.compose(phi)
+    assert type(both) is Morphism
+    assert (both.source, both.target) == (f8, f2)
+    assert both.mapping == tuple(psi(phi(i)) for i in f8.elements())
+    assert repr(both) == f"Morphism({f8!r} -> {f2!r})"
+    with pytest.raises(StructureError, match="not composable"):
+        phi.compose(psi)
+    env8, env4, env2 = (build_envelope(f) for f in (f8, f4, f2))
+    lphi = lift_morphism(phi, env8, env4)
+    lpsi = lift_morphism(psi, env4, env2)
+    lifted = lpsi.compose(lphi)
+    assert type(lifted) is RingMorphism
+    assert lifted.mapping == tuple(lpsi(v) for v in lphi.mapping)
+    assert repr(lifted) == f"RingMorphism({env8!r} -> {env2!r})"
+
+
 def test_universal_extension_through_residue_ring(f8, env8):
     # the inclusion odd -> Z/8 extends uniquely to U(F) -> Z/8
     target = residue_ring(8)

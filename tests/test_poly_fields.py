@@ -1,5 +1,6 @@
 """Polynomials, quotient fields, parity, norms and the completely-even law."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -335,6 +336,86 @@ def test_z2odd_base_quotients():
     f = build_quotient_field(spec)
     assert f.n == cardinality(spec) == 4 * 8
     assert f.label(f.one) == "1"
+
+
+def _reference_z2odd(exponents, m, with_nu=True):
+    """The (Z/2^mZ)^odd quotient's vectors, labels, unit and tables, one cell
+    at a time, as the construction computed them before its tables became
+    structure-constant gathers."""
+    mod = 1 << m
+    alg = QuotientAlgebra(exponents)
+    M = alg.m_count
+    vectors = [v for v in itertools.product(range(mod), repeat=M) if v[0] % 2]
+    vectors = [tuple(reversed(v)) for v in
+               sorted(tuple(reversed(v)) for v in vectors)]
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def vec_mul(a, b):
+        out = [0] * M
+        for i, ca in enumerate(a):
+            if not ca:
+                continue
+            for j, cb in enumerate(b):
+                t = alg.ptab[i, j]
+                if t >= 0 and cb:
+                    out[t] = (out[t] + ca * cb) % mod
+        return tuple(out)
+
+    n = len(vectors)
+    nu = np.empty((n, n, n), dtype=np.int32) if with_nu else None
+    mu = np.empty((n, n), dtype=np.int32)
+    for a, va in enumerate(vectors):
+        for b, vb in enumerate(vectors):
+            mu[a, b] = index[vec_mul(va, vb)]
+            if not with_nu:
+                continue
+            ab = tuple((x + y) % mod for x, y in zip(va, vb))
+            for c, vc in enumerate(vectors):
+                nu[a, b, c] = index[tuple((x + y) % mod for x, y in zip(ab, vc))]
+
+    def vec_label(v):
+        parts = []
+        for i in range(M - 1, -1, -1):
+            c = v[i]
+            if not c:
+                continue
+            alpha = alg.monomials[i]
+            names = [f"x{t+1}" for t in range(alg.nvars)] if alg.nvars > 1 else ["x"]
+            factors = []
+            for t, e in enumerate(alpha):
+                if e == 1:
+                    factors.append(f"({names[t]}-1)")
+                elif e > 1:
+                    factors.append(f"({names[t]}-1)^{e}")
+            body = "*".join(factors) if factors else "1"
+            parts.append(body if c == 1 and factors else
+                         (str(c) if not factors else f"{c}*{body}"))
+        return "+".join(parts) if parts else "0"
+
+    labels = [vec_label(v) for v in vectors]
+    one = index[tuple([1] + [0] * (M - 1))]
+    return labels, one, nu, mu
+
+
+@pytest.mark.parametrize("exponents,m", [((2,), 2), ((2,), 3), ((3,), 2)])
+def test_z2odd_tables_match_the_reference(exponents, m):
+    f = build_quotient_field(QuotientFieldSpec(exponents, base=m))
+    labels, one, nu, mu = _reference_z2odd(exponents, m)
+    assert list(f.labels) == labels
+    assert f.one == one
+    assert (f.carrier.nu == nu).all()
+    assert (f.carrier.mu == mu).all()
+
+
+def test_z2odd_two_variable_products_match_the_reference():
+    # n = 128: the per-cell nu reference would be 2M Python steps, so only
+    # the product table and the labels are compared here
+    f = build_quotient_field(QuotientFieldSpec((2, 2), base=2))
+    labels, one, _, mu = _reference_z2odd((2, 2), 2, with_nu=False)
+    assert f.n == 128
+    assert list(f.labels) == labels
+    assert f.one == one
+    assert (f.carrier.mu == mu).all()
 
 
 # -- the involutive change of coordinates ------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for 3-vector spaces, free resolutions, and the matrix, quaternion,
 and group-algebra constructions of new 3-fields from old."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,13 @@ from ternfield import (
     triangular_field,
     vector_power_space,
 )
+
+
+def _base(spec):
+    """The base fields the reference tests run over, by spec name."""
+    if spec.startswith("F0("):
+        return build_f0(int(spec[3:-1]))
+    return odd_residue_field(int(spec[4:-1]))
 
 
 @pytest.fixture(scope="module")
@@ -246,12 +255,36 @@ def test_triangular_over_one_element_field_is_commutative(f1):
     assert result.noncommutative_witness is None
 
 
-def test_triangular_inverses_close_over_the_table(f4):
-    field = triangular_field(2, f4).field
-    for a in range(field.n):
-        j = field.inv(a)
-        assert field.mu(a, j) == field.one
-        assert field.mu(j, a) == field.one
+def _forward_substitution_inverse(env, field, m):
+    """Inverse of a lower-triangular matrix over the envelope with diagonal
+    in the field, by forward substitution."""
+    n = len(m)
+    out = [[env.zero] * n for _ in range(n)]
+    for r in range(n):
+        out[r][r] = field.inv(m[r][r])
+    for r in range(n):
+        for c in range(r):
+            acc = env.zero
+            for k in range(c, r):
+                acc = env.add_at(acc, env.mul_at(m[r][k], out[k][c]))
+            out[r][c] = env.neg_at(env.mul_at(out[r][r], acc))
+    return out
+
+
+def test_triangular_inverses_close_over_the_table():
+    # the table's inverse must be the one forward substitution computes
+    for size, spec in ((2, "odd(4)"), (2, "odd(8)"), (3, "F0(1)")):
+        base = _base(spec)
+        result = triangular_field(size, base)
+        field, env = result.field, result.env
+        for a in range(field.n):
+            m = [[env.index(l) for l in row] for row in result.matrix(a)]
+            expect = [[env.labels[e] for e in row]
+                      for row in _forward_substitution_inverse(env, base, m)]
+            j = field.inv(a)
+            assert result.matrix(j) == expect
+            assert field.mu(a, j) == field.one
+            assert field.mu(j, a) == field.one
 
 
 def test_triangular_unit_is_identity_matrix(f4):
@@ -390,3 +423,227 @@ def test_group_algebra_validates_the_table(f1):
     ])
     with pytest.raises(StructureError, match="associative|Latin"):
         group_algebra(bad, f1)
+
+
+# ---------------------------------------------------------------------------
+# reference constructions: each product written out per cell, as the
+# constructions computed it before the structure-constant builder
+# ---------------------------------------------------------------------------
+
+def _reference_odd_sum_tuples(env, field, width):
+    vectors = []
+    for v in itertools.product(range(env.n), repeat=width):
+        s = env.zero
+        for c in v:
+            s = env.add_at(s, c)
+        if s < field.n:
+            vectors.append(v)
+    return vectors
+
+
+def _reference_nu(env, values):
+    """nu by slabs of coordinatewise sums, located among the sorted codes."""
+    n, w = len(values), len(values[0])
+    V = np.array(values, dtype=np.int64)
+    powers = env.n ** np.arange(w, dtype=np.int64)
+    codes = V @ powers
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    EA = env.add.astype(np.int64)
+    nu = np.empty((n, n, n), dtype=np.int32)
+    for a in range(n):
+        t_a = EA[EA[V[a][None, :], V][:, None, :], V[None, :, :]]
+        ncodes = t_a.reshape(-1, w) @ powers
+        pos = np.searchsorted(sorted_codes, ncodes)
+        assert (sorted_codes[np.minimum(pos, n - 1)] == ncodes).all()
+        nu[a] = order[pos].reshape(n, n)
+    return nu
+
+
+def _reference_mu(values, mu_op):
+    index = {v: i for i, v in enumerate(values)}
+    return np.array([[index[mu_op(va, vb)] for vb in values] for va in values],
+                    dtype=np.int32)
+
+
+def _reference_toeplitz(field, n):
+    env = build_envelope(field)
+    values = sorted(
+        (d,) + rest
+        for d in range(field.n)
+        for rest in itertools.product(range(env.n), repeat=n - 1)
+    )
+
+    def mu_op(s, t):
+        out = []
+        for k in range(n):
+            acc = env.zero
+            for i in range(k + 1):
+                acc = env.add_at(acc, env.mul_at(s[i], t[k - i]))
+            out.append(acc)
+        return tuple(out)
+
+    one = (field.one,) + (env.zero,) * (n - 1)
+    labels = ["t(" + ",".join(env.labels[c] for c in v) + ")" for v in values]
+    entries = [[[v[r - c] if r >= c else env.zero for c in range(n)]
+                for r in range(n)] for v in values]
+    return env, values, mu_op, one, labels, entries
+
+
+def _reference_triangular(field, n):
+    env = build_envelope(field)
+    cells = [(r, c) for r in range(n) for c in range(r + 1)]
+    cell_at = {rc: t for t, rc in enumerate(cells)}
+    values = sorted(itertools.product(*(
+        range(field.n) if r == c else range(env.n) for (r, c) in cells)))
+
+    def entry(v, r, c):
+        return v[cell_at[(r, c)]] if r >= c else env.zero
+
+    def mu_op(s, t):
+        out = []
+        for (r, c) in cells:
+            acc = env.zero
+            for k in range(c, r + 1):
+                acc = env.add_at(acc, env.mul_at(entry(s, r, k), entry(t, k, c)))
+            out.append(acc)
+        return tuple(out)
+
+    one = tuple(field.one if r == c else env.zero for (r, c) in cells)
+    labels = ["[" + ";".join(",".join(env.labels[entry(v, r, c)]
+                                      for c in range(r + 1))
+                             for r in range(n)) + "]" for v in values]
+    entries = [[[entry(v, r, c) for c in range(n)] for r in range(n)]
+               for v in values]
+    return env, values, mu_op, one, labels, entries
+
+
+def _reference_quaternion(field):
+    env = build_envelope(field)
+    values = sorted(_reference_odd_sum_tuples(env, field, 4))
+    add, mul, neg = env.add_at, env.mul_at, env.neg_at
+
+    def mu_op(a, b):
+        c0 = add(add(mul(a[0], b[0]), neg(mul(a[1], b[1]))),
+                 add(neg(mul(a[2], b[2])), neg(mul(a[3], b[3]))))
+        c1 = add(add(mul(a[0], b[1]), mul(a[1], b[0])),
+                 add(mul(a[2], b[3]), neg(mul(a[3], b[2]))))
+        c2 = add(add(mul(a[0], b[2]), neg(mul(a[1], b[3]))),
+                 add(mul(a[2], b[0]), mul(a[3], b[1])))
+        c3 = add(add(mul(a[0], b[3]), mul(a[1], b[2])),
+                 add(neg(mul(a[2], b[1])), mul(a[3], b[0])))
+        return (c0, c1, c2, c3)
+
+    one = (env.one, env.zero, env.zero, env.zero)
+    labels = ["(" + ",".join(env.labels[c] for c in v) + ")" for v in values]
+    return env, values, mu_op, one, labels
+
+
+def _reference_group_algebra(g, field):
+    env = build_envelope(field)
+    k = g.shape[0]
+    values = sorted(_reference_odd_sum_tuples(env, field, k))
+    conv_pairs = [[] for _ in range(k)]
+    for g1 in range(k):
+        for g2 in range(k):
+            conv_pairs[int(g[g1, g2])].append((g1, g2))
+
+    def mu_op(a, b):
+        out = []
+        for target in range(k):
+            acc = env.zero
+            for g1, g2 in conv_pairs[target]:
+                acc = env.add_at(acc, env.mul_at(a[g1], b[g2]))
+            out.append(acc)
+        return tuple(out)
+
+    identity = int(np.flatnonzero((g == np.arange(k)).all(axis=1))[0])
+    one = tuple(env.one if t == identity else env.zero for t in range(k))
+    labels = ["(" + ",".join(env.labels[c] for c in v) + ")" for v in values]
+    return env, values, mu_op, one, labels
+
+
+def _assert_same_tables(field, env, values, mu_op, one, labels):
+    assert field.carrier.mu.tolist() == _reference_mu(values, mu_op).tolist()
+    assert (field.carrier.nu == _reference_nu(env, values)).all()
+    assert list(field.labels) == labels
+    assert field.one == values.index(one)
+
+
+@pytest.mark.parametrize("size,spec", [
+    (size, spec) for spec in ("F0(1)", "odd(2)", "odd(4)") for size in (1, 2, 3)
+] + [(2, "odd(8)")])
+def test_toeplitz_tables_match_the_reference(size, spec):
+    field = _base(spec)
+    result = toeplitz_field(size, field)
+    env, values, mu_op, one, labels, entries = _reference_toeplitz(field, size)
+    _assert_same_tables(result.field, env, values, mu_op, one, labels)
+    assert [result.matrix(i) for i in range(len(values))] == [
+        [[env.labels[e] for e in row] for row in m] for m in entries]
+
+
+@pytest.mark.parametrize("size,spec", [
+    (size, spec) for spec in ("odd(2)", "odd(4)", "F0(2)") for size in (1, 2)
+] + [(3, "F0(1)")])
+def test_triangular_tables_match_the_reference(size, spec):
+    field = _base(spec)
+    result = triangular_field(size, field)
+    env, values, mu_op, one, labels, entries = _reference_triangular(field, size)
+    _assert_same_tables(result.field, env, values, mu_op, one, labels)
+    assert [result.matrix(i) for i in range(len(values))] == [
+        [[env.labels[e] for e in row] for row in m] for m in entries]
+
+
+@pytest.mark.parametrize("spec", ["F0(1)", "odd(2)", "odd(4)"])
+def test_quaternion_tables_match_the_reference(spec):
+    field = _base(spec)
+    result = quaternion_field(field)
+    env, values, mu_op, one, labels = _reference_quaternion(field)
+    _assert_same_tables(result.field, env, values, mu_op, one, labels)
+    assert result.tuples == values
+    assert list(result.index.items()) == [(v, i) for i, v in enumerate(values)]
+
+
+_KLEIN = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+
+
+@pytest.mark.parametrize("name,spec", [
+    (f"Z{k}", "F0(1)") for k in range(1, 7)
+] + [("klein", "F0(1)"), ("Z2", "odd(4)")])
+def test_group_algebra_matches_the_reference(name, spec):
+    group = _KLEIN if name == "klein" else cyclic_group(int(name[1:]))
+    field = _base(spec)
+    result = group_algebra(group, field)
+    env, values, mu_op, one, labels = _reference_group_algebra(group, field)
+    # the exhaustive verdict, read from the reference table row by row
+    mu = _reference_mu(values, mu_op)
+    one_idx = values.index(one)
+    witness = None
+    for a in range(len(values)):
+        hits = np.flatnonzero(mu[a] == one_idx)
+        if hits.size == 0 or mu[int(hits[0]), a] != one_idx:
+            witness = labels[a]
+            break
+    assert result.verdict_mode == "exhaustive"
+    assert result.is_3field is (witness is None)
+    assert result.witness == witness
+    if result.field is not None:
+        _assert_same_tables(result.field, env, values, mu_op, one, labels)
+
+
+def test_sampled_group_algebra_verdict_is_pinned(f1):
+    # 2048 elements: beyond the table limit, 64 seeded samples decide
+    result = group_algebra(cyclic_group(12), f1)
+    assert result.size == 2048
+    assert result.verdict_mode == "sampled"
+    assert result.is_3field is False
+    assert result.witness == "(q(1),q(1),1,1,1,q(1),1,q(1),1,1,q(1),1)"
+    assert result.field is None
+
+
+@pytest.mark.parametrize("spec", ["F0(1)", "odd(4)"])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_free_space_lists_the_reference_tuples(spec, width):
+    field = _base(spec)
+    space = free_space(field, width)
+    assert space.vectors == _reference_odd_sum_tuples(space.env, field, width)
