@@ -88,12 +88,11 @@ def parse_spec(text, check="auto"):
 
 
 def _emit(doc, fmt, table=None):
-    """Print a report dict as json or markdown (csv only for tables)."""
+    """Print a report dict as json or markdown, or a table as csv (main
+    rejects csv for every other command before it runs)."""
     if fmt == "json":
         print(json.dumps(doc, indent=2))
     elif fmt == "csv":
-        if table is None:
-            raise UsageError("csv output is only available for table commands")
         print(table.to_csv(letters=doc.get("labels") == "paper"))
     else:
         if table is not None:
@@ -540,6 +539,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format == "csv" and args.handler not in (cmd_field_table,
+                                                         cmd_field_aut):
+            raise UsageError("csv output is only available for table commands")
         return args.handler(args)
     except (UsageError, StructureError, CarrierSizeError, ValueError,
             ZeroDivisionError) as exc:

@@ -5,7 +5,10 @@ q_{a,b}, normalized to the standard form q_{a+b-1,1} so that a pair is
 determined by the single coordinate alpha.  Adjoining them to F yields the
 envelope U(F) = F + Q(F), a binary unital ring of exactly twice the size, in
 which F sits as the odd part and Q(F) as an ideal.  U(F) is local: Q(F) is
-its unique maximal ideal and the residue ring has two elements.
+its unique maximal ideal and the residue ring has two elements.  That ideal
+is found as the paper characterizes it, as the set of non-units: the odd
+part is units and the pairs are closed under addition, which one O(n^2)
+whole-table check confirms (RingTable.maximal_ideals).
 
 All pair arithmetic is expressed through the ternary operations themselves
 (with m1 = quer_add(1) playing the role of -1), so it works uniformly over
@@ -109,19 +112,19 @@ class RingTable:
     # -- ideal machinery -----------------------------------------------------
 
     def _additive_closure(self, seed):
-        out = set(seed)
-        out.add(self.zero)
-        frontier = list(out)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(out):
-                    s = self.add_at(a, b)
-                    if s not in out:
-                        out.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return out
+        """Additive subgroup generated by the seed indices: a membership mask
+        that takes in every pairwise sum of its members, one whole-table
+        gather per round, until it stops growing."""
+        hit = np.zeros(self.n, dtype=bool)
+        hit[np.fromiter(seed, dtype=np.intp)] = True
+        hit[self.zero] = True
+        members = np.flatnonzero(hit)
+        while True:
+            hit[self.add[np.ix_(members, members)]] = True
+            grown = np.flatnonzero(hit)
+            if len(grown) == len(members):
+                return frozenset(members.tolist())
+            members = grown
 
     def ideal_closure(self, generators):
         """Smallest two-sided ideal containing the generators: the sums of
@@ -130,7 +133,7 @@ class RingTable:
         hit = np.zeros(self.n, dtype=bool)
         for g in generators:
             hit[self.mul[self.mul[:, g]]] = True      # [u, v] -> (u*g)*v
-        return frozenset(self._additive_closure(np.flatnonzero(hit).tolist()))
+        return self._additive_closure(np.flatnonzero(hit))
 
     def all_ideals(self):
         """Every two-sided ideal, by closing the principal ideals under sums."""
@@ -146,19 +149,50 @@ class RingTable:
                 for b in pool[i + 1:]:
                     if a <= b or b <= a:
                         continue
-                    s = frozenset(self._additive_closure(a | b))
+                    s = self._additive_closure(a | b)
                     if s not in found:
                         found.add(s)
                         changed = True
         self._ideals = found
         return found
 
-    def maximal_ideals(self):
+    def _units(self):
+        """Mask of the units: the rows of mul that reach one.  In a finite
+        ring a one-sided inverse is two-sided, so a row suffices."""
+        return (self.mul == self.one).any(axis=1)
+
+    def _nonunit_ideal(self):
+        """The non-units N when they are closed under addition, else None.
+
+        Then N is the unique maximal ideal: a product with a non-unit factor
+        is a non-unit (one-sided inverses are two-sided), N holds 0 and the
+        negatives of its members, so closure under addition makes it an
+        ideal, and a proper ideal holds no unit, so every one lies in N."""
+        if self.n <= 1:
+            return None
+        nonunit = ~self._units()
+        members = np.flatnonzero(nonunit)
+        if not nonunit[self.add[np.ix_(members, members)]].all():
+            return None
+        return frozenset(members.tolist())
+
+    def _maximal_ideals(self):
+        """(sorted maximal ideals, "certificate" or "enumeration")."""
+        local = self._nonunit_ideal()
+        if local is not None:
+            return [local], "certificate"
         full = frozenset(range(self.n))
         proper = [i for i in self.all_ideals() if i != full]
         maximal = [i for i in proper
                    if not any(i < j for j in proper)]
-        return sorted(maximal, key=lambda s: sorted(s))
+        return sorted(maximal, key=lambda s: sorted(s)), "enumeration"
+
+    def maximal_ideals(self):
+        """The maximal two-sided ideals, sorted.  A ring whose non-units are
+        closed under addition is local with them as its maximal ideal, an
+        O(n^2) certificate; any other ring (and the zero ring) is answered
+        by enumerating every ideal."""
+        return self._maximal_ideals()[0]
 
     def to_json(self):
         return {
@@ -378,14 +412,18 @@ def build_envelope(field, check=True):
 
 
 def verify_local(ring):
-    """Enumerate all maximal ideals by brute force and report the local
-    structure: for an envelope ring there must be exactly one, equal to the
-    even part, with a two-element residue ring."""
-    maximal = ring.maximal_ideals()
+    """Report the maximal ideals and the local structure: for an envelope
+    ring there must be exactly one, equal to the even part, with a
+    two-element residue ring.  report["method"] says how the ideals were
+    found: "certificate" when the non-units are closed under addition (then
+    they are the one maximal ideal), "enumeration" when every ideal had to
+    be listed."""
+    maximal, method = ring._maximal_ideals()
     report = {
         "maximal_ideals": [sorted(m) for m in maximal],
         "residue_sizes": [ring.n // len(m) for m in maximal],
         "is_local_with_z2_residue": len(maximal) == 1 and ring.n == 2 * len(maximal[0]),
+        "method": method,
     }
     if isinstance(ring, EnvelopeRing) and len(maximal) == 1:
         report["maximal_is_pair_part"] = sorted(maximal[0]) == list(ring.pair_indices())
@@ -394,7 +432,8 @@ def verify_local(ring):
 
 def units_as_3field(ring, check="auto"):
     """For a local ring with two-element residue ring, the complement of the
-    maximal ideal with inherited ternary addition and multiplication."""
+    maximal ideal (the units, see RingTable.maximal_ideals) with inherited
+    ternary addition and multiplication."""
     maximal = ring.maximal_ideals()
     if len(maximal) != 1 or ring.n != 2 * len(maximal[0]):
         raise StructureError(
@@ -582,9 +621,12 @@ class QuotientResult:
 def quotient_by_ideal(field, ideal, check="auto"):
     """Quotient of a 3-field by an ideal of its envelope: classes r1 ~ r2 iff
     r1 + q = r2 for some q in the ideal.  The result is a 3-field exactly when
-    every proper over-ideal of the envelope misses the odd part; that
-    condition is verified by exhaustive ideal enumeration and reported.
-    Symbolic bases delegate to their own quotient method."""
+    every proper over-ideal of the envelope misses the odd part, and the
+    verdict is reported.  A proper ideal holds no unit, so the condition
+    holds outright when every odd element is a unit of the envelope (always,
+    when the base is a 3-field); otherwise the over-ideals are enumerated and
+    the smallest one meeting the odd part is the witness.  Symbolic bases
+    delegate to their own quotient method."""
     if hasattr(field, "quotient_by_ideal"):
         return field.quotient_by_ideal(ideal)
     if not isinstance(ideal, IdealHandle):
@@ -596,7 +638,9 @@ def quotient_by_ideal(field, ideal, check="auto"):
     # evenly-maximal condition: proper over-ideals avoid the odd part
     full = frozenset(range(env.n))
     witness = None
-    for cand in sorted(env.all_ideals(), key=lambda s: (len(s), sorted(s))):
+    candidates = () if env._units()[:n].all() else sorted(
+        env.all_ideals(), key=lambda s: (len(s), sorted(s)))
+    for cand in candidates:
         if cand == full or not (ideal.elements <= cand):
             continue
         meets = sorted(i for i in cand if i < n)

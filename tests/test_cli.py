@@ -68,6 +68,16 @@ def test_csv_is_rejected_for_non_table_commands():
     assert "csv output is only available for table commands" in proc.stderr
 
 
+def test_csv_is_rejected_before_the_command_runs():
+    with mock.patch.object(cli, "build_envelope", wraps=cli.build_envelope) as build, \
+            contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["envelope", "--spec", "F0(3)", "--format", "csv"]) == 2
+    assert build.call_count == 0
+    assert out.getvalue() == ""
+    assert "error: csv output is only available for table commands" in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # field verbs
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Enveloping rings, pairs, morphisms, ideals and quotients."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ternfield import (
     evenly_maximal_check,
     lift_morphism,
     odd_residue_field,
+    product_field,
     quotient_by_ideal,
     residue_ring,
     retract_addition,
@@ -34,6 +37,7 @@ from ternfield.pair_envelope import (
     standard_form,
     universal_extension,
 )
+from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +144,27 @@ def test_units_recover_the_field(f8, env8):
             assert back.mu(a, b) == f8.mu(a, b)
             for c in back.elements():
                 assert back.nu(a, b, c) == f8.nu(a, b, c)
+
+
+def test_zero_ring_has_no_maximal_ideal():
+    ring = residue_ring(1)
+    assert ring.maximal_ideals() == []
+    assert verify_local(ring)["method"] == "enumeration"
+
+
+def test_locality_never_enumerates_ideals_of_an_envelope():
+    f = build_f0(7)
+    env = build_envelope(f)
+    with mock.patch.object(RingTable, "all_ideals", autospec=True,
+                           side_effect=RingTable.all_ideals) as enumerate_:
+        report = verify_local(env)
+        back = units_as_3field(env)
+        result = quotient_by_ideal(f, IdealHandle(env, [env.pair_index(f.one)]))
+    assert enumerate_.call_count == 0
+    assert report["method"] == "certificate"
+    assert report["maximal_ideals"] == [list(env.pair_indices())]
+    assert back.labels == f.labels
+    assert result.report["evenly_maximal"]
 
 
 def test_odd_envelope_is_the_full_residue_ring():
@@ -421,6 +446,138 @@ def test_every_ideal_is_two_sided(build):
         members = sorted(ideal)
         assert set(ring.mul[np.ix_(everything, members)].ravel().tolist()) <= ideal
         assert set(ring.mul[np.ix_(members, everything)].ravel().tolist()) <= ideal
+
+
+# -- the non-unit certificate against enumeration ------------------------------------------
+
+def reference_additive_closure(ring, seed):
+    """The additive closure one sum at a time."""
+    out = set(seed)
+    out.add(ring.zero)
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(out):
+                s = ring.add_at(a, b)
+                if s not in out:
+                    out.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return frozenset(out)
+
+
+def reference_all_ideals(ring):
+    """Principal ideals and their joins, each closed one sum at a time."""
+    def principal(g):
+        return reference_additive_closure(
+            ring, {ring.mul_at(ring.mul_at(u, g), v)
+                   for u in range(ring.n) for v in range(ring.n)})
+    found = {frozenset({ring.zero})} | {principal(g) for g in range(ring.n)}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(found):
+            for b in list(found):
+                s = reference_additive_closure(ring, a | b)
+                if s not in found:
+                    found.add(s)
+                    changed = True
+    return found
+
+
+def enumerated_maximal_ideals(ring):
+    full = frozenset(range(ring.n))
+    proper = [i for i in ring.all_ideals() if i != full]
+    return sorted((i for i in proper if not any(i < j for j in proper)),
+                  key=sorted)
+
+
+def envelope_of(build):
+    return lambda: build_envelope(build())
+
+
+def odd_part_of_residues(m):
+    """The odd residues mod an even m with x+y+z and products: a 3-field
+    exactly when m is a power of two (3 is not a unit mod 6)."""
+    vals = np.arange(1, m, 2, dtype=np.int64)
+    s3 = (vals[:, None, None] + vals[None, :, None] + vals[None, None, :]) % m
+    mu = (vals[:, None] * vals[None, :]) % m
+    carrier = TernaryCarrier([str(int(v)) for v in vals],
+                             ((s3 - 1) // 2).astype(np.int32),
+                             ((mu - 1) // 2).astype(np.int32))
+    return FiniteThreeField(carrier, 0, check=False)
+
+
+RINGS = [
+    pytest.param(lambda: residue_ring(12), id="Z/12"),
+    pytest.param(lambda: residue_ring(30), id="Z/30"),
+    pytest.param(matrix_ring_z2, id="M2(Z/2)"),
+    pytest.param(envelope_of(lambda: triangular_field(2, build_f0(2)).field),
+                 id="U(T2(F0(2)))"),
+]
+
+
+@pytest.mark.parametrize("build", RINGS)
+def test_mask_closure_matches_the_sum_at_a_time_closure(build):
+    ring = build()
+    rng = np.random.default_rng(7)
+    seeds = [[g] for g in range(ring.n)]
+    seeds += [rng.choice(ring.n, size=k, replace=False).tolist()
+              for k in (2, 3, 5) for _ in range(8)]
+    for seed in seeds:
+        assert ring._additive_closure(seed) == reference_additive_closure(ring, seed)
+    assert ring.all_ideals() == reference_all_ideals(ring)
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_certificate_agrees_with_enumeration_on_residue_rings(m):
+    ring = residue_ring(m)
+    primes = {p for p in range(2, m + 1) if m % p == 0
+              and all(p % q for q in range(2, p))}
+    report = verify_local(ring)
+    # Z/m is local exactly when m is a prime power
+    assert report["method"] == ("certificate" if len(primes) == 1 else "enumeration")
+    assert ring.maximal_ideals() == enumerated_maximal_ideals(ring)
+    assert report["maximal_ideals"] == [sorted(i) for i in ring.maximal_ideals()]
+
+
+@pytest.mark.parametrize("build,method", [
+    *(pytest.param(envelope_of(lambda k=k: odd_residue_field(2 ** k)), "certificate",
+                   id=f"U(odd({2 ** k}))") for k in range(1, 7)),
+    *(pytest.param(envelope_of(lambda k=k: build_f0(k)), "certificate",
+                   id=f"U(F0({k}))") for k in range(2, 6)),
+    pytest.param(envelope_of(lambda: product_field(build_f0(2), build_f0(3)).field),
+                 "certificate", id="U(F0(2)xF0(3))"),
+    # simple, so not local: its non-units are not closed under addition
+    pytest.param(matrix_ring_z2, "enumeration", id="M2(Z/2)"),
+    pytest.param(envelope_of(lambda: triangular_field(2, build_f0(2)).field),
+                 "certificate", id="U(T2(F0(2)))"),
+    # isomorphic to Z/6, with two maximal ideals
+    pytest.param(envelope_of(lambda: odd_part_of_residues(6)), "enumeration",
+                 id="U(odd part of Z/6)"),
+])
+def test_certificate_agrees_with_enumeration(build, method):
+    ring = build()
+    assert ring.maximal_ideals() == enumerated_maximal_ideals(ring)
+    assert verify_local(ring)["method"] == method
+
+
+def test_quotient_witness_when_an_odd_element_is_no_unit():
+    # in Z/6 the odd residue 3 is no unit: the zero ideal (generated by
+    # q(5) = 6) lies in the proper ideal (3) = {0, 3}, which meets the odd
+    # part, so the quotient is not a 3-field
+    f = odd_part_of_residues(6)
+    env = build_envelope(f)
+    zero = IdealHandle(env, [env.pair_index(f.index("5"))])
+    assert len(zero) == 1
+    with pytest.raises(QuotientNotFieldError) as err:
+        quotient_by_ideal(f, zero)
+    assert err.value.witness_ideal == {
+        "ideal": sorted([f.index("3"), env.zero]), "odd_members": ["3"]}
+    # an ideal holding 3's over-ideal is the whole ring: no witness
+    result = quotient_by_ideal(f, IdealHandle(env, [env.pair_index(f.index("3"))]))
+    assert result.report["evenly_maximal"] and result.class_reps == ["1"]
 
 
 # -- ThreeRingMap rejections -------------------------------------------------------------------
