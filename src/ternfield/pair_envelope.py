@@ -8,7 +8,9 @@ which F sits as the odd part and Q(F) as an ideal.  U(F) is local: Q(F) is
 its unique maximal ideal and the residue ring has two elements.  That ideal
 is found as the paper characterizes it, as the set of non-units: the odd
 part is units and the pairs are closed under addition, which one O(n^2)
-whole-table check confirms (RingTable.maximal_ideals).
+whole-table check confirms (RingTable.maximal_ideals).  The same fact lets
+an isomorphism of envelopes stand for an isomorphism of 3-fields: it maps
+units to units, so it keeps the odd part in place (field_isomorphism).
 
 All pair arithmetic is expressed through the ternary operations themselves
 (with m1 = quer_add(1) playing the role of -1), so it works uniformly over
@@ -318,11 +320,10 @@ class Pair:
 def standard_form(field, a, b):
     """Normalize q_{a,b} to q_{alpha,1} with alpha = a+b-1; the returned pair
     acts on every element exactly as the original translation."""
-    m1 = field.quer(field.one)
-    alpha = field.nu(a, b, m1)
-    for x in field.elements():
-        if field.nu(x, a, b) != field.nu(x, alpha, field.one):
-            raise StructureError("standard form changed the translation action")
+    nu = field.carrier.nu
+    alpha = int(nu[a, b, field.quer(field.one)])
+    if (nu[:, a, b] != nu[:, alpha, field.one]).any():
+        raise StructureError("standard form changed the translation action")
     return Pair(field, alpha)
 
 
@@ -450,13 +451,19 @@ def units_as_3field(ring, check="auto"):
 
 class _IndexMap:
     """A map between finite structures, held as the image index of every
-    source element; each subclass validates its own structure."""
+    source element.  Construction checks that the mapping covers the source
+    and lands in the target; each subclass's validate checks its unit and
+    operations."""
 
     def __init__(self, source, target, mapping, check=True):
         self.source = source
         self.target = target
         self.mapping = tuple(int(v) for v in mapping)
         if check:
+            if len(self.mapping) != source.n:
+                raise StructureError("mapping must cover the source")
+            if not all(0 <= v < target.n for v in self.mapping):
+                raise StructureError("mapping hits indices outside the target")
             self.validate()
 
     def __call__(self, i):
@@ -481,11 +488,7 @@ class Morphism(_IndexMap):
 
     def validate(self):
         s, t = self.source, self.target
-        if len(self.mapping) != s.n:
-            raise StructureError("mapping must cover the source carrier")
         m = np.asarray(self.mapping, dtype=np.int32)
-        if (m < 0).any() or (m >= t.n).any():
-            raise StructureError("mapping hits indices outside the target")
         if self.mapping[s.one] != t.one:
             raise StructureError("unit is not preserved")
         if not (m[s.carrier.nu] == t.carrier.nu[np.ix_(m, m, m)]).all():
@@ -503,8 +506,6 @@ class RingMorphism(_IndexMap):
 
     def validate(self):
         s, t = self.source, self.target
-        if len(self.mapping) != s.n:
-            raise StructureError("mapping must cover the source ring")
         m = np.asarray(self.mapping, dtype=np.int32)
         if self.mapping[s.one] != t.one:
             raise StructureError("one is not preserved")
@@ -531,21 +532,12 @@ def lift_morphism(phi, env_source=None, env_target=None):
     return RingMorphism(env_s, env_t, mapping)
 
 
-class ThreeRingMap:
+class ThreeRingMap(_IndexMap):
     """Map from a 3-field into a binary ring that preserves the derived
     ternary structure (sums of three, products, unit)."""
 
-    def __init__(self, field, ring, mapping, check=True):
-        self.field = field
-        self.ring = ring
-        self.mapping = tuple(int(v) for v in mapping)
-        if check:
-            self.validate()
-
     def validate(self):
-        f, r, m = self.field, self.ring, self.mapping
-        if len(m) != f.n:
-            raise StructureError("mapping must cover the field")
+        f, r, m = self.source, self.target, self.mapping
         if m[f.one] != r.one:
             raise StructureError("unit must go to one")
         m = np.asarray(m, dtype=np.intp)
@@ -555,25 +547,16 @@ class ThreeRingMap:
         if not (m[f.carrier.nu] == r.add[r.add[ix][..., None], m]).all():
             raise StructureError("ternary sums are not preserved")
 
-    def __call__(self, i):
-        return self.mapping[i]
-
 
 def universal_extension(phi, env=None):
     """The unique ring morphism U(F) -> R through which a 3-map F -> R
     factors: odd part as phi, pairs q_alpha -> phi(alpha) + phi(1)."""
     if not isinstance(phi, ThreeRingMap):
         raise StructureError("universal_extension expects a ThreeRingMap")
-    f, r = phi.field, phi.ring
+    f, r = phi.source, phi.target
     env = env or build_envelope(f, check=False)
-    mapping = list(phi.mapping)
-    one_img = phi.mapping[f.one]
-    mapping += [r.add_at(phi.mapping[alpha], one_img) for alpha in range(f.n)]
-    bar = RingMorphism(env, r, mapping)
-    for e in range(f.n):  # the triangle phi_bar o (inclusion) = phi
-        if bar(e) != phi(e):
-            raise StructureError("extension does not restrict to the original map")
-    return bar
+    m = np.asarray(phi.mapping, dtype=np.intp)
+    return RingMorphism(env, r, np.concatenate([m, r.add[m, m[f.one]]]))
 
 
 class IdealHandle:
@@ -688,12 +671,7 @@ class RetractAddition:
         self.field = field
         self.c = int(c)
         self.table = np.asarray(field.carrier.nu[:, :, self.c])
-        self.neutral = None
-        idx = np.arange(field.n, dtype=np.int32)
-        for cand in range(field.n):
-            if (self.table[:, cand] == idx).all():
-                self.neutral = cand
-                break
+        self.neutral = quer_add(field.carrier, self.c)   # nu(x, quer(c), c) = x
 
     def at(self, a, b):
         return int(self.table[a, b])
@@ -775,81 +753,80 @@ def embedding_criterion(field, env=None):
     }
 
 
-def ring_isomorphism(r1, r2, constraint=None):
-    """Search for a unital ring isomorphism r1 -> r2 by matching a generating
-    sequence; returns a RingMorphism or None.  constraint(i, j) may veto
-    candidate images (used to force parity preservation)."""
+def _close_map(r1, r2, m):
+    """Close a partial map (m[i] the image of i, -1 where unmapped; zero
+    mapped to zero) under addition and multiplication, one whole-table
+    gather over the mapped set per round, until a round maps nothing new.
+    None as soon as a result gets two images or an image two sources.  A
+    changed known image is a result with two images, as x + 0 carries the
+    image of every mapped x into the results."""
+    while True:
+        src = np.flatnonzero(m >= 0)
+        ix1, ix2 = np.ix_(src, src), np.ix_(m[src], m[src])
+        s1 = np.concatenate((r1.add[ix1], r1.mul[ix1]), axis=None)
+        s2 = np.concatenate((r2.add[ix2], r2.mul[ix2]), axis=None)
+        grown = m.copy()
+        grown[s1] = s2
+        if (grown[s1] != s2).any():                # a result with two images
+            return None
+        images = grown[grown >= 0]
+        if len(np.unique(images)) != len(images):  # an image with two sources
+            return None
+        if len(images) == len(src):
+            return m
+        m = grown
+
+
+def ring_isomorphism(r1, r2):
+    """Search for a unital ring isomorphism r1 -> r2; returns a RingMorphism
+    or None.
+
+    zero and one are matched, and then the least unmapped index takes each
+    free image in ascending order, the partial map closed under both
+    operations after every choice (_close_map).  A unital isomorphism maps
+    units to units and non-units to non-units, so only images of the same
+    unit status are tried; that skips branches that cannot succeed and
+    leaves the first isomorphism found unchanged."""
     if r1.n != r2.n:
         return None
+    units1, units2 = r1._units(), r2._units()
 
-    def close(mapping, frontier):
-        """Extend mapping by ring closure; mapping: dict r1-index -> r2-index."""
-        used = set(mapping.values())
-        if len(used) != len(mapping):
+    def extend(m):
+        if m is None:
             return None
-        queue = list(frontier)
-        known = sorted(mapping)
-        while queue:
-            a = queue.pop()
-            for b in sorted(mapping):
-                for op1, op2 in ((r1.add_at, r2.add_at), (r1.mul_at, r2.mul_at)):
-                    for x, y in ((a, b), (b, a)):
-                        s1 = op1(x, y)
-                        s2 = op2(mapping[x], mapping[y])
-                        if s1 in mapping:
-                            if mapping[s1] != s2:
-                                return None
-                        else:
-                            if s2 in used:
-                                return None
-                            mapping[s1] = s2
-                            used.add(s2)
-                            queue.append(s1)
-        return mapping
-
-    base = {r1.zero: r2.zero, r1.one: r2.one}
-    base = close(dict(base), [r1.zero, r1.one])
-    if base is None:
-        return None
-
-    def extend(mapping):
-        if len(mapping) == r1.n:
+        free = np.flatnonzero(m < 0)
+        if not free.size:
             try:
-                return RingMorphism(r1, r2, [mapping[i] for i in range(r1.n)])
+                return RingMorphism(r1, r2, m)
             except StructureError:
                 return None
-        g = min(i for i in range(r1.n) if i not in mapping)
-        used = set(mapping.values())
-        for img in range(r2.n):
-            if img in used:
-                continue
-            if constraint is not None and not constraint(g, img):
-                continue
-            trial = dict(mapping)
+        g = free[0]
+        open_ = units2 == units1[g]
+        open_[m[m >= 0]] = False
+        for img in np.flatnonzero(open_):
+            trial = m.copy()
             trial[g] = img
-            trial = close(trial, [g])
-            if trial is None:
-                continue
-            out = extend(trial)
+            out = extend(_close_map(r1, r2, trial))
             if out is not None:
                 return out
         return None
 
-    return extend(base)
+    seed = np.full(r1.n, -1, dtype=np.intp)
+    seed[[r1.zero, r1.one]] = r2.zero, r2.one
+    return extend(_close_map(r1, r2, seed))
 
 
 def field_isomorphism(f1, f2):
-    """3-field isomorphism via a parity-preserving isomorphism of envelopes;
-    returns a Morphism or None."""
+    """3-field isomorphism as an isomorphism of the envelopes restricted to
+    the odd part; returns a Morphism or None.
+
+    An envelope isomorphism must keep the odd part F in place, and it does:
+    the odd part of U(F) is exactly its units (F is a 3-field and the pairs
+    form the maximal ideal), and ring_isomorphism matches units with units."""
     if f1.n != f2.n:
         return None
-    e1 = build_envelope(f1, check=False)
-    e2 = build_envelope(f2, check=False)
-
-    def parity_ok(i, j):
-        return e1.parity[i] == e2.parity[j]
-
-    iso = ring_isomorphism(e1, e2, constraint=parity_ok)
+    iso = ring_isomorphism(build_envelope(f1, check=False),
+                           build_envelope(f2, check=False))
     if iso is None:
         return None
     return Morphism(f1, f2, iso.mapping[:f1.n])

@@ -537,10 +537,12 @@ def group_algebra(group_table, field, check="auto"):
     over the one-element field constructs the isomorphism with the
     single-variable quotient field of that size.
 
-    Beyond the table limit only 64 random elements are tested
-    (verdict_mode "sampled"): a witness there is a proof of failure, but a
-    sampled is_3field of True is not a proof that every element is
-    invertible."""
+    Beyond the table limit (verdict_mode "sampled") the all-ones function N
+    is tested first: when it lies in the carrier (odd group order) and no
+    element b has N * b = 1, it is the witness, as N * b = aug(b) * N.
+    Otherwise 64 seeded random elements are tested: a witness there is a
+    proof of failure, but a sampled is_3field of True is not a proof that
+    every element is invertible."""
     g = np.asarray(group_table, dtype=np.int64)
     identity = _check_group_table(g)
     k = g.shape[0]
@@ -569,15 +571,20 @@ def group_algebra(group_table, field, check="auto"):
             witness = vectors[lacking[0]]
         verdict_mode = "exhaustive"
     else:
-        rng = random.Random(0)
         one = np.asarray(one_value)
-        for _ in range(64):
-            a = rng.randrange(n)
-            row = tables.products(vectors[a:a + 1], vectors)[0]     # a * b
-            col = tables.products(vectors, vectors[a:a + 1])[:, 0]  # b * a
-            if not ((row == one).all(axis=1) & (col == one).all(axis=1)).any():
-                witness = vectors[a]
-                break
+        norm = np.full(k, env.one)             # N * b = aug(b) * N
+        if (vectors == norm).all(axis=1).any() and not (
+                tables.products(norm[None], vectors)[0] == one).all(axis=1).any():
+            witness = norm
+        else:
+            rng = random.Random(0)
+            for _ in range(64):
+                a = rng.randrange(n)
+                row = tables.products(vectors[a:a + 1], vectors)[0]     # a * b
+                col = tables.products(vectors, vectors[a:a + 1])[:, 0]  # b * a
+                if not ((row == one).all(axis=1) & (col == one).all(axis=1)).any():
+                    witness = vectors[a]
+                    break
         verdict_mode = "sampled"
 
     is_3field = witness is None

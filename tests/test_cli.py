@@ -346,6 +346,14 @@ def test_struct_groupalg_pass_and_fail():
     assert doc["witness"] == "(1,1,1)"
 
 
+def test_struct_groupalg_sampled_odd_order_exits_with_the_norm_witness():
+    proc = run_cli("struct", "groupalg", "11", "--spec", "F0(1)")
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[-3:] == [
+        "is_3field: false", "verdict_mode: sampled",
+        "witness: (1,1,1,1,1,1,1,1,1,1,1)"]
+
+
 # ---------------------------------------------------------------------------
 # verification suite
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from ternfield import (
     build_f0,
     embedding_criterion,
     evenly_maximal_check,
+    field_isomorphism,
     lift_morphism,
     odd_residue_field,
     product_field,
@@ -22,6 +23,7 @@ from ternfield import (
     residue_ring,
     retract_addition,
     ring_isomorphism,
+    toeplitz_field,
     triangular_field,
     units_as_3field,
     verify_local,
@@ -31,6 +33,7 @@ from ternfield.pair_envelope import (
     Pair,
     QuotientNotFieldError,
     ThreeRingMap,
+    _close_map,
     pair_add,
     pair_mul,
     pair_zero,
@@ -245,6 +248,65 @@ def test_universal_extension_through_residue_ring(f8, env8):
     assert bar.is_bijective()
 
 
+def reference_universal_extension(phi, env):
+    """phi on the odd part, q_alpha -> phi(alpha) + phi(1), one sum at a time."""
+    f, r = phi.source, phi.target
+    return tuple(phi.mapping) + tuple(
+        r.add_at(phi(alpha), phi(f.one)) for alpha in range(f.n))
+
+
+def test_universal_extension_mappings_are_pinned():
+    for m in (4, 8, 16, 32):
+        f = odd_residue_field(m)
+        phi = ThreeRingMap(f, residue_ring(m), [int(f.label(i)) for i in f.elements()])
+        env = build_envelope(f)
+        assert universal_extension(phi, env).mapping == reference_universal_extension(phi, env)
+    f16 = odd_residue_field(16)
+    phi = ThreeRingMap(f16, residue_ring(16), [int(f16.label(i)) for i in f16.elements()])
+    assert universal_extension(phi).mapping == (
+        1, 3, 5, 7, 9, 11, 13, 15, 2, 4, 6, 8, 10, 12, 14, 0)
+    # the inclusion of the odd part extends to the identity of the envelope
+    for f in (build_f0(3), odd_residue_field(8),
+              product_field(build_f0(2), build_f0(3)).field):
+        env = build_envelope(f)
+        bar = universal_extension(ThreeRingMap(f, env, range(f.n)), env)
+        assert bar.mapping == tuple(range(env.n))
+
+
+# -- one validation path for index maps -----------------------------------------------------
+
+def test_every_map_kind_rejects_images_outside_the_target(f8):
+    f4, z3, z8 = odd_residue_field(4), residue_ring(3), residue_ring(8)
+    reduction = [f4.index(str(int(f8.label(i)) % 4)) for i in f8.elements()]
+    cases = [
+        (Morphism, f8, f4, reduction[:-1] + [f4.n]),
+        (Morphism, f8, f4, reduction[:-1] + [-1]),
+        (RingMorphism, z3, z3, [0, 1, 5]),
+        (RingMorphism, z3, z3, [0, 1, -1]),
+        (ThreeRingMap, f8, z8, [1, 3, 5, 9]),
+        (ThreeRingMap, f8, z8, [1, 3, 5, -1]),
+    ]
+    for kind, source, target, mapping in cases:
+        with pytest.raises(StructureError, match="^mapping hits indices outside the target$"):
+            kind(source, target, mapping)
+    for kind, source, target, mapping in cases:
+        with pytest.raises(StructureError, match="^mapping must cover the source$"):
+            kind(source, target, mapping[:-1])
+        # unchecked maps are taken as given
+        assert kind(source, target, mapping, check=False).mapping == tuple(mapping)
+
+
+def test_three_ring_map_is_an_index_map(f8):
+    z8 = residue_ring(8)
+    phi = ThreeRingMap(f8, z8, [int(f8.label(i)) for i in f8.elements()])
+    assert (phi.source, phi.target) == (f8, z8)
+    assert phi(f8.one) == z8.one and phi.is_bijective()
+    assert repr(phi) == f"ThreeRingMap({f8!r} -> {z8!r})"
+    f4 = odd_residue_field(4)
+    with pytest.raises(StructureError, match="unit must go to one"):
+        ThreeRingMap(f4, residue_ring(4), [3, 1])
+
+
 # -- embedding criterion -----------------------------------------------------------
 
 def test_only_the_one_element_field_embeds():
@@ -330,6 +392,22 @@ def test_retract_addition_gives_a_group(f8):
         assert (table[table] == table[:, table]).all()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: odd_residue_field(8), lambda: odd_residue_field(64), lambda: build_f0(1),
+    lambda: build_f0(3), lambda: build_f0(5),
+    lambda: product_field(build_f0(2), build_f0(3)).field,
+], ids=["odd(8)", "odd(64)", "F0(1)", "F0(3)", "F0(5)", "F0(2)xF0(3)"])
+def test_retract_neutral_is_the_querelement(build):
+    # Doernte's identity nu(x, c, quer(c)) = x: quer(c) is the column of
+    # the retracted table that fixes every element
+    f = build()
+    idx = np.arange(f.n)
+    for c in f.elements():
+        r = retract_addition(f, c)
+        assert r.neutral == f.quer(c)
+        assert [v for v in idx if (r.table[:, v] == idx).all()] == [r.neutral]
+
+
 # -- ring isomorphism search ------------------------------------------------------------
 
 def test_envelope_isomorphic_to_residue_ring(f8, env8):
@@ -341,6 +419,177 @@ def test_no_isomorphism_between_different_rings():
     assert ring_isomorphism(residue_ring(4), residue_ring(8)) is None
     env = build_envelope(build_f0(3))  # 8 elements, characteristic 2
     assert ring_isomorphism(env, residue_ring(8)) is None
+
+
+def reference_close(r1, r2, mapping, frontier):
+    """Extend mapping (dict r1-index -> r2-index) by ring closure, one sum
+    and product at a time; None on a conflict or a repeated image."""
+    used = set(mapping.values())
+    if len(used) != len(mapping):
+        return None
+    queue = list(frontier)
+    while queue:
+        a = queue.pop()
+        for b in sorted(mapping):
+            for op1, op2 in ((r1.add_at, r2.add_at), (r1.mul_at, r2.mul_at)):
+                for x, y in ((a, b), (b, a)):
+                    s1 = op1(x, y)
+                    s2 = op2(mapping[x], mapping[y])
+                    if s1 in mapping:
+                        if mapping[s1] != s2:
+                            return None
+                    else:
+                        if s2 in used:
+                            return None
+                        mapping[s1] = s2
+                        used.add(s2)
+                        queue.append(s1)
+    return mapping
+
+
+def reference_ring_isomorphism(r1, r2, constraint=None):
+    """The depth-first search with closure one operation at a time, where
+    constraint(i, j) may veto an image: the mapping tuple or None."""
+    if r1.n != r2.n:
+        return None
+    base = reference_close(r1, r2, {r1.zero: r2.zero, r1.one: r2.one},
+                           [r1.zero, r1.one])
+
+    def extend(mapping):
+        if len(mapping) == r1.n:
+            try:
+                return RingMorphism(r1, r2, [mapping[i] for i in range(r1.n)]).mapping
+            except StructureError:
+                return None
+        g = min(i for i in range(r1.n) if i not in mapping)
+        used = set(mapping.values())
+        for img in range(r2.n):
+            if img in used or (constraint is not None and not constraint(g, img)):
+                continue
+            trial = reference_close(r1, r2, {**mapping, g: img}, [g])
+            if trial is not None:
+                out = extend(trial)
+                if out is not None:
+                    return out
+        return None
+
+    return None if base is None else extend(base)
+
+
+def reference_field_isomorphism(f1, f2):
+    """The parity-preserving envelope isomorphism restricted to the odd part."""
+    if f1.n != f2.n:
+        return None
+    e1, e2 = build_envelope(f1, check=False), build_envelope(f2, check=False)
+    mapping = reference_ring_isomorphism(
+        e1, e2, constraint=lambda i, j: e1.parity[i] == e2.parity[j])
+    return None if mapping is None else mapping[:f1.n]
+
+
+def relabelled(f, seed):
+    """The same 3-field with element i renamed perm[i], perm random."""
+    perm = np.random.default_rng(seed).permutation(f.n).astype(np.int32)
+    inv = np.argsort(perm)
+    c = f.carrier
+    carrier = TernaryCarrier([c.labels[i] for i in inv],
+                             perm[c.nu[np.ix_(inv, inv, inv)]],
+                             perm[c.mu[np.ix_(inv, inv)]])
+    return FiniteThreeField(carrier, int(perm[f.one]), check=False)
+
+
+ISO_FIELDS = {
+    **{f"odd({m})": lambda m=m: odd_residue_field(m, check="light")
+       for m in (2, 4, 8, 16, 32, 64, 128)},
+    **{f"F0({k})": lambda k=k: build_f0(k, check="light") for k in range(1, 7)},
+    "F0(2,2)": lambda: build_f0(2, 2, check="light"),
+    "F0(3,2)": lambda: build_f0(3, 2, check="light"),
+    "F0(2)xF0(3)": lambda: product_field(build_f0(2), build_f0(3), check="light").field,
+    "F0(3)xF0(3)": lambda: product_field(build_f0(3), build_f0(3), check="light").field,
+    "F0(2,2,2)": lambda: build_f0(2, 2, 2, check="light"),
+}
+
+
+def mapping_of(iso):
+    return None if iso is None else iso.mapping
+
+
+@pytest.mark.parametrize("name", ISO_FIELDS)
+def test_field_isomorphism_matches_the_reference_search(name):
+    f = ISO_FIELDS[name]()
+    g = relabelled(f, 3)
+    for x, y in ((f, f), (f, g), (g, f)):
+        got = field_isomorphism(x, y)
+        assert got is not None
+        assert got.mapping == reference_field_isomorphism(x, y)
+
+
+@pytest.mark.parametrize("a,b", [
+    ("F0(4)", "F0(2,2)"), ("F0(5)", "F0(3)xF0(3)"), ("odd(16)", "F0(4)"),
+    ("odd(8)", "F0(3)"), ("odd(32)", "F0(5)"), ("F0(2)xF0(3)", "F0(4)"),
+])
+def test_field_isomorphism_finds_none_where_the_reference_finds_none(a, b):
+    fa, fb = ISO_FIELDS[a](), ISO_FIELDS[b]()
+    for x, y in ((fa, fb), (fb, fa)):
+        assert field_isomorphism(x, y) is None
+        assert reference_field_isomorphism(x, y) is None
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda m=m: residue_ring(m), id=f"Z/{m}") for m in (1, 2, 4, 8, 12, 16)),
+    pytest.param(lambda: matrix_ring_z2(), id="M2(Z/2)"),
+    pytest.param(lambda: build_envelope(build_f0(3)), id="U(F0(3))"),
+    pytest.param(lambda: build_envelope(relabelled(build_f0(4), 1)), id="U(F0(4) relabelled)"),
+])
+def test_ring_isomorphism_matches_the_reference_search(build):
+    ring = build()
+    assert mapping_of(ring_isomorphism(ring, ring)) == reference_ring_isomorphism(ring, ring)
+
+
+def test_ring_isomorphism_between_envelopes_keeps_the_odd_part():
+    f = build_f0(4)
+    e1, e2 = build_envelope(f), build_envelope(relabelled(f, 9))
+    iso = ring_isomorphism(e1, e2)
+    assert all(iso(i) < f.n for i in range(f.n))
+    assert iso.mapping[:f.n] == field_isomorphism(f, e2.base).mapping
+
+
+def test_field_isomorphism_of_the_toeplitz_field_is_pinned():
+    # the independent isomorphism of the derived-structures ledger
+    tp = toeplitz_field(3, odd_residue_field(2, check="light"))
+    iso = field_isomorphism(tp.field, build_f0(3, check="light"))
+    assert iso.mapping == (1, 3, 2, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: residue_ring(8), lambda: residue_ring(12), lambda: matrix_ring_z2(),
+    lambda: build_envelope(build_f0(3)), lambda: build_envelope(odd_residue_field(8)),
+    lambda: build_envelope(product_field(build_f0(2), build_f0(2)).field),
+], ids=["Z/8", "Z/12", "M2(Z/2)", "U(F0(3))", "U(odd(8))", "U(F0(2)xF0(2))"])
+def test_whole_table_closure_matches_the_one_at_a_time_closure(build):
+    # every seed {zero, one, g -> h}, including ones that clash
+    ring = build()
+    other = build_envelope(relabelled(ring.base, 5)) if isinstance(ring, EnvelopeRing) else ring
+    for g in range(ring.n):
+        for h in range(other.n):
+            seed = {ring.zero: other.zero, ring.one: other.one, g: h}
+            want = reference_close(ring, other, dict(seed), list(seed))
+            m = np.full(ring.n, -1, dtype=np.intp)
+            m[list(seed)] = list(seed.values())
+            got = _close_map(ring, other, m)
+            assert (got is None) == (want is None), (g, h)
+            if got is not None:
+                assert {i: int(v) for i, v in enumerate(got) if v >= 0} == want
+
+
+def test_ring_isomorphism_makes_no_scalar_table_calls():
+    f = build_f0(4)
+    e1, e2 = build_envelope(f), build_envelope(relabelled(f, 2))
+    with mock.patch.object(e1, "add_at", wraps=e1.add_at) as add1, \
+            mock.patch.object(e1, "mul_at", wraps=e1.mul_at) as mul1, \
+            mock.patch.object(e2, "add_at", wraps=e2.add_at) as add2, \
+            mock.patch.object(e2, "mul_at", wraps=e2.mul_at) as mul2:
+        assert ring_isomorphism(e1, e2) is not None
+    assert add1.call_count == mul1.call_count == add2.call_count == mul2.call_count == 0
 
 
 # -- the table-first paths against their scalar definitions -------------------------------

@@ -641,6 +641,23 @@ def test_sampled_group_algebra_verdict_is_pinned(f1):
     assert result.field is None
 
 
+@pytest.mark.parametrize("k,spec", [(11, "F0(1)"), (13, "F0(1)"), (7, "F0(2)")])
+def test_sampled_odd_order_group_fails_with_the_norm_witness(k, spec):
+    # the all-ones N is in the carrier for odd k and N * b = aug(b) * N is
+    # never the unit, so a sampled verdict cannot report a 3-field
+    result = group_algebra(cyclic_group(k), _base(spec))
+    assert result.verdict_mode == "sampled"
+    assert result.is_3field is False
+    assert result.witness == "(" + ",".join(["1"] * k) + ")"
+
+
+def test_norm_witness_has_no_inverse_in_the_reference(f1):
+    env, values, mu_op, one, _ = _reference_group_algebra(cyclic_group(11), f1)
+    norm = (env.one,) * 11
+    assert norm in values
+    assert all(mu_op(norm, b) != one for b in values)
+
+
 @pytest.mark.parametrize("spec", ["F0(1)", "odd(4)"])
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_free_space_lists_the_reference_tuples(spec, width):
