@@ -165,16 +165,13 @@ class CompositionTable:
     def reorder(self, labels, letters=False):
         """A new table over the same elements listed in the given order."""
         pos = [self.position(lab, letters) for lab in labels]
-        inv = {p: t for t, p in enumerate(pos)}
-        if len(inv) != self.order:
+        if sorted(pos) != list(range(self.order)):
             raise StructureError("reorder must list every element exactly once")
-        k = self.order
-        table = np.empty((k, k), dtype=np.int32)
-        for a in range(k):
-            for b in range(k):
-                table[a, b] = inv[int(self.table[pos[a], pos[b]])]
+        back = np.empty(self.order, dtype=np.int32)   # old position -> new
+        back[pos] = np.arange(self.order)
         return CompositionTable(self.field, [self.elements[p] for p in pos],
-                                table, inv[self.identity], self.mode)
+                                back[self.table[np.ix_(pos, pos)]],
+                                back[self.identity], self.mode)
 
     # -- export ------------------------------------------------------------
 

@@ -1,16 +1,27 @@
 """Command-line front end: constructions, verification suites, and table
 exports.
 
+Each command is declared once, by `command` on its handler: its words, its
+argparse arguments in --help order, and whether it prints csv.
+`build_parser` builds the argparse tree from that table; `main` builds it
+on its first call and reuses it.  A handler returns its report and exit
+code (and, for the table commands, the table); `main` adds the schema and
+command keys and prints the report.
+
 Every invocation is deterministic; the version banner goes to stderr so the
 data stream is byte-identical across runs.  Exit codes: 0 when all requested
 checks pass, 1 when a check fails (with a witness printed), 2 on usage or
-precondition errors.
+precondition errors (a malformed spec, rational or polynomial, any
+StructureError, a size gate).  Any other exception is a bug and propagates
+with its traceback.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
@@ -87,21 +98,28 @@ def parse_spec(text, check="auto"):
     return product_field(*factors, check=check).field
 
 
-def _emit(doc, fmt, table=None):
-    """Print a report dict as json or markdown, or a table as csv (main
-    rejects csv for every other command before it runs)."""
+def _parse_rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"cannot parse rational {text!r}: expected a number "
+                         "such as 12 or 1/3, with a nonzero denominator") from None
+
+
+def _emit(doc, fmt, words, table=None):
+    """Print a report dict as json or markdown, or a table as csv or
+    markdown (main rejects csv for every other command before it runs)."""
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
-    elif fmt == "csv":
-        print(table.to_csv(letters=doc.get("labels") == "paper"))
+        head = table.to_json() if table is not None else {}
+        print(json.dumps({**head, "schema": 1, "command": words, **doc},
+                         indent=2))
+    elif table is not None:
+        letters = doc["labels"] == "paper"
+        print(table.to_csv(letters=letters) if fmt == "csv"
+              else table.to_markdown(letters=letters))
     else:
-        if table is not None:
-            print(table.to_markdown(letters=doc.get("labels") == "paper"))
-        else:
-            for key, value in doc.items():
-                if key in ("schema", "command"):
-                    continue
-                print(f"{key}: {_plain(value)}")
+        for key, value in doc.items():
+            print(f"{key}: {_plain(value)}")
 
 
 def _plain(value):
@@ -114,56 +132,88 @@ def _plain(value):
     return str(value)
 
 
+# -- the command table --------------------------------------------------------
+
+Command = namedtuple("Command", "words handler arguments csv")
+
+# words -> Command, in the order --help lists them
+COMMANDS = {}
+
+_VERB_HELP = {
+    "field": "build, inspect and check fields",
+    "envelope": "the enveloping ring of a field",
+    "poly": "polynomial predicates",
+    "dyadic": "2-adic valuation and reduction",
+    "vec": "3-vector spaces and resolutions",
+    "struct": "matrix, quaternion and group fields",
+    "paper-suite": "run the full verification suite",
+}
+
+
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+_FORMAT = _arg("--format", choices=["markdown", "csv", "json"],
+               default="markdown")
+_SPEC = _arg("--spec", required=True)
+_FIELD = (_SPEC,
+          _arg("--labels", choices=["canonical", "paper"], default="canonical"),
+          _arg("--limit", type=int, default=None))
+
+
+def command(words, *arguments, csv=False, fmt=_FORMAT):
+    """Declare `handler` as `ternfield <words>`, taking `arguments` and then
+    `fmt`; only a `csv` command may be asked for --format csv."""
+    def declare(handler):
+        COMMANDS[words] = Command(words, handler, arguments + (fmt,), csv)
+        return handler
+    return declare
+
+
 # -- field ------------------------------------------------------------------
 
+def _paper_order(table, args):
+    if args.labels == "paper":
+        return table.reorder(sorted(table.labels(letters=True)), letters=True)
+    return table
+
+
+@command("field build", *_FIELD)
 def cmd_field_build(args):
     field = parse_spec(args.spec)
-    doc = {
-        "schema": 1,
-        "command": "field build",
+    return {
         "spec": args.spec,
         "size": field.n,
         "one": field.label(field.one),
         "characteristic": int(prime_subfield(field).characteristic),
         "labels": list(field.labels),
         "validated": "exhaustive" if field.n <= check_limit() else "invariants",
-    }
-    _emit(doc, args.format)
-    return 0
+    }, 0
 
 
+@command("field table", *_FIELD, csv=True)
 def cmd_field_table(args):
-    field = parse_spec(args.spec)
-    table = cayley_table(field, "multiplication")
-    letters = args.labels == "paper"
-    if letters:
-        table = table.reorder(sorted(table.labels(letters=True)), letters=True)
-    doc = table.to_json()
-    doc.update({"schema": 1, "command": "field table", "spec": args.spec,
-                "labels": args.labels})
-    if letters:
+    table = _paper_order(cayley_table(parse_spec(args.spec), "multiplication"),
+                         args)
+    doc = {"spec": args.spec, "labels": args.labels}
+    if args.labels == "paper":
         doc["elements"] = table.labels(letters=True)
         doc["letter_map"] = dict(zip(table.labels(), table.labels(letters=True)))
-    _emit(doc, args.format, table=table)
-    return 0
+    return doc, 0, table
 
 
+@command("field aut", *_FIELD, csv=True)
 def cmd_field_aut(args):
-    field = parse_spec(args.spec)
-    table = automorphism_group(field)
-    letters = args.labels == "paper"
-    if letters:
-        table = table.reorder(sorted(table.labels(letters=True)), letters=True)
-    doc = table.to_json()
-    doc.update({"schema": 1, "command": "field aut", "spec": args.spec,
-                "labels": args.labels,
-                "fingerprint": fingerprint_group(table)})
-    if letters:
+    table = _paper_order(automorphism_group(parse_spec(args.spec)), args)
+    doc = {"spec": args.spec, "labels": args.labels,
+           "fingerprint": fingerprint_group(table)}
+    if args.labels == "paper":
         doc["elements"] = table.labels(letters=True)
-    _emit(doc, args.format, table=table)
-    return 0
+    return doc, 0, table
 
 
+@command("field check", *_FIELD)
 def cmd_field_check(args):
     # the checks below decide the axioms, so construction runs only the
     # cheap invariants
@@ -172,8 +222,6 @@ def cmd_field_check(args):
     v_mul = check_distributivity(field.carrier, limit=args.limit)
     found = detect_derived_structure(field.carrier)
     doc = {
-        "schema": 1,
-        "command": "field check",
         "spec": args.spec,
         "size": field.n,
         "additive_axioms": bool(v_add),
@@ -189,19 +237,17 @@ def cmd_field_check(args):
     elif not v_mul:
         doc["witness"] = v_mul.detail
     doc["passed"] = ok
-    _emit(doc, args.format)
-    return 0 if ok else 1
+    return doc, 0 if ok else 1
 
 
 # -- envelope ---------------------------------------------------------------
 
+@command("envelope", _SPEC)
 def cmd_envelope(args):
     field = parse_spec(args.spec)
     env = build_envelope(field)
     report = verify_local(env)
-    doc = {
-        "schema": 1,
-        "command": "envelope",
+    return {
         "spec": args.spec,
         "field_size": field.n,
         "envelope_size": env.n,
@@ -211,13 +257,13 @@ def cmd_envelope(args):
         "residue_sizes": report["residue_sizes"],
         "is_local_with_z2_residue": report["is_local_with_z2_residue"],
         "maximal_is_pair_part": report.get("maximal_is_pair_part"),
-    }
-    _emit(doc, args.format)
-    return 0 if report["is_local_with_z2_residue"] else 1
+    }, 0 if report["is_local_with_z2_residue"] else 1
 
 
 # -- poly -------------------------------------------------------------------
 
+@command("poly ce", _arg("expr"), _arg("--coeffs", default="Z2"),
+         _arg("--max-degree", type=int, default=8))
 def cmd_poly_ce(args):
     p = TernaryPolynomial.parse(args.expr)
     domain = {"Z2": "gf2", "Z": "integer"}.get(args.coeffs)
@@ -225,8 +271,6 @@ def cmd_poly_ce(args):
         raise UsageError("--coeffs must be Z2 or Z")
     report = completely_even(p, domain=domain, max_degree=args.max_degree)
     doc = {
-        "schema": 1,
-        "command": "poly ce",
         "polynomial": str(p),
         "coefficients": args.coeffs,
         "completely_even": report["completely_even"],
@@ -238,10 +282,10 @@ def cmd_poly_ce(args):
         doc["factors"] = [str(f) for f in report["factors"]]
     if "carrier_power" in report:
         doc["carrier_power"] = report["carrier_power"]
-    _emit(doc, args.format)
-    return 0 if report["completely_even"] else 1
+    return doc, 0 if report["completely_even"] else 1
 
 
+@command("poly norm2", _arg("expr"))
 def cmd_poly_norm2(args):
     p = TernaryPolynomial.parse(args.expr)
     value = norm2(p)
@@ -255,65 +299,53 @@ def cmd_poly_norm2(args):
         par = parity(p)
     except StructureError:
         par = "undefined"  # coefficient sum outside the odd-denominator domain
-    doc = {
-        "schema": 1,
-        "command": "poly norm2",
-        "polynomial": str(p),
-        "parity": par,
-        "norm2": shown,
-    }
-    _emit(doc, args.format)
-    return 0
+    return {"polynomial": str(p), "parity": par, "norm2": shown}, 0
 
 
 # -- dyadic -----------------------------------------------------------------
 
+@command("dyadic val2", _arg("rational"))
 def cmd_dyadic_val2(args):
-    x = Fraction(args.rational)
+    x = _parse_rational(args.rational)
     v = val2(x)
-    doc = {
-        "schema": 1,
-        "command": "dyadic val2",
+    return {
         "value": str(x),
         "val2": "inf" if v == float("inf") else int(v),
         "abs2": norm2_str(x),
-    }
-    _emit(doc, args.format)
-    return 0
+    }, 0
 
 
+@command("dyadic reduce", _arg("rational"),
+         _arg("--precision", type=int, default=DEFAULT_PRECISION))
 def cmd_dyadic_reduce(args):
-    x = Fraction(args.rational)
+    x = _parse_rational(args.rational)
     residue = reduce_mod(x, args.precision)
-    doc = {
-        "schema": 1,
-        "command": "dyadic reduce",
+    return {
         "value": str(x),
         "precision": args.precision,
         "modulus": 1 << args.precision,
         "residue": residue,
-    }
-    _emit(doc, args.format)
-    return 0
+    }, 0
 
 
 # -- vec --------------------------------------------------------------------
 
+@command("vec free", _arg("width", type=int), _SPEC)
 def cmd_vec_free(args):
     field = parse_spec(args.spec)
     space = free_space(field, args.width)
-    doc = {
-        "schema": 1,
-        "command": "vec free",
+    return {
         "spec": args.spec,
         "width": args.width,
         "size": space.n,
         "basis": [space.label(b) for b in space.basis],
-    }
-    _emit(doc, args.format)
-    return 0
+    }, 0
 
 
+@command("vec resolve",
+         _arg("generators", nargs="+",
+              help="comma-separated coordinate labels, e.g. 1,1 3,1"),
+         _SPEC)
 def cmd_vec_resolve(args):
     field = parse_spec(args.spec)
     parsed = [tuple(part.strip() for part in g.split(",")) for g in args.generators]
@@ -324,9 +356,7 @@ def cmd_vec_resolve(args):
     space = vector_power_space(field, width)
     gens = [space.from_labels(p) for p in parsed]
     report = free_resolution(space, gens)
-    doc = {
-        "schema": 1,
-        "command": "vec resolve",
+    return {
         "spec": args.spec,
         "generators": [space.label(g) for g in gens],
         "space_size": report["space_size"],
@@ -335,19 +365,16 @@ def cmd_vec_resolve(args):
         "kernel": [list(k) for k in report["kernel"]],
         "formula_size": report["formula_size"],
         "formula_holds": report["formula_holds"],
-    }
-    _emit(doc, args.format)
-    return 0 if report["formula_holds"] else 1
+    }, 0 if report["formula_holds"] else 1
 
 
 # -- struct -----------------------------------------------------------------
 
+@command("struct toeplitz", _arg("size", type=int), _SPEC)
 def cmd_struct_toeplitz(args):
     field = parse_spec(args.spec)
     result = toeplitz_field(args.size, field)
     doc = {
-        "schema": 1,
-        "command": "struct toeplitz",
         "spec": args.spec,
         "matrix_size": args.size,
         "size": result.field.n,
@@ -356,16 +383,14 @@ def cmd_struct_toeplitz(args):
     }
     if result.isomorphism is not None:
         doc["isomorphic_to_size"] = result.isomorphism.source.n
-    _emit(doc, args.format)
-    return 0
+    return doc, 0
 
 
+@command("struct triangular", _arg("size", type=int), _SPEC)
 def cmd_struct_triangular(args):
     field = parse_spec(args.spec)
     result = triangular_field(args.size, field)
     doc = {
-        "schema": 1,
-        "command": "struct triangular",
         "spec": args.spec,
         "matrix_size": args.size,
         "size": result.field.n,
@@ -373,17 +398,15 @@ def cmd_struct_triangular(args):
     }
     if result.noncommutative_witness is not None:
         doc["noncommutative_witness"] = list(result.noncommutative_witness)
-    _emit(doc, args.format)
-    return 0
+    return doc, 0
 
 
+@command("struct quaternion", _SPEC)
 def cmd_struct_quaternion(args):
     field = parse_spec(args.spec)
     result = quaternion_field(field)
     checked = quaternion_inverse_check(result)
     doc = {
-        "schema": 1,
-        "command": "struct quaternion",
         "spec": args.spec,
         "size": result.field.n,
         "commutative": result.commutative,
@@ -391,16 +414,15 @@ def cmd_struct_quaternion(args):
     }
     if result.noncommutative_witness is not None:
         doc["noncommutative_witness"] = list(result.noncommutative_witness)
-    _emit(doc, args.format)
-    return 0
+    return doc, 0
 
 
+@command("struct groupalg", _arg("order", type=int, help="cyclic group order"),
+         _SPEC)
 def cmd_struct_groupalg(args):
     field = parse_spec(args.spec)
     result = group_algebra(cyclic_group(args.order), field)
     doc = {
-        "schema": 1,
-        "command": "struct groupalg",
         "spec": args.spec,
         "group": f"Z/{args.order}Z",
         "size": result.size,
@@ -412,13 +434,15 @@ def cmd_struct_groupalg(args):
     if result.isomorphism is not None:
         doc["constructed_isomorphism"] = True
         doc["isomorphic_to_size"] = result.isomorphism.target.n
-    _emit(doc, args.format)
-    return 0 if result.is_3field else 1
+    return doc, 0 if result.is_3field else 1
 
 
 # -- suite ------------------------------------------------------------------
 
+@command("paper-suite",
+         fmt=_arg("--format", choices=["markdown", "json"], default="json"))
 def cmd_suite(args):
+    """Prints the ledger itself, so returns no report."""
     from ._suite import run_suite
     ledger = run_suite(stream=sys.stderr)
     if args.format == "markdown":
@@ -430,123 +454,54 @@ def cmd_suite(args):
         print(f"\nall passed: {_plain(ledger['all_passed'])}")
     else:
         print(json.dumps(ledger, indent=2))
-    return 0 if ledger["all_passed"] else 1
+    return None, 0 if ledger["all_passed"] else 1
 
 
 # -- wiring -----------------------------------------------------------------
 
-def _add_format(p, default="markdown"):
-    p.add_argument("--format", choices=["markdown", "csv", "json"],
-                   default=default)
-
-
 def build_parser():
+    """The argparse tree of COMMANDS: one subparser per verb, and one per
+    action under a two-word verb."""
     parser = argparse.ArgumentParser(
         prog="ternfield",
         description="Exact computations in unital 3-fields and their "
                     "envelope rings.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_field = sub.add_parser("field", help="build, inspect and check fields")
-    f_sub = p_field.add_subparsers(dest="action", required=True)
-    for name, fn in (("build", cmd_field_build), ("table", cmd_field_table),
-                     ("aut", cmd_field_aut), ("check", cmd_field_check)):
-        p = f_sub.add_parser(name)
-        p.add_argument("--spec", required=True)
-        p.add_argument("--labels", choices=["canonical", "paper"],
-                       default="canonical")
-        p.add_argument("--limit", type=int, default=None)
-        _add_format(p)
-        p.set_defaults(handler=fn)
-
-    p_env = sub.add_parser("envelope", help="the enveloping ring of a field")
-    p_env.add_argument("--spec", required=True)
-    _add_format(p_env)
-    p_env.set_defaults(handler=cmd_envelope)
-
-    p_poly = sub.add_parser("poly", help="polynomial predicates")
-    poly_sub = p_poly.add_subparsers(dest="action", required=True)
-    p_ce = poly_sub.add_parser("ce")
-    p_ce.add_argument("expr")
-    p_ce.add_argument("--coeffs", default="Z2")
-    p_ce.add_argument("--max-degree", type=int, default=8)
-    _add_format(p_ce)
-    p_ce.set_defaults(handler=cmd_poly_ce)
-    p_n2 = poly_sub.add_parser("norm2")
-    p_n2.add_argument("expr")
-    _add_format(p_n2)
-    p_n2.set_defaults(handler=cmd_poly_norm2)
-
-    p_dy = sub.add_parser("dyadic", help="2-adic valuation and reduction")
-    dy_sub = p_dy.add_subparsers(dest="action", required=True)
-    p_v2 = dy_sub.add_parser("val2")
-    p_v2.add_argument("rational")
-    _add_format(p_v2)
-    p_v2.set_defaults(handler=cmd_dyadic_val2)
-    p_rd = dy_sub.add_parser("reduce")
-    p_rd.add_argument("rational")
-    p_rd.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    _add_format(p_rd)
-    p_rd.set_defaults(handler=cmd_dyadic_reduce)
-
-    p_vec = sub.add_parser("vec", help="3-vector spaces and resolutions")
-    vec_sub = p_vec.add_subparsers(dest="action", required=True)
-    p_vf = vec_sub.add_parser("free")
-    p_vf.add_argument("width", type=int)
-    p_vf.add_argument("--spec", required=True)
-    _add_format(p_vf)
-    p_vf.set_defaults(handler=cmd_vec_free)
-    p_vr = vec_sub.add_parser("resolve")
-    p_vr.add_argument("generators", nargs="+",
-                      help="comma-separated coordinate labels, e.g. 1,1 3,1")
-    p_vr.add_argument("--spec", required=True)
-    _add_format(p_vr)
-    p_vr.set_defaults(handler=cmd_vec_resolve)
-
-    p_st = sub.add_parser("struct", help="matrix, quaternion and group fields")
-    st_sub = p_st.add_subparsers(dest="action", required=True)
-    p_tp = st_sub.add_parser("toeplitz")
-    p_tp.add_argument("size", type=int)
-    p_tp.add_argument("--spec", required=True)
-    _add_format(p_tp)
-    p_tp.set_defaults(handler=cmd_struct_toeplitz)
-    p_tr = st_sub.add_parser("triangular")
-    p_tr.add_argument("size", type=int)
-    p_tr.add_argument("--spec", required=True)
-    _add_format(p_tr)
-    p_tr.set_defaults(handler=cmd_struct_triangular)
-    p_qt = st_sub.add_parser("quaternion")
-    p_qt.add_argument("--spec", required=True)
-    _add_format(p_qt)
-    p_qt.set_defaults(handler=cmd_struct_quaternion)
-    p_ga = st_sub.add_parser("groupalg")
-    p_ga.add_argument("order", type=int, help="cyclic group order")
-    p_ga.add_argument("--spec", required=True)
-    _add_format(p_ga)
-    p_ga.set_defaults(handler=cmd_struct_groupalg)
-
-    p_suite = sub.add_parser(
-        "paper-suite", help="run the full verification suite")
-    p_suite.add_argument("--format", choices=["markdown", "json"],
-                         default="json")
-    p_suite.set_defaults(handler=cmd_suite)
-
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    actions = {}
+    for words, cmd in COMMANDS.items():
+        verb, _, action = words.partition(" ")
+        if action and verb not in actions:
+            actions[verb] = verbs.add_parser(
+                verb, help=_VERB_HELP[verb]).add_subparsers(
+                    dest="action", required=True)
+        p = (actions[verb].add_parser(action) if action
+             else verbs.add_parser(verb, help=_VERB_HELP[verb]))
+        for names, kwargs in cmd.arguments:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(cmd=cmd)
     return parser
+
+
+@functools.cache
+def _parser():
+    # built on the first main call, not at import: importing cli stays cheap
+    return build_parser()
 
 
 def main(argv=None):
     print(f"ternfield {__version__}", file=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    cmd = args.cmd
     try:
-        if args.format == "csv" and args.handler not in (cmd_field_table,
-                                                         cmd_field_aut):
+        if args.format == "csv" and not cmd.csv:
             raise UsageError("csv output is only available for table commands")
-        return args.handler(args)
-    except (UsageError, StructureError, CarrierSizeError, ValueError,
-            ZeroDivisionError) as exc:
+        doc, code, *table = cmd.handler(args)
+    except (UsageError, StructureError, CarrierSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if doc is not None:
+        _emit(doc, args.format, cmd.words, *table)
+    return code
 
 
 if __name__ == "__main__":

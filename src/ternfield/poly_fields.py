@@ -174,7 +174,11 @@ class TernaryPolynomial:
                 if not factor:
                     raise StructureError(f"empty factor in {text!r}")
                 if _NUMBER_RE.match(factor):
-                    coeff *= Fraction(factor)
+                    try:
+                        coeff *= Fraction(factor)
+                    except ZeroDivisionError:
+                        raise StructureError(
+                            f"zero denominator in {factor!r}") from None
                     continue
                 m = _FACTOR_RE.match(factor)
                 if not m:

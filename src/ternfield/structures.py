@@ -544,13 +544,14 @@ def group_algebra(group_table, field, check="auto"):
     proof of failure, but a sampled is_3field of True is not a proof that
     every element is invertible."""
     g = np.asarray(group_table, dtype=np.int64)
-    identity = _check_group_table(g)
     k = g.shape[0]
-
-    env = build_envelope(field)
+    # the size gate comes first: the table check below is O(k^3)
     size = (2 * field.n) ** k // 2
     if size > _ENUM_LIMIT:
         raise CarrierSizeError(f"carrier of size {size} is too large")
+    identity = _check_group_table(g)
+
+    env = build_envelope(field)
     # convolution: coordinate g1*g2 of a product collects a[g1] * b[g2]
     terms = [(g[g1, g2], g1, g2, 1) for g1 in range(k) for g2 in range(k)]
     tables = _TupleTables(env, _odd_sum_tuples(env, field, k), terms)

@@ -272,8 +272,41 @@ def test_reorder_rejects_duplicates_and_unknowns():
     t = cayley_table(build_f0(3))
     with pytest.raises(StructureError, match="every element exactly once"):
         t.reorder(["1", "1", "x", "x"])
+    with pytest.raises(StructureError, match="every element exactly once"):
+        t.reorder(t.labels() + ["1"])
+    with pytest.raises(StructureError, match="every element exactly once"):
+        t.reorder(t.labels()[:-1])
     with pytest.raises(StructureError, match="no element labeled"):
         t.position("nope")
+
+
+def _reorder_by_loop(t, order):
+    """The reference: each cell of the reordered table looked up one by one."""
+    pos = [t.position(lab) for lab in order]
+    inv = {p: i for i, p in enumerate(pos)}
+    k = t.order
+    table = np.empty((k, k), dtype=np.int32)
+    for a in range(k):
+        for b in range(k):
+            table[a, b] = inv[int(t.table[pos[a], pos[b]])]
+    return table, inv[t.identity]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: automorphism_group(build_f0(5)),
+    lambda: cayley_table(build_f0(4)),
+    lambda: cayley_table(build_f0(5)),
+], ids=["aut F0(5)", "mult F0(4)", "mult F0(5)"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reorder_gather_matches_the_cell_loop(make, seed):
+    t = make()
+    order = t.labels()
+    np.random.default_rng(seed).shuffle(order)
+    table, identity = _reorder_by_loop(t, order)
+    g = t.reorder(order)
+    assert g.labels() == order
+    assert (g.table == table).all()
+    assert g.identity == identity
 
 
 def test_markdown_and_csv_exports():

@@ -5,8 +5,10 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from ternfield import cli
 from ternfield import ternary_kernel as tk
 
+ROOT = Path(__file__).resolve().parents[1]
 RUNNER = [sys.executable, "-c",
           "from ternfield.cli import main; raise SystemExit(main())"]
 
@@ -76,6 +79,69 @@ def test_csv_is_rejected_before_the_command_runs():
     assert build.call_count == 0
     assert out.getvalue() == ""
     assert "error: csv output is only available for table commands" in err.getvalue()
+
+
+def run_main(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("dyadic", "val2", "abc"),
+    ("dyadic", "val2", "1/0"),
+    ("dyadic", "reduce", "1/0"),
+    ("poly", "ce", "1/0*x"),
+    ("poly", "ce", "1/00*x"),
+])
+def test_malformed_numbers_are_usage_errors(argv):
+    code, out, err = run_main(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("name,argv,exc", [
+    ("val2", ["dyadic", "val2", "12"], ValueError),
+    ("build_envelope", ["envelope", "--spec", "F0(2)"], ZeroDivisionError),
+])
+def test_internal_errors_propagate_with_their_traceback(name, argv, exc):
+    # only input errors exit 2; a bug in the library is not one
+    with mock.patch.object(cli, name, side_effect=exc("internal")), \
+            pytest.raises(exc, match="internal"):
+        run_main(*argv)
+
+
+def test_parser_is_built_once_per_process():
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+        assert run_main("dyadic", "val2", "12")[0] == 0
+        assert run_main("field", "build", "--spec", "F0(2)")[0] == 0
+    assert build.call_count == 1
+
+
+def _readme_commands():
+    """The argv of each line of the sh block under README "Command line"."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_runs(argv):
+    code, out, _ = run_main(*argv)
+    assert code == 0
+    assert out.strip()
+
+
+def test_readme_shows_every_command():
+    shown = {" ".join(argv[:2]) if " ".join(argv[:2]) in cli.COMMANDS else argv[0]
+             for argv in README_COMMANDS}
+    assert shown == set(cli.COMMANDS)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and group-algebra constructions of new 3-fields from old."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ternfield import (
     triangular_field,
     vector_power_space,
 )
+from ternfield import structures
 
 
 def _base(spec):
@@ -423,6 +425,15 @@ def test_group_algebra_validates_the_table(f1):
     ])
     with pytest.raises(StructureError, match="associative|Latin"):
         group_algebra(bad, f1)
+
+
+def test_group_algebra_gates_the_size_before_checking_the_table(f1):
+    # 2^40 / 2 functions: refused before the O(k^3) group-table check
+    with mock.patch.object(structures, "_check_group_table",
+                           wraps=structures._check_group_table) as check, \
+            pytest.raises(CarrierSizeError, match="too large"):
+        group_algebra(cyclic_group(40), f1)
+    assert check.call_count == 0
 
 
 # ---------------------------------------------------------------------------
