@@ -18,7 +18,7 @@ sorted carrier masks turns the results back into element indices.
 
 import numpy as np
 
-from .ternary_kernel import FiniteThreeField, StructureError
+from .ternary_kernel import StructureError, _assoc_violation, _identity, _nonperm_row
 from .pair_envelope import Morphism
 from .poly_fields import _subalgebra_closure
 
@@ -150,10 +150,7 @@ class CompositionTable:
         return self.labels(letters)[self.table[i, j]]
 
     def is_latin_square(self):
-        k = self.order
-        idx = np.arange(k, dtype=np.int32)
-        return bool((np.sort(self.table, axis=1) == idx).all()
-                    and (np.sort(self.table.T, axis=1) == idx).all())
+        return _nonperm_row(self.table) is None and _nonperm_row(self.table.T) is None
 
     def position(self, label, letters=False):
         labs = self.labels(letters)
@@ -214,9 +211,7 @@ def cayley_table(field, mode="multiplication"):
                              "multiplication")
         if not t.is_latin_square():
             raise StructureError("multiplication table is not a Latin square")
-        idx = np.arange(n, dtype=np.int32)
-        if not ((t.table[field.one] == idx).all()
-                and (t.table[:, field.one] == idx).all()):
+        if _identity(t.table) != field.one:
             raise StructureError("unit row/column mismatch")
         return t
     if mode == "composition":
@@ -265,13 +260,11 @@ def fingerprint_group(t):
     through order 16)."""
     k = t.order
     table = t.table
-    idx = np.arange(k, dtype=np.int32)
-    if not ((table[t.identity] == idx).all() and (table[:, t.identity] == idx).all()):
+    if _identity(table) != t.identity:
         raise StructureError("identity row or column is broken")
-    bad = table[table] != table[:, table]
-    if bad.any():
-        a, b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise StructureError(f"composition is not associative at ({a},{b},{c})")
+    w = _assoc_violation(table)
+    if w is not None:
+        raise StructureError("composition is not associative at ({},{},{})".format(*w))
     for a in range(k):
         if t.identity not in table[a]:
             raise StructureError(f"element {a} has no inverse")

@@ -61,6 +61,7 @@ from .structures import (
     free_resolution,
     free_space,
     group_algebra,
+    group_algebra_size,
     quaternion_field,
     quaternion_inverse_check,
     toeplitz_field,
@@ -421,6 +422,7 @@ def cmd_struct_quaternion(args):
          _SPEC)
 def cmd_struct_groupalg(args):
     field = parse_spec(args.spec)
+    group_algebra_size(args.order, field)     # refuse before the k x k table
     result = group_algebra(cyclic_group(args.order), field)
     doc = {
         "spec": args.spec,

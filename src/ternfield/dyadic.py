@@ -126,18 +126,16 @@ def inv(x):
     return OddDenomRational(1 / x.value)
 
 
+def _val2_int(num):
+    """2-adic valuation of a nonzero integer: the index of its lowest set bit."""
+    return (num & -num).bit_length() - 1
+
+
 def val2(x):
     """2-adic valuation exponent r, so that |x| = 2^-r; math.inf for zero.
     Denominators are odd, hence r >= 0."""
-    x = _coerce(x)
-    num = x.value.numerator
-    if num == 0:
-        return math.inf
-    r = 0
-    while num % 2 == 0:
-        num //= 2
-        r += 1
-    return r
+    num = _coerce(x).value.numerator
+    return math.inf if num == 0 else _val2_int(num)
 
 
 def norm2_str(x):

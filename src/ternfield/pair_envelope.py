@@ -28,10 +28,15 @@ import json
 
 import numpy as np
 
+from .dyadic import _val2_int
 from .ternary_kernel import (
     FiniteThreeField,
     StructureError,
     TernaryCarrier,
+    _assoc_violation,
+    _first_violation,
+    _identity,
+    _nonperm_row,
     _renumber,
     quer_add,
 )
@@ -60,27 +65,27 @@ class RingTable:
         n = self.n
         if n > _RING_LIMIT:
             raise StructureError(f"ring size {n} exceeds the validation guard")
-        idx = np.arange(n, dtype=np.int32)
         add, mul = self.add, self.mul
         if not (add == add.T).all():
             raise StructureError("addition is not commutative")
-        if not (add[self.zero] == idx).all():
+        if _identity(add) != self.zero:
             raise StructureError("zero is not an additive neutral")
-        if not (np.sort(add, axis=1) == idx).all():
+        if _nonperm_row(add) is not None:
             raise StructureError("addition rows are not permutations")
-        if not (add[add] == add[:, add]).all():
+        if _assoc_violation(add) is not None:
             raise StructureError("addition is not associative")
-        if not (mul[mul] == mul[:, mul]).all():
+        if _assoc_violation(mul) is not None:
             raise StructureError("multiplication is not associative")
-        if not ((mul[self.one] == idx).all() and (mul[:, self.one] == idx).all()):
+        if _identity(mul) != self.one:
             raise StructureError("one is not a two-sided unit")
-        left = mul[:, add]                                # [i,j,k] = i*(j+k)
-        right = add[mul[:, :, None], mul[:, None, :]]     # i*j + i*k
-        if not (left == right).all():
+        # i*(j+k) != i*j + i*k, i*(j+k) taken C-contiguous as in _assoc_mask
+        if _first_violation(n, n * n, lambda rows:
+                            np.take(mul[rows], add.ravel(), axis=1).reshape(-1, n, n)
+                            != add[mul[rows][:, :, None], mul[rows][:, None, :]]) is not None:
             raise StructureError("left distributivity fails")
-        left = mul[add, :]                                # (i+j)*k
-        right = add[mul[:, None, :], mul[None, :, :]]     # i*k + j*k
-        if not (left == right).all():
+        # (i+j)*k != i*k + j*k
+        if _first_violation(n, n * n, lambda rows: mul[add[rows]]
+                            != add[mul[rows][:, None, :], mul[None, :, :]]) is not None:
             raise StructureError("right distributivity fails")
 
     def add_at(self, i, j):
@@ -689,9 +694,7 @@ def evenly_maximal_check(k0):
     k0 = int(k0)
     if k0 < 1:
         raise StructureError("k0 must be positive")
-    m = k0
-    while m % 2 == 0:
-        m //= 2
+    m = k0 >> _val2_int(k0)                   # the odd part
     if m == 1:
         return {"evenly_maximal": True, "witness": None}
     p = 3

@@ -29,6 +29,7 @@ from .ternary_kernel import (
     TernaryCarrier,
     odd_residue_field,
 )
+from .dyadic import _val2_int
 from .pair_envelope import (
     Morphism,
     RingTable,
@@ -99,21 +100,12 @@ def gf2_str(mask, var="x"):
 # exact integer/rational valuation helpers
 # ---------------------------------------------------------------------------
 
-def _v2(n):
-    n = abs(int(n))
-    if n == 0:
-        raise StructureError("valuation of zero")
-    r = 0
-    while n % 2 == 0:
-        n //= 2
-        r += 1
-    return r
-
-
 def val2_fraction(fr):
     """2-adic valuation of a nonzero rational (negative for even denominators)."""
     fr = Fraction(fr)
-    return _v2(fr.numerator) - _v2(fr.denominator)
+    if fr == 0:
+        raise StructureError("valuation of zero")
+    return _val2_int(fr.numerator) - _val2_int(fr.denominator)
 
 
 # ---------------------------------------------------------------------------

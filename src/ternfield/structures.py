@@ -24,6 +24,9 @@ from .ternary_kernel import (
     FiniteThreeField,
     StructureError,
     TernaryCarrier,
+    _assoc_violation,
+    _identity,
+    _nonperm_row,
 )
 from .pair_envelope import Morphism, _TupleTables, build_envelope
 from .poly_fields import QuotientFieldSpec, build_quotient_field
@@ -498,21 +501,24 @@ class GroupAlgebraResult:
         self.verdict_mode = verdict_mode
 
 
+def group_algebra_size(order, field):
+    """Carrier size of a group 3-algebra; CarrierSizeError if too large to enumerate."""
+    size = (2 * field.n) ** order // 2
+    if size > _ENUM_LIMIT:
+        raise CarrierSizeError(f"carrier of size {size} is too large")
+    return size
+
+
 def _check_group_table(g):
     k = g.shape[0]
     if g.shape != (k, k):
         raise StructureError("group table must be square")
-    idx = np.arange(k)
-    identity = None
-    for e in range(k):
-        if (g[e] == idx).all() and (g[:, e] == idx).all():
-            identity = e
-            break
+    identity = _identity(g)
     if identity is None:
         raise StructureError("group table has no identity")
-    if (np.sort(g, axis=1) != idx).any() or (np.sort(g.T, axis=1) != idx).any():
+    if _nonperm_row(g) is not None or _nonperm_row(g.T) is not None:
         raise StructureError("group table is not a Latin square")
-    if (g[g] != g[:, g]).any():
+    if _assoc_violation(g) is not None:
         raise StructureError("group table is not associative")
     return identity
 
@@ -546,9 +552,7 @@ def group_algebra(group_table, field, check="auto"):
     g = np.asarray(group_table, dtype=np.int64)
     k = g.shape[0]
     # the size gate comes first: the table check below is O(k^3)
-    size = (2 * field.n) ** k // 2
-    if size > _ENUM_LIMIT:
-        raise CarrierSizeError(f"carrier of size {size} is too large")
+    size = group_algebra_size(k, field)
     identity = _check_group_table(g)
 
     env = build_envelope(field)

@@ -28,8 +28,9 @@ invariant has one implementation and runs once per construction.  The scans
 walk the quintuples in row-major order, in blocks of consecutive (a, b)
 pairs that grow from one pair to about _BLOCK_ENTRIES entries, so an early
 witness costs one n^3 block and no array a scan allocates holds more than
-max(n^3, _BLOCK_ENTRIES) entries.  The cheap invariants run over chunks of
-their first index of about _BLOCK_ENTRIES entries.
+max(n^3, _BLOCK_ENTRIES) entries.  Every other O(n^3) law check, here and
+on ring and group tables, walks chunks of its first index of about
+_BLOCK_ENTRIES entries (`_first_violation`), so none holds an n^3 cube.
 """
 
 import json
@@ -58,7 +59,10 @@ def check_limit(limit=None):
     if limit is not None:
         return int(limit)
     env = os.environ.get("TERNARY_MAX_CARRIER")
-    return int(env) if env else DEFAULT_CHECK_LIMIT
+    try:
+        return int(env) if env else DEFAULT_CHECK_LIMIT
+    except ValueError:
+        raise CarrierSizeError(f"TERNARY_MAX_CARRIER={env!r} is not an integer") from None
 
 
 class StructureError(ValueError):
@@ -206,71 +210,91 @@ def _closure(table, foreign_map, labels, opname):
                    f"{opname}({args}) = {outside} not in carrier", method="cheap")
 
 
-def _chunks(n, width):
-    """Slices of consecutive first indices, `width` entries per index, about
-    _BLOCK_ENTRIES entries per slice."""
+def _first_violation(n, width, bad):
+    """Least row-major index where the mask `bad(rows)` is True, or None.
+    `rows` walks slices of about _BLOCK_ENTRIES // `width` first indices in
+    order, so the first chunk with a violation holds the least one."""
     step = max(1, _BLOCK_ENTRIES // width)
-    return [slice(i, min(n, i + step)) for i in range(0, n, step)]
+    for start in range(0, n, step):
+        mask = bad(slice(start, start + step))
+        if mask.any():
+            first, *rest = _least(mask)
+            return (start + first, *rest)
+    return None
+
+
+def _assoc_mask(t, rows):
+    """[i,j,k] -> t[t[i,j],k] != t[i,t[j,k]] for i in `rows`, t closed and binary."""
+    n = len(t)
+    part = t[rows]
+    # t[i,t[j,k]] by np.take: part[:, t] has its first axis innermost in
+    # memory, which makes the comparison several times slower
+    return t[part] != np.take(part, t.ravel(), axis=1).reshape(-1, n, n)
+
+
+def _assoc_violation(t):
+    """Least (i, j, k) where closed binary t is not associative, or None."""
+    n = len(t)
+    return _first_violation(n, n * n, lambda rows: _assoc_mask(t, rows))
+
+
+def _nonperm_row(t):
+    """Least index of a row t[i, ..., :] that is no permutation of range(n), or None."""
+    idx = np.arange(len(t), dtype=t.dtype)
+    return _first_violation(len(t), t[0].size,
+                            lambda rows: (np.sort(t[rows], axis=-1) != idx).any(axis=-1))
+
+
+def _identity(t):
+    """The two-sided identity of the binary table t (there is at most one), or None."""
+    idx = np.arange(len(t), dtype=t.dtype)
+    e = np.flatnonzero((t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0))
+    return int(e[0]) if e.size else None
 
 
 def _nu_invariants(nu, labels):
     """Commutativity, then unique solvability of nu(a,b,x) = c, for a closed
-    nu: the first failing Verdict, or None.  Each runs over chunks of the
-    first index, in order, so its first failing chunk holds its least
-    witness."""
+    nu: the first failing Verdict at its least witness, or None."""
     n = len(nu)
-    for rows in _chunks(n, n * n):
-        part = nu[rows]
-        # all argument permutations: two transpositions generate S3
-        bad = (part != nu[:, rows].transpose(1, 0, 2)) | (part != part.transpose(0, 2, 1))
-        if bad.any():
-            i, j, k = _least(bad)
-            i += rows.start
-            return Verdict(False, "commutativity", (i, j, k),
-                           f"nu is not symmetric at ({labels[i]},{labels[j]},{labels[k]})",
-                           method="cheap")
-    idx = np.arange(n, dtype=np.int32)
-    for rows in _chunks(n, n * n):
-        # each row nu(a,b,.) must be a permutation
-        rows_ok = (np.sort(nu[rows], axis=2) == idx).all(axis=2)
-        if not rows_ok.all():
-            a, b = _least(~rows_ok)
-            a += rows.start
-            return Verdict(False, "solvability", (a, b),
-                           f"nu({labels[a]},{labels[b]},x) does not reach every element exactly once",
-                           method="cheap")
+    # all argument permutations: two transpositions generate S3
+    w = _first_violation(n, n * n, lambda rows: (nu[rows] != nu[:, rows].transpose(1, 0, 2))
+                         | (nu[rows] != nu[rows].transpose(0, 2, 1)))
+    if w is not None:
+        i, j, k = w
+        return Verdict(False, "commutativity", w,
+                       f"nu is not symmetric at ({labels[i]},{labels[j]},{labels[k]})",
+                       method="cheap")
+    w = _nonperm_row(nu)
+    if w is not None:
+        a, b = w
+        return Verdict(False, "solvability", w, f"nu({labels[a]},{labels[b]},x) does "
+                       "not reach every element exactly once", method="cheap")
     return None
 
 
 def _mu_invariants(mu, labels):
-    """Associativity of a closed binary mu, over chunks of the first index:
-    the failing Verdict at the least witness, or None."""
-    n = len(mu)
-    flat = mu.ravel()
-    for rows in _chunks(n, n * n):
-        left = mu[mu[rows]]                # [i,j,k] -> mu[mu[i,j],k]
-        # [i,j,k] -> mu[i,mu[j,k]], built C-contiguous: mu[rows][:, mu]
-        # comes out with its first axis innermost in memory, which makes the
-        # comparison with `left` several times slower
-        right = np.take(mu[rows], flat, axis=1).reshape(-1, n, n)
-        bad = left != right
-        if bad.any():
-            i, j, k = _least(bad)
-            i += rows.start
-            return Verdict(False, "mu-associativity", (i, j, k),
-                           f"mu is not associative at ({labels[i]},{labels[j]},{labels[k]})",
-                           method="cheap")
+    """Associativity of a closed binary mu: the failing Verdict at the least
+    witness, or None."""
+    w = _assoc_violation(mu)
+    if w is not None:
+        i, j, k = w
+        return Verdict(False, "mu-associativity", w,
+                       f"mu is not associative at ({labels[i]},{labels[j]},{labels[k]})",
+                       method="cheap")
     return None
+
+
+def _ternary_units(t):
+    """Indices e with t(e,e,x) = x for all x, ascending: the units of a
+    ternary product, or the additively neutral elements of nu."""
+    idx = np.arange(len(t), dtype=t.dtype)
+    return np.flatnonzero((t[idx, idx] == idx).all(axis=1)).tolist()   # [e,x] -> t(e,e,x)
 
 
 def _zero_element(nu, tmu, unit):
     """The least z other than `unit` that is additively neutral
     (nu(z,z,x) = x) and absorbs the ternary product tmu, or None."""
-    idx = np.arange(len(nu), dtype=np.int32)
-    for z in range(len(nu)):
-        if z != unit and (nu[z, z] == idx).all() and (tmu[z] == z).all():
-            return z
-    return None
+    return next((z for z in _ternary_units(nu) if z != unit and (tmu[z] == z).all()), None)
 
 
 def _retract(nu):
@@ -284,10 +308,13 @@ def _retract(nu):
 
 def _is_coset_form(nu, o, k):
     """Whether o is associative and nu(x,y,z) = ((x o y) o z) o k everywhere."""
-    left = o[o]                     # [x,y,z] -> (x o y) o z
-    if not (left == o[:, o]).all():
-        return False
-    return bool((o[left, k] == nu).all())
+    n = len(o)
+    # where o is associative, ((x o y) o z) o k = x o (y o (z o k)), read
+    # from inner[y,z] = y o (z o k) with one gather per chunk
+    inner = o[:, o[:, k]].ravel()
+    return _first_violation(n, n * n, lambda rows: _assoc_mask(o, rows)
+                            | (np.take(o[rows], inner, axis=1).reshape(-1, n, n)
+                               != nu[rows])) is None
 
 
 def _assoc_certificate(nu):
@@ -326,9 +353,6 @@ def _distrib_certificate(nu, mu, coset=None):
     every field with a unit: the unit in laws 1 and 3 makes every
     translation an endomorphism of nu, and an endomorphism f of
     x+y+z+k has exactly this form (put y = z = 0, then x = 0).
-
-    The translations are checked in chunks of n/2, so the two cubes of a
-    chunk hold at most n^3 entries together.
     """
     r = coset or _retract(nu)
     if r is None:
@@ -336,7 +360,7 @@ def _distrib_certificate(nu, mu, coset=None):
     o, k = r
     n = len(o)
     zero = o == 0
-    if not ((o[0] == np.arange(n)).all() and (o == o.T).all()
+    if not (_identity(o) == 0 and (o == o.T).all()
             and zero.any(axis=1).all()
             and (coset is not None or _is_coset_form(nu, o, k))):
         return False
@@ -346,12 +370,9 @@ def _distrib_certificate(nu, mu, coset=None):
     g = o[trans, neg[c][:, None]]
     if not (g[:, k] == o[o[c, c], k]).all():
         return False
-    step = max(1, n // 2)
-    for s in range(0, 2 * n, step):
-        gs = g[s:s + step]
-        if not (gs[:, o] == o[gs[:, :, None], gs[:, None, :]]).all():
-            return False
-    return True
+    # [f,x,y] -> g_f(x o y) != g_f(x) o g_f(y)
+    return _first_violation(2 * n, n * n, lambda rows: g[rows][:, o]
+                            != o[g[rows][:, :, None], g[rows][:, None, :]]) is None
 
 
 def _scan_blocks(n):
@@ -535,12 +556,6 @@ def quer_add(carrier, x):
     return int(sols[0])
 
 
-def _ternary_units(tmu, n):
-    """Indices e with tmu(e,e,x) = x for all x."""
-    idx = np.arange(n, dtype=np.int32)
-    return [int(e) for e in range(n) if (tmu[e, e] == idx).all()]
-
-
 def detect_derived_structure(obj):
     """Report a multiplicative unit and/or a zero element, if present.
 
@@ -551,22 +566,16 @@ def detect_derived_structure(obj):
     mu(z,x,y)=z for all x,y), and distinct from the unit; a carrier with
     such a zero has operations derived from ordinary binary ones.
     """
-    n = obj.n
-    nu = obj.nu
-    idx = np.arange(n, dtype=np.int32)
     if isinstance(obj, ProperThreeThreeField):
         tmu = obj.ternary_mu
-        units = _ternary_units(tmu, n)
+        units = _ternary_units(tmu)
         unit = units[0] if units else None
     else:
-        unit = None
-        tmu = None
+        unit = tmu = None
         if obj.mu is not None and (obj.mu >= 0).all():
-            mu = obj.mu
-            hits = [e for e in range(n) if (mu[e] == idx).all() and (mu[:, e] == idx).all()]
-            unit = hits[0] if hits else None
+            unit = _identity(obj.mu)
             tmu = obj.derived_ternary_mu()
-    zero = None if tmu is None else _zero_element(nu, tmu, unit)
+    zero = None if tmu is None else _zero_element(obj.nu, tmu, unit)
     return {"unit": unit, "zero": zero}
 
 
@@ -666,8 +675,7 @@ class FiniteThreeField:
             v = _closure(c.mu, c.mu_foreign, c.labels, "mu")
         if v is not None:
             raise StructureError(f"field operations must be closed: {v.detail}")
-        idx = np.arange(c.n, dtype=np.int32)
-        if not ((c.mu[self.one] == idx).all() and (c.mu[:, self.one] == idx).all()):
+        if _identity(c.mu) != self.one:
             raise StructureError(f"{self.label(self.one)} is not a two-sided unit")
         self._inv = self._inverse_table()
         v = _nu_invariants(c.nu, c.labels)
@@ -758,11 +766,10 @@ class ProperThreeThreeField:
             v, _ = _decide_associativity(nu, labels, limit)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
-        units = _ternary_units(tmu, self.n)
+        units = _ternary_units(tmu)
         if units:
-            raise StructureError(
-                f"multiplicative unit {labels[units[0]]} found; "
-                "not a proper (3,3)-field")
+            raise StructureError(f"multiplicative unit {labels[units[0]]} found; "
+                                 "not a proper (3,3)-field")
         w = _assoc_scan(tmu)
         if w is not None:
             raise StructureError(f"ternary multiplication not associative at {w}")

@@ -19,7 +19,7 @@ from ternfield import (
     odd_residue_field,
     truncation_morphism,
 )
-from ternfield import automorphisms
+from ternfield import automorphisms, ternary_kernel
 from ternfield.automorphisms import PolyEndo, compose_elements, composition_table
 from ternfield.poly_fields import generated_subalgebra
 
@@ -356,6 +356,36 @@ def test_fingerprint_rejects_missing_inverse():
     t = CompositionTable(f, [0, 1], np.array([[0, 1], [1, 1]]), 0, "multiplication")
     with pytest.raises(StructureError, match="no inverse"):
         fingerprint_group(t)
+
+
+def whole_cube_assoc_witness(table):
+    """Least (a, b, c) with (ab)c != a(bc), from the whole n^3 cube, or None."""
+    bad = table[table] != table[:, table]
+    return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_fingerprint_reports_the_least_associativity_witness(block, monkeypatch):
+    if block:                                   # one table row per chunk
+        monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(5)
+    witnesses = set()
+    for t in (cayley_table(build_f0(5)), automorphism_group(build_f0(5))):
+        others = [i for i in range(t.order) if i != t.identity]
+        for _ in range(15):
+            # two cells outside the identity row and column swapped
+            (a, b), (c, d) = rng.choice(others, size=(2, 2))
+            table = t.table.copy()
+            table[a, b], table[c, d] = t.table[c, d], t.table[a, b]
+            want = whole_cube_assoc_witness(table)
+            mutant = CompositionTable(t.field, t.elements, table, t.identity, t.mode)
+            if want is None:
+                continue
+            with pytest.raises(StructureError, match=r"composition is not associative "
+                               r"at \({},{},{}\)$".format(*want)):
+                fingerprint_group(mutant)
+            witnesses.add(want)
+    assert len(witnesses) >= 20
 
 
 def test_fingerprint_trivial_group():

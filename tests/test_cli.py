@@ -247,6 +247,14 @@ def test_field_check_gate_and_overrides():
     assert proc.returncode == 2
 
 
+def test_malformed_carrier_limit_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("TERNARY_MAX_CARRIER", "abc")
+    code, out, err = run_main("field", "check", "--spec", "odd(8)")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "error: TERNARY_MAX_CARRIER='abc' is not an integer"
+
+
 # ---------------------------------------------------------------------------
 # envelope
 # ---------------------------------------------------------------------------
@@ -410,6 +418,15 @@ def test_struct_groupalg_pass_and_fail():
     doc = json.loads(proc.stdout)
     assert doc["is_3field"] is False
     assert doc["witness"] == "(1,1,1)"
+
+
+def test_struct_groupalg_refuses_the_order_before_building_the_group():
+    # the cyclic group's k x k table is never built for a refused order
+    with mock.patch.object(cli, "cyclic_group", side_effect=AssertionError("built")):
+        code, out, err = run_main("struct", "groupalg", "2000", "--spec", "F0(1)")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].endswith("is too large")
 
 
 def test_struct_groupalg_sampled_odd_order_exits_with_the_norm_witness():

@@ -1,6 +1,7 @@
 """Odd-denominator rationals, the 2-adic valuation and truncation towers."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from ternfield import (
     val2,
 )
 from ternfield.dyadic import DyadicIdeal, add3, inv, mul, quer
+from ternfield.poly_fields import val2_fraction
 
 odd_ints = st.integers(-400, 400).map(lambda k: 2 * k + 1)
 envelope_fractions = st.builds(
@@ -86,6 +88,31 @@ def test_val2_values(x, expected):
 def test_val2_of_zero_is_infinite():
     assert val2(0) is math.inf
     assert norm2_str(0) == "0"
+
+
+def loop_val2(num):
+    """The 2-adic valuation of a nonzero integer by repeated halving."""
+    num, r = abs(num), 0
+    while num % 2 == 0:
+        num, r = num // 2, r + 1
+    return r
+
+
+INTEGERS = ([1, -1, 6, -6, 12, -96, 3 * 2 ** 70, -(5 * 2 ** 200 + 2 ** 199)]
+            + [s * 2 ** e for e in (0, 1, 2, 31, 32, 63, 64, 65, 1000) for s in (1, -1)])
+
+
+@pytest.mark.parametrize("num", INTEGERS)
+def test_integer_valuations_match_repeated_halving(num):
+    assert val2(num) == loop_val2(num)
+    assert val2(OddDenomRational(num, 7)) == loop_val2(num)
+    assert val2_fraction(Fraction(num, 3)) == loop_val2(num)
+    assert val2_fraction(Fraction(3, num)) == -loop_val2(num)
+
+
+def test_valuation_of_zero_rational_is_refused():
+    with pytest.raises(StructureError, match="valuation of zero"):
+        val2_fraction(0)
 
 
 def test_norm2_rendering():

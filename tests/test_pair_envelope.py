@@ -40,6 +40,7 @@ from ternfield.pair_envelope import (
     standard_form,
     universal_extension,
 )
+from ternfield import ternary_kernel
 from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
 
 
@@ -67,6 +68,59 @@ def test_envelope_has_twice_the_elements(modulus):
 def test_envelope_is_a_validated_ring(env8):
     env8.validate_ring()  # raises on any failure
     assert env8.zero == env8.pair_index(env8.base.quer(env8.base.one))
+
+
+def z8_mutant(add_cells=(), mul_cells=(), one=1, mul_relabel=None):
+    """(labels, add, mul, zero, one) of Z/8 with the given (i, j, value)
+    cells set, or mul relabelled by an involution fixing 0 and 1."""
+    z8 = residue_ring(8)
+    add, mul = z8.add.copy(), z8.mul.copy()
+    for i, j, v in add_cells:
+        add[i, j] = v
+    for i, j, v in mul_cells:
+        mul[i, j] = v
+    if mul_relabel is not None:
+        s = np.array(mul_relabel)
+        mul = s[mul[np.ix_(s, s)]]
+    return z8.labels, add, mul, 0, one
+
+
+def maps_of_z2():
+    """The four maps f of Z/2, as (f(0), f(1)), under pointwise addition and
+    f*g = g o f: associative with the identity map as unit, and
+    f*(g+h) = f*g + f*h, but (f+g)*h = h o (f+g) fails for a constant h."""
+    maps = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    add = [[maps.index((f[0] ^ g[0], f[1] ^ g[1])) for g in maps] for f in maps]
+    mul = [[maps.index((g[f[0]], g[f[1]])) for g in maps] for f in maps]
+    return "0abc", add, mul, 0, 1
+
+
+# Each law of validate_ring failing first.  One changed cell reaches the first
+# four and multiplicative associativity; a Latin addition needs the four
+# cells of an intercalate, the unit a wrong index, and left distributivity a
+# relabelled multiplication.  Right distributivity cannot fail first on Z/8:
+# on a cyclic additive group a unital, associative and left distributive
+# multiplication is the ring's, so the maps of Z/2 stand in.
+RING_MUTANTS = {
+    "addition is not commutative": lambda: z8_mutant(add_cells=[(1, 2, 4)]),
+    "zero is not an additive neutral": lambda: z8_mutant(add_cells=[(0, 0, 1)]),
+    "addition rows are not permutations": lambda: z8_mutant(add_cells=[(1, 1, 3)]),
+    "addition is not associative": lambda: z8_mutant(
+        add_cells=[(1, 1, 6), (5, 5, 6), (1, 5, 2), (5, 1, 2)]),
+    "multiplication is not associative": lambda: z8_mutant(mul_cells=[(2, 3, 7)]),
+    "one is not a two-sided unit": lambda: z8_mutant(one=3),
+    "left distributivity fails": lambda: z8_mutant(mul_relabel=[0, 1, 2, 3, 4, 7, 6, 5]),
+    "right distributivity fails": maps_of_z2,
+}
+
+
+@pytest.mark.parametrize("block", [None, 8])
+@pytest.mark.parametrize("message", list(RING_MUTANTS))
+def test_each_ring_law_reports_its_own_failure(message, block, monkeypatch):
+    if block:                                   # at most 8 entries per chunk
+        monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        RingTable(*RING_MUTANTS[message]())
 
 
 def test_parity_grading(env8):

@@ -26,7 +26,7 @@ from ternfield import (
     triangular_field,
     vector_power_space,
 )
-from ternfield import structures
+from ternfield import structures, ternary_kernel
 
 
 def _base(spec):
@@ -425,6 +425,61 @@ def test_group_algebra_validates_the_table(f1):
     ])
     with pytest.raises(StructureError, match="associative|Latin"):
         group_algebra(bad, f1)
+
+
+def whole_cube_group_check(g):
+    """The group-table check on whole tables, its n^3 associativity cube
+    included: the identity, or the message of the first failing law."""
+    idx = np.arange(len(g))
+    ids = [e for e in idx if (g[e] == idx).all() and (g[:, e] == idx).all()]
+    if not ids:
+        return "group table has no identity"
+    if (np.sort(g, axis=1) != idx).any() or (np.sort(g.T, axis=1) != idx).any():
+        return "group table is not a Latin square"
+    if (g[g] != g[:, g]).any():
+        return "group table is not associative"
+    return ids[0]
+
+
+def group_table_mutants(g, rng):
+    """Every intercalate swap of g (a Latin square stays one) and as many
+    random two-cell swaps."""
+    k = len(g)
+    out = []
+    for a, b, c, d in itertools.product(range(k), repeat=4):
+        if a < c and b < d and g[a, b] == g[c, d] and g[a, d] == g[c, b]:
+            m = g.copy()
+            m[a, b], m[a, d], m[c, b], m[c, d] = g[a, d], g[a, b], g[c, d], g[c, b]
+            out.append(m)
+    for _ in range(len(out)):
+        (a, b), (c, d) = rng.integers(0, k, size=(2, 2))
+        m = g.copy()
+        m[a, b], m[c, d] = g[c, d], g[a, b]
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_group_table_check_matches_the_whole_cube(block, monkeypatch):
+    if block:                                   # one table row per chunk
+        monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
+
+    def check(g):
+        try:
+            return structures._check_group_table(g)
+        except StructureError as exc:
+            return str(exc)
+
+    z2 = cyclic_group(2)
+    tables = [cyclic_group(8), (z2[:, None, :, None] * 4 + cyclic_group(4)[None, :, None, :]
+                                ).reshape(8, 8)]
+    seen = set()
+    for seed, g in enumerate(tables):
+        for m in [g] + group_table_mutants(g, np.random.default_rng(seed)):
+            want = whole_cube_group_check(m)
+            assert check(m) == want
+            seen.add(want if isinstance(want, str) else "group")
+    assert len(seen) == 4
 
 
 def test_group_algebra_gates_the_size_before_checking_the_table(f1):

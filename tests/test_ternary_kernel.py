@@ -18,6 +18,7 @@ from ternfield import (
     ProperThreeThreeField,
     StructureError,
     TernaryCarrier,
+    build_envelope,
     check_distributivity,
     check_ternary_group,
     detect_derived_structure,
@@ -383,6 +384,29 @@ def test_early_witness_scans_stay_below_one_slab():
     assert peak_assoc < slab and peak_distrib < slab
 
 
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_law_checks_hold_no_whole_cube():
+    # n = 128, where one int32 n^3 cube is 8 MiB; the tables themselves are
+    # built before tracing starts
+    f8, f7 = build_f0(8), build_f0(7)
+    limit = 8 * 2 ** 20
+    for check in (check_ternary_group, check_distributivity):
+        v, peak = traced_peak(check, f8.carrier, limit=f8.n)
+        assert v and v.method == "certificate"
+        assert peak < limit, (check.__name__, peak)
+    env, peak = traced_peak(build_envelope, f7)
+    assert env.n == 128
+    assert peak < limit, peak
+
+
 # -- the chunked invariants against the whole-cube formulas ---------------------
 
 def whole_cube_invariants(nu, mu, labels):
@@ -443,6 +467,54 @@ def test_chunked_invariants_match_the_whole_cube(rows, monkeypatch):
         assert chunked_invariants(nu, mu, labels) == want
         seen.add(None if want is None else want[0])
     assert len(seen) >= 3
+
+
+def swapped_cell_mutants(carrier, rng, count):
+    """Carriers with two cells of mu swapped, two cells of nu swapped, or the
+    values of two argument orbits of nu swapped (nu stays symmetric)."""
+    n = carrier.n
+    for k in range(count):
+        nu, mu = carrier.nu.copy(), carrier.mu.copy()
+        if k % 3 == 0:
+            p, q = (tuple(rng.integers(0, n, size=2)) for _ in range(2))
+            mu[p], mu[q] = carrier.mu[q], carrier.mu[p]
+        elif k % 3 == 1:
+            p, q = (tuple(rng.integers(0, n, size=3)) for _ in range(2))
+            nu[p], nu[q] = carrier.nu[q], carrier.nu[p]
+        else:
+            p, q = (tuple(rng.integers(0, n, size=3)) for _ in range(2))
+            for cell in itertools.permutations(p):
+                nu[cell] = carrier.nu[q]
+            for cell in itertools.permutations(q):
+                nu[cell] = carrier.nu[p]
+        yield TernaryCarrier(carrier.labels, nu, mu)
+
+
+def verdicts_and_error(carrier, one):
+    """Both checkers' verdicts in full, and the message FiniteThreeField
+    raises with check="full" (None when it accepts)."""
+    n = carrier.n
+    vs = [(v.ok, v.axiom, v.witness, v.detail, v.method)
+          for v in (check_ternary_group(carrier, limit=n),
+                    check_distributivity(carrier, limit=n))]
+    try:
+        FiniteThreeField(carrier, one, check="full")
+    except StructureError as exc:
+        return vs, str(exc)
+    return vs, None
+
+
+@pytest.mark.parametrize("name", ["F0(5)", "odd(32)"])
+def test_small_chunks_give_the_same_verdicts_and_errors(name, monkeypatch):
+    # 64 entries per chunk: every law check walks many chunks, so a witness
+    # found past a chunk boundary must come out as at the default size
+    f = roster_field(name)
+    mutants = list(swapped_cell_mutants(f.carrier, np.random.default_rng(f.n), 12))
+    want = [verdicts_and_error(c, f.one) for c in [f.carrier] + mutants]
+    monkeypatch.setattr(tk, "_BLOCK_ENTRIES", 64)
+    assert [verdicts_and_error(c, f.one) for c in [f.carrier] + mutants] == want
+    assert want[0] == ([(True, None, None, None, "certificate")] * 2, None)
+    assert len({err for _, err in want}) >= 4
 
 
 # -- certificates against the scan ---------------------------------------------
