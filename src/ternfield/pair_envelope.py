@@ -12,6 +12,11 @@ whole-table check confirms (RingTable.maximal_ideals).  The same fact lets
 an isomorphism of envelopes stand for an isomorphism of 3-fields: it maps
 units to units, so it keeps the odd part in place (field_isomorphism).
 
+Every check that a map carries one operation table onto another -- the
+morphism classes, the class map of a quotient and the parity grading, the
+residue map onto Z/2 -- is `ternary_kernel._map_violation`, which walks
+chunks of first arguments and holds no n^3 cube.
+
 All pair arithmetic is expressed through the ternary operations themselves
 (with m1 = quer_add(1) playing the role of -1), so it works uniformly over
 any base field:
@@ -33,15 +38,16 @@ from .ternary_kernel import (
     FiniteThreeField,
     StructureError,
     TernaryCarrier,
+    _TABLE_LIMIT,
     _assoc_violation,
     _first_violation,
     _identity,
+    _map_violation,
     _nonperm_row,
+    _refuse_size,
     _renumber,
     quer_add,
 )
-
-_RING_LIMIT = 512
 
 
 class RingTable:
@@ -63,8 +69,8 @@ class RingTable:
 
     def validate_ring(self):
         n = self.n
-        if n > _RING_LIMIT:
-            raise StructureError(f"ring size {n} exceeds the validation guard")
+        _refuse_size(n, _TABLE_LIMIT, "ring size {size} exceeds the validation guard",
+                     StructureError)
         add, mul = self.add, self.mul
         if not (add == add.T).all():
             raise StructureError("addition is not commutative")
@@ -385,10 +391,10 @@ class EnvelopeRing(RingTable):
     def _validate_envelope(self):
         # the base embeds as a 3-morphism: ternary sums and products agree
         ThreeRingMap(self.base, self, range(self.base.n))
-        # parity grading
-        par = self.parity
-        if not ((par[self.add] == (par[:, None] + par[None, :]) % 2).all()
-                and (par[self.mul] == par[:, None] * par[None, :]).all()):
+        # parity grading: parity is the residue map, a ring map onto Z/2
+        bit = np.arange(2)
+        if (_map_violation(self.parity, self.add, bit ^ bit[:, None]) is not None
+                or _map_violation(self.parity, self.mul, bit & bit[:, None]) is not None):
             raise StructureError("parity grading broken")
 
     def is_pair(self, i):
@@ -492,13 +498,12 @@ class Morphism(_IndexMap):
     """Structure-preserving map between two unital 3-fields."""
 
     def validate(self):
-        s, t = self.source, self.target
-        m = np.asarray(self.mapping, dtype=np.int32)
-        if self.mapping[s.one] != t.one:
+        s, t, m = self.source, self.target, self.mapping
+        if m[s.one] != t.one:
             raise StructureError("unit is not preserved")
-        if not (m[s.carrier.nu] == t.carrier.nu[np.ix_(m, m, m)]).all():
+        if _map_violation(m, s.carrier.nu, t.carrier.nu) is not None:
             raise StructureError("ternary addition is not preserved")
-        if not (m[s.carrier.mu] == t.carrier.mu[np.ix_(m, m)]).all():
+        if _map_violation(m, s.carrier.mu, t.carrier.mu) is not None:
             raise StructureError("multiplication is not preserved")
 
     @classmethod
@@ -510,13 +515,12 @@ class RingMorphism(_IndexMap):
     """Unital morphism between two RingTables."""
 
     def validate(self):
-        s, t = self.source, self.target
-        m = np.asarray(self.mapping, dtype=np.int32)
-        if self.mapping[s.one] != t.one:
+        s, t, m = self.source, self.target, self.mapping
+        if m[s.one] != t.one:
             raise StructureError("one is not preserved")
-        if not (m[s.add] == t.add[np.ix_(m, m)]).all():
+        if _map_violation(m, s.add, t.add) is not None:
             raise StructureError("addition is not preserved")
-        if not (m[s.mul] == t.mul[np.ix_(m, m)]).all():
+        if _map_violation(m, s.mul, t.mul) is not None:
             raise StructureError("multiplication is not preserved")
 
     def kernel(self):
@@ -545,11 +549,9 @@ class ThreeRingMap(_IndexMap):
         f, r, m = self.source, self.target, self.mapping
         if m[f.one] != r.one:
             raise StructureError("unit must go to one")
-        m = np.asarray(m, dtype=np.intp)
-        ix = np.ix_(m, m)
-        if not (m[f.carrier.mu] == r.mul[ix]).all():
+        if _map_violation(m, f.carrier.mu, r.mul) is not None:
             raise StructureError("products are not preserved")
-        if not (m[f.carrier.nu] == r.add[r.add[ix][..., None], m]).all():
+        if _map_violation(m, f.carrier.nu, r.add, r.add) is not None:   # (a+b)+c
             raise StructureError("ternary sums are not preserved")
 
 
@@ -645,10 +647,11 @@ def quotient_by_ideal(field, ideal, check="auto"):
     c = field.carrier
     mu = cls[c.mu[np.ix_(reps, reps)]]
     nu = cls[c.nu[np.ix_(reps, reps, reps)]]
-    # representative independence
-    if not (cls[c.mu] == mu[np.ix_(cls, cls)]).all():
+    # representative independence: the class map carries mu and nu onto
+    # the quotient's tables
+    if _map_violation(cls, c.mu, mu) is not None:
         raise StructureError("multiplication is not constant on classes")
-    if not (cls[c.nu] == nu[np.ix_(cls, cls, cls)]).all():
+    if _map_violation(cls, c.nu, nu) is not None:
         raise StructureError("addition is not constant on classes")
     report = {
         "evenly_maximal": witness is None,

@@ -15,6 +15,7 @@ echelon basis of their linear span (every multiple of a relation is again a
 linear combination of monomial multiples, so the span is the whole ideal).
 """
 
+import functools
 import itertools
 import math
 import re
@@ -23,10 +24,11 @@ from fractions import Fraction
 import numpy as np
 
 from .ternary_kernel import (
-    CarrierSizeError,
     FiniteThreeField,
     StructureError,
     TernaryCarrier,
+    _TABLE_LIMIT,
+    _refuse_size,
     odd_residue_field,
 )
 from .dyadic import _val2_int
@@ -38,7 +40,6 @@ from .pair_envelope import (
     field_isomorphism,
 )
 
-_BUILD_LIMIT = 512
 # enumerating 2^rank coefficient masks is the hard wall for algebra carriers
 _ALGEBRA_RANK_LIMIT = 20
 DEFAULT_KRONECKER_CAP = 8
@@ -599,6 +600,8 @@ class QuotientAlgebra:
         self.exponents = tuple(int(n) for n in exponents)
         k = len(self.exponents)
         self.nvars = k
+        if not relations:     # the free rank is known: refuse before the tables
+            self._refuse_rank(math.prod(self.exponents) - 1)
         self.monomials = [tuple(reversed(alpha)) for alpha in
                           itertools.product(*(range(n) for n in
                                               reversed(self.exponents)))]
@@ -607,13 +610,12 @@ class QuotientAlgebra:
         self.m_index = {alpha: i for i, alpha in enumerate(self.monomials)}
         if self.m_index[(0,) * k] != 0:
             raise StructureError("constant monomial must sit at index 0")
-        # monomial products with truncation (-1 = dies)
-        self.ptab = np.full((self.m_count, self.m_count), -1, dtype=np.int64)
-        for i, a in enumerate(self.monomials):
-            for j, b in enumerate(self.monomials):
-                s = tuple(x + y for x, y in zip(a, b))
-                if all(x < n for x, n in zip(s, self.exponents)):
-                    self.ptab[i, j] = self.m_index[s]
+        # monomial products with truncation (-1 = dies), the index of a
+        # monomial being its mixed-radix value, its first exponent lowest
+        digits = np.array(self.monomials, dtype=np.int64).reshape(self.m_count, k)
+        s = digits[:, None] + digits[None]
+        radix = np.array([math.prod(self.exponents[:t]) for t in range(k)], dtype=np.int64)
+        self.ptab = np.where((s < self.exponents).all(axis=-1), s @ radix, -1)
         # change of coordinates u <-> x: involutive substitution u -> u+1
         self._xrows = self._binomial_rows()
         # echelon basis for the span of the extra relations
@@ -632,13 +634,21 @@ class QuotientAlgebra:
                 v = self.mul_raw(base_mask, 1 << j)
                 self._insert_row(v)
         self.free = [i for i in range(1, self.m_count) if i not in self._rows]
-        if len(self.free) > _ALGEBRA_RANK_LIMIT:
-            raise CarrierSizeError(
-                f"free rank {len(self.free)} gives a carrier of "
-                f"2^{len(self.free)} elements; refusing to materialize")
-        self.carrier = [self._spread(bits) | 1 for bits in range(1 << len(self.free))]
-        self.carrier.sort()
-        self.index_of = {m: i for i, m in enumerate(self.carrier)}
+        self._refuse_rank(len(self.free))
+
+    @staticmethod
+    def _refuse_rank(rank):
+        _refuse_size(rank, _ALGEBRA_RANK_LIMIT, "free rank {size} gives a carrier of "
+                     "2^{size} elements; refusing to materialize")
+
+    @functools.cached_property
+    def carrier(self):
+        """The 2^rank odd masks in ascending order, listed on first use."""
+        return sorted(self._spread(bits) | 1 for bits in range(1 << len(self.free)))
+
+    @functools.cached_property
+    def index_of(self):
+        return {m: i for i, m in enumerate(self.carrier)}
 
     # -- linear algebra over GF(2) ---------------------------------------
 
@@ -824,10 +834,8 @@ def build_quotient_field(spec, check="auto"):
                     f"relation {rel} is not completely even; "
                     f"odd factor {verdict['witness']}")
     alg = QuotientAlgebra(spec.exponents, spec.relations)
-    n = len(alg.carrier)
-    if n > _BUILD_LIMIT:
-        raise CarrierSizeError(
-            f"carrier of size {n} exceeds the build limit {_BUILD_LIMIT}")
+    n = 1 << len(alg.free)
+    _refuse_size(n, _TABLE_LIMIT, "carrier of size {size} exceeds the build limit {limit}")
     masks = np.array(alg.carrier, dtype=np.int32)
     lookup = np.full(1 << alg.m_count, -1, dtype=np.int32)
     lookup[masks] = np.arange(n)
@@ -856,10 +864,8 @@ def _build_z2odd_quotient(spec, check="auto"):
     mod = 1 << m
     alg = QuotientAlgebra(spec.exponents)
     M = alg.m_count
-    size = (mod // 2) * mod ** (M - 1)
-    if size > _BUILD_LIMIT:
-        raise CarrierSizeError(
-            f"carrier of size {size} exceeds the build limit {_BUILD_LIMIT}")
+    _refuse_size((mod // 2) * mod ** (M - 1), _TABLE_LIMIT,
+                 "carrier of size {size} exceeds the build limit {limit}")
     # Z/2^m is a ring by construction; RingTable's O(mod^3) validation would
     # cost more than the field it serves
     vals = np.arange(mod)
@@ -918,8 +924,7 @@ def cardinality(spec):
         return (1 << (m - 1)) * (1 << m) ** (total - 1)
     if not spec.relations:
         return 1 << (total - 1)
-    alg = QuotientAlgebra(spec.exponents, spec.relations)
-    return len(alg.carrier)
+    return 1 << len(QuotientAlgebra(spec.exponents, spec.relations).free)
 
 
 # ---------------------------------------------------------------------------
@@ -941,29 +946,17 @@ def product_field(*factors, check="auto"):
     if not factors:
         raise StructureError("empty product")
     sizes = [f.n for f in factors]
-    n = 1
-    for s in sizes:
-        n *= s
-    if n > _BUILD_LIMIT:
-        raise CarrierSizeError(f"product size {n} exceeds the build limit")
-    strides = []
-    acc = 1
-    for s in sizes:
-        strides.append(acc)
-        acc *= s
-    comps = []
-    for k, (s, st) in enumerate(zip(sizes, strides)):
-        comps.append((np.arange(n) // st) % s)
+    n = math.prod(sizes)
+    _refuse_size(n, _TABLE_LIMIT, "product size {size} exceeds the build limit")
+    strides = [math.prod(sizes[:k]) for k in range(len(sizes))]
+    comps = [(np.arange(n) // st) % s for s, st in zip(sizes, strides)]
     nu = np.zeros((n, n, n), dtype=np.int64)
     mu = np.zeros((n, n), dtype=np.int64)
-    for f, comp, st in zip(factors, comps, strides):
-        c = comp.astype(np.int64)
+    for f, c, st in zip(factors, comps, strides):
         nu += st * f.carrier.nu[np.ix_(c, c, c)].astype(np.int64)
         mu += st * f.carrier.mu[np.ix_(c, c)].astype(np.int64)
-    labels = []
-    for i in range(n):
-        parts = [f.label(int(comp[i])) for f, comp in zip(factors, comps)]
-        labels.append("(" + ",".join(parts) + ")")
+    labels = ["(" + ",".join(f.label(int(c[i])) for f, c in zip(factors, comps)) + ")"
+              for i in range(n)]
     one = sum(st * f.one for f, st in zip(factors, strides))
     carrier = TernaryCarrier(labels, nu.astype(np.int32), mu.astype(np.int32))
     field = FiniteThreeField(carrier, int(one),
@@ -973,49 +966,30 @@ def product_field(*factors, check="auto"):
     presentation = None
     free_comparison = None
     single_var = all(
-        (f.origin or {}).get("kind") == "quotient_field"
-        and (f.origin or {}).get("base") == "F0"
-        and len((f.origin or {}).get("exponents", ())) == 1
-        and not (f.origin or {}).get("relations")
+        f.origin.get("kind") == "quotient_field" and f.origin.get("base") == "F0"
+        and len(f.origin.get("exponents", ())) == 1 and not f.origin.get("relations")
         for f in factors)
     if single_var:
         exponents = [f.origin["exponents"][0] for f in factors]
-        gens = []
-        for k, (f, st) in enumerate(zip(factors, strides)):
-            if exponents[k] == 1:
-                gens.append(None)  # the one-element factor has no generator
-                continue
-            g = sum(st2 * f2.one for f2, st2 in zip(factors, strides))
-            g += st * (f.index("x") - f.one)
-            gens.append(int(g))
+        # generator k is x in factor k and 1 elsewhere; the one-element
+        # factor has none
+        gens = [None if e == 1 else int(one + st * (f.index("x") - f.one))
+                for e, f, st in zip(exponents, factors, strides)]
+        live = [k for k, g in enumerate(gens) if g is not None]
         env = build_envelope(field, check=False)
-        shifted = [None if g is None else env.sub_at(g, env.one) for g in gens]
+        shifted = {k: env.sub_at(gens[k], env.one) for k in live}
         relations = []
-        verified = True
-        for k, u in enumerate(shifted):
-            if u is None:
-                continue
-            p = u
+        for k in live:
+            p = shifted[k]
             for _ in range(exponents[k] - 1):
-                p = env.mul_at(p, u)
-            relations.append(
-                (f"(x{k+1}-1)^{exponents[k]} = 0", p == env.zero))
-        for k1 in range(len(shifted)):
-            for k2 in range(k1 + 1, len(shifted)):
-                if shifted[k1] is None or shifted[k2] is None:
-                    continue
-                prod = env.mul_at(shifted[k1], shifted[k2])
-                relations.append(
-                    (f"(x{k1+1}-1)*(x{k2+1}-1) = 0", prod == env.zero))
+                p = env.mul_at(p, shifted[k])
+            relations.append((f"(x{k+1}-1)^{exponents[k]} = 0", p == env.zero))
+        pairs = list(itertools.combinations(live, 2))
+        relations += [(f"(x{a+1}-1)*(x{b+1}-1) = 0",
+                       env.mul_at(shifted[a], shifted[b]) == env.zero) for a, b in pairs]
         m1 = env.neg_at(env.one)
-        for k1 in range(len(gens)):
-            for k2 in range(k1 + 1, len(gens)):
-                if gens[k1] is None or gens[k2] is None:
-                    continue
-                lhs = env.mul_at(gens[k1], gens[k2])
-                rhs = env.add_at(env.add_at(gens[k1], gens[k2]), m1)
-                relations.append(
-                    (f"x{k1+1}*x{k2+1} = x{k1+1}+x{k2+1}-1", lhs == rhs))
+        relations += [(f"x{a+1}*x{b+1} = x{a+1}+x{b+1}-1", env.mul_at(gens[a], gens[b])
+                       == env.add_at(env.add_at(gens[a], gens[b]), m1)) for a, b in pairs]
         verified = all(ok for _, ok in relations)
         presentation = {
             "generators": [None if g is None else field.label(g) for g in gens],
@@ -1027,13 +1001,12 @@ def product_field(*factors, check="auto"):
         free_size = cardinality(QuotientFieldSpec(exponents))
         iso = None
         if free_size == field.n:
-            free_field = build_quotient_field(QuotientFieldSpec(exponents),
-                                              check=False)
-            iso = field_isomorphism(field, free_field)
+            iso = field_isomorphism(field, build_quotient_field(QuotientFieldSpec(exponents),
+                                                                check=False))
         free_comparison = {
             "free_field_size": free_size,
             "product_size": field.n,
-            "isomorphic_to_free": bool(iso) if free_size == field.n else False,
+            "isomorphic_to_free": bool(iso),
         }
     return ProductFieldResult(field, presentation, free_comparison)
 

@@ -20,19 +20,20 @@ import random
 import numpy as np
 
 from .ternary_kernel import (
-    CarrierSizeError,
     FiniteThreeField,
     StructureError,
     TernaryCarrier,
+    _TABLE_LIMIT,
     _assoc_violation,
     _identity,
+    _map_violation,
     _nonperm_row,
+    _refuse_size,
 )
 from .pair_envelope import Morphism, _TupleTables, build_envelope
 from .poly_fields import QuotientFieldSpec, build_quotient_field
 
 _ENUM_LIMIT = 1 << 16
-_TABLE_LIMIT = 512
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +110,9 @@ def free_space(field, n):
     3-vector space on n generators, of cardinality 2^(n-1) |F|^n."""
     if n < 1:
         raise StructureError("need at least one coordinate")
-    env = build_envelope(field)
     size = (2 * field.n) ** n // 2
-    if size > _ENUM_LIMIT:
-        raise CarrierSizeError(f"free carrier of size {size} is too large")
+    _refuse_size(size, _ENUM_LIMIT, "free carrier of size {size} is too large")
+    env = build_envelope(field)
     vectors = _odd_sum_tuples(env, field, n)
     if len(vectors) != size:
         raise StructureError("free carrier count mismatch")
@@ -126,9 +126,8 @@ def vector_power_space(field, k):
     """F^k: plain tuples of base-field elements, as a 3-vector space."""
     if k < 1:
         raise StructureError("need at least one coordinate")
+    _refuse_size(field.n ** k, _ENUM_LIMIT, "vector power too large")
     env = build_envelope(field)
-    if field.n ** k > _ENUM_LIMIT:
-        raise CarrierSizeError("vector power too large")
     vectors = list(itertools.product(range(field.n), repeat=k))
     return ThreeVectorSpace(field, k, vectors, f"power({k})", env)
 
@@ -165,8 +164,7 @@ def free_resolution(space, generators):
             raise StructureError(f"generator {space.label(g)} is not in the space")
     n = len(gens)
     total = (2 * space.field.n) ** n
-    if total > _ENUM_LIMIT:
-        raise CarrierSizeError(f"kernel enumeration over {total} tuples is too large")
+    _refuse_size(total, _ENUM_LIMIT, "kernel enumeration over {size} tuples is too large")
     zero_vec = (env.zero,) * space.width
     kernel = []
     image_odd = set()
@@ -205,9 +203,7 @@ def free_resolution(space, generators):
 def _tuple_field(tables, one_value, label_of, origin, check="auto"):
     """The FiniteThreeField on a _TupleTables carrier of envelope-index
     tuples, with the tuple -> index map."""
-    if tables.n > _TABLE_LIMIT:
-        raise CarrierSizeError(
-            f"carrier of size {tables.n} exceeds the table limit")
+    _refuse_size(tables.n, _TABLE_LIMIT, "carrier of size {size} exceeds the table limit")
     values = [tuple(v) for v in tables.tuples.tolist()]
     built = tables.field([label_of(v) for v in values], one_value, origin,
                          check)
@@ -242,10 +238,9 @@ def toeplitz_field(n, field, check="auto"):
     a matrix with the shifted-basis coefficients of a polynomial."""
     if n < 1:
         raise StructureError("matrix size must be positive")
+    _refuse_size(field.n * (2 * field.n) ** (n - 1), _TABLE_LIMIT,
+                 "carrier of size {size} exceeds the table limit")
     env = build_envelope(field)
-    size = field.n * env.n ** (n - 1)
-    if size > _TABLE_LIMIT:
-        raise CarrierSizeError(f"carrier of size {size} exceeds the table limit")
     values = sorted(
         (d,) + rest
         for d in range(field.n)
@@ -278,13 +273,8 @@ def _toeplitz_isomorphism(n, field, env, built, index):
     origin = field.origin or {}
     if field.n == 1:
         target = build_quotient_field(QuotientFieldSpec((n,)), check="light")
-        alg = target.origin["algebra"]
-        mapping = [0] * target.n
-        for i, mask in enumerate(alg.carrier):
-            coords = tuple(env.one if mask >> t & 1 else env.zero
-                           for t in range(n))
-            mapping[i] = index[coords]
-        iso = Morphism(target, built, mapping)
+        mapping = [index[tuple(env.one if mask >> t & 1 else env.zero for t in range(n))]
+                   for mask in target.origin["algebra"].carrier]
     elif origin.get("kind") == "odd_residue":
         mod = int(origin["modulus"])
         m = mod.bit_length() - 1
@@ -301,12 +291,10 @@ def _toeplitz_isomorphism(n, field, env, built, index):
                    sorted(tuple(reversed(v)) for v in vectors)]
         if len(vectors) != target.n:
             raise StructureError("coefficient enumeration mismatch")
-        mapping = [0] * target.n
-        for i, vec in enumerate(vectors):
-            mapping[i] = index[tuple(res_to_env[c] for c in vec)]
-        iso = Morphism(target, built, mapping)
+        mapping = [index[tuple(res_to_env[c] for c in vec)] for vec in vectors]
     else:
         return None
+    iso = Morphism(target, built, mapping)
     if not iso.is_bijective():
         raise StructureError("Toeplitz correspondence must be bijective")
     return iso
@@ -318,11 +306,9 @@ def triangular_field(n, field, check="auto"):
     envelope has products for the strict part to disagree on."""
     if n < 1:
         raise StructureError("matrix size must be positive")
+    _refuse_size(field.n ** n * (2 * field.n) ** (n * (n - 1) // 2), _TABLE_LIMIT,
+                 "carrier of size {size} exceeds the table limit")
     env = build_envelope(field)
-    strict = n * (n - 1) // 2
-    size = field.n ** n * env.n ** strict
-    if size > _TABLE_LIMIT:
-        raise CarrierSizeError(f"carrier of size {size} exceeds the table limit")
     cells = [(r, c) for r in range(n) for c in range(r + 1)]  # flat layout
     cell_at = {rc: t for t, rc in enumerate(cells)}
 
@@ -398,10 +384,9 @@ def quaternion_field(field, check="auto"):
     """(F^4)^free with the quaternion product.  Requires every carrier
     element to have odd norm a0^2+a1^2+a2^2+a3^2; the inverse is then the
     conjugate scaled by the inverse of the norm."""
+    _refuse_size((2 * field.n) ** 4 // 2, _TABLE_LIMIT,
+                 "carrier of size {size} exceeds the table limit")
     env = build_envelope(field)
-    size = (2 * field.n) ** 4 // 2
-    if size > _TABLE_LIMIT:
-        raise CarrierSizeError(f"carrier of size {size} exceeds the table limit")
     tables = _TupleTables(env, _odd_sum_tuples(env, field, 4), _HAMILTON)
     squares = env.mul[tables.tuples, tables.tuples]
     norm = squares[:, 0]
@@ -445,14 +430,12 @@ def quaternion_conjugation_check(result):
         c = (v[0],) + tuple(env.neg_at(x) for x in v[1:])
         conj[i] = result.index[c]
     mu = field.carrier.mu
-    lhs = conj[mu]
-    rhs = mu[np.ix_(conj, conj)].T
-    if not (lhs == rhs).all():
-        bad = np.argwhere(lhs != rhs)
-        a, b = bad[0]
+    w = _map_violation(conj, mu, mu.T)        # conj onto (a, b) -> b * a
+    if w is not None:
+        a, b = w
         raise StructureError(
-            f"conjugation fails to reverse {result.quaternion(int(a))} * "
-            f"{result.quaternion(int(b))}")
+            f"conjugation fails to reverse {result.quaternion(a)} * "
+            f"{result.quaternion(b)}")
     return field.n * field.n
 
 
@@ -504,8 +487,7 @@ class GroupAlgebraResult:
 def group_algebra_size(order, field):
     """Carrier size of a group 3-algebra; CarrierSizeError if too large to enumerate."""
     size = (2 * field.n) ** order // 2
-    if size > _ENUM_LIMIT:
-        raise CarrierSizeError(f"carrier of size {size} is too large")
+    _refuse_size(size, _ENUM_LIMIT, "carrier of size {size} is too large")
     return size
 
 

@@ -30,7 +30,9 @@ pairs that grow from one pair to about _BLOCK_ENTRIES entries, so an early
 witness costs one n^3 block and no array a scan allocates holds more than
 max(n^3, _BLOCK_ENTRIES) entries.  Every other O(n^3) law check, here and
 on ring and group tables, walks chunks of its first index of about
-_BLOCK_ENTRIES entries (`_first_violation`), so none holds an n^3 cube.
+_BLOCK_ENTRIES entries (`_first_violation`), and so does every check that a
+map carries one operation table onto another (`_map_violation`), so none
+holds an n^3 cube.
 """
 
 import json
@@ -40,8 +42,9 @@ import numpy as np
 
 # Exhaustive O(n^5) checks are size-gated; the built-in exhibits fit in 32.
 DEFAULT_CHECK_LIMIT = 32
-# Carriers above this size are refused before the O(n^3) certificates.
-_CUBIC_LIMIT = 512
+# The largest carrier given dense tables: builders refuse larger ones, and
+# so do the O(n^3) checks of fields and rings.
+_TABLE_LIMIT = 512
 # Entries in a block of the O(n^5) scans and in a chunk of the O(n^3)
 # invariants: each array they hold at once stays about a MiB.
 _BLOCK_ENTRIES = 2 ** 18
@@ -71,6 +74,19 @@ class StructureError(ValueError):
 
 class CarrierSizeError(ValueError):
     """Carrier exceeds the size gate for an exhaustive check."""
+
+
+def _refuse_size(size, limit, message, error=CarrierSizeError):
+    """Raise `error` when size > limit, with `message` formatted on the
+    size and the limit.  A size too long for Python's int-to-str conversion
+    is written as a power of two."""
+    if size > limit:
+        try:
+            text = str(size)
+        except ValueError:
+            e = size.bit_length() - 1
+            text = f"2^{e}" if size == 1 << e else f"more than 2^{e}"
+        raise error(message.format(size=text, limit=limit))
 
 
 class Verdict:
@@ -223,6 +239,25 @@ def _first_violation(n, width, bad):
     return None
 
 
+def _map_violation(m, src, *image):
+    """Least argument tuple x, row-major, where m(src(x)) != image(m(x)), or
+    None: whether the map m (an image index per element) carries the table
+    src onto `image`.  `image` is one target table, or tables nested on the
+    left, so that (add, add) is the ternary sum add(add(a, b), c).  Chunks
+    as in `_first_violation`; per chunk the image is t[m[rows]], then m
+    taken along each further axis."""
+    m = np.asarray(m, dtype=np.int32)
+
+    def bad(rows):
+        out = m[rows]
+        for t in image:
+            out = t[out]
+            for axis in range(out.ndim - t.ndim + 1, out.ndim):
+                out = np.take(out, m, axis=axis)
+        return m[src[rows]] != out
+    return _first_violation(len(src), src[0].size, bad)
+
+
 def _assoc_mask(t, rows):
     """[i,j,k] -> t[t[i,j],k] != t[i,t[j,k]] for i in `rows`, t closed and binary."""
     n = len(t)
@@ -291,10 +326,13 @@ def _ternary_units(t):
     return np.flatnonzero((t[idx, idx] == idx).all(axis=1)).tolist()   # [e,x] -> t(e,e,x)
 
 
-def _zero_element(nu, tmu, unit):
+def _zero_element(nu, mul, unit):
     """The least z other than `unit` that is additively neutral
-    (nu(z,z,x) = x) and absorbs the ternary product tmu, or None."""
-    return next((z for z in _ternary_units(nu) if z != unit and (tmu[z] == z).all()), None)
+    (nu(z,z,x) = x) and absorbs the ternary product of mul, or None.  mul is
+    a genuine (n,n,n) product or a binary mu, whose row z of mu(mu(x,y),z)
+    is read as mu[mu[z]], so no n^3 cube is built."""
+    return next((z for z in _ternary_units(nu) if z != unit
+                 and ((mul[z] if mul.ndim == 3 else mul[mul[z]]) == z).all()), None)
 
 
 def _retract(nu):
@@ -421,7 +459,7 @@ def _distrib_scan(s, m):
     Blocks as in `_assoc_scan`.  The right-hand sides are read from the
     flattened s at x*n^2 + y*n + z, with the terms that depend on a only
     summed once per a.  Those indices are int32 like the tables: `_gate`
-    keeps n at most _CUBIC_LIMIT, so n^3 stays below 2^31.
+    keeps n at most _TABLE_LIMIT, so n^3 stays below 2^31.
     """
     n = len(s)
     flat = s.ravel()
@@ -453,8 +491,7 @@ def _distrib_scan(s, m):
 def _gate(n, limit):
     """Raise CarrierSizeError unless an n-element carrier may be decided:
     the O(n^3) guard, then the exhaustive-check gate."""
-    if n > _CUBIC_LIMIT:
-        raise CarrierSizeError(f"carrier size {n} exceeds the O(n^3) guard")
+    _refuse_size(n, _TABLE_LIMIT, "carrier size {size} exceeds the O(n^3) guard")
     gate = check_limit(limit)
     if n > gate:
         raise CarrierSizeError(
@@ -567,15 +604,15 @@ def detect_derived_structure(obj):
     such a zero has operations derived from ordinary binary ones.
     """
     if isinstance(obj, ProperThreeThreeField):
-        tmu = obj.ternary_mu
-        units = _ternary_units(tmu)
+        mul = obj.ternary_mu
+        units = _ternary_units(mul)
         unit = units[0] if units else None
     else:
-        unit = tmu = None
+        unit = mul = None
         if obj.mu is not None and (obj.mu >= 0).all():
-            unit = _identity(obj.mu)
-            tmu = obj.derived_ternary_mu()
-    zero = None if tmu is None else _zero_element(obj.nu, tmu, unit)
+            mul = obj.mu
+            unit = _identity(mul)
+    zero = None if mul is None else _zero_element(obj.nu, mul, unit)
     return {"unit": unit, "zero": zero}
 
 
@@ -823,6 +860,7 @@ def odd_residue_field(modulus, check="auto"):
     m = int(modulus)
     if m < 2 or m & (m - 1):
         raise StructureError("modulus must be a power of two, at least 2")
+    _refuse_size(m // 2, _TABLE_LIMIT, "carrier of size {size} exceeds the build limit {limit}")
     vals = np.arange(1, m, 2, dtype=np.int64)
     n = len(vals)
     s3 = (vals[:, None, None] + vals[None, :, None] + vals[None, None, :]) % m

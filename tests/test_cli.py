@@ -429,6 +429,21 @@ def test_struct_groupalg_refuses_the_order_before_building_the_group():
     assert err.splitlines()[-1].endswith("is too large")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("struct", "groupalg", "20000"), "carrier of size 2^19999 is too large"),
+    (("vec", "free", "20000"), "free carrier of size 2^19999 is too large"),
+    (("struct", "toeplitz", "20000"), "carrier of size 2^19999 exceeds the table limit"),
+    (("struct", "triangular", "200"), "carrier of size 2^40000 exceeds the table limit"),
+])
+def test_sizes_past_the_digit_limit_are_refused_with_exit_2(argv, message):
+    # these sizes have more decimal digits than Python converts to str
+    spec = "odd(4)" if argv[1] == "triangular" else "F0(1)"
+    code, out, err = run_main(*argv, "--spec", spec)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
+
+
 def test_struct_groupalg_sampled_odd_order_exits_with_the_norm_witness():
     proc = run_cli("struct", "groupalg", "11", "--spec", "F0(1)")
     assert proc.returncode == 1

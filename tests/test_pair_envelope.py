@@ -1,5 +1,6 @@
 """Enveloping rings, pairs, morphisms, ideals and quotients."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -41,6 +42,7 @@ from ternfield.pair_envelope import (
     universal_extension,
 )
 from ternfield import ternary_kernel
+from ternfield.automorphisms import composition_table, truncation_morphism
 from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
 
 
@@ -904,3 +906,247 @@ def test_three_ring_map_rejects_a_map_that_breaks_ternary_sums():
     f4 = odd_residue_field(4)
     with pytest.raises(StructureError, match="ternary sums are not preserved"):
         ThreeRingMap(f4, residue_ring(4), [1, 1])
+
+
+# -- the map laws against the whole-table comparisons --------------------------------
+#
+# Every map check walks chunks (ternary_kernel._map_violation).  The oracle
+# is the whole-table comparison each class made before: m[src] against the
+# target table gathered at np.ix_(m, m, ...).
+
+def whole_table_witness(m, src, *image):
+    """Least x with m(src(x)) != image(m(x)), from whole tables; image as in
+    _map_violation (one table, or binary tables nested on the left)."""
+    m = np.asarray(m, dtype=np.intp)
+    want = image[0][np.ix_(*[m] * image[0].ndim)]
+    for t in image[1:]:
+        want = t[want[..., None], m]
+    bad = m[src] != want
+    return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+
+
+def whole_table_map_error(kind, source, target, mapping):
+    """The message each map class raised from whole tables, or None."""
+    m = np.asarray(mapping, dtype=np.intp)
+    if kind is Morphism:
+        laws = [("unit is not preserved", m[source.one] != target.one),
+                ("ternary addition is not preserved",
+                 (m[source.carrier.nu] != target.carrier.nu[np.ix_(m, m, m)]).any()),
+                ("multiplication is not preserved",
+                 (m[source.carrier.mu] != target.carrier.mu[np.ix_(m, m)]).any())]
+    elif kind is RingMorphism:
+        laws = [("one is not preserved", m[source.one] != target.one),
+                ("addition is not preserved",
+                 (m[source.add] != target.add[np.ix_(m, m)]).any()),
+                ("multiplication is not preserved",
+                 (m[source.mul] != target.mul[np.ix_(m, m)]).any())]
+    else:
+        ix = np.ix_(m, m)
+        laws = [("unit must go to one", m[source.one] != target.one),
+                ("products are not preserved",
+                 (m[source.carrier.mu] != target.mul[ix]).any()),
+                ("ternary sums are not preserved",
+                 (m[source.carrier.nu] != target.add[target.add[ix][..., None], m]).any())]
+    return next((message for message, broken in laws if broken), None)
+
+
+def map_error(kind, source, target, mapping):
+    try:
+        kind(source, target, mapping)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+def swapped_coordinates(f):
+    """F0(n) -> F0(n) exchanging the coordinates of u and u^(n-1): additive
+    (nu(x,y,z) is the XOR of the masks) and unit-preserving, so it keeps
+    nu, and the sums of the envelope when lifted, but not products."""
+    alg, n = f.origin["algebra"], f.origin["exponents"][0]
+    low, high = 1 << 1, 1 << (n - 1)
+    swap = lambda v: v & ~(low | high) | (high if v & low else 0) | (low if v & high else 0)
+    return [alg.index_of[swap(v)] for v in alg.carrier]
+
+
+def valid_maps():
+    """(kind, source, target, mapping) for maps of every kind, all valid but
+    the two that keep every sum and break products."""
+    f16, f8, f4 = odd_residue_field(16), odd_residue_field(8), odd_residue_field(4)
+    reduce = [f8.index(str(int(f16.label(i)) % 8)) for i in f16.elements()]
+    f5 = build_f0(5)
+    endo = composition_table(f5)[:, f5.index("x^3")]        # x -> x^3
+    g, h = (product_field(build_f0(a), build_f0(b)).field for a, b in ((2, 3), (3, 2)))
+    toeplitz = toeplitz_field(3, build_f0(1)).isomorphism
+    maps = [(Morphism, f16, f8, reduce), (Morphism, f5, f5, endo),
+            (Morphism, f5, build_f0(3), truncation_morphism(f5, build_f0(3)).mapping),
+            (Morphism, f8, f8, range(f8.n)), (Morphism, g, h, field_isomorphism(g, h).mapping),
+            (Morphism, toeplitz.source, toeplitz.target, toeplitz.mapping)]
+    env16, env8 = build_envelope(f16), build_envelope(f8)
+    maps.append((RingMorphism, env16, env8, lift_morphism(
+        Morphism(f16, f8, reduce), env16, env8).mapping))
+    inclusion = ThreeRingMap(f16, residue_ring(16), [int(f16.label(i)) for i in f16.elements()])
+    maps.append((RingMorphism, env16, residue_ring(16),
+                 universal_extension(inclusion, env16).mapping))
+    maps.append((RingMorphism, residue_ring(8), residue_ring(4), [v % 4 for v in range(8)]))
+    maps.append((ThreeRingMap, f16, residue_ring(16), inclusion.mapping))
+    maps.append((ThreeRingMap, f5, build_envelope(f5), range(f5.n)))
+    maps.append((ThreeRingMap, f4, residue_ring(8), [1, 3]))   # 1+1+1 = 3 in Z/4, not Z/8
+    swap = swapped_coordinates(f5)
+    maps.append((Morphism, f5, f5, swap))
+    env5 = build_envelope(f5)
+    maps.append((RingMorphism, env5, env5, swap + [f5.n + v for v in swap]))
+    return maps
+
+
+def one_image_mutants(source, target, mapping):
+    """The mapping with one image moved, for every source element."""
+    for i in range(source.n):
+        bad = list(mapping)
+        bad[i] = (bad[i] + 1 + i % max(1, target.n - 1)) % target.n
+        yield bad
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_map_checks_give_the_whole_table_messages(block, monkeypatch):
+    if block:
+        monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
+    seen = set()
+    for kind, source, target, mapping in valid_maps():
+        for m in [list(mapping), *one_image_mutants(source, target, mapping)]:
+            want = whole_table_map_error(kind, source, target, m)
+            assert map_error(kind, source, target, m) == want, (kind, m)
+            seen.add(want)
+    assert len(seen) >= 7
+
+
+def map_law_cases():
+    """(m, src, image) for every map site's laws, valid and one-image mutants:
+    field and ring tables, the ternary sum into a ring, parity onto Z/2 and
+    quaternion conjugation onto the reversed product."""
+    cases = []
+    for kind, source, target, mapping in valid_maps():
+        if kind is RingMorphism:
+            laws = [(source.add, (target.add,)), (source.mul, (target.mul,))]
+        elif kind is Morphism:
+            laws = [(source.carrier.nu, (target.carrier.nu,)),
+                    (source.carrier.mu, (target.carrier.mu,))]
+        else:
+            laws = [(source.carrier.mu, (target.mul,)),
+                    (source.carrier.nu, (target.add, target.add))]
+        for m in [list(mapping), *one_image_mutants(source, target, mapping)]:
+            cases += [(m, src, image) for src, image in laws]
+    # one changed cell of a source table: witnesses in every chunk
+    f = build_f0(4)
+    rng = np.random.default_rng(8)
+    for src in [f.carrier.nu] * 12 + [f.carrier.mu] * 6:
+        bad = src.copy()
+        cell = tuple(rng.integers(0, f.n, size=src.ndim))
+        bad[cell] = (bad[cell] + 1) % f.n
+        cases.append((range(f.n), bad, (src,)))
+    env, z2 = build_envelope(build_f0(3)), residue_ring(2)
+    for flip in [None, *range(env.n)]:
+        par = env.parity.copy()
+        if flip is not None:
+            par[flip] ^= 1
+        cases += [(par, env.add, (z2.add,)), (par, env.mul, (z2.mul,))]
+    return cases
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_map_violation_is_the_least_whole_table_witness(block, monkeypatch):
+    if block:
+        monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
+    witnesses = []
+    for m, src, image in map_law_cases():
+        want = whole_table_witness(m, src, *image)
+        assert ternary_kernel._map_violation(m, src, *image) == want
+        witnesses.append(want)
+    assert None in witnesses and len(set(witnesses)) > 20
+
+
+def whole_table_class_error(field, env, elements):
+    """quotient_by_ideal's two representative-independence checks from whole
+    tables, for the classes r + elements of the odd part."""
+    n, c = field.n, field.carrier
+    members = env.add[:n, sorted(elements)]
+    class_of = np.where(members < n, members, n).min(axis=1)
+    reps = np.unique(class_of)
+    cls = np.searchsorted(reps, class_of)
+    mu = cls[c.mu[np.ix_(reps, reps)]]
+    nu = cls[c.nu[np.ix_(reps, reps, reps)]]
+    if (cls[c.mu] != mu[np.ix_(cls, cls)]).any():
+        return "multiplication is not constant on classes"
+    if (cls[c.nu] != nu[np.ix_(cls, cls, cls)]).any():
+        return "addition is not constant on classes"
+    return None
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_quotient_class_checks_give_the_whole_table_messages(block, monkeypatch):
+    # the classes r + {0, p} of a translation set that is no ideal: the class
+    # map then fails to carry mu onto the quotient's mu, and with mu made
+    # constant (one) it passes that check and fails on nu
+    if block:
+        monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
+    f = odd_residue_field(16)
+    flat = FiniteThreeField(TernaryCarrier(f.labels, f.carrier.nu,
+                                           np.full((f.n, f.n), f.one)), f.one, check=False)
+    seen = set()
+    for field in (f, flat):
+        env = build_envelope(field, check=False)
+        for p in env.pair_indices():
+            ideal = IdealHandle(env, [])
+            ideal.elements = frozenset({env.zero, p})
+            want = whole_table_class_error(field, env, ideal.elements)
+            try:
+                quotient_by_ideal(field, ideal, check=False)
+                got = None
+            except StructureError as exc:
+                got = str(exc)
+            assert got == want
+            seen.add(want)
+    assert seen == {None, "multiplication is not constant on classes",
+                    "addition is not constant on classes"}
+
+
+def whole_table_parity_broken(env):
+    par = env.parity
+    return not ((par[env.add] == (par[:, None] + par[None, :]) % 2).all()
+                and (par[env.mul] == par[:, None] * par[None, :]).all())
+
+
+def test_parity_check_matches_the_whole_table_grading():
+    # a flipped parity, or a sum or product of two pairs made odd: the base
+    # still embeds, so only the grading fails, on add or on mul alone
+    env = EnvelopeRing(build_f0(3), check=False)
+    n = env.base.n
+    good = env.parity.copy()
+    env._validate_envelope()
+    assert not whole_table_parity_broken(env)
+    mutants = []
+    for flip in range(env.n):
+        par = good.copy()
+        par[flip] ^= 1
+        mutants.append((par, env.add, env.mul))
+    for i, j in [(n, n), (n + 1, 2 * n - 1), (2 * n - 1, n + 2)]:
+        for which in ("add", "mul"):
+            table = getattr(env, which).copy()
+            table[i, j] = 0                            # an odd element
+            mutants.append((good, *((table, env.mul) if which == "add" else (env.add, table))))
+    for env.parity, env.add, env.mul in mutants:
+        assert whole_table_parity_broken(env)
+        with pytest.raises(StructureError, match="^parity grading broken$"):
+            env._validate_envelope()
+
+
+def test_identity_morphism_holds_no_whole_cube():
+    # n = 256: one int32 n^3 cube is 64 MiB; the field is built untraced
+    f = build_f0(3, 3, check=False)
+    tracemalloc.start()
+    try:
+        phi = Morphism(f, f, range(f.n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.mapping == tuple(range(f.n))
+    assert peak < 8 * 2 ** 20, peak

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -295,6 +296,22 @@ def test_multivariate_quotient():
 def test_build_limit_guard():
     with pytest.raises(CarrierSizeError):
         build_quotient_field(QuotientFieldSpec((30,)))
+
+
+def test_free_rank_is_refused_before_the_product_table():
+    # F0(600) has 600 monomials: its 600 x 600 product table is never filled
+    tracemalloc.start()
+    try:
+        with pytest.raises(CarrierSizeError, match="^free rank 599 gives a carrier of "
+                           "2\\^599 elements; refusing to materialize$"):
+            QuotientAlgebra((600,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    with pytest.raises(CarrierSizeError, match="^carrier of size 1048576 exceeds "
+                       "the build limit 512$"):
+        build_quotient_field(QuotientFieldSpec((21,)))
 
 
 def test_extra_relations_cut_the_field():

@@ -336,6 +336,39 @@ def test_quaternion_conjugation_reverses_all_products(quat4):
     assert quaternion_conjugation_check(quat4) == 128 * 128
 
 
+def whole_table_conjugation_error(result):
+    """quaternion_conjugation_check's message from whole tables, or None."""
+    env, mu = result.env, result.field.carrier.mu
+    conj = np.array([result.index[(v[0],) + tuple(env.neg_at(x) for x in v[1:])]
+                     for v in result.tuples])
+    bad = conj[mu] != mu[np.ix_(conj, conj)].T
+    if not bad.any():
+        return None
+    a, b = np.argwhere(bad)[0]
+    return (f"conjugation fails to reverse {result.quaternion(int(a))} * "
+            f"{result.quaternion(int(b))}")
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_conjugation_check_matches_the_whole_table_one(quat4, block, monkeypatch):
+    # swapping two entries of the index swaps two images of conj
+    if block:
+        monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(4)
+    values = list(quat4.index)
+    for _ in range(12):
+        u, v = (values[i] for i in rng.choice(len(values), size=2, replace=False))
+        index = dict(quat4.index)
+        index[u], index[v] = quat4.index[v], quat4.index[u]
+        result = structures.QuaternionFieldResult(
+            quat4.field, quat4.env, quat4.tuples, index, quat4.commutative, None)
+        want = whole_table_conjugation_error(result)
+        assert want is not None
+        with pytest.raises(StructureError) as err:
+            quaternion_conjugation_check(result)
+        assert str(err.value) == want
+
+
 def test_quaternion_inverse_formula_matches_table(quat4):
     assert quaternion_inverse_check(quat4) == 128
 

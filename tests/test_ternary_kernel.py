@@ -4,6 +4,7 @@ FiniteThreeField's validation."""
 import contextlib
 import functools
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -405,6 +406,54 @@ def test_law_checks_hold_no_whole_cube():
     env, peak = traced_peak(build_envelope, f7)
     assert env.n == 128
     assert peak < limit, peak
+
+
+def whole_cube_derived_structure(obj):
+    """detect_derived_structure's report from the whole ternary product."""
+    n, idx = obj.n, np.arange(obj.n)
+    if isinstance(obj, ProperThreeThreeField):
+        tmu = obj.ternary_mu
+        unit = next((e for e in range(n) if (tmu[e, e] == idx).all()), None)
+    else:
+        tmu = obj.derived_ternary_mu()              # [i,j,k] -> mu[mu[i,j],k]
+        unit = next((e for e in range(n) if (obj.mu[e] == idx).all()
+                     and (obj.mu[:, e] == idx).all()), None)
+    zero = next((z for z in range(n) if z != unit and (obj.nu[z, z] == idx).all()
+                 and (tmu[z] == z).all()), None)
+    return {"unit": unit, "zero": zero}
+
+
+def test_derived_structure_builds_no_derived_cube():
+    f3 = build_f0(3)
+    carriers = [roster_field(name).carrier for name in ROSTER]
+    carriers += [binary_derived_carrier(m) for m in (2, 3, 4, 6, 8)]
+    # mu not associative: (0*j)*k = 0 for all j, k, though 0*(j*k) = 1
+    z3 = binary_derived_carrier(3)
+    carriers.append(TernaryCarrier(z3.labels, z3.nu, [[1, 1, 1], [0, 0, 0], [2, 2, 2]]))
+    carriers.append(twisted_coset(f3, [f3.index("1"), f3.index("x^2")], f3.index("x")))
+    reports = [detect_derived_structure(c) for c in carriers]
+    assert reports == [whole_cube_derived_structure(c) for c in carriers]
+    assert {r["zero"] for r in reports} == {None, 0}
+    f = build_f0(3, 3, check=False)
+    found, peak = traced_peak(detect_derived_structure, f.carrier)
+    assert found == {"unit": f.one, "zero": None}
+    assert peak < 8 * 2 ** 20, peak
+
+
+def test_refused_sizes_are_written_in_decimal_within_the_digit_limit():
+    tk._refuse_size(512, 512, "never raised")
+    with pytest.raises(CarrierSizeError, match="^size 513 over 512$"):
+        tk._refuse_size(513, 512, "size {size} over {limit}")
+    for size, text in [(10 ** 4000, "1" + "0" * 4000), (2 ** 20000, "2^20000"),
+                       (3 * 2 ** 20000, "more than 2^20001")]:
+        with pytest.raises(StructureError, match=f"^ring of size {re.escape(text)}$"):
+            tk._refuse_size(size, 512, "ring of size {size}", StructureError)
+
+
+def test_odd_residues_past_the_table_limit_are_refused_before_any_table():
+    # odd(2048) would need an 8 GiB int64 cube of sums
+    with pytest.raises(CarrierSizeError, match="^carrier of size 1024 exceeds the build limit 512$"):
+        odd_residue_field(2048, check=False)
 
 
 # -- the chunked invariants against the whole-cube formulas ---------------------
