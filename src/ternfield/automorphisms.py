@@ -10,17 +10,18 @@ the image generates the whole carrier — which must agree.
 Composition tables follow the convention table[P][Q] = P(Q(x)) (substitute
 Q into P).  `composition_table` builds the whole table at once from the
 multiplication table mu: row k of a power table holds every Q^k (iterating
-mu from the unit), the bit planes of each P written in powers of x select
-which powers to XOR together as coefficient masks, and a search over the
-sorted carrier masks turns the results back into element indices.
-`compose_elements` is the same substitution for one pair, step by step.
+mu from the unit), and the bit planes of each P written in powers of x
+select which powers to XOR together.  An element's index is its coefficient
+vector without the constant, and P has an odd number of terms, so the XOR
+of the power indices is the index of P(Q).  `compose_elements` is the same
+substitution for one pair, step by step, on coefficient masks.
 """
 
 import numpy as np
 
 from .ternary_kernel import StructureError, _assoc_violation, _identity, _nonperm_row
 from .pair_envelope import Morphism
-from .poly_fields import _subalgebra_closure
+from .poly_fields import _singly_generated_algebra, _subalgebra_closure
 
 # compact one-letter names for the small single-variable fields
 _LETTERS = {
@@ -37,13 +38,11 @@ _LETTERS = {
 
 
 def _algebra_of(field):
-    origin = field.origin or {}
-    if (origin.get("kind") == "quotient_field" and origin.get("base") == "F0"
-            and len(origin.get("exponents", ())) == 1
-            and not origin.get("relations") and "algebra" in origin):
-        return origin["algebra"]
-    raise StructureError(
-        "a singly generated single-variable quotient field is required")
+    alg = _singly_generated_algebra(field)
+    if alg is None:
+        raise StructureError(
+            "a singly generated single-variable quotient field is required")
+    return alg
 
 
 def letter_label_map(field):
@@ -74,18 +73,16 @@ def composition_table(field):
     """C[i, j] = P_i(P_j(x)) for every pair of elements."""
     alg = _algebra_of(field)
     n = field.n
-    masks = np.array(alg.carrier, dtype=np.int64)
     mu = field.carrier.mu
-    powers = np.empty((alg.m_count, n), dtype=np.int64)   # [k, j] -> P_j^k
+    powers = np.empty((alg.m_count, n), dtype=np.int32)   # [k, j] -> P_j^k
     powers[0] = field.one
     for k in range(1, alg.m_count):
         powers[k] = mu[powers[k - 1], np.arange(n)]
-    power_masks = masks[powers]
-    xmasks = np.array([alg.to_x(m) for m in alg.carrier], dtype=np.int64)
-    out = np.zeros((n, n), dtype=np.int64)
+    xmasks = np.array([alg.to_x(m) for m in alg.carrier], dtype=np.int32)
+    out = np.zeros((n, n), dtype=np.int32)
     for k in range(alg.m_count):
-        out ^= (xmasks[:, None] >> k & 1) * power_masks[k]
-    return np.searchsorted(masks, out).astype(np.int32)
+        out ^= (xmasks[:, None] >> k & 1) * powers[k]
+    return out
 
 
 class PolyEndo:
@@ -335,12 +332,9 @@ def fingerprint_group(t):
 def truncation_morphism(source, target):
     """The quotient map F0(m) -> F0(n) for n <= m: cut the shifted-coordinate
     expansion after the first n terms."""
-    alg_s = _algebra_of(source)
-    alg_t = _algebra_of(target)
-    m = alg_s.exponents[0]
-    n = alg_t.exponents[0]
+    m = _algebra_of(source).exponents[0]
+    n = _algebra_of(target).exponents[0]
     if n > m:
         raise StructureError(f"no truncation from {m} terms to {n}")
-    keep = (1 << n) - 1
-    mapping = [alg_t.index_of[alg_s.carrier[i] & keep] for i in range(source.n)]
-    return Morphism(source, target, mapping)
+    # index bit t is the coefficient of u^(t+1): keep the target's n-1 bits
+    return Morphism(source, target, np.arange(source.n) & (target.n - 1))

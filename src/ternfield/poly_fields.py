@@ -8,11 +8,14 @@ even relations are again 3-fields.
 
 The finite fields live in shifted coordinates u_i = x_i - 1, where each
 defining relation (x_i - 1)^{n_i} becomes the monomial truncation
-u_i^{n_i} -> 0.  Over the two-element coefficient ring an element is then a
-bitmask over the finite monomial basis {u^alpha}, oddness is simply "the
-constant bit is set", and extra even relations are handled as a reduced
-echelon basis of their linear span (every multiple of a relation is again a
-linear combination of monomial multiples, so the span is the whole ideal).
+u_i^{n_i} -> 0.  Over the two-element coefficient ring a polynomial is a
+coefficient vector over the finite monomial basis {u^alpha}, oddness is
+simply "the constant coefficient is 1", and extra even relations are handled
+as a reduced echelon basis of their linear span (every multiple of a
+relation is again a linear combination of monomial multiples, so the span is
+the whole ideal).  An element's carrier index is its coefficient vector on
+the monomials outside that basis, so the ternary addition x+y+z is the XOR
+of indices and the product is bilinear in their bits.
 """
 
 import functools
@@ -600,6 +603,7 @@ class QuotientAlgebra:
         self.exponents = tuple(int(n) for n in exponents)
         k = len(self.exponents)
         self.nvars = k
+        self.names = [f"x{i+1}" for i in range(k)] if k > 1 else ["x"]
         if not relations:     # the free rank is known: refuse before the tables
             self._refuse_rank(math.prod(self.exponents) - 1)
         self.monomials = [tuple(reversed(alpha)) for alpha in
@@ -620,9 +624,9 @@ class QuotientAlgebra:
         self._xrows = self._binomial_rows()
         # echelon basis for the span of the extra relations
         self._rows = {}  # pivot monomial index -> row mask
-        order = sorted(range(self.m_count),
-                       key=lambda i: (sum(self.monomials[i]), self.monomials[i]))
-        self._pivot_rank = {m: r for r, m in enumerate(order)}
+        self._degree_order = sorted(range(self.m_count), key=lambda i: (
+            sum(self.monomials[i]), self.monomials[i]))
+        self._pivot_rank = {m: r for r, m in enumerate(self._degree_order)}
         for rel in relations:
             base_mask = self.from_x(self._poly_to_xmask(rel))
             if base_mask & 1:
@@ -643,8 +647,10 @@ class QuotientAlgebra:
 
     @functools.cached_property
     def carrier(self):
-        """The 2^rank odd masks in ascending order, listed on first use."""
-        return sorted(self._spread(bits) | 1 for bits in range(1 << len(self.free)))
+        """The 2^rank odd normal forms, listed on first use.  `_spread` is
+        monotone, so they ascend and index i is a coefficient vector: bit t
+        of i is the coefficient of u^free[t], and the unit is index 0."""
+        return [self._spread(bits) | 1 for bits in range(1 << len(self.free))]
 
     @functools.cached_property
     def index_of(self):
@@ -687,6 +693,10 @@ class QuotientAlgebra:
                 out |= 1 << m
         return out
 
+    def _compress(self, mask):
+        """The index bits of a normal form: the inverse of `_spread`."""
+        return sum(1 << t for t, m in enumerate(self.free) if mask >> m & 1)
+
     # -- arithmetic on masks ----------------------------------------------
 
     def mul_raw(self, a, b):
@@ -705,17 +715,16 @@ class QuotientAlgebra:
         return out
 
     def mul_table(self):
-        """mul(a, b) for every pair of carrier masks, as an (n, n) mask array
-        in carrier order: one carry-less pass over the monomial products,
-        then the echelon rows in the order `_reduce` applies them."""
-        masks = np.array(self.carrier, dtype=np.int64)
-        bits = masks[:, None] >> np.arange(self.m_count) & 1     # [a, i]
-        out = np.zeros((len(masks), len(masks)), dtype=np.int64)
-        for i, j in zip(*np.nonzero(self.ptab >= 0)):
-            out ^= (bits[:, i, None] & bits[None, :, j]) << self.ptab[i, j]
-        for p, row in self._rows.items():
-            out ^= (out >> p & 1) * row
-        return out
+        """mul(a, b) for every pair of carrier elements, as an (n, n) index
+        table.  With a = 1 + v_a, a*b = 1 + v_a + v_b + v_a*v_b, and v_a*v_b
+        is bilinear over GF(2): the XOR of the normal forms of u^f*u^g over
+        the set bits f of a and g of b, each reduced once."""
+        rank = len(self.free)
+        const = np.array([self._compress(self.mul(1 << f, 1 << g))
+                          for f in self.free for g in self.free], dtype=np.int32)
+        rows = _xor_span(const.reshape(rank, rank))     # [b, f]: v_b * u^free[f]
+        idx = np.arange(len(rows), dtype=np.int32)
+        return _xor_span(rows.T) ^ idx[:, None] ^ idx
 
     def normal_form(self, mask):
         return self._reduce(mask)
@@ -762,20 +771,12 @@ class QuotientAlgebra:
             out ^= self._xrows[i]
         return out
 
-    def to_x(self, mask):
-        return self._apply_rows(mask)
-
-    def from_x(self, mask):
-        return self._apply_rows(mask)
+    to_x = from_x = _apply_rows
 
     def _poly_to_xmask(self, p):
         p = _as_poly(p, None)
         if len(p.vars) != self.nvars:
-            if len(p.vars) == 1 and self.nvars == 1:
-                pass
-            else:
-                raise StructureError(
-                    f"expected {self.nvars} variables, got {len(p.vars)}")
+            raise StructureError(f"expected {self.nvars} variables, got {len(p.vars)}")
         mask = 0
         for alpha, c in p.terms.items():
             if c.denominator % 2 == 0:
@@ -792,25 +793,22 @@ class QuotientAlgebra:
 
     def label(self, mask):
         xmask = self.to_x(mask)
-        if xmask == 0:
-            return "0"
-        names = [f"x{i+1}" for i in range(self.nvars)] if self.nvars > 1 else ["x"]
-        parts = []
-        order = sorted(range(self.m_count),
-                       key=lambda i: (sum(self.monomials[i]), self.monomials[i]),
-                       reverse=True)
-        for i in order:
-            if not (xmask >> i & 1):
-                continue
-            alpha = self.monomials[i]
-            factors = []
-            for v, e in enumerate(alpha):
-                if e == 1:
-                    factors.append(names[v])
-                elif e > 1:
-                    factors.append(f"{names[v]}^{e}")
-            parts.append("*".join(factors) if factors else "1")
-        return "+".join(parts)
+        return "+".join(_monomial_name(self.monomials[i], self.names)
+                        for i in reversed(self._degree_order) if xmask >> i & 1) or "0"
+
+
+def _monomial_name(alpha, names):
+    """The name of u^alpha over the given variable names: x1^2*x2 for (2, 1)."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, alpha) if e) or "1"
+
+
+def _xor_span(basis):
+    """out[i] = the XOR of basis[t] over the set bits t of i, for a (k, ...)
+    int32 array of basis rows: one doubling pass per row."""
+    out = np.zeros((1 << len(basis),) + basis.shape[1:], dtype=np.int32)
+    for t, row in enumerate(basis):
+        out[1 << t:2 << t] = out[:1 << t] ^ row
+    return out
 
 
 def build_quotient_field(spec, check="auto"):
@@ -836,30 +834,46 @@ def build_quotient_field(spec, check="auto"):
     alg = QuotientAlgebra(spec.exponents, spec.relations)
     n = 1 << len(alg.free)
     _refuse_size(n, _TABLE_LIMIT, "carrier of size {size} exceeds the build limit {limit}")
-    masks = np.array(alg.carrier, dtype=np.int32)
-    lookup = np.full(1 << alg.m_count, -1, dtype=np.int32)
-    lookup[masks] = np.arange(n)
-    nu = masks[:, None, None] ^ masks[None, :, None] ^ masks[None, None, :]
-    for slab in nu:      # np.take copies its indices as int64: one slab at a time
-        np.take(lookup, slab, out=slab)
-    mu = lookup[alg.mul_table()]
+    idx = np.arange(n, dtype=np.int32)        # index i is a coefficient vector
+    nu = idx[:, None, None] ^ idx[:, None] ^ idx
     labels = [alg.label(m) for m in alg.carrier]
-    carrier = TernaryCarrier(labels, nu, mu)
+    carrier = TernaryCarrier(labels, nu, alg.mul_table())
     origin = {
         "kind": "quotient_field",
         "base": "F0",
         "exponents": list(spec.exponents),
         "relations": [str(r) for r in spec.relations],
-        "algebra": alg,
     }
-    return FiniteThreeField(carrier, alg.index_of[1], origin=origin, check=check)
+    field = FiniteThreeField(carrier, 0, origin=origin, check=check)
+    field.algebra = alg
+    return field
+
+
+def _singly_generated_algebra(field):
+    """The QuotientAlgebra of a field built as F0(n) with no extra
+    relations, or None for any other field."""
+    origin = field.origin
+    if (origin.get("kind") == "quotient_field" and origin.get("base") == "F0"
+            and len(origin.get("exponents", ())) == 1 and not origin.get("relations")):
+        return field.algebra
+    return None
+
+
+def _odd_coefficient_vectors(mod, count):
+    """The coefficient vectors over Z/mod with an odd constant, in carrier
+    order: row i holds the mixed-radix digits of i, the constant's (c0-1)/2
+    lowest in radix mod/2, then each further coefficient in radix mod."""
+    vectors = np.indices((mod,) * (count - 1) + (mod // 2,)).reshape(count, -1)[::-1].T
+    vectors[:, 0] = 2 * vectors[:, 0] + 1
+    return vectors
 
 
 def _build_z2odd_quotient(spec, check="auto"):
     """Base (Z/2^mZ)^odd: coefficient vectors over Z/2^m with odd constant,
-    ordered by their reversed tuples.  Addition is by coordinates and the
-    product has the structure constants of the truncated monomial products
-    (u^i * u^j = u^ptab[i,j]), so both tables are gathers over Z/2^m."""
+    in the order of `_odd_coefficient_vectors`.  Addition is by coordinates
+    and the product has the structure constants of the truncated monomial
+    products (u^i * u^j = u^ptab[i,j]), so both tables are gathers over
+    Z/2^m."""
     m = spec.base
     mod = 1 << m
     alg = QuotientAlgebra(spec.exponents)
@@ -871,29 +885,20 @@ def _build_z2odd_quotient(spec, check="auto"):
     vals = np.arange(mod)
     ring = RingTable(vals, np.add.outer(vals, vals) % mod,
                      np.multiply.outer(vals, vals) % mod, 0, 1, check=False)
-    rev = np.indices((mod,) * M).reshape(M, -1).T       # reversed tuples, sorted
-    vectors = rev[rev[:, -1] % 2 == 1, ::-1]
+    vectors = _odd_coefficient_vectors(mod, M)
     terms = [(t, i, j, 1) for (i, j), t in np.ndenumerate(alg.ptab) if t >= 0]
     tables = _TupleTables(ring, vectors, terms)
+
+    shifted = [f"({v}-1)" for v in alg.names]
 
     def vec_label(v):
         parts = []
         for i in range(M - 1, -1, -1):
             c = v[i]
-            if not c:
-                continue
-            alpha = alg.monomials[i]
-            names = [f"x{t+1}" for t in range(alg.nvars)] if alg.nvars > 1 else ["x"]
-            factors = []
-            for t, e in enumerate(alpha):
-                if e == 1:
-                    factors.append(f"({names[t]}-1)")
-                elif e > 1:
-                    factors.append(f"({names[t]}-1)^{e}")
-            body = "*".join(factors) if factors else "1"
-            parts.append(body if c == 1 and factors else
-                         (str(c) if not factors else f"{c}*{body}"))
-        return "+".join(parts) if parts else "0"
+            if c:
+                body = _monomial_name(alg.monomials[i], shifted)
+                parts.append(str(c) if i == 0 else body if c == 1 else f"{c}*{body}")
+        return "+".join(parts) or "0"
 
     origin = {
         "kind": "quotient_field",
@@ -965,11 +970,7 @@ def product_field(*factors, check="auto"):
 
     presentation = None
     free_comparison = None
-    single_var = all(
-        f.origin.get("kind") == "quotient_field" and f.origin.get("base") == "F0"
-        and len(f.origin.get("exponents", ())) == 1 and not f.origin.get("relations")
-        for f in factors)
-    if single_var:
+    if all(_singly_generated_algebra(f) is not None for f in factors):
         exponents = [f.origin["exponents"][0] for f in factors]
         # generator k is x in factor k and 1 elsewhere; the one-element
         # factor has none

@@ -31,7 +31,7 @@ from .ternary_kernel import (
     _refuse_size,
 )
 from .pair_envelope import Morphism, _TupleTables, build_envelope
-from .poly_fields import QuotientFieldSpec, build_quotient_field
+from .poly_fields import QuotientFieldSpec, _odd_coefficient_vectors, build_quotient_field
 
 _ENUM_LIMIT = 1 << 16
 
@@ -135,8 +135,7 @@ def vector_power_space(field, k):
 def quotient_field_space(big, scalar):
     """A quotient field, viewed as a 3-vector space over the one-element
     field: coordinates are the shifted-basis coefficient bits."""
-    origin = big.origin or {}
-    alg = origin.get("algebra")
+    alg = big.algebra
     if alg is None:
         raise StructureError("a quotient field carrying its algebra is required")
     if scalar.n != 1:
@@ -274,7 +273,7 @@ def _toeplitz_isomorphism(n, field, env, built, index):
     if field.n == 1:
         target = build_quotient_field(QuotientFieldSpec((n,)), check="light")
         mapping = [index[tuple(env.one if mask >> t & 1 else env.zero for t in range(n))]
-                   for mask in target.origin["algebra"].carrier]
+                   for mask in target.algebra.carrier]
     elif origin.get("kind") == "odd_residue":
         mod = int(origin["modulus"])
         m = mod.bit_length() - 1
@@ -285,10 +284,7 @@ def _toeplitz_isomorphism(n, field, env, built, index):
             val = int(field.labels[i])
             res_to_env[val] = i
             res_to_env[(val + 1) % mod] = env.pair_index(i)
-        vectors = [v for v in itertools.product(range(mod), repeat=n)
-                   if v[0] % 2]
-        vectors = [tuple(reversed(v)) for v in
-                   sorted(tuple(reversed(v)) for v in vectors)]
+        vectors = _odd_coefficient_vectors(mod, n).tolist()
         if len(vectors) != target.n:
             raise StructureError("coefficient enumeration mismatch")
         mapping = [index[tuple(res_to_env[c] for c in vec)] for vec in vectors]
@@ -586,7 +582,7 @@ def group_algebra(group_table, field, check="auto"):
         if gen is not None and k & (k - 1) == 0 and field.n == 1:
             target = build_quotient_field(QuotientFieldSpec((k,)),
                                           check="light")
-            alg = target.origin["algebra"]
+            alg = target.algebra
             powers = [identity]
             while len(powers) < k:
                 powers.append(int(g[powers[-1], gen]))

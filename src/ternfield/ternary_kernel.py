@@ -625,6 +625,8 @@ class FiniteThreeField:
     other value raises ValueError.
     """
 
+    algebra = None      # a quotient field's QuotientAlgebra, set by its builder
+
     def __init__(self, carrier, one, origin=None, check="auto", limit=None):
         if not (check is False or check in ("light", "auto", "full")):
             raise ValueError(
@@ -861,12 +863,14 @@ def odd_residue_field(modulus, check="auto"):
     if m < 2 or m & (m - 1):
         raise StructureError("modulus must be a power of two, at least 2")
     _refuse_size(m // 2, _TABLE_LIMIT, "carrier of size {size} exceeds the build limit {limit}")
-    vals = np.arange(1, m, 2, dtype=np.int64)
-    n = len(vals)
-    s3 = (vals[:, None, None] + vals[None, :, None] + vals[None, None, :]) % m
-    nu = ((s3 - 1) // 2).astype(np.int32)
-    p2 = (vals[:, None] * vals[None, :]) % m
-    mu = ((p2 - 1) // 2).astype(np.int32)
-    carrier = TernaryCarrier([str(int(v)) for v in vals], nu, mu)
+    # index i is the residue 2i+1: (2i+1)+(2j+1)+(2k+1) = 2(i+j+k+1)+1 and
+    # (2i+1)(2j+1) = 2((2i+1)j+i)+1
+    n = m // 2
+    i = np.arange(n, dtype=np.int32)
+    nu = i[:, None, None] + i[:, None] + (i + 1)
+    np.remainder(nu, n, out=nu)
+    mu = (2 * i[:, None] + 1) * i + i[:, None]
+    np.remainder(mu, n, out=mu)
+    carrier = TernaryCarrier([str(2 * v + 1) for v in range(n)], nu, mu)
     return FiniteThreeField(carrier, 0, origin={"kind": "odd_residue", "modulus": m},
                             check=check)

@@ -71,7 +71,7 @@ def test_substitution_example_x_squared_into_itself():
     assert compose_elements(f, b, b) == f.one
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_composition_table_matches_compose_elements(n):
     f = build_f0(n)
     table = composition_table(f)
@@ -80,6 +80,29 @@ def test_composition_table_matches_compose_elements(n):
         for j in range(f.n):
             assert table[i, j] == compose_elements(f, i, j)
     assert (cayley_table(f, mode="composition").table == table).all()
+
+
+def _mask_composition(f):
+    """The composition table the way it was built on coefficient masks: the
+    powers of every element as masks, XORed over the x-bits of each P and
+    searched back to indices in the sorted carrier."""
+    alg = f.algebra
+    masks = np.array(alg.carrier, dtype=np.int64)
+    powers = np.empty((alg.m_count, f.n), dtype=np.int64)
+    powers[0] = f.one
+    for k in range(1, alg.m_count):
+        powers[k] = f.carrier.mu[powers[k - 1], np.arange(f.n)]
+    xmasks = np.array([alg.to_x(m) for m in alg.carrier], dtype=np.int64)
+    out = np.zeros((f.n, f.n), dtype=np.int64)
+    for k in range(alg.m_count):
+        out ^= (xmasks[:, None] >> k & 1) * masks[powers[k]]
+    return np.searchsorted(masks, out)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_composition_table_matches_the_mask_path(n):
+    f = build_f0(n, check=False)
+    assert (composition_table(f) == _mask_composition(f)).all()
 
 
 def test_substitution_is_associative():
@@ -404,6 +427,16 @@ def test_truncation_is_a_surjective_morphism():
     assert t.mapping[f5.index("x")] == f3.index("x")
     assert t.mapping[f5.one] == f3.one
     assert set(t.mapping) == set(range(f3.n))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_truncation_keeps_the_low_coefficients(m):
+    source = build_f0(m, check=False)
+    for n in range(1, m + 1):
+        target = build_f0(n, check=False)
+        keep = (1 << n) - 1
+        masks = [target.algebra.index_of[v & keep] for v in source.algebra.carrier]
+        assert list(truncation_morphism(source, target).mapping) == masks
 
 
 def test_truncations_compose():

@@ -1,6 +1,7 @@
 """Polynomials, quotient fields, parity, norms and the completely-even law."""
 
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 
 from ternfield import (
     CarrierSizeError,
+    FiniteThreeField,
     QuotientFieldSpec,
     StructureError,
+    TernaryCarrier,
     TernaryPolynomial,
     build_f0,
     build_quotient_field,
@@ -334,7 +337,77 @@ def test_mul_table_matches_scalar_mul(exponents, relations):
     assert table.shape == (len(alg.carrier),) * 2
     for a, ma in enumerate(alg.carrier):
         for b, mb in enumerate(alg.carrier):
-            assert table[a, b] == alg.mul(ma, mb)
+            assert alg.carrier[table[a, b]] == alg.mul(ma, mb)
+
+
+def _mask_path_tables(spec):
+    """Labels, unit, mu and a nu slab function, computed on monomial masks
+    the way the builder did before its tables moved to carrier indices: the
+    sorted odd normal forms, XOR for nu, a carry-less bit-plane product
+    reduced by the echelon rows, and each result searched back to its
+    index."""
+    alg = QuotientAlgebra(spec.exponents, spec.relations)
+    masks = np.array(sorted(alg._spread(b) | 1 for b in range(1 << len(alg.free))),
+                     dtype=np.int64)
+
+    def locate(values):
+        pos = np.minimum(np.searchsorted(masks, values), len(masks) - 1)
+        assert (masks[pos] == values).all()
+        return pos
+
+    bits = masks[:, None] >> np.arange(alg.m_count) & 1
+    prod = np.zeros((len(masks),) * 2, dtype=np.int64)
+    for i, j in zip(*np.nonzero(alg.ptab >= 0)):
+        prod ^= (bits[:, i, None] & bits[None, :, j]) << alg.ptab[i, j]
+    for p, row in alg._rows.items():
+        prod ^= (prod >> p & 1) * row
+    labels = [alg.label(int(m)) for m in masks]
+    nu_slab = lambda a: locate(masks[a] ^ masks[:, None] ^ masks)
+    return labels, int(locate(1)), locate(prod), nu_slab
+
+
+@pytest.mark.parametrize("exponents,relations", [
+    ((1,), ()), ((2,), ()), ((3,), ()), ((4,), ()), ((5,), ()), ((6,), ()),
+    ((7,), ()), ((8,), ()), ((2, 2), ()), ((2, 3), ()), ((3, 2), ()),
+    ((3, 3), ()), ((2, 2, 2), ()), ((6,), ("x^4+1",)), ((24,), ("x^4+1",)),
+    ((2, 2), ("x1*x2+x1+x2+1",)),
+])
+def test_index_tables_match_the_mask_path(exponents, relations):
+    spec = QuotientFieldSpec(exponents, relations=[P(r) for r in relations])
+    f = build_quotient_field(spec, check=False)
+    labels, one, mu, nu_slab = _mask_path_tables(spec)
+    assert list(f.labels) == labels
+    assert f.one == one == 0
+    assert (f.carrier.mu == mu).all()
+    for a in range(f.n):
+        assert (f.carrier.nu[a] == nu_slab(a)).all()
+
+
+def test_a_large_exponent_cut_to_few_elements_stays_small():
+    # F0(44) modulo x^4+1 = (x-1)^4 is F0(4): 44 monomials, 8 elements
+    small = build_f0(4)
+    tracemalloc.start()
+    try:
+        f = build_f0(44, relations=["x^4+1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert f.labels == small.labels and f.one == small.one
+    assert (f.carrier.nu == small.carrier.nu).all()
+    assert (f.carrier.mu == small.carrier.mu).all()
+
+
+@pytest.mark.parametrize("exponents", [(3,), (2, 2)])
+def test_quotient_fields_round_trip_through_json(exponents):
+    f = build_f0(*exponents)
+    doc = json.loads(f.dumps())
+    assert doc["origin"] == {"kind": "quotient_field", "base": "F0",
+                             "exponents": list(exponents), "relations": []}
+    g = FiniteThreeField(TernaryCarrier.from_json(doc), doc["one"])
+    assert g.labels == f.labels and g.one == f.one
+    assert (g.carrier.nu == f.carrier.nu).all()
+    assert (g.carrier.mu == f.carrier.mu).all()
 
 
 def test_odd_relation_is_rejected():
@@ -473,6 +546,29 @@ def test_product_field_relations():
     env_rels = dict(zip(result.presentation["relations"],
                         [True] * len(result.presentation["relations"])))
     assert any("x1*x2" in r for r in env_rels)
+
+
+@pytest.mark.parametrize("a,b,free_size,isomorphic", [
+    (2, 3, 32, False), (3, 4, 2048, False), (1, 3, 4, True),
+])
+def test_product_presentation_of_singly_generated_factors(a, b, free_size, isomorphic):
+    result = product_field(build_f0(a), build_f0(b))
+    live = [k for k, e in enumerate((a, b)) if e > 1]
+    relations = [f"(x{k+1}-1)^{(a, b)[k]} = 0" for k in live]
+    if len(live) == 2:
+        relations += ["(x1-1)*(x2-1) = 0", "x1*x2 = x1+x2-1"]
+    assert result.presentation == {
+        "generators": [None if a == 1 else "(x,1)", "(1,x)"],
+        "relations": relations, "verified": True}
+    assert result.free_comparison == {"free_field_size": free_size,
+                                      "product_size": result.field.n,
+                                      "isomorphic_to_free": isomorphic}
+
+
+def test_products_of_other_fields_have_no_presentation():
+    joint = build_quotient_field(QuotientFieldSpec((2, 2)))
+    result = product_field(build_f0(2), joint)
+    assert result.presentation is None and result.free_comparison is None
 
 
 def test_product_differs_from_joint_quotient():

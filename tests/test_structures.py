@@ -226,6 +226,27 @@ def test_toeplitz_matrices_multiply_like_the_field(f4):
             assert prod == expect
 
 
+@pytest.mark.parametrize("mod,size", [(4, 2), (4, 3), (8, 2), (8, 3)])
+def test_toeplitz_isomorphism_follows_the_quotient_order(mod, size):
+    # the quotient field's order enumerated independently: every tuple with
+    # an odd constant, sorted by the reversed tuple
+    field = odd_residue_field(mod)
+    result = toeplitz_field(size, field, check=False)
+    env = result.env
+    vectors = sorted((v for v in itertools.product(range(mod), repeat=size) if v[0] % 2),
+                     key=lambda v: v[::-1])
+    res_to_env = {}
+    for i in range(field.n):
+        val = int(field.labels[i])
+        res_to_env[val] = i
+        res_to_env[(val + 1) % mod] = env.pair_index(i)
+    index = {tuple(row[0] for row in result._entries[i]): i
+             for i in range(result.field.n)}
+    iso = result.isomorphism
+    assert iso.source.n == len(vectors) == result.field.n
+    assert list(iso.mapping) == [index[tuple(res_to_env[c] for c in v)] for v in vectors]
+
+
 def test_toeplitz_size_one_is_the_base_field(f4):
     result = toeplitz_field(1, f4)
     assert result.field.n == f4.n

@@ -163,6 +163,30 @@ def test_full_check_ignores_gate():
     assert f.n == 64
 
 
+@pytest.mark.parametrize("modulus", [2 ** k for k in range(1, 10)])
+def test_odd_residue_tables_match_the_residue_arithmetic(modulus):
+    # the residues themselves as the oracle: sums and products mod 2^k, one
+    # first argument at a time, mapped back to indices by (r-1)/2
+    f = odd_residue_field(modulus, check=False)
+    vals = np.arange(1, modulus, 2, dtype=np.int64)
+    assert list(f.labels) == [str(v) for v in vals] and f.one == 0
+    assert (f.carrier.mu == (np.multiply.outer(vals, vals) % modulus - 1) // 2).all()
+    for a, va in enumerate(vals):
+        s3 = (va + vals[:, None] + vals) % modulus
+        assert (f.carrier.nu[a] == (s3 - 1) // 2).all()
+
+
+def test_odd_residue_tables_hold_no_wider_temporaries():
+    tracemalloc.start()
+    try:
+        f = odd_residue_field(256, check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.carrier.nu.nbytes == 2 ** 23
+    assert peak < 10 * 2 ** 20, peak
+
+
 # -- twisted cosets -----------------------------------------------------------
 
 def test_twisted_coset_is_proper():
