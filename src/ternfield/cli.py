@@ -320,6 +320,11 @@ def cmd_dyadic_val2(args):
          _arg("--precision", type=int, default=DEFAULT_PRECISION))
 def cmd_dyadic_reduce(args):
     x = _parse_rational(args.rational)
+    # 2^p prints iff it is below 10^digits, i.e. p < bit_length(10^digits)
+    digits = sys.get_int_max_str_digits()
+    if digits and args.precision >= (10 ** digits).bit_length():
+        raise UsageError(f"precision {args.precision} gives a modulus of more than "
+                         f"{digits} digits, past Python's int-to-str limit")
     residue = reduce_mod(x, args.precision)
     return {
         "value": str(x),

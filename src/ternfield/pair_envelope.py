@@ -46,6 +46,7 @@ from .ternary_kernel import (
     _nonperm_row,
     _refuse_size,
     _renumber,
+    _table,
     quer_add,
 )
 
@@ -56,10 +57,9 @@ class RingTable:
     def __init__(self, labels, add, mul, zero, one, check=True):
         self.labels = tuple(str(x) for x in labels)
         self.n = len(self.labels)
-        self.add = np.ascontiguousarray(add, dtype=np.int32).reshape(self.n, self.n)
-        self.mul = np.ascontiguousarray(mul, dtype=np.int32).reshape(self.n, self.n)
-        self.add.setflags(write=False)
-        self.mul.setflags(write=False)
+        # entries are range-checked even unchecked: every law indexes by them
+        self.add = _table(add, (self.n, self.n), "add", 0)
+        self.mul = _table(mul, (self.n, self.n), "mul", 0)
         self.zero = int(zero)
         self.one = int(one)
         self._neg = None

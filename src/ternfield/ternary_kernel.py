@@ -13,18 +13,21 @@ steps, and the Verdict's `method` records which step decided it:
    solvability of nu, associativity of mu ("cheap");
 2. the size gate: carriers above `check_limit()` raise CarrierSizeError;
 3. an exact O(n^3) certificate: by the Hosszu-Gluskin theorem a
-   commutative ternary group is nu(x,y,z) = x+y+z+k over an abelian group,
-   and the certificate checks that form and, for mu, that every
-   translation is affine for it; a passing certificate is a PASS
-   ("certificate");
+   commutative ternary group is nu(x,y,z) = x+y+z+k over an abelian group.
+   One certificate (`_coset_retract`) checks that form and yields the
+   retract (o, k); it is computed once per carrier and cached as
+   `TernaryCarrier.retract`, so both checkers share it.  For mu,
+   `_distrib_certificate` then checks on that retract that every
+   translation is affine; a passing certificate is a PASS ("certificate");
 4. otherwise the O(n^5) scan, the only witness locator ("scan").  A
    certificate can fail on a table the scan passes, so a failed
    certificate decides nothing by itself.
 
 Steps 2-4 are the "decision" (`_decide_associativity`,
-`_decide_distributivity`).  `FiniteThreeField` and `ProperThreeThreeField`
-validate themselves with the same invariant and decision functions, so each
-invariant has one implementation and runs once per construction.  The scans
+`_decide_distributivity`, each taking the carrier).  `FiniteThreeField` and
+`ProperThreeThreeField` (itself a carrier) validate themselves with the
+same invariant and decision functions, so each invariant has one
+implementation and runs once per construction.  The scans
 walk the quintuples in row-major order, in blocks of consecutive (a, b)
 pairs that grow from one pair to about _BLOCK_ENTRIES entries, so an early
 witness costs one n^3 block and no array a scan allocates holds more than
@@ -35,6 +38,7 @@ map carries one operation table onto another (`_map_violation`), so none
 holds an n^3 cube.
 """
 
+import functools
 import json
 import os
 
@@ -125,11 +129,13 @@ class Verdict:
         }
 
 
-def _table(data, shape, what):
+def _table(data, shape, what, least=FOREIGN):
+    """A read-only int32 table of the given shape whose entries lie in
+    [least, n), n = shape[0]; StructureError otherwise."""
     arr = np.ascontiguousarray(data, dtype=np.int32).reshape(shape)
     n = shape[0]
-    if arr.size and (arr.max() >= n or arr.min() < FOREIGN):
-        raise StructureError(f"{what} table entries must lie in [-1, {n})")
+    if arr.size and (arr.max() >= n or arr.min() < least):
+        raise StructureError(f"{what} table entries must lie in [{least}, {n})")
     arr.setflags(write=False)
     return arr
 
@@ -156,6 +162,12 @@ class TernaryCarrier:
         self.mu = None if mu is None else _table(mu, (self.n, self.n), "mu")
         self.nu_foreign = dict(nu_foreign or {})
         self.mu_foreign = dict(mu_foreign or {})
+
+    @functools.cached_property
+    def retract(self):
+        """The certified retract (o, k) of nu, or None: see `_coset_retract`.
+        The tables are read-only, so it is computed once per carrier."""
+        return _coset_retract(self.nu)
 
     def derived_ternary_mu(self):
         """Dense table of the derived ternary product mu(mu(x,y),z)."""
@@ -335,13 +347,31 @@ def _zero_element(nu, mul, unit):
                  and ((mul[z] if mul.ndim == 3 else mul[mul[z]]) == z).all()), None)
 
 
-def _retract(nu):
-    """(o, k) with x o y = nu(x, e, y), e the unique t having nu(0,0,t) = 0,
-    and k = nu(0,0,0); None when nu(0,0,t) = 0 has no unique solution."""
+def _coset_retract(nu):
+    """Exact O(n^3) certificate that nu is x+y+z+k over an abelian group:
+    the retract (o, k), or None when the check fails.
+
+    o is x o y = nu(x, e, y), e the unique t having nu(0,0,t) = 0, and
+    k = nu(0,0,0).  The check: o is closed and commutative, has identity 0,
+    every row of o contains 0 (so every element has an inverse), o is
+    associative and nu(x,y,z) = ((x o y) o z) o k on the whole table.
+    Sufficient for total associativity: all three regroupings of
+    nu(nu(a,b,c),d,e) equal a o b o c o d o e o k o k.  Passes on every
+    commutative ternary group: by the Hosszu-Gluskin theorem
+    nu(x,y,z) = x+y+z+k over the retract (G,+) at 0, whose identity is 0
+    because e is the querelement of 0, and then x o y = x+y.
+    """
     sols = np.flatnonzero(nu[0, 0] == 0)
     if len(sols) != 1:
         return None
-    return np.ascontiguousarray(nu[:, int(sols[0]), :]), int(nu[0, 0, 0])
+    o, k = np.ascontiguousarray(nu[:, int(sols[0]), :]), int(nu[0, 0, 0])
+    o.setflags(write=False)                  # cached on the carrier
+    # every value the form compares nu with comes from o, so a closed o
+    # leaves no FOREIGN entry of nu unnoticed
+    if (o.min() >= 0 and _identity(o) == 0 and (o == o.T).all()
+            and (o == 0).any(axis=1).all() and _is_coset_form(nu, o, k)):
+        return o, k
+    return None
 
 
 def _is_coset_form(nu, o, k):
@@ -355,34 +385,12 @@ def _is_coset_form(nu, o, k):
                                != nu[rows])) is None
 
 
-def _assoc_certificate(nu):
-    """Exact O(n^3) sufficient condition for total associativity of a
-    commutative, uniquely solvable nu.
-
-    With o and k from `_retract`, it checks that o is associative and that
-    nu(x,y,z) = ((x o y) o z) o k on the whole table.  Sufficient: a
-    symmetric nu makes o commutative (x o y = nu(x,e,y) = nu(y,e,x)), so
-    all three regroupings of nu(nu(a,b,c),d,e) equal a o b o c o d o e o k
-    o k.  Passes on every commutative ternary group: by the Hosszu-Gluskin
-    theorem nu(x,y,z) = x+y+z+k over the retract (G,+) at 0, whose identity
-    is 0 because e is the querelement of 0, and then x o y = x+y.
-
-    Returns the accepted retract (o, k), or None when the check fails.
-    """
-    r = _retract(nu)
-    return r if r is not None and _is_coset_form(nu, *r) else None
-
-
-def _distrib_certificate(nu, mu, coset=None):
+def _distrib_certificate(retract, mu):
     """Exact O(n^3) sufficient condition for the three ternary
-    distributivity laws of mu(mu(x,y),z) over nu, for a binary mu.
+    distributivity laws of mu(mu(x,y),z) over nu = x+y+z+k, for a binary
+    mu, given the retract (o, k) that `_coset_retract` accepted for nu.
 
-    First nu must be x+y+z+k over an abelian group: o from `_retract` is
-    commutative and associative, has identity 0, every row of o contains 0
-    (so every element has an inverse), and nu = ((x o y) o z) o k.  `coset`
-    is the retract (o, k) when `_assoc_certificate` has already accepted
-    this nu, so that associativity and the form are settled.  Then
-    for every left translation x -> mu(w,x) and right translation
+    For every left translation x -> mu(w,x) and right translation
     x -> mu(x,w), call it f, with c = f(0) and g(x) = f(x) - c: g must be
     a homomorphism of o with g(k) = c+c+k.  Then
     f(x+y+z+k) = g(x)+g(y)+g(z)+(c+c+k)+c = f(x)+f(y)+f(z)+k, so every
@@ -392,17 +400,9 @@ def _distrib_certificate(nu, mu, coset=None):
     translation an endomorphism of nu, and an endomorphism f of
     x+y+z+k has exactly this form (put y = z = 0, then x = 0).
     """
-    r = coset or _retract(nu)
-    if r is None:
-        return False
-    o, k = r
+    o, k = retract
     n = len(o)
-    zero = o == 0
-    if not (_identity(o) == 0 and (o == o.T).all()
-            and zero.any(axis=1).all()
-            and (coset is not None or _is_coset_form(nu, o, k))):
-        return False
-    neg = np.argmax(zero, axis=1)            # x o neg[x] = 0
+    neg = np.argmax(o == 0, axis=1)          # x o neg[x] = 0
     trans = np.concatenate([mu, mu.T])       # rows: x -> mu(w,x), x -> mu(x,w)
     c = trans[:, 0]
     g = o[trans, neg[c][:, None]]
@@ -499,43 +499,35 @@ def _gate(n, limit):
             "(raise it via the limit argument or TERNARY_MAX_CARRIER)")
 
 
-def _decide_associativity(nu, labels, limit):
-    """Total associativity of a nu that passed `_nu_invariants`: the gate,
-    then `_assoc_certificate`, then the scan.  Returns the Verdict and the
-    retract the certificate accepted (None when the scan decided)."""
-    _gate(len(nu), limit)
-    coset = _assoc_certificate(nu)
-    if coset:
-        return Verdict(True, method="certificate"), coset
-    w = _assoc_scan(nu)
+def _decide_associativity(c, limit):
+    """Total associativity of a carrier whose nu passed `_nu_invariants`:
+    the gate, then the certified retract, then the scan."""
+    _gate(c.n, limit)
+    if c.retract is not None:
+        return Verdict(True, method="certificate")
+    w = _assoc_scan(c.nu)
     if w is not None:
-        a, b, c, d, e = w
-        return Verdict(False, "associativity", w,
-                       "the regroupings of nu disagree at "
-                       f"({labels[a]},{labels[b]},{labels[c]},{labels[d]},{labels[e]})",
-                       method="scan"), None
-    return Verdict(True, method="scan"), None
+        return Verdict(False, "associativity", w, "the regroupings of nu disagree "
+                       f"at ({','.join(c.labels[v] for v in w)})", method="scan")
+    return Verdict(True, method="scan")
 
 
-def _decide_distributivity(nu, mul, labels, limit, coset=None):
-    """The three distributivity laws over nu of the ternary product given by
-    mul: a binary (n,n) mu, whose product is mu(mu(x,y),z), or a genuine
-    (n,n,n) ternary product.  The gate, then `_distrib_certificate` for a
-    binary mu, then the scan; the derived product is built only for the
-    scan.  `coset` is the retract `_decide_associativity` accepted for the
-    same nu, if any."""
-    _gate(len(nu), limit)
+def _decide_distributivity(c, mul, limit):
+    """The three distributivity laws over the carrier's nu of the ternary
+    product given by mul: a binary (n,n) mu, whose product is mu(mu(x,y),z),
+    or a genuine (n,n,n) ternary product.  The gate, then
+    `_distrib_certificate` on the certified retract for a binary mu, then
+    the scan; the derived product is built only for the scan."""
+    _gate(c.n, limit)
     if mul.ndim == 2:
-        if _distrib_certificate(nu, mul, coset):
+        if c.retract is not None and _distrib_certificate(c.retract, mul):
             return Verdict(True, method="certificate")
         mul = mul[mul]                     # [i,j,k] -> mu[mu[i,j],k]
-    w = _distrib_scan(nu, mul)
+    w = _distrib_scan(c.nu, mul)
     if w is not None:
-        law, a, b, c, d, e = w
-        return Verdict(False, f"distributivity-law-{law}", (a, b, c, d, e),
-                       f"law {law} fails at "
-                       f"({labels[a]},{labels[b]},{labels[c]},{labels[d]},{labels[e]})",
-                       method="scan")
+        law, *abcde = w
+        return Verdict(False, f"distributivity-law-{law}", tuple(abcde), f"law {law} "
+                       f"fails at ({','.join(c.labels[v] for v in abcde)})", method="scan")
     return Verdict(True, method="scan")
 
 
@@ -544,42 +536,39 @@ def check_ternary_group(carrier, limit=None):
     solvability of nu(a,b,x)=c, and total associativity (checked in that
     order, cheapest first).  Returns a Verdict with the least witness.
 
-    Associativity is decided by `_assoc_certificate` when it passes, and by
-    the O(n^5) scan otherwise."""
+    Associativity is decided by the carrier's certified retract when it
+    has one, and by the O(n^5) scan otherwise."""
     nu, labels = carrier.nu, carrier.labels
-    v = _closure(nu, getattr(carrier, "nu_foreign", {}), labels, "nu")
+    v = _closure(nu, carrier.nu_foreign, labels, "nu")
     if v is None:
         v = _nu_invariants(nu, labels)
     if v is not None:
         return v
-    return _decide_associativity(nu, labels, limit)[0]
+    return _decide_associativity(carrier, limit)
 
 
-def check_distributivity(obj, limit=None):
+def check_distributivity(carrier, limit=None):
     """Verify multiplication: closure, associativity, and the three ternary
     distributivity laws over nu.  Accepts a TernaryCarrier (derived ternary
     product) or a ProperThreeThreeField (genuine ternary product).
 
-    For a binary mu the laws are decided by `_distrib_certificate` when it
-    passes, and by the O(n^5) scan otherwise; a genuine ternary product is
-    always scanned."""
-    nu, labels = obj.nu, obj.labels
-    v = _closure(nu, getattr(obj, "nu_foreign", {}), labels, "nu")
+    For a binary mu the laws are decided by `_distrib_certificate` when the
+    carrier has a certified retract and the certificate passes, and by the
+    O(n^5) scan otherwise; a genuine ternary product is always scanned."""
+    labels = carrier.labels
+    v = _closure(carrier.nu, carrier.nu_foreign, labels, "nu")
     if v is not None:
         return v
-    if isinstance(obj, ProperThreeThreeField):
-        mul = obj.ternary_mu
-        v = _closure(mul, obj.tmu_foreign, labels, "mu")
-    else:
-        mul = obj.mu
-        if mul is None:
-            raise StructureError("carrier has no multiplication to check")
-        v = _closure(mul, getattr(obj, "mu_foreign", {}), labels, "mu")
-        if v is None:
-            v = _mu_invariants(mul, labels)
+    proper = isinstance(carrier, ProperThreeThreeField)
+    mul = carrier.ternary_mu if proper else carrier.mu
+    if mul is None:
+        raise StructureError("carrier has no multiplication to check")
+    v = _closure(mul, carrier.mu_foreign, labels, "mu")
+    if v is None and not proper:
+        v = _mu_invariants(mul, labels)
     if v is not None:
         return v
-    return _decide_distributivity(nu, mul, labels, limit)
+    return _decide_distributivity(carrier, mul, limit)
 
 
 def quer_add(carrier, x):
@@ -620,7 +609,8 @@ class FiniteThreeField:
     """Finite unital 3-field: a carrier whose multiplication is a group with
     identity `one` and whose ternary addition has no zero element.
 
-    check: "auto" gates the O(n^5) scans by carrier size, "full" forces them,
+    check: "auto" decides the axioms when the carrier is within the gate
+    (`limit`, or `check_limit()` when it is None) and skips that above it,
     "light" runs only the cheap invariants, False trusts the caller; any
     other value raises ValueError.
     """
@@ -628,14 +618,12 @@ class FiniteThreeField:
     algebra = None      # a quotient field's QuotientAlgebra, set by its builder
 
     def __init__(self, carrier, one, origin=None, check="auto", limit=None):
-        if not (check is False or check in ("light", "auto", "full")):
-            raise ValueError(
-                f"check must be False, 'light', 'auto' or 'full', not {check!r}")
+        if not (check is False or check in ("light", "auto")):
+            raise ValueError(f"check must be False, 'light' or 'auto', not {check!r}")
         self.carrier = carrier
         self.one = int(one)
         self.origin = dict(origin) if origin else {}
         self._inv = None
-        self._quer = None
         if not (0 <= self.one < carrier.n):
             raise StructureError("unit index out of range")
         if check:
@@ -672,9 +660,7 @@ class FiniteThreeField:
         return int(self._inv[i])
 
     def quer(self, i):
-        if self._quer is None:
-            self._quer = [quer_add(self.carrier, x) for x in range(self.n)]
-        return self._quer[i]
+        return quer_add(self.carrier, i)
 
     def power(self, i, k):
         """k-th multiplicative power, k >= 0 (0 gives the unit)."""
@@ -724,16 +710,12 @@ class FiniteThreeField:
             raise StructureError(v.detail)
         # no zero check: with a two-sided unit, inverses and an associative
         # mu, mu(mu(z,1),z^-1) = 1, so no z other than the unit absorbs tmu
-        if check == "light":
+        if check == "light" or c.n > check_limit(limit):
             return
-        if check == "full":
-            limit = c.n
-        elif c.n > check_limit(limit):
-            return
-        v, coset = _decide_associativity(c.nu, c.labels, limit)
+        v = _decide_associativity(c, limit)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
-        v = _decide_distributivity(c.nu, c.mu, c.labels, limit, coset)
+        v = _decide_distributivity(c, c.mu, limit)
         if not v:
             raise StructureError(f"distributivity fails: {v.detail}")
 
@@ -780,16 +762,14 @@ class FiniteThreeField:
         return f"FiniteThreeField({self.n} elements, {kind})"
 
 
-class ProperThreeThreeField:
-    """(3,3)-field with a genuinely ternary multiplication and no unit."""
+class ProperThreeThreeField(TernaryCarrier):
+    """(3,3)-field with a genuinely ternary multiplication and no unit: a
+    carrier with no binary mu and the (n,n,n) product table ternary_mu,
+    whose foreign results `mu_foreign` holds by argument triple."""
 
-    def __init__(self, labels, nu, ternary_mu, tmu_foreign=None, check=True, limit=None):
-        self.labels = tuple(str(x) for x in labels)
-        self.n = len(self.labels)
-        self.nu = _table(nu, (self.n, self.n, self.n), "nu")
+    def __init__(self, labels, nu, ternary_mu, check=True, limit=None):
+        super().__init__(labels, nu)
         self.ternary_mu = _table(ternary_mu, (self.n, self.n, self.n), "ternary_mu")
-        self.tmu_foreign = dict(tmu_foreign or {})
-        self.nu_foreign = {}
         if check:
             self._validate(limit)
 
@@ -797,12 +777,12 @@ class ProperThreeThreeField:
         nu, tmu, labels = self.nu, self.ternary_mu, self.labels
         v = _closure(nu, self.nu_foreign, labels, "nu")
         if v is None:
-            v = _closure(tmu, self.tmu_foreign, labels, "mu")
+            v = _closure(tmu, self.mu_foreign, labels, "mu")
         if v is not None:
             raise StructureError(f"operations must be closed: {v.detail}")
         v = _nu_invariants(nu, labels)
         if v is None:
-            v, _ = _decide_associativity(nu, labels, limit)
+            v = _decide_associativity(self, limit)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
         units = _ternary_units(tmu)
@@ -812,12 +792,9 @@ class ProperThreeThreeField:
         w = _assoc_scan(tmu)
         if w is not None:
             raise StructureError(f"ternary multiplication not associative at {w}")
-        v = _decide_distributivity(nu, tmu, labels, limit)
+        v = _decide_distributivity(self, tmu, limit)
         if not v:
             raise StructureError(f"distributivity fails: {v.detail}")
-
-    def label(self, i):
-        return self.labels[i]
 
     def __repr__(self):
         return f"ProperThreeThreeField({self.n} elements)"

@@ -218,15 +218,16 @@ def test_field_check_passes_on_valid_field():
 
 @pytest.mark.parametrize("spec", ["odd(32)", "F0(5)", "F0(2)xF0(3)"])
 def test_field_check_decides_each_axiom_group_once(spec):
-    # the field is built with the cheap invariants only; the checkers decide
-    with mock.patch.object(tk, "_assoc_certificate", wraps=tk._assoc_certificate) as assoc, \
+    # the field is built with the cheap invariants only; the checkers decide,
+    # sharing the carrier's retract, so the coset form of nu is checked once
+    with mock.patch.object(tk, "_is_coset_form", wraps=tk._is_coset_form) as coset, \
             mock.patch.object(tk, "_distrib_certificate",
                               wraps=tk._distrib_certificate) as distrib, \
             contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["field", "check", "--spec", spec, "--format", "json"]) == 0
     assert json.loads(out.getvalue())["passed"] is True
-    assert assoc.call_count == distrib.call_count == 1
+    assert coset.call_count == distrib.call_count == 1
 
 
 def test_field_check_gate_and_overrides():
@@ -346,6 +347,23 @@ def test_dyadic_reduce():
     assert doc["residue"] == 11
     assert doc["modulus"] == 16
     # 3 * 11 = 33 = 1 mod 16
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_dyadic_reduce_refuses_a_modulus_past_the_digit_limit(fmt):
+    # 2^14284 has 4300 decimal digits, Python's int-to-str limit; 2^14285 has 4301
+    code, out, err = run_main("dyadic", "reduce", "1/3", "--precision", "14284",
+                              "--format", fmt)
+    assert code == 0
+    modulus = str(1 << 14284)
+    assert len(modulus) == 4300
+    assert (f'"modulus": {modulus},' if fmt == "json" else f"modulus: {modulus}") in out
+    code, out, err = run_main("dyadic", "reduce", "1/3", "--precision", "14285",
+                              "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == ("error: precision 14285 gives a modulus of more "
+                                    "than 4300 digits, past Python's int-to-str limit")
 
 
 # ---------------------------------------------------------------------------

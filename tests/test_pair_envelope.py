@@ -125,6 +125,16 @@ def test_each_ring_law_reports_its_own_failure(message, block, monkeypatch):
         RingTable(*RING_MUTANTS[message]())
 
 
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("table,value", [("add", 8), ("add", -1), ("mul", 8),
+                                         ("mul", -3)])
+def test_ring_table_entries_outside_the_carrier_are_refused(table, value, check):
+    # even unchecked: every law and lookup indexes by the entries
+    labels, add, mul, zero, one = z8_mutant(**{f"{table}_cells": [(3, 3, value)]})
+    with pytest.raises(StructureError, match=rf"^{table} table entries must lie in \[0, 8\)$"):
+        RingTable(labels, add, mul, zero, one, check=check)
+
+
 def test_parity_grading(env8):
     par = env8.parity
     assert (par[env8.add] == (par[:, None] + par[None, :]) % 2).all()

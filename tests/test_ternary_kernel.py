@@ -1,7 +1,6 @@
 """Axioms, carriers, the O(n^3) certificates, the O(n^5) scans and
 FiniteThreeField's validation."""
 
-import contextlib
 import functools
 import itertools
 import re
@@ -33,9 +32,15 @@ from ternfield import ternary_kernel as tk
 from ternfield.poly_fields import build_f0, generated_subalgebra, product_field
 
 
+def decided(field):
+    """The field validated again with every axiom decided: check="auto" with
+    the gate at the field's own size."""
+    return FiniteThreeField(field.carrier, field.one, field.origin, check="auto", limit=field.n)
+
+
 @pytest.fixture(scope="module")
 def odd8():
-    return odd_residue_field(8, check="full")
+    return decided(odd_residue_field(8, check=False))
 
 
 def binary_derived_carrier(m):
@@ -51,7 +56,7 @@ def binary_derived_carrier(m):
 
 @pytest.mark.parametrize("modulus", [2, 4, 8, 16, 32])
 def test_odd_residues_satisfy_all_axioms(modulus):
-    f = odd_residue_field(modulus, check="full")
+    f = decided(odd_residue_field(modulus, check=False))
     assert f.n == modulus // 2
     assert f.label(f.one) == "1"
     assert check_ternary_group(f.carrier, limit=f.n)
@@ -102,6 +107,18 @@ def test_quer_matches_negation_in_the_odd_model(odd8):
 def test_quer_add_on_raw_carrier(odd8):
     for x in odd8.elements():
         assert quer_add(odd8.carrier, x) == odd8.quer(x)
+
+
+def test_quer_asks_only_for_its_own_querelement():
+    # an unchecked field where 3 has no unique querelement still answers for 1
+    f = odd_residue_field(8, check=False)
+    nu = f.carrier.nu.copy()
+    three = f.index("3")
+    nu[three, three] = three              # nu(3,3,t) = 3 for every t
+    g = FiniteThreeField(TernaryCarrier(f.labels, nu, f.carrier.mu), f.one, check=False)
+    assert g.quer(g.one) == g.index("7")  # -1 mod 8
+    with pytest.raises(StructureError, match=r"^nu\(3,3,t\)=3 has 4 solutions"):
+        g.quer(three)
 
 
 def test_solvability_via_querelements(odd8):
@@ -158,9 +175,14 @@ def test_env_var_overrides_gate(monkeypatch):
 
 
 def test_full_check_ignores_gate():
-    # check="full" must run the scans even past the default gate
-    f = odd_residue_field(128, check="full")
-    assert f.n == 64
+    # an explicit limit makes check="auto" decide the axioms past the default gate
+    f = odd_residue_field(128, check=False)
+    with mock.patch.object(tk, "_decide_distributivity",
+                           wraps=tk._decide_distributivity) as decide:
+        FiniteThreeField(f.carrier, f.one, check="auto")
+        assert decide.call_count == 0
+        assert decided(f).n == 64
+    assert decide.call_count == 1
 
 
 @pytest.mark.parametrize("modulus", [2 ** k for k in range(1, 10)])
@@ -221,7 +243,7 @@ def test_carrier_json_round_trip(odd8):
     back = TernaryCarrier.from_json(doc)
     assert (back.nu == odd8.carrier.nu).all()
     assert (back.mu == odd8.carrier.mu).all()
-    rebuilt = FiniteThreeField(back, doc["one"], check="full")
+    rebuilt = FiniteThreeField(back, doc["one"], check="auto", limit=back.n)
     assert rebuilt.n == odd8.n
 
 
@@ -565,13 +587,15 @@ def swapped_cell_mutants(carrier, rng, count):
 
 def verdicts_and_error(carrier, one):
     """Both checkers' verdicts in full, and the message FiniteThreeField
-    raises with check="full" (None when it accepts)."""
-    n = carrier.n
+    raises when it decides every axiom (None when it accepts), on a fresh
+    copy of the carrier, so that its retract is computed under the current
+    chunk size."""
+    carrier, n = with_tables(carrier), carrier.n
     vs = [(v.ok, v.axiom, v.witness, v.detail, v.method)
           for v in (check_ternary_group(carrier, limit=n),
                     check_distributivity(carrier, limit=n))]
     try:
-        FiniteThreeField(carrier, one, check="full")
+        FiniteThreeField(carrier, one, check="auto", limit=n)
     except StructureError as exc:
         return vs, str(exc)
     return vs, None
@@ -633,12 +657,10 @@ def with_tables(carrier, nu=None, mu=None):
                           carrier.mu if mu is None else mu)
 
 
-@contextlib.contextmanager
 def scan_only():
-    with mock.patch.object(tk, "_assoc_certificate", lambda nu: False), \
-            mock.patch.object(tk, "_distrib_certificate",
-                              lambda nu, mu, coset=None: False):
-        yield
+    """Every carrier without a certified retract, cached or not: both
+    decisions go to the scan."""
+    return mock.patch.object(TernaryCarrier, "retract", property(lambda c: None))
 
 
 def assert_agrees_with_scan(carrier):
@@ -671,8 +693,8 @@ def test_certificates_pass_on_valid_fields(name):
     c = roster_field(name).carrier
     rng = np.random.default_rng(len(name))
     for carrier in (c, relabel(c, rng.permutation(c.n))):
-        assert tk._assoc_certificate(carrier.nu)
-        assert tk._distrib_certificate(carrier.nu, carrier.mu)
+        assert carrier.retract is not None
+        assert tk._distrib_certificate(carrier.retract, carrier.mu)
         v_add = check_ternary_group(carrier, limit=carrier.n)
         v_mul = check_distributivity(carrier, limit=carrier.n)
         assert v_add.method == v_mul.method == "certificate"
@@ -682,8 +704,8 @@ def test_certificates_pass_on_valid_fields(name):
 @pytest.mark.parametrize("name", SMALL)
 def test_passing_certificate_means_no_scan_witness(name):
     c = roster_field(name).carrier
-    assert tk._assoc_certificate(c.nu) and tk._assoc_scan(c.nu) is None
-    assert tk._distrib_certificate(c.nu, c.mu)
+    assert c.retract is not None and tk._assoc_scan(c.nu) is None
+    assert tk._distrib_certificate(c.retract, c.mu)
     assert tk._distrib_scan(c.nu, c.derived_ternary_mu()) is None
 
 
@@ -737,33 +759,140 @@ def test_certificates_agree_with_scan_on_arbitrary_tables(n, seed):
     nu = rng.integers(0, n, size=(n, n, n), dtype=np.int32)
     nu = np.minimum(nu, nu.transpose(1, 0, 2)) if seed % 2 else nu
     mu = rng.integers(0, n, size=(n, n), dtype=np.int32)
-    assert_agrees_with_scan(TernaryCarrier([str(i) for i in range(n)], nu, mu))
+    carrier = TernaryCarrier([str(i) for i in range(n)], nu, mu)
+    assert_agrees_with_scan(carrier)
+    assert_retract_matches_the_split_certificates(with_tables(carrier))
 
 
-def test_associative_retract_alone_certifies_nothing():
-    # x+y+z+2[x,y,z all odd] on Z/4 is symmetric and uniquely solvable and
-    # its retract at 0 is Z/4, yet it is not of the form x+y+z+k
+def odd_twist_carrier():
+    """x+y+z+2[x,y,z all odd] on Z/4 with mu = x*y: symmetric and uniquely
+    solvable, its retract at 0 is Z/4, yet nu is not of the form x+y+z+k."""
     v = np.arange(4)
     odd = v % 2
     nu = (v[:, None, None] + v[None, :, None] + v[None, None, :]
           + 2 * odd[:, None, None] * odd[None, :, None] * odd[None, None, :]) % 4
-    carrier = TernaryCarrier("0123", nu, (v[:, None] * v[None, :]) % 4)
-    assert not tk._assoc_certificate(carrier.nu)
+    return TernaryCarrier("0123", nu, (v[:, None] * v[None, :]) % 4)
+
+
+def identity_free_carrier():
+    """nu factoring through {0,1} -> 0, {2} -> 1 onto Z/2, so the retract
+    x o y = nu(x,2,y) has no identity; distributivity fails."""
+    nu = [[[2, 2, 0], [2, 2, 0], [0, 0, 2]], [[2, 2, 0], [2, 2, 0], [0, 0, 2]],
+          [[0, 0, 2], [0, 0, 2], [2, 2, 0]]]
+    mu = [[0, 1, 2], [1, 1, 2], [2, 2, 1]]
+    return TernaryCarrier("abc", nu, mu)
+
+
+def test_associative_retract_alone_certifies_nothing():
+    carrier = odd_twist_carrier()
+    assert carrier.retract is None
     v_add, v_mul = assert_agrees_with_scan(carrier)
     assert not v_add and v_add.method == "scan"
     assert v_mul.method == "scan"
 
 
 def test_retract_without_identity_certifies_nothing():
-    # nu factors through {0,1} -> 0, {2} -> 1 onto Z/2, so the retract
-    # x o y = nu(x,2,y) has no identity; distributivity fails
-    nu = [[[2, 2, 0], [2, 2, 0], [0, 0, 2]], [[2, 2, 0], [2, 2, 0], [0, 0, 2]],
-          [[0, 0, 2], [0, 0, 2], [2, 2, 0]]]
-    mu = [[0, 1, 2], [1, 1, 2], [2, 2, 1]]
-    carrier = TernaryCarrier("abc", nu, mu)
-    assert not tk._distrib_certificate(carrier.nu, carrier.mu)
+    carrier = identity_free_carrier()
+    assert carrier.retract is None
+    # a coset form over a retract with no identity: the retract's group
+    # checks, not the form, refuse it
+    assert split_assoc_certificate(carrier.nu) is not None
     v_mul = assert_agrees_with_scan(carrier)[1]
     assert not v_mul and v_mul.method == "scan"
+
+
+# -- the certified retract against the split certificates -----------------------
+#
+# The oracles are the certificates as two functions with two acceptance
+# tests, the associativity one handing its retract to the distributivity one
+# through `coset`.  The carrier's one certified retract must reproduce them:
+# equal acceptance wherever associativity is decided (nu passed the cheap
+# invariants), equal distributivity acceptance everywhere, and both
+# checkers' verdicts and methods equal to the split form's.
+
+def split_retract(nu):
+    sols = np.flatnonzero(nu[0, 0] == 0)
+    if len(sols) != 1:
+        return None
+    return np.ascontiguousarray(nu[:, int(sols[0]), :]), int(nu[0, 0, 0])
+
+
+def split_assoc_certificate(nu):
+    r = split_retract(nu)
+    return r if r is not None and tk._is_coset_form(nu, *r) else None
+
+
+def split_distrib_certificate(nu, mu, coset=None):
+    r = coset or split_retract(nu)
+    if r is None:
+        return False
+    o, k = r
+    n = len(o)
+    zero = o == 0
+    if not (tk._identity(o) == 0 and (o == o.T).all() and zero.any(axis=1).all()
+            and (coset is not None or tk._is_coset_form(nu, o, k))):
+        return False
+    neg = np.argmax(zero, axis=1)
+    trans = np.concatenate([mu, mu.T])
+    c = trans[:, 0]
+    g = o[trans, neg[c][:, None]]
+    if not (g[:, k] == o[o[c, c], k]).all():
+        return False
+    return tk._first_violation(2 * n, n * n, lambda rows: g[rows][:, o]
+                               != o[g[rows][:, :, None], g[rows][:, None, :]]) is None
+
+
+def scanned(check, c):
+    with scan_only():
+        return check(with_tables(c), limit=c.n)
+
+
+def split_verdicts(c):
+    """(as_dict, method) of both checkers with the split certificates in
+    front of the unchanged cheap invariants and scans, for closed tables."""
+    certificate = tk.Verdict(True, method="certificate")
+    v_add = tk._nu_invariants(c.nu, c.labels)
+    if v_add is None:
+        v_add = (certificate if split_assoc_certificate(c.nu) is not None
+                 else scanned(check_ternary_group, c))
+    v_mul = tk._mu_invariants(c.mu, c.labels)
+    if v_mul is None:
+        v_mul = (certificate if split_distrib_certificate(c.nu, c.mu)
+                 else scanned(check_distributivity, c))
+    return [(v.as_dict(), v.method) for v in (v_add, v_mul)]
+
+
+def verdicts(c):
+    return [(v.as_dict(), v.method)
+            for v in (check_ternary_group(c, limit=c.n), check_distributivity(c, limit=c.n))]
+
+
+def assert_retract_matches_the_split_certificates(c):
+    r = c.retract
+    if tk._nu_invariants(c.nu, c.labels) is None:
+        assert (r is None) == (split_assoc_certificate(c.nu) is None)
+    if r is not None:
+        o, k = split_retract(c.nu)
+        assert (r[0] == o).all() and r[1] == k
+    accepted = r is not None and tk._distrib_certificate(r, c.mu)
+    assert bool(accepted) == bool(split_distrib_certificate(c.nu, c.mu))
+    assert verdicts(c) == split_verdicts(c)
+
+
+@pytest.mark.parametrize("name", list(ROSTER))
+def test_retract_matches_the_split_certificates(name):
+    c = roster_field(name).carrier
+    rng = np.random.default_rng(c.n)
+    for perm in (np.arange(c.n), *(rng.permutation(c.n) for _ in range(9))):
+        relabelled = relabel(c, perm)
+        assert_retract_matches_the_split_certificates(relabelled)
+        for carrier in perturbations(relabelled, rng):
+            assert_retract_matches_the_split_certificates(carrier)
+
+
+def test_retract_matches_the_split_certificates_on_hand_made_tables():
+    for carrier in (odd_twist_carrier(), identity_free_carrier()):
+        assert_retract_matches_the_split_certificates(carrier)
 
 
 def test_verdict_method_records_how_it_was_reached():
@@ -784,7 +913,12 @@ def test_verdict_method_records_how_it_was_reached():
 #
 # FiniteThreeField validates itself with the checkers' own invariant and
 # decision functions: every check mode rejects a broken cheap invariant, only
-# "auto" and "full" reach the scan, and each invariant runs once.
+# "auto" reaches the scan, and each invariant runs once.  The test mode
+# "full" is "auto" with the gate at the carrier's own size.
+
+CHECK_MODES = {"light": lambda c: {"check": "light"},
+               "auto": lambda c: {"check": "auto"},
+               "full": lambda c: {"check": "auto", "limit": c.n}}
 
 def _non_symmetric_nu(c):
     nu = c.nu.copy()
@@ -821,15 +955,16 @@ BROKEN = {  # kind -> (carrier, unit index, what the error names)
 }
 
 
-@pytest.mark.parametrize("check", ["light", "auto", "full"])
+@pytest.mark.parametrize("check", list(CHECK_MODES))
 @pytest.mark.parametrize("kind", list(BROKEN))
 def test_every_check_mode_rejects_a_broken_invariant(kind, check):
     build, one, what = BROKEN[kind]
+    carrier = build()
     with pytest.raises(StructureError, match=what):
-        FiniteThreeField(build(), one, check=check)
+        FiniteThreeField(carrier, one, **CHECK_MODES[check](carrier))
 
 
-@pytest.mark.parametrize("check", ["light", "auto", "full"])
+@pytest.mark.parametrize("check", list(CHECK_MODES))
 def test_only_the_scanning_modes_reject_a_scan_only_failure(check):
     # nu of a relabelled odd(16) with the multiplication of F0(4) passes every
     # cheap invariant; distributivity fails, and only the scan can say so
@@ -837,44 +972,55 @@ def test_only_the_scanning_modes_reject_a_scan_only_failure(check):
     relabelled = relabel(odd16.carrier, np.random.default_rng(5).permutation(odd16.n))
     carrier = with_tables(relabelled, mu=f4.carrier.mu)
     if check == "light":
-        FiniteThreeField(carrier, f4.one, check=check)
+        FiniteThreeField(carrier, f4.one, **CHECK_MODES[check](carrier))
     else:
         with pytest.raises(StructureError, match="distributivity fails: law 1"):
-            FiniteThreeField(carrier, f4.one, check=check)
+            FiniteThreeField(carrier, f4.one, **CHECK_MODES[check](carrier))
 
 
 def test_auto_construction_runs_each_invariant_once():
-    c = roster_field("odd(32)").carrier
+    c = with_tables(roster_field("odd(32)").carrier)    # no retract cached yet
 
     def counting(name):
         return mock.patch.object(tk, name, wraps=getattr(tk, name))
 
     with counting("_closure") as closure, counting("_nu_invariants") as nu_inv, \
             counting("_mu_invariants") as mu_inv, counting("_zero_element") as zero, \
-            counting("_assoc_certificate") as assoc, \
+            counting("_coset_retract") as retract, counting("_is_coset_form") as coset, \
             counting("_distrib_certificate") as distrib, \
-            counting("_retract") as retract, counting("_is_coset_form") as coset, \
             mock.patch.object(TernaryCarrier, "derived_ternary_mu") as derived:
         FiniteThreeField(c, 0, check="auto")
     assert closure.call_count == 2                  # nu, then mu
     assert nu_inv.call_count == mu_inv.call_count == 1
     assert zero.call_count == 0                     # a 3-field's group mu has no zero
-    assert assoc.call_count == distrib.call_count == 1
-    # the distributivity certificate reuses the retract the associativity
-    # certificate accepted, so the coset form of nu is checked once
-    assert retract.call_count == coset.call_count == 1
+    # both decisions read the carrier's retract, so the coset form of nu is
+    # checked once
+    assert retract.call_count == coset.call_count == distrib.call_count == 1
     assert derived.call_count == 0                  # the certificates need no mu(mu(x,y),z)
 
 
+@pytest.mark.parametrize("first", [check_ternary_group, check_distributivity])
+def test_both_checkers_on_one_carrier_check_the_coset_form_once(first):
+    c = with_tables(roster_field("odd(32)").carrier)
+    second = check_distributivity if first is check_ternary_group else check_ternary_group
+    with mock.patch.object(tk, "_is_coset_form", wraps=tk._is_coset_form) as coset:
+        assert first(c, limit=c.n).method == "certificate"
+        assert coset.call_count == 1                # either checker alone checks it
+        assert second(c, limit=c.n).method == "certificate"
+        FiniteThreeField(c, 0, check="auto")
+    assert coset.call_count == 1
+
+
 def test_standalone_distributivity_check_still_checks_the_coset_form():
-    c = roster_field("odd(32)").carrier
+    c = with_tables(roster_field("odd(32)").carrier)
     with mock.patch.object(tk, "_is_coset_form", wraps=tk._is_coset_form) as coset:
         assert check_distributivity(c, limit=c.n).method == "certificate"
     assert coset.call_count == 1
-    # a nu that is not of coset form fails the certificate on its own
+    # a nu that is not of coset form has no retract, and the scan decides
     bad = with_tables(c, nu=np.random.default_rng(3).permutation(c.n).astype(np.int32)[c.nu])
-    assert tk._assoc_certificate(bad.nu) is None
-    assert not tk._distrib_certificate(bad.nu, bad.mu)
+    assert bad.retract is None and split_assoc_certificate(bad.nu) is None
+    assert not split_distrib_certificate(bad.nu, bad.mu)
+    assert check_distributivity(bad, limit=bad.n).method == "scan"
 
 
 def test_check_distributivity_builds_no_second_ternary_product():
@@ -948,6 +1094,15 @@ def test_subset_carrier_matches_reference(name):
         assert all(type(v) is int for key in (*c.nu_foreign, *c.mu_foreign) for v in key)
 
 
+def test_retract_is_read_only_and_none_on_carriers_that_are_not_closed():
+    f = roster_field("F0(4)")
+    o, k = f.carrier.retract
+    assert not o.flags.writeable
+    carriers = [f.subset_carrier(s) for s in random_subsets(f, 20, seed=13)]
+    not_closed = [c for c in carriers if c.nu.min() < 0]
+    assert not_closed and all(c.retract is None for c in not_closed)
+
+
 def test_is_subfield_matches_reference_on_every_subset_of_f0_3():
     f = roster_field("F0(3)")
     subsets = [list(s) for r in range(f.n + 1) for s in itertools.combinations(range(f.n), r)]
@@ -1001,7 +1156,7 @@ def test_twisted_coset_matches_reference_over_every_subfield():
     f = triangular_f0_2()
     subfields = sorted({tuple(generated_subalgebra(f, [a, b])[0])
                         for a in range(f.n) for b in range(a, f.n)})
-    messages = set()
+    messages, cosets = set(), 0
     for sub in subfields:
         for t in range(f.n):
             if t in sub or f.mu(t, t) not in sub:
@@ -1022,7 +1177,17 @@ def test_twisted_coset_matches_reference_over_every_subfield():
             labels, nu, tmu = expected
             assert list(coset.labels) == labels
             assert (coset.nu == nu).all() and (coset.ternary_mu == tmu).all()
-    assert len(messages) == 16
+            # a carrier with no binary mu that decides as the split
+            # certificates did; its genuine product is always scanned
+            assert isinstance(coset, TernaryCarrier) and coset.mu is None
+            assert coset.nu_foreign == coset.mu_foreign == {}
+            certified = split_assoc_certificate(coset.nu) is not None
+            assert (coset.retract is not None) == certified
+            v_add, v_mul = check_ternary_group(coset), check_distributivity(coset)
+            assert v_add and v_add.method == ("certificate" if certified else "scan")
+            assert v_mul and v_mul.method == "scan"
+            cosets += 1
+    assert len(messages) == 16 and cosets == 8
 
 
 @pytest.mark.parametrize("sub,t,witness", [
@@ -1041,14 +1206,14 @@ def test_twisted_coset_closure_failures_name_the_least_cell(sub, t, witness):
 
 # -- the check argument ---------------------------------------------------------
 
-@pytest.mark.parametrize("check", ["lite", "none", True, None, "Auto"])
+@pytest.mark.parametrize("check", ["lite", "none", True, None, "Auto", "full"])
 def test_unknown_check_value_is_rejected(odd8, check):
-    with pytest.raises(ValueError, match="False, 'light', 'auto' or 'full'"):
+    with pytest.raises(ValueError, match="^check must be False, 'light' or 'auto', not "):
         FiniteThreeField(odd8.carrier, odd8.one, check=check)
 
 
 def test_light_product_runs_no_certificate():
     f1, f3 = build_f0(1), build_f0(3)
-    with mock.patch.object(tk, "_assoc_certificate", wraps=tk._assoc_certificate) as assoc:
+    with mock.patch.object(tk, "_coset_retract", wraps=tk._coset_retract) as retract:
         product_field(f1, f3, check="light")
-    assert assoc.call_count == 0
+    assert retract.call_count == 0
