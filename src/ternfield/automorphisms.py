@@ -305,7 +305,6 @@ def fingerprint_group(t):
             (9, 9): "C9", (9, 3): "C3 x C3",
             (10, 10): "C10", (12, 12): "C12", (12, 6): "C6 x C2",
             (14, 14): "C14", (15, 15): "C15",
-            (16, 16): "C16",
         }
         key = (k, max(multiset))
         if k == 16:

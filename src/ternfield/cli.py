@@ -217,7 +217,7 @@ def cmd_field_aut(args):
 @command("field check", *_FIELD)
 def cmd_field_check(args):
     # the checks below decide the axioms, so construction runs only the
-    # cheap invariants
+    # cheap invariants; the checkers run those again on the carrier
     field = parse_spec(args.spec, check="light")
     v_add = check_ternary_group(field.carrier, limit=args.limit)
     v_mul = check_distributivity(field.carrier, limit=args.limit)

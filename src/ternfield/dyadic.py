@@ -110,10 +110,6 @@ def mul(x, y):
     return _coerce(x) * _coerce(y)
 
 
-def neg(x):
-    return -_coerce(x)
-
-
 def quer(x):
     """The ternary additive querelement: nu(x, x, quer(x)) = x gives -x."""
     return -_coerce(x)

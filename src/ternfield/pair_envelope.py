@@ -29,8 +29,6 @@ any base field:
     zero            = q_{m1},   -q_alpha = q_{nu(quer(alpha), m1, m1)}
 """
 
-import json
-
 import numpy as np
 
 from .dyadic import _val2_int
@@ -206,15 +204,6 @@ class RingTable:
         O(n^2) certificate; any other ring (and the zero ring) is answered
         by enumerating every ideal."""
         return self._maximal_ideals()[0]
-
-    def to_json(self):
-        return {
-            "elements": list(self.labels),
-            "add": [int(v) for v in self.add.reshape(-1)],
-            "mul": [int(v) for v in self.mul.reshape(-1)],
-            "zero": self.zero,
-            "one": self.one,
-        }
 
     def __repr__(self):
         return f"RingTable({self.n} elements)"
@@ -406,14 +395,6 @@ class EnvelopeRing(RingTable):
     def pair_indices(self):
         return range(self.base.n, 2 * self.base.n)
 
-    def to_json(self):
-        doc = super().to_json()
-        doc["parity"] = [int(v) for v in self.parity]
-        return doc
-
-    def dumps(self):
-        return json.dumps(self.to_json(), indent=2, sort_keys=False)
-
     def __repr__(self):
         return f"EnvelopeRing({self.n} elements over {self.base!r})"
 
@@ -506,10 +487,6 @@ class Morphism(_IndexMap):
         if _map_violation(m, s.carrier.mu, t.carrier.mu) is not None:
             raise StructureError("multiplication is not preserved")
 
-    @classmethod
-    def identity(cls, field):
-        return cls(field, field, range(field.n), check=False)
-
 
 class RingMorphism(_IndexMap):
     """Unital morphism between two RingTables."""
@@ -522,13 +499,6 @@ class RingMorphism(_IndexMap):
             raise StructureError("addition is not preserved")
         if _map_violation(m, s.mul, t.mul) is not None:
             raise StructureError("multiplication is not preserved")
-
-    def kernel(self):
-        return sorted(i for i, v in enumerate(self.mapping)
-                      if v == self.target.zero)
-
-    def image(self):
-        return sorted(set(self.mapping))
 
 
 def lift_morphism(phi, env_source=None, env_target=None):
@@ -680,9 +650,6 @@ class RetractAddition:
         self.c = int(c)
         self.table = np.asarray(field.carrier.nu[:, :, self.c])
         self.neutral = quer_add(field.carrier, self.c)   # nu(x, quer(c), c) = x
-
-    def at(self, a, b):
-        return int(self.table[a, b])
 
 
 def retract_addition(field, c):

@@ -30,6 +30,7 @@ from .ternary_kernel import (
     FiniteThreeField,
     StructureError,
     TernaryCarrier,
+    _BLOCK_ENTRIES,
     _TABLE_LIMIT,
     _refuse_size,
     odd_residue_field,
@@ -577,18 +578,6 @@ class QuotientFieldSpec:
         if self.relations and base != "F0":
             raise StructureError("extra relations are supported over F0 only")
 
-    @classmethod
-    def from_json(cls, doc):
-        return cls(doc["exponents"], doc.get("relations", ()),
-                   doc.get("base", "F0"))
-
-    def to_json(self):
-        return {
-            "base": self.base,
-            "exponents": list(self.exponents),
-            "relations": [str(r) for r in self.relations],
-        }
-
     def __repr__(self):
         rel = f", relations={[str(r) for r in self.relations]}" if self.relations else ""
         return f"QuotientFieldSpec({self.exponents}{rel}, base={self.base!r})"
@@ -955,15 +944,19 @@ def product_field(*factors, check="auto"):
     _refuse_size(n, _TABLE_LIMIT, "product size {size} exceeds the build limit")
     strides = [math.prod(sizes[:k]) for k in range(len(sizes))]
     comps = [(np.arange(n) // st) % s for s, st in zip(sizes, strides)]
-    nu = np.zeros((n, n, n), dtype=np.int64)
-    mu = np.zeros((n, n), dtype=np.int64)
-    for f, c, st in zip(factors, comps, strides):
-        nu += st * f.carrier.nu[np.ix_(c, c, c)].astype(np.int64)
-        mu += st * f.carrier.mu[np.ix_(c, c)].astype(np.int64)
+    # index sums in int32 (n <= _TABLE_LIMIT), nu one slab of first indices
+    # at a time, so no temporary is larger than a slab
+    nu = np.empty((n, n, n), dtype=np.int32)
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        nu[rows] = sum(st * f.carrier.nu[np.ix_(c[rows], c, c)]
+                       for f, c, st in zip(factors, comps, strides))
+    mu = sum(st * f.carrier.mu[np.ix_(c, c)] for f, c, st in zip(factors, comps, strides))
     labels = ["(" + ",".join(f.label(int(c[i])) for f, c in zip(factors, comps)) + ")"
               for i in range(n)]
     one = sum(st * f.one for f, st in zip(factors, strides))
-    carrier = TernaryCarrier(labels, nu.astype(np.int32), mu.astype(np.int32))
+    carrier = TernaryCarrier(labels, nu, mu)
     field = FiniteThreeField(carrier, int(one),
                              origin={"kind": "product",
                                      "sizes": sizes}, check=check)

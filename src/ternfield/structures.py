@@ -14,6 +14,7 @@ tables are then whole-array gathers over the envelope's add, mul and neg
 tables (``pair_envelope._TupleTables``).
 """
 
+import functools
 import itertools
 import random
 
@@ -34,6 +35,11 @@ from .pair_envelope import Morphism, _TupleTables, build_envelope
 from .poly_fields import QuotientFieldSpec, _odd_coefficient_vectors, build_quotient_field
 
 _ENUM_LIMIT = 1 << 16
+
+
+def _tuple_label(labels, v):
+    """The label (l0,l1,...) of a tuple v of indices into `labels`."""
+    return "(" + ",".join(labels[c] for c in v) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +84,7 @@ class ThreeVectorSpace:
         return acc
 
     def label(self, v):
-        return "(" + ",".join(self.env.labels[c] for c in v) + ")"
+        return _tuple_label(self.env.labels, v)
 
     def from_labels(self, labels):
         """The carrier tuple whose coordinates carry the given envelope
@@ -249,7 +255,7 @@ def toeplitz_field(n, field, check="auto"):
     # band k of a product collects a_i * b_(k-i)
     terms = [(k, i, k - i, 1) for k in range(n) for i in range(k + 1)]
     one_value = (field.one,) + (env.zero,) * (n - 1)
-    label_of = lambda v: "t(" + ",".join(env.labels[c] for c in v) + ")"
+    label_of = lambda v: "t" + _tuple_label(env.labels, v)
     built, index = _tuple_field(_TupleTables(env, values, terms), one_value,
                                 label_of, {"kind": "toeplitz", "size": n},
                                 check=check)
@@ -392,11 +398,11 @@ def quaternion_field(field, check="auto"):
     if even.size:
         v = tables.tuples[even[0]]
         raise StructureError(
-            "norm of (" + ",".join(env.labels[c] for c in v) + ") is even; "
+            f"norm of {_tuple_label(env.labels, v)} is even; "
             "the quaternion construction needs odd norms throughout")
 
     one_value = (env.one, env.zero, env.zero, env.zero)
-    label_of = lambda v: "(" + ",".join(env.labels[c] for c in v) + ")"
+    label_of = functools.partial(_tuple_label, env.labels)
     built, index = _tuple_field(tables, one_value, label_of,
                                 {"kind": "quaternion"}, check=check)
     values = list(index)
@@ -574,7 +580,7 @@ def group_algebra(group_table, field, check="auto"):
     built = None
     iso = None
     if is_3field and not sampled:
-        label_of = lambda v: "(" + ",".join(env.labels[c] for c in v) + ")"
+        label_of = functools.partial(_tuple_label, env.labels)
         built, _ = _tuple_field(tables, one_value, label_of,
                                 {"kind": "group_algebra", "group_order": k},
                                 check=check)
@@ -597,6 +603,6 @@ def group_algebra(group_table, field, check="auto"):
 
     witness_label = None
     if witness is not None:
-        witness_label = "(" + ",".join(env.labels[c] for c in witness) + ")"
+        witness_label = _tuple_label(env.labels, witness)
     return GroupAlgebraResult(k, field, size, is_3field, witness_label,
                               built, iso, verdict_mode)

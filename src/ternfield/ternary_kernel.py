@@ -1,16 +1,18 @@
 """Carriers for 3-rings/3-fields and exact verification of their axioms.
 
 A carrier is a finite ordered set of elements (identified by index) together
-with dense operation tables: a ternary addition nu and, usually, a binary
-multiplication mu whose derived ternary product is mu(mu(x,y),z).  Tables are
-immutable after construction and all verdicts are deterministic: every
-failure reports the lexicographically least witness.
+with dense operation tables: a ternary addition nu and, usually, a
+multiplication mu.  mu is binary, (n,n) with the derived ternary product
+mu(mu(x,y),z), or genuinely ternary, (n,n,n) on a ProperThreeThreeField;
+every fork on the kind of product reads mu.ndim.  Tables are immutable
+after construction and all verdicts are deterministic: every failure
+reports the lexicographically least witness.
 
 `check_ternary_group` and `check_distributivity` reach a verdict in four
 steps, and the Verdict's `method` records which step decided it:
 
 1. cheap invariants, O(n^3) or less: closure, commutativity and unique
-   solvability of nu, associativity of mu ("cheap");
+   solvability of nu, associativity of a binary mu ("cheap");
 2. the size gate: carriers above `check_limit()` raise CarrierSizeError;
 3. an exact O(n^3) certificate: by the Hosszu-Gluskin theorem a
    commutative ternary group is nu(x,y,z) = x+y+z+k over an abelian group.
@@ -27,7 +29,8 @@ Steps 2-4 are the "decision" (`_decide_associativity`,
 `_decide_distributivity`, each taking the carrier).  `FiniteThreeField` and
 `ProperThreeThreeField` (itself a carrier) validate themselves with the
 same invariant and decision functions, so each invariant has one
-implementation and runs once per construction.  The scans
+implementation and runs once per construction; the checkers, which take
+any carrier, run the invariants again.  The scans
 walk the quintuples in row-major order, in blocks of consecutive (a, b)
 pairs that grow from one pair to about _BLOCK_ENTRIES entries, so an early
 witness costs one n^3 block and no array a scan allocates holds more than
@@ -145,11 +148,14 @@ class TernaryCarrier:
 
     labels: element names in canonical order.
     nu: (n,n,n) index table for the ternary addition.
-    mu: optional (n,n) index table for the binary multiplication.
+    mu: optional index table for the multiplication, with `product_axes`
+    axes: (n,n), binary, on this class.
     Entries equal to FOREIGN (-1) mark results that leave the carrier; the
     *_foreign dicts map the offending argument tuples to a label of the
     outside value, for witness reporting.
     """
+
+    product_axes = 2
 
     def __init__(self, labels, nu, mu=None, nu_foreign=None, mu_foreign=None):
         self.labels = tuple(str(x) for x in labels)
@@ -159,7 +165,7 @@ class TernaryCarrier:
         if len(set(self.labels)) != self.n:
             raise StructureError("carrier labels must be distinct")
         self.nu = _table(nu, (self.n, self.n, self.n), "nu")
-        self.mu = None if mu is None else _table(mu, (self.n, self.n), "mu")
+        self.mu = None if mu is None else _table(mu, (self.n,) * self.product_axes, "mu")
         self.nu_foreign = dict(nu_foreign or {})
         self.mu_foreign = dict(mu_foreign or {})
 
@@ -171,7 +177,7 @@ class TernaryCarrier:
 
     def derived_ternary_mu(self):
         """Dense table of the derived ternary product mu(mu(x,y),z)."""
-        if self.mu is None:
+        if self.mu is None or self.mu.ndim != 2:
             raise StructureError("carrier has no binary multiplication")
         if (self.mu < 0).any():
             raise StructureError("mu is not closed; no derived ternary product")
@@ -197,16 +203,7 @@ class TernaryCarrier:
 
     @classmethod
     def from_json(cls, doc):
-        labels = doc["elements"]
-        n = len(labels)
-        nu = np.asarray(doc["nu"], dtype=np.int32).reshape(n, n, n)
-        mu = doc.get("mu")
-        if mu is not None:
-            mu = np.asarray(mu, dtype=np.int32).reshape(n, n)
-        return cls(labels, nu, mu)
-
-    def dumps(self, one=None):
-        return json.dumps(self.to_json(one), indent=2, sort_keys=False)
+        return cls(doc["elements"], doc["nu"], doc.get("mu"))
 
     def __repr__(self):
         return f"TernaryCarrier({self.n} elements)"
@@ -338,13 +335,14 @@ def _ternary_units(t):
     return np.flatnonzero((t[idx, idx] == idx).all(axis=1)).tolist()   # [e,x] -> t(e,e,x)
 
 
-def _zero_element(nu, mul, unit):
+def _zero_element(c, unit):
     """The least z other than `unit` that is additively neutral
-    (nu(z,z,x) = x) and absorbs the ternary product of mul, or None.  mul is
-    a genuine (n,n,n) product or a binary mu, whose row z of mu(mu(x,y),z)
-    is read as mu[mu[z]], so no n^3 cube is built."""
-    return next((z for z in _ternary_units(nu) if z != unit
-                 and ((mul[z] if mul.ndim == 3 else mul[mul[z]]) == z).all()), None)
+    (nu(z,z,x) = x) and absorbs the ternary product of the carrier's closed
+    mu, or None.  Row z of a binary mu's product mu(mu(x,y),z) is read as
+    mu[mu[z]], so no n^3 cube is built."""
+    mu = c.mu
+    return next((z for z in _ternary_units(c.nu) if z != unit
+                 and ((mu[z] if mu.ndim == 3 else mu[mu[z]]) == z).all()), None)
 
 
 def _coset_retract(nu):
@@ -512,18 +510,19 @@ def _decide_associativity(c, limit):
     return Verdict(True, method="scan")
 
 
-def _decide_distributivity(c, mul, limit):
+def _decide_distributivity(c, limit):
     """The three distributivity laws over the carrier's nu of the ternary
-    product given by mul: a binary (n,n) mu, whose product is mu(mu(x,y),z),
+    product of its mu: a binary (n,n) mu, whose product is mu(mu(x,y),z),
     or a genuine (n,n,n) ternary product.  The gate, then
     `_distrib_certificate` on the certified retract for a binary mu, then
     the scan; the derived product is built only for the scan."""
     _gate(c.n, limit)
-    if mul.ndim == 2:
-        if c.retract is not None and _distrib_certificate(c.retract, mul):
+    mu = c.mu
+    if mu.ndim == 2:
+        if c.retract is not None and _distrib_certificate(c.retract, mu):
             return Verdict(True, method="certificate")
-        mul = mul[mul]                     # [i,j,k] -> mu[mu[i,j],k]
-    w = _distrib_scan(c.nu, mul)
+        mu = mu[mu]                        # [i,j,k] -> mu[mu[i,j],k]
+    w = _distrib_scan(c.nu, mu)
     if w is not None:
         law, *abcde = w
         return Verdict(False, f"distributivity-law-{law}", tuple(abcde), f"law {law} "
@@ -549,8 +548,8 @@ def check_ternary_group(carrier, limit=None):
 
 def check_distributivity(carrier, limit=None):
     """Verify multiplication: closure, associativity, and the three ternary
-    distributivity laws over nu.  Accepts a TernaryCarrier (derived ternary
-    product) or a ProperThreeThreeField (genuine ternary product).
+    distributivity laws over nu, of a binary mu (derived ternary product)
+    or a genuinely ternary one (ProperThreeThreeField).
 
     For a binary mu the laws are decided by `_distrib_certificate` when the
     carrier has a certified retract and the certificate passes, and by the
@@ -559,16 +558,15 @@ def check_distributivity(carrier, limit=None):
     v = _closure(carrier.nu, carrier.nu_foreign, labels, "nu")
     if v is not None:
         return v
-    proper = isinstance(carrier, ProperThreeThreeField)
-    mul = carrier.ternary_mu if proper else carrier.mu
-    if mul is None:
+    mu = carrier.mu
+    if mu is None:
         raise StructureError("carrier has no multiplication to check")
-    v = _closure(mul, carrier.mu_foreign, labels, "mu")
-    if v is None and not proper:
-        v = _mu_invariants(mul, labels)
+    v = _closure(mu, carrier.mu_foreign, labels, "mu")
+    if v is None and mu.ndim == 2:
+        v = _mu_invariants(mu, labels)
     if v is not None:
         return v
-    return _decide_distributivity(carrier, mul, limit)
+    return _decide_distributivity(carrier, limit)
 
 
 def quer_add(carrier, x):
@@ -592,17 +590,15 @@ def detect_derived_structure(obj):
     mu(z,x,y)=z for all x,y), and distinct from the unit; a carrier with
     such a zero has operations derived from ordinary binary ones.
     """
-    if isinstance(obj, ProperThreeThreeField):
-        mul = obj.ternary_mu
-        units = _ternary_units(mul)
+    mu = obj.mu
+    if mu is None or mu.min() < 0:
+        return {"unit": None, "zero": None}
+    if mu.ndim == 3:
+        units = _ternary_units(mu)
         unit = units[0] if units else None
     else:
-        unit = mul = None
-        if obj.mu is not None and (obj.mu >= 0).all():
-            mul = obj.mu
-            unit = _identity(mul)
-    zero = None if mul is None else _zero_element(obj.nu, mul, unit)
-    return {"unit": unit, "zero": zero}
+        unit = _identity(mu)
+    return {"unit": unit, "zero": _zero_element(obj, unit)}
 
 
 class FiniteThreeField:
@@ -693,7 +689,7 @@ class FiniteThreeField:
 
     def _validate(self, check, limit):
         c = self.carrier
-        if c.mu is None:
+        if c.mu is None or c.mu.ndim != 2:
             raise StructureError("a 3-field needs a binary multiplication")
         v = _closure(c.nu, c.nu_foreign, c.labels, "nu")
         if v is None:
@@ -715,7 +711,7 @@ class FiniteThreeField:
         v = _decide_associativity(c, limit)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
-        v = _decide_distributivity(c, c.mu, limit)
+        v = _decide_distributivity(c, limit)
         if not v:
             raise StructureError(f"distributivity fails: {v.detail}")
 
@@ -764,35 +760,35 @@ class FiniteThreeField:
 
 class ProperThreeThreeField(TernaryCarrier):
     """(3,3)-field with a genuinely ternary multiplication and no unit: a
-    carrier with no binary mu and the (n,n,n) product table ternary_mu,
-    whose foreign results `mu_foreign` holds by argument triple."""
+    carrier whose mu is the (n,n,n) product table, whose foreign results
+    `mu_foreign` holds by argument triple.  Validated when built, under the
+    default gate."""
 
-    def __init__(self, labels, nu, ternary_mu, check=True, limit=None):
-        super().__init__(labels, nu)
-        self.ternary_mu = _table(ternary_mu, (self.n, self.n, self.n), "ternary_mu")
-        if check:
-            self._validate(limit)
+    product_axes = 3
 
-    def _validate(self, limit):
-        nu, tmu, labels = self.nu, self.ternary_mu, self.labels
+    def __init__(self, labels, nu, mu):
+        super().__init__(labels, nu, mu)
+        nu, mu, labels = self.nu, self.mu, self.labels
+        if mu is None:
+            raise StructureError("a proper (3,3)-field needs a ternary multiplication")
         v = _closure(nu, self.nu_foreign, labels, "nu")
         if v is None:
-            v = _closure(tmu, self.mu_foreign, labels, "mu")
+            v = _closure(mu, self.mu_foreign, labels, "mu")
         if v is not None:
             raise StructureError(f"operations must be closed: {v.detail}")
         v = _nu_invariants(nu, labels)
         if v is None:
-            v = _decide_associativity(self, limit)
+            v = _decide_associativity(self, None)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
-        units = _ternary_units(tmu)
+        units = _ternary_units(mu)
         if units:
             raise StructureError(f"multiplicative unit {labels[units[0]]} found; "
                                  "not a proper (3,3)-field")
-        w = _assoc_scan(tmu)
+        w = _assoc_scan(mu)
         if w is not None:
             raise StructureError(f"ternary multiplication not associative at {w}")
-        v = _decide_distributivity(self, tmu, limit)
+        v = _decide_distributivity(self, None)
         if not v:
             raise StructureError(f"distributivity fails: {v.detail}")
 

@@ -583,6 +583,54 @@ def test_triple_product():
     assert f.label(f.one) == "(1,1,1)"
 
 
+def summed_product_tables(*factors):
+    """The product's labels, unit and tables as first written: each table the
+    stride-weighted sum of the component tables over whole int64 cubes."""
+    sizes = [f.n for f in factors]
+    n = math.prod(sizes)
+    strides = [math.prod(sizes[:k]) for k in range(len(sizes))]
+    comps = [(np.arange(n) // st) % s for s, st in zip(sizes, strides)]
+    nu = np.zeros((n, n, n), dtype=np.int64)
+    mu = np.zeros((n, n), dtype=np.int64)
+    for f, c, st in zip(factors, comps, strides):
+        nu += st * f.carrier.nu[np.ix_(c, c, c)].astype(np.int64)
+        mu += st * f.carrier.mu[np.ix_(c, c)].astype(np.int64)
+    labels = tuple("(" + ",".join(f.label(int(c[i])) for f, c in zip(factors, comps)) + ")"
+                   for i in range(n))
+    one = sum(st * f.one for f, st in zip(factors, strides))
+    return labels, one, nu, mu
+
+
+@pytest.mark.parametrize("factors", [
+    ("F0(2)", "F0(3)"), ("F0(3)", "F0(3)"), ("odd(8)", "F0(3)"), ("F0(1)", "odd(4)"),
+    ("F0(4)", "F0(5)"),                      # n = 128: eight slabs of first indices
+    ("F0(2)", "F0(2)", "F0(2)"), ("F0(3)", "F0(2)", "odd(4)"),
+    ("F0(2)", "F0(3)", "F0(5)"),             # three factors, n = 128
+])
+def test_product_tables_match_the_summed_cubes(factors):
+    built = [odd_residue_field(int(name[4:-1])) if name.startswith("odd")
+             else build_f0(int(name[3:-1]), check="light") for name in factors]
+    f = product_field(*built, check="light").field
+    labels, one, nu, mu = summed_product_tables(*built)
+    assert f.labels == labels and f.one == one
+    assert f.carrier.nu.dtype == f.carrier.mu.dtype == np.int32
+    assert (f.carrier.nu == nu).all() and (f.carrier.mu == mu).all()
+
+
+def test_product_construction_holds_no_int64_cube():
+    # n = 128, whose int32 nu is 8 MiB; the factors are built before tracing
+    # starts.  Summing whole int64 cubes peaked at 40 MiB here.
+    factors = build_f0(4, check="light"), build_f0(5, check="light")
+    tracemalloc.start()
+    try:
+        f = product_field(*factors, check=False).field
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.n == 128
+    assert peak < 2 * f.carrier.nu.nbytes, peak
+
+
 # -- prime subfields ----------------------------------------------------------------------------
 
 def test_characteristic_of_odd_residues():

@@ -2,7 +2,9 @@
 FiniteThreeField's validation."""
 
 import functools
+import inspect
 import itertools
+import json
 import re
 import tracemalloc
 from unittest import mock
@@ -458,7 +460,8 @@ def whole_cube_derived_structure(obj):
     """detect_derived_structure's report from the whole ternary product."""
     n, idx = obj.n, np.arange(obj.n)
     if isinstance(obj, ProperThreeThreeField):
-        tmu = obj.ternary_mu
+        tmu = obj.mu                                # genuinely ternary, (n,n,n)
+        assert tmu.ndim == 3
         unit = next((e for e in range(n) if (tmu[e, e] == idx).all()), None)
     else:
         tmu = obj.derived_ternary_mu()              # [i,j,k] -> mu[mu[i,j],k]
@@ -677,6 +680,9 @@ def assert_agrees_with_scan(carrier):
     return fast
 
 
+PASS = {"ok": True, "axiom": None, "witness": None, "detail": None}
+
+
 def perturbations(carrier, rng):
     """Tables passing every cheap invariant that a scan has to judge:
     pi o nu, and mu conjugated by a permutation sigma."""
@@ -690,7 +696,9 @@ def perturbations(carrier, rng):
 
 @pytest.mark.parametrize("name", list(ROSTER))
 def test_certificates_pass_on_valid_fields(name):
-    c = roster_field(name).carrier
+    f = roster_field(name)
+    c = f.carrier
+    assert detect_derived_structure(c) == {"unit": f.one, "zero": None}
     rng = np.random.default_rng(len(name))
     for carrier in (c, relabel(c, rng.permutation(c.n))):
         assert carrier.retract is not None
@@ -698,7 +706,7 @@ def test_certificates_pass_on_valid_fields(name):
         v_add = check_ternary_group(carrier, limit=carrier.n)
         v_mul = check_distributivity(carrier, limit=carrier.n)
         assert v_add.method == v_mul.method == "certificate"
-        assert v_add and v_mul
+        assert v_add.as_dict() == v_mul.as_dict() == PASS
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -1176,10 +1184,10 @@ def test_twisted_coset_matches_reference_over_every_subfield():
                 continue
             labels, nu, tmu = expected
             assert list(coset.labels) == labels
-            assert (coset.nu == nu).all() and (coset.ternary_mu == tmu).all()
-            # a carrier with no binary mu that decides as the split
-            # certificates did; its genuine product is always scanned
-            assert isinstance(coset, TernaryCarrier) and coset.mu is None
+            assert (coset.nu == nu).all() and (coset.mu == tmu).all()
+            # a carrier whose mu is genuinely ternary and that decides as
+            # the split certificates did; its genuine product is always scanned
+            assert isinstance(coset, TernaryCarrier) and coset.mu.ndim == 3
             assert coset.nu_foreign == coset.mu_foreign == {}
             certified = split_assoc_certificate(coset.nu) is not None
             assert (coset.retract is not None) == certified
@@ -1202,6 +1210,121 @@ def test_twisted_coset_closure_failures_name_the_least_cell(sub, t, witness):
     with pytest.raises(StructureError) as got:
         twisted_coset(f, generated_subalgebra(f, [f.index(s) for s in sub])[0], f.index(t))
     assert str(got.value) == f"coset not closed under the ternary product at ({witness})"
+
+
+# -- one product table: a coset's mu is genuinely ternary ------------------------
+
+@functools.lru_cache(maxsize=None)
+def proper_cosets():
+    """The 8 proper (3,3)-fields t*F1 over the subfields of the triangular
+    field, as in test_twisted_coset_matches_reference_over_every_subfield,
+    and x*{1,x^2} in F0(3)."""
+    f = triangular_f0_2()
+    subfields = sorted({tuple(generated_subalgebra(f, [a, b])[0])
+                        for a in range(f.n) for b in range(a, f.n)})
+    cosets = []
+    for sub in subfields:
+        for t in range(f.n):
+            if t in sub or f.mu(t, t) not in sub:
+                continue
+            try:
+                cosets.append(twisted_coset(f, sub, t))
+            except StructureError:
+                pass
+    assert len(cosets) == 8
+    f3 = build_f0(3)
+    cosets.append(twisted_coset(f3, [f3.index("1"), f3.index("x^2")], f3.index("x")))
+    return tuple(cosets)
+
+
+def unchecked_coset(labels, nu, mu):
+    """A carrier shaped as a proper (3,3)-field, (n,n,n) mu, but unvalidated."""
+    c = object.__new__(ProperThreeThreeField)
+    TernaryCarrier.__init__(c, labels, nu, mu)
+    return c
+
+
+def checked(carrier):
+    """Both checkers' reports and methods and the derived structure."""
+    v_add, v_mul = check_ternary_group(carrier), check_distributivity(carrier)
+    return (v_add.as_dict(), v_add.method, v_mul.as_dict(), v_mul.method,
+            detect_derived_structure(carrier))
+
+
+def test_a_coset_keeps_its_genuine_product_in_mu():
+    for coset in proper_cosets():
+        assert coset.product_axes == 3 and coset.mu.shape == (coset.n,) * 3
+        assert not hasattr(coset, "ternary_mu")
+        with pytest.raises(StructureError, match="^carrier has no binary multiplication$"):
+            coset.derived_ternary_mu()
+    assert TernaryCarrier.product_axes == 2
+    assert list(inspect.signature(ProperThreeThreeField).parameters) == ["labels", "nu", "mu"]
+
+
+def test_coset_checks_are_the_ones_of_a_genuine_product():
+    # the coset's nu is certified and its product is always scanned; it has
+    # neither a unit nor a zero
+    for coset in proper_cosets():
+        assert checked(coset) == (PASS, "certificate", PASS, "scan",
+                                  {"unit": None, "zero": None})
+
+
+def test_broken_coset_products_get_the_scan_verdict():
+    # one cell of the product moved: each law fails on some coset
+    rng, laws = np.random.default_rng(15), set()
+    for coset in proper_cosets():
+        for _ in range(3):
+            mu = coset.mu.copy()
+            cell = tuple(rng.integers(coset.n, size=3))
+            mu[cell] = (mu[cell] + 1) % coset.n
+            broken = unchecked_coset(coset.labels, coset.nu, mu)
+            v = check_distributivity(broken)
+            w = tk._distrib_scan(broken.nu, broken.mu)
+            assert detect_derived_structure(broken) == whole_cube_derived_structure(broken)
+            if w is None:
+                assert v.as_dict() == PASS and v.method == "scan"
+                continue
+            law, *abcde = w
+            assert v.as_dict() == {
+                "ok": False, "axiom": f"distributivity-law-{law}", "witness": abcde,
+                "detail": f"law {law} fails at ({','.join(broken.labels[i] for i in abcde)})"}
+            assert v.method == "scan"
+            laws.add(law)
+        mu = coset.mu.copy()
+        mu[0, 1, 1] = tk.FOREIGN
+        open_coset = unchecked_coset(coset.labels, coset.nu, mu)
+        v = check_distributivity(open_coset)
+        assert v.axiom == "closure" and v.witness == (0, 1, 1) and v.method == "cheap"
+        assert detect_derived_structure(open_coset) == {"unit": None, "zero": None}
+    assert laws == {1, 2, 3}
+
+
+def test_cosets_round_trip_through_json():
+    for coset in proper_cosets():
+        doc = json.loads(json.dumps(coset.to_json()))
+        assert doc["elements"] == list(coset.labels) and len(doc["mu"]) == coset.n ** 3
+        back = ProperThreeThreeField.from_json(doc)
+        assert back.labels == coset.labels
+        assert (back.nu == coset.nu).all() and (back.mu == coset.mu).all()
+        assert checked(back) == checked(coset)
+
+
+def test_a_coset_from_json_is_validated():
+    coset = proper_cosets()[0]
+    doc = coset.to_json()
+    doc["mu"][coset.n + 1] = -1                          # mu(0,1,1) leaves the coset
+    with pytest.raises(StructureError, match=r"^operations must be closed: mu\("):
+        ProperThreeThreeField.from_json(doc)
+    doc["mu"] = None
+    with pytest.raises(StructureError, match="^a proper \\(3,3\\)-field needs a ternary "):
+        ProperThreeThreeField.from_json(doc)
+
+
+@pytest.mark.parametrize("check", ["light", "auto"])
+def test_a_coset_is_no_carrier_of_a_3_field(check):
+    for coset in proper_cosets():
+        with pytest.raises(StructureError, match="^a 3-field needs a binary multiplication$"):
+            FiniteThreeField(coset, 0, check=check)
 
 
 # -- the check argument ---------------------------------------------------------
