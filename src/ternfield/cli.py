@@ -216,8 +216,9 @@ def cmd_field_aut(args):
 
 @command("field check", *_FIELD)
 def cmd_field_check(args):
-    # the checks below decide the axioms, so construction runs only the
-    # cheap invariants; the checkers run those again on the carrier
+    # construction runs only the cheap laws and the checkers decide the
+    # rest; each cheap law is decided once per carrier, so the checkers
+    # read the verdicts construction reached
     field = parse_spec(args.spec, check="light")
     v_add = check_ternary_group(field.carrier, limit=args.limit)
     v_mul = check_distributivity(field.carrier, limit=args.limit)

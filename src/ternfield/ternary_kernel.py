@@ -25,24 +25,26 @@ steps, and the Verdict's `method` records which step decided it:
    certificate can fail on a table the scan passes, so a failed
    certificate decides nothing by itself.
 
-Steps 2-4 are the "decision" (`_decide_associativity`,
-`_decide_distributivity`, each taking the carrier).  `FiniteThreeField` and
-`ProperThreeThreeField` (itself a carrier) validate themselves with the
-same invariant and decision functions, so each invariant has one
-implementation and runs once per construction; the checkers, which take
-any carrier, run the invariants again.  The scans
-walk the quintuples in row-major order, in blocks of consecutive (a, b)
-pairs that grow from one pair to about _BLOCK_ENTRIES entries, so an early
-witness costs one n^3 block and no array a scan allocates holds more than
-max(n^3, _BLOCK_ENTRIES) entries.  Every other O(n^3) law check, here and
-on ring and group tables, walks chunks of its first index of about
-_BLOCK_ENTRIES entries (`_first_violation`), and so does every check that a
-map carries one operation table onto another (`_map_violation`), so none
-holds an n^3 cube.
+Each cheap law of step 1 (the closure of nu and of mu, the nu invariants
+and the invariants of a binary mu) is decided once per carrier and cached
+on it like the retract; `_first_failure` reads them in its caller's order.
+`FiniteThreeField` and `ProperThreeThreeField` (itself a carrier) read
+them the same way and decide associativity and distributivity with the
+two checkers, so `field check` decides each law once.
+
+The scans walk the quintuples in row-major order, in blocks of consecutive
+(a, b) pairs that grow from one pair to about _BLOCK_ENTRIES entries, so
+an early witness costs one n^3 block and no array a scan allocates holds
+more than max(n^3, _BLOCK_ENTRIES) entries.  Every other O(n^3) law check,
+here and on ring and group tables, walks chunks of its first index of
+about _BLOCK_ENTRIES entries (`_first_violation`), and so does every check
+that a map carries one operation table onto another (`_map_violation`), so
+none holds an n^3 cube.
 """
 
 import functools
 import json
+import math
 import os
 
 import numpy as np
@@ -135,8 +137,10 @@ class Verdict:
 def _table(data, shape, what, least=FOREIGN):
     """A read-only int32 table of the given shape whose entries lie in
     [least, n), n = shape[0]; StructureError otherwise."""
-    arr = np.ascontiguousarray(data, dtype=np.int32).reshape(shape)
-    n = shape[0]
+    arr = np.ascontiguousarray(data, dtype=np.int32)
+    if arr.size != math.prod(shape):
+        raise StructureError(f"{what} table must have shape {shape}: got {arr.size} entries")
+    arr, n = arr.reshape(shape), shape[0]
     if arr.size and (arr.max() >= n or arr.min() < least):
         raise StructureError(f"{what} table entries must lie in [{least}, {n})")
     arr.setflags(write=False)
@@ -168,6 +172,7 @@ class TernaryCarrier:
         self.mu = None if mu is None else _table(mu, (self.n,) * self.product_axes, "mu")
         self.nu_foreign = dict(nu_foreign or {})
         self.mu_foreign = dict(mu_foreign or {})
+        self._verdicts = {}             # cheap law -> Verdict or None, see _first_failure
 
     @functools.cached_property
     def retract(self):
@@ -325,6 +330,29 @@ def _mu_invariants(mu, labels):
         return Verdict(False, "mu-associativity", w,
                        f"mu is not associative at ({labels[i]},{labels[j]},{labels[k]})",
                        method="cheap")
+    return None
+
+
+# The cheap laws of a carrier, each a failing Verdict at its least witness
+# or None.  An invariant assumes its table closed; a ternary mu has no mu
+# invariants.
+_CHEAP_LAWS = {
+    "nu closure": lambda c: _closure(c.nu, c.nu_foreign, c.labels, "nu"),
+    "mu closure": lambda c: _closure(c.mu, c.mu_foreign, c.labels, "mu"),
+    "nu invariants": lambda c: _nu_invariants(c.nu, c.labels),
+    "mu invariants": lambda c: _mu_invariants(c.mu, c.labels) if c.mu.ndim == 2 else None,
+}
+
+
+def _first_failure(carrier, *laws):
+    """The first failing Verdict of the named cheap laws, in the given
+    order, or None.  The tables are read-only, so each law is decided once
+    per carrier and its verdict kept on it."""
+    for law in laws:
+        if law not in carrier._verdicts:
+            carrier._verdicts[law] = _CHEAP_LAWS[law](carrier)
+        if carrier._verdicts[law] is not None:
+            return carrier._verdicts[law]
     return None
 
 
@@ -497,39 +525,6 @@ def _gate(n, limit):
             "(raise it via the limit argument or TERNARY_MAX_CARRIER)")
 
 
-def _decide_associativity(c, limit):
-    """Total associativity of a carrier whose nu passed `_nu_invariants`:
-    the gate, then the certified retract, then the scan."""
-    _gate(c.n, limit)
-    if c.retract is not None:
-        return Verdict(True, method="certificate")
-    w = _assoc_scan(c.nu)
-    if w is not None:
-        return Verdict(False, "associativity", w, "the regroupings of nu disagree "
-                       f"at ({','.join(c.labels[v] for v in w)})", method="scan")
-    return Verdict(True, method="scan")
-
-
-def _decide_distributivity(c, limit):
-    """The three distributivity laws over the carrier's nu of the ternary
-    product of its mu: a binary (n,n) mu, whose product is mu(mu(x,y),z),
-    or a genuine (n,n,n) ternary product.  The gate, then
-    `_distrib_certificate` on the certified retract for a binary mu, then
-    the scan; the derived product is built only for the scan."""
-    _gate(c.n, limit)
-    mu = c.mu
-    if mu.ndim == 2:
-        if c.retract is not None and _distrib_certificate(c.retract, mu):
-            return Verdict(True, method="certificate")
-        mu = mu[mu]                        # [i,j,k] -> mu[mu[i,j],k]
-    w = _distrib_scan(c.nu, mu)
-    if w is not None:
-        law, *abcde = w
-        return Verdict(False, f"distributivity-law-{law}", tuple(abcde), f"law {law} "
-                       f"fails at ({','.join(c.labels[v] for v in abcde)})", method="scan")
-    return Verdict(True, method="scan")
-
-
 def check_ternary_group(carrier, limit=None):
     """Verify the additive axioms: closure, full commutativity, unique
     solvability of nu(a,b,x)=c, and total associativity (checked in that
@@ -537,13 +532,17 @@ def check_ternary_group(carrier, limit=None):
 
     Associativity is decided by the carrier's certified retract when it
     has one, and by the O(n^5) scan otherwise."""
-    nu, labels = carrier.nu, carrier.labels
-    v = _closure(nu, carrier.nu_foreign, labels, "nu")
-    if v is None:
-        v = _nu_invariants(nu, labels)
+    v = _first_failure(carrier, "nu closure", "nu invariants")
     if v is not None:
         return v
-    return _decide_associativity(carrier, limit)
+    _gate(carrier.n, limit)
+    if carrier.retract is not None:
+        return Verdict(True, method="certificate")
+    w = _assoc_scan(carrier.nu)
+    if w is not None:
+        return Verdict(False, "associativity", w, "the regroupings of nu disagree "
+                       f"at ({','.join(carrier.labels[v] for v in w)})", method="scan")
+    return Verdict(True, method="scan")
 
 
 def check_distributivity(carrier, limit=None):
@@ -554,19 +553,27 @@ def check_distributivity(carrier, limit=None):
     For a binary mu the laws are decided by `_distrib_certificate` when the
     carrier has a certified retract and the certificate passes, and by the
     O(n^5) scan otherwise; a genuine ternary product is always scanned."""
-    labels = carrier.labels
-    v = _closure(carrier.nu, carrier.nu_foreign, labels, "nu")
+    v = _first_failure(carrier, "nu closure")
     if v is not None:
         return v
     mu = carrier.mu
     if mu is None:
         raise StructureError("carrier has no multiplication to check")
-    v = _closure(mu, carrier.mu_foreign, labels, "mu")
-    if v is None and mu.ndim == 2:
-        v = _mu_invariants(mu, labels)
+    v = _first_failure(carrier, "mu closure", "mu invariants")
     if v is not None:
         return v
-    return _decide_distributivity(carrier, limit)
+    _gate(carrier.n, limit)
+    if mu.ndim == 2:
+        if carrier.retract is not None and _distrib_certificate(carrier.retract, mu):
+            return Verdict(True, method="certificate")
+        mu = mu[mu]                        # [i,j,k] -> mu[mu[i,j],k]
+    w = _distrib_scan(carrier.nu, mu)
+    if w is not None:
+        law, *abcde = w
+        return Verdict(False, f"distributivity-law-{law}", tuple(abcde), f"law {law} "
+                       f"fails at ({','.join(carrier.labels[v] for v in abcde)})",
+                       method="scan")
+    return Verdict(True, method="scan")
 
 
 def quer_add(carrier, x):
@@ -619,7 +626,6 @@ class FiniteThreeField:
         self.carrier = carrier
         self.one = int(one)
         self.origin = dict(origin) if origin else {}
-        self._inv = None
         if not (0 <= self.one < carrier.n):
             raise StructureError("unit index out of range")
         if check:
@@ -651,8 +657,6 @@ class FiniteThreeField:
         return range(self.carrier.n)
 
     def inv(self, i):
-        if self._inv is None:
-            self._inv = self._inverse_table()
         return int(self._inv[i])
 
     def quer(self, i):
@@ -674,7 +678,10 @@ class FiniteThreeField:
 
     # -- invariants ----------------------------------------------------------
 
-    def _inverse_table(self):
+    @functools.cached_property
+    def _inv(self):
+        """The two-sided inverse of every element: StructureError when some
+        element has none, raised at construction unless check is False."""
         mu = self.carrier.mu
         n = self.carrier.n
         pos = mu == self.one
@@ -691,27 +698,23 @@ class FiniteThreeField:
         c = self.carrier
         if c.mu is None or c.mu.ndim != 2:
             raise StructureError("a 3-field needs a binary multiplication")
-        v = _closure(c.nu, c.nu_foreign, c.labels, "nu")
-        if v is None:
-            v = _closure(c.mu, c.mu_foreign, c.labels, "mu")
+        v = _first_failure(c, "nu closure", "mu closure")
         if v is not None:
             raise StructureError(f"field operations must be closed: {v.detail}")
         if _identity(c.mu) != self.one:
             raise StructureError(f"{self.label(self.one)} is not a two-sided unit")
-        self._inv = self._inverse_table()
-        v = _nu_invariants(c.nu, c.labels)
-        if v is None:
-            v = _mu_invariants(c.mu, c.labels)
+        self._inv                       # raises unless every element has an inverse
+        v = _first_failure(c, "nu invariants", "mu invariants")
         if v is not None:
             raise StructureError(v.detail)
         # no zero check: with a two-sided unit, inverses and an associative
         # mu, mu(mu(z,1),z^-1) = 1, so no z other than the unit absorbs tmu
         if check == "light" or c.n > check_limit(limit):
             return
-        v = _decide_associativity(c, limit)
+        v = check_ternary_group(c, limit)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
-        v = _decide_distributivity(c, limit)
+        v = check_distributivity(c, limit)
         if not v:
             raise StructureError(f"distributivity fails: {v.detail}")
 
@@ -738,8 +741,6 @@ class FiniteThreeField:
         s = np.unique(np.array([int(i) for i in indices], dtype=np.intp))
         if self.one not in s:
             return False
-        if self._inv is None:
-            self._inv = self._inverse_table()
         c = self.carrier
         return all((_renumber(t, s, self.n) != FOREIGN).all()
                    for t in (self._inv[s], c.mu[np.ix_(s, s)], c.nu[np.ix_(s, s, s)]))
@@ -768,27 +769,22 @@ class ProperThreeThreeField(TernaryCarrier):
 
     def __init__(self, labels, nu, mu):
         super().__init__(labels, nu, mu)
-        nu, mu, labels = self.nu, self.mu, self.labels
-        if mu is None:
+        if self.mu is None:
             raise StructureError("a proper (3,3)-field needs a ternary multiplication")
-        v = _closure(nu, self.nu_foreign, labels, "nu")
-        if v is None:
-            v = _closure(mu, self.mu_foreign, labels, "mu")
+        v = _first_failure(self, "nu closure", "mu closure")
         if v is not None:
             raise StructureError(f"operations must be closed: {v.detail}")
-        v = _nu_invariants(nu, labels)
-        if v is None:
-            v = _decide_associativity(self, None)
+        v = check_ternary_group(self)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
-        units = _ternary_units(mu)
+        units = _ternary_units(self.mu)
         if units:
-            raise StructureError(f"multiplicative unit {labels[units[0]]} found; "
+            raise StructureError(f"multiplicative unit {self.labels[units[0]]} found; "
                                  "not a proper (3,3)-field")
-        w = _assoc_scan(mu)
+        w = _assoc_scan(self.mu)
         if w is not None:
             raise StructureError(f"ternary multiplication not associative at {w}")
-        v = _decide_distributivity(self, None)
+        v = check_distributivity(self)
         if not v:
             raise StructureError(f"distributivity fails: {v.detail}")
 

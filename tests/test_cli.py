@@ -216,18 +216,26 @@ def test_field_check_passes_on_valid_field():
     assert doc["zero_element"] is None
 
 
-@pytest.mark.parametrize("spec", ["odd(32)", "F0(5)", "F0(2)xF0(3)"])
-def test_field_check_decides_each_axiom_group_once(spec):
+@pytest.mark.parametrize("spec, carriers", [pytest.param(spec, carriers, id=spec) for spec, carriers
+                                            in [("odd(32)", 1), ("F0(5)", 1), ("F0(2)xF0(3)", 3)]])
+def test_field_check_decides_each_axiom_group_once(spec, carriers):
     # the field is built with the cheap invariants only; the checkers decide,
-    # sharing the carrier's retract, so the coset form of nu is checked once
-    with mock.patch.object(tk, "_is_coset_form", wraps=tk._is_coset_form) as coset, \
-            mock.patch.object(tk, "_distrib_certificate",
-                              wraps=tk._distrib_certificate) as distrib, \
+    # sharing the carrier's retract, so the coset form of nu is checked once,
+    # and they read the cheap laws construction decided, so each law runs
+    # once per carrier built (a product builds its two factors too)
+    def counting(name):
+        return mock.patch.object(tk, name, wraps=getattr(tk, name))
+
+    with counting("_is_coset_form") as coset, counting("_distrib_certificate") as distrib, \
+            counting("_closure") as closure, counting("_nu_invariants") as nu_inv, \
+            counting("_mu_invariants") as mu_inv, \
             contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["field", "check", "--spec", spec, "--format", "json"]) == 0
     assert json.loads(out.getvalue())["passed"] is True
     assert coset.call_count == distrib.call_count == 1
+    assert closure.call_count == 2 * carriers                   # nu, then mu
+    assert nu_inv.call_count == mu_inv.call_count == carriers
 
 
 def test_field_check_gate_and_overrides():

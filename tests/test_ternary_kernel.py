@@ -179,8 +179,8 @@ def test_env_var_overrides_gate(monkeypatch):
 def test_full_check_ignores_gate():
     # an explicit limit makes check="auto" decide the axioms past the default gate
     f = odd_residue_field(128, check=False)
-    with mock.patch.object(tk, "_decide_distributivity",
-                           wraps=tk._decide_distributivity) as decide:
+    with mock.patch.object(tk, "_distrib_certificate",
+                           wraps=tk._distrib_certificate) as decide:
         FiniteThreeField(f.carrier, f.one, check="auto")
         assert decide.call_count == 0
         assert decided(f).n == 64
@@ -963,13 +963,64 @@ BROKEN = {  # kind -> (carrier, unit index, what the error names)
 }
 
 
-@pytest.mark.parametrize("check", list(CHECK_MODES))
+@pytest.mark.parametrize("check, checked_first",
+                         [*(pytest.param(m, False, id=m) for m in CHECK_MODES),
+                          *(pytest.param(m, True, id=f"{m} checked first") for m in CHECK_MODES)])
 @pytest.mark.parametrize("kind", list(BROKEN))
-def test_every_check_mode_rejects_a_broken_invariant(kind, check):
+def test_every_check_mode_rejects_a_broken_invariant(kind, check, checked_first):
+    # the cheap laws are decided once per carrier, by whichever caller comes
+    # first: construction and both checkers must report as on a fresh carrier
     build, one, what = BROKEN[kind]
     carrier = build()
-    with pytest.raises(StructureError, match=what):
+    if checked_first:
+        checked = verdicts(carrier)
+    with pytest.raises(StructureError, match=what) as exc:
         FiniteThreeField(carrier, one, **CHECK_MODES[check](carrier))
+    fresh = build()
+    with pytest.raises(StructureError) as want:
+        FiniteThreeField(fresh, one, **CHECK_MODES[check](fresh))
+    assert str(exc.value) == str(want.value)
+    assert (checked if checked_first else verdicts(carrier)) == verdicts(build())
+
+
+@pytest.mark.parametrize("field_first", [True, False])
+def test_each_caller_keeps_its_order_of_laws(field_first):
+    # nu is not symmetric and mu leaves the carrier at (3,5): a field checks
+    # both closures before the nu invariants, check_ternary_group never looks
+    # at mu, and check_distributivity stops at the closure of mu
+    c = _non_symmetric_nu(roster_field("odd(16)").carrier)
+    mu = c.mu.copy()
+    mu[1, 2] = tk.FOREIGN
+    carrier = TernaryCarrier(c.labels, c.nu, mu, mu_foreign={(1, 2): "99"})
+
+    def build():
+        with pytest.raises(StructureError, match=r"^field operations must be closed: "
+                                                 r"mu\(3,5\) = 99 not in carrier$"):
+            FiniteThreeField(carrier, 0, check="light")
+
+    def check():
+        v = check_ternary_group(carrier, limit=carrier.n)
+        assert (v.axiom, v.witness, v.method) == ("commutativity", (0, 1, 2), "cheap")
+        v = check_distributivity(carrier, limit=carrier.n)
+        assert (v.axiom, v.witness, v.detail) == ("closure", (1, 2), "mu(3,5) = 99 not in carrier")
+
+    for step in (build, check) if field_first else (check, build):
+        step()
+
+
+def test_an_unchecked_field_finds_a_missing_inverse_when_asked():
+    # Z/3 with its zero: construction raises, and an unchecked field raises
+    # the same error at its first inverse, and again at the next
+    c = binary_derived_carrier(3)
+    message = "^element 0 has no right inverse$"
+    with pytest.raises(StructureError, match=message):
+        FiniteThreeField(c, 1, check="light")
+    f = FiniteThreeField(c, 1, check=False)
+    for ask in (lambda: f.inv(2), lambda: f.is_subfield([1, 2]), lambda: f.power(2, -1)):
+        with pytest.raises(StructureError, match=message):
+            ask()
+    g = FiniteThreeField(roster_field("odd(8)").carrier, 0, check=False)
+    assert [g.inv(x) for x in g.elements()] == [0, 1, 2, 3]     # odd squares are 1 mod 8
 
 
 @pytest.mark.parametrize("check", list(CHECK_MODES))
@@ -1307,6 +1358,18 @@ def test_cosets_round_trip_through_json():
         assert back.labels == coset.labels
         assert (back.nu == coset.nu).all() and (back.mu == coset.mu).all()
         assert checked(back) == checked(coset)
+
+
+def test_a_wrongly_sized_table_in_a_document_is_refused():
+    doc = build_f0(2).to_json()                         # a binary mu of 4 entries
+    with pytest.raises(StructureError, match=r"^mu table must have shape \(2, 2, 2\): "
+                                             "got 4 entries$"):
+        ProperThreeThreeField.from_json(doc)
+    doc["nu"].pop()
+    for cls in (TernaryCarrier, ProperThreeThreeField):
+        with pytest.raises(StructureError, match=r"^nu table must have shape \(2, 2, 2\): "
+                                                 "got 7 entries$"):
+            cls.from_json(doc)
 
 
 def test_a_coset_from_json_is_validated():
