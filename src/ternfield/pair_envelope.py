@@ -12,10 +12,17 @@ whole-table check confirms (RingTable.maximal_ideals).  The same fact lets
 an isomorphism of envelopes stand for an isomorphism of 3-fields: it maps
 units to units, so it keeps the odd part in place (field_isomorphism).
 
-Every check that a map carries one operation table onto another -- the
-morphism classes, the class map of a quotient and the parity grading, the
-residue map onto Z/2 -- is `ternary_kernel._map_violation`, which walks
-chunks of first arguments and holds no n^3 cube.
+A map between structures whose groups are proved is checked on
+generators: a 3-field whose retract is certified and whose mu is a monoid
+(`TernaryCarrier.generators`), or a ring that `RingTable.validate_ring`
+passed, which keeps the generators of its addition as the proof.  A map of
+groups that is additive on a generating set is a homomorphism, so
+`Morphism`, `RingMorphism` and `ThreeRingMap` decide a pass in O(n |A|),
+|A| <= 1 + log2 n.  Every other check that a map carries one operation
+table onto another -- any map when a side is unproved, the naming of every
+failure, the class map of a quotient and the parity grading, the residue
+map onto Z/2 -- is `ternary_kernel._map_violation`, which walks chunks of
+first arguments and holds no n^3 cube.
 
 All pair arithmetic is expressed through the ternary operations themselves
 (with m1 = quer_add(1) playing the role of -1), so it works uniformly over
@@ -37,9 +44,13 @@ from .ternary_kernel import (
     StructureError,
     TernaryCarrier,
     _TABLE_LIMIT,
+    _affine_on,
     _assoc_violation,
+    _carries_on,
     _first_violation,
+    _generators,
     _identity,
+    _light_associative,
     _map_violation,
     _nonperm_row,
     _refuse_size,
@@ -62,10 +73,21 @@ class RingTable:
         self.one = int(one)
         self._neg = None
         self._ideals = None
+        self._add_gens = None           # the proof of validate_ring
         if check:
             self.validate_ring()
 
     def validate_ring(self):
+        """Raise StructureError naming the first ring law that fails, or keep
+        the generators of add as the proof that the ring was validated, on
+        which maps of it are then checked.
+
+        Once addition is a commutative loop with neutral zero and one is the
+        unit of mul, the laws are decided on a generating set A of add: add
+        by Light's test, both distributive laws as every row and every column
+        of mul being additive on A, and then the associativity of mul on A^3
+        only, the associator being tri-additive.  A failure there decides
+        nothing: the laws are walked in their order to name it."""
         n = self.n
         _refuse_size(n, _TABLE_LIMIT, "ring size {size} exceeds the validation guard",
                      StructureError)
@@ -76,6 +98,14 @@ class RingTable:
             raise StructureError("zero is not an additive neutral")
         if _nonperm_row(add) is not None:
             raise StructureError("addition rows are not permutations")
+        if _identity(mul) == self.one:
+            a = np.array(_generators(add))
+            if (_light_associative(add, a)                    # rows, then columns
+                    and _carries_on(np.concatenate((mul, mul.T)), add, a, add)):
+                ab = mul[a[:, None], a]                 # [a, b, c]: (ab)c == a(bc)
+                if (mul[ab[:, :, None], a] == mul[a[:, None, None], ab]).all():
+                    self._add_gens = a
+                    return
         if _assoc_violation(add) is not None:
             raise StructureError("addition is not associative")
         if _assoc_violation(mul) is not None:
@@ -482,6 +512,14 @@ class Morphism(_IndexMap):
         s, t, m = self.source, self.target, self.mapping
         if m[s.one] != t.one:
             raise StructureError("unit is not preserved")
+        # between carriers with certified retracts and monoid products, the
+        # generators decide a pass; any failure is walked to be named
+        gens = s.carrier.generators()
+        if gens and t.carrier.generators():
+            m = np.asarray(m)
+            if (_affine_on(m, s.carrier.retract, gens[0], *t.carrier.retract)
+                    and _carries_on(m, s.carrier.mu, gens[1], t.carrier.mu)):
+                return
         if _map_violation(m, s.carrier.nu, t.carrier.nu) is not None:
             raise StructureError("ternary addition is not preserved")
         if _map_violation(m, s.carrier.mu, t.carrier.mu) is not None:
@@ -495,6 +533,14 @@ class RingMorphism(_IndexMap):
         s, t, m = self.source, self.target, self.mapping
         if m[s.one] != t.one:
             raise StructureError("one is not preserved")
+        # between validated rings: additive on the source's generators A,
+        # then m(xy) - m(x)m(y), bi-additive, vanishes on A x A
+        a = s._add_gens
+        if a is not None and t._add_gens is not None:
+            m = np.asarray(m)
+            if (_carries_on(m, s.add, a, t.add)
+                    and (m[s.mul[a[:, None], a]] == t.mul[m[a][:, None], m[a]]).all()):
+                return
         if _map_violation(m, s.add, t.add) is not None:
             raise StructureError("addition is not preserved")
         if _map_violation(m, s.mul, t.mul) is not None:
@@ -519,6 +565,13 @@ class ThreeRingMap(_IndexMap):
         f, r, m = self.source, self.target, self.mapping
         if m[f.one] != r.one:
             raise StructureError("unit must go to one")
+        # the route of Morphism, into the ring's x+y+z (k = zero)
+        gens = f.carrier.generators()
+        if gens and r._add_gens is not None:
+            m = np.asarray(m)
+            if (_carries_on(m, f.carrier.mu, gens[1], r.mul)
+                    and _affine_on(m, f.carrier.retract, gens[0], r.add, r.zero, r.zero)):
+                return
         if _map_violation(m, f.carrier.mu, r.mul) is not None:
             raise StructureError("products are not preserved")
         if _map_violation(m, f.carrier.nu, r.add, r.add) is not None:   # (a+b)+c

@@ -40,6 +40,12 @@ here and on ring and group tables, walks chunks of its first index of
 about _BLOCK_ENTRIES entries (`_first_violation`), and so does every check
 that a map carries one operation table onto another (`_map_violation`), so
 none holds an n^3 cube.
+
+Where the groups are proved, laws and maps are decided on a generating set
+A instead (`_generators`, |A| <= 1 + log2 n on a group): associativity by
+Light's test (`_light_associative`, O(n^2 |A|)), and a map by its law on
+A (`_carries_on`, `_affine_on`, O(n |A|)).  These decide passes only; a
+failure is named by the walk.
 """
 
 import functools
@@ -136,13 +142,22 @@ class Verdict:
 
 def _table(data, shape, what, least=FOREIGN):
     """A read-only int32 table of the given shape whose entries lie in
-    [least, n), n = shape[0]; StructureError otherwise."""
-    arr = np.ascontiguousarray(data, dtype=np.int32)
+    [least, n), n = shape[0]; StructureError otherwise.  Entries are
+    range-checked before the cast, and floats must be integral, so no entry
+    is truncated or wrapped into range."""
+    try:
+        arr = np.asarray(data)
+    except ValueError:                       # nested rows of different lengths
+        raise StructureError(f"{what} table is ragged: its rows differ in length") from None
+    if arr.dtype.kind not in "biuf" or (arr.dtype.kind == "f" and arr.size
+                                        and not (np.floor(arr) == arr).all()):
+        raise StructureError(f"{what} table entries must be integers")
     if arr.size != math.prod(shape):
         raise StructureError(f"{what} table must have shape {shape}: got {arr.size} entries")
-    arr, n = arr.reshape(shape), shape[0]
+    n = shape[0]
     if arr.size and (arr.max() >= n or arr.min() < least):
         raise StructureError(f"{what} table entries must lie in [{least}, {n})")
+    arr = np.ascontiguousarray(arr, dtype=np.int32).reshape(shape)
     arr.setflags(write=False)
     return arr
 
@@ -173,12 +188,35 @@ class TernaryCarrier:
         self.nu_foreign = dict(nu_foreign or {})
         self.mu_foreign = dict(mu_foreign or {})
         self._verdicts = {}             # cheap law -> Verdict or None, see _first_failure
+        self._gens = None               # see generators
 
     @functools.cached_property
     def retract(self):
         """The certified retract (o, k) of nu, or None: see `_coset_retract`.
         The tables are read-only, so it is computed once per carrier."""
         return _coset_retract(self.nu)
+
+    @functools.cached_property
+    def unit(self):
+        """The two-sided identity of a binary mu, or None: see `_identity`."""
+        return _identity(self.mu) if self.mu is not None and self.mu.ndim == 2 else None
+
+    def generators(self):
+        """(generators of o, generators of mu), from `_generators`, once the
+        carrier has certified its retract (o, k) and decided that its binary
+        mu is closed and associative with a two-sided identity; None before
+        that or otherwise.  Then o is an abelian group and mu a monoid, so a
+        map of such carriers is a morphism when it is one on these sets.
+        Nothing is decided here: a caller that has not paid for the retract
+        and the cheap laws pays nothing.  The sets are computed once."""
+        if self._gens is None:
+            if not (self.__dict__.get("retract") and self.mu is not None
+                    and self.mu.ndim == 2 and all(self._verdicts.get(law, False) is None
+                                                  for law in ("mu closure", "mu invariants"))):
+                return None
+            self._gens = ((np.array(_generators(self.retract[0])), np.array(_generators(self.mu)))
+                          if self.unit is not None else ())
+        return self._gens or None
 
     def derived_ternary_mu(self):
         """Dense table of the derived ternary product mu(mu(x,y),z)."""
@@ -285,6 +323,71 @@ def _assoc_violation(t):
     """Least (i, j, k) where closed binary t is not associative, or None."""
     n = len(t)
     return _first_violation(n, n * n, lambda rows: _assoc_mask(t, rows))
+
+
+def _generators(t):
+    """A generating set of the closed binary table t, ascending: each next
+    generator is the least element that is not yet a left-normed product
+    (..((a1 a2) a3)..) of the earlier ones.  So every element is a
+    left-normed product of the set, and the set generates t as a magma,
+    and as a semigroup when t is associative.  Each element is reached once
+    and then multiplied by every generator once, O(n |A|) table reads; on
+    a group |A| <= 1 + log2 n, as each generator after the first at least
+    doubles the subgroup."""
+    read = t.item
+    reached = bytearray(len(t))
+    gens = []
+    for a in range(len(t)):
+        if reached[a]:
+            continue
+        gens.append(a)
+        # the new products: a, and every earlier product times a, closed
+        # under multiplication by every generator
+        todo = [a] + [read(p, a) for p in range(len(t)) if reached[p]]
+        while todo:
+            x = todo.pop()
+            if not reached[x]:
+                reached[x] = 1
+                todo.extend(read(x, g) for g in gens)
+    return gens
+
+
+def _light_associative(t, gens):
+    """Light's test: whether (x a) y == x (a y) for all x, y and every a in
+    the index array gens, t closed and binary.  The elements a that pass
+    are closed under products, so when gens generates t as a magma
+    (`_generators`) this is the associativity of t, in O(n^2 |A|) instead
+    of O(n^3).  Generators are taken in chunks of about _BLOCK_ENTRIES
+    entries."""
+    step = max(1, _BLOCK_ENTRIES // t.size)
+    return all((t[t[:, a]] == t[:, t[a]]).all()          # [x, a, y]
+               for a in (gens[i:i + step] for i in range(0, len(gens), step)))
+
+
+def _carries_on(m, src, gens, image):
+    """Whether m(src(x, a)) == image(m(x), m(a)) for every x and every a in
+    gens: the map law of `_map_violation`, for binary tables, on generators
+    only.  m is one map (an image index per element) or a stack of them,
+    one per row, taken in chunks of about _BLOCK_ENTRIES entries.  A map of
+    groups that passes on a generating set is a homomorphism, the elements
+    a that pass being closed under the product."""
+    args = src[:, gens]
+    step = max(1, _BLOCK_ENTRIES // args.size)
+    if m.ndim == 2 and len(m) > step:
+        return all(_carries_on(m[i:i + step], src, gens, image) for i in range(0, len(m), step))
+    return bool((m[..., args] == image[m[..., :, None], m[..., None, gens]]).all())
+
+
+def _affine_on(m, retract, gens, o, k, zero=0):
+    """Whether the map m carries nu = x+y+z+k' over the certified source
+    retract (o', k') onto x+y+z+k over the abelian group o with identity
+    `zero`, given that gens generates o': with c = m(0), g = m - c must be
+    additive on gens with g(k') = c+c+k, the affine test of
+    `_distrib_certificate`."""
+    src, k_src = retract
+    c = m[0]
+    g = o[m, (o[c] == zero).argmax()]        # g(x) = m(x) - c
+    return g[k_src] == o[o[c, c], k] and _carries_on(g, src, gens, o)
 
 
 def _nonperm_row(t):
@@ -604,7 +707,7 @@ def detect_derived_structure(obj):
         units = _ternary_units(mu)
         unit = units[0] if units else None
     else:
-        unit = _identity(mu)
+        unit = obj.unit
     return {"unit": unit, "zero": _zero_element(obj, unit)}
 
 
@@ -701,7 +804,7 @@ class FiniteThreeField:
         v = _first_failure(c, "nu closure", "mu closure")
         if v is not None:
             raise StructureError(f"field operations must be closed: {v.detail}")
-        if _identity(c.mu) != self.one:
+        if c.unit != self.one:
             raise StructureError(f"{self.label(self.one)} is not a two-sided unit")
         self._inv                       # raises unless every element has an inverse
         v = _first_failure(c, "nu invariants", "mu invariants")

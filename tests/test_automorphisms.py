@@ -19,7 +19,7 @@ from ternfield import (
     odd_residue_field,
     truncation_morphism,
 )
-from ternfield import automorphisms, ternary_kernel
+from ternfield import automorphisms, pair_envelope, ternary_kernel
 from ternfield.automorphisms import PolyEndo, compose_elements, composition_table
 from ternfield.poly_fields import generated_subalgebra
 
@@ -183,6 +183,25 @@ def test_automorphism_group_builds_no_polynomials_and_composes_no_pairs():
         assert calls == [] and compose.call_count == 0
         generated_subalgebra(f, [f.index("x")])     # the counters do count
         assert "__mul__" in calls and "__add__" in calls
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_automorphism_group_decides_one_retract_and_walks_no_map(k):
+    f = build_f0(k, check="light")               # no retract decided yet
+    with mock.patch.object(ternary_kernel, "_coset_retract",
+                           wraps=ternary_kernel._coset_retract) as retract, \
+            mock.patch.object(pair_envelope, "_map_violation",
+                              wraps=pair_envelope._map_violation) as walked:
+        assert automorphism_group(f).order == 1 << (k - 2)
+    assert retract.call_count == 1 and walked.call_count == 0
+
+
+def test_an_unchecked_field_keeps_walking_its_endomorphisms():
+    f = build_f0(4, check=False)                 # no cheap law decided: no proof
+    with mock.patch.object(pair_envelope, "_map_violation",
+                           wraps=pair_envelope._map_violation) as walked:
+        assert automorphism_group(f).order == 4
+    assert walked.call_count == 2 * f.n          # nu, then mu, of every map
 
 
 def test_four_element_field_has_one_nontrivial_automorphism():

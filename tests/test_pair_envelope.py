@@ -41,7 +41,7 @@ from ternfield.pair_envelope import (
     standard_form,
     universal_extension,
 )
-from ternfield import ternary_kernel
+from ternfield import pair_envelope, ternary_kernel
 from ternfield.automorphisms import composition_table, truncation_morphism
 from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
 
@@ -116,6 +116,16 @@ RING_MUTANTS = {
 }
 
 
+def walk_only(monkeypatch):
+    """No carrier has generator sets and no ring a proof, and validate_ring
+    never passes on generators: every law and map is walked."""
+    monkeypatch.setattr(TernaryCarrier, "generators", lambda self: None)
+    monkeypatch.setattr(RingTable, "_add_gens", property(lambda self: None,
+                                                         lambda self, gens: None),
+                        raising=False)
+    monkeypatch.setattr(pair_envelope, "_light_associative", lambda t, gens: False)
+
+
 @pytest.mark.parametrize("block", [None, 8])
 @pytest.mark.parametrize("message", list(RING_MUTANTS))
 def test_each_ring_law_reports_its_own_failure(message, block, monkeypatch):
@@ -123,6 +133,64 @@ def test_each_ring_law_reports_its_own_failure(message, block, monkeypatch):
         monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
     with pytest.raises(StructureError, match=f"^{message}$"):
         RingTable(*RING_MUTANTS[message]())
+
+
+@pytest.mark.parametrize("block", [None, 8])
+@pytest.mark.parametrize("message", list(RING_MUTANTS))
+def test_each_ring_law_reports_its_own_failure_on_the_walk(message, block, monkeypatch):
+    walk_only(monkeypatch)
+    test_each_ring_law_reports_its_own_failure(message, block, monkeypatch)
+
+
+@pytest.mark.parametrize("block", [None, 8])
+@pytest.mark.parametrize("route", ["generators", "walk"])
+def test_a_valid_ring_keeps_its_proof_only_from_the_generators(route, block, monkeypatch):
+    if block:                                   # the stacked rows and columns in chunks
+        monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
+    if route == "walk":
+        walk_only(monkeypatch)
+    with mock.patch.object(pair_envelope, "_assoc_violation",
+                           wraps=pair_envelope._assoc_violation) as walked:
+        rings = [residue_ring(1), residue_ring(8), build_envelope(build_f0(4))]
+    # the walk checks both associativities, the generators neither
+    assert walked.call_count == (0 if route == "generators" else 2 * len(rings))
+    for ring in rings:
+        assert (ring._add_gens is not None) == (route == "generators")
+        unchecked = RingTable(ring.labels, ring.add, ring.mul, ring.zero, ring.one,
+                              check=False)
+        assert unchecked._add_gens is None
+
+
+def test_a_checked_envelope_walks_no_associativity_and_no_embedding():
+    f = build_f0(5)                              # built with its retract decided
+    with mock.patch.object(pair_envelope, "_assoc_violation",
+                           wraps=pair_envelope._assoc_violation) as assoc, \
+            mock.patch.object(pair_envelope, "_map_violation",
+                              wraps=pair_envelope._map_violation) as walked:
+        env = build_envelope(f)
+    assert assoc.call_count == 0 and env._add_gens is not None
+    # the embedding of the base is checked on generators; the parity
+    # grading onto Z/2 stays two walks
+    assert walked.call_count == 2
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("table", ["add", "mul"])
+@pytest.mark.parametrize("kind,message", [
+    ("ragged", "table is ragged: its rows differ in length"),
+    ("strings", "table entries must be integers"),
+    ("floats", "table entries must be integers")])
+def test_ring_tables_of_other_than_integers_are_refused(kind, message, table, check):
+    labels, add, mul, zero, one = z8_mutant()
+    tables = {"add": add.tolist(), "mul": mul.tolist()}
+    rows = tables[table]
+    if kind == "ragged":
+        rows[-1].pop()
+    else:
+        tables[table] = [[f"{v}a" if kind == "strings" else v + 0.25 for v in row]
+                         for row in rows]
+    with pytest.raises(StructureError, match=f"^{table} {message}$"):
+        RingTable(labels, tables["add"], tables["mul"], zero, one, check=check)
 
 
 @pytest.mark.parametrize("check", [True, False])
@@ -1016,17 +1084,76 @@ def one_image_mutants(source, target, mapping):
         yield bad
 
 
+def decide_retracts(*structures):
+    """Certify the retract of every field among the structures."""
+    for x in structures:
+        if hasattr(x, "carrier"):
+            x.carrier.retract
+
+
 @pytest.mark.parametrize("block", [None, 64])
-def test_map_checks_give_the_whole_table_messages(block, monkeypatch):
+def test_map_checks_give_the_whole_table_messages(block, monkeypatch, walk=False):
     if block:
         monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
     seen = set()
     for kind, source, target, mapping in valid_maps():
+        decide_retracts(source, target)
         for m in [list(mapping), *one_image_mutants(source, target, mapping)]:
             want = whole_table_map_error(kind, source, target, m)
-            assert map_error(kind, source, target, m) == want, (kind, m)
+            with mock.patch.object(pair_envelope, "_map_violation",
+                                   wraps=pair_envelope._map_violation) as walked:
+                assert map_error(kind, source, target, m) == want, (kind, m)
+            # every structure here is proved, so the generators pass each
+            # valid map, and a failure is named by the walk
+            if want is None:
+                assert walked.call_count == (2 if walk else 0)
             seen.add(want)
     assert len(seen) >= 7
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_map_checks_give_the_whole_table_messages_on_the_walk(block, monkeypatch):
+    walk_only(monkeypatch)
+    test_map_checks_give_the_whole_table_messages(block, monkeypatch, walk=True)
+
+
+@pytest.mark.parametrize("route", ["generators", "walk"])
+def test_a_map_keeping_nu_but_breaking_mu_is_refused_on_either_route(route, monkeypatch):
+    if route == "walk":
+        walk_only(monkeypatch)
+    f5 = build_f0(5, check="light")
+    decide_retracts(f5)
+    swap = swapped_coordinates(f5)
+    with mock.patch.object(pair_envelope, "_affine_on",
+                           wraps=pair_envelope._affine_on) as nu_tried, \
+            mock.patch.object(pair_envelope, "_carries_on",
+                              wraps=pair_envelope._carries_on) as mu_tried:
+        with pytest.raises(StructureError, match="^multiplication is not preserved$"):
+            Morphism(f5, f5, swap)
+    # the generators pass nu, fail mu, and the walk names the law
+    assert nu_tried.call_count == mu_tried.call_count == (route == "generators")
+    c, m = f5.carrier, np.asarray(swap)
+    o_gens, mu_gens = (np.array(ternary_kernel._generators(t)) for t in (c.retract[0], c.mu))
+    assert ternary_kernel._affine_on(m, c.retract, o_gens, *c.retract)
+    assert not ternary_kernel._carries_on(m, c.mu, mu_gens, c.mu)
+    assert whole_table_map_error(Morphism, f5, f5, swap) == "multiplication is not preserved"
+
+
+def test_an_unchecked_field_without_coset_form_keeps_the_walk():
+    f = build_f0(3, check="light")
+    c = f.carrier
+    pi = np.arange(f.n, dtype=np.int32)
+    pi[[1, 2]] = 2, 1                    # nu followed by a transposition: no coset form
+    twisted = FiniteThreeField(TernaryCarrier(c.labels, pi[c.nu], c.mu), f.one, check=False)
+    assert twisted.carrier.retract is None
+    for source, target in ((twisted, twisted), (twisted, f), (f, twisted)):
+        decide_retracts(source, target)
+        for m in [list(range(f.n)), *one_image_mutants(source, target, range(f.n))]:
+            with mock.patch.object(pair_envelope, "_map_violation",
+                                   wraps=pair_envelope._map_violation) as walked:
+                got = map_error(Morphism, source, target, m)
+            assert got == whole_table_map_error(Morphism, source, target, m)
+            assert walked.call_count >= (m[source.one] == target.one)
 
 
 def map_law_cases():

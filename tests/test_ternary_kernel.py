@@ -5,6 +5,7 @@ import functools
 import inspect
 import itertools
 import json
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -247,6 +248,92 @@ def test_carrier_json_round_trip(odd8):
     assert (back.mu == odd8.carrier.mu).all()
     rebuilt = FiniteThreeField(back, doc["one"], check="auto", limit=back.n)
     assert rebuilt.n == odd8.n
+
+
+# Tables NumPy reads as something other than integers: rows of different
+# lengths, strings, and floats that an int cast would truncate into range.
+BAD_ENTRIES = {
+    "ragged": (lambda rows: rows[:-1] + [rows[-1][:-1]],
+               "table is ragged: its rows differ in length"),
+    "strings": (lambda rows: [[str(v) + "a" for v in row] for row in rows],
+                "table entries must be integers"),
+    "floats": (lambda rows: [[v + 0.5 for v in row] for row in rows],
+               "table entries must be integers"),
+}
+
+
+@pytest.mark.parametrize("check", [False, "light", "auto"])
+@pytest.mark.parametrize("table", ["nu", "mu"])
+@pytest.mark.parametrize("kind", list(BAD_ENTRIES))
+def test_tables_of_other_than_integers_are_refused(odd8, kind, table, check):
+    spoil, message = BAD_ENTRIES[kind]
+    c = odd8.carrier
+    tables = {"nu": c.nu.reshape(c.n, -1).tolist(), "mu": c.mu.tolist()}
+    tables[table] = spoil(tables[table])
+    with pytest.raises(StructureError, match=f"^{table} {message}$"):
+        FiniteThreeField(TernaryCarrier(c.labels, tables["nu"], tables["mu"]), odd8.one,
+                         check=check)
+    doc = odd8.to_json()                 # a flat list: spoil its entries as one row
+    doc[table] = spoil([doc[table]])[0] if kind != "ragged" else doc[table][:-1] + [[0, 1]]
+    with pytest.raises(StructureError, match=f"^{table} {message}$"):
+        FiniteThreeField(TernaryCarrier.from_json(doc), odd8.one, check=check)
+
+
+def test_integral_floats_are_read_and_entries_are_not_wrapped_into_range(odd8):
+    c = odd8.carrier
+    back = TernaryCarrier(c.labels, c.nu.astype(float), c.mu.astype(float))
+    assert (back.nu == c.nu).all() and back.mu.dtype == np.int32
+    wrapped = c.mu.astype(np.int64)
+    wrapped[1, 1] += 2 ** 32             # an int32 cast would give the old entry
+    with pytest.raises(StructureError, match=r"^mu table entries must lie in \[-1, 4\)$"):
+        TernaryCarrier(c.labels, c.nu, wrapped)
+
+
+# -- generators and Light's associativity test ------------------------------------
+
+def left_normed_products(t, gens):
+    """Every left-normed product (..((a1 a2) a3)..) of the generators."""
+    found, todo = set(), list(gens)
+    while todo:
+        x = todo.pop()
+        if x not in found:
+            found.add(x)
+            todo.extend(int(t[x, g]) for g in gens)
+    return found
+
+
+def assert_generators_decide_associativity(t):
+    gens = tk._generators(t)
+    assert gens == sorted(gens) and left_normed_products(t, gens) == set(range(len(t)))
+    # greedy: no generator is a product of the earlier ones
+    assert all(g not in left_normed_products(t, gens[:i]) for i, g in enumerate(gens))
+    assert tk._light_associative(t, gens) == (tk._assoc_violation(t) is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)))
+def test_generators_and_light_test_on_arbitrary_magmas(cells):
+    n = math.isqrt(len(cells))
+    assert_generators_decide_associativity(np.array(cells, dtype=np.int32).reshape(n, n))
+
+
+def test_generators_and_light_test_on_roster_tables_with_one_cell_moved():
+    rng = np.random.default_rng(17)
+    verdicts = set()
+    for name in ROSTER:
+        c = roster_field(name).carrier
+        for t in (c.mu, c.retract[0]):
+            assert_generators_decide_associativity(t)
+            assert len(tk._generators(t)) <= 1 + math.log2(c.n)    # a group
+            verdicts.add(True)
+            for _ in range(4):
+                moved = t.copy()
+                i, j = rng.integers(0, c.n, size=2)
+                moved[i, j] = (moved[i, j] + 1 + rng.integers(0, c.n - 1)) % c.n
+                assert_generators_decide_associativity(moved)
+                verdicts.add(tk._assoc_violation(moved) is None)
+    assert verdicts == {True, False}
 
 
 # -- the scans against a pure-Python reference ----------------------------------
