@@ -56,6 +56,7 @@ from .ternary_kernel import (
     _refuse_size,
     _renumber,
     _table,
+    _translations,
     quer_add,
 )
 
@@ -100,8 +101,8 @@ class RingTable:
             raise StructureError("addition rows are not permutations")
         if _identity(mul) == self.one:
             a = np.array(_generators(add))
-            if (_light_associative(add, a)                    # rows, then columns
-                    and _carries_on(np.concatenate((mul, mul.T)), add, a, add)):
+            if (_light_associative(add, a)
+                    and _carries_on(_translations(mul), add, a, add)):
                 ab = mul[a[:, None], a]                 # [a, b, c]: (ab)c == a(bc)
                 if (mul[ab[:, :, None], a] == mul[a[:, None, None], ab]).all():
                     self._add_gens = a

@@ -14,15 +14,15 @@ steps, and the Verdict's `method` records which step decided it:
 1. cheap invariants, O(n^3) or less: closure, commutativity and unique
    solvability of nu, associativity of a binary mu ("cheap");
 2. the size gate: carriers above `check_limit()` raise CarrierSizeError;
-3. an exact O(n^3) certificate: by the Hosszu-Gluskin theorem a
-   commutative ternary group is nu(x,y,z) = x+y+z+k over an abelian group.
-   One certificate (`_coset_retract`) checks that form and yields the
-   retract (o, k); it is computed once per carrier and cached as
-   `TernaryCarrier.retract`, so both checkers share it.  For mu,
-   `_distrib_certificate` then checks on that retract that every
-   translation is affine; a passing certificate is a PASS ("certificate");
+3. an exact certificate: by the Hosszu-Gluskin theorem a commutative
+   ternary group is nu(x,y,z) = x+y+z+k over an abelian group.  One
+   O(n^3) certificate (`_coset_retract`) checks that form and yields the
+   retract (o, k), cached per carrier as `TernaryCarrier.retract` beside
+   its generators A; then `_distrib_certificate` tests every translation
+   of mu, binary or ternary, as affine for o on A, in O(n^2 |A|) for a
+   binary mu.  A passing certificate is a PASS ("certificate");
 4. otherwise the O(n^5) scan, the only witness locator ("scan").  A
-   certificate can fail on a table the scan passes, so a failed
+   certificate can fail on a binary mu the scan passes, so a failed
    certificate decides nothing by itself.
 
 Each cheap law of step 1 (the closure of nu and of mu, the nu invariants
@@ -43,9 +43,9 @@ none holds an n^3 cube.
 
 Where the groups are proved, laws and maps are decided on a generating set
 A instead (`_generators`, |A| <= 1 + log2 n on a group): associativity by
-Light's test (`_light_associative`, O(n^2 |A|)), and a map by its law on
-A (`_carries_on`, `_affine_on`, O(n |A|)).  These decide passes only; a
-failure is named by the walk.
+Light's test (`_light_associative`, O(n^2 |A|)), and a map or a stack of
+maps by its law on A (`_carries_on`, `_affine_on`, O(n |A|) per map).
+These decide passes only; a failure is named by the walk.
 """
 
 import functools
@@ -197,26 +197,30 @@ class TernaryCarrier:
         return _coset_retract(self.nu)
 
     @functools.cached_property
+    def retract_generators(self):
+        """An index array generating the certified retract's o (`_generators`)."""
+        return np.array(_generators(self.retract[0]))
+
+    @functools.cached_property
     def unit(self):
         """The two-sided identity of a binary mu, or None: see `_identity`."""
         return _identity(self.mu) if self.mu is not None and self.mu.ndim == 2 else None
 
+    def monoid_proved(self):
+        """Whether mu is binary, decided closed and associative, and unital."""
+        return (self.mu is not None and self.mu.ndim == 2
+                and all(self._verdicts.get(law, False) is None
+                        for law in ("mu closure", "mu invariants"))
+                and self.unit is not None)
+
     def generators(self):
         """(generators of o, generators of mu), from `_generators`, once the
-        carrier has certified its retract (o, k) and decided that its binary
-        mu is closed and associative with a two-sided identity; None before
-        that or otherwise.  Then o is an abelian group and mu a monoid, so a
-        map of such carriers is a morphism when it is one on these sets.
-        Nothing is decided here: a caller that has not paid for the retract
-        and the cheap laws pays nothing.  The sets are computed once."""
-        if self._gens is None:
-            if not (self.__dict__.get("retract") and self.mu is not None
-                    and self.mu.ndim == 2 and all(self._verdicts.get(law, False) is None
-                                                  for law in ("mu closure", "mu invariants"))):
-                return None
-            self._gens = ((np.array(_generators(self.retract[0])), np.array(_generators(self.mu)))
-                          if self.unit is not None else ())
-        return self._gens or None
+        carrier has certified its retract (o, k) and `monoid_proved`, else
+        None; a map of such carriers is a morphism when it is one on these
+        sets.  Nothing is decided here; the sets are computed once."""
+        if self._gens is None and self.__dict__.get("retract") and self.monoid_proved():
+            self._gens = (self.retract_generators, np.array(_generators(self.mu)))
+        return self._gens
 
     def derived_ternary_mu(self):
         """Dense table of the derived ternary product mu(mu(x,y),z)."""
@@ -368,26 +372,34 @@ def _carries_on(m, src, gens, image):
     """Whether m(src(x, a)) == image(m(x), m(a)) for every x and every a in
     gens: the map law of `_map_violation`, for binary tables, on generators
     only.  m is one map (an image index per element) or a stack of them,
-    one per row, taken in chunks of about _BLOCK_ENTRIES entries.  A map of
-    groups that passes on a generating set is a homomorphism, the elements
-    a that pass being closed under the product."""
+    one per column, taken in chunks of about _BLOCK_ENTRIES entries.  A map
+    of groups that passes on a generating set is a homomorphism, the
+    elements a that pass being closed under the product."""
     args = src[:, gens]
     step = max(1, _BLOCK_ENTRIES // args.size)
-    if m.ndim == 2 and len(m) > step:
-        return all(_carries_on(m[i:i + step], src, gens, image) for i in range(0, len(m), step))
-    return bool((m[..., args] == image[m[..., :, None], m[..., None, gens]]).all())
+    if m.ndim == 2 and m.shape[1] > step:
+        return all(_carries_on(m[:, i:i + step], src, gens, image)
+                   for i in range(0, m.shape[1], step))
+    return bool((m[args] == image[m[:, None], m[gens][None]]).all())
 
 
 def _affine_on(m, retract, gens, o, k, zero=0):
     """Whether the map m carries nu = x+y+z+k' over the certified source
     retract (o', k') onto x+y+z+k over the abelian group o with identity
     `zero`, given that gens generates o': with c = m(0), g = m - c must be
-    additive on gens with g(k') = c+c+k, the affine test of
-    `_distrib_certificate`."""
+    additive on gens with g(k') = c+c+k.  m is one map or a stack of them,
+    one per column, as in `_carries_on`: O(n |A|) per map."""
     src, k_src = retract
     c = m[0]
-    g = o[m, (o[c] == zero).argmax()]        # g(x) = m(x) - c
-    return g[k_src] == o[o[c, c], k] and _carries_on(g, src, gens, o)
+    g = o[m, (o[c] == zero).argmax(axis=-1)]            # g(x) = m(x) - c
+    return bool((g[k_src] == o[o[c, c], k]).all()) and _carries_on(g, src, gens, o)
+
+
+def _translations(mu):
+    """Every translation of the product mu, one map per column: x in each
+    argument place in turn, the others fixed (n or n^2 maps per place)."""
+    return np.concatenate([mu.swapaxes(0, a).reshape(len(mu), -1)
+                           for a in range(mu.ndim)], axis=1)
 
 
 def _nonperm_row(t):
@@ -514,32 +526,20 @@ def _is_coset_form(nu, o, k):
                                != nu[rows])) is None
 
 
-def _distrib_certificate(retract, mu):
-    """Exact O(n^3) sufficient condition for the three ternary
-    distributivity laws of mu(mu(x,y),z) over nu = x+y+z+k, for a binary
-    mu, given the retract (o, k) that `_coset_retract` accepted for nu.
-
-    For every left translation x -> mu(w,x) and right translation
-    x -> mu(x,w), call it f, with c = f(0) and g(x) = f(x) - c: g must be
-    a homomorphism of o with g(k) = c+c+k.  Then
-    f(x+y+z+k) = g(x)+g(y)+g(z)+(c+c+k)+c = f(x)+f(y)+f(z)+k, so every
-    translation is an endomorphism of nu, and so are their composites:
-    law 1 is R_e R_d, law 2 is R_e L_a and law 3 is L_mu(a,b).  Passes on
-    every field with a unit: the unit in laws 1 and 3 makes every
-    translation an endomorphism of nu, and an endomorphism f of
-    x+y+z+k has exactly this form (put y = z = 0, then x = 0).
+def _distrib_certificate(carrier):
+    """Sufficient condition for the three ternary distributivity laws of
+    mu over nu = x+y+z+k, (o, k) the carrier's certified retract: every
+    translation f of mu is affine for o, by `_affine_on` on o's generators
+    A, O(n^2 |A|) for a binary mu.  With c = f(0) and g = f - c additive,
+    g(k) = c+c+k gives f(x+y+z+k) = g(x)+g(y)+g(z)+(c+c+k)+c
+    = f(x)+f(y)+f(z)+k, and every endomorphism of nu has this form (put
+    y = z = 0, then x = 0).  A ternary mu's laws say exactly that its
+    translations are endomorphisms.  A binary mu's ternary product has
+    their composites: law 1 is R_e R_d, law 2 is R_e L_a and law 3 is
+    L_mu(a,b), and a field's unit makes every translation one.
     """
-    o, k = retract
-    n = len(o)
-    neg = np.argmax(o == 0, axis=1)          # x o neg[x] = 0
-    trans = np.concatenate([mu, mu.T])       # rows: x -> mu(w,x), x -> mu(x,w)
-    c = trans[:, 0]
-    g = o[trans, neg[c][:, None]]
-    if not (g[:, k] == o[o[c, c], k]).all():
-        return False
-    # [f,x,y] -> g_f(x o y) != g_f(x) o g_f(y)
-    return _first_violation(2 * n, n * n, lambda rows: g[rows][:, o]
-                            != o[g[rows][:, :, None], g[rows][:, None, :]]) is None
+    r = carrier.retract
+    return _affine_on(_translations(carrier.mu), r, carrier.retract_generators, *r)
 
 
 def _scan_blocks(n):
@@ -653,9 +653,9 @@ def check_distributivity(carrier, limit=None):
     distributivity laws over nu, of a binary mu (derived ternary product)
     or a genuinely ternary one (ProperThreeThreeField).
 
-    For a binary mu the laws are decided by `_distrib_certificate` when the
-    carrier has a certified retract and the certificate passes, and by the
-    O(n^5) scan otherwise; a genuine ternary product is always scanned."""
+    The laws are decided by `_distrib_certificate` (mu's translations
+    affine on the retract's generators) when the carrier has a certified
+    retract and it passes, and by the O(n^5) scan otherwise."""
     v = _first_failure(carrier, "nu closure")
     if v is not None:
         return v
@@ -666,11 +666,9 @@ def check_distributivity(carrier, limit=None):
     if v is not None:
         return v
     _gate(carrier.n, limit)
-    if mu.ndim == 2:
-        if carrier.retract is not None and _distrib_certificate(carrier.retract, mu):
-            return Verdict(True, method="certificate")
-        mu = mu[mu]                        # [i,j,k] -> mu[mu[i,j],k]
-    w = _distrib_scan(carrier.nu, mu)
+    if carrier.retract is not None and _distrib_certificate(carrier):
+        return Verdict(True, method="certificate")
+    w = _distrib_scan(carrier.nu, mu if mu.ndim == 3 else mu[mu])   # [i,j,k] -> mu[mu[i,j],k]
     if w is not None:
         law, *abcde = w
         return Verdict(False, f"distributivity-law-{law}", tuple(abcde), f"law {law} "
@@ -866,7 +864,7 @@ class ProperThreeThreeField(TernaryCarrier):
     """(3,3)-field with a genuinely ternary multiplication and no unit: a
     carrier whose mu is the (n,n,n) product table, whose foreign results
     `mu_foreign` holds by argument triple.  Validated when built, under the
-    default gate."""
+    default gate; distributivity by mu's 3n^2 translations on o's generators."""
 
     product_axes = 3
 

@@ -196,6 +196,23 @@ def test_automorphism_group_decides_one_retract_and_walks_no_map(k):
     assert retract.call_count == 1 and walked.call_count == 0
 
 
+def test_an_unchecked_field_decides_no_retract():
+    # no cheap law is decided, so no generators could follow a retract: the
+    # coset pass is not paid, and the group is the light-built field's, whose
+    # maps are still decided on generators
+    unchecked, light = build_f0(7, check=False), build_f0(7, check="light")
+    with mock.patch.object(ternary_kernel, "_coset_retract",
+                           wraps=ternary_kernel._coset_retract) as retract, \
+            mock.patch.object(pair_envelope, "_map_violation",
+                              wraps=pair_envelope._map_violation) as walked:
+        got = automorphism_group(unchecked)
+        assert retract.call_count == 0 and walked.call_count == 2 * unchecked.n
+        want = automorphism_group(light)
+    assert retract.call_count == 1 and walked.call_count == 2 * unchecked.n
+    assert got.elements == want.elements and got.identity == want.identity
+    assert (got.table == want.table).all()
+
+
 def test_an_unchecked_field_keeps_walking_its_endomorphisms():
     f = build_f0(4, check=False)                 # no cheap law decided: no proof
     with mock.patch.object(pair_envelope, "_map_violation",

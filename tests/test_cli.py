@@ -2,6 +2,7 @@
 codes, JSON schemas, table formats, and deterministic output."""
 
 import contextlib
+import doctest
 import io
 import json
 import os
@@ -136,6 +137,11 @@ def test_readme_command_runs(argv):
     code, out, _ = run_main(*argv)
     assert code == 0
     assert out.strip()
+
+
+def test_readme_examples_pass_as_doctests():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted and not result.failed
 
 
 def test_readme_shows_every_command():

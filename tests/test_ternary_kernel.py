@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ternfield import (
     CarrierSizeError,
     FiniteThreeField,
+    Morphism,
     ProperThreeThreeField,
     StructureError,
     TernaryCarrier,
@@ -789,7 +790,7 @@ def test_certificates_pass_on_valid_fields(name):
     rng = np.random.default_rng(len(name))
     for carrier in (c, relabel(c, rng.permutation(c.n))):
         assert carrier.retract is not None
-        assert tk._distrib_certificate(carrier.retract, carrier.mu)
+        assert tk._distrib_certificate(carrier)
         v_add = check_ternary_group(carrier, limit=carrier.n)
         v_mul = check_distributivity(carrier, limit=carrier.n)
         assert v_add.method == v_mul.method == "certificate"
@@ -800,7 +801,7 @@ def test_certificates_pass_on_valid_fields(name):
 def test_passing_certificate_means_no_scan_witness(name):
     c = roster_field(name).carrier
     assert c.retract is not None and tk._assoc_scan(c.nu) is None
-    assert tk._distrib_certificate(c.retract, c.mu)
+    assert tk._distrib_certificate(c)
     assert tk._distrib_scan(c.nu, c.derived_ternary_mu()) is None
 
 
@@ -969,7 +970,7 @@ def assert_retract_matches_the_split_certificates(c):
     if r is not None:
         o, k = split_retract(c.nu)
         assert (r[0] == o).all() and r[1] == k
-    accepted = r is not None and tk._distrib_certificate(r, c.mu)
+    accepted = r is not None and tk._distrib_certificate(c)
     assert bool(accepted) == bool(split_distrib_certificate(c.nu, c.mu))
     assert verdicts(c) == split_verdicts(c)
 
@@ -990,6 +991,44 @@ def test_retract_matches_the_split_certificates_on_hand_made_tables():
         assert_retract_matches_the_split_certificates(carrier)
 
 
+# -- the affine law on a stack of maps ----------------------------------------------
+
+@pytest.mark.parametrize("per_chunk", [None, 1, 3])
+def test_a_stack_of_maps_is_decided_as_its_maps(per_chunk, monkeypatch):
+    # mu's translations, each also with one image moved and shifted by
+    # o's element 1: every map against the whole nu table, and every stack
+    # against its maps, in chunks of `per_chunk` maps when the block is
+    # patched small.  A shift keeps g additive and breaks only the affine
+    # constant, unless 1 + 1 = 0 in o.
+    rng = np.random.default_rng(19)
+    for name in ("odd(16)", "F0(4)", "F0(2)xF0(3)"):
+        c = with_tables(roster_field(name).carrier)
+        r, gens = c.retract, c.retract_generators
+        good = tk._translations(c.mu)                    # a map per column
+        moved = good.copy()
+        x = rng.integers(0, c.n, size=moved.shape[1])
+        moved[x, np.arange(moved.shape[1])] = (moved[x, np.arange(moved.shape[1])] + 1) % c.n
+        shifted = r[0][good, 1]
+        maps = np.concatenate([good, moved, shifted], axis=1)
+        each = [tk._map_violation(f, c.nu, c.nu) is None for f in maps.T]
+        w = good.shape[1]
+        assert all(each[:w]) and not any(each[w:2 * w])
+        assert all(each[2 * w:]) == (r[0][1, 1] == 0)
+        if per_chunk:
+            monkeypatch.setattr(tk, "_BLOCK_ENTRIES", per_chunk * c.n * len(gens))
+        assert [tk._affine_on(f, r, gens, *r) for f in maps.T] == each
+        with mock.patch.object(tk, "_carries_on", wraps=tk._carries_on) as carries:
+            assert tk._affine_on(good, r, gens, *r)
+        # one call for the stack, then one per chunk when it is split
+        chunks = -(-good.shape[1] // (per_chunk or good.shape[1]))
+        assert carries.call_count == (1 if chunks == 1 else 1 + chunks)
+        for _ in range(20):
+            idx = np.sort(rng.choice(maps.shape[1], size=rng.integers(1, 12), replace=False))
+            assert tk._affine_on(maps[:, idx], r, gens, *r) == all(each[i] for i in idx)
+        assert not tk._affine_on(np.concatenate([good, moved[:, -1:]], axis=1), r, gens, *r)
+        monkeypatch.undo()
+
+
 def test_verdict_method_records_how_it_was_reached():
     f = roster_field("F0(3)")
     v = check_ternary_group(f.carrier)
@@ -1000,7 +1039,7 @@ def test_verdict_method_records_how_it_was_reached():
     sub = [f.index("1"), f.index("x^2")]
     coset = twisted_coset(f, sub, f.index("x"))
     v = check_distributivity(coset)
-    assert v and v.method == "scan"
+    assert coset.retract is not None and v and v.method == "certificate"
     assert check_ternary_group(f.carrier) is not check_ternary_group(f.carrier)
 
 
@@ -1324,14 +1363,15 @@ def test_twisted_coset_matches_reference_over_every_subfield():
             assert list(coset.labels) == labels
             assert (coset.nu == nu).all() and (coset.mu == tmu).all()
             # a carrier whose mu is genuinely ternary and that decides as
-            # the split certificates did; its genuine product is always scanned
+            # the split certificates did; its genuine product is certified
+            # on the certified retract, and scanned without one
             assert isinstance(coset, TernaryCarrier) and coset.mu.ndim == 3
             assert coset.nu_foreign == coset.mu_foreign == {}
             certified = split_assoc_certificate(coset.nu) is not None
             assert (coset.retract is not None) == certified
             v_add, v_mul = check_ternary_group(coset), check_distributivity(coset)
             assert v_add and v_add.method == ("certificate" if certified else "scan")
-            assert v_mul and v_mul.method == "scan"
+            assert v_mul and v_mul.method == ("certificate" if certified else "scan")
             cosets += 1
     assert len(messages) == 16 and cosets == 8
 
@@ -1400,10 +1440,10 @@ def test_a_coset_keeps_its_genuine_product_in_mu():
 
 
 def test_coset_checks_are_the_ones_of_a_genuine_product():
-    # the coset's nu is certified and its product is always scanned; it has
-    # neither a unit nor a zero
+    # the coset's nu is certified, and so is its product on that retract;
+    # it has neither a unit nor a zero
     for coset in proper_cosets():
-        assert checked(coset) == (PASS, "certificate", PASS, "scan",
+        assert checked(coset) == (PASS, "certificate", PASS, "certificate",
                                   {"unit": None, "zero": None})
 
 
@@ -1419,8 +1459,8 @@ def test_broken_coset_products_get_the_scan_verdict():
             v = check_distributivity(broken)
             w = tk._distrib_scan(broken.nu, broken.mu)
             assert detect_derived_structure(broken) == whole_cube_derived_structure(broken)
-            if w is None:
-                assert v.as_dict() == PASS and v.method == "scan"
+            if w is None:               # the coset's certified retract decides
+                assert v.as_dict() == PASS and v.method == "certificate"
                 continue
             law, *abcde = w
             assert v.as_dict() == {
@@ -1435,6 +1475,68 @@ def test_broken_coset_products_get_the_scan_verdict():
         assert v.axiom == "closure" and v.witness == (0, 1, 1) and v.method == "cheap"
         assert detect_derived_structure(open_coset) == {"unit": None, "zero": None}
     assert laws == {1, 2, 3}
+
+
+def assert_ternary_certificate_is_the_scan(c):
+    passed = tk._distrib_certificate(c)
+    w = tk._distrib_scan(c.nu, c.mu)
+    assert passed == (w is None)
+    return passed, w
+
+
+def test_the_ternary_certificate_is_the_scan_on_cosets_and_their_mutants():
+    # on a certified retract, the 3n^2 translations of a ternary mu being
+    # affine is exactly the three laws: the certificate passes iff the scan
+    # finds no witness, on every coset with any one cell of mu moved
+    outcomes = set()
+    for coset in proper_cosets():
+        assert coset.retract is not None
+        for cell in itertools.product(range(coset.n), repeat=3):
+            for shift in range(coset.n):
+                mu = coset.mu.copy()
+                mu[cell] = (mu[cell] + shift) % coset.n
+                passed, _ = assert_ternary_certificate_is_the_scan(
+                    unchecked_coset(coset.labels, coset.nu, mu))
+                outcomes.add((passed, shift == 0))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_the_ternary_certificate_tests_each_place_and_the_affine_constant():
+    # mu with one argument place read through a map s: only that place's
+    # law can break.  Random maps s break additivity; on the ternary
+    # product of odd(2^k), whose retract has 1 + 1 != 0, the shift
+    # x -> x o 1 keeps additivity and breaks the affine constant alone
+    rng = np.random.default_rng(20)
+    laws = set()
+    carriers = [*proper_cosets(), *(with_tables(roster_field(name).carrier)
+                                    for name in ("odd(8)", "odd(16)"))]
+    for carrier in carriers:
+        o = carrier.retract[0]
+        mu = carrier.mu if carrier.mu.ndim == 3 else carrier.derived_ternary_mu()
+        maps = [("shift", o[:, 1]),
+                *(("random", s) for s in rng.integers(0, carrier.n, size=(4, carrier.n)))]
+        for place in range(3):
+            for kind, s in maps:
+                moved = unchecked_coset(carrier.labels, carrier.nu, np.take(mu, s, axis=place))
+                _, w = assert_ternary_certificate_is_the_scan(moved)
+                if w is not None:
+                    assert w[0] == place + 1
+                    laws.add((kind, w[0]))
+    assert laws == {(kind, law) for kind in ("shift", "random") for law in (1, 2, 3)}
+
+
+def test_the_retract_generators_are_found_once_per_carrier():
+    # the certificate, the carrier's generator sets and every Morphism read
+    # one generating set of o
+    f = roster_field("F0(5)")
+    c = with_tables(f.carrier)
+    with mock.patch.object(tk, "_generators", wraps=tk._generators) as found:
+        g = FiniteThreeField(c, f.one, check="auto")
+        for _ in range(2):
+            Morphism(g, g, range(g.n))
+            assert check_distributivity(c).method == "certificate"
+    assert found.call_count == 2                       # o, then mu
+    assert c.generators()[0] is c.retract_generators
 
 
 def test_cosets_round_trip_through_json():
