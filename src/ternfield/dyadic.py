@@ -32,6 +32,8 @@ class OddDenomRational:
             value = numerator.value
             if denominator != 1:
                 value = value / Fraction(denominator)
+        elif type(numerator) is Fraction and denominator == 1:
+            value = numerator         # already in lowest terms
         else:
             value = Fraction(numerator, denominator)
         if value.denominator % 2 == 0:
@@ -49,7 +51,7 @@ class OddDenomRational:
 
     def is_odd_element(self):
         """Member of the 3-field (odd numerator), not merely of the envelope."""
-        return self.value.numerator % 2 == 1 or self.value.numerator % 2 == -1
+        return self.value.numerator % 2 == 1
 
     # envelope (binary ring) arithmetic
     def __add__(self, other):

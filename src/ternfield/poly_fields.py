@@ -21,6 +21,8 @@ of indices and the product is bilinear in their bits.
 import functools
 import itertools
 import math
+import numbers
+import operator
 import re
 from fractions import Fraction
 
@@ -107,7 +109,8 @@ def gf2_str(mask, var="x"):
 
 def val2_fraction(fr):
     """2-adic valuation of a nonzero rational (negative for even denominators)."""
-    fr = Fraction(fr)
+    if type(fr) is not Fraction:
+        fr = Fraction(fr)
     if fr == 0:
         raise StructureError("valuation of zero")
     return _val2_int(fr.numerator) - _val2_int(fr.denominator)
@@ -126,7 +129,13 @@ class TernaryPolynomial:
     """Multivariate polynomial with exact rational coefficients.
 
     Lives in the polynomial 3-algebra exactly when its coefficient sum is an
-    odd element of the coefficient ring (see parity())."""
+    odd element of the coefficient ring (see parity()).
+
+    Every instance keeps one invariant: each key of `terms` is a tuple of
+    len(vars) nonnegative ints, and each value is a nonzero Fraction.  The
+    public constructor establishes it from any input; sums, negatives and
+    products of valid polynomials keep it, so arithmetic returns through
+    `_from_terms`, which only drops the zero coefficients."""
 
     __slots__ = ("vars", "terms")
 
@@ -142,6 +151,15 @@ class TernaryPolynomial:
             if c:
                 clean[alpha] = clean.get(alpha, Fraction(0)) + c
         self.terms = {a: c for a, c in clean.items() if c}
+
+    @classmethod
+    def _from_terms(cls, vars, terms):
+        """A polynomial over the tuple `vars` from terms that already keep the
+        invariant, save that some coefficients may be zero."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = {a: c for a, c in terms.items() if c}
+        return p
 
     # -- construction ---------------------------------------------------
 
@@ -204,6 +222,8 @@ class TernaryPolynomial:
     @classmethod
     def variable(cls, name, vars=None):
         vars = vars or (name,)
+        if name not in vars:
+            raise StructureError(f"unknown variable {name!r}: not among {tuple(vars)}")
         alpha = tuple(1 if v == name else 0 for v in vars)
         return cls(vars, {alpha: Fraction(1)})
 
@@ -246,39 +266,50 @@ class TernaryPolynomial:
 
     def _align(self, other):
         if not isinstance(other, TernaryPolynomial):
+            if not isinstance(other, numbers.Rational):
+                raise StructureError(f"operand {other!r} is not a rational number")
             other = TernaryPolynomial.constant(other, self.vars)
         if other.vars != self.vars:
             raise StructureError(f"variable mismatch {self.vars} vs {other.vars}")
         return other
 
     def __add__(self, other):
-        other = self._align(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            terms[a] = terms.get(a, Fraction(0)) + c
-        return TernaryPolynomial(self.vars, terms)
+        return self._plus((other,))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TernaryPolynomial(self.vars, {a: -c for a, c in self.terms.items()})
+        return self._from_terms(self.vars, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._align(other))
+
+    def __rsub__(self, other):
+        return self._align(other) + (-self)
 
     def __mul__(self, other):
         other = self._align(other)
         terms = {}
         for a1, c1 in self.terms.items():
             for a2, c2 in other.terms.items():
-                a = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
-                terms[a] = terms.get(a, Fraction(0)) + c1 * c2
-        return TernaryPolynomial(self.vars, terms)
+                a = tuple(map(operator.add, a1, a2))
+                s = terms.get(a)
+                terms[a] = c1 * c2 if s is None else s + c1 * c2
+        return self._from_terms(self.vars, terms)
 
     __rmul__ = __mul__
 
     def add3(self, other, third):
-        return self + other + third
+        """self + other + third in one pass over the three term dicts."""
+        return self._plus((other, third))
+
+    def _plus(self, others):
+        terms = dict(self.terms)
+        for p in others:
+            for a, c in self._align(p).terms.items():
+                s = terms.get(a)
+                terms[a] = c if s is None else s + c
+        return self._from_terms(self.vars, terms)
 
     def __eq__(self, other):
         if not isinstance(other, TernaryPolynomial):
@@ -512,7 +543,8 @@ def completely_even(p, domain="gf2", max_degree=DEFAULT_KRONECKER_CAP):
     if domain == "gf2":
         mask = _poly_to_gf2(p)
         if mask == 0:
-            raise StructureError("zero polynomial mod 2: reduce the precision story")
+            raise StructureError(
+                f"every coefficient of {p} is even, so it is the zero polynomial mod 2")
         cofactor = mask
         power = 0
         while True:
@@ -1177,7 +1209,7 @@ def generated_subalgebra(field, targets):
     indices, steps = _subalgebra_closure(field, list(witness))
     for r, a, b, c in steps:
         witness[r] = (witness[a] * witness[b] if c < 0
-                      else witness[a] + witness[b] + witness[c])
+                      else witness[a].add3(witness[b], witness[c]))
     return indices, {i: witness[i] for i in indices}
 
 

@@ -322,6 +322,14 @@ def test_poly_ce_integer_domain_differs():
     assert doc["witness"] == "2*x + 1"
 
 
+@pytest.mark.parametrize("expr", ["0", "2*x^2 + 2"])
+def test_poly_ce_of_a_polynomial_that_vanishes_mod_2(expr):
+    code, out, err = run_main("poly", "ce", expr)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (f"error: every coefficient of {expr} is even, "
+                                    "so it is the zero polynomial mod 2")
+
+
 def test_poly_ce_rejects_unknown_domain():
     proc = run_cli("poly", "ce", "x^2 - 1", "--coeffs", "Q")
     assert proc.returncode == 2

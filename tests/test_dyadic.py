@@ -19,6 +19,7 @@ from ternfield import (
     reduce_mod,
     val2,
 )
+from ternfield._suite import criterion_9
 from ternfield.dyadic import DyadicIdeal, add3, inv, mul, quer
 from ternfield.poly_fields import val2_fraction
 
@@ -38,11 +39,33 @@ def test_even_denominators_are_rejected():
     assert OddDenomRational(4, 6).value == OddDenomRational(2, 3).value
 
 
+def test_a_fraction_is_taken_as_it_is_and_still_checked():
+    for bad in (Fraction(1, 2), Fraction(-3, 10)):
+        with pytest.raises(StructureError, match=f"^{bad} has an even denominator: "
+                           "not an odd-denominator rational$"):
+            OddDenomRational(bad)
+    with pytest.raises(StructureError, match="even denominator"):
+        OddDenomRational(Fraction(1, 3), 2)
+    x = Fraction(-6, 9)
+    assert OddDenomRational(x).value == x and type(OddDenomRational(x).value) is Fraction
+    assert OddDenomRational(Fraction(1, 3), 3).value == Fraction(1, 9)
+    assert val2_fraction(Fraction(-12, 5)) == val2_fraction(-12) - val2_fraction(5) == 2
+    assert val2_fraction(Fraction(3, 8)) == -3
+
+
+def test_paper_suite_criterion_9_detail_is_pinned():
+    assert criterion_9() == (True, {"morphism_cases": 10000, "truncation_cases": 10000,
+                                    "val2_cases": 10000})
+
+
 def test_field_membership_needs_both_parts_odd():
     assert odd_rational(3, 5).is_odd_element()
     with pytest.raises(StructureError, match="even numerator"):
         odd_rational(2, 3)
     assert not OddDenomRational(2, 3).is_odd_element()
+    assert OddDenomRational(-3, 5).is_odd_element()
+    assert not OddDenomRational(-2, 5).is_odd_element()
+    assert not OddDenomRational(0).is_odd_element()
 
 
 @given(envelope_fractions, envelope_fractions)

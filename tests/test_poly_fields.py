@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -49,6 +50,29 @@ def small_polys(max_degree=6, max_coeff=9):
         lambda cs: TernaryPolynomial(("x",), {(i,): c for i, c in enumerate(cs)}))
 
 
+def public_sum(*polys):
+    """The sum, accumulated term by term and built by the public constructor."""
+    terms = {}
+    for p in polys:
+        for a, c in p.terms.items():
+            terms[a] = terms.get(a, 0) + c
+    return TernaryPolynomial(polys[0].vars, terms)
+
+
+def public_product(p, q):
+    """The product, accumulated term by term and built by the public constructor."""
+    terms = {}
+    for a1, c1 in p.terms.items():
+        for a2, c2 in q.terms.items():
+            a = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
+            terms[a] = terms.get(a, 0) + c1 * c2
+    return TernaryPolynomial(p.vars, terms)
+
+
+def public_neg(p):
+    return TernaryPolynomial(p.vars, {a: -c for a, c in p.terms.items()})
+
+
 # -- parsing and arithmetic ----------------------------------------------------
 
 def test_parse_round_trip():
@@ -71,6 +95,76 @@ def test_polynomial_arithmetic():
     assert f + g == P("2*x")
     assert -g == P("1 - x")
     assert (f * f) * f == f * (f * f)
+
+
+def assert_public_form(r, expected):
+    """r keeps the constructor's invariant, equals its own rebuild through
+    the public constructor, and equals the independently built expected."""
+    assert type(r.vars) is tuple
+    assert all(len(a) == len(r.vars) and all(type(e) is int and e >= 0 for e in a)
+               for a in r.terms)
+    assert all(type(c) is Fraction and c for c in r.terms.values())
+    for other in (TernaryPolynomial(r.vars, r.terms), expected):
+        assert r.terms == other.terms
+        assert str(r) == str(other)
+        assert hash(r) == hash(other)
+        assert r == other
+
+
+def _bivariate(p):
+    """The same coefficients spread over two variables: x^i -> x1^(i%3)*x2^(i//3)."""
+    return TernaryPolynomial(("x1", "x2"), {(i % 3, i // 3): c for (i,), c in p.terms.items()})
+
+
+@settings(max_examples=200)
+@given(small_polys(), small_polys(), small_polys())
+def test_arithmetic_equals_the_public_constructor(p, q, r):
+    for p, q, r in ((p, q, r), tuple(map(_bivariate, (p, q, r)))):
+        one = TernaryPolynomial.constant(1, p.vars)
+        zero = TernaryPolynomial(p.vars, {})
+        for result, expected in ((p + q, public_sum(p, q)),
+                                 (-p, public_neg(p)),
+                                 (p - q, public_sum(p, public_neg(q))),
+                                 (p - p, zero),
+                                 (p * q, public_product(p, q)),
+                                 (p.add3(q, r), public_sum(p, q, r)),
+                                 (p.add3(-p, r), r),
+                                 (p + 1, public_sum(p, one)),
+                                 (1 - p, public_sum(one, public_neg(p))),
+                                 (3 * p, public_product(p, public_sum(one, one, one)))):
+            assert_public_form(result, expected)
+
+
+@pytest.mark.parametrize("alpha", [(1, 2), (-1,), (), (0, -3)])
+def test_public_constructor_rejects_bad_exponent_vectors(alpha):
+    with pytest.raises(StructureError, match=re.escape(f"bad exponent vector {alpha}")):
+        TernaryPolynomial(("x",), {alpha: 1})
+
+
+def test_public_constructor_normalizes_its_input():
+    p = TernaryPolynomial(["x"], [((2.0,), 3), ((1,), Fraction(0)), ((0,), "1/3")])
+    assert p.vars == ("x",)
+    assert p.terms == {(2,): 3, (0,): Fraction(1, 3)}
+    assert_public_form(p, P("3*x^2 + 1/3"))
+
+
+def test_variable_must_be_one_of_the_variables():
+    with pytest.raises(StructureError, match="unknown variable 'y'"):
+        TernaryPolynomial.variable("y", ("x",))
+    assert TernaryPolynomial.variable("x2", ("x1", "x2")) == P("x2", ("x1", "x2"))
+    assert TernaryPolynomial.variable("y") == P("y")
+
+
+def test_rational_operands_on_either_side():
+    p = P("x^2 + 1")
+    assert 1 - p == P("-x^2") == p * -1 + 1
+    assert Fraction(1, 3) - p == P("-x^2 - 2/3")
+    assert 2 * p == p * 2 == p + p
+    for bad in ("x", "3", 0.5, None, [1]):
+        for op in (lambda: p - bad, lambda: bad - p, lambda: p + bad, lambda: p * bad,
+                   lambda: p.add3(p, bad)):
+            with pytest.raises(StructureError, match="not a rational number"):
+                op()
 
 
 def test_evaluate():
@@ -675,7 +769,8 @@ def test_eval_hom_surjectivity_report():
 def reference_subalgebra(field, targets):
     """The closure element by element: each round walks the sorted closed
     set as (a, b) -> mu(a,b), then c -> nu(a,b,c), and credits each new
-    element to its first event."""
+    element to its first event.  Witnesses are built by the public
+    constructor, never by TernaryPolynomial's own arithmetic."""
     k = len(targets)
     vars = tuple(f"x{i+1}" for i in range(k)) if k > 1 else ("x",)
     witness = {field.one: TernaryPolynomial.constant(1, vars)}
@@ -690,11 +785,11 @@ def reference_subalgebra(field, targets):
             for b in arr:
                 r = field.mu(a, b)
                 if r not in closed and r not in new:
-                    new[r] = witness[a] * witness[b]
+                    new[r] = public_product(witness[a], witness[b])
                 for c in arr:
                     s = field.nu(a, b, c)
                     if s not in closed and s not in new:
-                        new[s] = witness[a] + witness[b] + witness[c]
+                        new[s] = public_sum(witness[a], witness[b], witness[c])
         witness.update(new)
         closed |= set(new)
         frontier = sorted(new)
