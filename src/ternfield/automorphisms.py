@@ -17,8 +17,7 @@ multiplication table mu: row k of a power table holds every Q^k (iterating
 mu from the unit), and the bit planes of each P written in powers of x
 select which powers to XOR together.  An element's index is its coefficient
 vector without the constant, and P has an odd number of terms, so the XOR
-of the power indices is the index of P(Q).  `compose_elements` is the same
-substitution for one pair, step by step, on coefficient masks.
+of the power indices is the index of P(Q).
 """
 
 import numpy as np
@@ -58,21 +57,6 @@ def letter_label_map(field):
     return {i: letters[field.label(i)] for i in range(field.n)}
 
 
-def compose_elements(field, i, j):
-    """The element P_i(P_j(x)): substitute element j into element i."""
-    alg = _algebra_of(field)
-    fx = alg.to_x(alg.carrier[i])
-    gm = alg.carrier[j]
-    out = 0
-    k = 0
-    while fx:
-        if fx & 1:
-            out ^= alg.pow(gm, k)
-        fx >>= 1
-        k += 1
-    return alg.index_of[out]
-
-
 def composition_table(field):
     """C[i, j] = P_i(P_j(x)) for every pair of elements."""
     alg = _algebra_of(field)
@@ -105,9 +89,6 @@ class PolyEndo:
 
     def poly_label(self):
         return self.field.label(self.image)
-
-    def is_identity(self):
-        return all(self.mapping[i] == i for i in range(self.field.n))
 
     def __repr__(self):
         return f"PolyEndo(x -> {self.poly_label()})"

@@ -70,6 +70,10 @@ from .structures import (
 )
 
 _SPEC_RE = re.compile(r"^(F0|odd)\((\d+(?:,\d+)*)\)$")
+# argparse takes only -7 and -0.5 for negative numbers, and anything else that
+# starts with "-" for an option; every argument that starts like a negative
+# number (-7/3, -.5, -1e3) is an argument
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 class UsageError(ValueError):
@@ -486,6 +490,7 @@ def build_parser():
              else verbs.add_parser(verb, help=_VERB_HELP[verb]))
         for names, kwargs in cmd.arguments:
             p.add_argument(*names, **kwargs)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(cmd=cmd)
     return parser
 

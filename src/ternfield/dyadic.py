@@ -179,10 +179,6 @@ class TruncatedDyadic:
         self.precision = precision
         self.value = int(value) % (1 << precision)
 
-    @classmethod
-    def from_rational(cls, x, precision=DEFAULT_PRECISION):
-        return cls(reduce_mod(x, precision), precision)
-
     def _match(self, other):
         if not isinstance(other, TruncatedDyadic):
             raise PrecisionError("expected another truncated value")

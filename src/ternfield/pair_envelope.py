@@ -142,9 +142,6 @@ class RingTable:
     def sub_at(self, i, j):
         return self.add_at(i, self.neg_at(j))
 
-    def is_commutative(self):
-        return bool((self.mul == self.mul.T).all())
-
     def index(self, lab):
         try:
             return self.labels.index(lab)
@@ -324,59 +321,6 @@ class _TupleTables:
         return FiniteThreeField(carrier, unit, origin=origin, check=check)
 
 
-class Pair:
-    """Standard-form translation pair q_{alpha,1} over a 3-field."""
-
-    __slots__ = ("field", "alpha")
-
-    def __init__(self, field, alpha):
-        self.field = field
-        self.alpha = int(alpha)
-
-    def __eq__(self, other):
-        return (isinstance(other, Pair) and other.field is self.field
-                and other.alpha == self.alpha)
-
-    def __hash__(self):
-        return hash((id(self.field), self.alpha))
-
-    def act(self, x):
-        """The translation x -> x + alpha + 1."""
-        return self.field.nu(x, self.alpha, self.field.one)
-
-    def __repr__(self):
-        return f"Pair(alpha={self.field.label(self.alpha)})"
-
-
-def standard_form(field, a, b):
-    """Normalize q_{a,b} to q_{alpha,1} with alpha = a+b-1; the returned pair
-    acts on every element exactly as the original translation."""
-    nu = field.carrier.nu
-    alpha = int(nu[a, b, field.quer(field.one)])
-    if (nu[:, a, b] != nu[:, alpha, field.one]).any():
-        raise StructureError("standard form changed the translation action")
-    return Pair(field, alpha)
-
-
-def pair_add(p, q):
-    if p.field is not q.field:
-        raise StructureError("pairs over different fields")
-    f = p.field
-    return Pair(f, f.nu(p.alpha, q.alpha, f.one))
-
-
-def pair_mul(p, q):
-    if p.field is not q.field:
-        raise StructureError("pairs over different fields")
-    f = p.field
-    return Pair(f, f.nu(p.alpha, q.alpha, f.mu(p.alpha, q.alpha)))
-
-
-def pair_zero(field):
-    """The additive neutral of the pair part: q_{-1}."""
-    return Pair(field, field.quer(field.one))
-
-
 class EnvelopeRing(RingTable):
     """U(F) = F + Q(F): indices 0..n-1 are the odd part (base field elements),
     n..2n-1 the pairs (index n+alpha is q_alpha).  parity[i] is 1 on the odd
@@ -491,13 +435,6 @@ class _IndexMap:
 
     def __call__(self, i):
         return self.mapping[i]
-
-    def compose(self, other):
-        """self after other (other.source -> self.target)."""
-        if other.target is not self.source:
-            raise StructureError("morphisms are not composable")
-        return type(self)(other.source, self.target,
-                          [self.mapping[v] for v in other.mapping], check=False)
 
     def is_bijective(self):
         return len(set(self.mapping)) == len(self.mapping)

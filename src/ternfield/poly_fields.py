@@ -93,16 +93,6 @@ def gf2_pow(a, k):
     return out
 
 
-def gf2_str(mask, var="x"):
-    if mask == 0:
-        return "0"
-    parts = []
-    for k in range(gf2_deg(mask), -1, -1):
-        if mask >> k & 1:
-            parts.append("1" if k == 0 else var if k == 1 else f"{var}^{k}")
-    return "+".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # exact integer/rational valuation helpers
 # ---------------------------------------------------------------------------

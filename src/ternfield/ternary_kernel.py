@@ -222,14 +222,6 @@ class TernaryCarrier:
             self._gens = (self.retract_generators, np.array(_generators(self.mu)))
         return self._gens
 
-    def derived_ternary_mu(self):
-        """Dense table of the derived ternary product mu(mu(x,y),z)."""
-        if self.mu is None or self.mu.ndim != 2:
-            raise StructureError("carrier has no binary multiplication")
-        if (self.mu < 0).any():
-            raise StructureError("mu is not closed; no derived ternary product")
-        return self.mu[self.mu]  # [i,j,k] -> mu[mu[i,j],k]
-
     def index(self, lab):
         try:
             return self.labels.index(lab)

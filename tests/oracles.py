@@ -1,0 +1,223 @@
+"""The oracles, the field roster and the mutant generators that several test
+modules share, each written once.
+
+Pytest collects no tests here: the module name has no test_ prefix.  The
+oracles are the scalar and whole-table definitions the fast paths are
+tested against; the package itself never calls them.
+
+- `FIELDS`: every roster field by name, as a builder taking `check`.  Each
+  test module keeps its own list of names and the check it builds them
+  with, so a field is built by the same constructor and check wherever it
+  is named.
+- `relabel`: the same structure under renamed elements.
+- `whole_cube_assoc_witness`: binary associativity over the whole n^3 cube.
+- `derived_ternary_mu`, `compose_elements` and the translation pairs
+  (`Pair`, `standard_form`, `pair_add`, `pair_mul`, `pair_zero`): scalar
+  definitions of what the tables compute at once.
+- `swapped_cell_mutants`, `perturbations`, `group_table_mutants` and
+  `one_image_mutants`: tables and maps that break, or merely move, a law.
+"""
+
+import functools
+import itertools
+
+import numpy as np
+
+from ternfield import (
+    StructureError,
+    build_f0,
+    odd_residue_field,
+    product_field,
+    triangular_field,
+)
+from ternfield.automorphisms import _algebra_of
+from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
+
+
+# -- the roster ---------------------------------------------------------------
+
+FIELDS = {
+    **{f"odd({m})": functools.partial(odd_residue_field, m)
+       for m in (2, 4, 8, 16, 32, 64, 128)},
+    **{f"F0({k})": functools.partial(build_f0, k) for k in range(1, 7)},
+    "F0(2,2)": functools.partial(build_f0, 2, 2),
+    "F0(3,2)": functools.partial(build_f0, 3, 2),
+    "F0(2,2,2)": functools.partial(build_f0, 2, 2, 2),
+    # `check` is the product's; each factor keeps the check it is built with
+    "F0(2)xF0(2)": lambda check: product_field(build_f0(2, check="light"),
+                                               build_f0(2, check="light"),
+                                               check=check).field,
+    "F0(2)xF0(3)": lambda check: product_field(build_f0(2), build_f0(3),
+                                               check=check).field,
+    "F0(3)xF0(3)": lambda check: product_field(build_f0(3), build_f0(3),
+                                               check=check).field,
+    # noncommutative, n = 16: lower-triangular 2x2 matrices
+    "T2(F0(2))": lambda check: triangular_field(2, build_f0(2), check=check).field,
+    "T2(odd(4))": lambda check: triangular_field(2, odd_residue_field(4),
+                                                 check=check).field,
+}
+
+
+def relabel(x, perm):
+    """The same structure with element i renamed perm[i]: a carrier, or a
+    3-field (unchecked, its unit renamed with it)."""
+    perm = np.asarray(perm, dtype=np.int32)
+    if isinstance(x, FiniteThreeField):
+        return FiniteThreeField(relabel(x.carrier, perm), int(perm[x.one]), check=False)
+    inv = np.argsort(perm)
+    nu = perm[x.nu[np.ix_(inv, inv, inv)]]
+    mu = perm[x.mu[np.ix_(inv, inv)]]
+    return TernaryCarrier([x.labels[i] for i in inv], nu, mu)
+
+
+def with_tables(carrier, nu=None, mu=None):
+    """A fresh carrier, nothing decided, with either table replaced."""
+    return TernaryCarrier(carrier.labels,
+                          carrier.nu if nu is None else nu,
+                          carrier.mu if mu is None else mu)
+
+
+# -- whole-table and scalar definitions ----------------------------------------
+
+def whole_cube_assoc_witness(table):
+    """Least (a, b, c) with (ab)c != a(bc), from the whole n^3 cube, or None."""
+    bad = table[table] != table[:, table]
+    return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+
+
+def derived_ternary_mu(carrier):
+    """Dense table of the derived ternary product mu(mu(x,y),z)."""
+    if carrier.mu is None or carrier.mu.ndim != 2:
+        raise StructureError("carrier has no binary multiplication")
+    if (carrier.mu < 0).any():
+        raise StructureError("mu is not closed; no derived ternary product")
+    return carrier.mu[carrier.mu]  # [i,j,k] -> mu[mu[i,j],k]
+
+
+def compose_elements(field, i, j):
+    """The element P_i(P_j(x)): substitute element j into element i, step
+    by step on coefficient masks."""
+    alg = _algebra_of(field)
+    fx = alg.to_x(alg.carrier[i])
+    gm = alg.carrier[j]
+    out = 0
+    k = 0
+    while fx:
+        if fx & 1:
+            out ^= alg.pow(gm, k)
+        fx >>= 1
+        k += 1
+    return alg.index_of[out]
+
+
+class Pair:
+    """Standard-form translation pair q_{alpha,1} over a 3-field."""
+
+    __slots__ = ("field", "alpha")
+
+    def __init__(self, field, alpha):
+        self.field = field
+        self.alpha = int(alpha)
+
+    def __eq__(self, other):
+        return (isinstance(other, Pair) and other.field is self.field
+                and other.alpha == self.alpha)
+
+    def __hash__(self):
+        return hash((id(self.field), self.alpha))
+
+    def act(self, x):
+        """The translation x -> x + alpha + 1."""
+        return self.field.nu(x, self.alpha, self.field.one)
+
+    def __repr__(self):
+        return f"Pair(alpha={self.field.label(self.alpha)})"
+
+
+def standard_form(field, a, b):
+    """Normalize q_{a,b} to q_{alpha,1} with alpha = a+b-1; the returned pair
+    acts on every element exactly as the original translation."""
+    nu = field.carrier.nu
+    alpha = int(nu[a, b, field.quer(field.one)])
+    if (nu[:, a, b] != nu[:, alpha, field.one]).any():
+        raise StructureError("standard form changed the translation action")
+    return Pair(field, alpha)
+
+
+def pair_add(p, q):
+    if p.field is not q.field:
+        raise StructureError("pairs over different fields")
+    f = p.field
+    return Pair(f, f.nu(p.alpha, q.alpha, f.one))
+
+
+def pair_mul(p, q):
+    if p.field is not q.field:
+        raise StructureError("pairs over different fields")
+    f = p.field
+    return Pair(f, f.nu(p.alpha, q.alpha, f.mu(p.alpha, q.alpha)))
+
+
+def pair_zero(field):
+    """The additive neutral of the pair part: q_{-1}."""
+    return Pair(field, field.quer(field.one))
+
+
+# -- mutants ------------------------------------------------------------------
+
+def swapped_cell_mutants(carrier, rng, count):
+    """Carriers with two cells of mu swapped, two cells of nu swapped, or the
+    values of two argument orbits of nu swapped (nu stays symmetric)."""
+    n = carrier.n
+    for k in range(count):
+        nu, mu = carrier.nu.copy(), carrier.mu.copy()
+        if k % 3 == 0:
+            p, q = (tuple(rng.integers(0, n, size=2)) for _ in range(2))
+            mu[p], mu[q] = carrier.mu[q], carrier.mu[p]
+        elif k % 3 == 1:
+            p, q = (tuple(rng.integers(0, n, size=3)) for _ in range(2))
+            nu[p], nu[q] = carrier.nu[q], carrier.nu[p]
+        else:
+            p, q = (tuple(rng.integers(0, n, size=3)) for _ in range(2))
+            for cell in itertools.permutations(p):
+                nu[cell] = carrier.nu[q]
+            for cell in itertools.permutations(q):
+                nu[cell] = carrier.nu[p]
+        yield TernaryCarrier(carrier.labels, nu, mu)
+
+
+def perturbations(carrier, rng):
+    """Tables passing every cheap invariant that a scan has to judge:
+    pi o nu, and mu conjugated by a permutation sigma."""
+    n = carrier.n
+    pi = rng.permutation(n).astype(np.int32)
+    yield with_tables(carrier, nu=pi[carrier.nu])
+    sigma = rng.permutation(n).astype(np.int32)
+    inv = np.argsort(sigma)
+    yield with_tables(carrier, mu=sigma[carrier.mu[np.ix_(inv, inv)]])
+
+
+def group_table_mutants(g, rng):
+    """Every intercalate swap of g (a Latin square stays one) and as many
+    random two-cell swaps."""
+    k = len(g)
+    out = []
+    for a, b, c, d in itertools.product(range(k), repeat=4):
+        if a < c and b < d and g[a, b] == g[c, d] and g[a, d] == g[c, b]:
+            m = g.copy()
+            m[a, b], m[a, d], m[c, b], m[c, d] = g[a, d], g[a, b], g[c, d], g[c, b]
+            out.append(m)
+    for _ in range(len(out)):
+        (a, b), (c, d) = rng.integers(0, k, size=(2, 2))
+        m = g.copy()
+        m[a, b], m[c, d] = g[c, d], g[a, b]
+        out.append(m)
+    return out
+
+
+def one_image_mutants(source, target, mapping):
+    """The mapping with one image moved, for every source element."""
+    for i in range(source.n):
+        bad = list(mapping)
+        bad[i] = (bad[i] + 1 + i % max(1, target.n - 1)) % target.n
+        yield bad

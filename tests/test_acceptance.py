@@ -47,19 +47,17 @@ from ternfield import (
     verify_local,
 )
 
+from oracles import FIELDS
+
 
 def roster():
-    """The shared exhibit list: odd residue fields to 32 elements, quotient
-    fields to 32 elements, one multi-variable field, one product."""
-    fields = []
-    for n in range(1, 7):
-        fields.append((f"odd(2^{n})", odd_residue_field(1 << n, check="light")))
-    for n in range(1, 7):
-        fields.append((f"F0({n})", build_f0(n, check="light")))
-    fields.append(("F0(2,2)", build_f0(2, 2, check="light")))
-    fields.append(("F0(2)xF0(2)",
-                   product_field(build_f0(2, check="light"),
-                                 build_f0(2, check="light")).field))
+    """The exhibit list, built afresh from the shared roster: odd residue
+    fields to 32 elements, quotient fields to 32 elements, one
+    multi-variable field, one product."""
+    fields = [(f"odd(2^{n})", FIELDS[f"odd({1 << n})"](check="light")) for n in range(1, 7)]
+    fields += [(f"F0({n})", FIELDS[f"F0({n})"](check="light")) for n in range(1, 7)]
+    fields.append(("F0(2,2)", FIELDS["F0(2,2)"](check="light")))
+    fields.append(("F0(2)xF0(2)", FIELDS["F0(2)xF0(2)"](check="auto")))
     return fields
 
 

@@ -19,9 +19,11 @@ from ternfield import (
     odd_residue_field,
     truncation_morphism,
 )
-from ternfield import automorphisms, pair_envelope, ternary_kernel
-from ternfield.automorphisms import PolyEndo, compose_elements, composition_table
+from ternfield import pair_envelope, ternary_kernel
+from ternfield.automorphisms import PolyEndo, composition_table
 from ternfield.poly_fields import generated_subalgebra
+
+from oracles import compose_elements, whole_cube_assoc_witness
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +147,10 @@ def test_endomorphisms_preserve_both_operations_brute_force(n):
 def test_endo_repr_and_identity_flag():
     f = build_f0(3)
     ident = PolyEndo(f, f.index("x"))
-    assert ident.is_identity()
+    assert ident.mapping == tuple(range(f.n))
     assert ident.poly_label() == "x"
     squarer = PolyEndo(f, f.index("x^2"))
-    assert not squarer.is_identity()
+    assert squarer.mapping != tuple(range(f.n))
     assert "x^2" in repr(squarer)
 
 
@@ -177,11 +179,9 @@ def test_automorphism_group_builds_no_polynomials_and_composes_no_pairs():
 
     f = build_f0(5)
     with counting("__mul__"), counting("__add__"), counting("__radd__"), \
-            counting("add3"), \
-            mock.patch.object(automorphisms, "compose_elements",
-                              wraps=compose_elements) as compose:
+            counting("add3"):
         assert automorphism_group(f).order == 8
-        assert calls == [] and compose.call_count == 0
+        assert calls == []
         generated_subalgebra(f, [f.index("x")])     # the counters do count
         assert "__mul__" in calls and "add3" in calls
 
@@ -416,12 +416,6 @@ def test_fingerprint_rejects_missing_inverse():
     t = CompositionTable(f, [0, 1], np.array([[0, 1], [1, 1]]), 0, "multiplication")
     with pytest.raises(StructureError, match="no inverse"):
         fingerprint_group(t)
-
-
-def whole_cube_assoc_witness(table):
-    """Least (a, b, c) with (ab)c != a(bc), from the whole n^3 cube, or None."""
-    bad = table[table] != table[:, table]
-    return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
 
 
 @pytest.mark.parametrize("block", [None, 64])

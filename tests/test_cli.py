@@ -371,6 +371,27 @@ def test_dyadic_reduce():
     # 3 * 11 = 33 = 1 mod 16
 
 
+@pytest.mark.parametrize("argv,dashed", [
+    (["val2", "-7/3"], ["val2", "--", "-7/3"]),
+    (["val2", "-12"], ["val2", "--", "-12"]),
+    (["val2", "-1e3"], ["val2", "--", "-1e3"]),
+    (["reduce", "-5/7", "--precision", "9"], ["reduce", "--precision", "9", "--", "-5/7"]),
+    (["reduce", "--precision", "9", "-5/7", "--format", "json"],
+     ["reduce", "--precision", "9", "--format", "json", "--", "-5/7"]),
+], ids=" ".join)
+def test_a_negative_rational_needs_no_double_dash(argv, dashed):
+    code, out, _ = run_main("dyadic", *argv)
+    assert code == 0 and "-" in out
+    assert (code, out) == run_main("dyadic", *dashed)[:2]
+
+
+@pytest.mark.parametrize("arg", ["--bogus", "-x", "-/3"])
+def test_an_unknown_option_is_still_a_usage_error(arg):
+    with pytest.raises(SystemExit) as exit_:
+        run_main("dyadic", "val2", arg)
+    assert exit_.value.code == 2
+
+
 @pytest.mark.parametrize("fmt", ["json", "markdown"])
 def test_dyadic_reduce_refuses_a_modulus_past_the_digit_limit(fmt):
     # 2^14284 has 4300 decimal digits, Python's int-to-str limit; 2^14285 has 4301

@@ -238,7 +238,7 @@ def test_precision_can_only_fall():
 def test_lowering_precision_commutes_with_operations(x, y, hi, lo):
     if lo > hi:
         hi, lo = lo, hi
-    a, b = TruncatedDyadic.from_rational(x, hi), TruncatedDyadic.from_rational(y, hi)
+    a, b = TruncatedDyadic(reduce_mod(x, hi), hi), TruncatedDyadic(reduce_mod(y, hi), hi)
     for op in (lambda u, v: u + v, lambda u, v: u * v, lambda u, v: u - v):
         high_road = op(a, b).reduce_precision(lo)
         low_road = op(a.reduce_precision(lo), b.reduce_precision(lo))
@@ -249,14 +249,8 @@ def test_lowering_precision_commutes_with_operations(x, y, hi, lo):
 def test_lowering_precision_commutes_with_inversion(x, hi, lo):
     if lo > hi:
         hi, lo = lo, hi
-    a = TruncatedDyadic.from_rational(x, hi)
+    a = TruncatedDyadic(reduce_mod(x, hi), hi)
     assert a.inv().reduce_precision(lo) == a.reduce_precision(lo).inv()
-
-
-def test_from_rational_equals_reduce_mod():
-    x = OddDenomRational(22, 7)
-    t = TruncatedDyadic.from_rational(x, 8)
-    assert t.value == reduce_mod(x, 8)
 
 
 # -- the symbolic infinite field ------------------------------------------------------

@@ -31,19 +31,26 @@ from ternfield import (
 )
 from ternfield.pair_envelope import (
     IdealHandle,
-    Pair,
     QuotientNotFieldError,
     ThreeRingMap,
     _close_map,
-    pair_add,
-    pair_mul,
-    pair_zero,
-    standard_form,
     universal_extension,
 )
 from ternfield import pair_envelope, ternary_kernel
 from ternfield.automorphisms import composition_table, truncation_morphism
 from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
+
+from oracles import (
+    FIELDS,
+    Pair,
+    one_image_mutants,
+    pair_add,
+    pair_mul,
+    pair_zero,
+    relabel,
+    standard_form,
+    whole_cube_assoc_witness,
+)
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +147,48 @@ def test_each_ring_law_reports_its_own_failure(message, block, monkeypatch):
 def test_each_ring_law_reports_its_own_failure_on_the_walk(message, block, monkeypatch):
     walk_only(monkeypatch)
     test_each_ring_law_reports_its_own_failure(message, block, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["T2(F0(2))", "T2(odd(4))"])
+def test_noncommutative_envelopes_validate_on_generators_as_on_the_walk(name, monkeypatch):
+    # the 32-element envelope of a noncommutative field, and mutants of its
+    # multiplication: one cell moved, or conjugated by a permutation fixing
+    # zero and one.  The generators must pass the envelope, and every
+    # verdict must be the walk's
+    env = build_envelope(FIELDS[name](check="auto"))
+    assert env.n == 32 and not (env.mul == env.mul.T).all()
+    rng = np.random.default_rng(env.n)
+    muls = [env.mul]
+    for _ in range(24):
+        mul = env.mul.copy()
+        i, j = rng.integers(0, env.n, size=2)
+        mul[i, j] = (mul[i, j] + rng.integers(1, env.n)) % env.n
+        muls.append(mul)
+    rest = np.setdiff1d(np.arange(env.n), [env.zero, env.one])
+    for _ in range(8):
+        sigma = np.arange(env.n)
+        sigma[rest] = rng.permutation(rest)
+        inv = np.argsort(sigma)
+        muls.append(sigma[env.mul[np.ix_(inv, inv)]])
+
+    def verdicts():
+        out = []
+        for mul in muls:
+            try:
+                ring = RingTable(env.labels, env.add, mul, env.zero, env.one)
+            except StructureError as exc:
+                out.append(str(exc))
+            else:
+                out.append(ring._add_gens is not None)
+        return out
+
+    fast = verdicts()
+    walk_only(monkeypatch)
+    walked = verdicts()
+    assert fast[0] is True and walked[0] is False         # the proof came from the generators
+    assert [v if isinstance(v, str) else None for v in fast] == \
+        [v if isinstance(v, str) else None for v in walked]
+    assert {"multiplication is not associative", "left distributivity fails"} <= set(fast)
 
 
 @pytest.mark.parametrize("block", [None, 8])
@@ -355,17 +404,13 @@ def test_composition_keeps_the_morphism_kind(f8):
     phi = Morphism(f8, f4, [f4.index(str(int(f8.label(i)) % 4))
                             for i in f8.elements()])
     psi = Morphism(f4, f2, [f2.one] * f4.n)
-    both = psi.compose(phi)
-    assert type(both) is Morphism
-    assert (both.source, both.target) == (f8, f2)
-    assert both.mapping == tuple(psi(phi(i)) for i in f8.elements())
+    both = Morphism(f8, f2, [psi(phi(i)) for i in f8.elements()])  # validates
     assert repr(both) == f"Morphism({f8!r} -> {f2!r})"
-    with pytest.raises(StructureError, match="not composable"):
-        phi.compose(psi)
+    # lifting is functorial: the lift of psi after phi is lpsi after lphi
     env8, env4, env2 = (build_envelope(f) for f in (f8, f4, f2))
     lphi = lift_morphism(phi, env8, env4)
     lpsi = lift_morphism(psi, env4, env2)
-    lifted = lpsi.compose(lphi)
+    lifted = lift_morphism(both, env8, env2)
     assert type(lifted) is RingMorphism
     assert lifted.mapping == tuple(lpsi(v) for v in lphi.mapping)
     assert repr(lifted) == f"RingMorphism({env8!r} -> {env2!r})"
@@ -523,7 +568,7 @@ def test_retract_addition_gives_a_group(f8):
         idx = np.arange(f8.n)
         assert (np.sort(table, axis=1) == idx).all()  # Latin rows
         assert (table == table.T).all()
-        assert (table[table] == table[:, table]).all()
+        assert whole_cube_assoc_witness(table) is None
 
 
 @pytest.mark.parametrize("build", [
@@ -620,27 +665,10 @@ def reference_field_isomorphism(f1, f2):
     return None if mapping is None else mapping[:f1.n]
 
 
-def relabelled(f, seed):
-    """The same 3-field with element i renamed perm[i], perm random."""
-    perm = np.random.default_rng(seed).permutation(f.n).astype(np.int32)
-    inv = np.argsort(perm)
-    c = f.carrier
-    carrier = TernaryCarrier([c.labels[i] for i in inv],
-                             perm[c.nu[np.ix_(inv, inv, inv)]],
-                             perm[c.mu[np.ix_(inv, inv)]])
-    return FiniteThreeField(carrier, int(perm[f.one]), check=False)
-
-
-ISO_FIELDS = {
-    **{f"odd({m})": lambda m=m: odd_residue_field(m, check="light")
-       for m in (2, 4, 8, 16, 32, 64, 128)},
-    **{f"F0({k})": lambda k=k: build_f0(k, check="light") for k in range(1, 7)},
-    "F0(2,2)": lambda: build_f0(2, 2, check="light"),
-    "F0(3,2)": lambda: build_f0(3, 2, check="light"),
-    "F0(2)xF0(3)": lambda: product_field(build_f0(2), build_f0(3), check="light").field,
-    "F0(3)xF0(3)": lambda: product_field(build_f0(3), build_f0(3), check="light").field,
-    "F0(2,2,2)": lambda: build_f0(2, 2, 2, check="light"),
-}
+# the roster fields of the isomorphism tests, each built with check="light"
+ISO_FIELDS = [*(f"odd({m})" for m in (2, 4, 8, 16, 32, 64, 128)),
+              *(f"F0({k})" for k in range(1, 7)),
+              "F0(2,2)", "F0(3,2)", "F0(2)xF0(3)", "F0(3)xF0(3)", "F0(2,2,2)"]
 
 
 def mapping_of(iso):
@@ -649,8 +677,8 @@ def mapping_of(iso):
 
 @pytest.mark.parametrize("name", ISO_FIELDS)
 def test_field_isomorphism_matches_the_reference_search(name):
-    f = ISO_FIELDS[name]()
-    g = relabelled(f, 3)
+    f = FIELDS[name](check="light")
+    g = relabel(f, np.random.default_rng(3).permutation(f.n))
     for x, y in ((f, f), (f, g), (g, f)):
         got = field_isomorphism(x, y)
         assert got is not None
@@ -662,7 +690,7 @@ def test_field_isomorphism_matches_the_reference_search(name):
     ("odd(8)", "F0(3)"), ("odd(32)", "F0(5)"), ("F0(2)xF0(3)", "F0(4)"),
 ])
 def test_field_isomorphism_finds_none_where_the_reference_finds_none(a, b):
-    fa, fb = ISO_FIELDS[a](), ISO_FIELDS[b]()
+    fa, fb = FIELDS[a](check="light"), FIELDS[b](check="light")
     for x, y in ((fa, fb), (fb, fa)):
         assert field_isomorphism(x, y) is None
         assert reference_field_isomorphism(x, y) is None
@@ -672,7 +700,9 @@ def test_field_isomorphism_finds_none_where_the_reference_finds_none(a, b):
     *(pytest.param(lambda m=m: residue_ring(m), id=f"Z/{m}") for m in (1, 2, 4, 8, 12, 16)),
     pytest.param(lambda: matrix_ring_z2(), id="M2(Z/2)"),
     pytest.param(lambda: build_envelope(build_f0(3)), id="U(F0(3))"),
-    pytest.param(lambda: build_envelope(relabelled(build_f0(4), 1)), id="U(F0(4) relabelled)"),
+    pytest.param(lambda: build_envelope(relabel(build_f0(4),      # 8 elements
+                                                np.random.default_rng(1).permutation(8))),
+                 id="U(F0(4) relabelled)"),
 ])
 def test_ring_isomorphism_matches_the_reference_search(build):
     ring = build()
@@ -681,7 +711,8 @@ def test_ring_isomorphism_matches_the_reference_search(build):
 
 def test_ring_isomorphism_between_envelopes_keeps_the_odd_part():
     f = build_f0(4)
-    e1, e2 = build_envelope(f), build_envelope(relabelled(f, 9))
+    perm = np.random.default_rng(9).permutation(f.n)
+    e1, e2 = build_envelope(f), build_envelope(relabel(f, perm))
     iso = ring_isomorphism(e1, e2)
     assert all(iso(i) < f.n for i in range(f.n))
     assert iso.mapping[:f.n] == field_isomorphism(f, e2.base).mapping
@@ -702,7 +733,11 @@ def test_field_isomorphism_of_the_toeplitz_field_is_pinned():
 def test_whole_table_closure_matches_the_one_at_a_time_closure(build):
     # every seed {zero, one, g -> h}, including ones that clash
     ring = build()
-    other = build_envelope(relabelled(ring.base, 5)) if isinstance(ring, EnvelopeRing) else ring
+    if isinstance(ring, EnvelopeRing):
+        other = build_envelope(relabel(ring.base,
+                                       np.random.default_rng(5).permutation(ring.base.n)))
+    else:
+        other = ring
     for g in range(ring.n):
         for h in range(other.n):
             seed = {ring.zero: other.zero, ring.one: other.one, g: h}
@@ -717,7 +752,8 @@ def test_whole_table_closure_matches_the_one_at_a_time_closure(build):
 
 def test_ring_isomorphism_makes_no_scalar_table_calls():
     f = build_f0(4)
-    e1, e2 = build_envelope(f), build_envelope(relabelled(f, 2))
+    perm = np.random.default_rng(2).permutation(f.n)
+    e1, e2 = build_envelope(f), build_envelope(relabel(f, perm))
     with mock.patch.object(e1, "add_at", wraps=e1.add_at) as add1, \
             mock.patch.object(e1, "mul_at", wraps=e1.mul_at) as mul1, \
             mock.patch.object(e2, "add_at", wraps=e2.add_at) as add2, \
@@ -813,7 +849,7 @@ def test_simple_matrix_ring_has_only_the_zero_maximal_ideal():
     # M2(Z/2) is simple; a one-sided closure of {u*g, g*u} would report
     # nine 8-element "maximal ideals"
     ring = matrix_ring_z2()
-    assert not ring.is_commutative()
+    assert not (ring.mul == ring.mul.T).all()
     assert ring.maximal_ideals() == [frozenset({ring.zero})]
     assert verify_local(ring)["maximal_ideals"] == [[ring.zero]]
 
@@ -1073,15 +1109,22 @@ def valid_maps():
     maps.append((Morphism, f5, f5, swap))
     env5 = build_envelope(f5)
     maps.append((RingMorphism, env5, env5, swap + [f5.n + v for v in swap]))
+    # the noncommutative roster fields (n = 16) and their 32-element
+    # envelopes: conjugation by a noncentral unit, its lift, a relabelling
+    # onto a checked copy, and the inclusion into the envelope
+    for name in ("T2(F0(2))", "T2(odd(4))"):
+        t = FIELDS[name](check="auto")
+        mu, n = t.carrier.mu, t.n
+        g = next(g for g in range(n) if (mu[g] != mu[:, g]).any())
+        g_inv = int(np.argmax(mu[g] == t.one))
+        conj = [int(mu[mu[g, x], g_inv]) for x in range(n)]
+        perm = np.random.default_rng(n).permutation(n)
+        copy = FiniteThreeField(relabel(t.carrier, perm), int(perm[t.one]))
+        env = build_envelope(t)
+        maps += [(Morphism, t, t, conj), (Morphism, t, copy, perm),
+                 (RingMorphism, env, env, lift_morphism(Morphism(t, t, conj), env, env).mapping),
+                 (ThreeRingMap, t, env, range(n))]
     return maps
-
-
-def one_image_mutants(source, target, mapping):
-    """The mapping with one image moved, for every source element."""
-    for i in range(source.n):
-        bad = list(mapping)
-        bad[i] = (bad[i] + 1 + i % max(1, target.n - 1)) % target.n
-        yield bad
 
 
 def decide_retracts(*structures):

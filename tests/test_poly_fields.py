@@ -38,7 +38,6 @@ from ternfield.poly_fields import (
     generated_subalgebra,
     gf2_divmod,
     gf2_mul,
-    gf2_str,
 )
 
 P = TernaryPolynomial.parse
@@ -265,12 +264,6 @@ def test_gf2_divmod_inverts_mul():
         q, r = gf2_divmod(a, b)
         assert gf2_mul(q, b) ^ r == a
         assert r.bit_length() < b.bit_length()
-
-
-def test_gf2_str():
-    assert gf2_str(0b1011) == "x^3+x+1"
-    assert gf2_str(1) == "1"
-    assert gf2_str(0) == "0"
 
 
 # -- completely-even law ----------------------------------------------------------------

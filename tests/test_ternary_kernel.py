@@ -35,6 +35,16 @@ from ternfield import (
 from ternfield import ternary_kernel as tk
 from ternfield.poly_fields import build_f0, generated_subalgebra, product_field
 
+from oracles import (
+    FIELDS,
+    derived_ternary_mu,
+    perturbations,
+    relabel,
+    swapped_cell_mutants,
+    whole_cube_assoc_witness,
+    with_tables,
+)
+
 
 def decided(field):
     """The field validated again with every axiom decided: check="auto" with
@@ -397,7 +407,7 @@ def test_distrib_scan_matches_reference_on_random_tables():
                          ids=["odd(8)", "F0(3)"])
 def test_distrib_scan_matches_reference(build):
     f = build()
-    nu, tmu = f.carrier.nu, f.carrier.derived_ternary_mu()
+    nu, tmu = f.carrier.nu, derived_ternary_mu(f.carrier)
     assert tk._distrib_scan(nu, tmu) is None
     assert reference_distrib(nu, tmu) is None
     rng = np.random.default_rng(11)
@@ -505,7 +515,7 @@ def test_early_witness_scans_stay_below_one_slab():
     f = odd_residue_field(128, check=False)
     n = f.n
     nu = np.random.default_rng(0).permutation(n).astype(np.int32)[f.carrier.nu]
-    tmu = f.carrier.derived_ternary_mu()
+    tmu = derived_ternary_mu(f.carrier)
     slab = n ** 4 * np.dtype(np.int32).itemsize
     tracemalloc.start()
     try:
@@ -552,7 +562,7 @@ def whole_cube_derived_structure(obj):
         assert tmu.ndim == 3
         unit = next((e for e in range(n) if (tmu[e, e] == idx).all()), None)
     else:
-        tmu = obj.derived_ternary_mu()              # [i,j,k] -> mu[mu[i,j],k]
+        tmu = derived_ternary_mu(obj)               # [i,j,k] -> mu[mu[i,j],k]
         unit = next((e for e in range(n) if (obj.mu[e] == idx).all()
                      and (obj.mu[:, e] == idx).all()), None)
     zero = next((z for z in range(n) if z != unit and (obj.nu[z, z] == idx).all()
@@ -609,9 +619,8 @@ def whole_cube_invariants(nu, mu, labels):
         a, b = tk._least(~rows_ok)
         return ("solvability", (a, b),
                 f"nu({labels[a]},{labels[b]},x) does not reach every element exactly once")
-    bad = mu[mu] != mu[np.arange(n)[:, None, None], mu[None, :, :]]
-    if bad.any():
-        w = tk._least(bad)
+    w = whole_cube_assoc_witness(mu)
+    if w is not None:
         return ("mu-associativity", w,
                 "mu is not associative at ({},{},{})".format(*(labels[v] for v in w)))
     return None
@@ -645,35 +654,12 @@ def test_chunked_invariants_match_the_whole_cube(rows, monkeypatch):
         elif kind == 2:                     # mu no longer associative
             mu[i, j] = (mu[i, j] + 1) % n
         else:                               # a relabelled nu: passes
-            pi = rng.permutation(n)
-            inv = np.argsort(pi)
-            nu = pi[c.nu[np.ix_(inv, inv, inv)]].astype(np.int32)
-            mu = pi[c.mu[np.ix_(inv, inv)]].astype(np.int32)
+            moved = relabel(c, rng.permutation(n))
+            nu, mu = moved.nu, moved.mu
         want = whole_cube_invariants(nu, mu, labels)
         assert chunked_invariants(nu, mu, labels) == want
         seen.add(None if want is None else want[0])
     assert len(seen) >= 3
-
-
-def swapped_cell_mutants(carrier, rng, count):
-    """Carriers with two cells of mu swapped, two cells of nu swapped, or the
-    values of two argument orbits of nu swapped (nu stays symmetric)."""
-    n = carrier.n
-    for k in range(count):
-        nu, mu = carrier.nu.copy(), carrier.mu.copy()
-        if k % 3 == 0:
-            p, q = (tuple(rng.integers(0, n, size=2)) for _ in range(2))
-            mu[p], mu[q] = carrier.mu[q], carrier.mu[p]
-        elif k % 3 == 1:
-            p, q = (tuple(rng.integers(0, n, size=3)) for _ in range(2))
-            nu[p], nu[q] = carrier.nu[q], carrier.nu[p]
-        else:
-            p, q = (tuple(rng.integers(0, n, size=3)) for _ in range(2))
-            for cell in itertools.permutations(p):
-                nu[cell] = carrier.nu[q]
-            for cell in itertools.permutations(q):
-                nu[cell] = carrier.nu[p]
-        yield TernaryCarrier(carrier.labels, nu, mu)
 
 
 def verdicts_and_error(carrier, one):
@@ -692,7 +678,7 @@ def verdicts_and_error(carrier, one):
     return vs, None
 
 
-@pytest.mark.parametrize("name", ["F0(5)", "odd(32)"])
+@pytest.mark.parametrize("name", ["F0(5)", "odd(32)", "T2(F0(2))", "T2(odd(4))"])
 def test_small_chunks_give_the_same_verdicts_and_errors(name, monkeypatch):
     # 64 entries per chunk: every law check walks many chunks, so a witness
     # found past a chunk boundary must come out as at the default size
@@ -712,40 +698,24 @@ def test_small_chunks_give_the_same_verdicts_and_errors(name, monkeypatch):
 # is really taken), and with the certificate failing the verdict must be the
 # scan's, witness, axiom and detail alike.
 
+# the roster fields of these tests and the check each is built with; the
+# two triangular fields are noncommutative
 ROSTER = {
-    **{f"odd({m})": functools.partial(odd_residue_field, m, check=False)
-       for m in (4, 8, 16, 32, 64)},
-    **{f"F0({k})": functools.partial(build_f0, k, check="light") for k in (2, 3, 4, 5, 6)},
-    "F0(2,2)": functools.partial(build_f0, 2, 2, check="light"),
-    "F0(3,2)": functools.partial(build_f0, 3, 2, check="light"),
-    "F0(2)xF0(3)": lambda: product_field(build_f0(2), build_f0(3), check="light").field,
-    "F0(3)xF0(3)": lambda: product_field(build_f0(3), build_f0(3), check="light").field,
+    **{f"odd({m})": False for m in (4, 8, 16, 32, 64)},
+    **{name: "light" for name in ("F0(2)", "F0(3)", "F0(4)", "F0(5)", "F0(6)",
+                                  "F0(2,2)", "F0(3,2)", "F0(2)xF0(3)", "F0(3)xF0(3)",
+                                  "T2(F0(2))", "T2(odd(4))")},
 }
 
 
 # the roster fields whose scans take well under a second on NumPy (n <= 16)
 SMALL = ["odd(4)", "odd(8)", "odd(16)", "odd(32)", "F0(2)", "F0(3)", "F0(4)", "F0(5)",
-         "F0(2,2)", "F0(2)xF0(3)", "F0(3)xF0(3)"]
+         "F0(2,2)", "F0(2)xF0(3)", "F0(3)xF0(3)", "T2(F0(2))", "T2(odd(4))"]
 
 
 @functools.lru_cache(maxsize=None)
 def roster_field(name):
-    return ROSTER[name]()
-
-
-def relabel(carrier, perm):
-    """The same structure with element i renamed perm[i]."""
-    perm = np.asarray(perm, dtype=np.int32)
-    inv = np.argsort(perm)
-    nu = perm[carrier.nu[np.ix_(inv, inv, inv)]]
-    mu = perm[carrier.mu[np.ix_(inv, inv)]]
-    return TernaryCarrier([carrier.labels[i] for i in inv], nu, mu)
-
-
-def with_tables(carrier, nu=None, mu=None):
-    return TernaryCarrier(carrier.labels,
-                          carrier.nu if nu is None else nu,
-                          carrier.mu if mu is None else mu)
+    return FIELDS[name](check=ROSTER[name])
 
 
 def scan_only():
@@ -771,17 +741,6 @@ def assert_agrees_with_scan(carrier):
 PASS = {"ok": True, "axiom": None, "witness": None, "detail": None}
 
 
-def perturbations(carrier, rng):
-    """Tables passing every cheap invariant that a scan has to judge:
-    pi o nu, and mu conjugated by a permutation sigma."""
-    n = carrier.n
-    pi = rng.permutation(n).astype(np.int32)
-    yield with_tables(carrier, nu=pi[carrier.nu])
-    sigma = rng.permutation(n).astype(np.int32)
-    inv = np.argsort(sigma)
-    yield with_tables(carrier, mu=sigma[carrier.mu[np.ix_(inv, inv)]])
-
-
 @pytest.mark.parametrize("name", list(ROSTER))
 def test_certificates_pass_on_valid_fields(name):
     f = roster_field(name)
@@ -802,7 +761,35 @@ def test_passing_certificate_means_no_scan_witness(name):
     c = roster_field(name).carrier
     assert c.retract is not None and tk._assoc_scan(c.nu) is None
     assert tk._distrib_certificate(c)
-    assert tk._distrib_scan(c.nu, c.derived_ternary_mu()) is None
+    assert tk._distrib_scan(c.nu, derived_ternary_mu(c)) is None
+
+
+# x*y = g_y(x), where g_y is the element mapping 0 to y of a nonabelian group
+# of affine maps of F2^3 that acts regularly: a group with unit 0 whose right
+# translations are affine for XOR and whose left translations are not all
+ONE_SIDED_MU = np.array([[0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 6, 4, 3, 7, 2, 5],
+                         [2, 5, 3, 7, 6, 4, 1, 0], [3, 4, 7, 0, 1, 6, 5, 2],
+                         [4, 3, 5, 1, 0, 2, 7, 6], [5, 2, 1, 6, 7, 0, 3, 4],
+                         [6, 7, 4, 5, 2, 3, 0, 1], [7, 6, 0, 2, 5, 1, 4, 3]])
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_a_product_distributive_on_one_side_only_fails_the_certificate(side):
+    # over nu = x+y+z on o = (F2^3, XOR), a certificate that tests the
+    # translations of one side only would pass this product; the scan names
+    # the law that fails
+    v = np.arange(8)
+    xor_affine = lambda g: ((g[v[:, None] ^ v] ^ g[0]) == (g[:, None] ^ g)).all()
+    assert all(xor_affine(ONE_SIDED_MU[:, y]) for y in v)        # x -> x*y
+    assert not all(xor_affine(ONE_SIDED_MU[x]) for x in v)       # y -> x*y
+    mu = ONE_SIDED_MU if side == "right" else ONE_SIDED_MU.T    # or the opposite product
+    carrier = TernaryCarrier([str(i) for i in v], v[:, None, None] ^ v[None, :, None] ^ v, mu)
+    assert tk._mu_invariants(carrier.mu, carrier.labels) is None     # a group, unit 0
+    v_add, v_mul = assert_agrees_with_scan(carrier)
+    assert v_add.method == "certificate"
+    assert not v_mul and v_mul.method == "scan"
+    with pytest.raises(StructureError, match="^distributivity fails: law"):
+        FiniteThreeField(with_tables(carrier), 0)
 
 
 def test_relabelled_unit_off_index_zero_agrees_with_scan():
@@ -817,7 +804,8 @@ def test_relabelled_unit_off_index_zero_agrees_with_scan():
 
 
 @pytest.mark.parametrize("name", ["odd(8)", "odd(16)", "odd(32)", "F0(3)", "F0(4)",
-                                  "F0(5)", "F0(2,2)", "F0(2)xF0(3)", "F0(3)xF0(3)"])
+                                  "F0(5)", "F0(2,2)", "F0(2)xF0(3)", "F0(3)xF0(3)",
+                                  "T2(F0(2))", "T2(odd(4))"])
 def test_failing_verdicts_are_the_scans(name):
     f = roster_field(name)
     rng = np.random.default_rng(f.n)
@@ -1172,8 +1160,7 @@ def test_auto_construction_runs_each_invariant_once():
     with counting("_closure") as closure, counting("_nu_invariants") as nu_inv, \
             counting("_mu_invariants") as mu_inv, counting("_zero_element") as zero, \
             counting("_coset_retract") as retract, counting("_is_coset_form") as coset, \
-            counting("_distrib_certificate") as distrib, \
-            mock.patch.object(TernaryCarrier, "derived_ternary_mu") as derived:
+            counting("_distrib_certificate") as distrib:
         FiniteThreeField(c, 0, check="auto")
     assert closure.call_count == 2                  # nu, then mu
     assert nu_inv.call_count == mu_inv.call_count == 1
@@ -1181,7 +1168,6 @@ def test_auto_construction_runs_each_invariant_once():
     # both decisions read the carrier's retract, so the coset form of nu is
     # checked once
     assert retract.call_count == coset.call_count == distrib.call_count == 1
-    assert derived.call_count == 0                  # the certificates need no mu(mu(x,y),z)
 
 
 @pytest.mark.parametrize("first", [check_ternary_group, check_distributivity])
@@ -1210,11 +1196,9 @@ def test_standalone_distributivity_check_still_checks_the_coset_form():
 
 def test_check_distributivity_builds_no_second_ternary_product():
     c = roster_field("odd(16)").carrier
-    with mock.patch.object(TernaryCarrier, "derived_ternary_mu") as derived:
-        assert check_distributivity(c, limit=c.n).method == "certificate"
-        with scan_only():
-            assert check_distributivity(c, limit=c.n).method == "scan"
-    assert derived.call_count == 0
+    assert check_distributivity(c, limit=c.n).method == "certificate"
+    with scan_only():
+        assert check_distributivity(c, limit=c.n).method == "scan"
 
 
 # -- sub-tables against their scalar definitions ------------------------------
@@ -1434,7 +1418,7 @@ def test_a_coset_keeps_its_genuine_product_in_mu():
         assert coset.product_axes == 3 and coset.mu.shape == (coset.n,) * 3
         assert not hasattr(coset, "ternary_mu")
         with pytest.raises(StructureError, match="^carrier has no binary multiplication$"):
-            coset.derived_ternary_mu()
+            derived_ternary_mu(coset)
     assert TernaryCarrier.product_axes == 2
     assert list(inspect.signature(ProperThreeThreeField).parameters) == ["labels", "nu", "mu"]
 
@@ -1512,7 +1496,7 @@ def test_the_ternary_certificate_tests_each_place_and_the_affine_constant():
                                     for name in ("odd(8)", "odd(16)"))]
     for carrier in carriers:
         o = carrier.retract[0]
-        mu = carrier.mu if carrier.mu.ndim == 3 else carrier.derived_ternary_mu()
+        mu = carrier.mu if carrier.mu.ndim == 3 else derived_ternary_mu(carrier)
         maps = [("shift", o[:, 1]),
                 *(("random", s) for s in rng.integers(0, carrier.n, size=(4, carrier.n)))]
         for place in range(3):
