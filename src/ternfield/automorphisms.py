@@ -22,7 +22,13 @@ of the power indices is the index of P(Q).
 
 import numpy as np
 
-from .ternary_kernel import StructureError, _assoc_violation, _identity, _nonperm_row
+from .ternary_kernel import (
+    StructureError,
+    _assoc_violation,
+    _element_orders,
+    _identity,
+    _nonperm_row,
+)
 from .pair_envelope import Morphism
 from .poly_fields import _singly_generated_algebra, _subalgebra_closure
 
@@ -250,20 +256,12 @@ def fingerprint_group(t):
     w = _assoc_violation(table)
     if w is not None:
         raise StructureError("composition is not associative at ({},{},{})".format(*w))
-    for a in range(k):
-        if t.identity not in table[a]:
-            raise StructureError(f"element {a} has no inverse")
+    lacking = np.flatnonzero(~(table == t.identity).any(axis=1))
+    if lacking.size:
+        raise StructureError(f"element {lacking[0]} has no inverse")
 
     abelian = bool((table == table.T).all())
-    orders = []
-    for a in range(k):
-        p = a
-        o = 1
-        while p != t.identity:
-            p = int(table[p, a])
-            o += 1
-        orders.append(o)
-    multiset = sorted(orders)
+    multiset = sorted(_element_orders(table, t.identity).tolist())
 
     iso = None
     involutions = multiset.count(2)
@@ -289,23 +287,13 @@ def fingerprint_group(t):
                    else "D4 (the dihedral group of order 8)")
     elif abelian and k <= 16:
         # element-order multisets separate the abelian groups up to order 16
-        table_of = {
+        iso = {
             (9, 9): "C9", (9, 3): "C3 x C3",
             (10, 10): "C10", (12, 12): "C12", (12, 6): "C6 x C2",
             (14, 14): "C14", (15, 15): "C15",
-        }
-        key = (k, max(multiset))
-        if k == 16:
-            if max(multiset) == 16:
-                iso = "C16"
-            elif max(multiset) == 8:
-                iso = "C8 x C2"
-            elif max(multiset) == 4:
-                iso = "C4 x C4" if multiset.count(2) == 3 else "C4 x C2 x C2"
-            else:
-                iso = "C2 x C2 x C2 x C2"
-        else:
-            iso = table_of.get(key)
+            (16, 16): "C16", (16, 8): "C8 x C2", (16, 2): "C2 x C2 x C2 x C2",
+            (16, 4): "C4 x C4" if involutions == 3 else "C4 x C2 x C2",
+        }.get((k, max(multiset)))
     if iso is None:
         iso = f"{'abelian' if abelian else 'nonabelian'} group of order {k}"
     return {

@@ -422,16 +422,15 @@ class _IndexMap:
     and lands in the target; each subclass's validate checks its unit and
     operations."""
 
-    def __init__(self, source, target, mapping, check=True):
+    def __init__(self, source, target, mapping):
         self.source = source
         self.target = target
         self.mapping = tuple(int(v) for v in mapping)
-        if check:
-            if len(self.mapping) != source.n:
-                raise StructureError("mapping must cover the source")
-            if not all(0 <= v < target.n for v in self.mapping):
-                raise StructureError("mapping hits indices outside the target")
-            self.validate()
+        if len(self.mapping) != source.n:
+            raise StructureError("mapping must cover the source")
+        if not all(0 <= v < target.n for v in self.mapping):
+            raise StructureError("mapping hits indices outside the target")
+        self.validate()
 
     def __call__(self, i):
         return self.mapping[i]

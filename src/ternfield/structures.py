@@ -16,7 +16,6 @@ tables (``pair_envelope._TupleTables``).
 
 import functools
 import itertools
-import random
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .ternary_kernel import (
     TernaryCarrier,
     _TABLE_LIMIT,
     _assoc_violation,
+    _element_orders,
     _identity,
     _map_violation,
     _nonperm_row,
@@ -208,7 +208,6 @@ def free_resolution(space, generators):
 def _tuple_field(tables, one_value, label_of, origin, check="auto"):
     """The FiniteThreeField on a _TupleTables carrier of envelope-index
     tuples, with the tuple -> index map."""
-    _refuse_size(tables.n, _TABLE_LIMIT, "carrier of size {size} exceeds the table limit")
     values = [tuple(v) for v in tables.tuples.tolist()]
     built = tables.field([label_of(v) for v in values], one_value, origin,
                          check)
@@ -508,101 +507,91 @@ def _check_group_table(g):
 
 
 def _cyclic_generator(g, identity):
-    k = g.shape[0]
-    for cand in range(k):
-        p = cand
-        order = 1
-        while p != identity and order <= k:
-            p = int(g[p, cand])
-            order += 1
-        if p == identity and order == k:
-            return cand
-    return None
+    """The least element of the group table g whose order is |G|, or None."""
+    full = np.flatnonzero(_element_orders(g, identity) == len(g))
+    return int(full[0]) if full.size else None
+
+
+def _powers(g, identity, x, count):
+    """[x^0, x^1, ..., x^(count-1)] in the group table g."""
+    powers = [identity]
+    while len(powers) < count:
+        powers.append(int(g[powers[-1], x]))
+    return powers
+
+
+def _norm_witness(g, identity, env):
+    """An element with no inverse, as envelope indices, or None when |G| is a
+    power of two: the all-ones N for odd |G| (N b = aug(b) N is never 1),
+    else N_g = 1 + g + ... + g^(p-1) for the least g of the least odd prime
+    order p dividing |G| (N_g (1 - g) = 0, and p is odd, so N_g is in the
+    carrier)."""
+    k = len(g)
+    if k & (k - 1) == 0:
+        return None
+    members = range(k)
+    if k % 2 == 0:
+        p = next(q for q in range(3, k, 2) if k % q == 0)   # least odd factor: prime
+        x = int(np.flatnonzero(_element_orders(g, identity) == p)[0])
+        members = _powers(g, identity, x, p)
+    return tuple(env.one if h in members else env.zero for h in range(k))
 
 
 def group_algebra(group_table, field, check="auto"):
     """U(F)-valued functions on a finite group with odd value sum, under
-    convolution.  Exhaustively tests two-sided invertibility to decide
-    whether the algebra is a 3-field, and for cyclic groups of 2-power order
-    over the one-element field constructs the isomorphism with the
-    single-variable quotient field of that size.
+    convolution, and whether each is invertible, which makes them a 3-field;
+    for a cyclic group of 2-power order over the one-element field, also
+    the isomorphism with the single-variable quotient field of that size.
 
-    Beyond the table limit (verdict_mode "sampled") the all-ones function N
-    is tested first: when it lies in the carrier (odd group order) and no
-    element b has N * b = 1, it is the witness, as N * b = aug(b) * N.
-    Otherwise 64 seeded random elements are tested: a witness there is a
-    proof of failure, but a sampled is_3field of True is not a proof that
-    every element is invertible."""
+    Up to the table limit the table decides (verdict_mode "exhaustive") and
+    names the least element with no inverse.  Beyond it the group order
+    decides ("theorem").  R = U(F) is local with residue field Z/2 by the
+    paper's theorem (a check=False field is trusted to be a 3-field), so by
+    Connell ("On the group ring", Canad. J. Math. 15, 1963) R[G] is local,
+    and every element of the carrier 1 + K (K the kernel of R[G] -> Z/2) a
+    unit, exactly when |G| is a power of two; else see `_norm_witness`."""
     g = np.asarray(group_table, dtype=np.int64)
     k = g.shape[0]
     # the size gate comes first: the table check below is O(k^3)
     size = group_algebra_size(k, field)
     identity = _check_group_table(g)
-
     env = build_envelope(field)
+
+    if size > _TABLE_LIMIT:
+        witness = _norm_witness(g, identity, env)
+        label = None if witness is None else _tuple_label(env.labels, witness)
+        return GroupAlgebraResult(k, field, size, witness is None, label,
+                                  None, None, "theorem")
+
     # convolution: coordinate g1*g2 of a product collects a[g1] * b[g2]
     terms = [(g[g1, g2], g1, g2, 1) for g1 in range(k) for g2 in range(k)]
     tables = _TupleTables(env, _odd_sum_tuples(env, field, k), terms)
     vectors = tables.tuples
     one_value = tuple(env.one if t == identity else env.zero for t in range(k))
-    n = tables.n
-    sampled = n > _TABLE_LIMIT
-    witness = None
+    mu = tables.mu
+    one_idx = tables.locate(np.asarray(one_value), "the unit")
+    right = mu == one_idx
+    first = right.argmax(axis=1)              # least b with a * b = 1
+    two_sided = right.any(axis=1) & (mu[first, np.arange(tables.n)] == one_idx)
+    lacking = np.flatnonzero(~two_sided)
+    if lacking.size:
+        return GroupAlgebraResult(k, field, size, False,
+                                  _tuple_label(env.labels, vectors[lacking[0]]),
+                                  None, None, "exhaustive")
 
-    if not sampled:
-        mu = tables.mu
-        one_idx = tables.locate(np.asarray(one_value), "the unit")
-        right = mu == one_idx
-        first = right.argmax(axis=1)              # least b with a * b = 1
-        two_sided = right.any(axis=1) & (mu[first, np.arange(n)] == one_idx)
-        lacking = np.flatnonzero(~two_sided)
-        if lacking.size:
-            witness = vectors[lacking[0]]
-        verdict_mode = "exhaustive"
-    else:
-        one = np.asarray(one_value)
-        norm = np.full(k, env.one)             # N * b = aug(b) * N
-        if (vectors == norm).all(axis=1).any() and not (
-                tables.products(norm[None], vectors)[0] == one).all(axis=1).any():
-            witness = norm
-        else:
-            rng = random.Random(0)
-            for _ in range(64):
-                a = rng.randrange(n)
-                row = tables.products(vectors[a:a + 1], vectors)[0]     # a * b
-                col = tables.products(vectors, vectors[a:a + 1])[:, 0]  # b * a
-                if not ((row == one).all(axis=1) & (col == one).all(axis=1)).any():
-                    witness = vectors[a]
-                    break
-        verdict_mode = "sampled"
-
-    is_3field = witness is None
-    built = None
+    label_of = functools.partial(_tuple_label, env.labels)
+    built, _ = _tuple_field(tables, one_value, label_of,
+                            {"kind": "group_algebra", "group_order": k}, check=check)
     iso = None
-    if is_3field and not sampled:
-        label_of = functools.partial(_tuple_label, env.labels)
-        built, _ = _tuple_field(tables, one_value, label_of,
-                                {"kind": "group_algebra", "group_order": k},
-                                check=check)
-        gen = _cyclic_generator(g, identity)
-        if gen is not None and k & (k - 1) == 0 and field.n == 1:
-            target = build_quotient_field(QuotientFieldSpec((k,)),
-                                          check="light")
-            alg = target.algebra
-            powers = [identity]
-            while len(powers) < k:
-                powers.append(int(g[powers[-1], gen]))
-            # bit e of the x-mask is set where g^e carries the one
-            xmasks = (vectors[:, powers] == env.one) @ (1 << np.arange(k))
-            mapping = [alg.index_of[alg.normal_form(alg.from_x(int(x)))]
-                       for x in xmasks]
-            iso = Morphism(built, target, mapping)
-            if not iso.is_bijective():
-                raise StructureError(
-                    "group-algebra correspondence must be bijective")
-
-    witness_label = None
-    if witness is not None:
-        witness_label = _tuple_label(env.labels, witness)
-    return GroupAlgebraResult(k, field, size, is_3field, witness_label,
-                              built, iso, verdict_mode)
+    gen = _cyclic_generator(g, identity)
+    if gen is not None and k & (k - 1) == 0 and field.n == 1:
+        target = build_quotient_field(QuotientFieldSpec((k,)), check="light")
+        alg = target.algebra
+        # bit e of the x-mask is set where g^e carries the one
+        xmasks = (vectors[:, _powers(g, identity, gen, k)] == env.one) @ (1 << np.arange(k))
+        mapping = [alg.index_of[alg.normal_form(alg.from_x(int(x)))]
+                   for x in xmasks]
+        iso = Morphism(built, target, mapping)
+        if not iso.is_bijective():
+            raise StructureError("group-algebra correspondence must be bijective")
+    return GroupAlgebraResult(k, field, size, True, None, built, iso, "exhaustive")

@@ -111,7 +111,7 @@ class Verdict:
     counterexample tuple (element indices), detail: human-readable account,
     method: how the verdict was reached -- "cheap" (an O(n^3) invariant),
     "certificate" (an exact O(n^3) sufficient condition) or "scan" (the
-    exhaustive O(n^5) scan); not part of `as_dict`.
+    exhaustive O(n^5) scan).
     """
 
     __slots__ = ("ok", "axiom", "witness", "detail", "method")
@@ -130,14 +130,6 @@ class Verdict:
         if self.ok:
             return "Verdict(pass)"
         return f"Verdict(fail: {self.axiom} at {self.witness}: {self.detail})"
-
-    def as_dict(self):
-        return {
-            "ok": self.ok,
-            "axiom": self.axiom,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "detail": self.detail,
-        }
 
 
 def _table(data, shape, what, least=FOREIGN):
@@ -406,6 +398,24 @@ def _identity(t):
     idx = np.arange(len(t), dtype=t.dtype)
     e = np.flatnonzero((t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0))
     return int(e[0]) if e.size else None
+
+
+def _element_orders(t, e):
+    """The order of each element of the group table t with identity e, the
+    least m >= 1 with x^m = e: every x^m at once, one gather of n entries
+    per round, for as many rounds as the largest order (at most n)."""
+    n = len(t)
+    step = t.copy()
+    step[e] = e                                 # a power that reaches e stays
+    orders = np.ones(n, dtype=np.int64)
+    power = idx = np.arange(n)
+    for _ in range(n):
+        alive = power != e
+        if not alive.any():
+            break
+        orders += alive
+        power = step[power, idx]                # x^(m+1) = x^m x
+    return orders
 
 
 def _nu_invariants(nu, labels):

@@ -11,9 +11,10 @@ tested against; the package itself never calls them.
   is named.
 - `relabel`: the same structure under renamed elements.
 - `whole_cube_assoc_witness`: binary associativity over the whole n^3 cube.
-- `derived_ternary_mu`, `compose_elements` and the translation pairs
-  (`Pair`, `standard_form`, `pair_add`, `pair_mul`, `pair_zero`): scalar
-  definitions of what the tables compute at once.
+- `derived_ternary_mu`, `compose_elements`, `scalar_element_orders` and
+  the translation pairs (`Pair`, `standard_form`, `pair_add`, `pair_mul`,
+  `pair_zero`): scalar definitions of what the tables compute at once.
+- `verdict_dict`: a Verdict's outcome as a plain dict, its method left out.
 - `swapped_cell_mutants`, `perturbations`, `group_table_mutants` and
   `one_image_mutants`: tables and maps that break, or merely move, a law.
 """
@@ -92,6 +93,28 @@ def derived_ternary_mu(carrier):
     if (carrier.mu < 0).any():
         raise StructureError("mu is not closed; no derived ternary product")
     return carrier.mu[carrier.mu]  # [i,j,k] -> mu[mu[i,j],k]
+
+
+def scalar_element_orders(table, e):
+    """The order of each element of a group table, one power at a time."""
+    orders = []
+    for a in range(len(table)):
+        p, o = a, 1
+        while p != e:
+            p = int(table[p, a])
+            o += 1
+        orders.append(o)
+    return orders
+
+
+def verdict_dict(v):
+    """The outcome of a Verdict as a dict: ok, axiom, witness and detail."""
+    return {
+        "ok": v.ok,
+        "axiom": v.axiom,
+        "witness": list(v.witness) if v.witness is not None else None,
+        "detail": v.detail,
+    }
 
 
 def compose_elements(field, i, j):

@@ -1,6 +1,7 @@
 """Tests for substitution endomorphisms, automorphism groups, and their
 Cayley/composition tables on the singly generated quotient fields."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -488,3 +489,23 @@ def test_truncation_to_self_is_identity():
 def test_no_truncation_upward():
     with pytest.raises(StructureError, match="truncation"):
         truncation_morphism(build_f0(3), build_f0(5))
+
+
+def _abelian_table(*orders):
+    """The Cayley table of C_n1 x ... x C_nr, elements in lexicographic order."""
+    elements = list(itertools.product(*map(range, orders)))
+    index = {e: i for i, e in enumerate(elements)}
+    return np.array([[index[tuple((a + b) % n for a, b, n in zip(x, y, orders))]
+                      for y in elements] for x in elements])
+
+
+@pytest.mark.parametrize("orders,iso", [
+    ((9,), "C9"), ((3, 3), "C3 x C3"), ((10,), "C10"), ((12,), "C12"),
+    ((6, 2), "C6 x C2"), ((14,), "C14"), ((15,), "C15"), ((16,), "C16"),
+    ((8, 2), "C8 x C2"), ((4, 4), "C4 x C4"), ((4, 2, 2), "C4 x C2 x C2"),
+    ((2, 2, 2, 2), "C2 x C2 x C2 x C2"),
+])
+def test_fingerprint_names_the_abelian_groups_up_to_order_16(orders, iso):
+    table = _abelian_table(*orders)
+    t = CompositionTable(build_f0(1), range(len(table)), table, 0, "composition")
+    assert fingerprint_group(t)["iso_class"] == iso

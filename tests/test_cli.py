@@ -505,11 +505,11 @@ def test_sizes_past_the_digit_limit_are_refused_with_exit_2(argv, message):
     assert err.splitlines()[-1] == f"error: {message}"
 
 
-def test_struct_groupalg_sampled_odd_order_exits_with_the_norm_witness():
+def test_struct_groupalg_odd_order_above_the_limit_exits_with_the_norm_witness():
     proc = run_cli("struct", "groupalg", "11", "--spec", "F0(1)")
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[-3:] == [
-        "is_3field: false", "verdict_mode: sampled",
+        "is_3field: false", "verdict_mode: theorem",
         "witness: (1,1,1,1,1,1,1,1,1,1,1)"]
 
 

@@ -3,24 +3,40 @@ defines is named somewhere other than where it is defined, in the package,
 in `perfbench` or in either README.  Code that only tests call belongs with
 the tests (`tests/oracles.py` holds the shared oracles).
 
-Names are counted as words of the files' text.  Dunder methods are called
-by Python itself, and the `cmd_*` handlers through the command table that
-`@command` fills, so neither needs another mention."""
+Names are counted as words: of the Python sources without their docstrings
+and comments, so that a docstring naming a helper keeps no helper alive,
+and of the READMEs in full.  Dunder methods are called by Python itself,
+and the `cmd_*` handlers through the command table that `@command` fills,
+so neither needs another mention."""
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ternfield").glob("*.py"))
-READERS = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py")),
-           ROOT / "README.md", ROOT / "perfbench" / "README.md"]
+CODE = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py"))]
+READMES = [ROOT / "README.md", ROOT / "perfbench" / "README.md"]
 
 
 def registered_command(node):
     return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "command"
                for d in node.decorator_list)
+
+
+def code_words(text):
+    """The words of a Python source, its docstrings and comments left out."""
+    docstrings = {(node.body[0].lineno, node.body[0].col_offset)
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node) is not None}
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type != tokenize.COMMENT and tok.start not in docstrings:
+            yield from re.findall(r"\w+", tok.string)
 
 
 def definitions(path):
@@ -37,7 +53,8 @@ def definitions(path):
 
 
 def test_every_definition_in_src_is_named_where_it_is_not_defined():
-    words = Counter(w for path in READERS for w in re.findall(r"\w+", path.read_text()))
+    words = Counter(w for path in CODE for w in code_words(path.read_text()))
+    words.update(w for path in READMES for w in re.findall(r"\w+", path.read_text()))
     defs = [(path, name, line) for path in SOURCES for name, line in definitions(path)]
     defined = Counter(name for _, name, _ in defs)
     assert [f"{path.name}:{line} {name}" for path, name, line in defs

@@ -11,8 +11,10 @@ from ternfield import (
     CarrierSizeError,
     StructureError,
     ThreeVectorSpace,
+    automorphism_group,
     build_envelope,
     build_f0,
+    cayley_table,
     cyclic_group,
     free_resolution,
     free_space,
@@ -27,8 +29,9 @@ from ternfield import (
     vector_power_space,
 )
 from ternfield import structures, ternary_kernel
+from ternfield._suite import AUT5_LETTER_ORDER
 
-from oracles import group_table_mutants, whole_cube_assoc_witness
+from oracles import group_table_mutants, scalar_element_orders, whole_cube_assoc_witness
 
 
 def _base(spec):
@@ -735,22 +738,22 @@ def test_group_algebra_matches_the_reference(name, spec):
         _assert_same_tables(result.field, env, values, mu_op, one, labels)
 
 
-def test_sampled_group_algebra_verdict_is_pinned(f1):
-    # 2048 elements: beyond the table limit, 64 seeded samples decide
+def test_group_algebra_above_the_limit_is_pinned(f1):
+    # 2048 elements: beyond the table limit the group order decides
     result = group_algebra(cyclic_group(12), f1)
     assert result.size == 2048
-    assert result.verdict_mode == "sampled"
+    assert result.verdict_mode == "theorem"
     assert result.is_3field is False
-    assert result.witness == "(q(1),q(1),1,1,1,q(1),1,q(1),1,1,q(1),1)"
+    assert result.witness == "(1,q(1),q(1),q(1),1,q(1),q(1),q(1),1,q(1),q(1),q(1))"
     assert result.field is None
 
 
 @pytest.mark.parametrize("k,spec", [(11, "F0(1)"), (13, "F0(1)"), (7, "F0(2)")])
-def test_sampled_odd_order_group_fails_with_the_norm_witness(k, spec):
+def test_odd_order_group_above_the_limit_fails_with_the_norm_witness(k, spec):
     # the all-ones N is in the carrier for odd k and N * b = aug(b) * N is
-    # never the unit, so a sampled verdict cannot report a 3-field
+    # never the unit
     result = group_algebra(cyclic_group(k), _base(spec))
-    assert result.verdict_mode == "sampled"
+    assert result.verdict_mode == "theorem"
     assert result.is_3field is False
     assert result.witness == "(" + ",".join(["1"] * k) + ")"
 
@@ -760,6 +763,118 @@ def test_norm_witness_has_no_inverse_in_the_reference(f1):
     norm = (env.one,) * 11
     assert norm in values
     assert all(mu_op(norm, b) != one for b in values)
+
+
+# S3 as permutations of (0, 1, 2), composed right to left: the rotations
+# first, so that the rotation subgroup is {0, 1, 2}
+_S3_PERMS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
+_S3 = np.array([[_S3_PERMS.index(tuple(p[i] for i in q)) for q in _S3_PERMS]
+                for p in _S3_PERMS])
+
+
+def _group(name):
+    """A group table by name: Zk, S3, klein or C2^3."""
+    if name == "S3":
+        return _S3
+    if name == "klein":
+        return _KLEIN
+    if name == "C2^3":
+        return np.bitwise_xor.outer(np.arange(8), np.arange(8))
+    return cyclic_group(int(name[1:]))
+
+
+@pytest.mark.parametrize("name,spec", [
+    *[(f"Z{k}", "F0(1)") for k in range(1, 11)],
+    *[(f"Z{k}", spec) for spec in ("F0(2)", "odd(4)") for k in range(1, 6)],
+    *[(f"Z{k}", "F0(3)") for k in range(1, 4)],
+    ("S3", "F0(1)"),
+    ("klein", "F0(1)"),
+])
+def test_exhaustive_verdict_is_the_two_group_criterion(name, spec):
+    # every carrier that fits the tables: the exhaustive search agrees with
+    # Connell's criterion, a group of 2-power order
+    group = _group(name)
+    result = group_algebra(group, _base(spec))
+    assert result.size <= ternary_kernel._TABLE_LIMIT
+    assert result.verdict_mode == "exhaustive"
+    assert result.is_3field is (len(group) & (len(group) - 1) == 0)
+
+
+@pytest.mark.parametrize("name,spec", [("Z16", "F0(1)"), ("C2^3", "F0(2)")])
+def test_two_group_above_the_limit_is_a_3field_by_the_theorem(name, spec):
+    result = group_algebra(_group(name), _base(spec))
+    assert result.size == 2 ** 15
+    assert result.verdict_mode == "theorem"
+    assert result.is_3field is True
+    assert result.witness is None
+    assert result.field is None and result.isomorphism is None
+
+
+@pytest.mark.parametrize("name,spec,witness", [
+    ("Z12", "F0(1)", "(1,q(1),q(1),q(1),1,q(1),q(1),q(1),1,q(1),q(1),q(1))"),
+    ("Z6", "F0(2)", "(1,q(1),1,q(1),1,q(1))"),
+    ("S3", "F0(2)", "(1,1,1,q(1),q(1),q(1))"),
+])
+def test_even_order_above_the_limit_fails_with_the_least_odd_prime_norm(
+        name, spec, witness):
+    # N_g = 1 + g + g^2 for the least g of order 3
+    result = group_algebra(_group(name), _base(spec))
+    assert result.size == 2048
+    assert result.verdict_mode == "theorem"
+    assert result.is_3field is False
+    assert result.witness == witness
+    assert result.field is None
+
+
+def _fingerprinted_tables():
+    """The tables the package fingerprints: the automorphism groups of F0(n)
+    (paper-suite's reordered one among them) and the multiplicative groups."""
+    for n in range(1, 8):
+        yield automorphism_group(build_f0(n, check="light"))
+    yield automorphism_group(build_f0(5)).reorder(AUT5_LETTER_ORDER, letters=True)
+    for n in range(2, 6):
+        yield cayley_table(build_f0(n))
+
+
+def test_element_orders_match_the_power_loop():
+    tables = [(cyclic_group(k), 0) for k in range(1, 17)] + [(_S3, 0), (_KLEIN, 0)]
+    tables += [(t.table, t.identity) for t in _fingerprinted_tables()]
+    for table, e in tables:
+        orders = ternary_kernel._element_orders(table, e)
+        assert orders.tolist() == scalar_element_orders(table, e)
+    assert ternary_kernel._element_orders(_S3, 0).tolist() == [1, 3, 3, 2, 2, 2]
+
+
+def test_cyclic_generator_is_the_least_element_of_full_order():
+    assert [structures._cyclic_generator(cyclic_group(k), 0) for k in (1, 2, 12)] == [0, 1, 1]
+    # Z/2 x Z/3 with (a, b) at 3a + b: (1, 1) = 4 is the least of order 6
+    a, b = np.divmod(np.arange(6), 3)
+    z2z3 = (a[:, None] + a[None]) % 2 * 3 + (b[:, None] + b[None]) % 3
+    assert structures._cyclic_generator(z2z3, 0) == 4
+    assert structures._cyclic_generator(_S3, 0) is None
+    assert structures._cyclic_generator(_KLEIN, 0) is None
+
+
+def test_least_odd_prime_norm_has_no_inverse_in_the_reference(f1):
+    env, values, mu_op, one, _ = _reference_group_algebra(cyclic_group(12), f1)
+    norm = tuple(env.one if t % 4 == 0 else env.zero for t in range(12))
+    assert group_algebra(cyclic_group(12), f1).witness == (
+        "(" + ",".join(env.labels[c] for c in norm) + ")")
+    assert len(values) == 2048 and norm in values
+    assert all(mu_op(norm, b) != one for b in values)
+
+
+def test_theorem_path_builds_no_carrier(f1):
+    with mock.patch.object(structures._TupleTables, "products", autospec=True,
+                           side_effect=structures._TupleTables.products) as products, \
+            mock.patch.object(structures, "_odd_sum_tuples",
+                              wraps=structures._odd_sum_tuples) as tuples:
+        for k in (16, 12, 11):
+            assert group_algebra(cyclic_group(k), f1).verdict_mode == "theorem"
+        assert products.call_count == tuples.call_count == 0
+        # the counters count: the exhaustive path at 4 elements uses both
+        assert group_algebra(cyclic_group(3), f1).verdict_mode == "exhaustive"
+        assert products.call_count > 0 and tuples.call_count == 1
 
 
 @pytest.mark.parametrize("spec", ["F0(1)", "odd(4)"])

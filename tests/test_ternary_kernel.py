@@ -41,6 +41,7 @@ from oracles import (
     perturbations,
     relabel,
     swapped_cell_mutants,
+    verdict_dict,
     whole_cube_assoc_witness,
     with_tables,
 )
@@ -731,7 +732,7 @@ def assert_agrees_with_scan(carrier):
     with scan_only():
         slow = (check_ternary_group(carrier, limit=n), check_distributivity(carrier, limit=n))
     for f, s in zip(fast, slow):
-        assert f.as_dict() == s.as_dict()
+        assert verdict_dict(f) == verdict_dict(s)
         assert f.method in ("cheap", "certificate", "scan")
         if f.method != "certificate":
             assert f.method == s.method
@@ -753,7 +754,7 @@ def test_certificates_pass_on_valid_fields(name):
         v_add = check_ternary_group(carrier, limit=carrier.n)
         v_mul = check_distributivity(carrier, limit=carrier.n)
         assert v_add.method == v_mul.method == "certificate"
-        assert v_add.as_dict() == v_mul.as_dict() == PASS
+        assert verdict_dict(v_add) == verdict_dict(v_mul) == PASS
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -932,7 +933,7 @@ def scanned(check, c):
 
 
 def split_verdicts(c):
-    """(as_dict, method) of both checkers with the split certificates in
+    """(verdict_dict, method) of both checkers with the split certificates in
     front of the unchanged cheap invariants and scans, for closed tables."""
     certificate = tk.Verdict(True, method="certificate")
     v_add = tk._nu_invariants(c.nu, c.labels)
@@ -943,11 +944,11 @@ def split_verdicts(c):
     if v_mul is None:
         v_mul = (certificate if split_distrib_certificate(c.nu, c.mu)
                  else scanned(check_distributivity, c))
-    return [(v.as_dict(), v.method) for v in (v_add, v_mul)]
+    return [(verdict_dict(v), v.method) for v in (v_add, v_mul)]
 
 
 def verdicts(c):
-    return [(v.as_dict(), v.method)
+    return [(verdict_dict(v), v.method)
             for v in (check_ternary_group(c, limit=c.n), check_distributivity(c, limit=c.n))]
 
 
@@ -1020,7 +1021,8 @@ def test_a_stack_of_maps_is_decided_as_its_maps(per_chunk, monkeypatch):
 def test_verdict_method_records_how_it_was_reached():
     f = roster_field("F0(3)")
     v = check_ternary_group(f.carrier)
-    assert v.method == "certificate" and set(v.as_dict()) == {"ok", "axiom", "witness", "detail"}
+    assert v.method == "certificate"
+    assert set(verdict_dict(v)) == {"ok", "axiom", "witness", "detail"}
     nu = f.carrier.nu.copy()
     nu[0, 1, 2] = nu[0, 2, 1] = (nu[0, 1, 2] + 1) % f.n
     assert check_ternary_group(with_tables(f.carrier, nu=nu)).method == "cheap"
@@ -1409,7 +1411,7 @@ def unchecked_coset(labels, nu, mu):
 def checked(carrier):
     """Both checkers' reports and methods and the derived structure."""
     v_add, v_mul = check_ternary_group(carrier), check_distributivity(carrier)
-    return (v_add.as_dict(), v_add.method, v_mul.as_dict(), v_mul.method,
+    return (verdict_dict(v_add), v_add.method, verdict_dict(v_mul), v_mul.method,
             detect_derived_structure(carrier))
 
 
@@ -1444,10 +1446,10 @@ def test_broken_coset_products_get_the_scan_verdict():
             w = tk._distrib_scan(broken.nu, broken.mu)
             assert detect_derived_structure(broken) == whole_cube_derived_structure(broken)
             if w is None:               # the coset's certified retract decides
-                assert v.as_dict() == PASS and v.method == "certificate"
+                assert verdict_dict(v) == PASS and v.method == "certificate"
                 continue
             law, *abcde = w
-            assert v.as_dict() == {
+            assert verdict_dict(v) == {
                 "ok": False, "axiom": f"distributivity-law-{law}", "witness": abcde,
                 "detail": f"law {law} fails at ({','.join(broken.labels[i] for i in abcde)})"}
             assert v.method == "scan"
