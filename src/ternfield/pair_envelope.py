@@ -47,9 +47,11 @@ from .ternary_kernel import (
     _affine_on,
     _assoc_violation,
     _carries_on,
+    _coset_form,
     _first_violation,
     _generators,
     _identity,
+    _least,
     _light_associative,
     _map_violation,
     _nonperm_row,
@@ -299,20 +301,14 @@ class _TupleTables:
         return self._mu
 
     def nu(self):
-        """The (n, n, n) ternary addition table.  nu(a, b, c) = (a + b) + c:
-        each pairwise sum is named by its place among the distinct sums, the
-        sums plus each carrier tuple are located in slabs of n sums, and nu
-        is one gather from that table."""
-        add, V, n = self.ring.add, self.tuples, self.n
-        pairs = add[V[:, None], V[None]].reshape(n * n, self.width)
-        _, first, which = np.unique(pairs @ self._powers, return_index=True,
-                                    return_inverse=True)
-        sums = pairs[first]
-        plus = np.empty((len(sums), n), dtype=np.int32)    # [sum, c] = sum + c
-        for lo in range(0, len(sums), n):
-            plus[lo:lo + n] = self.locate(add[sums[lo:lo + n, None], V[None]],
-                                          "ternary addition")
-        return plus[which.reshape(n, n)]
+        """The (n, n, n) ternary addition table a + b + c, the coset form
+        (`_coset_form`) of its retract at the first carrier tuple v0:
+        a o b = a + b - v0, by one lookup of n^2 tuples, and k = v0+v0+v0."""
+        add, V = self.ring.add, self.tuples
+        v0 = V[0]
+        o = self.locate(add[add[V[:, None], V[None]], self.ring.neg[v0]], "ternary addition")
+        k = int(self.locate(add[add[v0, v0], v0], "ternary addition"))
+        return _coset_form(o, k)[o]
 
     def field(self, labels, one, origin, check):
         """The FiniteThreeField on these tables; one is the unit's tuple."""
@@ -674,38 +670,20 @@ def evenly_maximal_check(k0):
 def embedding_criterion(field, env=None):
     """Whether the field embeds into a binary field.
 
-    Route one scans x+y-xy = 1 inside the envelope for a solution with both
-    factors different from 1; route two scans the pair part for zero
-    divisors.  The two verdicts are computed independently and must agree.
+    Route one finds the least solution of x+y-xy = 1 inside the envelope
+    with both factors different from 1; route two the least pair of zero
+    divisors in the pair part (indices n..2n-1), each as one mask over the
+    whole table.  The two verdicts are computed independently and must
+    agree.
     """
     env = env or build_envelope(field, check=False)
-    one = env.one
-    zero = env.zero
-    witness = None
-    for x in range(field.n):
-        if x == field.one:
-            continue
-        for y in range(field.n):
-            if y == field.one:
-                continue
-            s = env.add_at(env.add_at(x, y), env.neg_at(env.mul_at(x, y)))
-            if s == one:
-                witness = (x, y)
-                break
-        if witness:
-            break
-    zero_divisor = None
-    for p in env.pair_indices():
-        if p == zero:
-            continue
-        for q in env.pair_indices():
-            if q == zero:
-                continue
-            if env.mul_at(p, q) == zero:
-                zero_divisor = (p, q)
-                break
-        if zero_divisor:
-            break
+    n, add, mul = field.n, env.add, env.mul
+    solved = add[add[:n, :n], env.neg[mul[:n, :n]]] == env.one     # [x, y]
+    solved[field.one] = solved[:, field.one] = False
+    witness = _least(solved) if solved.any() else None
+    divides = mul[n:, n:] == env.zero                             # [p - n, q - n]
+    divides[env.zero - n] = divides[:, env.zero - n] = False
+    zero_divisor = tuple(n + v for v in _least(divides)) if divides.any() else None
     if (witness is None) != (zero_divisor is None):
         raise StructureError("the two embedding criteria disagree")
     return {

@@ -34,6 +34,7 @@ from .ternary_kernel import (
     TernaryCarrier,
     _BLOCK_ENTRIES,
     _TABLE_LIMIT,
+    _coset_form,
     _refuse_size,
     odd_residue_field,
 )
@@ -846,9 +847,9 @@ def build_quotient_field(spec, check="auto"):
     n = 1 << len(alg.free)
     _refuse_size(n, _TABLE_LIMIT, "carrier of size {size} exceeds the build limit {limit}")
     idx = np.arange(n, dtype=np.int32)        # index i is a coefficient vector
-    nu = idx[:, None, None] ^ idx[:, None] ^ idx
+    o = idx[:, None] ^ idx                    # the retract at 1, with k = 0
     labels = [alg.label(m) for m in alg.carrier]
-    carrier = TernaryCarrier(labels, nu, alg.mul_table())
+    carrier = TernaryCarrier(labels, _coset_form(o, 0)[o], alg.mul_table())
     origin = {
         "kind": "quotient_field",
         "base": "F0",

@@ -70,10 +70,6 @@ class ThreeVectorSpace:
         return tuple(env.add_at(env.add_at(a, b), c)
                      for a, b, c in zip(u, v, w))
 
-    def scalar(self, lam, v):
-        env = self.env
-        return tuple(env.mul_at(lam, c) for c in v)
-
     def combination(self, scalars, vectors):
         """Sum of lam_i * v_i, taken inside U(F)^width."""
         env = self.env

@@ -15,8 +15,10 @@ steps, and the Verdict's `method` records which step decided it:
    solvability of nu, associativity of a binary mu ("cheap");
 2. the size gate: carriers above `check_limit()` raise CarrierSizeError;
 3. an exact certificate: by the Hosszu-Gluskin theorem a commutative
-   ternary group is nu(x,y,z) = x+y+z+k over an abelian group.  One
-   O(n^3) certificate (`_coset_retract`) checks that form and yields the
+   ternary group is nu(x,y,z) = x+y+z+k over an abelian group.  That form
+   is written once, `_coset_form`: the builders that start from an
+   additive group make nu from their retract (o, k) with it, and one
+   O(n^3) certificate (`_coset_retract`) reads it back and yields the
    retract (o, k), cached per carrier as `TernaryCarrier.retract` beside
    its generators A; then `_distrib_certificate` tests every translation
    of mu, binary or ternary, as affine for o on A, in O(n^2 |A|) for a
@@ -314,18 +316,21 @@ def _assoc_violation(t):
 
 
 def _generators(t):
-    """A generating set of the closed binary table t, ascending: each next
-    generator is the least element that is not yet a left-normed product
-    (..((a1 a2) a3)..) of the earlier ones.  So every element is a
-    left-normed product of the set, and the set generates t as a magma,
-    and as a semigroup when t is associative.  Each element is reached once
-    and then multiplied by every generator once, O(n |A|) table reads; on
-    a group |A| <= 1 + log2 n, as each generator after the first at least
-    doubles the subgroup."""
+    """A generating set of the closed binary table t: each next generator
+    is the first element, in the order 1, ..., n-1, 0, that is not yet a
+    left-normed product (..((a1 a2) a3)..) of the earlier ones.  So every
+    element is a left-normed product of the set, and the set generates t
+    as a magma, and as a semigroup when t is associative.  Index 0, the
+    identity of every certified retract o (and of mu where the unit is 0),
+    comes last, so it is taken only when nothing else reaches it.  Each element is reached once and
+    then multiplied by every generator once, O(n |A|) table reads; on a
+    group |A| <= 1 + log2 n, as each generator after the first at least
+    doubles the subgroup, and |A| <= log2 n when the identity is 0 and
+    n > 1, as the first generator is then not the identity."""
     read = t.item
     reached = bytearray(len(t))
     gens = []
-    for a in range(len(t)):
+    for a in (*range(1, len(t)), 0):
         if reached[a]:
             continue
         gens.append(a)
@@ -517,15 +522,21 @@ def _coset_retract(nu):
     return None
 
 
+def _coset_form(o, k):
+    """The table F[a, z] = (a o z) o k of the coset form
+    nu(x, y, z) = ((x o y) o z) o k of the retract (o, k): nu is F[o], and
+    its rows x in `rows` are F[o[rows]].  The one place nu's form is
+    written: builders that start from an additive group take nu from it,
+    and the certificate (`_is_coset_form`) reads it back."""
+    return o[o, k]
+
+
 def _is_coset_form(nu, o, k):
-    """Whether o is associative and nu(x,y,z) = ((x o y) o z) o k everywhere."""
+    """Whether o is associative and nu is the coset form of (o, k) everywhere."""
     n = len(o)
-    # where o is associative, ((x o y) o z) o k = x o (y o (z o k)), read
-    # from inner[y,z] = y o (z o k) with one gather per chunk
-    inner = o[:, o[:, k]].ravel()
+    form = _coset_form(o, k)
     return _first_violation(n, n * n, lambda rows: _assoc_mask(o, rows)
-                            | (np.take(o[rows], inner, axis=1).reshape(-1, n, n)
-                               != nu[rows])) is None
+                            | (form[o[rows]] != nu[rows])) is None
 
 
 def _distrib_certificate(carrier):
@@ -935,14 +946,14 @@ def odd_residue_field(modulus, check="auto"):
     if m < 2 or m & (m - 1):
         raise StructureError("modulus must be a power of two, at least 2")
     _refuse_size(m // 2, _TABLE_LIMIT, "carrier of size {size} exceeds the build limit {limit}")
-    # index i is the residue 2i+1: (2i+1)+(2j+1)+(2k+1) = 2(i+j+k+1)+1 and
-    # (2i+1)(2j+1) = 2((2i+1)j+i)+1
+    # index i is the residue 2i+1: the retract at 1 is x + y - 1, index
+    # i + j, with k = 1 + 1 + 1, index 1; and (2i+1)(2j+1) = 2((2i+1)j+i)+1
     n = m // 2
     i = np.arange(n, dtype=np.int32)
-    nu = i[:, None, None] + i[:, None] + (i + 1)
-    np.remainder(nu, n, out=nu)
+    o = np.remainder(i[:, None] + i, n)
     mu = (2 * i[:, None] + 1) * i + i[:, None]
     np.remainder(mu, n, out=mu)
-    carrier = TernaryCarrier([str(2 * v + 1) for v in range(n)], nu, mu)
+    carrier = TernaryCarrier([str(2 * v + 1) for v in range(n)],
+                             _coset_form(o, 1 % n)[o], mu)
     return FiniteThreeField(carrier, 0, origin={"kind": "odd_residue", "modulus": m},
                             check=check)

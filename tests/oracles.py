@@ -27,8 +27,10 @@ import numpy as np
 from ternfield import (
     StructureError,
     build_f0,
+    group_algebra,
     odd_residue_field,
     product_field,
+    quaternion_field,
     triangular_field,
 )
 from ternfield.automorphisms import _algebra_of
@@ -36,6 +38,13 @@ from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
 
 
 # -- the roster ---------------------------------------------------------------
+
+def _dihedral_8():
+    """Cayley table of the dihedral group of order 8, r^i s^j at index
+    i + 4j: (r^i s^j)(r^k s^l) = r^(i + (-1)^j k) s^(j + l)."""
+    i, j = np.arange(8) % 4, np.arange(8) // 4
+    return (i[:, None] + np.where(j[:, None], -i, i)) % 4 + 4 * ((j[:, None] + j) % 2)
+
 
 FIELDS = {
     **{f"odd({m})": functools.partial(odd_residue_field, m)
@@ -56,6 +65,10 @@ FIELDS = {
     "T2(F0(2))": lambda check: triangular_field(2, build_f0(2), check=check).field,
     "T2(odd(4))": lambda check: triangular_field(2, odd_residue_field(4),
                                                  check=check).field,
+    # noncommutative, n = 128, beyond the scan: quaternions, and the group
+    # 3-algebra of the dihedral group of order 8
+    "H(odd(4))": lambda check: quaternion_field(odd_residue_field(4), check=check).field,
+    "F0(1)[D4]": lambda check: group_algebra(_dihedral_8(), build_f0(1), check=check).field,
 }
 
 

@@ -508,6 +508,36 @@ def test_embedding_witness_solves_the_equation(f8, env8):
     assert s == env8.one
 
 
+def scalar_embedding_routes(field, env):
+    """Both routes by scalar loops, row-major: the least (x, y) with
+    x + y - xy = 1 and x, y != 1, and the least pair of nonzero pairs whose
+    product is zero, each None when there is none."""
+    odd, pairs = range(field.n), env.pair_indices()
+    solved = next(((x, y) for x in odd for y in odd if field.one not in (x, y)
+                   and env.add_at(env.add_at(x, y), env.neg_at(env.mul_at(x, y)))
+                   == env.one), None)
+    divides = next(((p, q) for p in pairs for q in pairs if env.zero not in (p, q)
+                    and env.mul_at(p, q) == env.zero), None)
+    return solved, divides
+
+
+@pytest.mark.parametrize("name", ["odd(2)", "odd(8)", "odd(32)", "F0(1)", "F0(3)", "F0(5)",
+                                  "F0(2,2)", "F0(2)xF0(3)", "T2(F0(2))", "T2(odd(4))"])
+def test_embedding_routes_find_the_scalar_least_witnesses(name):
+    f = FIELDS[name](check="light")
+    rng = np.random.default_rng(f.n)
+    for perm in (np.arange(f.n), rng.permutation(f.n), rng.permutation(f.n)):
+        g = relabel(f, perm)                    # the unit moves off index 0
+        env = build_envelope(g, check=False)
+        solved, divides = scalar_embedding_routes(g, env)
+        report = embedding_criterion(g, env)
+        assert report == {
+            "embeds": solved is None,
+            "witness": None if solved is None else tuple(g.label(v) for v in solved),
+            "zero_divisor": None if divides is None else tuple(env.labels[v] for v in divides),
+        }
+
+
 # -- ideals and quotients -----------------------------------------------------------
 
 def test_quotient_of_sixteen_by_four(f8):
@@ -714,6 +744,19 @@ def test_ring_isomorphism_between_envelopes_keeps_the_odd_part():
     iso = ring_isomorphism(e1, e2)
     assert all(iso(i) < f.n for i in range(f.n))
     assert iso.mapping[:f.n] == field_isomorphism(f, e2.base).mapping
+
+
+@pytest.mark.parametrize("name", ["T2(F0(2))", "T2(odd(4))"])
+def test_ring_isomorphism_finds_a_relabelled_noncommutative_envelope(name):
+    t = FIELDS[name](check="auto")
+    copy = relabel(t, np.random.default_rng(4).permutation(t.n))
+    e1, e2 = build_envelope(t), build_envelope(copy)
+    assert not (e1.mul == e1.mul.T).all()
+    iso = ring_isomorphism(e1, e2)
+    assert iso is not None and iso.is_bijective()
+    assert all(iso(i) < t.n for i in range(t.n))          # units go to units
+    assert Morphism(t, copy, iso.mapping[:t.n]).is_bijective()
+    assert iso.mapping == reference_ring_isomorphism(e1, e2)
 
 
 def test_field_isomorphism_of_the_toeplitz_field_is_pinned():
@@ -1156,6 +1199,33 @@ def test_map_checks_give_the_whole_table_messages(block, monkeypatch, walk=False
 def test_map_checks_give_the_whole_table_messages_on_the_walk(block, monkeypatch):
     walk_only(monkeypatch)
     test_map_checks_give_the_whole_table_messages(block, monkeypatch, walk=True)
+
+
+@pytest.mark.parametrize("name", ["H(odd(4))", "F0(1)[D4]"])
+def test_maps_of_the_128_element_fields_pass_on_generators(name):
+    # conjugation by a noncentral unit, its lift to the 256-element envelope
+    # and a relabelling onto a copy pass on generators with no walk; the
+    # walk names the failure of every eighth one-image mutant as the whole
+    # tables do
+    t = FIELDS[name](check="light")
+    mu, n = t.carrier.mu, t.n
+    g = next(g for g in range(n) if (mu[g] != mu[:, g]).any())
+    conj = mu[mu[g], int(np.argmax(mu[g] == t.one))].tolist()      # x -> g x g^-1
+    perm = np.random.default_rng(n).permutation(n)
+    copy = FiniteThreeField(relabel(t.carrier, perm), int(perm[t.one]), check="light")
+    decide_retracts(t, copy)
+    env = build_envelope(t)
+    lifted = lift_morphism(Morphism(t, t, conj), env, env).mapping
+    for kind, target, mapping in ((Morphism, t, conj), (Morphism, copy, perm.tolist()),
+                                  (RingMorphism, env, lifted)):
+        source = env if kind is RingMorphism else t
+        with mock.patch.object(pair_envelope, "_map_violation",
+                               wraps=pair_envelope._map_violation) as walked:
+            assert map_error(kind, source, target, mapping) is None
+        assert walked.call_count == 0
+        for m in list(one_image_mutants(source, target, mapping))[::8]:
+            assert map_error(kind, source, target, m) == \
+                whole_table_map_error(kind, source, target, m) is not None
 
 
 @pytest.mark.parametrize("route", ["generators", "walk"])

@@ -32,8 +32,20 @@ from ternfield import (
     triangular_field,
     twisted_coset,
 )
-from ternfield import ternary_kernel as tk
-from ternfield.poly_fields import build_f0, generated_subalgebra, product_field
+from ternfield import pair_envelope, poly_fields, ternary_kernel as tk
+from ternfield.poly_fields import (
+    QuotientFieldSpec,
+    build_f0,
+    build_quotient_field,
+    generated_subalgebra,
+    product_field,
+)
+from ternfield.structures import (
+    cyclic_group,
+    group_algebra,
+    quaternion_field,
+    toeplitz_field,
+)
 
 from oracles import (
     FIELDS,
@@ -200,7 +212,7 @@ def test_full_check_ignores_gate():
     assert decide.call_count == 1
 
 
-@pytest.mark.parametrize("modulus", [2 ** k for k in range(1, 10)])
+@pytest.mark.parametrize("modulus", [2 ** k for k in range(1, 11)])
 def test_odd_residue_tables_match_the_residue_arithmetic(modulus):
     # the residues themselves as the oracle: sums and products mod 2^k, one
     # first argument at a time, mapped back to indices by (r-1)/2
@@ -315,10 +327,14 @@ def left_normed_products(t, gens):
 
 
 def assert_generators_decide_associativity(t):
+    order = [*range(1, len(t)), 0]          # the search order: index 0 last
     gens = tk._generators(t)
-    assert gens == sorted(gens) and left_normed_products(t, gens) == set(range(len(t)))
-    # greedy: no generator is a product of the earlier ones
-    assert all(g not in left_normed_products(t, gens[:i]) for i, g in enumerate(gens))
+    assert gens == sorted(gens, key=order.index)
+    assert left_normed_products(t, gens) == set(range(len(t)))
+    # greedy: each generator is the first element, in the search order, that
+    # is not a product of the earlier ones
+    assert all(g == next(x for x in order if x not in left_normed_products(t, gens[:i]))
+               for i, g in enumerate(gens))
     assert tk._light_associative(t, gens) == (tk._assoc_violation(t) is None)
 
 
@@ -346,6 +362,19 @@ def test_generators_and_light_test_on_roster_tables_with_one_cell_moved():
                 assert_generators_decide_associativity(moved)
                 verdicts.add(tk._assoc_violation(moved) is None)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_a_group_with_identity_0_needs_at_most_log2_n_generators(name):
+    # the search spends no generator on the identity 0: the first is 1 and
+    # each next one at least doubles the subgroup.  o's identity is 0 on
+    # every certified retract, mu's wherever the field's unit is 0
+    f = FIELDS[name](check="light")
+    c = f.carrier
+    for t in (c.retract[0], c.mu) if f.one == 0 else (c.retract[0],):
+        gens = tk._generators(t)
+        assert (0 in gens) == (c.n == 1)
+        assert len(gens) <= max(1, math.log2(c.n))
 
 
 # -- the scans against a pure-Python reference ----------------------------------
@@ -804,6 +833,21 @@ def test_relabelled_unit_off_index_zero_agrees_with_scan():
         assert [v.method for v in fast] == ["certificate", "certificate"]
 
 
+@pytest.mark.parametrize("name", ["H(odd(4))", "F0(1)[D4]"])
+def test_the_128_element_noncommutative_fields_pass_by_certificate(name):
+    # beyond the scan oracle: the certificate decides both checks, as built
+    # and relabelled with the unit moved, and each validates with every
+    # axiom decided
+    f = FIELDS[name](check="light")
+    assert f.n == 128 and (f.carrier.mu != f.carrier.mu.T).any()
+    rng = np.random.default_rng(7)
+    for perm in (np.arange(f.n), *(rng.permutation(f.n) for _ in range(3))):
+        g = decided(relabel(f, perm))
+        assert [(v.ok, v.method) for v in (check_ternary_group(g.carrier, limit=g.n),
+                                           check_distributivity(g.carrier, limit=g.n))] \
+            == [(True, "certificate")] * 2
+
+
 @pytest.mark.parametrize("name", ["odd(8)", "odd(16)", "odd(32)", "F0(3)", "F0(4)",
                                   "F0(5)", "F0(2,2)", "F0(2)xF0(3)", "F0(3)xF0(3)",
                                   "T2(F0(2))", "T2(odd(4))"])
@@ -978,6 +1022,93 @@ def test_retract_matches_the_split_certificates(name):
 def test_retract_matches_the_split_certificates_on_hand_made_tables():
     for carrier in (odd_twist_carrier(), identity_free_carrier()):
         assert_retract_matches_the_split_certificates(carrier)
+
+
+# -- the coset form, written once ---------------------------------------------------
+#
+# Every builder that starts from an additive group hands its retract (o, k)
+# to `_coset_form` and takes nu = F[o]; the certificate reads the same form
+# back, so the certified retract of a built carrier is the builder's own
+# (o, k).  That nu is x+y+z+k itself is tested against the residue and
+# mask arithmetic (test_odd_residue_tables_match_the_residue_arithmetic,
+# test_poly_fields.test_index_tables_match_the_mask_path).
+
+COSET_FORM, TABLE = tk._coset_form, tk._table
+
+
+def built_retract(build):
+    """The field build() returns, and the (o, k) of the last `_coset_form`
+    call made before its nu table, or None."""
+    events = []                         # (o, k) per form, the table per table
+
+    def form(o, k):
+        events.append((o, k))
+        return COSET_FORM(o, k)
+
+    def table(*args):
+        events.append(TABLE(*args))
+        return events[-1]
+
+    with mock.patch.object(tk, "_coset_form", form), \
+            mock.patch.object(poly_fields, "_coset_form", form), \
+            mock.patch.object(pair_envelope, "_coset_form", form), \
+            mock.patch.object(tk, "_table", table):
+        f = build()
+    made = next(i for i, e in enumerate(events) if e is f.carrier.nu)
+    return f, next((e for e in reversed(events[:made]) if isinstance(e, tuple)), None)
+
+
+def z2odd(exponents, m):
+    return lambda: build_quotient_field(QuotientFieldSpec(exponents, base=m), check=False)
+
+
+F0_SPECS = [((1,), ()), ((4,), ()), ((6,), ()), ((3, 3), ()), ((2, 2, 2), ()),
+            ((6,), ("x^4+1",)), ((2, 2), ("x1*x2+x1+x2+1",))]
+BUILDERS = {
+    **{f"odd({2 ** e})": functools.partial(odd_residue_field, 2 ** e, check=False)
+       for e in range(1, 11)},
+    **{f"F0{ex}{list(rel)}": functools.partial(build_f0, *ex, relations=rel, check=False)
+       for ex, rel in F0_SPECS},
+    **{f"(Z/{2 ** m}Z)^odd{ex}": z2odd(ex, m) for ex, m in (((1,), 3), ((2,), 2), ((2, 2), 2))},
+    "toeplitz(3, F0(1))": lambda: toeplitz_field(3, build_f0(1), check=False).field,
+    "toeplitz(2, odd(4))": lambda: toeplitz_field(2, odd_residue_field(4), check=False).field,
+    "triangular(2, F0(2))": lambda: triangular_field(2, build_f0(2), check=False).field,
+    "triangular(2, odd(4))": lambda: triangular_field(2, odd_residue_field(4),
+                                                      check=False).field,
+    "quaternion(F0(1))": lambda: quaternion_field(build_f0(1), check=False).field,
+    "quaternion(odd(4))": lambda: quaternion_field(odd_residue_field(4), check=False).field,
+    "groupalg(C4, F0(1))": lambda: group_algebra(cyclic_group(4), build_f0(1),
+                                                 check=False).field,
+    "groupalg(C2, odd(4))": lambda: group_algebra(cyclic_group(2), odd_residue_field(4),
+                                                  check=False).field,
+}
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_the_certified_retract_is_the_builders_own(name):
+    f, built = built_retract(BUILDERS[name])
+    r = f.carrier.retract
+    assert built is not None and r is not None
+    assert np.array_equal(built[0], r[0]) and built[1] == r[1]
+
+
+@pytest.mark.parametrize("name", ["odd(4)", "odd(8)", "F0(3)", "F0(2,2)", "T2(F0(2))",
+                                  "H(odd(4))"])
+def test_a_one_cell_change_to_nu_is_no_coset_form(name):
+    # a coset form is a Latin square in its last argument, and one changed
+    # cell breaks that, so no retract certifies the change
+    c = FIELDS[name](check=False).carrier
+    n, (o, k) = c.n, c.retract
+    assert tk._is_coset_form(c.nu, o, k)
+    rng = np.random.default_rng(n)
+    cells = (list(itertools.product(range(n), repeat=3)) if n <= 4
+             else [tuple(rng.integers(0, n, size=3)) for _ in range(24)])
+    for cell in cells:
+        for shift in (range(1, n) if n <= 4 else rng.integers(1, n, size=2)):
+            nu = c.nu.copy()
+            nu[cell] = (nu[cell] + shift) % n
+            assert not tk._is_coset_form(nu, o, k), (cell, shift)
+            assert tk._coset_retract(nu) is None, (cell, shift)
 
 
 # -- the affine law on a stack of maps ----------------------------------------------
