@@ -9,7 +9,6 @@ constructions.  Every value in the ledger is computed exactly; timings go
 to stderr so the data stream stays byte-identical across runs.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -33,7 +32,6 @@ from .poly_fields import (
     QuotientFieldSpec,
     TernaryPolynomial,
     build_f0,
-    build_quotient_field,
     cardinality,
     completely_even,
     parity,
@@ -43,7 +41,6 @@ from .automorphisms import (
     automorphism_group,
     cayley_table,
     fingerprint_group,
-    letter_label_map,
 )
 from .structures import (
     cyclic_group,
@@ -490,7 +487,8 @@ def criterion_11():
     inverses = quaternion_inverse_check(q)
     i1, i2, i3 = q.unit_index(1), q.unit_index(2), q.unit_index(3)
     env = q.env
-    minus_i3 = q.index[(env.zero, env.zero, env.zero, env.neg_at(env.one))]
+    minus_i3 = int(q.tables.locate([env.zero, env.zero, env.zero, env.neg_at(env.one)],
+                                   "-i3"))
     detail["quaternion"] = {
         "size": q.field.n,
         "inverses_verified": inverses,

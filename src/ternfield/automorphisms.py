@@ -28,6 +28,7 @@ from .ternary_kernel import (
     _element_orders,
     _identity,
     _nonperm_row,
+    _table,
 )
 from .pair_envelope import Morphism
 from .poly_fields import _singly_generated_algebra, _subalgebra_closure
@@ -118,14 +119,10 @@ class CompositionTable:
     def __init__(self, field, elements, table, identity, mode):
         self.field = field
         self.elements = [int(e) for e in elements]
-        self.table = np.ascontiguousarray(table, dtype=np.int32)
+        k = len(self.elements)
+        self.table = _table(table, (k, k), mode, 0, exact=True)
         self.identity = int(identity)
         self.mode = mode
-        k = len(self.elements)
-        if self.table.shape != (k, k):
-            raise StructureError("table shape does not match the element list")
-        if (self.table < 0).any() or (self.table >= k).any():
-            raise StructureError("table is not closed over the element list")
 
     @property
     def order(self):

@@ -253,9 +253,10 @@ class _TupleTables:
     coordinates, and the bilinear product given by structure constants.
 
     Each term (out, i, j, sign) adds sign * a[i] * b[j] to coordinate out of
-    a * b.  Both tables are gathers over the ring's add, mul and neg tables,
-    and every result tuple is named by its carrier index through one lookup
-    in the sorted tuple codes."""
+    a * b (no terms: a carrier with its addition only).  Both tables are
+    gathers over the ring's add, mul and neg tables.  `position` is the one
+    map from tuples to carrier indices: a lookup in the sorted tuple codes,
+    which every table and every construction over these tuples reads."""
 
     def __init__(self, ring, tuples, terms):
         self.ring = ring
@@ -263,19 +264,32 @@ class _TupleTables:
         self.n, self.width = self.tuples.shape
         self._terms = [(int(o), int(i), int(j), sign < 0)
                        for o, i, j, sign in terms]
-        self._powers = ring.n ** np.arange(self.width, dtype=np.int64)
+        # a tuple's code is its value in base ring.n: int64 while every code
+        # fits, Python ints beyond (a wide carrier over a small ring)
+        wide = ring.n ** self.width > 2 ** 63
+        self._powers = np.array([ring.n ** e for e in range(self.width)],
+                                dtype=object if wide else np.int64)
         codes = self.tuples @ self._powers
         self._order = np.argsort(codes)
         self._codes = codes[self._order]
         self._mu = None
 
-    def locate(self, coords, what):
-        """Carrier index of every tuple in a (..., width) coordinate array."""
+    def position(self, coords):
+        """Carrier index of every tuple in a (..., width) coordinate array,
+        -1 where a tuple is not in the carrier."""
+        coords = np.asarray(coords)
         codes = coords @ self._powers
         pos = np.minimum(np.searchsorted(self._codes, codes), self.n - 1)
-        if (self._codes[pos] != codes).any():
+        in_range = ((coords >= 0) & (coords < self.ring.n)).all(axis=-1)
+        return np.where((self._codes[pos] == codes) & in_range, self._order[pos], -1)
+
+    def locate(self, coords, what):
+        """Carrier index of every tuple in a (..., width) coordinate array;
+        StructureError naming `what` when one is not in the carrier."""
+        found = self.position(coords)
+        if (found < 0).any():
             raise StructureError(f"{what} left the carrier")
-        return self._order[pos].astype(np.int32)
+        return found.astype(np.int32)
 
     def products(self, a, b):
         """Coordinates of a[p] * b[q] for (p, width) and (q, width) tuple
@@ -404,12 +418,8 @@ def units_as_3field(ring, check="auto"):
             f"not local with residue ring of two elements "
             f"({len(maximal)} maximal ideals)")
     u = np.setdiff1d(np.arange(ring.n), sorted(maximal[0]))
-    ix = np.ix_(u, u)
-    mu = _renumber(ring.mul[ix], u, ring.n)
-    nu = _renumber(ring.add[ring.add[ix][..., None], u], u, ring.n)
-    carrier = TernaryCarrier([ring.labels[g] for g in u], nu, mu)
-    return FiniteThreeField(carrier, _renumber(ring.one, u, ring.n),
-                            origin={"kind": "units_of_ring"}, check=check)
+    return _TupleTables(ring, u[:, None], [(0, 0, 0, 1)]).field(
+        [ring.labels[g] for g in u], [ring.one], {"kind": "units_of_ring"}, check)
 
 
 class _IndexMap:

@@ -40,7 +40,6 @@ from .ternary_kernel import (
 )
 from .dyadic import _val2_int
 from .pair_envelope import (
-    Morphism,
     RingTable,
     _TupleTables,
     build_envelope,

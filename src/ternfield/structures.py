@@ -11,18 +11,18 @@ functions on a finite group with odd value sum, multiplied by convolution.
 Each constructed field only lists its product as structure-constant terms
 (out, i, j, sign): coordinate out of a*b sums sign * a[i] * b[j].  The
 tables are then whole-array gathers over the envelope's add, mul and neg
-tables (``pair_envelope._TupleTables``).
+tables (``pair_envelope._TupleTables``).  The results keep those tables,
+whose `position` is the one map from a tuple to its carrier index: every
+membership test, inverse, conjugate and correspondence here is a lookup of
+a whole coordinate array in it.
 """
 
-import functools
-import itertools
+import math
 
 import numpy as np
 
 from .ternary_kernel import (
-    FiniteThreeField,
     StructureError,
-    TernaryCarrier,
     _TABLE_LIMIT,
     _assoc_violation,
     _element_orders,
@@ -30,6 +30,7 @@ from .ternary_kernel import (
     _map_violation,
     _nonperm_row,
     _refuse_size,
+    _table,
 )
 from .pair_envelope import Morphism, _TupleTables, build_envelope
 from .poly_fields import QuotientFieldSpec, _odd_coefficient_vectors, build_quotient_field
@@ -42,6 +43,22 @@ def _tuple_label(labels, v):
     return "(" + ",".join(labels[c] for c in v) + ")"
 
 
+def _grid(dims):
+    """Every tuple whose coordinate t lies below dims[t], as a
+    (count, len(dims)) array in lexicographic (itertools.product) order."""
+    strides = [math.prod(dims[t + 1:]) for t in range(len(dims))]
+    return np.arange(math.prod(dims))[:, None] // strides % dims
+
+
+def _coordinate_sum(env, tuples):
+    """The envelope sum of the coordinates of each row of a (count, width)
+    index array (zero for width 0)."""
+    total = np.full(len(tuples), env.zero)
+    for c in range(tuples.shape[1]):
+        total = env.add[total, tuples[:, c]]
+    return total
+
+
 # ---------------------------------------------------------------------------
 # 3-vector spaces
 # ---------------------------------------------------------------------------
@@ -49,35 +66,22 @@ def _tuple_label(labels, v):
 class ThreeVectorSpace:
     """Tuples over the envelope ring, closed under componentwise ternary
     addition; scalars come from all of U(F), and a combination with odd
-    scalar sum stays inside the carrier."""
+    scalar sum stays inside the carrier.  The vectors are the tuples of
+    `tables`, a `_TupleTables` with no product, whose `position` decides
+    membership."""
 
     def __init__(self, field, width, vectors, name, env=None):
         self.field = field
         self.env = env if env is not None else build_envelope(field)
         self.width = int(width)
-        self.vectors = [tuple(int(c) for c in v) for v in vectors]
-        self.index = {v: i for i, v in enumerate(self.vectors)}
-        if len(self.index) != len(self.vectors):
+        self.tables = _TupleTables(self.env, np.reshape(vectors, (len(vectors), self.width)), ())
+        if (self.tables.position(self.tables.tuples) != np.arange(self.n)).any():
             raise StructureError("duplicate vectors in the carrier")
         self.name = name
 
     @property
     def n(self):
-        return len(self.vectors)
-
-    def add3(self, u, v, w):
-        env = self.env
-        return tuple(env.add_at(env.add_at(a, b), c)
-                     for a, b, c in zip(u, v, w))
-
-    def combination(self, scalars, vectors):
-        """Sum of lam_i * v_i, taken inside U(F)^width."""
-        env = self.env
-        acc = (env.zero,) * self.width
-        for lam, v in zip(scalars, vectors):
-            acc = tuple(env.add_at(a, env.mul_at(lam, c))
-                        for a, c in zip(acc, v))
-        return acc
+        return self.tables.n
 
     def label(self, v):
         return _tuple_label(self.env.labels, v)
@@ -86,12 +90,13 @@ class ThreeVectorSpace:
         """The carrier tuple whose coordinates carry the given envelope
         labels (base-field labels name the odd part)."""
         v = tuple(self.env.index(str(l)) for l in labels)
-        if v not in self.index:
+        if v not in self:
             raise StructureError(f"{self.label(v)} is not in the space")
         return v
 
     def __contains__(self, v):
-        return tuple(v) in self.index
+        v = tuple(v)
+        return len(v) == self.width and self.tables.position(v) >= 0
 
     def __repr__(self):
         return f"ThreeVectorSpace({self.name}, {self.n} vectors)"
@@ -100,11 +105,8 @@ class ThreeVectorSpace:
 def _odd_sum_tuples(env, field, width):
     """All tuples over U(F) of the given width whose coordinate sum is odd,
     as a (count, width) array in lexicographic (itertools.product) order."""
-    tuples = np.indices((env.n,) * width).reshape(width, -1).T
-    total = tuples[:, 0]
-    for c in range(1, width):
-        total = env.add[total, tuples[:, c]]
-    return tuples[total < field.n]
+    tuples = _grid((env.n,) * width)
+    return tuples[_coordinate_sum(env, tuples) < field.n]
 
 
 def free_space(field, n):
@@ -130,8 +132,7 @@ def vector_power_space(field, k):
         raise StructureError("need at least one coordinate")
     _refuse_size(field.n ** k, _ENUM_LIMIT, "vector power too large")
     env = build_envelope(field)
-    vectors = list(itertools.product(range(field.n), repeat=k))
-    return ThreeVectorSpace(field, k, vectors, f"power({k})", env)
+    return ThreeVectorSpace(field, k, _grid((field.n,) * k), f"power({k})", env)
 
 
 def quotient_field_space(big, scalar):
@@ -157,33 +158,31 @@ def free_resolution(space, generators):
     The kernel collects every scalar tuple in U(F)^n whose combination is
     the zero vector; the report checks the cardinality identity
     |space| * |kernel| = 2^(n-1) |F|^n and that odd combinations of the
-    generators reach the whole carrier."""
+    generators reach the whole carrier.  Every scalar tuple is one row of
+    an array, in itertools.product order, and its combination one row of
+    gathers over the envelope's add and mul."""
     env = space.env
     gens = [tuple(int(c) for c in g) for g in generators]
     for g in gens:
-        if g not in space.index:
+        if g not in space:
             raise StructureError(f"generator {space.label(g)} is not in the space")
     n = len(gens)
     total = (2 * space.field.n) ** n
     _refuse_size(total, _ENUM_LIMIT, "kernel enumeration over {size} tuples is too large")
-    zero_vec = (env.zero,) * space.width
-    kernel = []
-    image_odd = set()
-    for lam in itertools.product(range(env.n), repeat=n):
-        val = space.combination(lam, gens)
-        if val == zero_vec:
-            kernel.append(lam)
-        s = env.zero
-        for c in lam:
-            s = env.add_at(s, c)
-        if s < space.field.n:
-            if val not in space.index:
-                raise StructureError(
-                    f"combination {space.label(val)} left the carrier")
-            image_odd.add(val)
-    if len(image_odd) != space.n:
+    scalars = _grid((env.n,) * n)
+    values = np.full((total, space.width), env.zero)
+    for lam, g in zip(scalars.T, gens):
+        values = env.add[values, env.mul[lam[:, None], np.asarray(g)]]
+    kernel = scalars[(values == env.zero).all(axis=1)]
+    odd = values[_coordinate_sum(env, scalars) < space.field.n]
+    found = space.tables.position(odd)
+    if (found < 0).any():
         raise StructureError(
-            f"generators do not generate: {len(image_odd)} of {space.n} reached")
+            f"combination {space.label(odd[np.argmax(found < 0)])} left the carrier")
+    reached = len(np.unique(found))
+    if reached != space.n:
+        raise StructureError(
+            f"generators do not generate: {reached} of {space.n} reached")
     free_size = total // 2
     formula = free_size // len(kernel)
     return {
@@ -191,23 +190,10 @@ def free_resolution(space, generators):
         "generator_count": n,
         "free_size": free_size,
         "kernel_size": len(kernel),
-        "kernel": [tuple(env.labels[c] for c in lam) for lam in kernel],
+        "kernel": [tuple(env.labels[c] for c in lam) for lam in kernel.tolist()],
         "formula_size": formula,
         "formula_holds": formula == space.n,
     }
-
-
-# ---------------------------------------------------------------------------
-# shared table builder for tuple carriers
-# ---------------------------------------------------------------------------
-
-def _tuple_field(tables, one_value, label_of, origin, check="auto"):
-    """The FiniteThreeField on a _TupleTables carrier of envelope-index
-    tuples, with the tuple -> index map."""
-    values = [tuple(v) for v in tables.tuples.tolist()]
-    built = tables.field([label_of(v) for v in values], one_value, origin,
-                         check)
-    return built, {v: i for i, v in enumerate(values)}
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +201,24 @@ def _tuple_field(tables, one_value, label_of, origin, check="auto"):
 # ---------------------------------------------------------------------------
 
 class MatrixFieldResult:
-    """A constructed matrix 3-field together with its reports."""
+    """A constructed matrix 3-field together with its reports.  The carrier
+    tuples are `tables.tuples`; layout[r, c] is the tuple coordinate that
+    holds matrix cell (r, c), -1 for a cell fixed at zero."""
 
-    def __init__(self, field, env, shape, entries, isomorphism=None,
+    def __init__(self, field, tables, layout, isomorphism=None,
                  noncommutative_witness=None):
         self.field = field
-        self.env = env
-        self.shape = shape
-        self._entries = entries
+        self.tables = tables
+        self.env = tables.ring
+        self.layout = layout
+        self.shape = layout.shape
         self.isomorphism = isomorphism
         self.noncommutative_witness = noncommutative_witness
 
     def matrix(self, i):
         """Row-major matrix of envelope labels for carrier element i."""
-        return [[self.env.labels[e] for e in row] for row in self._entries[i]]
+        cells = np.append(self.tables.tuples[i], self.env.zero)[self.layout]
+        return [[self.env.labels[e] for e in row] for row in cells.tolist()]
 
 
 def toeplitz_field(n, field, check="auto"):
@@ -241,57 +231,48 @@ def toeplitz_field(n, field, check="auto"):
     _refuse_size(field.n * (2 * field.n) ** (n - 1), _TABLE_LIMIT,
                  "carrier of size {size} exceeds the table limit")
     env = build_envelope(field)
-    values = sorted(
-        (d,) + rest
-        for d in range(field.n)
-        for rest in itertools.product(range(env.n), repeat=n - 1)
-    )
-
     # band k of a product collects a_i * b_(k-i)
     terms = [(k, i, k - i, 1) for k in range(n) for i in range(k + 1)]
+    tables = _TupleTables(env, _grid((field.n,) + (env.n,) * (n - 1)), terms)
     one_value = (field.one,) + (env.zero,) * (n - 1)
-    label_of = lambda v: "t" + _tuple_label(env.labels, v)
-    built, index = _tuple_field(_TupleTables(env, values, terms), one_value,
-                                label_of, {"kind": "toeplitz", "size": n},
-                                check=check)
+    built = tables.field(["t" + _tuple_label(env.labels, v) for v in tables.tuples.tolist()],
+                         one_value, {"kind": "toeplitz", "size": n}, check)
     mu_table = built.carrier.mu
     if not (mu_table == mu_table.T).all():
         raise StructureError("Toeplitz multiplication must be commutative")
 
-    iso = _toeplitz_isomorphism(n, field, env, built, index)
-    entries = {}
-    for i, v in enumerate(values):
-        entries[i] = [[v[r - c] if r >= c else env.zero for c in range(n)]
-                      for r in range(n)]
-    return MatrixFieldResult(built, env, (n, n), entries, isomorphism=iso)
+    iso = _toeplitz_isomorphism(n, field, env, built, tables)
+    d = np.arange(n)
+    layout = np.where(d[:, None] >= d, d[:, None] - d, -1)   # cell (r, c) is band r - c
+    return MatrixFieldResult(built, tables, layout, isomorphism=iso)
 
 
-def _toeplitz_isomorphism(n, field, env, built, index):
+def _toeplitz_isomorphism(n, field, env, built, tables):
     """The quotient field on the same base, mapped onto the Toeplitz field by
     sending a residue-class polynomial to the matrix whose band k holds the
     coefficient of (x-1)^k."""
     origin = field.origin or {}
     if field.n == 1:
         target = build_quotient_field(QuotientFieldSpec((n,)), check="light")
-        mapping = [index[tuple(env.one if mask >> t & 1 else env.zero for t in range(n))]
-                   for mask in target.algebra.carrier]
+        bits = np.asarray(target.algebra.carrier)[:, None] >> np.arange(n) & 1
+        coords = np.where(bits == 1, env.one, env.zero)
     elif origin.get("kind") == "odd_residue":
         mod = int(origin["modulus"])
         m = mod.bit_length() - 1
         target = build_quotient_field(QuotientFieldSpec((n,), base=m),
                                       check="light")
-        res_to_env = {}
-        for i in range(field.n):
-            val = int(field.labels[i])
-            res_to_env[val] = i
-            res_to_env[(val + 1) % mod] = env.pair_index(i)
-        vectors = _odd_coefficient_vectors(mod, n).tolist()
+        # envelope index i < |F| is the odd residue of element i, and the
+        # pair |F| + i the residue one above it
+        residues = np.array(field.labels).astype(np.int64)
+        res_to_env = np.empty(mod, dtype=np.intp)
+        res_to_env[np.concatenate([residues, (residues + 1) % mod])] = np.arange(env.n)
+        vectors = _odd_coefficient_vectors(mod, n)
         if len(vectors) != target.n:
             raise StructureError("coefficient enumeration mismatch")
-        mapping = [index[tuple(res_to_env[c] for c in vec)] for vec in vectors]
+        coords = res_to_env[vectors]
     else:
         return None
-    iso = Morphism(target, built, mapping)
+    iso = Morphism(target, built, tables.locate(coords, "the Toeplitz correspondence"))
     if not iso.is_bijective():
         raise StructureError("Toeplitz correspondence must be bijective")
     return iso
@@ -306,30 +287,25 @@ def triangular_field(n, field, check="auto"):
     _refuse_size(field.n ** n * (2 * field.n) ** (n * (n - 1) // 2), _TABLE_LIMIT,
                  "carrier of size {size} exceeds the table limit")
     env = build_envelope(field)
-    cells = [(r, c) for r in range(n) for c in range(r + 1)]  # flat layout
-    cell_at = {rc: t for t, rc in enumerate(cells)}
-
-    values = sorted(itertools.product(*(
-        range(field.n) if r == c else range(env.n) for (r, c) in cells)))
-
-    def entry(v, r, c):
-        return v[cell_at[(r, c)]] if r >= c else env.zero
+    rows, cols = np.tril_indices(n)              # the cells, row by row
+    layout = np.full((n, n), -1)
+    layout[rows, cols] = np.arange(len(rows))
+    cells = list(zip(rows.tolist(), cols.tolist()))
+    at = layout.tolist()
 
     # cell (r, c) of a product collects a[r, k] * b[k, c] for c <= k <= r
-    terms = [(t, cell_at[(r, k)], cell_at[(k, c)], 1)
+    terms = [(t, at[r][k], at[k][c], 1)
              for t, (r, c) in enumerate(cells) for k in range(c, r + 1)]
-    one_value = tuple(field.one if r == c else env.zero for (r, c) in cells)
+    tables = _TupleTables(env, _grid([field.n if r == c else env.n for r, c in cells]),
+                          terms)
+    one_value = np.where(rows == cols, field.one, env.zero)
 
     def label_of(v):
-        rows = []
-        for r in range(n):
-            rows.append(",".join(env.labels[entry(v, r, c)]
-                                 for c in range(r + 1)))
-        return "[" + ";".join(rows) + "]"
+        return "[" + ";".join(",".join(env.labels[v[at[r][c]]] for c in range(r + 1))
+                              for r in range(n)) + "]"
 
-    built, _ = _tuple_field(_TupleTables(env, values, terms), one_value,
-                            label_of, {"kind": "triangular", "size": n},
-                            check=check)
+    built = tables.field([label_of(v) for v in tables.tuples.tolist()], one_value,
+                         {"kind": "triangular", "size": n}, check)
 
     mu_table = built.carrier.mu
     witness = None
@@ -337,11 +313,7 @@ def triangular_field(n, field, check="auto"):
     if clash.size:
         a, b = clash[0]
         witness = (built.label(int(a)), built.label(int(b)))
-
-    entries = {i: [[entry(v, r, c) for c in range(n)] for r in range(n)]
-               for i, v in enumerate(values)}
-    return MatrixFieldResult(built, env, (n, n), entries,
-                             noncommutative_witness=witness)
+    return MatrixFieldResult(built, tables, layout, noncommutative_witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -349,23 +321,24 @@ def triangular_field(n, field, check="auto"):
 # ---------------------------------------------------------------------------
 
 class QuaternionFieldResult:
-    def __init__(self, field, env, tuples, index, commutative,
-                 noncommutative_witness):
+    """A quaternion 3-field, its carrier 4-tuples (`tables.tuples`) and
+    whether it commutes."""
+
+    def __init__(self, field, tables, commutative, noncommutative_witness):
         self.field = field
-        self.env = env
-        self.tuples = tuples
-        self.index = index
+        self.tables = tables
+        self.env = tables.ring
         self.commutative = commutative
         self.noncommutative_witness = noncommutative_witness
 
     def quaternion(self, i):
-        return tuple(self.env.labels[c] for c in self.tuples[i])
+        return tuple(self.env.labels[c] for c in self.tables.tuples[i].tolist())
 
     def unit_index(self, k):
         """Index of the basis quaternion 1, i1, i2 or i3 (k = 0..3)."""
-        env = self.env
-        v = tuple(env.one if t == k else env.zero for t in range(4))
-        return self.index[v]
+        v = np.full(4, self.env.zero)
+        v[k] = self.env.one
+        return int(self.tables.locate(v, "a basis quaternion"))
 
 
 # the Hamilton product: 1, i1, i2, i3 with i1 i2 = i3 and each i_k^2 = -1
@@ -377,6 +350,18 @@ _HAMILTON = (
 )
 
 
+def _norms(env, quaternions):
+    """a0^2 + a1^2 + a2^2 + a3^2 of each row of a (count, 4) index array."""
+    return _coordinate_sum(env, env.mul[quaternions, quaternions])
+
+
+def _conjugates(env, quaternions):
+    """(a0, -a1, -a2, -a3) of each row of a (count, 4) index array."""
+    out = env.neg[quaternions]
+    out[:, 0] = quaternions[:, 0]
+    return out
+
+
 def quaternion_field(field, check="auto"):
     """(F^4)^free with the quaternion product.  Requires every carrier
     element to have odd norm a0^2+a1^2+a2^2+a3^2; the inverse is then the
@@ -385,11 +370,7 @@ def quaternion_field(field, check="auto"):
                  "carrier of size {size} exceeds the table limit")
     env = build_envelope(field)
     tables = _TupleTables(env, _odd_sum_tuples(env, field, 4), _HAMILTON)
-    squares = env.mul[tables.tuples, tables.tuples]
-    norm = squares[:, 0]
-    for c in range(1, 4):
-        norm = env.add[norm, squares[:, c]]
-    even = np.flatnonzero(norm >= field.n)
+    even = np.flatnonzero(_norms(env, tables.tuples) >= field.n)
     if even.size:
         v = tables.tuples[even[0]]
         raise StructureError(
@@ -397,14 +378,12 @@ def quaternion_field(field, check="auto"):
             "the quaternion construction needs odd norms throughout")
 
     one_value = (env.one, env.zero, env.zero, env.zero)
-    label_of = functools.partial(_tuple_label, env.labels)
-    built, index = _tuple_field(tables, one_value, label_of,
-                                {"kind": "quaternion"}, check=check)
-    values = list(index)
+    built = tables.field([_tuple_label(env.labels, v) for v in tables.tuples.tolist()],
+                         one_value, {"kind": "quaternion"}, check)
 
     mu_table = built.carrier.mu
     commutative = bool((mu_table == mu_table.T).all())
-    result = QuaternionFieldResult(built, env, values, index, commutative, None)
+    result = QuaternionFieldResult(built, tables, commutative, None)
     if not commutative:
         i1, i2 = result.unit_index(1), result.unit_index(2)
         if mu_table[i1, i2] != mu_table[i2, i1]:
@@ -420,12 +399,8 @@ def quaternion_field(field, check="auto"):
 def quaternion_conjugation_check(result):
     """Verify that conjugation reverses products, conj(ab) = conj(b) conj(a),
     for every pair; returns the number of pairs checked."""
-    env = result.env
-    field = result.field
-    conj = np.empty(field.n, dtype=np.int64)
-    for i, v in enumerate(result.tuples):
-        c = (v[0],) + tuple(env.neg_at(x) for x in v[1:])
-        conj[i] = result.index[c]
+    tables, field = result.tables, result.field
+    conj = tables.locate(_conjugates(result.env, tables.tuples), "conjugation")
     mu = field.carrier.mu
     w = _map_violation(conj, mu, mu.T)        # conj onto (a, b) -> b * a
     if w is not None:
@@ -439,21 +414,16 @@ def quaternion_conjugation_check(result):
 def quaternion_inverse_check(result):
     """Verify the closed-form inverse conj(q) * norm(q)^(-1) against the
     multiplication table for every element; returns the count checked."""
-    env = result.env
-    field = result.field
-    base = env.base
-    for i, v in enumerate(result.tuples):
-        norm = env.zero
-        for c in v:
-            norm = env.add_at(norm, env.mul_at(c, c))
-        inv_norm = base.inv(norm)
-        conj = (v[0],) + tuple(env.neg_at(c) for c in v[1:])
-        q_inv = tuple(env.mul_at(c, inv_norm) for c in conj)
-        j = result.index[q_inv]
-        if field.mu(i, j) != field.one or field.mu(j, i) != field.one:
-            raise StructureError(
-                f"inverse formula fails at {result.quaternion(i)}")
-    return len(result.tuples)
+    env, tables, field = result.env, result.tables, result.field
+    inv_norm = env.base._inv[_norms(env, tables.tuples)]
+    q_inv = tables.locate(env.mul[_conjugates(env, tables.tuples), inv_norm[:, None]],
+                          "the inverse formula")
+    mu, q = field.carrier.mu, np.arange(tables.n)
+    fails = np.flatnonzero((mu[q, q_inv] != field.one) | (mu[q_inv, q] != field.one))
+    if fails.size:
+        raise StructureError(
+            f"inverse formula fails at {result.quaternion(fails[0])}")
+    return tables.n
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +459,6 @@ def group_algebra_size(order, field):
 
 
 def _check_group_table(g):
-    k = g.shape[0]
-    if g.shape != (k, k):
-        raise StructureError("group table must be square")
     identity = _identity(g)
     if identity is None:
         raise StructureError("group table has no identity")
@@ -546,10 +513,10 @@ def group_algebra(group_table, field, check="auto"):
     Connell ("On the group ring", Canad. J. Math. 15, 1963) R[G] is local,
     and every element of the carrier 1 + K (K the kernel of R[G] -> Z/2) a
     unit, exactly when |G| is a power of two; else see `_norm_witness`."""
-    g = np.asarray(group_table, dtype=np.int64)
-    k = g.shape[0]
+    k = len(group_table)
     # the size gate comes first: the table check below is O(k^3)
     size = group_algebra_size(k, field)
+    g = _table(group_table, (k, k), "group", 0, exact=True)
     identity = _check_group_table(g)
     env = build_envelope(field)
 
@@ -575,9 +542,8 @@ def group_algebra(group_table, field, check="auto"):
                                   _tuple_label(env.labels, vectors[lacking[0]]),
                                   None, None, "exhaustive")
 
-    label_of = functools.partial(_tuple_label, env.labels)
-    built, _ = _tuple_field(tables, one_value, label_of,
-                            {"kind": "group_algebra", "group_order": k}, check=check)
+    built = tables.field([_tuple_label(env.labels, v) for v in vectors.tolist()], one_value,
+                         {"kind": "group_algebra", "group_order": k}, check)
     iso = None
     gen = _cyclic_generator(g, identity)
     if gen is not None and k & (k - 1) == 0 and field.n == 1:

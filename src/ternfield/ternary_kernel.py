@@ -134,11 +134,13 @@ class Verdict:
         return f"Verdict(fail: {self.axiom} at {self.witness}: {self.detail})"
 
 
-def _table(data, shape, what, least=FOREIGN):
+def _table(data, shape, what, least=FOREIGN, exact=False):
     """A read-only int32 table of the given shape whose entries lie in
     [least, n), n = shape[0]; StructureError otherwise.  Entries are
     range-checked before the cast, and floats must be integral, so no entry
-    is truncated or wrapped into range."""
+    is truncated or wrapped into range.  Data of the right size is reshaped
+    (a flat table is read row by row), unless `exact` asks for the shape
+    itself."""
     try:
         arr = np.asarray(data)
     except ValueError:                       # nested rows of different lengths
@@ -148,6 +150,8 @@ def _table(data, shape, what, least=FOREIGN):
         raise StructureError(f"{what} table entries must be integers")
     if arr.size != math.prod(shape):
         raise StructureError(f"{what} table must have shape {shape}: got {arr.size} entries")
+    if exact and arr.size and arr.shape != tuple(shape):
+        raise StructureError(f"{what} table must have shape {shape}: got shape {arr.shape}")
     n = shape[0]
     if arr.size and (arr.max() >= n or arr.min() < least):
         raise StructureError(f"{what} table entries must lie in [{least}, {n})")

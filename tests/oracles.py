@@ -15,6 +15,9 @@ tested against; the package itself never calls them.
   the translation pairs (`Pair`, `standard_form`, `pair_add`, `pair_mul`,
   `pair_zero`): scalar definitions of what the tables compute at once.
 - `verdict_dict`: a Verdict's outcome as a plain dict, its method left out.
+- `tuple_index`, `add3`, `combination`, `scalar_free_resolution` and
+  `scalar_inverse_error`: the tuple constructions of `structures` one tuple
+  at a time, through a tuple -> index dict.
 - `swapped_cell_mutants`, `perturbations`, `group_table_mutants` and
   `one_image_mutants`: tables and maps that break, or merely move, a law.
 """
@@ -197,6 +200,86 @@ def pair_mul(p, q):
 def pair_zero(field):
     """The additive neutral of the pair part: q_{-1}."""
     return Pair(field, field.quer(field.one))
+
+
+# -- tuple carriers, one tuple at a time -----------------------------------------
+
+def tuple_index(tables):
+    """The tuple -> carrier index dict of a `_TupleTables`."""
+    return {tuple(v): i for i, v in enumerate(tables.tuples.tolist())}
+
+
+def add3(space, u, v, w):
+    """u + v + w in U(F)^width, coordinate by coordinate."""
+    env = space.env
+    return tuple(env.add_at(env.add_at(a, b), c) for a, b, c in zip(u, v, w))
+
+
+def combination(space, scalars, vectors):
+    """Sum of lam_i * v_i, taken inside U(F)^width."""
+    env = space.env
+    acc = (env.zero,) * space.width
+    for lam, v in zip(scalars, vectors):
+        acc = tuple(env.add_at(a, env.mul_at(lam, c)) for a, c in zip(acc, v))
+    return acc
+
+
+def scalar_free_resolution(space, generators):
+    """`free_resolution` one scalar tuple at a time: the same report, or the
+    same StructureError."""
+    env = space.env
+    index = tuple_index(space.tables)
+    gens = [tuple(int(c) for c in g) for g in generators]
+    for g in gens:
+        if g not in index:
+            raise StructureError(f"generator {space.label(g)} is not in the space")
+    n = len(gens)
+    total = (2 * space.field.n) ** n
+    zero_vec = (env.zero,) * space.width
+    kernel = []
+    image_odd = set()
+    for lam in itertools.product(range(env.n), repeat=n):
+        val = combination(space, lam, gens)
+        if val == zero_vec:
+            kernel.append(lam)
+        s = env.zero
+        for c in lam:
+            s = env.add_at(s, c)
+        if s < space.field.n:
+            if val not in index:
+                raise StructureError(f"combination {space.label(val)} left the carrier")
+            image_odd.add(val)
+    if len(image_odd) != space.n:
+        raise StructureError(
+            f"generators do not generate: {len(image_odd)} of {space.n} reached")
+    free_size = total // 2
+    formula = free_size // len(kernel)
+    return {
+        "space_size": space.n,
+        "generator_count": n,
+        "free_size": free_size,
+        "kernel_size": len(kernel),
+        "kernel": [tuple(env.labels[c] for c in lam) for lam in kernel],
+        "formula_size": formula,
+        "formula_holds": formula == space.n,
+    }
+
+
+def scalar_inverse_error(result):
+    """`quaternion_inverse_check`'s message, one quaternion at a time: the
+    first whose conj(q) * norm(q)^(-1) is no two-sided inverse, or None."""
+    env, field = result.env, result.field
+    index = tuple_index(result.tables)
+    for i, v in enumerate(result.tables.tuples.tolist()):
+        norm = env.zero
+        for c in v:
+            norm = env.add_at(norm, env.mul_at(c, c))
+        inv_norm = env.base.inv(norm)
+        conj = [v[0]] + [env.neg_at(c) for c in v[1:]]
+        j = index[tuple(env.mul_at(c, inv_norm) for c in conj)]
+        if field.mu(i, j) != field.one or field.mu(j, i) != field.one:
+            return f"inverse formula fails at {result.quaternion(i)}"
+    return None
 
 
 # -- mutants ------------------------------------------------------------------

@@ -396,8 +396,23 @@ def test_constructor_validates_shape_and_range():
     f = build_f0(2)
     with pytest.raises(StructureError, match="shape"):
         CompositionTable(f, [0, 1], np.zeros((2, 3), dtype=np.int32), 0, "multiplication")
-    with pytest.raises(StructureError, match="not closed"):
+    # the right number of entries in another shape is not reshaped
+    with pytest.raises(StructureError, match=r"must have shape \(2, 2\): got shape \(4,\)"):
+        CompositionTable(f, [0, 1], [0, 1, 1, 0], 0, "multiplication")
+    with pytest.raises(StructureError, match=r"must lie in \[0, 2\)"):
         CompositionTable(f, [0, 1], np.array([[0, 1], [1, 5]]), 0, "multiplication")
+
+
+def test_constructor_reads_the_table_without_truncating():
+    # 1.5 was truncated to 1, and the table fingerprinted as C2
+    f = build_f0(3)
+    with pytest.raises(StructureError, match="must be integers"):
+        CompositionTable(f, [0, 1], [[0, 1.5], [1, 0]], 0, "multiplication")
+    with pytest.raises(StructureError, match="ragged"):
+        CompositionTable(f, [0, 1], [[0, 1], [1]], 0, "multiplication")
+    # integral floats are read as the integers they are
+    t = CompositionTable(f, [0, 1], [[0.0, 1.0], [1.0, 0.0]], 0, "multiplication")
+    assert t.table.tolist() == [[0, 1], [1, 0]]
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,27 @@ def test_precision_can_only_fall():
     assert a.reduce_precision(2).value == 1
     with pytest.raises(PrecisionError, match="raise"):
         a.reduce_precision(6)
+    for k in (0, -3):
+        with pytest.raises(StructureError, match="at least 1"):
+            a.reduce_precision(k)
+
+
+@settings(max_examples=60)
+@given(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 70, 2 ** 70),
+       st.integers(1, 64), st.integers(1, 64))
+def test_arithmetic_results_equal_the_public_constructor(x, y, p, k):
+    # results skip the constructor's checks; each equals what it would build
+    a, b = TruncatedDyadic(x, p), TruncatedDyadic(y, p)
+    results = [(a + b, x + y), (a * b, x * y), (-a, -x), (a - b, x - y),
+               (a.add3(b, b), x + 2 * y)]
+    if a.is_odd_element():
+        results.append((a.inv(), pow(a.value, -1, 1 << p)))
+    for got, value in results:
+        assert type(got) is TruncatedDyadic
+        assert (got.value, got.precision) == (value % (1 << p), p)
+        assert got == TruncatedDyadic(value, p)
+    lo = min(k, p)
+    assert a.reduce_precision(lo) == TruncatedDyadic(x, lo)
 
 
 @settings(max_examples=60)

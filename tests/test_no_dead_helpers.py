@@ -59,3 +59,27 @@ def test_every_definition_in_src_is_named_where_it_is_not_defined():
     defined = Counter(name for _, name, _ in defs)
     assert [f"{path.name}:{line} {name}" for path, name, line in defs
             if words[name] <= defined[name]] == []
+
+
+def imported_names(tree):
+    """(name, line) of every name an import statement binds in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_name_a_module_imports_is_used_in_it():
+    # the package's __init__ imports to re-export
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree)
+                   if name not in used]
+    assert unused == []

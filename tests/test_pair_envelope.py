@@ -835,6 +835,29 @@ def test_units_as_3field_matches_reference(build):
     assert (got.carrier.nu == nu).all() and (got.carrier.mu == mu).all()
 
 
+def restricted_units_as_3field(ring):
+    """The units' tables restricted from the ring's by index renumbering, as
+    units_as_3field built them before it read them through _TupleTables:
+    (labels, nu, mu, unit)."""
+    u = np.setdiff1d(np.arange(ring.n), sorted(ring.maximal_ideals()[0]))
+    ix = np.ix_(u, u)
+    mu = ternary_kernel._renumber(ring.mul[ix], u, ring.n)
+    nu = ternary_kernel._renumber(ring.add[ring.add[ix][..., None], u], u, ring.n)
+    return ([ring.labels[g] for g in u], nu, mu,
+            int(ternary_kernel._renumber(ring.one, u, ring.n)))
+
+
+@pytest.mark.parametrize("name", ["odd(4)", "odd(8)", "odd(16)", "F0(2)", "F0(3)",
+                                  "F0(2,2)", "F0(2)xF0(2)", "T2(F0(2))", "T2(odd(4))"])
+def test_units_as_3field_matches_the_restricted_tables(name):
+    env = build_envelope(FIELDS[name](check="light"))
+    labels, nu, mu, one = restricted_units_as_3field(env)
+    got = units_as_3field(env, check=False)
+    assert list(got.labels) == labels and got.one == one
+    assert got.carrier.nu.tolist() == nu.tolist() and got.carrier.mu.tolist() == mu.tolist()
+    assert got.origin == {"kind": "units_of_ring"}
+
+
 def reference_quotient(field, ideal):
     """Classes r + ideal in first-seen order, named by their least odd
     member, and the class tables: (representative labels, nu, mu, unit)."""

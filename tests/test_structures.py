@@ -29,9 +29,19 @@ from ternfield import (
     vector_power_space,
 )
 from ternfield import structures, ternary_kernel
+from ternfield.poly_fields import QuotientFieldSpec, build_quotient_field
 from ternfield._suite import AUT5_LETTER_ORDER
 
-from oracles import group_table_mutants, scalar_element_orders, whole_cube_assoc_witness
+from oracles import (
+    add3,
+    combination,
+    group_table_mutants,
+    scalar_element_orders,
+    scalar_free_resolution,
+    scalar_inverse_error,
+    tuple_index,
+    whole_cube_assoc_witness,
+)
 
 
 def _base(spec):
@@ -70,12 +80,46 @@ def test_free_space_cardinality_formula(f4, n, expected):
     assert free_space(f4, n).n == (2 * f4.n) ** n // 2
 
 
+def _vectors(space):
+    """The carrier tuples of a space, in carrier order."""
+    return [tuple(v) for v in space.tables.tuples.tolist()]
+
+
 def test_free_space_closed_under_ternary_addition(f4):
     space = free_space(f4, 2)
-    for u in space.vectors[:4]:
-        for v in space.vectors[:4]:
-            for w in space.vectors[:4]:
-                assert space.add3(u, v, w) in space
+    for u in _vectors(space)[:4]:
+        for v in _vectors(space)[:4]:
+            for w in _vectors(space)[:4]:
+                assert add3(space, u, v, w) in space
+
+
+def test_membership_is_the_position_in_the_tables(f4):
+    space = vector_power_space(f4, 2)
+    env = space.env
+    assert [v in space for v in _vectors(space)] == [True] * 4
+    assert list(space.tables.position(space.tables.tuples)) == [0, 1, 2, 3]
+    # (n, 0) has the code of (0, 1) in base n; it is out of range, not (0, 1)
+    assert (env.n, 0) not in space and (0, 1) in space
+    assert (-1, 1) not in space
+    assert (0,) not in space and (0, 0, 0) not in space       # wrong widths
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 70])
+def test_membership_in_a_wide_space_over_one_element(width):
+    # over odd(2) the envelope has two elements, so the code of a width-64
+    # tuple no longer fits in int64; q(1) at the last coordinate must still
+    # be told apart from the one vector (1, ..., 1)
+    space = vector_power_space(_base("odd(2)"), width)
+    env = space.env
+    assert space.n == 1
+    assert space.tables.tuples.tolist() == [[env.index("1")] * width]
+    assert space.from_labels(["1"] * width) in space
+    with pytest.raises(StructureError, match="is not in the space"):
+        space.from_labels(["1"] * (width - 1) + ["q(1)"])
+    gen = space.from_labels(["1"] * width)
+    with pytest.raises(StructureError, match="is not in the space"):
+        free_resolution(space, [gen[:-1] + (env.index("q(1)"),)])
+    assert free_resolution(space, [gen])["formula_holds"]
 
 
 def test_odd_scalar_combinations_stay_inside(f4):
@@ -84,16 +128,16 @@ def test_odd_scalar_combinations_stay_inside(f4):
     u, v = space.basis
     # scalar sums 1 + q(1) = even + odd = odd stays in; the combination of
     # two odd scalars leaves the carrier
-    inside = space.combination((env.index("1"), env.index("q(1)")), (u, v))
+    inside = combination(space, (env.index("1"), env.index("q(1)")), (u, v))
     assert inside in space
-    outside = space.combination((env.index("1"), env.index("3")), (u, v))
+    outside = combination(space, (env.index("1"), env.index("3")), (u, v))
     assert outside not in space
 
 
 def test_vector_power_space_lists_plain_tuples(f4):
     space = vector_power_space(f4, 2)
     assert space.n == 4
-    assert sorted(space.label(v) for v in space.vectors) == [
+    assert sorted(space.label(v) for v in _vectors(space)) == [
         "(1,1)", "(1,3)", "(3,1)", "(3,3)"]
 
 
@@ -112,7 +156,7 @@ def test_quotient_field_coefficient_space():
     assert space.n == big.n
     assert space.width == 3
     # the unit has shifted-coordinate mask 1: only bit 0 is present
-    labels = {space.label(v) for v in space.vectors}
+    labels = {space.label(v) for v in _vectors(space)}
     assert "(1,q(1),q(1))" in labels
 
 
@@ -163,6 +207,42 @@ def test_resolution_rejects_foreign_generators(f4):
     outside = (space.env.index("q(1)"), space.env.index("q(1)"))
     with pytest.raises(StructureError, match="not in the space"):
         free_resolution(space, [outside])
+
+
+def _resolution_or_error(resolve, space, gens):
+    try:
+        return resolve(space, gens)
+    except StructureError as exc:
+        return str(exc)
+
+
+def _resolution_cases():
+    """(space, generator sets) pairs: vector powers, free spaces, a
+    coefficient space, and the one-vector space {(1)} of odd(4), whose odd
+    combination 3 * (1) leaves the carrier."""
+    for spec in ("F0(1)", "odd(4)", "odd(8)", "F0(2)"):
+        field = _base(spec)
+        for width in (1, 2):
+            space = vector_power_space(field, width)
+            vs = _vectors(space)
+            yield space, [vs[:1], vs[:2], vs[-2:], vs[:3], [vs[0]] * 3, []]
+        space = free_space(field, 2)
+        yield space, [space.basis, _vectors(space)[:2], space.basis[::-1]]
+    space = quotient_field_space(build_f0(3), build_f0(1))
+    yield space, [_vectors(space)[:k] for k in (1, 2, 3)]
+    f4 = odd_residue_field(4)
+    yield ThreeVectorSpace(f4, 1, [(f4.one,)], "one vector"), [[(f4.one,)], []]
+
+
+def test_resolution_matches_the_per_tuple_loop():
+    seen = set()
+    for space, generator_sets in _resolution_cases():
+        for gens in generator_sets:
+            want = _resolution_or_error(scalar_free_resolution, space, gens)
+            assert _resolution_or_error(free_resolution, space, gens) == want
+            seen.add(want.split(" ")[0] if isinstance(want, str) else "report")
+    # reports, and each error: not generating, and a combination that left
+    assert seen == {"report", "generators", "combination"}
 
 
 def test_resolution_rejects_non_generating_set(f4):
@@ -231,7 +311,7 @@ def test_toeplitz_matrices_multiply_like_the_field(f4):
             assert prod == expect
 
 
-@pytest.mark.parametrize("mod,size", [(4, 2), (4, 3), (8, 2), (8, 3)])
+@pytest.mark.parametrize("mod,size", [(4, 2), (4, 3), (8, 2), (8, 3), (16, 1), (16, 2)])
 def test_toeplitz_isomorphism_follows_the_quotient_order(mod, size):
     # the quotient field's order enumerated independently: every tuple with
     # an odd constant, sorted by the reversed tuple
@@ -245,11 +325,27 @@ def test_toeplitz_isomorphism_follows_the_quotient_order(mod, size):
         val = int(field.labels[i])
         res_to_env[val] = i
         res_to_env[(val + 1) % mod] = env.pair_index(i)
-    index = {tuple(row[0] for row in result._entries[i]): i
-             for i in range(result.field.n)}
+    index = tuple_index(result.tables)
     iso = result.isomorphism
     assert iso.source.n == len(vectors) == result.field.n
     assert list(iso.mapping) == [index[tuple(res_to_env[c] for c in v)] for v in vectors]
+
+
+@pytest.mark.parametrize("spec,size", [("F0(1)", 1), ("F0(1)", 4), ("odd(2)", 2), ("odd(2)", 3)])
+def test_toeplitz_isomorphism_over_one_element_follows_the_masks(spec, size):
+    # over a one-element base the quotient field's element with bit mask m
+    # has coefficient 1 of x^t exactly where bit t of m is set
+    field = _base(spec)
+    result = toeplitz_field(size, field, check=False)
+    env, index = result.env, tuple_index(result.tables)
+    target = build_quotient_field(QuotientFieldSpec((size,)), check="light")
+    assert list(result.isomorphism.mapping) == [
+        index[tuple(env.one if mask >> t & 1 else env.zero for t in range(size))]
+        for mask in target.algebra.carrier]
+
+
+def test_toeplitz_has_no_correspondence_over_other_bases():
+    assert toeplitz_field(2, build_f0(2), check=False).isomorphism is None
 
 
 def test_toeplitz_size_one_is_the_base_field(f4):
@@ -341,12 +437,13 @@ def test_quaternion_units_multiply_like_quaternions(quat4):
     # i1 i2 = i3 but i2 i1 = -i3: the standard sign flip
     assert field.mu(i1, i2) == i3
     assert field.mu(i2, i1) != i3
-    minus_i3 = quat4.index[tuple(
+    index = tuple_index(quat4.tables)
+    minus_i3 = index[tuple(
         quat4.env.neg_at(c) if t > 0 else c
-        for t, c in enumerate(quat4.tuples[i3]))]
+        for t, c in enumerate(quat4.tables.tuples[i3].tolist()))]
     assert field.mu(i2, i1) == minus_i3
     # each imaginary unit squares to -1
-    minus_one = quat4.index[(quat4.env.index("3"),) + (quat4.env.zero,) * 3]
+    minus_one = index[(quat4.env.index("3"),) + (quat4.env.zero,) * 3]
     for u in (i1, i2, i3):
         assert field.mu(u, u) == minus_one
 
@@ -363,10 +460,12 @@ def test_quaternion_conjugation_reverses_all_products(quat4):
 
 
 def whole_table_conjugation_error(result):
-    """quaternion_conjugation_check's message from whole tables, or None."""
+    """quaternion_conjugation_check's message from whole tables and a
+    tuple -> index dict, or None."""
     env, mu = result.env, result.field.carrier.mu
-    conj = np.array([result.index[(v[0],) + tuple(env.neg_at(x) for x in v[1:])]
-                     for v in result.tuples])
+    index = tuple_index(result.tables)
+    conj = np.array([index[(v[0],) + tuple(env.neg_at(x) for x in v[1:])]
+                     for v in result.tables.tuples.tolist()])
     bad = conj[mu] != mu[np.ix_(conj, conj)].T
     if not bad.any():
         return None
@@ -375,24 +474,41 @@ def whole_table_conjugation_error(result):
             f"{result.quaternion(int(b))}")
 
 
+def _error(check, result):
+    try:
+        check(result)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("block", [None, 64])
-def test_conjugation_check_matches_the_whole_table_one(quat4, block, monkeypatch):
-    # swapping two entries of the index swaps two images of conj
+def test_quaternion_checks_on_one_cell_mutants_match_the_references(quat4, block,
+                                                                   monkeypatch):
+    # mu[a, a^-1] moved to a quaternion that is not its own conjugate (were
+    # a * a^-1 = x with conj(x) = x, a unit a = conj(a^-1) would keep the
+    # reversal law): both checks fail, each with its reference's message
     if block:
         monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
+    field, env = quat4.field, quat4.env
+    index = tuple_index(quat4.tables)
+    moved = [x for x, v in enumerate(quat4.tables.tuples.tolist())
+             if index[(v[0],) + tuple(env.neg_at(c) for c in v[1:])] != x]
     rng = np.random.default_rng(4)
-    values = list(quat4.index)
-    for _ in range(12):
-        u, v = (values[i] for i in rng.choice(len(values), size=2, replace=False))
-        index = dict(quat4.index)
-        index[u], index[v] = quat4.index[v], quat4.index[u]
-        result = structures.QuaternionFieldResult(
-            quat4.field, quat4.env, quat4.tuples, index, quat4.commutative, None)
+    assert _error(quaternion_inverse_check, quat4) is None
+    assert _error(quaternion_conjugation_check, quat4) is None
+    for a in rng.choice(field.n, size=12, replace=False):
+        mu = field.carrier.mu.copy()
+        cell = (a, field.inv(a)) if a % 2 else (field.inv(a), a)
+        mu[cell] = rng.choice(moved)
+        mutant = ternary_kernel.FiniteThreeField(
+            ternary_kernel.TernaryCarrier(field.labels, field.carrier.nu, mu),
+            field.one, check=False)
+        result = structures.QuaternionFieldResult(mutant, quat4.tables, False, None)
+        want = scalar_inverse_error(result)
+        assert want is not None and _error(quaternion_inverse_check, result) == want
         want = whole_table_conjugation_error(result)
-        assert want is not None
-        with pytest.raises(StructureError) as err:
-            quaternion_conjugation_check(result)
-        assert str(err.value) == want
+        assert want is not None and _error(quaternion_conjugation_check, result) == want
 
 
 def test_quaternion_inverse_formula_matches_table(quat4):
@@ -468,8 +584,10 @@ def test_mixed_order_group_over_four_residues(f4):
 
 
 def test_group_algebra_validates_the_table(f1):
-    with pytest.raises(StructureError, match="square"):
+    with pytest.raises(StructureError, match=r"shape \(2, 2\)"):
         group_algebra(np.zeros((2, 3), dtype=int), f1)
+    with pytest.raises(StructureError, match=r"shape \(2, 2\): got shape \(2, 2, 1\)"):
+        group_algebra(np.array([[[0], [1]], [[1], [0]]]), f1)
     with pytest.raises(StructureError, match="identity"):
         group_algebra(np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]]), f1)
     with pytest.raises(StructureError, match="Latin"):
@@ -484,6 +602,24 @@ def test_group_algebra_validates_the_table(f1):
     ])
     with pytest.raises(StructureError, match="associative|Latin"):
         group_algebra(bad, f1)
+
+
+def test_group_algebra_reads_a_fractional_entry_as_an_error(f1):
+    # 0.5 was truncated to 0, which made C2 of [[0,1],[1,0.5]] a 3-field
+    with pytest.raises(StructureError, match="group table entries must be integers"):
+        group_algebra([[0, 1], [1, 0.5]], f1)
+    assert group_algebra([[0.0, 1.0], [1.0, 0.0]], f1).is_3field
+
+
+def test_group_algebra_refuses_a_ragged_table(f1):
+    # NumPy's ValueError leaked from the int64 cast
+    with pytest.raises(StructureError, match="group table is ragged"):
+        group_algebra([[0, 1], [1]], f1)
+
+
+def test_group_algebra_refuses_entries_out_of_range(f1):
+    with pytest.raises(StructureError, match=r"group table entries must lie in \[0, 2\)"):
+        group_algebra([[0, 1], [1, 2]], f1)
 
 
 def whole_cube_group_check(g):
@@ -707,8 +843,8 @@ def test_quaternion_tables_match_the_reference(spec):
     result = quaternion_field(field)
     env, values, mu_op, one, labels = _reference_quaternion(field)
     _assert_same_tables(result.field, env, values, mu_op, one, labels)
-    assert result.tuples == values
-    assert list(result.index.items()) == [(v, i) for i, v in enumerate(values)]
+    assert result.tables.tuples.tolist() == [list(v) for v in values]
+    assert result.tables.position(values).tolist() == list(range(len(values)))
 
 
 _KLEIN = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
@@ -882,4 +1018,4 @@ def test_theorem_path_builds_no_carrier(f1):
 def test_free_space_lists_the_reference_tuples(spec, width):
     field = _base(spec)
     space = free_space(field, width)
-    assert space.vectors == _reference_odd_sum_tuples(space.env, field, width)
+    assert _vectors(space) == _reference_odd_sum_tuples(space.env, field, width)
