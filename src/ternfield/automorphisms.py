@@ -73,10 +73,9 @@ def composition_table(field):
     powers[0] = field.one
     for k in range(1, alg.m_count):
         powers[k] = mu[powers[k - 1], np.arange(n)]
-    xmasks = np.array([alg.to_x(m) for m in alg.carrier], dtype=np.int32)
     out = np.zeros((n, n), dtype=np.int32)
-    for k in range(alg.m_count):
-        out ^= (xmasks[:, None] >> k & 1) * powers[k]
+    for k, plane in enumerate(alg.x_coefficients.T):     # bit plane of x^k
+        out ^= plane[:, None] * powers[k]
     return out
 
 

@@ -12,8 +12,9 @@ Every invocation is deterministic; the version banner goes to stderr so the
 data stream is byte-identical across runs.  Exit codes: 0 when all requested
 checks pass, 1 when a check fails (with a witness printed), 2 on usage or
 precondition errors (a malformed spec, rational or polynomial, any
-StructureError, a size gate).  Any other exception is a bug and propagates
-with its traceback.
+StructureError, a size gate).  Any other exception is a bug: `main`
+propagates it, and `run`, the console script, prints its traceback and
+exits 70 (EX_SOFTWARE), so that a bug never reads as a verdict.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import functools
 import json
 import re
 import sys
+import traceback
 from collections import namedtuple
 from fractions import Fraction
 
@@ -517,5 +519,14 @@ def main(argv=None):
     return code
 
 
+def run(argv=None):
+    """`main` as a process: an internal error exits 70, not 1."""
+    try:
+        return main(argv)
+    except Exception:
+        traceback.print_exc()
+        return 70
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

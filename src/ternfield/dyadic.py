@@ -179,15 +179,6 @@ class TruncatedDyadic:
         self.precision = precision
         self.value = int(value) % (1 << precision)
 
-    @classmethod
-    def _reduced(cls, value, precision):
-        """The int value mod 2^precision at a precision already checked:
-        every arithmetic result returns through here, not the constructor."""
-        d = object.__new__(cls)
-        d.precision = precision
-        d.value = value % (1 << precision)
-        return d
-
     def _match(self, other):
         if not isinstance(other, TruncatedDyadic):
             raise PrecisionError("expected another truncated value")
@@ -198,18 +189,18 @@ class TruncatedDyadic:
 
     def __add__(self, other):
         other = self._match(other)
-        return self._reduced(self.value + other.value, self.precision)
+        return TruncatedDyadic(self.value + other.value, self.precision)
 
     def __mul__(self, other):
         other = self._match(other)
-        return self._reduced(self.value * other.value, self.precision)
+        return TruncatedDyadic(self.value * other.value, self.precision)
 
     def __neg__(self):
-        return self._reduced(-self.value, self.precision)
+        return TruncatedDyadic(-self.value, self.precision)
 
     def __sub__(self, other):
         other = self._match(other)
-        return self._reduced(self.value - other.value, self.precision)
+        return TruncatedDyadic(self.value - other.value, self.precision)
 
     def add3(self, y, z):
         return self + y + z
@@ -220,8 +211,8 @@ class TruncatedDyadic:
     def inv(self):
         if not self.is_odd_element():
             raise StructureError(f"{self.value} is even: not invertible")
-        return self._reduced(pow(self.value, -1, 1 << self.precision),
-                             self.precision)
+        return TruncatedDyadic(pow(self.value, -1, 1 << self.precision),
+                               self.precision)
 
     def quer(self):
         return -self
@@ -231,9 +222,7 @@ class TruncatedDyadic:
         if k > self.precision:
             raise PrecisionError(
                 f"cannot raise precision from {self.precision} to {k}")
-        if k < 1:
-            raise StructureError("precision must be at least 1")
-        return self._reduced(self.value, k)
+        return TruncatedDyadic(self.value, k)
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedDyadic)

@@ -61,16 +61,6 @@ def gf2_deg(a):
     return a.bit_length() - 1
 
 
-def gf2_mul(a, b):
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
 def gf2_divmod(a, b):
     if b == 0:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -81,16 +71,6 @@ def gf2_divmod(a, b):
         q ^= 1 << shift
         a ^= b << shift
     return q, a
-
-
-def gf2_pow(a, k):
-    out = 1
-    while k:
-        if k & 1:
-            out = gf2_mul(out, a)
-        a = gf2_mul(a, a)
-        k >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +176,7 @@ class TernaryPolynomial:
             vars = tuple(sorted(seen)) or ("x",)
         else:
             vars = tuple(vars)
-            missing = seen - set(vars)
-            if missing:
-                raise StructureError(f"unknown variables {sorted(missing)}")
+            _refuse_unknown(seen, vars)
         terms = {}
         for coeff, exps in raw_terms:
             alpha = tuple(exps.get(v, 0) for v in vars)
@@ -238,18 +216,6 @@ class TernaryPolynomial:
         out = [Fraction(0)] * (d + 1 if d >= 0 else 1)
         for (e,), c in self.terms.items():
             out[e] = c
-        return out
-
-    def evaluate(self, values):
-        out = Fraction(0)
-        vals = [Fraction(v) for v in values]
-        if len(vals) != len(self.vars):
-            raise StructureError("wrong number of values")
-        for alpha, c in self.terms.items():
-            t = c
-            for v, e in zip(vals, alpha):
-                t *= v ** e
-            out += t
         return out
 
     # -- arithmetic (envelope ring of the polynomial 3-algebra) -----------
@@ -340,12 +306,33 @@ class TernaryPolynomial:
         return f"TernaryPolynomial({self})"
 
 
+def _refuse_unknown(names, vars):
+    missing = set(names) - set(vars)
+    if missing:
+        raise StructureError(f"unknown variables {sorted(missing)}")
+
+
 def _as_poly(p, vars=None):
-    if isinstance(p, TernaryPolynomial):
-        return p
+    """A polynomial from text or a TernaryPolynomial, over the tuple `vars`
+    when one is given.  Variables are matched by name, as in text: a
+    polynomial over some of them is aligned to all of them."""
     if isinstance(p, str):
         return TernaryPolynomial.parse(p, vars)
-    raise StructureError(f"expected a polynomial, got {type(p).__name__}")
+    if not isinstance(p, TernaryPolynomial):
+        raise StructureError(f"expected a polynomial, got {type(p).__name__}")
+    if vars is None or p.vars == tuple(vars):
+        return p
+    vars = tuple(vars)
+    _refuse_unknown({v for alpha in p.terms for v, e in zip(p.vars, alpha) if e}, vars)
+    terms = {}
+    for alpha, c in p.terms.items():
+        aligned = [0] * len(vars)
+        for v, e in zip(p.vars, alpha):
+            if e:
+                aligned[vars.index(v)] += e
+        aligned = tuple(aligned)
+        terms[aligned] = terms.get(aligned, 0) + c
+    return TernaryPolynomial(vars, terms)
 
 
 def parity(p):
@@ -606,50 +593,65 @@ class QuotientFieldSpec:
 
 
 class QuotientAlgebra:
-    """The truncated algebra in shifted coordinates: bitmask coefficient
-    vectors over the monomial basis u^alpha (0 <= alpha_i < n_i), with
-    u_i^{n_i} -> 0 and extra relations reduced by a linear echelon basis."""
+    """The truncated algebra in shifted coordinates: coefficient vectors over
+    the monomial basis u^alpha (0 <= alpha_i < n_i), with u_i^{n_i} -> 0 and
+    extra relations reduced by a linear echelon basis.
+
+    The change of coordinates u <-> x is the GF(2)-linear map `B`, and the
+    carrier's coordinates are whole arrays read through it: `coefficients`
+    in u and `x_coefficients` in x, row i for carrier index i."""
 
     def __init__(self, exponents, relations=()):
         self.exponents = tuple(int(n) for n in exponents)
         k = len(self.exponents)
-        self.nvars = k
-        self.names = [f"x{i+1}" for i in range(k)] if k > 1 else ["x"]
+        self.names = tuple(f"x{i+1}" for i in range(k)) if k > 1 else ("x",)
         if not relations:     # the free rank is known: refuse before the tables
             self._refuse_rank(math.prod(self.exponents) - 1)
+        # mixed-radix: the index of a monomial is its value with the first
+        # exponent lowest, so index 0 is the constant monomial
         self.monomials = [tuple(reversed(alpha)) for alpha in
                           itertools.product(*(range(n) for n in
                                               reversed(self.exponents)))]
-        # mixed-radix: index 0 is the constant monomial
         self.m_count = len(self.monomials)
-        self.m_index = {alpha: i for i, alpha in enumerate(self.monomials)}
-        if self.m_index[(0,) * k] != 0:
-            raise StructureError("constant monomial must sit at index 0")
-        # monomial products with truncation (-1 = dies), the index of a
-        # monomial being its mixed-radix value, its first exponent lowest
+        self._radix = np.array([math.prod(self.exponents[:t]) for t in range(k)],
+                               dtype=np.int64)
+        # monomial products with truncation (-1 = dies)
         digits = np.array(self.monomials, dtype=np.int64).reshape(self.m_count, k)
         s = digits[:, None] + digits[None]
-        radix = np.array([math.prod(self.exponents[:t]) for t in range(k)], dtype=np.int64)
-        self.ptab = np.where((s < self.exponents).all(axis=-1), s @ radix, -1)
-        # change of coordinates u <-> x: involutive substitution u -> u+1
-        self._xrows = self._binomial_rows()
+        self.ptab = np.where((s < self.exponents).all(axis=-1), s @ self._radix, -1)
+        # u <-> x: B[alpha, beta] = prod C(alpha_i, beta_i) mod 2, the
+        # Kronecker product of the Pascal triangles mod 2; by Lucas' theorem
+        # C(a, b) is odd iff b & a = b.  The substitution u -> u+1 is
+        # involutive, so B is its own inverse mod 2
+        self.B = ((digits[:, None] & digits[None]) == digits[None]).all(axis=-1).astype(np.uint8)
         # echelon basis for the span of the extra relations
         self._rows = {}  # pivot monomial index -> row mask
         self._degree_order = sorted(range(self.m_count), key=lambda i: (
             sum(self.monomials[i]), self.monomials[i]))
         self._pivot_rank = {m: r for r, m in enumerate(self._degree_order)}
         for rel in relations:
-            base_mask = self.from_x(self._poly_to_xmask(rel))
-            if base_mask & 1:
+            u = self._x_vector(rel) @ self.B & 1
+            if u[0]:
                 raise StructureError(f"relation {rel} is odd, not even")
-            if base_mask == 0:
+            if not u.any():
                 raise StructureError(
                     f"relation {rel} is divisible by the defining relations")
-            for j in range(self.m_count):
-                v = self.mul_raw(base_mask, 1 << j)
-                self._insert_row(v)
+            # row j: the relation times u^j, its monomial products gathered
+            prods = self.ptab[np.flatnonzero(u)]
+            multiples = np.zeros((self.m_count, self.m_count), dtype=np.uint8)
+            i, j = np.nonzero(prods >= 0)
+            multiples[j, prods[i, j]] = 1
+            for row in multiples:
+                self._insert_row(_mask(row))
         self.free = [i for i in range(1, self.m_count) if i not in self._rows]
         self._refuse_rank(len(self.free))
+        # the carrier index of each monomial's normal form: u^free[t] is bit
+        # t, a pivot the free bits of its row, and the constant 0
+        weights = 1 << np.arange(len(self.free))
+        self._normal_index = np.zeros(self.m_count, dtype=np.int32)
+        self._normal_index[self.free] = weights
+        for p, row in self._rows.items():
+            self._normal_index[p] = _bits(row, self.m_count)[self.free] @ weights
 
     @staticmethod
     def _refuse_rank(rank):
@@ -657,17 +659,27 @@ class QuotientAlgebra:
                      "2^{size} elements; refusing to materialize")
 
     @functools.cached_property
-    def carrier(self):
-        """The 2^rank odd normal forms, listed on first use.  `_spread` is
-        monotone, so they ascend and index i is a coefficient vector: bit t
-        of i is the coefficient of u^free[t], and the unit is index 0."""
-        return [self._spread(bits) | 1 for bits in range(1 << len(self.free))]
+    def coefficients(self):
+        """The u-coefficients of every carrier element, as an (n, m_count)
+        0/1 array: the constant 1, and bit t of the index at u^free[t]."""
+        rank = len(self.free)
+        out = np.zeros((1 << rank, self.m_count), dtype=np.uint8)
+        out[:, 0] = 1
+        out[:, self.free] = np.arange(1 << rank)[:, None] >> np.arange(rank) & 1
+        return out
 
     @functools.cached_property
-    def index_of(self):
-        return {m: i for i, m in enumerate(self.carrier)}
+    def x_coefficients(self):
+        """The x-coefficients of every carrier element: `coefficients`·B."""
+        return self.coefficients @ self.B & 1
 
-    # -- linear algebra over GF(2) ---------------------------------------
+    def index_of_x(self, bits):
+        """The carrier index of each odd x-coefficient vector in the last
+        axis of `bits`: the XOR of the normal forms of its u-monomials."""
+        u = np.asarray(bits, dtype=np.uint8) @ self.B & 1
+        return np.bitwise_xor.reduce(np.where(u == 1, self._normal_index, 0), axis=-1)
+
+    # -- linear algebra over GF(2), on int bitmasks -------------------------
 
     def _pivot(self, v):
         best = None
@@ -697,120 +709,59 @@ class QuotientAlgebra:
                 v ^= row
         return v
 
-    def _spread(self, bits):
-        out = 0
-        for t, m in enumerate(self.free):
-            if bits >> t & 1:
-                out |= 1 << m
-        return out
-
-    def _compress(self, mask):
-        """The index bits of a normal form: the inverse of `_spread`."""
-        return sum(1 << t for t, m in enumerate(self.free) if mask >> m & 1)
-
-    # -- arithmetic on masks ----------------------------------------------
-
-    def mul_raw(self, a, b):
-        out = 0
-        ai = a
-        while ai:
-            i = (ai & -ai).bit_length() - 1
-            ai &= ai - 1
-            bj = b
-            while bj:
-                j = (bj & -bj).bit_length() - 1
-                bj &= bj - 1
-                t = self.ptab[i, j]
-                if t >= 0:
-                    out ^= 1 << int(t)
-        return out
+    # -- tables and labels ---------------------------------------------------
 
     def mul_table(self):
-        """mul(a, b) for every pair of carrier elements, as an (n, n) index
+        """The product of every pair of carrier elements, as an (n, n) index
         table.  With a = 1 + v_a, a*b = 1 + v_a + v_b + v_a*v_b, and v_a*v_b
         is bilinear over GF(2): the XOR of the normal forms of u^f*u^g over
-        the set bits f of a and g of b, each reduced once."""
-        rank = len(self.free)
-        const = np.array([self._compress(self.mul(1 << f, 1 << g))
-                          for f in self.free for g in self.free], dtype=np.int32)
-        rows = _xor_span(const.reshape(rank, rank))     # [b, f]: v_b * u^free[f]
+        the set bits f of a and g of b."""
+        prods = self.ptab[np.ix_(self.free, self.free)]
+        const = np.where(prods >= 0, self._normal_index[prods], 0)
+        rows = _xor_span(const)                          # [b, f]: v_b * u^free[f]
         idx = np.arange(len(rows), dtype=np.int32)
         return _xor_span(rows.T) ^ idx[:, None] ^ idx
 
-    def normal_form(self, mask):
-        return self._reduce(mask)
-
-    def mul(self, a, b):
-        return self._reduce(self.mul_raw(a, b))
-
-    def pow(self, a, k):
-        out = 1
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return out
-
-    # -- coordinates and labels -------------------------------------------
-
-    def _binomial_rows(self):
-        """x-mask of each u-monomial (and vice versa: the map is involutive).
-        u^alpha = prod (x_i + 1)^{alpha_i} expands to a subset of monomials."""
-        rows = []
-        per_var = []
-        for n in self.exponents:
-            tri = [gf2_pow(0b11, e) for e in range(n)]
-            per_var.append(tri)
-        for alpha in self.monomials:
-            mask = 0
-            choices = []
-            for v, e in enumerate(alpha):
-                row = per_var[v][e]
-                choices.append([t for t in range(row.bit_length()) if row >> t & 1])
-            for combo in itertools.product(*choices):
-                mask ^= 1 << self.m_index[tuple(combo)]
-            rows.append(mask)
-        return rows
-
-    def _apply_rows(self, mask):
-        out = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            out ^= self._xrows[i]
-        return out
-
-    to_x = from_x = _apply_rows
-
-    def _poly_to_xmask(self, p):
-        p = _as_poly(p, None)
-        if len(p.vars) != self.nvars:
-            raise StructureError(f"expected {self.nvars} variables, got {len(p.vars)}")
-        mask = 0
+    def _x_vector(self, p):
+        """The x-coefficients of a polynomial over this algebra's variables,
+        read by name, as a 0/1 vector over the monomials."""
+        p = _as_poly(p, self.names)
+        out = np.zeros(self.m_count, dtype=np.uint8)
         for alpha, c in p.terms.items():
             if c.denominator % 2 == 0:
                 raise StructureError(f"coefficient {c} outside the envelope")
             if c.numerator % 2 == 0:
                 continue
             if any(e >= n for e, n in zip(alpha, self.exponents)):
-                # reduce high powers: substitute via u-coordinates instead
                 raise StructureError(
                     f"term exponent {alpha} not reduced; give relations with "
                     f"exponents below {self.exponents}")
-            mask ^= 1 << self.m_index[alpha]
-        return mask
+            out[np.dot(alpha, self._radix)] ^= 1
+        return out
 
-    def label(self, mask):
-        xmask = self.to_x(mask)
-        return "+".join(_monomial_name(self.monomials[i], self.names)
-                        for i in reversed(self._degree_order) if xmask >> i & 1) or "0"
+    def labels(self):
+        """Each carrier element written in x, its monomials by descending
+        degree: x^2+x+1."""
+        order = self._degree_order[::-1]
+        names = [_monomial_name(self.monomials[i], self.names) for i in order]
+        return ["+".join(itertools.compress(names, row))
+                for row in self.x_coefficients[:, order].tolist()]
 
 
 def _monomial_name(alpha, names):
     """The name of u^alpha over the given variable names: x1^2*x2 for (2, 1)."""
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, alpha) if e) or "1"
+
+
+def _bits(mask, width):
+    """The low `width` bits of an int mask as a 0/1 uint8 vector."""
+    raw = np.frombuffer(mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=width, bitorder="little")
+
+
+def _mask(bits):
+    """The int mask of a 0/1 vector: the inverse of `_bits`."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _xor_span(basis):
@@ -847,8 +798,7 @@ def build_quotient_field(spec, check="auto"):
     _refuse_size(n, _TABLE_LIMIT, "carrier of size {size} exceeds the build limit {limit}")
     idx = np.arange(n, dtype=np.int32)        # index i is a coefficient vector
     o = idx[:, None] ^ idx                    # the retract at 1, with k = 0
-    labels = [alg.label(m) for m in alg.carrier]
-    carrier = TernaryCarrier(labels, _coset_form(o, 0)[o], alg.mul_table())
+    carrier = TernaryCarrier(alg.labels(), _coset_form(o, 0)[o], alg.mul_table())
     origin = {
         "kind": "quotient_field",
         "base": "F0",

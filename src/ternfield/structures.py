@@ -144,12 +144,8 @@ def quotient_field_space(big, scalar):
     if scalar.n != 1:
         raise StructureError("the scalar field must be the one-element field")
     env = build_envelope(scalar)
-    width = alg.m_count
-    vectors = []
-    for mask in alg.carrier:
-        vectors.append(tuple(env.one if mask >> t & 1 else env.zero
-                             for t in range(width)))
-    return ThreeVectorSpace(scalar, width, vectors, "coefficient space", env)
+    vectors = np.where(alg.coefficients == 1, env.one, env.zero)
+    return ThreeVectorSpace(scalar, alg.m_count, vectors, "coefficient space", env)
 
 
 def free_resolution(space, generators):
@@ -254,8 +250,7 @@ def _toeplitz_isomorphism(n, field, env, built, tables):
     origin = field.origin or {}
     if field.n == 1:
         target = build_quotient_field(QuotientFieldSpec((n,)), check="light")
-        bits = np.asarray(target.algebra.carrier)[:, None] >> np.arange(n) & 1
-        coords = np.where(bits == 1, env.one, env.zero)
+        coords = np.where(target.algebra.coefficients == 1, env.one, env.zero)
     elif origin.get("kind") == "odd_residue":
         mod = int(origin["modulus"])
         m = mod.bit_length() - 1
@@ -548,12 +543,9 @@ def group_algebra(group_table, field, check="auto"):
     gen = _cyclic_generator(g, identity)
     if gen is not None and k & (k - 1) == 0 and field.n == 1:
         target = build_quotient_field(QuotientFieldSpec((k,)), check="light")
-        alg = target.algebra
-        # bit e of the x-mask is set where g^e carries the one
-        xmasks = (vectors[:, _powers(g, identity, gen, k)] == env.one) @ (1 << np.arange(k))
-        mapping = [alg.index_of[alg.normal_form(alg.from_x(int(x)))]
-                   for x in xmasks]
-        iso = Morphism(built, target, mapping)
+        # the coefficient of x^e is 1 where g^e carries the one
+        bits = vectors[:, _powers(g, identity, gen, k)] == env.one
+        iso = Morphism(built, target, target.algebra.index_of_x(bits))
         if not iso.is_bijective():
             raise StructureError("group-algebra correspondence must be bijective")
     return GroupAlgebraResult(k, field, size, True, None, built, iso, "exhaustive")

@@ -15,6 +15,10 @@ tested against; the package itself never calls them.
   the translation pairs (`Pair`, `standard_form`, `pair_add`, `pair_mul`,
   `pair_zero`): scalar definitions of what the tables compute at once.
 - `verdict_dict`: a Verdict's outcome as a plain dict, its method left out.
+- `gf2_mul`, `gf2_pow` and `MaskAlgebra` (through `mask_path`): a quotient
+  field's elements as int bitmasks over the monomials, converted and
+  multiplied one mask at a time, the reference for `QuotientAlgebra`'s
+  whole-carrier arrays.
 - `tuple_index`, `add3`, `combination`, `scalar_free_resolution` and
   `scalar_inverse_error`: the tuple constructions of `structures` one tuple
   at a time, through a tuple -> index dict.
@@ -37,6 +41,7 @@ from ternfield import (
     triangular_field,
 )
 from ternfield.automorphisms import _algebra_of
+from ternfield.poly_fields import _monomial_name
 from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
 
 
@@ -133,10 +138,136 @@ def verdict_dict(v):
     }
 
 
+def gf2_mul(a, b):
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def gf2_pow(a, k):
+    out = 1
+    while k:
+        if k & 1:
+            out = gf2_mul(out, a)
+        a = gf2_mul(a, a)
+        k >>= 1
+    return out
+
+
+class MaskAlgebra:
+    """A `QuotientAlgebra` one bitmask at a time: bit m of a mask is the
+    coefficient of monomial m, in u or in x.  It reads only the algebra's
+    monomials, product table and echelon rows."""
+
+    def __init__(self, alg):
+        self.exponents, self.names, self.free = alg.exponents, alg.names, alg.free
+        self.monomials, self.ptab, self._degree_order = alg.monomials, alg.ptab, alg._degree_order
+        self.m_index = {alpha: i for i, alpha in enumerate(self.monomials)}
+        self._reduce = alg._reduce
+        self._xrows = self._binomial_rows()
+
+    @functools.cached_property
+    def carrier(self):
+        """The 2^rank odd normal forms.  `_spread` is monotone, so they
+        ascend and index i is a coefficient vector: bit t of i is the
+        coefficient of u^free[t], and the unit is index 0."""
+        return [self._spread(bits) | 1 for bits in range(1 << len(self.free))]
+
+    @functools.cached_property
+    def index_of(self):
+        return {m: i for i, m in enumerate(self.carrier)}
+
+    def _spread(self, bits):
+        out = 0
+        for t, m in enumerate(self.free):
+            if bits >> t & 1:
+                out |= 1 << m
+        return out
+
+    def _compress(self, mask):
+        """The index bits of a normal form: the inverse of `_spread`."""
+        return sum(1 << t for t, m in enumerate(self.free) if mask >> m & 1)
+
+    def mul_raw(self, a, b):
+        out = 0
+        ai = a
+        while ai:
+            i = (ai & -ai).bit_length() - 1
+            ai &= ai - 1
+            bj = b
+            while bj:
+                j = (bj & -bj).bit_length() - 1
+                bj &= bj - 1
+                t = self.ptab[i, j]
+                if t >= 0:
+                    out ^= 1 << int(t)
+        return out
+
+    def normal_form(self, mask):
+        return self._reduce(mask)
+
+    def mul(self, a, b):
+        return self._reduce(self.mul_raw(a, b))
+
+    def pow(self, a, k):
+        out = 1
+        while k:
+            if k & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return out
+
+    def _binomial_rows(self):
+        """x-mask of each u-monomial (and vice versa: the map is involutive).
+        u^alpha = prod (x_i + 1)^{alpha_i} expands to a subset of monomials."""
+        rows = []
+        per_var = []
+        for n in self.exponents:
+            tri = [gf2_pow(0b11, e) for e in range(n)]
+            per_var.append(tri)
+        for alpha in self.monomials:
+            mask = 0
+            choices = []
+            for v, e in enumerate(alpha):
+                row = per_var[v][e]
+                choices.append([t for t in range(row.bit_length()) if row >> t & 1])
+            for combo in itertools.product(*choices):
+                mask ^= 1 << self.m_index[tuple(combo)]
+            rows.append(mask)
+        return rows
+
+    def _apply_rows(self, mask):
+        out = 0
+        m = mask
+        while m:
+            i = (m & -m).bit_length() - 1
+            m &= m - 1
+            out ^= self._xrows[i]
+        return out
+
+    to_x = from_x = _apply_rows
+
+    def label(self, mask):
+        xmask = self.to_x(mask)
+        return "+".join(_monomial_name(self.monomials[i], self.names)
+                        for i in reversed(self._degree_order) if xmask >> i & 1) or "0"
+
+
+@functools.cache
+def mask_path(alg):
+    """The `MaskAlgebra` of an algebra, built once."""
+    return MaskAlgebra(alg)
+
+
 def compose_elements(field, i, j):
     """The element P_i(P_j(x)): substitute element j into element i, step
     by step on coefficient masks."""
-    alg = _algebra_of(field)
+    alg = mask_path(_algebra_of(field))
     fx = alg.to_x(alg.carrier[i])
     gm = alg.carrier[j]
     out = 0

@@ -24,7 +24,7 @@ from ternfield import pair_envelope, ternary_kernel
 from ternfield.automorphisms import PolyEndo, composition_table
 from ternfield.poly_fields import generated_subalgebra
 
-from oracles import compose_elements, whole_cube_assoc_witness
+from oracles import compose_elements, mask_path, whole_cube_assoc_witness
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +89,15 @@ def _mask_composition(f):
     """The composition table the way it was built on coefficient masks: the
     powers of every element as masks, XORed over the x-bits of each P and
     searched back to indices in the sorted carrier."""
-    alg = f.algebra
+    alg = mask_path(f.algebra)
     masks = np.array(alg.carrier, dtype=np.int64)
-    powers = np.empty((alg.m_count, f.n), dtype=np.int64)
+    powers = np.empty((len(alg.monomials), f.n), dtype=np.int64)
     powers[0] = f.one
-    for k in range(1, alg.m_count):
+    for k in range(1, len(alg.monomials)):
         powers[k] = f.carrier.mu[powers[k - 1], np.arange(f.n)]
     xmasks = np.array([alg.to_x(m) for m in alg.carrier], dtype=np.int64)
     out = np.zeros((f.n, f.n), dtype=np.int64)
-    for k in range(alg.m_count):
+    for k in range(len(alg.monomials)):
         out ^= (xmasks[:, None] >> k & 1) * masks[powers[k]]
     return np.searchsorted(masks, out)
 
@@ -482,7 +482,8 @@ def test_truncation_keeps_the_low_coefficients(m):
     for n in range(1, m + 1):
         target = build_f0(n, check=False)
         keep = (1 << n) - 1
-        masks = [target.algebra.index_of[v & keep] for v in source.algebra.carrier]
+        masks = [mask_path(target.algebra).index_of[v & keep]
+                 for v in mask_path(source.algebra).carrier]
         assert list(truncation_morphism(source, target).mapping) == masks
 
 

@@ -114,6 +114,19 @@ def test_internal_errors_propagate_with_their_traceback(name, argv, exc):
         run_main(*argv)
 
 
+def test_an_internal_error_exits_70_from_the_console_script():
+    # `run` is the console script: a bug exits EX_SOFTWARE, never 1 or 2
+    script = ("from unittest import mock; from ternfield import cli\n"
+              "with mock.patch.object(cli, 'val2', side_effect=IndexError('internal')):\n"
+              "    raise SystemExit(cli.run(['dyadic', 'val2', '12']))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 70
+    assert proc.stdout == ""
+    assert "Traceback (most recent call last)" in proc.stderr
+    assert proc.stderr.rstrip().splitlines()[-1] == "IndexError: internal"
+
+
 def test_parser_is_built_once_per_process():
     cli._parser.cache_clear()
     with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:

@@ -1,20 +1,24 @@
 """No dead helpers: every function, method and class that `src/ternfield`
-defines is named somewhere other than where it is defined, in the package,
-in `perfbench` or in either README.  Code that only tests call belongs with
-the tests (`tests/oracles.py` holds the shared oracles).
+defines is used somewhere other than in its own body, in the package or in
+`perfbench`, or is public (`ternfield.__all__`) or documented (a word of
+either README).  Code that only tests call belongs with the tests
+(`tests/oracles.py` holds the shared oracles).
 
-Names are counted as words: of the Python sources without their docstrings
-and comments, so that a docstring naming a helper keeps no helper alive,
-and of the READMEs in full.  Dunder methods are called by Python itself,
-and the `cmd_*` handlers through the command table that `@command` fills,
-so neither needs another mention."""
+Uses are read from the ast, so a docstring, a comment, a string or a
+builtin of the same name keeps no helper alive:
+- a method is used by attribute access (`x.name`), or by name in a class
+  body, as an alias such as `__radd__ = __add__` is;
+- a function or class is used by name or by attribute (`module.name`).
+
+Dunder methods are called by Python itself, and the `cmd_*` handlers
+through the command table that `@command` fills, so neither needs a use."""
 
 import ast
-import io
 import re
-import tokenize
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
+
+import ternfield
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ternfield").glob("*.py"))
@@ -27,38 +31,56 @@ def registered_command(node):
                for d in node.decorator_list)
 
 
-def code_words(text):
-    """The words of a Python source, its docstrings and comments left out."""
-    docstrings = {(node.body[0].lineno, node.body[0].col_offset)
-                  for node in ast.walk(ast.parse(text))
-                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                       ast.AsyncFunctionDef))
-                  and ast.get_docstring(node) is not None}
-    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-        if tok.type != tokenize.COMMENT and tok.start not in docstrings:
-            yield from re.findall(r"\w+", tok.string)
+def uses(path):
+    """(kind, name, line) of every use in a source file: kind "attr" for an
+    attribute access, "name" for a name read, and "alias" for a name read
+    in a class body outside its methods."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield "attr", node.attr, node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield "name", node.id, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    for sub in ast.walk(stmt):
+                        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                            yield "alias", sub.id, sub.lineno
 
 
 def definitions(path):
-    """(name, line) of every function, method and class in a source file
-    that needs a caller."""
-    for node in ast.walk(ast.parse(path.read_text())):
+    """(name, is_method, first line, last line) of every function, method
+    and class in a source file that needs a use."""
+    tree = ast.parse(path.read_text())
+    methods = {id(stmt) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for stmt in node.body}
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
             if name.startswith("cmd_") and registered_command(node):
                 continue
-            yield name, node.lineno
+            yield name, id(node) in methods, node.lineno, node.end_lineno
 
 
-def test_every_definition_in_src_is_named_where_it_is_not_defined():
-    words = Counter(w for path in CODE for w in code_words(path.read_text()))
-    words.update(w for path in READMES for w in re.findall(r"\w+", path.read_text()))
-    defs = [(path, name, line) for path in SOURCES for name, line in definitions(path)]
-    defined = Counter(name for _, name, _ in defs)
-    assert [f"{path.name}:{line} {name}" for path, name, line in defs
-            if words[name] <= defined[name]] == []
+def test_every_definition_in_src_is_used_outside_its_own_body():
+    seen = defaultdict(list)          # (kind, name) -> [(path, line)]
+    for path in CODE:
+        for kind, name, line in uses(path):
+            seen[kind, name].append((path, line))
+    public = set(ternfield.__all__)
+    public.update(w for path in READMES for w in re.findall(r"\w+", path.read_text()))
+    dead = []
+    for path in SOURCES:
+        for name, is_method, first, last in definitions(path):
+            kinds = ("attr", "alias") if is_method else ("attr", "name")
+            if name in public or any(not (p == path and first <= line <= last)
+                                     for kind in kinds for p, line in seen[kind, name]):
+                continue
+            dead.append(f"{path.name}:{first} {name}")
+    assert dead == []
 
 
 def imported_names(tree):

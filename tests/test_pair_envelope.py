@@ -43,6 +43,7 @@ from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
 from oracles import (
     FIELDS,
     Pair,
+    mask_path,
     one_image_mutants,
     pair_add,
     pair_mul,
@@ -1140,7 +1141,7 @@ def swapped_coordinates(f):
     """F0(n) -> F0(n) exchanging the coordinates of u and u^(n-1): additive
     (nu(x,y,z) is the XOR of the masks) and unit-preserving, so it keeps
     nu, and the sums of the envelope when lifted, but not products."""
-    alg, n = f.algebra, f.origin["exponents"][0]
+    alg, n = mask_path(f.algebra), f.origin["exponents"][0]
     low, high = 1 << 1, 1 << (n - 1)
     swap = lambda v: v & ~(low | high) | (high if v & low else 0) | (low if v & high else 0)
     return [alg.index_of[swap(v)] for v in alg.carrier]

@@ -37,8 +37,9 @@ from ternfield.poly_fields import (
     QuotientAlgebra,
     generated_subalgebra,
     gf2_divmod,
-    gf2_mul,
 )
+
+from oracles import MaskAlgebra, gf2_mul
 
 P = TernaryPolynomial.parse
 
@@ -164,13 +165,6 @@ def test_rational_operands_on_either_side():
                    lambda: p.add3(p, bad)):
             with pytest.raises(StructureError, match="not a rational number"):
                 op()
-
-
-def test_evaluate():
-    p = P("x^2 + 3*x + 1")
-    assert p.evaluate([2]) == 11
-    assert P("x1*x2 - 1").evaluate([3, 5]) == 14
-    assert p.evaluate([Fraction(1, 3)]) == Fraction(19, 9)
 
 
 # -- parity grading --------------------------------------------------------------
@@ -421,10 +415,11 @@ def test_mul_table_matches_scalar_mul(exponents, relations):
     alg = QuotientAlgebra(spec.exponents, spec.relations)
     assert len(alg._rows) == {(): 0, ("x^2 - 2*x + 1",): 1, ("x1 - x2",): 2}[relations]
     table = alg.mul_table()
-    assert table.shape == (len(alg.carrier),) * 2
-    for a, ma in enumerate(alg.carrier):
-        for b, mb in enumerate(alg.carrier):
-            assert alg.carrier[table[a, b]] == alg.mul(ma, mb)
+    ref = MaskAlgebra(alg)
+    assert table.shape == (len(ref.carrier),) * 2
+    for a, ma in enumerate(ref.carrier):
+        for b, mb in enumerate(ref.carrier):
+            assert ref.carrier[table[a, b]] == ref.mul(ma, mb)
 
 
 def _mask_path_tables(spec):
@@ -434,7 +429,8 @@ def _mask_path_tables(spec):
     reduced by the echelon rows, and each result searched back to its
     index."""
     alg = QuotientAlgebra(spec.exponents, spec.relations)
-    masks = np.array(sorted(alg._spread(b) | 1 for b in range(1 << len(alg.free))),
+    ref = MaskAlgebra(alg)
+    masks = np.array(sorted(ref._spread(b) | 1 for b in range(1 << len(alg.free))),
                      dtype=np.int64)
 
     def locate(values):
@@ -448,17 +444,20 @@ def _mask_path_tables(spec):
         prod ^= (bits[:, i, None] & bits[None, :, j]) << alg.ptab[i, j]
     for p, row in alg._rows.items():
         prod ^= (prod >> p & 1) * row
-    labels = [alg.label(int(m)) for m in masks]
+    labels = [ref.label(int(m)) for m in masks]
     nu_slab = lambda a: locate(masks[a] ^ masks[:, None] ^ masks)
     return labels, int(locate(1)), locate(prod), nu_slab
 
 
-@pytest.mark.parametrize("exponents,relations", [
+MASK_PATH_SPECS = [
     ((1,), ()), ((2,), ()), ((3,), ()), ((4,), ()), ((5,), ()), ((6,), ()),
     ((7,), ()), ((8,), ()), ((2, 2), ()), ((2, 3), ()), ((3, 2), ()),
     ((3, 3), ()), ((2, 2, 2), ()), ((6,), ("x^4+1",)), ((24,), ("x^4+1",)),
     ((2, 2), ("x1*x2+x1+x2+1",)),
-])
+]
+
+
+@pytest.mark.parametrize("exponents,relations", MASK_PATH_SPECS)
 def test_index_tables_match_the_mask_path(exponents, relations):
     spec = QuotientFieldSpec(exponents, relations=[P(r) for r in relations])
     f = build_quotient_field(spec, check=False)
@@ -557,7 +556,7 @@ def _reference_z2odd(exponents, m, with_nu=True):
             if not c:
                 continue
             alpha = alg.monomials[i]
-            names = [f"x{t+1}" for t in range(alg.nvars)] if alg.nvars > 1 else ["x"]
+            names = [f"x{t+1}" for t in range(len(alg.exponents))] if len(alg.exponents) > 1 else ["x"]
             factors = []
             for t, e in enumerate(alpha):
                 if e == 1:
@@ -598,10 +597,78 @@ def test_z2odd_two_variable_products_match_the_reference():
 # -- the involutive change of coordinates ------------------------------------------------
 
 def test_u_x_substitution_is_involutive():
-    alg = QuotientAlgebra((4,))
-    for mask in range(1, 1 << alg.m_count):
+    alg = MaskAlgebra(QuotientAlgebra((4,)))
+    for mask in range(1, 1 << len(alg.monomials)):
         assert alg.from_x(alg.to_x(mask)) == mask
         assert alg.to_x(alg.from_x(mask)) == mask
+
+
+def _small_algebras(limit=21):
+    """The algebra of every tuple of one to four exponents with at most
+    `limit` monomials (the free algebras the rank limit lets through), and
+    F0(44) modulo x^4+1."""
+    tuples = [ex for k in range(1, 5) for ex in itertools.product(range(1, limit + 1), repeat=k)
+              if math.prod(ex) <= limit]
+    return [QuotientAlgebra(ex) for ex in tuples] + [QuotientAlgebra((44,), [P("x^4+1")])]
+
+
+def test_the_coordinate_matrix_is_the_binomial_rows():
+    for alg in _small_algebras():
+        assert alg.B.dtype == np.uint8
+        masks = [sum(int(b) << j for j, b in enumerate(row)) for row in alg.B]
+        assert masks == MaskAlgebra(alg)._xrows, alg.exponents
+
+
+def test_the_coordinate_matrix_is_its_own_inverse():
+    for alg in _small_algebras():
+        B = alg.B.astype(np.int64)
+        assert (B @ B % 2 == np.eye(alg.m_count, dtype=np.int64)).all(), alg.exponents
+
+
+@pytest.mark.parametrize("exponents,relations", MASK_PATH_SPECS)
+def test_carrier_coordinates_match_the_mask_path(exponents, relations):
+    spec = QuotientFieldSpec(exponents, relations=[P(r) for r in relations])
+    alg = QuotientAlgebra(spec.exponents, spec.relations)
+    ref = MaskAlgebra(alg)
+    width = np.arange(alg.m_count)
+    masks = np.array(ref.carrier, dtype=object)
+    assert (alg.coefficients == (masks[:, None] >> width & 1)).all()
+    xmasks = np.array([ref.to_x(m) for m in ref.carrier], dtype=object)
+    assert (alg.x_coefficients == (xmasks[:, None] >> width & 1)).all()
+    assert (alg.index_of_x(alg.x_coefficients) == np.arange(len(masks))).all()
+
+
+def _outcome(exponents, relation):
+    """The labels and mu of the field, or the text of its error."""
+    try:
+        f = build_f0(*exponents, relations=[relation], check=False)
+    except StructureError as exc:
+        return str(exc)
+    return list(f.labels), f.carrier.mu.tolist()
+
+
+@pytest.mark.parametrize("exponents,terms,text", [
+    ((3, 2), {(1, 0): 1, (0, 0): 1}, "x2+1"),          # over ("x2", "x1")
+    ((3, 2), {(2, 0): 1, (0, 0): 1}, "x2^2+1"),        # not reduced in x2
+    ((3, 2), {(0, 2): 1, (0, 0): 1}, "x1^2+1"),
+])
+def test_a_relation_polynomial_is_read_by_name(exponents, terms, text):
+    poly = TernaryPolynomial(("x2", "x1"), terms)
+    assert _outcome(exponents, poly) == _outcome(exponents, text)
+
+
+def test_a_relation_over_some_variables_is_aligned_to_all():
+    poly = TernaryPolynomial(("x1",), {(2,): 1, (0,): 1})
+    assert QuotientFieldSpec((4, 2), [poly]).relations == (P("x1^2+1", ("x1", "x2")),)
+    assert _outcome((4, 2), poly) == _outcome((4, 2), "x1^2+1")
+    assert len(_outcome((4, 2), poly)[0]) == build_f0(2, 2).n     # x1^2+1 = (x1-1)^2
+
+
+def test_a_relation_over_other_variables_is_refused():
+    poly = TernaryPolynomial(("y", "z"), {(1, 0): 1, (0, 0): 1})
+    assert _outcome((2, 2), poly) == _outcome((2, 2), "y+1") == "unknown variables ['y']"
+    with pytest.raises(StructureError, match=r"^unknown variables \['y'\]$"):
+        QuotientAlgebra((2, 2), [poly])
 
 
 # -- Taylor coefficients -------------------------------------------------------------------

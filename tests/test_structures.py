@@ -36,6 +36,7 @@ from oracles import (
     add3,
     combination,
     group_table_mutants,
+    mask_path,
     scalar_element_orders,
     scalar_free_resolution,
     scalar_inverse_error,
@@ -341,7 +342,7 @@ def test_toeplitz_isomorphism_over_one_element_follows_the_masks(spec, size):
     target = build_quotient_field(QuotientFieldSpec((size,)), check="light")
     assert list(result.isomorphism.mapping) == [
         index[tuple(env.one if mask >> t & 1 else env.zero for t in range(size))]
-        for mask in target.algebra.carrier]
+        for mask in mask_path(target.algebra).carrier]
 
 
 def test_toeplitz_has_no_correspondence_over_other_bases():
@@ -872,6 +873,19 @@ def test_group_algebra_matches_the_reference(name, spec):
     assert result.witness == witness
     if result.field is not None:
         _assert_same_tables(result.field, env, values, mu_op, one, labels)
+
+
+@pytest.mark.parametrize("k,spec", [(k, spec) for spec in ("F0(1)", "odd(2)")
+                                    for k in (2, 4, 8)])
+def test_group_algebra_correspondence_matches_the_mask_path(k, spec):
+    # Z/k's generator is 1, so coordinate e of a vector is the coefficient
+    # of x^e; the quotient element is looked up by its reduced u-mask
+    result = group_algebra(cyclic_group(k), _base(spec))
+    env, values, *_ = _reference_group_algebra(cyclic_group(k), _base(spec))
+    ref = mask_path(result.isomorphism.target.algebra)
+    xmasks = [sum(1 << e for e, c in enumerate(v) if c == env.one) for v in values]
+    assert list(result.isomorphism.mapping) == [
+        ref.index_of[ref.normal_form(ref.from_x(x))] for x in xmasks]
 
 
 def test_group_algebra_above_the_limit_is_pinned(f1):
