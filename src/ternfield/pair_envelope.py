@@ -115,7 +115,7 @@ class RingTable:
             raise StructureError("multiplication is not associative")
         if _identity(mul) != self.one:
             raise StructureError("one is not a two-sided unit")
-        # i*(j+k) != i*j + i*k, i*(j+k) taken C-contiguous as in _assoc_mask
+        # i*(j+k) != i*j + i*k, i*(j+k) taken C-contiguous as in _assoc_violation
         if _first_violation(n, n * n, lambda rows:
                             np.take(mul[rows], add.ravel(), axis=1).reshape(-1, n, n)
                             != add[mul[rows][:, :, None], mul[rows][:, None, :]]) is not None:

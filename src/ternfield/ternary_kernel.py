@@ -30,6 +30,11 @@ steps, and the Verdict's `method` records which step decided it:
 Each cheap law of step 1 (the closure of nu and of mu, the nu invariants
 and the invariants of a binary mu) is decided once per carrier and cached
 on it like the retract; `_first_failure` reads them in its caller's order.
+The invariants are decided certificate first: the nu invariants pass when
+the retract is certified, which also proves them, and those of a binary mu
+by Light's test on mu's generators.  Only when that fails does the O(n^3)
+walk run, to name the least witness, so a carrier that passes step 1 has
+its retract certified before the checkers read it.
 `FiniteThreeField` and `ProperThreeThreeField` (itself a carrier) read
 them the same way and decide associativity and distributivity with the
 two checkers, so `field check` decides each law once.
@@ -47,7 +52,9 @@ Where the groups are proved, laws and maps are decided on a generating set
 A instead (`_generators`, |A| <= 1 + log2 n on a group): associativity by
 Light's test (`_light_associative`, O(n^2 |A|)), and a map or a stack of
 maps by its law on A (`_carries_on`, `_affine_on`, O(n |A|) per map).
-These decide passes only; a failure is named by the walk.
+These decide passes only; a failure is named by the walk.  The generating
+sets are found once per carrier: o's by the certificate, mu's by its
+invariants law (`TernaryCarrier.generators`).
 """
 
 import functools
@@ -189,15 +196,29 @@ class TernaryCarrier:
         self._gens = None               # see generators
 
     @functools.cached_property
-    def retract(self):
-        """The certified retract (o, k) of nu, or None: see `_coset_retract`.
-        The tables are read-only, so it is computed once per carrier."""
+    def _certificate(self):
+        """(o, k, generators of o) when nu's retract is certified, else None:
+        see `_coset_retract`.  The tables are read-only, so it is decided
+        once per carrier."""
         return _coset_retract(self.nu)
 
     @functools.cached_property
+    def retract(self):
+        """The certified retract (o, k) of nu, or None."""
+        cert = self._certificate
+        return None if cert is None else cert[:2]
+
+    @functools.cached_property
     def retract_generators(self):
-        """An index array generating the certified retract's o (`_generators`)."""
-        return np.array(_generators(self.retract[0]))
+        """The index array generating the certified retract's o on which
+        the certificate ran Light's test (`_generators`)."""
+        return self._certificate[2]
+
+    @functools.cached_property
+    def mu_generators(self):
+        """An index array generating the closed binary mu (`_generators`),
+        on which the "mu invariants" law runs Light's test."""
+        return np.array(_generators(self.mu))
 
     @functools.cached_property
     def unit(self):
@@ -212,12 +233,13 @@ class TernaryCarrier:
                 and self.unit is not None)
 
     def generators(self):
-        """(generators of o, generators of mu), from `_generators`, once the
-        carrier has certified its retract (o, k) and `monoid_proved`, else
-        None; a map of such carriers is a morphism when it is one on these
-        sets.  Nothing is decided here; the sets are computed once."""
-        if self._gens is None and self.__dict__.get("retract") and self.monoid_proved():
-            self._gens = (self.retract_generators, np.array(_generators(self.mu)))
+        """(generators of o, generators of mu), the sets the certificate and
+        the "mu invariants" law ran Light's test on, once the carrier has
+        certified its retract (o, k) and `monoid_proved`, else None; a map
+        of such carriers is a morphism when it is one on these sets.
+        Nothing is decided here."""
+        if self._gens is None and self.__dict__.get("_certificate") and self.monoid_proved():
+            self._gens = (self.retract_generators, self.mu_generators)
         return self._gens
 
     def index(self, lab):
@@ -304,19 +326,16 @@ def _map_violation(m, src, *image):
     return _first_violation(len(src), src[0].size, bad)
 
 
-def _assoc_mask(t, rows):
-    """[i,j,k] -> t[t[i,j],k] != t[i,t[j,k]] for i in `rows`, t closed and binary."""
-    n = len(t)
-    part = t[rows]
-    # t[i,t[j,k]] by np.take: part[:, t] has its first axis innermost in
-    # memory, which makes the comparison several times slower
-    return t[part] != np.take(part, t.ravel(), axis=1).reshape(-1, n, n)
-
-
 def _assoc_violation(t):
     """Least (i, j, k) where closed binary t is not associative, or None."""
     n = len(t)
-    return _first_violation(n, n * n, lambda rows: _assoc_mask(t, rows))
+
+    def bad(rows):                      # [i,j,k] -> t[t[i,j],k] != t[i,t[j,k]]
+        part = t[rows]
+        # t[i,t[j,k]] by np.take: part[:, t] has its first axis innermost in
+        # memory, which makes the comparison several times slower
+        return t[part] != np.take(part, t.ravel(), axis=1).reshape(-1, n, n)
+    return _first_violation(n, n * n, bad)
 
 
 def _generators(t):
@@ -461,12 +480,16 @@ def _mu_invariants(mu, labels):
 
 # The cheap laws of a carrier, each a failing Verdict at its least witness
 # or None.  An invariant assumes its table closed; a ternary mu has no mu
-# invariants.
+# invariants.  The invariants pass by the certified retract and by Light's
+# test; only a failure walks the table, to name its least witness.
 _CHEAP_LAWS = {
     "nu closure": lambda c: _closure(c.nu, c.nu_foreign, c.labels, "nu"),
     "mu closure": lambda c: _closure(c.mu, c.mu_foreign, c.labels, "mu"),
-    "nu invariants": lambda c: _nu_invariants(c.nu, c.labels),
-    "mu invariants": lambda c: _mu_invariants(c.mu, c.labels) if c.mu.ndim == 2 else None,
+    "nu invariants": lambda c: (None if c.retract is not None
+                                else _nu_invariants(c.nu, c.labels)),
+    "mu invariants": lambda c: (None if c.mu.ndim == 3
+                                or _light_associative(c.mu, c.mu_generators)
+                                else _mu_invariants(c.mu, c.labels)),
 }
 
 
@@ -501,14 +524,18 @@ def _zero_element(c, unit):
 
 def _coset_retract(nu):
     """Exact O(n^3) certificate that nu is x+y+z+k over an abelian group:
-    the retract (o, k), or None when the check fails.
+    (o, k, A), the retract (o, k) and a generating set A of o
+    (`_generators`, an index array), or None when the check fails.
 
     o is x o y = nu(x, e, y), e the unique t having nu(0,0,t) = 0, and
-    k = nu(0,0,0).  The check: o is closed and commutative, has identity 0,
-    every row of o contains 0 (so every element has an inverse), o is
-    associative and nu(x,y,z) = ((x o y) o z) o k on the whole table.
+    k = nu(0,0,0).  The check, cheapest first: o is closed, has identity
+    0, is commutative and has 0 in every row (so every element has an
+    inverse), all O(n^2); then o is associative by Light's test on A and
+    nu(x,y,z) = ((x o y) o z) o k on the whole table (`_is_coset_form`).
     Sufficient for total associativity: all three regroupings of
-    nu(nu(a,b,c),d,e) equal a o b o c o d o e o k o k.  Passes on every
+    nu(nu(a,b,c),d,e) equal a o b o c o d o e o k o k.  Sufficient too for
+    the commutativity and unique solvability of nu, as the form is
+    symmetric and z -> x+y+z+k is a bijection.  Passes on every
     commutative ternary group: by the Hosszu-Gluskin theorem
     nu(x,y,z) = x+y+z+k over the retract (G,+) at 0, whose identity is 0
     because e is the querelement of 0, and then x o y = x+y.
@@ -520,10 +547,11 @@ def _coset_retract(nu):
     o.setflags(write=False)                  # cached on the carrier
     # every value the form compares nu with comes from o, so a closed o
     # leaves no FOREIGN entry of nu unnoticed
-    if (o.min() >= 0 and _identity(o) == 0 and (o == o.T).all()
-            and (o == 0).any(axis=1).all() and _is_coset_form(nu, o, k)):
-        return o, k
-    return None
+    if not (o.min() >= 0 and _identity(o) == 0 and (o == o.T).all()
+            and (o == 0).any(axis=1).all()):
+        return None
+    gens = np.array(_generators(o))
+    return (o, k, gens) if _is_coset_form(nu, o, k, gens) else None
 
 
 def _coset_form(o, k):
@@ -535,12 +563,15 @@ def _coset_form(o, k):
     return o[o, k]
 
 
-def _is_coset_form(nu, o, k):
-    """Whether o is associative and nu is the coset form of (o, k) everywhere."""
+def _is_coset_form(nu, o, k, gens):
+    """Whether the closed binary o is associative, by Light's test on gens,
+    a generating set of o (`_generators`), and nu is the coset form of
+    (o, k) everywhere: O(n^2 |A|), then one O(n^3) comparison in chunks."""
+    if not _light_associative(o, gens):
+        return False
     n = len(o)
     form = _coset_form(o, k)
-    return _first_violation(n, n * n, lambda rows: _assoc_mask(o, rows)
-                            | (form[o[rows]] != nu[rows])) is None
+    return _first_violation(n, n * n, lambda rows: form[o[rows]] != nu[rows]) is None
 
 
 def _distrib_certificate(carrier):
@@ -651,7 +682,9 @@ def check_ternary_group(carrier, limit=None):
     order, cheapest first).  Returns a Verdict with the least witness.
 
     Associativity is decided by the carrier's certified retract when it
-    has one, and by the O(n^5) scan otherwise."""
+    has one, and by the O(n^5) scan otherwise.  The invariants of nu pass
+    by the same retract, so a carrier whose invariants passed has it
+    already."""
     v = _first_failure(carrier, "nu closure", "nu invariants")
     if v is not None:
         return v
@@ -733,7 +766,10 @@ class FiniteThreeField:
     check: "auto" decides the axioms when the carrier is within the gate
     (`limit`, or `check_limit()` when it is None) and skips that above it,
     "light" runs only the cheap invariants, False trusts the caller; any
-    other value raises ValueError.
+    other value raises ValueError.  The cheap invariants pass by the
+    certified retract of nu and Light's test on mu, so a "light" field of
+    either carries its certified retract and generator sets, and maps of
+    such fields are decided on generators.
     """
 
     algebra = None      # a quotient field's QuotientAlgebra, set by its builder
@@ -881,7 +917,9 @@ class ProperThreeThreeField(TernaryCarrier):
     """(3,3)-field with a genuinely ternary multiplication and no unit: a
     carrier whose mu is the (n,n,n) product table, whose foreign results
     `mu_foreign` holds by argument triple.  Validated when built, under the
-    default gate; distributivity by mu's 3n^2 translations on o's generators."""
+    default gate: the total associativity of mu by mu's own coset retract
+    (`_coset_retract`), with the O(n^5) scan only when that fails, and
+    distributivity by mu's 3n^2 translations on o's generators."""
 
     product_axes = 3
 
@@ -899,7 +937,7 @@ class ProperThreeThreeField(TernaryCarrier):
         if units:
             raise StructureError(f"multiplicative unit {self.labels[units[0]]} found; "
                                  "not a proper (3,3)-field")
-        w = _assoc_scan(self.mu)
+        w = None if _coset_retract(self.mu) is not None else _assoc_scan(self.mu)
         if w is not None:
             raise StructureError(f"ternary multiplication not associative at {w}")
         v = check_distributivity(self)

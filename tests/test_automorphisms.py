@@ -189,27 +189,31 @@ def test_automorphism_group_builds_no_polynomials_and_composes_no_pairs():
 
 @pytest.mark.parametrize("k", [5, 6, 7])
 def test_automorphism_group_decides_one_retract_and_walks_no_map(k):
-    f = build_f0(k, check="light")               # no retract decided yet
+    # the light build certifies the retract, its nu invariants passing by
+    # it, and the group's maps read that one retract
     with mock.patch.object(ternary_kernel, "_coset_retract",
                            wraps=ternary_kernel._coset_retract) as retract, \
             mock.patch.object(pair_envelope, "_map_violation",
                               wraps=pair_envelope._map_violation) as walked:
+        f = build_f0(k, check="light")
+        assert retract.call_count == 1
         assert automorphism_group(f).order == 1 << (k - 2)
     assert retract.call_count == 1 and walked.call_count == 0
 
 
 def test_an_unchecked_field_decides_no_retract():
     # no cheap law is decided, so no generators could follow a retract: the
-    # coset pass is not paid, and the group is the light-built field's, whose
-    # maps are still decided on generators
-    unchecked, light = build_f0(7, check=False), build_f0(7, check="light")
+    # coset pass is not paid, and the group is the light-built field's, which
+    # certifies its retract once, when it is built, and whose maps are still
+    # decided on generators
+    unchecked = build_f0(7, check=False)
     with mock.patch.object(ternary_kernel, "_coset_retract",
                            wraps=ternary_kernel._coset_retract) as retract, \
             mock.patch.object(pair_envelope, "_map_violation",
                               wraps=pair_envelope._map_violation) as walked:
         got = automorphism_group(unchecked)
         assert retract.call_count == 0 and walked.call_count == 2 * unchecked.n
-        want = automorphism_group(light)
+        want = automorphism_group(build_f0(7, check="light"))
     assert retract.call_count == 1 and walked.call_count == 2 * unchecked.n
     assert got.elements == want.elements and got.identity == want.identity
     assert (got.table == want.table).all()

@@ -1,6 +1,7 @@
 """Axioms, carriers, the O(n^3) certificates, the O(n^5) scans and
 FiniteThreeField's validation."""
 
+import contextlib
 import functools
 import inspect
 import itertools
@@ -946,9 +947,15 @@ def split_retract(nu):
     return np.ascontiguousarray(nu[:, int(sols[0]), :]), int(nu[0, 0, 0])
 
 
+def is_coset_form(nu, o, k):
+    """The coset form by its definition: o associative on the whole cube
+    and nu = F[o] on the whole table."""
+    return whole_cube_assoc_witness(o) is None and (tk._coset_form(o, k)[o] == nu).all()
+
+
 def split_assoc_certificate(nu):
     r = split_retract(nu)
-    return r if r is not None and tk._is_coset_form(nu, *r) else None
+    return r if r is not None and is_coset_form(nu, *r) else None
 
 
 def split_distrib_certificate(nu, mu, coset=None):
@@ -959,7 +966,7 @@ def split_distrib_certificate(nu, mu, coset=None):
     n = len(o)
     zero = o == 0
     if not (tk._identity(o) == 0 and (o == o.T).all() and zero.any(axis=1).all()
-            and (coset is not None or tk._is_coset_form(nu, o, k))):
+            and (coset is not None or is_coset_form(nu, o, k))):
         return False
     neg = np.argmax(zero, axis=1)
     trans = np.concatenate([mu, mu.T])
@@ -1098,8 +1105,8 @@ def test_a_one_cell_change_to_nu_is_no_coset_form(name):
     # a coset form is a Latin square in its last argument, and one changed
     # cell breaks that, so no retract certifies the change
     c = FIELDS[name](check=False).carrier
-    n, (o, k) = c.n, c.retract
-    assert tk._is_coset_form(c.nu, o, k)
+    n, (o, k), gens = c.n, c.retract, c.retract_generators
+    assert tk._is_coset_form(c.nu, o, k, gens)
     rng = np.random.default_rng(n)
     cells = (list(itertools.product(range(n), repeat=3)) if n <= 4
              else [tuple(rng.integers(0, n, size=3)) for _ in range(24)])
@@ -1107,8 +1114,90 @@ def test_a_one_cell_change_to_nu_is_no_coset_form(name):
         for shift in (range(1, n) if n <= 4 else rng.integers(1, n, size=2)):
             nu = c.nu.copy()
             nu[cell] = (nu[cell] + shift) % n
-            assert not tk._is_coset_form(nu, o, k), (cell, shift)
+            assert not tk._is_coset_form(nu, o, k, gens), (cell, shift)
             assert tk._coset_retract(nu) is None, (cell, shift)
+
+
+# -- the cheap laws, certificate first ---------------------------------------------
+#
+# The nu invariants pass by the certified retract and the invariants of a
+# binary mu by Light's test on mu's generators; the walks run only on a
+# failure, to name it.  Each law must give the walk's verdict exactly.
+
+def commutative_loops(n):
+    """Every commutative loop on range(n) with identity 0: the symmetric
+    Latin squares whose row and column 0 are the identity, by backtracking
+    over the cells (i, j), 1 <= i <= j."""
+    t = np.zeros((n, n), dtype=np.int32)
+    t[0] = t[:, 0] = np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    used = [{i} for i in range(n)]              # the values in row i, = column i
+    loops = []
+
+    def fill(c):
+        if c == len(cells):
+            loops.append(t.copy())
+            return
+        i, j = cells[c]
+        for v in range(n):
+            if v not in used[i] and v not in used[j]:
+                t[i, j] = t[j, i] = v
+                used[i].add(v), used[j].add(v)
+                fill(c + 1)
+                used[i].discard(v), used[j].discard(v)
+    fill(0)
+    return loops
+
+
+def full_verdict(v):
+    return None if v is None else (v.ok, v.axiom, v.witness, v.detail, v.method)
+
+
+def assert_cheap_laws_are_the_walks(c):
+    """Both cheap invariants of a fresh closed carrier give their walk's
+    verdict: axiom, witness, detail and method."""
+    c = with_tables(c)
+    assert (full_verdict(tk._first_failure(c, "nu closure", "nu invariants"))
+            == full_verdict(tk._nu_invariants(c.nu, c.labels)))
+    assert (full_verdict(tk._first_failure(c, "mu closure", "mu invariants"))
+            == full_verdict(tk._mu_invariants(c.mu, c.labels)))
+
+
+def test_the_cheap_laws_on_every_commutative_loop_of_order_6():
+    # nu = (x o y) o z is the coset form of o by construction, so the
+    # certificate is decided by Light's test on o alone; as a binary mu,
+    # each loop is decided by Light's test on its own generators
+    loops = commutative_loops(6)
+    labels = [str(i) for i in range(6)]
+    z6 = (np.arange(6)[:, None] + np.arange(6)) % 6
+    associative = [tk._assoc_violation(o) is None for o in loops]
+    assert (len(loops), associative.count(False)) == (456, 396)
+    for o, assoc in zip(loops, associative):
+        c = TernaryCarrier(labels, tk._coset_form(o, 0)[o], o)
+        assert (c.retract is not None) == assoc
+        assert_cheap_laws_are_the_walks(c)
+        assert_cheap_laws_are_the_walks(TernaryCarrier(labels, tk._coset_form(z6, 0)[z6], o))
+
+
+def one_cell_mutants(c, rng, count):
+    """Carriers with one cell of nu, or of mu, moved by a random shift."""
+    for k in range(count):
+        nu, mu = c.nu.copy(), c.mu.copy()
+        t = nu if k % 2 else mu
+        cell = tuple(rng.integers(0, c.n, size=t.ndim))
+        t[cell] = (t[cell] + rng.integers(1, c.n)) % c.n
+        yield TernaryCarrier(c.labels, nu, mu)
+
+
+@pytest.mark.parametrize("name", list(ROSTER))
+def test_the_cheap_laws_are_the_walks_on_the_roster_and_its_mutants(name):
+    c = roster_field(name).carrier
+    rng = np.random.default_rng(c.n)
+    for carrier in (c, relabel(c, rng.permutation(c.n))):
+        assert_cheap_laws_are_the_walks(carrier)
+        for mutant in (*one_cell_mutants(carrier, rng, 12),
+                       *swapped_cell_mutants(carrier, rng, 6), *perturbations(carrier, rng)):
+            assert_cheap_laws_are_the_walks(mutant)
 
 
 # -- the affine law on a stack of maps ----------------------------------------------
@@ -1293,14 +1382,34 @@ def test_auto_construction_runs_each_invariant_once():
     with counting("_closure") as closure, counting("_nu_invariants") as nu_inv, \
             counting("_mu_invariants") as mu_inv, counting("_zero_element") as zero, \
             counting("_coset_retract") as retract, counting("_is_coset_form") as coset, \
-            counting("_distrib_certificate") as distrib:
+            counting("_distrib_certificate") as distrib, \
+            counting("_assoc_violation") as assoc:
         FiniteThreeField(c, 0, check="auto")
     assert closure.call_count == 2                  # nu, then mu
-    assert nu_inv.call_count == mu_inv.call_count == 1
+    # the invariants pass by the certified retract and Light's test: no
+    # walk, which runs only to name a failure (next test)
+    assert nu_inv.call_count == mu_inv.call_count == assoc.call_count == 0
     assert zero.call_count == 0                     # a 3-field's group mu has no zero
-    # both decisions read the carrier's retract, so the coset form of nu is
-    # checked once
+    # the nu invariants and both decisions read the carrier's retract, so
+    # the coset form of nu is checked once
     assert retract.call_count == coset.call_count == distrib.call_count == 1
+
+
+@pytest.mark.parametrize("law", ["nu", "mu"])
+def test_a_failing_invariant_is_walked_once(law):
+    # the certificate fails, so the walk names the failure, once per
+    # carrier: construction and both checkers read the one verdict
+    f = roster_field("odd(16)")
+    c = (_non_symmetric_nu if law == "nu" else _non_associative_mu)(f.carrier)
+    failing, passing = ("_nu_invariants", "_mu_invariants")[::1 if law == "nu" else -1]
+    with mock.patch.object(tk, failing, wraps=getattr(tk, failing)) as walked, \
+            mock.patch.object(tk, passing, wraps=getattr(tk, passing)) as other:
+        with pytest.raises(StructureError) as raised:
+            FiniteThreeField(c, f.one, check="auto")
+        v = check_ternary_group(c) if law == "nu" else check_distributivity(c)
+    assert walked.call_count == 1 and other.call_count == 0
+    assert not v and v.method == "cheap" and str(raised.value) == v.detail
+    assert v.axiom == ("commutativity" if law == "nu" else "mu-associativity")
 
 
 @pytest.mark.parametrize("first", [check_ternary_group, check_distributivity])
@@ -1618,6 +1727,37 @@ def test_the_ternary_certificate_is_the_scan_on_cosets_and_their_mutants():
     assert outcomes == {(True, True), (True, False), (False, False)}
 
 
+def test_a_certified_ternary_product_is_one_the_scan_passes():
+    # a proper (3,3)-field's mu of coset form is totally associative, so
+    # the scan runs only where the certificate fails, and every coset and
+    # one-cell mutant is refused as it is with the scan alone
+    outcomes = set()
+    for coset in proper_cosets():
+        for cell in itertools.product(range(coset.n), repeat=3):
+            for shift in range(coset.n):
+                mu = coset.mu.copy()
+                mu[cell] = (mu[cell] + shift) % coset.n
+                certified = tk._coset_retract(mu) is not None
+                w = tk._assoc_scan(mu)
+                assert not (certified and w is not None)
+                outcomes.add((certified, w is None))
+                messages = []
+                for patch in (contextlib.nullcontext(),
+                              mock.patch.object(tk, "_coset_retract", lambda t: None)):
+                    with patch:
+                        try:
+                            ProperThreeThreeField(coset.labels, coset.nu, mu)
+                            messages.append(None)
+                        except StructureError as exc:
+                            messages.append(str(exc))
+                assert messages[0] == messages[1]
+                if w is not None:
+                    assert messages[0].startswith("ternary multiplication not associative")
+    # each coset is commutative, and no mutant the scan passes escapes the
+    # certificate
+    assert outcomes == {(True, True), (False, False)}
+
+
 def test_the_ternary_certificate_tests_each_place_and_the_affine_constant():
     # mu with one argument place read through a map s: only that place's
     # law can break.  Random maps s break additivity; on the ternary
@@ -1653,7 +1793,10 @@ def test_the_retract_generators_are_found_once_per_carrier():
             Morphism(g, g, range(g.n))
             assert check_distributivity(c).method == "certificate"
     assert found.call_count == 2                       # o, then mu
-    assert c.generators()[0] is c.retract_generators
+    (o_searched,), (mu_searched,) = (call.args for call in found.call_args_list)
+    assert o_searched is c.retract[0] and mu_searched is c.mu
+    gens = c.generators()
+    assert gens[0] is c.retract_generators and gens[1] is c.mu_generators
 
 
 def test_cosets_round_trip_through_json():
@@ -1704,8 +1847,11 @@ def test_unknown_check_value_is_rejected(odd8, check):
         FiniteThreeField(odd8.carrier, odd8.one, check=check)
 
 
-def test_light_product_runs_no_certificate():
+def test_light_product_certifies_its_retract_once():
+    # its nu invariants pass by the certified retract, which the product
+    # then carries
     f1, f3 = build_f0(1), build_f0(3)
     with mock.patch.object(tk, "_coset_retract", wraps=tk._coset_retract) as retract:
-        product_field(f1, f3, check="light")
-    assert retract.call_count == 0
+        product = product_field(f1, f3, check="light").field
+        assert product.carrier.retract is not None
+    assert retract.call_count == 1
