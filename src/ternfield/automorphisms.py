@@ -3,11 +3,10 @@
 Every element of F0(n) is a polynomial in the generator x, so an
 endomorphism is determined by where x goes: f(x) -> f(P).  Any image P
 works, because every element satisfies (f-1)^n = 0; the implementation
-still verifies each substitution map as a `Morphism`.
-`enumerate_endomorphisms` decides a proved field's retract once, so that
-each of its n maps is checked on the generators of the retract and of mu
-in O(n log n), not walked over the n^3 table of nu (a field built with
-check=False has proved nothing, and its maps are walked).  Automorphisms
+still verifies each substitution map as a `Morphism`.  The field proves
+itself when the first map reads it, so each of its n maps is checked on
+the generators of the retract and of mu in O(n log n), not walked over the
+n^3 table of nu, however the field was built.  Automorphisms
 are detected along two independent routes — a compositional inverse
 exists, or the image generates the whole carrier — which must agree.
 
@@ -102,10 +101,7 @@ class PolyEndo:
 
 def enumerate_endomorphisms(field):
     """One verified endomorphism per candidate generator image — for F0(n)
-    every element qualifies.  A field that proved mu a monoid decides its
-    retract first, so that each map is checked on generators (`Morphism`)."""
-    if field.carrier.monoid_proved():
-        field.carrier.retract
+    every element qualifies."""
     table = composition_table(field)
     return [PolyEndo(field, image, mapping=table[:, image])
             for image in range(field.n)]

@@ -12,17 +12,19 @@ whole-table check confirms (RingTable.maximal_ideals).  The same fact lets
 an isomorphism of envelopes stand for an isomorphism of 3-fields: it maps
 units to units, so it keeps the odd part in place (field_isomorphism).
 
-A map between structures whose groups are proved is checked on
-generators: a 3-field whose retract is certified and whose mu is a monoid
-(`TernaryCarrier.generators`), or a ring that `RingTable.validate_ring`
-passed, which keeps the generators of its addition as the proof.  A map of
-groups that is additive on a generating set is a homomorphism, so
-`Morphism`, `RingMorphism` and `ThreeRingMap` decide a pass in O(n |A|),
-|A| <= 1 + log2 n.  Every other check that a map carries one operation
-table onto another -- any map when a side is unproved, the naming of every
-failure, the class map of a quotient and the parity grading, the residue
-map onto Z/2 -- is `ternary_kernel._map_violation`, which walks chunks of
-first arguments and holds no n^3 cube.
+A map out of a 3-field is checked on generators when both sides are
+proved.  A 3-field proves itself when a map first reads it
+(`TernaryCarrier.generators`): its retract is certified and its mu is a
+unital monoid.  A ring that `RingTable.validate_ring` passed keeps the
+generators of its addition as its proof.  A map of groups that is additive
+on a generating set is a homomorphism, so `Morphism` and `ThreeRingMap`
+decide a pass in O(n |A|), |A| <= 1 + log2 n, instead of walking n^3 cells.
+Every other check that a map carries one operation table onto another --
+a `RingMorphism`, whose two binary tables cost less to walk than a ring
+proof, any map when a side is unproved, the naming of every failure, the
+class map of a quotient and the parity grading, the residue map onto
+Z/2 -- is `ternary_kernel._map_violation`, which walks chunks of first
+arguments and holds no n^3 cube.
 
 All pair arithmetic is expressed through the ternary operations themselves
 (with m1 = quer_add(1) playing the role of -1), so it works uniformly over
@@ -76,14 +78,14 @@ class RingTable:
         self.one = int(one)
         self._neg = None
         self._ideals = None
-        self._add_gens = None           # the proof of validate_ring
+        self._add_gens = None           # the proof of validate_ring, see ThreeRingMap
         if check:
             self.validate_ring()
 
     def validate_ring(self):
         """Raise StructureError naming the first ring law that fails, or keep
         the generators of add as the proof that the ring was validated, on
-        which maps of it are then checked.
+        which maps of a 3-field into it are then checked.
 
         Once addition is a commutative loop with neutral zero and one is the
         unit of mul, the laws are decided on a generating set A of add: add
@@ -457,8 +459,8 @@ class Morphism(_IndexMap):
             raise StructureError("unit is not preserved")
         # between carriers with certified retracts and monoid products, the
         # generators decide a pass; any failure is walked to be named
-        gens = s.carrier.generators()
-        if gens and t.carrier.generators():
+        gens = s.carrier.generators
+        if gens and t.carrier.generators:
             m = np.asarray(m)
             if (_affine_on(m, s.carrier.retract, gens[0], *t.carrier.retract)
                     and _carries_on(m, s.carrier.mu, gens[1], t.carrier.mu)):
@@ -476,14 +478,6 @@ class RingMorphism(_IndexMap):
         s, t, m = self.source, self.target, self.mapping
         if m[s.one] != t.one:
             raise StructureError("one is not preserved")
-        # between validated rings: additive on the source's generators A,
-        # then m(xy) - m(x)m(y), bi-additive, vanishes on A x A
-        a = s._add_gens
-        if a is not None and t._add_gens is not None:
-            m = np.asarray(m)
-            if (_carries_on(m, s.add, a, t.add)
-                    and (m[s.mul[a[:, None], a]] == t.mul[m[a][:, None], m[a]]).all()):
-                return
         if _map_violation(m, s.add, t.add) is not None:
             raise StructureError("addition is not preserved")
         if _map_violation(m, s.mul, t.mul) is not None:
@@ -509,7 +503,7 @@ class ThreeRingMap(_IndexMap):
         if m[f.one] != r.one:
             raise StructureError("unit must go to one")
         # the route of Morphism, into the ring's x+y+z (k = zero)
-        gens = f.carrier.generators()
+        gens = f.carrier.generators
         if gens and r._add_gens is not None:
             m = np.asarray(m)
             if (_carries_on(m, f.carrier.mu, gens[1], r.mul)

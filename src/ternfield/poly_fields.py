@@ -841,8 +841,9 @@ def _build_z2odd_quotient(spec, check="auto"):
     M = alg.m_count
     _refuse_size((mod // 2) * mod ** (M - 1), _TABLE_LIMIT,
                  "carrier of size {size} exceeds the build limit {limit}")
-    # Z/2^m is a ring by construction; RingTable's O(mod^3) validation would
-    # cost more than the field it serves
+    # Z/2^m is a ring by construction.  validate_ring would cost only
+    # O(mod^2 |A|), |A| = 1 on cyclic Z/2^m, but it refuses rings above the
+    # 512-element guard, and QuotientFieldSpec((1,), base=10) needs Z/1024
     vals = np.arange(mod)
     ring = RingTable(vals, np.add.outer(vals, vals) % mod,
                      np.multiply.outer(vals, vals) % mod, 0, 1, check=False)

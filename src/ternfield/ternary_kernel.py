@@ -54,7 +54,9 @@ Light's test (`_light_associative`, O(n^2 |A|)), and a map or a stack of
 maps by its law on A (`_carries_on`, `_affine_on`, O(n |A|) per map).
 These decide passes only; a failure is named by the walk.  The generating
 sets are found once per carrier: o's by the certificate, mu's by its
-invariants law (`TernaryCarrier.generators`).
+invariants law.  A map reads them through `TernaryCarrier.generators`,
+which decides those laws on first read, so its route depends only on the
+tables, not on which checks ran before.
 """
 
 import functools
@@ -193,7 +195,6 @@ class TernaryCarrier:
         self.nu_foreign = dict(nu_foreign or {})
         self.mu_foreign = dict(mu_foreign or {})
         self._verdicts = {}             # cheap law -> Verdict or None, see _first_failure
-        self._gens = None               # see generators
 
     @functools.cached_property
     def _certificate(self):
@@ -225,22 +226,18 @@ class TernaryCarrier:
         """The two-sided identity of a binary mu, or None: see `_identity`."""
         return _identity(self.mu) if self.mu is not None and self.mu.ndim == 2 else None
 
-    def monoid_proved(self):
-        """Whether mu is binary, decided closed and associative, and unital."""
-        return (self.mu is not None and self.mu.ndim == 2
-                and all(self._verdicts.get(law, False) is None
-                        for law in ("mu closure", "mu invariants"))
-                and self.unit is not None)
-
+    @functools.cached_property
     def generators(self):
         """(generators of o, generators of mu), the sets the certificate and
-        the "mu invariants" law ran Light's test on, once the carrier has
-        certified its retract (o, k) and `monoid_proved`, else None; a map
-        of such carriers is a morphism when it is one on these sets.
-        Nothing is decided here."""
-        if self._gens is None and self.__dict__.get("_certificate") and self.monoid_proved():
-            self._gens = (self.retract_generators, self.mu_generators)
-        return self._gens
+        the "mu invariants" law ran Light's test on, when nu's retract (o, k)
+        is certified and mu is binary, closed, associative and unital, else
+        None; a map of such carriers is a morphism when it is one on these
+        sets.  Decided on first read, from the laws the carrier caches."""
+        if (self.mu is None or self.mu.ndim != 2 or self.retract is None
+                or _first_failure(self, "mu closure", "mu invariants") is not None
+                or self.unit is None):
+            return None
+        return self.retract_generators, self.mu_generators
 
     def index(self, lab):
         try:
@@ -765,11 +762,11 @@ class FiniteThreeField:
 
     check: "auto" decides the axioms when the carrier is within the gate
     (`limit`, or `check_limit()` when it is None) and skips that above it,
-    "light" runs only the cheap invariants, False trusts the caller; any
-    other value raises ValueError.  The cheap invariants pass by the
-    certified retract of nu and Light's test on mu, so a "light" field of
-    either carries its certified retract and generator sets, and maps of
-    such fields are decided on generators.
+    "light" runs only the cheap invariants, False raises nothing at
+    construction; any other value raises ValueError.  The cheap invariants
+    pass by the certified retract of nu and Light's test on mu.  Whatever
+    `check` was, the carrier decides those laws once, when they are first
+    read, so maps of fields that satisfy them are decided on generators.
     """
 
     algebra = None      # a quotient field's QuotientAlgebra, set by its builder

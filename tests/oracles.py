@@ -188,10 +188,6 @@ class MaskAlgebra:
                 out |= 1 << m
         return out
 
-    def _compress(self, mask):
-        """The index bits of a normal form: the inverse of `_spread`."""
-        return sum(1 << t for t, m in enumerate(self.free) if mask >> m & 1)
-
     def mul_raw(self, a, b):
         out = 0
         ai = a

@@ -2,7 +2,8 @@
 defines is used somewhere other than in its own body, in the package or in
 `perfbench`, or is public (`ternfield.__all__`) or documented (a word of
 either README).  Code that only tests call belongs with the tests
-(`tests/oracles.py` holds the shared oracles).
+(`tests/oracles.py` holds the shared oracles), and every definition there
+is used by a test module or by another oracle.
 
 Uses are read from the ast, so a docstring, a comment, a string or a
 builtin of the same name keeps no helper alive:
@@ -23,6 +24,8 @@ import ternfield
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ternfield").glob("*.py"))
 CODE = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py"))]
+ORACLES = ROOT / "tests" / "oracles.py"
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 READMES = [ROOT / "README.md", ROOT / "perfbench" / "README.md"]
 
 
@@ -65,22 +68,33 @@ def definitions(path):
             yield name, id(node) in methods, node.lineno, node.end_lineno
 
 
-def test_every_definition_in_src_is_used_outside_its_own_body():
+def dead_definitions(sources, code, public=frozenset()):
+    """"file:line name" of every definition in the sources that is neither
+    public nor used in the code outside its own body."""
     seen = defaultdict(list)          # (kind, name) -> [(path, line)]
-    for path in CODE:
+    for path in code:
         for kind, name, line in uses(path):
             seen[kind, name].append((path, line))
-    public = set(ternfield.__all__)
-    public.update(w for path in READMES for w in re.findall(r"\w+", path.read_text()))
     dead = []
-    for path in SOURCES:
+    for path in sources:
         for name, is_method, first, last in definitions(path):
             kinds = ("attr", "alias") if is_method else ("attr", "name")
             if name in public or any(not (p == path and first <= line <= last)
                                      for kind in kinds for p, line in seen[kind, name]):
                 continue
             dead.append(f"{path.name}:{first} {name}")
-    assert dead == []
+    return dead
+
+
+def test_every_definition_in_src_is_used_outside_its_own_body():
+    public = set(ternfield.__all__)
+    public.update(w for path in READMES for w in re.findall(r"\w+", path.read_text()))
+    assert dead_definitions(SOURCES, CODE, public) == []
+
+
+def test_every_oracle_is_used_by_a_test_or_another_oracle():
+    assert ORACLES in TESTS
+    assert dead_definitions([ORACLES], TESTS) == []
 
 
 def imported_names(tree):

@@ -1,5 +1,6 @@
 """Enveloping rings, pairs, morphisms, ideals and quotients."""
 
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -37,8 +38,13 @@ from ternfield.pair_envelope import (
     universal_extension,
 )
 from ternfield import pair_envelope, ternary_kernel
-from ternfield.automorphisms import composition_table, truncation_morphism
-from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
+from ternfield.automorphisms import automorphism_group, composition_table, truncation_morphism
+from ternfield.ternary_kernel import (
+    FiniteThreeField,
+    TernaryCarrier,
+    check_distributivity,
+    check_ternary_group,
+)
 
 from oracles import (
     FIELDS,
@@ -126,8 +132,9 @@ RING_MUTANTS = {
 
 def walk_only(monkeypatch):
     """No carrier has generator sets and no ring a proof, and validate_ring
-    never passes on generators: every law and map is walked."""
-    monkeypatch.setattr(TernaryCarrier, "generators", lambda self: None)
+    never passes on generators: every law and map is walked.  The property
+    outranks any generator sets a carrier read before."""
+    monkeypatch.setattr(TernaryCarrier, "generators", property(lambda self: None))
     monkeypatch.setattr(RingTable, "_add_gens", property(lambda self: None,
                                                          lambda self, gens: None),
                         raising=False)
@@ -1192,29 +1199,22 @@ def valid_maps():
     return maps
 
 
-def decide_retracts(*structures):
-    """Certify the retract of every field among the structures."""
-    for x in structures:
-        if hasattr(x, "carrier"):
-            x.carrier.retract
-
-
 @pytest.mark.parametrize("block", [None, 64])
 def test_map_checks_give_the_whole_table_messages(block, monkeypatch, walk=False):
     if block:
         monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
     seen = set()
     for kind, source, target, mapping in valid_maps():
-        decide_retracts(source, target)
         for m in [list(mapping), *one_image_mutants(source, target, mapping)]:
             want = whole_table_map_error(kind, source, target, m)
             with mock.patch.object(pair_envelope, "_map_violation",
                                    wraps=pair_envelope._map_violation) as walked:
                 assert map_error(kind, source, target, m) == want, (kind, m)
-            # every structure here is proved, so the generators pass each
-            # valid map, and a failure is named by the walk
+            # every field here proves itself when the map reads it, so the
+            # generators pass each valid map of a field; a ring map walks
+            # its two tables, and a failure is named by the walk
             if want is None:
-                assert walked.call_count == (2 if walk else 0)
+                assert walked.call_count == (2 if walk or kind is RingMorphism else 0)
             seen.add(want)
     assert len(seen) >= 7
 
@@ -1227,17 +1227,16 @@ def test_map_checks_give_the_whole_table_messages_on_the_walk(block, monkeypatch
 
 @pytest.mark.parametrize("name", ["H(odd(4))", "F0(1)[D4]"])
 def test_maps_of_the_128_element_fields_pass_on_generators(name):
-    # conjugation by a noncentral unit, its lift to the 256-element envelope
-    # and a relabelling onto a copy pass on generators with no walk; the
-    # walk names the failure of every eighth one-image mutant as the whole
-    # tables do
+    # conjugation by a noncentral unit and a relabelling onto a copy pass on
+    # generators with no walk, and the lift to the 256-element envelope
+    # walks its two tables; the walk names the failure of every eighth
+    # one-image mutant as the whole tables do
     t = FIELDS[name](check="light")
     mu, n = t.carrier.mu, t.n
     g = next(g for g in range(n) if (mu[g] != mu[:, g]).any())
     conj = mu[mu[g], int(np.argmax(mu[g] == t.one))].tolist()      # x -> g x g^-1
     perm = np.random.default_rng(n).permutation(n)
     copy = FiniteThreeField(relabel(t.carrier, perm), int(perm[t.one]), check="light")
-    decide_retracts(t, copy)
     env = build_envelope(t)
     lifted = lift_morphism(Morphism(t, t, conj), env, env).mapping
     for kind, target, mapping in ((Morphism, t, conj), (Morphism, copy, perm.tolist()),
@@ -1246,7 +1245,7 @@ def test_maps_of_the_128_element_fields_pass_on_generators(name):
         with mock.patch.object(pair_envelope, "_map_violation",
                                wraps=pair_envelope._map_violation) as walked:
             assert map_error(kind, source, target, mapping) is None
-        assert walked.call_count == 0
+        assert walked.call_count == (2 if kind is RingMorphism else 0)
         for m in list(one_image_mutants(source, target, mapping))[::8]:
             assert map_error(kind, source, target, m) == \
                 whole_table_map_error(kind, source, target, m) is not None
@@ -1257,7 +1256,6 @@ def test_a_map_keeping_nu_but_breaking_mu_is_refused_on_either_route(route, monk
     if route == "walk":
         walk_only(monkeypatch)
     f5 = build_f0(5, check="light")
-    decide_retracts(f5)
     swap = swapped_coordinates(f5)
     with mock.patch.object(pair_envelope, "_affine_on",
                            wraps=pair_envelope._affine_on) as nu_tried, \
@@ -1282,13 +1280,49 @@ def test_an_unchecked_field_without_coset_form_keeps_the_walk():
     twisted = FiniteThreeField(TernaryCarrier(c.labels, pi[c.nu], c.mu), f.one, check=False)
     assert twisted.carrier.retract is None
     for source, target in ((twisted, twisted), (twisted, f), (f, twisted)):
-        decide_retracts(source, target)
         for m in [list(range(f.n)), *one_image_mutants(source, target, range(f.n))]:
             with mock.patch.object(pair_envelope, "_map_violation",
                                    wraps=pair_envelope._map_violation) as walked:
                 got = map_error(Morphism, source, target, m)
             assert got == whole_table_map_error(Morphism, source, target, m)
             assert walked.call_count >= (m[source.one] == target.one)
+
+
+@functools.cache
+def roster_mutant_errors(name):
+    """A roster field built unchecked, the one-image mutants of its
+    identity map (eight evenly spaced ones when there are more) and the
+    whole tables' message for each: the tables do not depend on how the
+    field was checked, so the n^3 comparisons run once per field."""
+    f = FIELDS[name](check=False)
+    mutants = list(one_image_mutants(f, f, range(f.n)))[::max(1, f.n // 8)]
+    return f, mutants, [whole_table_map_error(Morphism, f, f, m) for m in mutants]
+
+
+@pytest.mark.parametrize("checked_before", [False, True])
+@pytest.mark.parametrize("check", [False, "light", "auto"])
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_a_maps_route_depends_only_on_the_tables(name, check, checked_before):
+    # a field proves itself when a map first reads it, however it was built
+    # and whichever checkers ran on it before: one-image mutants, read first,
+    # give the whole tables' messages, the identity then walks nothing, and
+    # the automorphisms of a quotient field are the light-built field's
+    f = FIELDS[name](check=check)
+    if checked_before:
+        assert check_ternary_group(f.carrier, limit=f.n)
+        assert check_distributivity(f.carrier, limit=f.n)
+    oracle, mutants, want = roster_mutant_errors(name)
+    assert (f.carrier.nu == oracle.carrier.nu).all() and (f.carrier.mu == oracle.carrier.mu).all()
+    assert [map_error(Morphism, f, f, m) for m in mutants] == want
+    assert f.n <= 2 or None not in want
+    with mock.patch.object(pair_envelope, "_map_violation",
+                           wraps=pair_envelope._map_violation) as walked:
+        Morphism(f, f, range(f.n))
+    assert walked.call_count == 0 and f.carrier.generators is not None
+    if f.algebra is not None and len(f.origin["exponents"]) == 1:
+        aut, light = automorphism_group(f), automorphism_group(FIELDS[name](check="light"))
+        assert aut.elements == light.elements and aut.identity == light.identity
+        assert (aut.table == light.table).all()
 
 
 def map_law_cases():

@@ -1758,6 +1758,33 @@ def test_a_certified_ternary_product_is_one_the_scan_passes():
     assert outcomes == {(True, True), (False, False)}
 
 
+@pytest.mark.parametrize("t", [25, 29, 40])
+def test_a_noncommutative_coset_is_decided_by_the_scan(t):
+    # in the 64-element triangular field T4(F0(1)) the coset t*F1 over the
+    # subfield generated by element 10 has a ternary mu that is not
+    # symmetric, so it has no coset form: its associativity is the scan's,
+    # which passes it once, and every one-cell mutant of mu, none of which
+    # has a unit, fails with the scan's least witness
+    f = triangular_field(4, build_f0(1)).field
+    sub = generated_subalgebra(f, [10])[0]
+    assert len(sub) == 4
+    with mock.patch.object(tk, "_assoc_scan", wraps=tk._assoc_scan) as scan:
+        coset = twisted_coset(f, sub, t)
+    assert not (coset.mu == coset.mu.transpose(1, 0, 2)).all()
+    assert tk._coset_retract(coset.mu) is None
+    assert scan.call_count == 1 and scan.call_args.args[0] is coset.mu
+    assert tk._assoc_scan(coset.mu) is None
+    for cell in itertools.product(range(coset.n), repeat=3):
+        for shift in range(1, coset.n):
+            mu = coset.mu.copy()
+            mu[cell] = (mu[cell] + shift) % coset.n
+            w = tk._assoc_scan(mu)
+            assert w is not None and not tk._ternary_units(mu)
+            with pytest.raises(StructureError) as exc:
+                ProperThreeThreeField(coset.labels, coset.nu, mu)
+            assert str(exc.value) == f"ternary multiplication not associative at {w}"
+
+
 def test_the_ternary_certificate_tests_each_place_and_the_affine_constant():
     # mu with one argument place read through a map s: only that place's
     # law can break.  Random maps s break additivity; on the ternary
@@ -1795,7 +1822,7 @@ def test_the_retract_generators_are_found_once_per_carrier():
     assert found.call_count == 2                       # o, then mu
     (o_searched,), (mu_searched,) = (call.args for call in found.call_args_list)
     assert o_searched is c.retract[0] and mu_searched is c.mu
-    gens = c.generators()
+    gens = c.generators
     assert gens[0] is c.retract_generators and gens[1] is c.mu_generators
 
 
@@ -1849,9 +1876,12 @@ def test_unknown_check_value_is_rejected(odd8, check):
 
 def test_light_product_certifies_its_retract_once():
     # its nu invariants pass by the certified retract, which the product
-    # then carries
+    # then carries; the unchecked free field it is compared with certifies
+    # its own retract when the isomorphism's Morphism reads it
     f1, f3 = build_f0(1), build_f0(3)
     with mock.patch.object(tk, "_coset_retract", wraps=tk._coset_retract) as retract:
         product = product_field(f1, f3, check="light").field
         assert product.carrier.retract is not None
-    assert retract.call_count == 1
+    assert retract.call_count == 2
+    first, second = (call.args[0] for call in retract.call_args_list)
+    assert first is product.carrier.nu and second is not first
