@@ -164,9 +164,7 @@ def _arg(*names, **kwargs):
 _FORMAT = _arg("--format", choices=["markdown", "csv", "json"],
                default="markdown")
 _SPEC = _arg("--spec", required=True)
-_FIELD = (_SPEC,
-          _arg("--labels", choices=["canonical", "paper"], default="canonical"),
-          _arg("--limit", type=int, default=None))
+_LABELS = _arg("--labels", choices=["canonical", "paper"], default="canonical")
 
 
 def command(words, *arguments, csv=False, fmt=_FORMAT):
@@ -186,7 +184,7 @@ def _paper_order(table, args):
     return table
 
 
-@command("field build", *_FIELD)
+@command("field build", _SPEC)
 def cmd_field_build(args):
     field = parse_spec(args.spec)
     return {
@@ -199,7 +197,7 @@ def cmd_field_build(args):
     }, 0
 
 
-@command("field table", *_FIELD, csv=True)
+@command("field table", _SPEC, _LABELS, csv=True)
 def cmd_field_table(args):
     table = _paper_order(cayley_table(parse_spec(args.spec), "multiplication"),
                          args)
@@ -210,7 +208,7 @@ def cmd_field_table(args):
     return doc, 0, table
 
 
-@command("field aut", *_FIELD, csv=True)
+@command("field aut", _SPEC, _LABELS, csv=True)
 def cmd_field_aut(args):
     table = _paper_order(automorphism_group(parse_spec(args.spec)), args)
     doc = {"spec": args.spec, "labels": args.labels,
@@ -220,7 +218,7 @@ def cmd_field_aut(args):
     return doc, 0, table
 
 
-@command("field check", *_FIELD)
+@command("field check", _SPEC, _arg("--limit", type=int, default=None))
 def cmd_field_check(args):
     # construction runs only the cheap laws and the checkers decide the
     # rest; each cheap law is decided once per carrier, so the checkers

@@ -12,19 +12,19 @@ whole-table check confirms (RingTable.maximal_ideals).  The same fact lets
 an isomorphism of envelopes stand for an isomorphism of 3-fields: it maps
 units to units, so it keeps the odd part in place (field_isomorphism).
 
-A map out of a 3-field is checked on generators when both sides are
-proved.  A 3-field proves itself when a map first reads it
-(`TernaryCarrier.generators`): its retract is certified and its mu is a
-unital monoid.  A ring that `RingTable.validate_ring` passed keeps the
-generators of its addition as its proof.  A map of groups that is additive
-on a generating set is a homomorphism, so `Morphism` and `ThreeRingMap`
-decide a pass in O(n |A|), |A| <= 1 + log2 n, instead of walking n^3 cells.
+A 3-field or a ring proves itself when first read, whatever `check` it
+was built with: a 3-field when its retract is certified and its mu is a
+unital monoid (`TernaryCarrier.generators`), a ring when every ring law
+holds (`RingTable._failure`, each law decided on generators).  A map of
+groups that is additive on a generating set is a homomorphism, so between
+proven sides `Morphism` and `ThreeRingMap` decide every law, failures
+included, in O(n |A|), |A| <= 1 + log2 n, instead of walking n^3 cells.
 Every other check that a map carries one operation table onto another --
 a `RingMorphism`, whose two binary tables cost less to walk than a ring
-proof, any map when a side is unproved, the naming of every failure, the
-class map of a quotient and the parity grading, the residue map onto
-Z/2 -- is `ternary_kernel._map_violation`, which walks chunks of first
-arguments and holds no n^3 cube.
+proof, any map when a side is unproven, the class map of a quotient and
+the parity grading, the residue map onto Z/2 -- is
+`ternary_kernel._map_violation`, which walks chunks of first arguments and
+holds no n^3 cube.
 
 All pair arithmetic is expressed through the ternary operations themselves
 (with m1 = quer_add(1) playing the role of -1), so it works uniformly over
@@ -38,6 +38,8 @@ any base field:
     zero            = q_{m1},   -q_alpha = q_{nu(quer(alpha), m1, m1)}
 """
 
+import functools
+
 import numpy as np
 
 from .dyadic import _val2_int
@@ -47,17 +49,14 @@ from .ternary_kernel import (
     TernaryCarrier,
     _TABLE_LIMIT,
     _affine_on,
-    _assoc_violation,
     _carries_on,
     _coset_form,
-    _first_violation,
     _generators,
     _identity,
     _least,
     _light_associative,
     _map_violation,
     _nonperm_row,
-    _refuse_size,
     _renumber,
     _table,
     _translations,
@@ -66,7 +65,11 @@ from .ternary_kernel import (
 
 
 class RingTable:
-    """Finite unital binary ring given by dense addition/multiplication tables."""
+    """Finite unital binary ring given by dense addition/multiplication tables.
+
+    The tables are read-only: the ring's proof (`_failure`) is decided on
+    first read and kept.  `check` raises the first failing law at
+    construction; unchecked, a ring is proved when a map first reads it."""
 
     def __init__(self, labels, add, mul, zero, one, check=True):
         self.labels = tuple(str(x) for x in labels)
@@ -76,56 +79,52 @@ class RingTable:
         self.mul = _table(mul, (self.n, self.n), "mul", 0)
         self.zero = int(zero)
         self.one = int(one)
-        self._neg = None
         self._ideals = None
-        self._add_gens = None           # the proof of validate_ring, see ThreeRingMap
         if check:
             self.validate_ring()
 
-    def validate_ring(self):
-        """Raise StructureError naming the first ring law that fails, or keep
-        the generators of add as the proof that the ring was validated, on
-        which maps of a 3-field into it are then checked.
+    @functools.cached_property
+    def _failure(self):
+        """The message of the first ring law that fails, or None: the ring's
+        proof, on which maps of a 3-field into it are checked.
 
-        Once addition is a commutative loop with neutral zero and one is the
-        unit of mul, the laws are decided on a generating set A of add: add
-        by Light's test, both distributive laws as every row and every column
-        of mul being additive on A, and then the associativity of mul on A^3
-        only, the associator being tri-additive.  A failure there decides
-        nothing: the laws are walked in their order to name it."""
-        n = self.n
-        _refuse_size(n, _TABLE_LIMIT, "ring size {size} exceeds the validation guard",
-                     StructureError)
+        Once addition is a commutative loop with neutral zero, each law is
+        decided exactly on generating sets, and the first failing one is
+        named in the order addition's associativity, multiplication's,
+        the unit, left and right distributivity.  Light's test decides an
+        associativity on any magma generating set.  A distributive law is
+        every left (right) translation of mul being additive, which it is
+        when additive on a generating set A of the group add.  With both
+        distributive laws the associator is tri-additive, so mul is
+        associative when it is on A^3; else Light's test runs on mul's own
+        generators."""
+        if self.n > _TABLE_LIMIT:
+            return f"ring size {self.n} exceeds the validation guard"
         add, mul = self.add, self.mul
         if not (add == add.T).all():
-            raise StructureError("addition is not commutative")
+            return "addition is not commutative"
         if _identity(add) != self.zero:
-            raise StructureError("zero is not an additive neutral")
+            return "zero is not an additive neutral"
         if _nonperm_row(add) is not None:
-            raise StructureError("addition rows are not permutations")
-        if _identity(mul) == self.one:
-            a = np.array(_generators(add))
-            if (_light_associative(add, a)
-                    and _carries_on(_translations(mul), add, a, add)):
-                ab = mul[a[:, None], a]                 # [a, b, c]: (ab)c == a(bc)
-                if (mul[ab[:, :, None], a] == mul[a[:, None, None], ab]).all():
-                    self._add_gens = a
-                    return
-        if _assoc_violation(add) is not None:
-            raise StructureError("addition is not associative")
-        if _assoc_violation(mul) is not None:
-            raise StructureError("multiplication is not associative")
-        if _identity(mul) != self.one:
-            raise StructureError("one is not a two-sided unit")
-        # i*(j+k) != i*j + i*k, i*(j+k) taken C-contiguous as in _assoc_violation
-        if _first_violation(n, n * n, lambda rows:
-                            np.take(mul[rows], add.ravel(), axis=1).reshape(-1, n, n)
-                            != add[mul[rows][:, :, None], mul[rows][:, None, :]]) is not None:
-            raise StructureError("left distributivity fails")
-        # (i+j)*k != i*k + j*k
-        if _first_violation(n, n * n, lambda rows: mul[add[rows]]
-                            != add[mul[rows][:, None, :], mul[None, :, :]]) is not None:
-            raise StructureError("right distributivity fails")
+            return "addition rows are not permutations"
+        a = np.array(_generators(add))
+        if not _light_associative(add, a):
+            return "addition is not associative"
+        right, left = (_carries_on(t, add, a, add) for t in np.split(_translations(mul), 2, axis=1))
+        if left and right:
+            ab = mul[a[:, None], a]                     # [a, b, c]: (ab)c == a(bc)
+            associative = (mul[ab[:, :, None], a] == mul[a[:, None, None], ab]).all()
+        else:
+            associative = _light_associative(mul, np.array(_generators(mul)))
+        laws = [(associative, "multiplication is not associative"),
+                (_identity(mul) == self.one, "one is not a two-sided unit"),
+                (left, "left distributivity fails"), (right, "right distributivity fails")]
+        return next((message for holds, message in laws if not holds), None)
+
+    def validate_ring(self):
+        """Raise StructureError naming the first ring law that fails."""
+        if self._failure is not None:
+            raise StructureError(self._failure)
 
     def add_at(self, i, j):
         return int(self.add[i, j])
@@ -133,12 +132,10 @@ class RingTable:
     def mul_at(self, i, j):
         return int(self.mul[i, j])
 
-    @property
+    @functools.cached_property
     def neg(self):
         """The additive inverse of every element, as an index array."""
-        if self._neg is None:
-            self._neg = np.argmax(self.add == self.zero, axis=1)
-        return self._neg
+        return np.argmax(self.add == self.zero, axis=1)
 
     def neg_at(self, i):
         return int(self.neg[i])
@@ -274,7 +271,6 @@ class _TupleTables:
         codes = self.tuples @ self._powers
         self._order = np.argsort(codes)
         self._codes = codes[self._order]
-        self._mu = None
 
     def position(self, coords):
         """Carrier index of every tuple in a (..., width) coordinate array,
@@ -308,13 +304,11 @@ class _TupleTables:
             out[o] = add[out[o] * ring.n + term]
         return np.moveaxis(out, 0, -1)
 
-    @property
+    @functools.cached_property
     def mu(self):
         """The (n, n) multiplication table, built on first use."""
-        if self._mu is None:
-            V = self.tuples
-            self._mu = self.locate(self.products(V, V), "multiplication")
-        return self._mu
+        V = self.tuples
+        return self.locate(self.products(V, V), "multiplication")
 
     def nu(self):
         """The (n, n, n) ternary addition table a + b + c, the coset form
@@ -454,20 +448,19 @@ class Morphism(_IndexMap):
     """Structure-preserving map between two unital 3-fields."""
 
     def validate(self):
-        s, t, m = self.source, self.target, self.mapping
+        s, t = self.source, self.target
+        m = np.asarray(self.mapping)
         if m[s.one] != t.one:
             raise StructureError("unit is not preserved")
-        # between carriers with certified retracts and monoid products, the
-        # generators decide a pass; any failure is walked to be named
+        # between carriers with certified retracts and monoid products the
+        # generators decide each law; else each is walked
         gens = s.carrier.generators
-        if gens and t.carrier.generators:
-            m = np.asarray(m)
-            if (_affine_on(m, s.carrier.retract, gens[0], *t.carrier.retract)
-                    and _carries_on(m, s.carrier.mu, gens[1], t.carrier.mu)):
-                return
-        if _map_violation(m, s.carrier.nu, t.carrier.nu) is not None:
+        proven = gens and t.carrier.generators
+        if not (_affine_on(m, s.carrier.retract, gens[0], *t.carrier.retract) if proven
+                else _map_violation(m, s.carrier.nu, t.carrier.nu) is None):
             raise StructureError("ternary addition is not preserved")
-        if _map_violation(m, s.carrier.mu, t.carrier.mu) is not None:
+        if not (_carries_on(m, s.carrier.mu, gens[1], t.carrier.mu) if proven
+                else _map_violation(m, s.carrier.mu, t.carrier.mu) is None):
             raise StructureError("multiplication is not preserved")
 
 
@@ -499,19 +492,18 @@ class ThreeRingMap(_IndexMap):
     ternary structure (sums of three, products, unit)."""
 
     def validate(self):
-        f, r, m = self.source, self.target, self.mapping
+        f, r = self.source, self.target
+        m = np.asarray(self.mapping)
         if m[f.one] != r.one:
             raise StructureError("unit must go to one")
         # the route of Morphism, into the ring's x+y+z (k = zero)
         gens = f.carrier.generators
-        if gens and r._add_gens is not None:
-            m = np.asarray(m)
-            if (_carries_on(m, f.carrier.mu, gens[1], r.mul)
-                    and _affine_on(m, f.carrier.retract, gens[0], r.add, r.zero, r.zero)):
-                return
-        if _map_violation(m, f.carrier.mu, r.mul) is not None:
+        proven = gens and r._failure is None
+        if not (_carries_on(m, f.carrier.mu, gens[1], r.mul) if proven
+                else _map_violation(m, f.carrier.mu, r.mul) is None):
             raise StructureError("products are not preserved")
-        if _map_violation(m, f.carrier.nu, r.add, r.add) is not None:   # (a+b)+c
+        if not (_affine_on(m, f.carrier.retract, gens[0], r.add, r.zero, r.zero) if proven
+                else _map_violation(m, f.carrier.nu, r.add, r.add) is None):   # (a+b)+c
             raise StructureError("ternary sums are not preserved")
 
 

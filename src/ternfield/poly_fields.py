@@ -32,7 +32,6 @@ from .ternary_kernel import (
     FiniteThreeField,
     StructureError,
     TernaryCarrier,
-    _BLOCK_ENTRIES,
     _TABLE_LIMIT,
     _coset_form,
     _refuse_size,
@@ -915,16 +914,17 @@ def product_field(*factors, check="auto"):
     sizes = [f.n for f in factors]
     n = math.prod(sizes)
     _refuse_size(n, _TABLE_LIMIT, "product size {size} exceeds the build limit")
+    for i, f in enumerate(factors, 1):
+        if f.carrier.retract is None:
+            raise StructureError(f"factor {i} ({f!r}) has no certified retract")
     strides = [math.prod(sizes[:k]) for k in range(len(sizes))]
     comps = [(np.arange(n) // st) % s for s, st in zip(sizes, strides)]
-    # index sums in int32 (n <= _TABLE_LIMIT), nu one slab of first indices
-    # at a time, so no temporary is larger than a slab
-    nu = np.empty((n, n, n), dtype=np.int32)
-    step = max(1, _BLOCK_ENTRIES // (n * n))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        nu[rows] = sum(st * f.carrier.nu[np.ix_(c[rows], c, c)]
-                       for f, c, st in zip(factors, comps, strides))
+    # the retract (o, k) componentwise, in int32 (n <= _TABLE_LIMIT): nu is
+    # its coset form, each factor's nu being the coset form of its own
+    o = sum(st * f.carrier.retract[0][np.ix_(c, c)]
+            for f, c, st in zip(factors, comps, strides)).astype(np.int32)
+    k = sum(st * f.carrier.retract[1] for f, st in zip(factors, strides))
+    nu = _coset_form(o, k)[o]
     mu = sum(st * f.carrier.mu[np.ix_(c, c)] for f, c, st in zip(factors, comps, strides))
     labels = ["(" + ",".join(f.label(int(c[i])) for f, c in zip(factors, comps)) + ")"
               for i in range(n)]

@@ -11,6 +11,8 @@ tested against; the package itself never calls them.
   is named.
 - `relabel`: the same structure under renamed elements.
 - `whole_cube_assoc_witness`: binary associativity over the whole n^3 cube.
+- `ring_walk_error`: every ring law walked over its table, the reference
+  for a ring's proof on generators.
 - `derived_ternary_mu`, `compose_elements`, `scalar_element_orders` and
   the translation pairs (`Pair`, `standard_form`, `pair_add`, `pair_mul`,
   `pair_zero`): scalar definitions of what the tables compute at once.
@@ -42,6 +44,7 @@ from ternfield import (
 )
 from ternfield.automorphisms import _algebra_of
 from ternfield.poly_fields import _monomial_name
+from ternfield import ternary_kernel as tk
 from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
 
 
@@ -105,6 +108,33 @@ def whole_cube_assoc_witness(table):
     """Least (a, b, c) with (ab)c != a(bc), from the whole n^3 cube, or None."""
     bad = table[table] != table[:, table]
     return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+
+
+def ring_walk_error(ring):
+    """The message of the first ring law that fails, or None, with both
+    associativities and both distributive laws walked over their n^3 cells
+    in chunks (`ternary_kernel._assoc_violation` and `_first_violation`):
+    the reference for `RingTable._failure`, which decides each law on
+    generators.  Tables and law order are the ring's."""
+    n, add, mul = ring.n, ring.add, ring.mul
+    if n > tk._TABLE_LIMIT:
+        return f"ring size {n} exceeds the validation guard"
+    laws = [
+        ("addition is not commutative", lambda: (add != add.T).any()),
+        ("zero is not an additive neutral", lambda: tk._identity(add) != ring.zero),
+        ("addition rows are not permutations", lambda: tk._nonperm_row(add) is not None),
+        ("addition is not associative", lambda: tk._assoc_violation(add) is not None),
+        ("multiplication is not associative", lambda: tk._assoc_violation(mul) is not None),
+        ("one is not a two-sided unit", lambda: tk._identity(mul) != ring.one),
+        # i*(j+k) != i*j + i*k, i*(j+k) taken C-contiguous as in _assoc_violation
+        ("left distributivity fails", lambda: tk._first_violation(n, n * n, lambda rows: (
+            np.take(mul[rows], add.ravel(), axis=1).reshape(-1, n, n)
+            != add[mul[rows][:, :, None], mul[rows][:, None, :]])) is not None),
+        # (i+j)*k != i*k + j*k
+        ("right distributivity fails", lambda: tk._first_violation(n, n * n, lambda rows: (
+            mul[add[rows]] != add[mul[rows][:, None, :], mul[None, :, :]])) is not None),
+    ]
+    return next((message for message, broken in laws if broken()), None)
 
 
 def derived_ternary_mu(carrier):

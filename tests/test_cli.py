@@ -277,6 +277,21 @@ def test_field_check_gate_and_overrides():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["field", "build", "--spec", "F0(7)", "--limit", "64"],
+    ["field", "build", "--spec", "F0(3)", "--labels", "paper"],
+    ["field", "table", "--spec", "F0(3)", "--limit", "4"],
+    ["field", "aut", "--spec", "F0(3)", "--limit", "4"],
+    ["field", "check", "--spec", "F0(3)", "--labels", "paper"],
+])
+def test_each_field_command_takes_only_the_options_it_reads(argv):
+    # --limit is read by check alone and --labels by table and aut alone
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments" in proc.stderr
+
+
 def test_malformed_carrier_limit_is_a_usage_error(monkeypatch):
     monkeypatch.setenv("TERNARY_MAX_CARRIER", "abc")
     code, out, err = run_main("field", "check", "--spec", "odd(8)")

@@ -55,6 +55,7 @@ from oracles import (
     pair_mul,
     pair_zero,
     relabel,
+    ring_walk_error,
     standard_form,
     whole_cube_assoc_witness,
 )
@@ -131,14 +132,22 @@ RING_MUTANTS = {
 
 
 def walk_only(monkeypatch):
-    """No carrier has generator sets and no ring a proof, and validate_ring
-    never passes on generators: every law and map is walked.  The property
-    outranks any generator sets a carrier read before."""
+    """No carrier has generator sets, so every map out of a 3-field is
+    walked.  The property outranks any generator sets a carrier read
+    before."""
     monkeypatch.setattr(TernaryCarrier, "generators", property(lambda self: None))
-    monkeypatch.setattr(RingTable, "_add_gens", property(lambda self: None,
-                                                         lambda self, gens: None),
-                        raising=False)
-    monkeypatch.setattr(pair_envelope, "_light_associative", lambda t, gens: False)
+
+
+def counting(module, name):
+    return mock.patch.object(module, name, wraps=getattr(module, name))
+
+
+def ring_error(tables):
+    try:
+        RingTable(*tables)
+    except StructureError as exc:
+        return str(exc)
+    return None
 
 
 @pytest.mark.parametrize("block", [None, 8])
@@ -153,12 +162,16 @@ def test_each_ring_law_reports_its_own_failure(message, block, monkeypatch):
 @pytest.mark.parametrize("block", [None, 8])
 @pytest.mark.parametrize("message", list(RING_MUTANTS))
 def test_each_ring_law_reports_its_own_failure_on_the_walk(message, block, monkeypatch):
-    walk_only(monkeypatch)
-    test_each_ring_law_reports_its_own_failure(message, block, monkeypatch)
+    # the walk oracle names the same law, and an unchecked ring keeps it as
+    # its proof's failure, decided on first read
+    if block:
+        monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
+    ring = RingTable(*RING_MUTANTS[message](), check=False)
+    assert ring_walk_error(ring) == ring._failure == message
 
 
 @pytest.mark.parametrize("name", ["T2(F0(2))", "T2(odd(4))"])
-def test_noncommutative_envelopes_validate_on_generators_as_on_the_walk(name, monkeypatch):
+def test_noncommutative_envelopes_validate_on_generators_as_on_the_walk(name):
     # the 32-element envelope of a noncommutative field, and mutants of its
     # multiplication: one cell moved, or conjugated by a permutation fixing
     # zero and one.  The generators must pass the envelope, and every
@@ -178,57 +191,152 @@ def test_noncommutative_envelopes_validate_on_generators_as_on_the_walk(name, mo
         sigma[rest] = rng.permutation(rest)
         inv = np.argsort(sigma)
         muls.append(sigma[env.mul[np.ix_(inv, inv)]])
-
-    def verdicts():
-        out = []
-        for mul in muls:
-            try:
-                ring = RingTable(env.labels, env.add, mul, env.zero, env.one)
-            except StructureError as exc:
-                out.append(str(exc))
-            else:
-                out.append(ring._add_gens is not None)
-        return out
-
-    fast = verdicts()
-    walk_only(monkeypatch)
-    walked = verdicts()
-    assert fast[0] is True and walked[0] is False         # the proof came from the generators
-    assert [v if isinstance(v, str) else None for v in fast] == \
-        [v if isinstance(v, str) else None for v in walked]
+    tables = [(env.labels, env.add, mul, env.zero, env.one) for mul in muls]
+    fast = [ring_error(t) for t in tables]
+    assert fast == [ring_walk_error(RingTable(*t, check=False)) for t in tables]
+    assert fast[0] is None
     assert {"multiplication is not associative", "left distributivity fails"} <= set(fast)
 
 
 @pytest.mark.parametrize("block", [None, 8])
 @pytest.mark.parametrize("route", ["generators", "walk"])
 def test_a_valid_ring_keeps_its_proof_only_from_the_generators(route, block, monkeypatch):
+    # a ring's proof walks no n^3 cells, checked at construction or
+    # unchecked and read later: every chunk walk it starts is over rows of
+    # n entries (addition's rows being permutations).  The walk oracle
+    # passes the same rings with both associativities walked
     if block:                                   # the stacked rows and columns in chunks
         monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
-    if route == "walk":
-        walk_only(monkeypatch)
-    with mock.patch.object(pair_envelope, "_assoc_violation",
-                           wraps=pair_envelope._assoc_violation) as walked:
-        rings = [residue_ring(1), residue_ring(8), build_envelope(build_f0(4))]
-    # the walk checks both associativities, the generators neither
-    assert walked.call_count == (0 if route == "generators" else 2 * len(rings))
-    for ring in rings:
-        assert (ring._add_gens is not None) == (route == "generators")
-        unchecked = RingTable(ring.labels, ring.add, ring.mul, ring.zero, ring.one,
-                              check=False)
-        assert unchecked._add_gens is None
+    f4 = build_f0(4)
+    build = lambda: [residue_ring(1), residue_ring(8), build_envelope(f4)]
+    rings = build()
+    unchecked = [RingTable(r.labels, r.add, r.mul, r.zero, r.one, check=False) for r in rings]
+    with counting(ternary_kernel, "_first_violation") as chunked, \
+            counting(ternary_kernel, "_assoc_violation") as assoc:
+        if route == "generators":
+            build()
+            assert all(r._failure is None for r in unchecked)
+        else:
+            assert [ring_walk_error(r) for r in unchecked] == [None] * len(rings)
+    assert assoc.call_count == (0 if route == "generators" else 2 * len(rings))
+    widths = {c.args[1] for c in chunked.call_args_list}
+    assert widths <= ({r.n for r in rings} if route == "generators"
+                      else {r.n for r in rings} | {r.n ** 2 for r in rings})
+
+
+def test_an_unproven_ring_is_walked_into():
+    # above the guard the guard is the proof's failure; and a map into a
+    # ring whose proof fails (the maps of Z/2 under composition: right
+    # distributivity) walks both laws
+    with pytest.raises(StructureError, match="^ring size 514 exceeds the validation guard$"):
+        residue_ring(514)
+    vals = np.arange(514)
+    big = RingTable(vals, np.add.outer(vals, vals) % 514, np.multiply.outer(vals, vals) % 514,
+                    0, 1, check=False)
+    assert ring_walk_error(big) == big._failure == "ring size 514 exceeds the validation guard"
+    maps = RingTable(*maps_of_z2(), check=False)
+    with counting(pair_envelope, "_map_violation") as walked:
+        ThreeRingMap(build_f0(1), maps, [maps.one])
+    assert walked.call_count == 2 and maps._failure == "right distributivity fails"
 
 
 def test_a_checked_envelope_walks_no_associativity_and_no_embedding():
     f = build_f0(5)                              # built with its retract decided
-    with mock.patch.object(pair_envelope, "_assoc_violation",
-                           wraps=pair_envelope._assoc_violation) as assoc, \
-            mock.patch.object(pair_envelope, "_map_violation",
-                              wraps=pair_envelope._map_violation) as walked:
+    with counting(ternary_kernel, "_assoc_violation") as assoc, \
+            counting(pair_envelope, "_map_violation") as walked:
         env = build_envelope(f)
-    assert assoc.call_count == 0 and env._add_gens is not None
+    assert assoc.call_count == 0 and env._failure is None
     # the embedding of the base is checked on generators; the parity
     # grading onto Z/2 stays two walks
     assert walked.call_count == 2
+
+
+def test_an_unchecked_ring_is_proved_when_a_map_first_reads_it():
+    # valid tables built unchecked: the first ThreeRingMap proves the ring
+    # and takes the generator route, walking nothing
+    f = build_f0(5)
+    env = build_envelope(f, check=False)
+    assert "_failure" not in vars(env)
+    with counting(pair_envelope, "_map_violation") as walked:
+        ThreeRingMap(f, env, range(f.n))
+        with pytest.raises(StructureError, match="^products are not preserved$"):
+            ThreeRingMap(f, env, swapped_coordinates(f))
+    assert walked.call_count == 0 and env._failure is None
+
+
+def ring_mutants(ring, rng, count):
+    """`count` seeded mutants of the ring's tables (labels, add, mul, zero,
+    one): one cell of add or of mul moved, add relabelled by a permutation
+    fixing zero, mul by one fixing zero and one, or an intercalate of add
+    swapped with its transpose, which leaves a commutative loop."""
+    n, zero = ring.n, ring.zero
+    halves = np.flatnonzero((np.diag(ring.add) == zero) & (np.arange(n) != zero))
+    out = []
+    for kind in rng.integers(0, 5, size=count):
+        add, mul = ring.add.copy(), ring.mul.copy()
+        if kind == 4:
+            # rows {x, x+d} and columns {y, y+d}, d of order 2, hold two
+            # values crosswise: exchanging them keeps every row a permutation
+            d = rng.choice(halves)
+            while True:
+                x, y = rng.integers(0, n, size=2)
+                rows, cols = [x, add[x, d]], [y, add[y, d]]
+                if zero not in rows + cols and not set(rows) & set(cols):
+                    break
+            for block in (np.ix_(rows, cols), np.ix_(cols, rows)):
+                add[block] = add[block][::-1]
+        elif kind < 2:
+            table = add if kind == 0 else mul
+            i, j = rng.integers(0, n, size=2)
+            table[i, j] = (table[i, j] + rng.integers(1, n)) % n
+        else:
+            fixed = [zero] if kind == 2 else [zero, ring.one]
+            rest = np.setdiff1d(np.arange(n), fixed)
+            sigma = np.arange(n)
+            sigma[rest] = rng.permutation(rest)
+            inv = np.argsort(sigma)
+            if kind == 2:
+                add = sigma[add[np.ix_(inv, inv)]]
+            else:
+                mul = sigma[mul[np.ix_(inv, inv)]]
+        out.append((ring.labels, add, mul, zero, ring.one))
+    return out
+
+
+def distributive_nonassociative():
+    """(labels, add, mul, zero, one) of GF(2)^3 over the basis 1, u, v
+    (bits 0, 1, 2), multiplied bilinearly with u*u = v, u*v = 1 and v*u =
+    v*v = 0: both distributive laws hold, and (uu)u = 0 != 1 = u(uu)."""
+    basis = [[1, 2, 4], [2, 4, 1], [4, 0, 0]]        # e_i * e_j as a bit mask
+    x = np.arange(8)
+    mul = np.zeros((8, 8), dtype=np.int64)
+    for i in range(3):
+        for j in range(3):                            # every x with bit i times y with bit j
+            mul[np.ix_(x >> i & 1 == 1, x >> j & 1 == 1)] ^= basis[i][j]
+    return "01234567", x ^ x[:, None], mul, 0, 1
+
+
+def test_every_ring_verdict_on_generators_is_the_walks():
+    # the proof on generators against the walk oracle: every RING_MUTANTS
+    # law, a distributive ring that is not associative (so mul's
+    # associativity is decided on A^3), and seeded one-cell and relabelled
+    # mutants of residue rings and of envelopes, commutative and not
+    rings = [residue_ring(8), residue_ring(12), residue_ring(16),
+             *(build_envelope(FIELDS[name](check="auto"))
+               for name in ("F0(3)", "odd(8)", "F0(2,2)", "T2(odd(4))"))]
+    rng = np.random.default_rng(29)
+    cases = [make() for make in RING_MUTANTS.values()]
+    assert ring_error(distributive_nonassociative()) == "multiplication is not associative"
+    cases.append(distributive_nonassociative())
+    for ring in rings:
+        cases += ring_mutants(ring, rng, 160)
+    seen = []
+    for tables in cases:
+        want = ring_walk_error(RingTable(*tables, check=False))
+        assert ring_error(tables) == want, tables
+        seen.append(want)
+    assert len(cases) >= 1000
+    assert set(seen) == {None, *RING_MUTANTS}
 
 
 @pytest.mark.parametrize("check", [True, False])
@@ -1210,11 +1318,13 @@ def test_map_checks_give_the_whole_table_messages(block, monkeypatch, walk=False
             with mock.patch.object(pair_envelope, "_map_violation",
                                    wraps=pair_envelope._map_violation) as walked:
                 assert map_error(kind, source, target, m) == want, (kind, m)
-            # every field here proves itself when the map reads it, so the
-            # generators pass each valid map of a field; a ring map walks
-            # its two tables, and a failure is named by the walk
-            if want is None:
-                assert walked.call_count == (2 if walk or kind is RingMorphism else 0)
+            # every field and ring here proves itself when the map reads it,
+            # so the generators decide each map of a field, failures
+            # included; a ring map walks its two tables, up to the failure
+            if kind is not RingMorphism and not walk:
+                assert walked.call_count == 0
+            elif want is None:
+                assert walked.call_count == 2
             seen.add(want)
     assert len(seen) >= 7
 
@@ -1263,7 +1373,7 @@ def test_a_map_keeping_nu_but_breaking_mu_is_refused_on_either_route(route, monk
                               wraps=pair_envelope._carries_on) as mu_tried:
         with pytest.raises(StructureError, match="^multiplication is not preserved$"):
             Morphism(f5, f5, swap)
-    # the generators pass nu, fail mu, and the walk names the law
+    # the generators pass nu and fail mu, naming the law with no walk
     assert nu_tried.call_count == mu_tried.call_count == (route == "generators")
     c, m = f5.carrier, np.asarray(swap)
     o_gens, mu_gens = (np.array(ternary_kernel._generators(t)) for t in (c.retract[0], c.mu))
@@ -1323,6 +1433,59 @@ def test_a_maps_route_depends_only_on_the_tables(name, check, checked_before):
         aut, light = automorphism_group(f), automorphism_group(FIELDS[name](check="light"))
         assert aut.elements == light.elements and aut.identity == light.identity
         assert (aut.table == light.table).all()
+
+
+def test_every_map_verdict_between_proven_sides_is_the_walks():
+    # maps of fields built unchecked: onto a relabelled copy, and into
+    # their unchecked envelopes as the inclusion and, for a commutative
+    # field, as x -> x^3, which keeps products; F0(5)'s swap of two
+    # coordinates, which keeps sums and breaks products; and maps of one
+    # factor of a product, which break a law off the first generator.
+    # Every side proves itself when first read, so each map and each of its
+    # seeded one-image mutants is decided on generators, with no walk, and
+    # named as the whole tables name it
+    rng = np.random.default_rng(29)
+    cases = []
+    fields = {name: FIELDS[name](check=False) for name in (
+        "F0(3)", "F0(5)", "odd(16)", "F0(2,2)", "F0(2)xF0(3)", "T2(F0(2))", "T2(odd(4))")}
+    g = build_f0(5)
+    fields["F0(2)xF0(5)"] = product_field(build_f0(2), g, check=False).field
+    for name, f in fields.items():
+        mu, perm = f.carrier.mu, rng.permutation(f.n)
+        copy = FiniteThreeField(relabel(f.carrier, perm), int(perm[f.one]), check=False)
+        env = build_envelope(f, check=False)
+        maps = [(Morphism, copy, perm), (ThreeRingMap, env, np.arange(f.n))]
+        if (mu == mu.T).all():
+            maps.append((ThreeRingMap, env, mu[np.diag(mu), np.arange(f.n)]))
+        if name == "F0(5)":                     # keeps nu and breaks mu
+            maps.append((Morphism, f, np.array(swapped_coordinates(f))))
+        if name == "F0(2)xF0(5)":
+            # maps of the second factor alone, c1 + 2 c2 -> c1 + 2 s(c2), s
+            # fixing the unit, index 0: both laws hold along the first
+            # generator, (x, 1), and only a later one sees the failure
+            lift = lambda s: np.arange(f.n) % 2 + 2 * s[np.arange(f.n) // 2]
+            swap = lift(np.array(swapped_coordinates(g)))
+            cube = lift(g.carrier.mu[np.diag(g.carrier.mu), np.arange(g.n)])
+            maps += [(Morphism, f, swap), (Morphism, f, cube),
+                     (ThreeRingMap, env, swap), (ThreeRingMap, env, cube)]
+        for kind, target, mapping in maps:
+            cases.append((kind, f, target, mapping.tolist()))
+            for i, shift in zip(rng.integers(0, f.n, size=60),
+                                rng.integers(1, target.n, size=60)):
+                m = mapping.copy()
+                m[i] = (m[i] + shift) % target.n
+                cases.append((kind, f, target, m.tolist()))
+    seen = set()
+    for kind, source, target, m in cases:
+        want = whole_table_map_error(kind, source, target, m)
+        with counting(pair_envelope, "_map_violation") as walked:
+            assert map_error(kind, source, target, m) == want, (kind, m)
+        assert walked.call_count == 0
+        seen.add(want)
+    assert len(cases) >= 1000
+    assert seen == {None, "unit is not preserved", "ternary addition is not preserved",
+                    "multiplication is not preserved", "unit must go to one",
+                    "products are not preserved", "ternary sums are not preserved"}
 
 
 def map_law_cases():
@@ -1423,8 +1586,11 @@ def whole_table_parity_broken(env):
 
 def test_parity_check_matches_the_whole_table_grading():
     # a flipped parity, or a sum or product of two pairs made odd: the base
-    # still embeds, so only the grading fails, on add or on mul alone
-    env = EnvelopeRing(build_f0(3), check=False)
+    # still embeds, so only the grading fails, on add or on mul alone.  A
+    # ring's tables are read-only once its proof is read, so each mutant
+    # is a fresh envelope
+    f = build_f0(3)
+    env = EnvelopeRing(f, check=False)
     n = env.base.n
     good = env.parity.copy()
     env._validate_envelope()
@@ -1439,10 +1605,12 @@ def test_parity_check_matches_the_whole_table_grading():
             table = getattr(env, which).copy()
             table[i, j] = 0                            # an odd element
             mutants.append((good, *((table, env.mul) if which == "add" else (env.add, table))))
-    for env.parity, env.add, env.mul in mutants:
-        assert whole_table_parity_broken(env)
+    for tables in mutants:
+        mutant = EnvelopeRing(f, check=False)
+        mutant.parity, mutant.add, mutant.mul = tables
+        assert whole_table_parity_broken(mutant)
         with pytest.raises(StructureError, match="^parity grading broken$"):
-            env._validate_envelope()
+            mutant._validate_envelope()
 
 
 def test_identity_morphism_holds_no_whole_cube():

@@ -785,6 +785,23 @@ def test_product_construction_holds_no_int64_cube():
     assert peak < 2 * f.carrier.nu.nbytes, peak
 
 
+@pytest.mark.parametrize("position", [0, 1])
+def test_a_factor_without_a_certified_retract_is_named(position):
+    # F0(3)'s nu followed by a transposition is no coset form: the product
+    # takes nu from its factors' retracts, so it refuses that factor
+    f = build_f0(3)
+    pi = np.arange(f.n, dtype=np.int32)
+    pi[[1, 2]] = 2, 1
+    twisted = FiniteThreeField(TernaryCarrier(f.labels, pi[f.carrier.nu], f.carrier.mu),
+                               f.one, check=False)
+    factors = [odd_residue_field(4)]
+    factors.insert(position, twisted)
+    with pytest.raises(StructureError, match=re.escape(
+            f"factor {position + 1} (FiniteThreeField(4 elements, table)) "
+            "has no certified retract")):
+        product_field(*factors, check=False)
+
+
 # -- prime subfields ----------------------------------------------------------------------------
 
 def test_characteristic_of_odd_residues():
