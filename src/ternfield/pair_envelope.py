@@ -12,19 +12,20 @@ whole-table check confirms (RingTable.maximal_ideals).  The same fact lets
 an isomorphism of envelopes stand for an isomorphism of 3-fields: it maps
 units to units, so it keeps the odd part in place (field_isomorphism).
 
-A 3-field or a ring proves itself when first read, whatever `check` it
-was built with: a 3-field when its retract is certified and its mu is a
-unital monoid (`TernaryCarrier.generators`), a ring when every ring law
-holds (`RingTable._failure`, each law decided on generators).  A map of
-groups that is additive on a generating set is a homomorphism, so between
-proven sides `Morphism` and `ThreeRingMap` decide every law, failures
-included, in O(n |A|), |A| <= 1 + log2 n, instead of walking n^3 cells.
-Every other check that a map carries one operation table onto another --
-a `RingMorphism`, whose two binary tables cost less to walk than a ring
-proof, any map when a side is unproven, the class map of a quotient and
-the parity grading, the residue map onto Z/2 -- is
-`ternary_kernel._map_violation`, which walks chunks of first arguments and
-holds no n^3 cube.
+A 3-field, a ring or an envelope proves itself when first read: a 3-field
+when its retract is certified and its mu is a unital monoid
+(`TernaryCarrier.generators`), a ring when every ring law holds
+(`RingTable._failure`, each law decided on generators), an envelope when
+it is a ring graded by parity into which the base embeds
+(`EnvelopeRing._envelope_failure`).  A map of groups that is additive on a
+generating set is a homomorphism, so between proven sides `Morphism` and
+`ThreeRingMap` decide every law, failures included, in O(n |A|),
+|A| <= 1 + log2 n, instead of walking n^3 cells.  Every other check that a
+map carries one operation table onto another -- a `RingMorphism`, whose
+two binary tables cost less to walk than a ring proof, any map when a side
+is unproven, the class map of a quotient and the parity grading, the
+residue map onto Z/2 -- is `ternary_kernel._map_violation`, which walks
+chunks of first arguments and holds no n^3 cube.
 
 All pair arithmetic is expressed through the ternary operations themselves
 (with m1 = quer_add(1) playing the role of -1), so it works uniformly over
@@ -39,6 +40,7 @@ any base field:
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -75,13 +77,16 @@ class RingTable:
         self.labels = tuple(str(x) for x in labels)
         self.n = len(self.labels)
         # entries are range-checked even unchecked: every law indexes by them
-        self.add = _table(add, (self.n, self.n), "add", 0)
-        self.mul = _table(mul, (self.n, self.n), "mul", 0)
+        self._add = _table(add, (self.n, self.n), "add", 0)
+        self._mul = _table(mul, (self.n, self.n), "mul", 0)
         self.zero = int(zero)
         self.one = int(one)
         self._ideals = None
         if check:
             self.validate_ring()
+
+    add = property(lambda self: self._add)
+    mul = property(lambda self: self._mul)
 
     @functools.cached_property
     def _failure(self):
@@ -139,9 +144,6 @@ class RingTable:
 
     def neg_at(self, i):
         return int(self.neg[i])
-
-    def sub_at(self, i, j):
-        return self.add_at(i, self.neg_at(j))
 
     def index(self, lab):
         try:
@@ -330,42 +332,47 @@ class _TupleTables:
 class EnvelopeRing(RingTable):
     """U(F) = F + Q(F): indices 0..n-1 are the odd part (base field elements),
     n..2n-1 the pairs (index n+alpha is q_alpha).  parity[i] is 1 on the odd
-    part, 0 on the even part."""
+    part, 0 on the even part.  Its proof is `_envelope_failure`."""
 
-    def __init__(self, base, check=True):
-        n = base.n
-        nu = base.carrier.nu
-        mu = base.carrier.mu
-        one = base.one
+    def __init__(self, base):
+        n, one, nu, mu = base.n, base.one, base.carrier.nu, base.carrier.mu
         m1 = quer_add(base.carrier, one)
         rows = np.arange(n)
-        N = 2 * n
-        add = np.empty((N, N), dtype=np.int32)
-        mul = np.empty((N, N), dtype=np.int32)
         odd_plus_pair = nu[:, one, :]                       # [a, beta]
-        add[:n, :n] = n + nu[:, :, m1]
-        add[:n, n:] = odd_plus_pair
-        add[n:, :n] = odd_plus_pair.T
-        add[n:, n:] = n + nu[:, :, one]
-        mul[:n, :n] = mu
-        mul[:n, n:] = n + nu[mu, rows[:, None], m1]         # a*q_beta: nu(a*beta, a, m1)
-        mul[n:, :n] = n + nu[mu, rows[None, :], m1]         # q_alpha*b: nu(alpha*b, b, m1)
-        mul[n:, n:] = n + nu[rows[:, None], rows[None, :], mu]
+        add = np.block([[n + nu[:, :, m1], odd_plus_pair], [odd_plus_pair.T, n + nu[:, :, one]]])
+        mul = np.block([[mu, n + nu[mu, rows[:, None], m1]],   # a*q_beta: nu(a*beta, a, m1)
+                        [n + nu[mu, rows[None, :], m1],         # q_alpha*b: nu(alpha*b, b, m1)
+                         n + nu[rows[:, None], rows[None, :], mu]]])
         labels = list(base.labels) + [f"q({lab})" for lab in base.labels]
         self.base = base
-        self.parity = np.array([1] * n + [0] * n, dtype=np.int8)
-        super().__init__(labels, add, mul, zero=n + m1, one=one, check=check)
-        if check:
-            self._validate_envelope()
+        self._parity = np.repeat(np.array([1, 0], dtype=np.int8), n)
+        self._parity.setflags(write=False)
+        super().__init__(labels, add, mul, zero=n + m1, one=one, check=False)
 
-    def _validate_envelope(self):
-        # the base embeds as a 3-morphism: ternary sums and products agree
-        ThreeRingMap(self.base, self, range(self.base.n))
-        # parity grading: parity is the residue map, a ring map onto Z/2
+    parity = property(lambda self: self._parity)
+
+    @functools.cached_property
+    def _envelope_failure(self):
+        """The message of the first envelope law that fails, or None: the ring
+        laws (`_failure`), the base embedding as a 3-morphism, the grading."""
+        if self._failure is not None:
+            return self._failure
+        try:
+            ThreeRingMap(self.base, self, range(self.base.n))
+        except StructureError as exc:
+            return str(exc)
+        return None if self._graded() else "parity grading broken"
+
+    def _graded(self):
+        """Whether parity is the residue map, a ring map onto Z/2."""
         bit = np.arange(2)
-        if (_map_violation(self.parity, self.add, bit ^ bit[:, None]) is not None
-                or _map_violation(self.parity, self.mul, bit & bit[:, None]) is not None):
-            raise StructureError("parity grading broken")
+        return (_map_violation(self.parity, self.add, bit ^ bit[:, None]) is None
+                and _map_violation(self.parity, self.mul, bit & bit[:, None]) is None)
+
+    def validate_ring(self):
+        """Raise StructureError naming the first envelope law that fails."""
+        if self._envelope_failure is not None:
+            raise StructureError(self._envelope_failure)
 
     def is_pair(self, i):
         return i >= self.base.n
@@ -381,8 +388,11 @@ class EnvelopeRing(RingTable):
 
 
 def build_envelope(field, check=True):
-    """The enveloping ring U(F); exhaustively verified for gated sizes."""
-    return EnvelopeRing(field, check=check)
+    """The enveloping ring U(F), its proof raised when `check` is set."""
+    env = EnvelopeRing(field)
+    if check:
+        env.validate_ring()
+    return env
 
 
 def verify_local(ring):
@@ -477,14 +487,11 @@ class RingMorphism(_IndexMap):
             raise StructureError("multiplication is not preserved")
 
 
-def lift_morphism(phi, env_source=None, env_target=None):
+def lift_morphism(phi):
     """Extend a 3-field morphism to the envelopes: identical on the odd part,
     q_alpha -> q_{phi(alpha)} on the pairs."""
-    env_s = env_source or build_envelope(phi.source, check=False)
-    env_t = env_target or build_envelope(phi.target, check=False)
-    n_t = phi.target.n
-    mapping = list(phi.mapping) + [n_t + v for v in phi.mapping]
-    return RingMorphism(env_s, env_t, mapping)
+    mapping = list(phi.mapping) + [phi.target.n + v for v in phi.mapping]
+    return RingMorphism(EnvelopeRing(phi.source), EnvelopeRing(phi.target), mapping)
 
 
 class ThreeRingMap(_IndexMap):
@@ -507,15 +514,14 @@ class ThreeRingMap(_IndexMap):
             raise StructureError("ternary sums are not preserved")
 
 
-def universal_extension(phi, env=None):
+def universal_extension(phi):
     """The unique ring morphism U(F) -> R through which a 3-map F -> R
     factors: odd part as phi, pairs q_alpha -> phi(alpha) + phi(1)."""
     if not isinstance(phi, ThreeRingMap):
         raise StructureError("universal_extension expects a ThreeRingMap")
     f, r = phi.source, phi.target
-    env = env or build_envelope(f, check=False)
     m = np.asarray(phi.mapping, dtype=np.intp)
-    return RingMorphism(env, r, np.concatenate([m, r.add[m, m[f.one]]]))
+    return RingMorphism(EnvelopeRing(f), r, np.concatenate([m, r.add[m, m[f.one]]]))
 
 
 class IdealHandle:
@@ -649,13 +655,7 @@ def evenly_maximal_check(k0):
     m = k0 >> _val2_int(k0)                   # the odd part
     if m == 1:
         return {"evenly_maximal": True, "witness": None}
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 2
-    else:
-        p = m
+    p = next((p for p in range(3, math.isqrt(m) + 1, 2) if m % p == 0), m)
     return {
         "evenly_maximal": False,
         "witness": {"prime": p, "ideal": f"({p})", "odd_member": p,
@@ -663,7 +663,7 @@ def evenly_maximal_check(k0):
     }
 
 
-def embedding_criterion(field, env=None):
+def embedding_criterion(field):
     """Whether the field embeds into a binary field.
 
     Route one finds the least solution of x+y-xy = 1 inside the envelope
@@ -672,7 +672,7 @@ def embedding_criterion(field, env=None):
     whole table.  The two verdicts are computed independently and must
     agree.
     """
-    env = env or build_envelope(field, check=False)
+    env = EnvelopeRing(field)
     n, add, mul = field.n, env.add, env.mul
     solved = add[add[:n, :n], env.neg[mul[:n, :n]]] == env.one     # [x, y]
     solved[field.one] = solved[:, field.one] = False
@@ -723,34 +723,31 @@ def ring_isomorphism(r1, r2):
     operations after every choice (_close_map).  A unital isomorphism maps
     units to units and non-units to non-units, so only images of the same
     unit status are tried; that skips branches that cannot succeed and
-    leaves the first isomorphism found unchanged."""
+    leaves the first isomorphism found unchanged.  The trials are a stack, so
+    no recursive closure leaves a reference cycle holding the rings."""
     if r1.n != r2.n:
         return None
     units1, units2 = r1._units(), r2._units()
-
-    def extend(m):
+    seed = np.full(r1.n, -1, dtype=np.intp)
+    seed[[r1.zero, r1.one]] = r2.zero, r2.one
+    trials = [seed]                             # depth first, least image on top
+    while trials:
+        m = _close_map(r1, r2, trials.pop())
         if m is None:
-            return None
+            continue
         free = np.flatnonzero(m < 0)
         if not free.size:
             try:
                 return RingMorphism(r1, r2, m)
             except StructureError:
-                return None
-        g = free[0]
-        open_ = units2 == units1[g]
+                continue
+        open_ = units2 == units1[free[0]]
         open_[m[m >= 0]] = False
-        for img in np.flatnonzero(open_):
+        for img in np.flatnonzero(open_)[::-1]:
             trial = m.copy()
-            trial[g] = img
-            out = extend(_close_map(r1, r2, trial))
-            if out is not None:
-                return out
-        return None
-
-    seed = np.full(r1.n, -1, dtype=np.intp)
-    seed[[r1.zero, r1.one]] = r2.zero, r2.one
-    return extend(_close_map(r1, r2, seed))
+            trial[free[0]] = img
+            trials.append(trial)
+    return None
 
 
 def field_isomorphism(f1, f2):
@@ -762,8 +759,7 @@ def field_isomorphism(f1, f2):
     form the maximal ideal), and ring_isomorphism matches units with units."""
     if f1.n != f2.n:
         return None
-    iso = ring_isomorphism(build_envelope(f1, check=False),
-                           build_envelope(f2, check=False))
+    iso = ring_isomorphism(EnvelopeRing(f1), EnvelopeRing(f2))
     if iso is None:
         return None
     return Morphism(f1, f2, iso.mapping[:f1.n])

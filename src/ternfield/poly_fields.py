@@ -39,9 +39,9 @@ from .ternary_kernel import (
 )
 from .dyadic import _val2_int
 from .pair_envelope import (
+    EnvelopeRing,
     RingTable,
     _TupleTables,
-    build_envelope,
     field_isomorphism,
 )
 
@@ -943,8 +943,9 @@ def product_field(*factors, check="auto"):
         gens = [None if e == 1 else int(one + st * (f.index("x") - f.one))
                 for e, f, st in zip(exponents, factors, strides)]
         live = [k for k, g in enumerate(gens) if g is not None]
-        env = build_envelope(field, check=False)
-        shifted = {k: env.sub_at(gens[k], env.one) for k in live}
+        env = EnvelopeRing(field)
+        m1 = env.neg_at(env.one)
+        shifted = {k: env.add_at(gens[k], m1) for k in live}
         relations = []
         for k in live:
             p = shifted[k]
@@ -954,7 +955,6 @@ def product_field(*factors, check="auto"):
         pairs = list(itertools.combinations(live, 2))
         relations += [(f"(x{a+1}-1)*(x{b+1}-1) = 0",
                        env.mul_at(shifted[a], shifted[b]) == env.zero) for a, b in pairs]
-        m1 = env.neg_at(env.one)
         relations += [(f"x{a+1}*x{b+1} = x{a+1}+x{b+1}-1", env.mul_at(gens[a], gens[b])
                        == env.add_at(env.add_at(gens[a], gens[b]), m1)) for a, b in pairs]
         verified = all(ok for _, ok in relations)
@@ -1081,7 +1081,7 @@ def eval_hom(p, field, targets, env=None):
     if len(targets) != len(p.vars):
         raise StructureError(
             f"{len(p.vars)} variables but {len(targets)} targets")
-    env = env or build_envelope(field, check=False)
+    env = env or EnvelopeRing(field)
     total = env.zero
     for alpha, coeff in sorted(p.terms.items()):
         term = env.one
@@ -1154,10 +1154,10 @@ def generated_subalgebra(field, targets):
     return indices, {i: witness[i] for i in indices}
 
 
-def eval_hom_surjectivity(field, targets, env=None):
+def eval_hom_surjectivity(field, targets):
     """Enumerate the subalgebra generated by the targets and re-verify each
     witness polynomial through eval_hom; reports surjectivity onto it."""
-    env = env or build_envelope(field, check=False)
+    env = EnvelopeRing(field)
     indices, witnesses = generated_subalgebra(field, targets)
     for i, w in witnesses.items():
         if eval_hom(w, field, targets, env=env) != i:

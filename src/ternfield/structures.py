@@ -70,9 +70,9 @@ class ThreeVectorSpace:
     `tables`, a `_TupleTables` with no product, whose `position` decides
     membership."""
 
-    def __init__(self, field, width, vectors, name, env=None):
+    def __init__(self, field, width, vectors, name, env):
         self.field = field
-        self.env = env if env is not None else build_envelope(field)
+        self.env = env
         self.width = int(width)
         self.tables = _TupleTables(self.env, np.reshape(vectors, (len(vectors), self.width)), ())
         if (self.tables.position(self.tables.tuples) != np.arange(self.n)).any():

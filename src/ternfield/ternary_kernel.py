@@ -102,17 +102,17 @@ class CarrierSizeError(ValueError):
     """Carrier exceeds the size gate for an exhaustive check."""
 
 
-def _refuse_size(size, limit, message, error=CarrierSizeError):
-    """Raise `error` when size > limit, with `message` formatted on the
-    size and the limit.  A size too long for Python's int-to-str conversion
-    is written as a power of two."""
+def _refuse_size(size, limit, message):
+    """Raise CarrierSizeError when size > limit, with `message` formatted on
+    the size and the limit.  A size too long for Python's int-to-str
+    conversion is written as a power of two."""
     if size > limit:
         try:
             text = str(size)
         except ValueError:
             e = size.bit_length() - 1
             text = f"2^{e}" if size == 1 << e else f"more than 2^{e}"
-        raise error(message.format(size=text, limit=limit))
+        raise CarrierSizeError(message.format(size=text, limit=limit))
 
 
 class Verdict:

@@ -9,7 +9,8 @@ is; a named stdout change regenerates the file and says so in CHANGES.md:
 
 The argv list covers every command of README "Command line", both formats
 of `paper-suite`, the automorphism groups and checks whose output earlier
-changes compared by hand, and `envelope --spec F0(5)`.
+changes compared by hand, `envelope` of F0(5) and of odd(1024) (refused by
+the ring validation guard), and `field build` of the product F0(2)xF0(2).
 """
 
 import contextlib
@@ -38,6 +39,8 @@ EXTRA_COMMANDS = [
     ["field", "check", "--spec", "F0(3,3)", "--limit", "256"],
     ["field", "check", "--spec", "F0(6)", "--format", "json"],
     ["envelope", "--spec", "F0(5)"],
+    ["envelope", "--spec", "odd(1024)"],
+    ["field", "build", "--spec", "F0(2)xF0(2)"],
 ]
 
 

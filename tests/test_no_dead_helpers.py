@@ -12,9 +12,15 @@ builtin of the same name keeps no helper alive:
 - a function or class is used by name or by attribute (`module.name`).
 
 Dunder methods are called by Python itself, and the `cmd_*` handlers
-through the command table that `@command` fills, so neither needs a use."""
+through the command table that `@command` fills, so neither needs a use.
+
+No dead parameters either: every parameter with a default, of a function
+or constructor in `src/ternfield`, is passed by keyword or by position at
+some call in the package, `perfbench` or the tests.  Calls are matched by
+the name they call, so a call of any function of that name counts."""
 
 import ast
+import math
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -118,4 +124,57 @@ def test_every_name_a_module_imports_is_used_in_it():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree)
                    if name not in used]
+    assert unused == []
+
+
+def defaulted_parameters(path):
+    """(call names, function, parameter, call position or None, line) of
+    every parameter with a default.  A constructor is called by its class
+    name, or as `__init__` (`super().__init__`); a method's and a
+    constructor's positions count from after `self`, as a call writes them;
+    a keyword-only parameter has no position."""
+    tree = ast.parse(path.read_text())
+    owner = {id(stmt): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for stmt in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(node))
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        shift = 1 if cls is not None and not static else 0
+        names = {node.name}
+        if cls is not None and node.name == "__init__":
+            names.add(cls.name)
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        params = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
+        params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                   if d is not None]
+        for param, position in params:
+            yield names, node.name, param, position, node.lineno
+
+
+def calls(path):
+    """(name, positional count, keywords) of every call in a source file; a
+    `*args` counts as every position and a `**kwargs` (keyword None) as
+    every keyword."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            yield name, math.inf if star else len(node.args), {k.arg for k in node.keywords}
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    passed = defaultdict(list)               # name -> [(positional count, keywords)]
+    for path in CODE + TESTS:
+        for name, count, keywords in calls(path):
+            passed[name].append((count, keywords))
+    unused = [f"{path.name}:{line} {function}({param}=)"
+              for path in SOURCES
+              for names, function, param, position, line in defaulted_parameters(path)
+              if not any(param in keywords or None in keywords
+                         or (position is not None and count > position)
+                         for name in names for count, keywords in passed[name])]
     assert unused == []

@@ -1,7 +1,9 @@
 """Enveloping rings, pairs, morphisms, ideals and quotients."""
 
 import functools
+import gc
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -509,7 +511,7 @@ def test_lifted_morphism_acts_on_pairs(f8):
                             for i in f8.elements()])
     env8 = build_envelope(f8)
     env4 = build_envelope(f4)
-    lifted = lift_morphism(phi, env8, env4)
+    lifted = lift_morphism(phi)
     for alpha in f8.elements():
         assert lifted(env8.pair_index(alpha)) == env4.pair_index(phi(alpha))
 
@@ -524,9 +526,9 @@ def test_composition_keeps_the_morphism_kind(f8):
     assert repr(both) == f"Morphism({f8!r} -> {f2!r})"
     # lifting is functorial: the lift of psi after phi is lpsi after lphi
     env8, env4, env2 = (build_envelope(f) for f in (f8, f4, f2))
-    lphi = lift_morphism(phi, env8, env4)
-    lpsi = lift_morphism(psi, env4, env2)
-    lifted = lift_morphism(both, env8, env2)
+    lphi = lift_morphism(phi)
+    lpsi = lift_morphism(psi)
+    lifted = lift_morphism(both)
     assert type(lifted) is RingMorphism
     assert lifted.mapping == tuple(lpsi(v) for v in lphi.mapping)
     assert repr(lifted) == f"RingMorphism({env8!r} -> {env2!r})"
@@ -536,7 +538,7 @@ def test_universal_extension_through_residue_ring(f8, env8):
     # the inclusion odd -> Z/8 extends uniquely to U(F) -> Z/8
     target = residue_ring(8)
     phi = ThreeRingMap(f8, target, [int(f8.label(i)) for i in f8.elements()])
-    bar = universal_extension(phi, env8)
+    bar = universal_extension(phi)
     for alpha in f8.elements():
         expected = (int(f8.label(alpha)) + 1) % 8
         assert bar(env8.pair_index(alpha)) == expected
@@ -555,7 +557,7 @@ def test_universal_extension_mappings_are_pinned():
         f = odd_residue_field(m)
         phi = ThreeRingMap(f, residue_ring(m), [int(f.label(i)) for i in f.elements()])
         env = build_envelope(f)
-        assert universal_extension(phi, env).mapping == reference_universal_extension(phi, env)
+        assert universal_extension(phi).mapping == reference_universal_extension(phi, env)
     f16 = odd_residue_field(16)
     phi = ThreeRingMap(f16, residue_ring(16), [int(f16.label(i)) for i in f16.elements()])
     assert universal_extension(phi).mapping == (
@@ -564,7 +566,7 @@ def test_universal_extension_mappings_are_pinned():
     for f in (build_f0(3), odd_residue_field(8),
               product_field(build_f0(2), build_f0(3)).field):
         env = build_envelope(f)
-        bar = universal_extension(ThreeRingMap(f, env, range(f.n)), env)
+        bar = universal_extension(ThreeRingMap(f, env, range(f.n)))
         assert bar.mapping == tuple(range(env.n))
 
 
@@ -615,7 +617,7 @@ def test_only_the_one_element_field_embeds():
 
 
 def test_embedding_witness_solves_the_equation(f8, env8):
-    report = embedding_criterion(f8, env8)
+    report = embedding_criterion(f8)
     x = f8.index(report["witness"][0])
     y = f8.index(report["witness"][1])
     # x + y - x*y = 1 inside the envelope, with x, y both different from 1
@@ -646,7 +648,7 @@ def test_embedding_routes_find_the_scalar_least_witnesses(name):
         g = relabel(f, perm)                    # the unit moves off index 0
         env = build_envelope(g, check=False)
         solved, divides = scalar_embedding_routes(g, env)
-        report = embedding_criterion(g, env)
+        report = embedding_criterion(g)
         assert report == {
             "embeds": solved is None,
             "witness": None if solved is None else tuple(g.label(v) for v in solved),
@@ -1277,10 +1279,10 @@ def valid_maps():
             (Morphism, toeplitz.source, toeplitz.target, toeplitz.mapping)]
     env16, env8 = build_envelope(f16), build_envelope(f8)
     maps.append((RingMorphism, env16, env8, lift_morphism(
-        Morphism(f16, f8, reduce), env16, env8).mapping))
+        Morphism(f16, f8, reduce)).mapping))
     inclusion = ThreeRingMap(f16, residue_ring(16), [int(f16.label(i)) for i in f16.elements()])
     maps.append((RingMorphism, env16, residue_ring(16),
-                 universal_extension(inclusion, env16).mapping))
+                 universal_extension(inclusion).mapping))
     maps.append((RingMorphism, residue_ring(8), residue_ring(4), [v % 4 for v in range(8)]))
     maps.append((ThreeRingMap, f16, residue_ring(16), inclusion.mapping))
     maps.append((ThreeRingMap, f5, build_envelope(f5), range(f5.n)))
@@ -1302,7 +1304,7 @@ def valid_maps():
         copy = FiniteThreeField(relabel(t.carrier, perm), int(perm[t.one]))
         env = build_envelope(t)
         maps += [(Morphism, t, t, conj), (Morphism, t, copy, perm),
-                 (RingMorphism, env, env, lift_morphism(Morphism(t, t, conj), env, env).mapping),
+                 (RingMorphism, env, env, lift_morphism(Morphism(t, t, conj)).mapping),
                  (ThreeRingMap, t, env, range(n))]
     return maps
 
@@ -1348,7 +1350,7 @@ def test_maps_of_the_128_element_fields_pass_on_generators(name):
     perm = np.random.default_rng(n).permutation(n)
     copy = FiniteThreeField(relabel(t.carrier, perm), int(perm[t.one]), check="light")
     env = build_envelope(t)
-    lifted = lift_morphism(Morphism(t, t, conj), env, env).mapping
+    lifted = lift_morphism(Morphism(t, t, conj)).mapping
     for kind, target, mapping in ((Morphism, t, conj), (Morphism, copy, perm.tolist()),
                                   (RingMorphism, env, lifted)):
         source = env if kind is RingMorphism else t
@@ -1584,33 +1586,132 @@ def whole_table_parity_broken(env):
                 and (par[env.mul] == par[:, None] * par[None, :]).all())
 
 
+class MutantEnvelope(EnvelopeRing):
+    """The envelope of a field with other parity, add and mul tables: the
+    subclass's own read-only properties, as an envelope's tables cannot be
+    rebound."""
+
+    def __init__(self, base, parity, add, mul):
+        super().__init__(base)
+        self._tables = parity, add, mul
+
+    parity = property(lambda self: self._tables[0])
+    add = property(lambda self: self._tables[1])
+    mul = property(lambda self: self._tables[2])
+
+
 def test_parity_check_matches_the_whole_table_grading():
-    # a flipped parity, or a sum or product of two pairs made odd: the base
-    # still embeds, so only the grading fails, on add or on mul alone.  A
-    # ring's tables are read-only once its proof is read, so each mutant
-    # is a fresh envelope
+    # each of the 2n parity flips, and a sum or product of two pairs made
+    # odd: the base still embeds, so the grading fails, on add or on mul
+    # alone.  A flip keeps the ring, so its proof names the grading; a
+    # changed cell breaks a ring law first, which the proof names instead
     f = build_f0(3)
-    env = EnvelopeRing(f, check=False)
-    n = env.base.n
-    good = env.parity.copy()
-    env._validate_envelope()
-    assert not whole_table_parity_broken(env)
+    env = EnvelopeRing(f)
+    n = f.n
+    assert env._envelope_failure is None and not whole_table_parity_broken(env)
     mutants = []
     for flip in range(env.n):
-        par = good.copy()
+        par = env.parity.copy()
         par[flip] ^= 1
         mutants.append((par, env.add, env.mul))
     for i, j in [(n, n), (n + 1, 2 * n - 1), (2 * n - 1, n + 2)]:
         for which in ("add", "mul"):
             table = getattr(env, which).copy()
             table[i, j] = 0                            # an odd element
-            mutants.append((good, *((table, env.mul) if which == "add" else (env.add, table))))
-    for tables in mutants:
-        mutant = EnvelopeRing(f, check=False)
-        mutant.parity, mutant.add, mutant.mul = tables
-        assert whole_table_parity_broken(mutant)
-        with pytest.raises(StructureError, match="^parity grading broken$"):
-            mutant._validate_envelope()
+            mutants.append((env.parity, *((table, env.mul) if which == "add"
+                                          else (env.add, table))))
+    assert len(mutants) == env.n + 6
+    for k, tables in enumerate(mutants):
+        mutant = MutantEnvelope(f, *tables)
+        assert whole_table_parity_broken(mutant) and not mutant._graded()
+        want = ring_walk_error(mutant) or "parity grading broken"
+        assert (want == "parity grading broken") == (k < env.n)
+        with pytest.raises(StructureError, match=f"^{want}$"):
+            mutant.validate_ring()
+
+
+@pytest.mark.parametrize("name", ["add", "mul", "parity"])
+def test_an_envelope_table_cannot_be_rebound_or_written(name):
+    env = build_envelope(build_f0(3))
+    with pytest.raises(AttributeError):
+        setattr(env, name, getattr(env, name).copy())
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(env, name)[0] = 0
+    ring = residue_ring(4)
+    if name != "parity":
+        with pytest.raises(AttributeError):
+            setattr(ring, name, getattr(ring, name).copy())
+
+
+def roster_envelope_bases(per_field=6):
+    """(name, base) of every roster field built unchecked, and of `per_field`
+    seeded mutants of each with one cell of mu or of nu moved."""
+    rng = np.random.default_rng(30)
+    for name, build in FIELDS.items():
+        f = build(check=False)
+        yield name, f
+        for k in range(per_field):
+            nu, mu = f.carrier.nu.copy(), f.carrier.mu.copy()
+            table = nu if k % 2 else mu
+            cell = tuple(rng.integers(0, f.n, size=table.ndim))
+            table[cell] = (table[cell] + rng.integers(1, max(2, f.n))) % f.n
+            yield f"{name}#{k}", FiniteThreeField(TernaryCarrier(f.labels, nu, mu), f.one,
+                                                  check=False)
+
+
+def envelope_error(build):
+    try:
+        build()
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+def test_an_envelope_proves_itself_on_first_read_as_the_whole_tables_name_it():
+    # build_envelope raises what walking the whole tables names: every ring
+    # law, then the base's embedding, then the grading.  EnvelopeRing raises
+    # none of them, only quer_add's refusal when the base's one has no
+    # unique querelement to give the envelope its zero, and a second
+    # validate_ring decides no law again
+    seen = set()
+    for name, f in roster_envelope_bases():
+        built = envelope_error(lambda: EnvelopeRing(f))
+        if built is not None:
+            assert built.endswith("; not a ternary group") and "#" in name
+            assert envelope_error(lambda: build_envelope(f)) == built
+            seen.add("no envelope")
+            continue
+        env = EnvelopeRing(f)
+        assert "_envelope_failure" not in vars(env) and "_failure" not in vars(env)
+        want = (ring_walk_error(env) or whole_table_map_error(ThreeRingMap, f, env, range(f.n))
+                or ("parity grading broken" if whole_table_parity_broken(env) else None))
+        assert envelope_error(lambda: build_envelope(f)) == want, name
+        assert envelope_error(env.validate_ring) == want, name
+        with counting(pair_envelope, "_map_violation") as walked, \
+                counting(pair_envelope, "_carries_on") as carried:
+            assert envelope_error(env.validate_ring) == want
+        assert walked.call_count == carried.call_count == 0
+        seen.add(want)
+    assert {None, "no envelope", "addition is not commutative",
+            "addition rows are not permutations", "multiplication is not associative",
+            "ternary sums are not preserved"} <= seen
+
+
+@pytest.mark.parametrize("a,b", [("F0(3,2)", "F0(3,2)"), ("odd(8)", "F0(3)")])
+def test_field_isomorphism_leaves_no_cycle_holding_its_fields(a, b):
+    # with the cyclic collector off, reference counting alone frees both
+    # fields once the result is dropped: the search holds them in no cycle
+    f1 = FIELDS[a](check=False)
+    f2 = relabel(FIELDS[b](check=False), np.arange(f1.n)[::-1])
+    refs = weakref.ref(f1), weakref.ref(f2)
+    gc.disable()
+    try:
+        iso = field_isomorphism(f1, f2)
+        assert (iso is None) == (a != b)
+        del iso, f1, f2
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_identity_morphism_holds_no_whole_cube():

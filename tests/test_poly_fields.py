@@ -757,7 +757,7 @@ def summed_product_tables(*factors):
 
 @pytest.mark.parametrize("factors", [
     ("F0(2)", "F0(3)"), ("F0(3)", "F0(3)"), ("odd(8)", "F0(3)"), ("F0(1)", "odd(4)"),
-    ("F0(4)", "F0(5)"),                      # n = 128: eight slabs of first indices
+    ("F0(4)", "F0(5)"),                      # n = 128: 2^21 cells of nu from the retracts
     ("F0(2)", "F0(2)", "F0(2)"), ("F0(3)", "F0(2)", "odd(4)"),
     ("F0(2)", "F0(3)", "F0(5)"),             # three factors, n = 128
 ])

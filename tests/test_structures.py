@@ -232,7 +232,8 @@ def _resolution_cases():
     space = quotient_field_space(build_f0(3), build_f0(1))
     yield space, [_vectors(space)[:k] for k in (1, 2, 3)]
     f4 = odd_residue_field(4)
-    yield ThreeVectorSpace(f4, 1, [(f4.one,)], "one vector"), [[(f4.one,)], []]
+    yield (ThreeVectorSpace(f4, 1, [(f4.one,)], "one vector", build_envelope(f4)),
+           [[(f4.one,)], []])
 
 
 def test_resolution_matches_the_per_tuple_loop():

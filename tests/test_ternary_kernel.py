@@ -624,8 +624,8 @@ def test_refused_sizes_are_written_in_decimal_within_the_digit_limit():
         tk._refuse_size(513, 512, "size {size} over {limit}")
     for size, text in [(10 ** 4000, "1" + "0" * 4000), (2 ** 20000, "2^20000"),
                        (3 * 2 ** 20000, "more than 2^20001")]:
-        with pytest.raises(StructureError, match=f"^ring of size {re.escape(text)}$"):
-            tk._refuse_size(size, 512, "ring of size {size}", StructureError)
+        with pytest.raises(CarrierSizeError, match=f"^ring of size {re.escape(text)}$"):
+            tk._refuse_size(size, 512, "ring of size {size}")
 
 
 def test_odd_residues_past_the_table_limit_are_refused_before_any_table():
