@@ -13,6 +13,8 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from .ternary_kernel import (
     check_distributivity,
     check_ternary_group,
@@ -27,7 +29,7 @@ from .pair_envelope import (
     residue_ring,
     verify_local,
 )
-from .dyadic import TruncatedDyadic, odd_rational, reduce_mod, val2
+from .dyadic import TruncatedDyadic, _inverse, _low_bit, _residue, _truncate, odd_rational
 from .poly_fields import (
     QuotientFieldSpec,
     TernaryPolynomial,
@@ -363,75 +365,145 @@ def criterion_8():
     return ok, detail
 
 
+# -- criterion 9: the dyadic laws on arrays ------------------------------------
+# Each section makes the draws of a loop over its 10,000 seeded cases, in the
+# loop's order, and decides its laws for every case at once with the
+# kernels of `dyadic`, composed as the scalar API composes them.  Fractions
+# stay unreduced: a residue mod 2^n and a valuation do not change under a
+# common odd factor.  The int64 numerators and denominators stay below
+# 3 * 999^3 < 2^63 in absolute value, so none wraps; viewed as uint64 they
+# keep their residues.
+
+_DYADIC_SEED = 20260819
+_DYADIC_CASES = 10000
+
+
+def _rows(cases, count, width):
+    """The first `count` tuples of `cases` as an int64 array, one row each,
+    drawn one case at a time so no list of them is ever held."""
+    return np.fromiter(cases, np.dtype((np.int64, width)), count)
+
+
+def _morphism_draws(rng, count):
+    """Per case the halves of x, y and z's numerators and denominators, then
+    the precision n."""
+    rr = rng.randrange
+    return _rows(((rr(-500, 500), rr(0, 500), rr(-500, 500), rr(0, 500),
+                   rr(-500, 500), rr(0, 500), rr(1, 17)) for _ in range(count)), count, 7)
+
+
+def _morphism_laws(rows):
+    """Whether reduction mod 2^n fails the sum law, then the product law."""
+    px, qx, py, qy, pz, qz = (2 * rows[:, k] + 1 for k in range(6))
+    n = rows[:, 6].astype(np.uint64)
+    mod = 1 << n
+
+    def residue(p, q):
+        return _residue(p.view(np.uint64), q.view(np.uint64), n, bits=64)
+
+    rx, ry, rz = residue(px, qx), residue(py, qy), residue(pz, qz)
+    total = residue(px * qy * qz + py * qx * qz + pz * qx * qy, qx * qy * qz)
+    return [total != (rx + ry + rz) % mod,
+            residue(px * py, qx * qy) != (rx * ry) % mod]
+
+
+def _morphism_counterexample(row, law):
+    *halves, n = row
+    x, y, z = (odd_rational(2 * p + 1, 2 * q + 1)
+               for p, q in zip(halves[::2], halves[1::2]))
+    return [str(x), str(y), str(z), n] if law == 0 else [str(x), str(y), n]
+
+
+def _truncation_draws(rng, count):
+    """Per case the precisions big and small, then the halves of a, b, c."""
+    rr = rng.randrange
+
+    def cases():
+        for _ in range(count):
+            big = rr(2, 17)
+            top = 1 << (big - 1)
+            yield big, rr(1, big + 1), rr(0, top), rr(0, top), rr(0, top)
+
+    return _rows(cases(), count, 5)
+
+
+def _truncation_laws(rows):
+    """Whether lowering big to small fails to commute with *, add3 or inv,
+    each step truncated as `TruncatedDyadic` truncates it."""
+    big, small = rows[:, 0].astype(np.uint64), rows[:, 1].astype(np.uint64)
+
+    def hi(v):
+        return _truncate(v, big)
+
+    def lo(v):
+        return _truncate(v, small)
+
+    a, b, c = (hi(2 * rows[:, k].astype(np.uint64) + 1) for k in (2, 3, 4))
+    la, lb, lc = lo(a), lo(b), lo(c)
+    return [(lo(hi(a * b)) != lo(la * lb))
+            | (lo(hi(hi(a + b) + c)) != lo(lo(la + lb) + lc))
+            | (lo(hi(_inverse(a, big, bits=64))) != lo(_inverse(la, small, bits=64)))]
+
+
+def _truncation_counterexample(row, law):
+    big, small, *halves = row
+    return [str(TruncatedDyadic(2 * h + 1, big)) for h in halves] + [small]
+
+
+def _valuation_draws(rng, count):
+    """Per case the numerators of x and y, then their denominators' halves."""
+    rr = rng.randrange
+    return _rows(((rr(-2000, 2001) or 1, rr(-2000, 2001) or 1, rr(0, 1000), rr(0, 1000))
+                  for _ in range(count)), count, 4)
+
+
+def _valuation_laws(rows):
+    """Whether val2 fails multiplicativity, then the ultrametric law, read
+    off the lowest set bits of the numerators."""
+    num1, num2 = rows[:, 0], rows[:, 1]
+    total = num1 * (2 * rows[:, 3] + 1) + num2 * (2 * rows[:, 2] + 1)
+
+    def low(v):
+        return _low_bit(v.view(np.uint64))
+
+    l1, l2 = low(num1), low(num2)
+    return [low(num1 * num2) != l1 * l2,
+            (total != 0) & (low(total) < np.minimum(l1, l2))]
+
+
+def _valuation_counterexample(row, law):
+    num1, num2, h1, h2 = row
+    x, y = Fraction(num1, 2 * h1 + 1), Fraction(num2, 2 * h2 + 1)
+    return [str(x), str(y), ("multiplicativity", "ultrametric")[law]]
+
+
+_DYADIC_SECTIONS = [
+    ("morphism", _morphism_draws, _morphism_laws, _morphism_counterexample),
+    ("truncation", _truncation_draws, _truncation_laws, _truncation_counterexample),
+    ("val2", _valuation_draws, _valuation_laws, _valuation_counterexample),
+]
+
+
 def criterion_9():
     """Dyadic coherence: residue reduction is a morphism, truncation
-    commutes with the operations, and the valuation laws hold."""
-    rng = random.Random(20260819)
+    commutes with the operations, and the valuation laws hold.  A section
+    stops at its first failing case, named with the first law it fails,
+    and the next section draws from where that case's draws end."""
+    rng = random.Random(_DYADIC_SEED)
     detail = {}
-
-    def rand_odd():
-        return odd_rational(2 * rng.randrange(-500, 500) + 1,
-                            2 * rng.randrange(0, 500) + 1)
-
-    cases = 0
-    for _ in range(10000):
-        x, y, z = rand_odd(), rand_odd(), rand_odd()
-        n = rng.randrange(1, 17)
-        mod = 1 << n
-        rx, ry, rz = reduce_mod(x, n), reduce_mod(y, n), reduce_mod(z, n)
-        s = x + y + z
-        p = x * y
-        if reduce_mod(s, n) != (rx + ry + rz) % mod:
-            detail["morphism_counterexample"] = [str(x), str(y), str(z), n]
-            break
-        if reduce_mod(p, n) != (rx * ry) % mod:
-            detail["morphism_counterexample"] = [str(x), str(y), n]
-            break
-        cases += 1
-    detail["morphism_cases"] = cases
-    morphism_ok = "morphism_counterexample" not in detail and cases == 10000
-
-    commute = 0
-    for _ in range(10000):
-        big = rng.randrange(2, 17)
-        small = rng.randrange(1, big + 1)
-        a = TruncatedDyadic(2 * rng.randrange(0, 1 << (big - 1)) + 1, big)
-        b = TruncatedDyadic(2 * rng.randrange(0, 1 << (big - 1)) + 1, big)
-        c = TruncatedDyadic(2 * rng.randrange(0, 1 << (big - 1)) + 1, big)
-        lhs_mul = (a * b).reduce_precision(small)
-        rhs_mul = a.reduce_precision(small) * b.reduce_precision(small)
-        lhs_add = a.add3(b, c).reduce_precision(small)
-        rhs_add = a.reduce_precision(small).add3(
-            b.reduce_precision(small), c.reduce_precision(small))
-        lhs_inv = a.inv().reduce_precision(small)
-        rhs_inv = a.reduce_precision(small).inv()
-        if lhs_mul != rhs_mul or lhs_add != rhs_add or lhs_inv != rhs_inv:
-            detail["truncation_counterexample"] = [str(a), str(b), str(c), small]
-            break
-        commute += 1
-    detail["truncation_cases"] = commute
-    truncation_ok = commute == 10000
-
-    val_cases = 0
-    for _ in range(10000):
-        num1 = rng.randrange(-2000, 2001) or 1
-        num2 = rng.randrange(-2000, 2001) or 1
-        den1 = 2 * rng.randrange(0, 1000) + 1
-        den2 = 2 * rng.randrange(0, 1000) + 1
-        x = Fraction(num1, den1)
-        y = Fraction(num2, den2)
-        if val2(x * y) != val2(x) + val2(y):
-            detail["val2_counterexample"] = [str(x), str(y), "multiplicativity"]
-            break
-        lo = min(val2(x), val2(y))
-        if val2(x + y) < lo:
-            detail["val2_counterexample"] = [str(x), str(y), "ultrametric"]
-            break
-        val_cases += 1
-    detail["val2_cases"] = val_cases
-    val_ok = val_cases == 10000
-
-    ok = morphism_ok and truncation_ok and val_ok
+    for name, draws, laws, counterexample in _DYADIC_SECTIONS:
+        start = rng.getstate()
+        rows = draws(rng, _DYADIC_CASES)
+        failed = laws(rows)
+        bad = np.logical_or.reduce(failed)
+        cases = int(bad.argmax()) if bad.any() else _DYADIC_CASES
+        if cases < _DYADIC_CASES:
+            law = next(k for k, f in enumerate(failed) if f[cases])
+            detail[f"{name}_counterexample"] = counterexample(rows[cases].tolist(), law)
+            rng.setstate(start)
+            draws(rng, cases + 1)
+        detail[f"{name}_cases"] = cases
+    ok = all(detail[f"{name}_cases"] == _DYADIC_CASES for name, *_ in _DYADIC_SECTIONS)
     return ok, detail
 
 

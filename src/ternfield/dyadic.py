@@ -7,6 +7,11 @@ there the 2-adic valuation val2 and the ideals J_n = <2^n> give a filtration
 whose quotients are exactly the odd residue fields mod 2^n.  Truncating at a
 finite precision N yields exact computable approximations that lower
 consistently to any smaller precision.
+
+The arithmetic itself is four kernels (`_truncate`, `_inverse`, `_residue`,
+`_low_bit`), each taking a Python int or a uint64 NumPy array and written
+with `&`, `+`, `-`, `*` and `<<` only, so the scalar API below and the
+whole-array criterion 9 of the paper suite run the same code.
 """
 
 import math
@@ -124,9 +129,42 @@ def inv(x):
     return OddDenomRational(1 / x.value)
 
 
+# -- the kernels ----------------------------------------------------------------
+# On a uint64 array every step wraps mod 2^64, which a mask to n <= 64 bits
+# does not see; an int64 array viewed as uint64 keeps its residues.
+
+def _truncate(x, n):
+    """x mod 2^n: the low n bits of x."""
+    return x & ((1 << n) - 1)
+
+
+def _inverse(q, n, bits=None):
+    """q^-1 mod 2^n for odd q, by Newton's iteration x <- x(2 - qx).  An odd
+    q is its own inverse mod 8 and each round doubles the bits that are
+    right, so ceil(log2(bits / 3)) rounds reach `bits`, a bound on n: n
+    itself for an int (the default), 64 for a uint64 array."""
+    q = _truncate(q, n)
+    x, right = q, 3
+    while right < (n if bits is None else bits):
+        x = _truncate(x * (2 - q * x), n)
+        right *= 2
+    return x
+
+
+def _residue(p, q, n, bits=None):
+    """p/q mod 2^n for odd q: p * q^-1 in the low n bits.  The residue does
+    not change when p and q share an odd factor."""
+    return _truncate(p * _inverse(q, n, bits), n)
+
+
+def _low_bit(x):
+    """The lowest set bit 2^val2(x) of a nonzero x (0 for x = 0)."""
+    return x - (x & (x - 1))
+
+
 def _val2_int(num):
     """2-adic valuation of a nonzero integer: the index of its lowest set bit."""
-    return (num & -num).bit_length() - 1
+    return _low_bit(num).bit_length() - 1
 
 
 def val2(x):
@@ -162,8 +200,7 @@ def reduce_mod(x, n):
     n = int(n)
     if n < 1:
         raise StructureError("precision must be at least 1")
-    m = 1 << n
-    return (x.value.numerator * pow(x.value.denominator, -1, m)) % m
+    return _residue(x.value.numerator, x.value.denominator, n)
 
 
 class TruncatedDyadic:
@@ -177,7 +214,7 @@ class TruncatedDyadic:
         if precision < 1:
             raise StructureError("precision must be at least 1")
         self.precision = precision
-        self.value = int(value) % (1 << precision)
+        self.value = _truncate(int(value), precision)
 
     def _match(self, other):
         if not isinstance(other, TruncatedDyadic):
@@ -211,7 +248,7 @@ class TruncatedDyadic:
     def inv(self):
         if not self.is_odd_element():
             raise StructureError(f"{self.value} is even: not invertible")
-        return TruncatedDyadic(pow(self.value, -1, 1 << self.precision),
+        return TruncatedDyadic(_inverse(self.value, self.precision),
                                self.precision)
 
     def quer(self):

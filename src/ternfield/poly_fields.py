@@ -684,7 +684,7 @@ class QuotientAlgebra:
         best = None
         m = v
         while m:
-            b = (m & -m).bit_length() - 1
+            b = _val2_int(m)
             if best is None or self._pivot_rank[b] > self._pivot_rank[best]:
                 best = b
             m &= m - 1

@@ -24,23 +24,32 @@ tested against; the package itself never calls them.
 - `tuple_index`, `add3`, `combination`, `scalar_free_resolution` and
   `scalar_inverse_error`: the tuple constructions of `structures` one tuple
   at a time, through a tuple -> index dict.
+- `scalar_criterion_9`: the paper suite's dyadic ledger one seeded case at
+  a time through `Fraction`, `OddDenomRational` and `TruncatedDyadic`, the
+  reference for the whole-array `criterion_9`.
 - `swapped_cell_mutants`, `perturbations`, `group_table_mutants` and
   `one_image_mutants`: tables and maps that break, or merely move, a law.
 """
 
 import functools
 import itertools
+import random
+from fractions import Fraction
 
 import numpy as np
 
 from ternfield import (
     StructureError,
+    TruncatedDyadic,
     build_f0,
     group_algebra,
+    odd_rational,
     odd_residue_field,
     product_field,
     quaternion_field,
+    reduce_mod,
     triangular_field,
+    val2,
 )
 from ternfield.automorphisms import _algebra_of
 from ternfield.poly_fields import _monomial_name
@@ -437,6 +446,79 @@ def scalar_inverse_error(result):
         if field.mu(i, j) != field.one or field.mu(j, i) != field.one:
             return f"inverse formula fails at {result.quaternion(i)}"
     return None
+
+
+def scalar_criterion_9():
+    """The paper suite's criterion 9, one case at a time: residue reduction
+    is a morphism, truncation commutes with the operations, and the
+    valuation laws hold."""
+    rng = random.Random(20260819)
+    detail = {}
+
+    def rand_odd():
+        return odd_rational(2 * rng.randrange(-500, 500) + 1,
+                            2 * rng.randrange(0, 500) + 1)
+
+    cases = 0
+    for _ in range(10000):
+        x, y, z = rand_odd(), rand_odd(), rand_odd()
+        n = rng.randrange(1, 17)
+        mod = 1 << n
+        rx, ry, rz = reduce_mod(x, n), reduce_mod(y, n), reduce_mod(z, n)
+        s = x + y + z
+        p = x * y
+        if reduce_mod(s, n) != (rx + ry + rz) % mod:
+            detail["morphism_counterexample"] = [str(x), str(y), str(z), n]
+            break
+        if reduce_mod(p, n) != (rx * ry) % mod:
+            detail["morphism_counterexample"] = [str(x), str(y), n]
+            break
+        cases += 1
+    detail["morphism_cases"] = cases
+    morphism_ok = "morphism_counterexample" not in detail and cases == 10000
+
+    commute = 0
+    for _ in range(10000):
+        big = rng.randrange(2, 17)
+        small = rng.randrange(1, big + 1)
+        a = TruncatedDyadic(2 * rng.randrange(0, 1 << (big - 1)) + 1, big)
+        b = TruncatedDyadic(2 * rng.randrange(0, 1 << (big - 1)) + 1, big)
+        c = TruncatedDyadic(2 * rng.randrange(0, 1 << (big - 1)) + 1, big)
+        lhs_mul = (a * b).reduce_precision(small)
+        rhs_mul = a.reduce_precision(small) * b.reduce_precision(small)
+        lhs_add = a.add3(b, c).reduce_precision(small)
+        rhs_add = a.reduce_precision(small).add3(
+            b.reduce_precision(small), c.reduce_precision(small))
+        lhs_inv = a.inv().reduce_precision(small)
+        rhs_inv = a.reduce_precision(small).inv()
+        if lhs_mul != rhs_mul or lhs_add != rhs_add or lhs_inv != rhs_inv:
+            detail["truncation_counterexample"] = [str(a), str(b), str(c), small]
+            break
+        commute += 1
+    detail["truncation_cases"] = commute
+    truncation_ok = commute == 10000
+
+    val_cases = 0
+    for _ in range(10000):
+        num1 = rng.randrange(-2000, 2001) or 1
+        num2 = rng.randrange(-2000, 2001) or 1
+        den1 = 2 * rng.randrange(0, 1000) + 1
+        den2 = 2 * rng.randrange(0, 1000) + 1
+        x = Fraction(num1, den1)
+        y = Fraction(num2, den2)
+        if val2(x * y) != val2(x) + val2(y):
+            detail["val2_counterexample"] = [str(x), str(y), "multiplicativity"]
+            break
+        lo = min(val2(x), val2(y))
+        if val2(x + y) < lo:
+            detail["val2_counterexample"] = [str(x), str(y), "ultrametric"]
+            break
+        val_cases += 1
+    detail["val2_cases"] = val_cases
+    val_ok = val_cases == 10000
+
+    ok = morphism_ok and truncation_ok and val_ok
+    return ok, detail
 
 
 # -- mutants ------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Odd-denominator rationals, the 2-adic valuation and truncation towers."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +21,29 @@ from ternfield import (
     reduce_mod,
     val2,
 )
-from ternfield._suite import criterion_9
-from ternfield.dyadic import DyadicIdeal, add3, inv, mul, quer
+from ternfield import _suite, dyadic
+from ternfield._suite import (
+    _DYADIC_CASES,
+    _DYADIC_SEED,
+    _morphism_draws,
+    _truncation_draws,
+    _valuation_draws,
+    criterion_9,
+)
+from ternfield.dyadic import (
+    DyadicIdeal,
+    _inverse,
+    _low_bit,
+    _residue,
+    _truncate,
+    add3,
+    inv,
+    mul,
+    quer,
+)
 from ternfield.poly_fields import val2_fraction
+
+from oracles import scalar_criterion_9
 
 odd_ints = st.integers(-400, 400).map(lambda k: 2 * k + 1)
 envelope_fractions = st.builds(
@@ -275,6 +297,139 @@ def test_lowering_precision_commutes_with_inversion(x, hi, lo):
 
 
 # -- the symbolic infinite field ------------------------------------------------------
+
+# -- the kernels, on ints and on arrays -------------------------------------------
+
+def test_kernels_on_ints_agree_with_pow_and_fraction():
+    rng = random.Random(5)
+    for n in range(1, 301):
+        for _ in range(3):
+            q = 2 * rng.randrange(-2 ** 80, 2 ** 80) + 1
+            p = rng.randrange(-2 ** 80, 2 ** 80)
+            m = 1 << n
+            assert _truncate(p, n) == p % m
+            assert _inverse(q, n) == pow(q, -1, m)
+            assert _residue(p, q, n) == p * pow(q, -1, m) % m
+            # a common odd factor leaves the residue alone
+            odd = 2 * rng.randrange(1, 2 ** 40) + 1
+            x = Fraction(p * odd, q * odd)
+            assert _residue(p * odd, q * odd, n) == _residue(x.numerator, x.denominator, n)
+            assert reduce_mod(OddDenomRational(x), n) == _residue(p, q, n)
+            assert type(reduce_mod(OddDenomRational(x), n)) is int
+
+
+@pytest.mark.parametrize("num", INTEGERS)
+def test_low_bit_is_the_power_of_the_valuation(num):
+    assert _low_bit(num) == 2 ** loop_val2(num)
+    assert _low_bit(0) == 0
+
+
+def test_kernels_on_uint64_arrays_agree_with_ints_over_criterion_9s_draws():
+    rng = random.Random(_DYADIC_SEED)
+    rows = _morphism_draws(rng, _DYADIC_CASES)
+    p, q = 2 * rows[:, :6:2].ravel() + 1, 2 * rows[:, 1:6:2].ravel() + 1
+    n = np.repeat(rows[:, 6], 3)
+    got = _residue(p.view(np.uint64), q.view(np.uint64), n.astype(np.uint64), bits=64)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [_residue(a, b, k)
+                            for a, b, k in zip(p.tolist(), q.tolist(), n.tolist())]
+
+    rows = _truncation_draws(rng, _DYADIC_CASES)
+    big, small = rows[:, 0].tolist(), rows[:, 1].tolist()
+    a = (2 * rows[:, 2] + 1).tolist()
+    ua = np.array(a, dtype=np.uint64)
+    ubig, usmall = np.array(big, dtype=np.uint64), np.array(small, dtype=np.uint64)
+    assert _inverse(ua, ubig, bits=64).tolist() == [_inverse(x, k) for x, k in zip(a, big)]
+    assert _truncate(ua * ua, usmall).tolist() == [
+        _truncate(x * x, k) for x, k in zip(a, small)]
+
+    rows = _valuation_draws(rng, _DYADIC_CASES)
+    nums = (rows[:, 0] * rows[:, 1]).tolist()
+    assert _low_bit(np.array(nums).view(np.uint64)).tolist() == [_low_bit(x) for x in nums]
+
+
+def test_criterion_9s_intermediates_cannot_wrap():
+    # the largest is the sum numerator of three odd fractions, |.| <= 3 * 999^3
+    assert 3 * 999 ** 3 < 2 ** 63
+    rng = random.Random(_DYADIC_SEED)
+    rows = _morphism_draws(rng, _DYADIC_CASES).tolist()
+    assert max(abs(row[k]) for row in rows for k in range(6)) <= 500
+    total = max(abs((2 * px + 1) * (2 * qy + 1) * (2 * qz + 1)
+                    + (2 * py + 1) * (2 * qx + 1) * (2 * qz + 1)
+                    + (2 * pz + 1) * (2 * qx + 1) * (2 * qy + 1))
+                for px, qx, py, qy, pz, qz, _ in rows)
+    assert total <= 3 * 999 ** 3
+    _truncation_draws(rng, _DYADIC_CASES)
+    rows = _valuation_draws(rng, _DYADIC_CASES).tolist()
+    assert max(abs(n1 * (2 * h2 + 1)) + abs(n2 * (2 * h1 + 1))
+               for n1, n2, h1, h2 in rows) <= 2 * 2000 * 1999 < 2 ** 63
+
+
+# -- criterion 9: the array route against the case-at-a-time oracle -----------------
+# Each mutant is a function of the true kernel's value, so an int and a
+# uint64 array give the same residues, and a common odd factor of a
+# fraction's parts changes nothing: the array route keeps fractions
+# unreduced.  A val2 mutant returns a power of two or 0 (val2 -1).
+
+def _at_16(n, r, other):
+    """`other` at precision 16, r elsewhere."""
+    return r + (n == 16) * (other - r)
+
+
+MUTANTS = {
+    # the residue cubed at precision 16: products still map, sums do not
+    "residue_cubed": {"_residue": lambda p, q, n, bits=None: _truncate(
+        _at_16(n, _residue(p, q, n, bits), _residue(p, q, n, bits) ** 3), n)},
+    # three times the residue at precision 16: sums still map, products do not
+    "residue_tripled": {"_residue": lambda p, q, n, bits=None: _truncate(
+        _at_16(n, _residue(p, q, n, bits), 3 * _residue(p, q, n, bits)), n)},
+    # the top bit of an even value flipped: every odd truncation is exact
+    "truncate": {"_truncate": lambda x, n: _truncate(x, n) ^ ((1 - (x & 1)) << (n - 1))},
+    # the top bit of the inverse flipped: sums still map, products do not
+    "inverse": {"_inverse": lambda q, n, bits=None: _inverse(q, n, bits) ^ (1 << (n - 1))},
+    # val2 capped at 3: still ultrametric, no longer multiplicative
+    "low_bit_capped": {"_low_bit": lambda x: _low_bit(x) - (_low_bit(x) > 8) * (
+        _low_bit(x) - 8)},
+    # val2 4 sent to -1: an odd x and y whose sum has val2 4 break the ultrametric law
+    "low_bit_vanishing": {"_low_bit": lambda x: _low_bit(x) * (_low_bit(x) != 16)},
+}
+# fail in two sections: the later one draws from where the earlier broke
+MUTANTS["residue_and_truncate"] = {**MUTANTS["residue_cubed"], **MUTANTS["truncate"]}
+MUTANTS["truncate_and_low_bit"] = {**MUTANTS["truncate"], **MUTANTS["low_bit_capped"]}
+
+# the ledger each mutant should fail with: counterexample key -> its length and tag
+EXPECTED_FAILURES = {
+    "residue_cubed": {"morphism_counterexample": 4},
+    "residue_tripled": {"morphism_counterexample": 3},
+    "truncate": {"truncation_counterexample": 4},
+    "inverse": {"morphism_counterexample": 3, "truncation_counterexample": 4},
+    "low_bit_capped": {"val2_counterexample": "multiplicativity"},
+    "low_bit_vanishing": {"val2_counterexample": "ultrametric"},
+    "residue_and_truncate": {"morphism_counterexample": 4,
+                             "truncation_counterexample": 4},
+    "truncate_and_low_bit": {"truncation_counterexample": 4,
+                             "val2_counterexample": "multiplicativity"},
+}
+
+
+def test_criterion_9_equals_the_scalar_oracle_on_the_seed():
+    assert criterion_9() == scalar_criterion_9()
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_criterion_9_equals_the_scalar_oracle_on_a_mutant_kernel(monkeypatch, name):
+    for kernel, mutant in MUTANTS[name].items():
+        for module in (dyadic, _suite):
+            monkeypatch.setattr(module, kernel, mutant)
+    expected = scalar_criterion_9()
+    ok, detail = expected
+    failures = {key: value for key, value in detail.items() if key.endswith("_counterexample")}
+    assert not ok and failures.keys() == EXPECTED_FAILURES[name].keys()
+    for key, shape in EXPECTED_FAILURES[name].items():
+        assert len(failures[key]) == shape if isinstance(shape, int) else (
+            failures[key][-1] == shape)
+    assert criterion_9() == expected
+
 
 def test_qodd_membership_and_operations():
     q = QOddField()
