@@ -121,7 +121,7 @@ def criterion_1():
         entry = {"field": name, "size": f.n, "passed": passed}
         if not v_add:
             entry["witness"] = v_add.detail
-        if not v_mul:
+        elif not v_mul:
             entry["witness"] = v_mul.detail
         detail["fields"].append(entry)
         ok = ok and passed
@@ -188,7 +188,7 @@ def criterion_4():
     corrected (c,c) cell reported explicitly."""
     detail = {}
     f3 = build_f0(3, check="light")
-    t3 = cayley_table(f3, "multiplication").reorder(F03_LETTER_ORDER, letters=True)
+    t3 = cayley_table(f3).reorder(F03_LETTER_ORDER, letters=True)
     rows3 = [[t3.entry_label(i, j, letters=True) for j in range(t3.order)]
              for i in range(t3.order)]
     detail["f03_matches_reference"] = rows3 == F03_MULT_REFERENCE
@@ -201,7 +201,7 @@ def criterion_4():
     }
 
     f4 = build_f0(4, check="light")
-    t4 = cayley_table(f4, "multiplication").reorder(F04_LETTER_ORDER, letters=True)
+    t4 = cayley_table(f4).reorder(F04_LETTER_ORDER, letters=True)
     rows4 = [[t4.entry_label(i, j, letters=True) for j in range(t4.order)]
              for i in range(t4.order)]
     detail["f04_matches_reference"] = rows4 == F04_MULT_REFERENCE

@@ -78,33 +78,11 @@ def composition_table(field):
     return out
 
 
-class PolyEndo:
-    """Substitution endomorphism x -> image of a singly generated field."""
-
-    def __init__(self, field, image, mapping=None):
-        self.field = field
-        self.image = int(image)
-        if mapping is None:
-            mapping = composition_table(field)[:, self.image]
-        self.morphism = Morphism(field, field, mapping)
-        self.mapping = self.morphism.mapping
-
-    def __call__(self, i):
-        return self.mapping[i]
-
-    def poly_label(self):
-        return self.field.label(self.image)
-
-    def __repr__(self):
-        return f"PolyEndo(x -> {self.poly_label()})"
-
-
 def enumerate_endomorphisms(field):
-    """One verified endomorphism per candidate generator image — for F0(n)
-    every element qualifies."""
+    """One verified `Morphism` per candidate generator image, the map at
+    position i sending x to element i; for F0(n) every element qualifies."""
     table = composition_table(field)
-    return [PolyEndo(field, image, mapping=table[:, image])
-            for image in range(field.n)]
+    return [Morphism(field, field, table[:, image]) for image in range(field.n)]
 
 
 class CompositionTable:
@@ -186,23 +164,16 @@ class CompositionTable:
         return f"CompositionTable({self.mode}, order {self.order})"
 
 
-def cayley_table(field, mode="multiplication"):
-    """The full table over every field element."""
-    n = field.n
-    if mode == "multiplication":
-        t = CompositionTable(field, range(n), field.carrier.mu, field.one,
-                             "multiplication")
-        if not t.is_latin_square():
-            raise StructureError("multiplication table is not a Latin square")
-        if _identity(t.table) != field.one:
-            raise StructureError("unit row/column mismatch")
-        return t
-    if mode == "composition":
-        table = composition_table(field)
-        labels = list(field.labels)
-        identity = labels.index("x") if "x" in labels else field.one
-        return CompositionTable(field, range(n), table, identity, "composition")
-    raise StructureError(f"unknown table mode {mode!r}")
+def cayley_table(field):
+    """The multiplication table over every field element; the composition
+    table is `composition_table`."""
+    t = CompositionTable(field, range(field.n), field.carrier.mu, field.one,
+                         "multiplication")
+    if not t.is_latin_square():
+        raise StructureError("multiplication table is not a Latin square")
+    if _identity(t.table) != field.one:
+        raise StructureError("unit row/column mismatch")
+    return t
 
 
 def automorphism_group(field):
@@ -216,10 +187,10 @@ def automorphism_group(field):
     x_idx = labels.index("x") if "x" in labels else field.one
 
     inverse = ((comp == x_idx) & (comp.T == x_idx)).any(axis=1)
-    invertible = {p.image for p in endos if inverse[p.image]}
+    invertible = {image for image in range(field.n) if inverse[image]}
 
-    generating = {p.image for p in endos if len(
-        _subalgebra_closure(field, [field.one, p.image])[0]) == field.n}
+    generating = {image for image in range(field.n) if len(
+        _subalgebra_closure(field, [field.one, image])[0]) == field.n}
 
     if invertible != generating:
         raise StructureError(

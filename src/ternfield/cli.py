@@ -199,8 +199,7 @@ def cmd_field_build(args):
 
 @command("field table", _SPEC, _LABELS, csv=True)
 def cmd_field_table(args):
-    table = _paper_order(cayley_table(parse_spec(args.spec), "multiplication"),
-                         args)
+    table = _paper_order(cayley_table(parse_spec(args.spec)), args)
     doc = {"spec": args.spec, "labels": args.labels}
     if args.labels == "paper":
         doc["elements"] = table.labels(letters=True)

@@ -414,7 +414,7 @@ def verify_local(ring):
     return report
 
 
-def units_as_3field(ring, check="auto"):
+def units_as_3field(ring):
     """For a local ring with two-element residue ring, the complement of the
     maximal ideal (the units, see RingTable.maximal_ideals) with inherited
     ternary addition and multiplication."""
@@ -425,7 +425,7 @@ def units_as_3field(ring, check="auto"):
             f"({len(maximal)} maximal ideals)")
     u = np.setdiff1d(np.arange(ring.n), sorted(maximal[0]))
     return _TupleTables(ring, u[:, None], [(0, 0, 0, 1)]).field(
-        [ring.labels[g] for g in u], [ring.one], {"kind": "units_of_ring"}, check)
+        [ring.labels[g] for g in u], [ring.one], {"kind": "units_of_ring"}, "auto")
 
 
 class _IndexMap:
@@ -566,17 +566,14 @@ class QuotientResult:
         self.report = report
 
 
-def quotient_by_ideal(field, ideal, check="auto"):
+def quotient_by_ideal(field, ideal):
     """Quotient of a 3-field by an ideal of its envelope: classes r1 ~ r2 iff
     r1 + q = r2 for some q in the ideal.  The result is a 3-field exactly when
     every proper over-ideal of the envelope misses the odd part, and the
     verdict is reported.  A proper ideal holds no unit, so the condition
     holds outright when every odd element is a unit of the envelope (always,
     when the base is a 3-field); otherwise the over-ideals are enumerated and
-    the smallest one meeting the odd part is the witness.  Symbolic bases
-    delegate to their own quotient method."""
-    if hasattr(field, "quotient_by_ideal"):
-        return field.quotient_by_ideal(ideal)
+    the smallest one meeting the odd part is the witness."""
     if not isinstance(ideal, IdealHandle):
         raise StructureError("quotient needs an IdealHandle")
     env = ideal.env
@@ -622,8 +619,7 @@ def quotient_by_ideal(field, ideal, check="auto"):
             f"at {witness['odd_members']}", witness)
     labels = [field.label(r) for r in reps]
     carrier = TernaryCarrier(labels, nu, mu)
-    out = FiniteThreeField(carrier, cls[field.one],
-                           origin={"kind": "quotient"}, check=check)
+    out = FiniteThreeField(carrier, cls[field.one], origin={"kind": "quotient"})
     return QuotientResult(out, labels, report)
 
 

@@ -871,10 +871,9 @@ def _build_z2odd_quotient(spec, check="auto"):
                         (1,) + (0,) * (M - 1), origin, check)
 
 
-def build_f0(*exponents, relations=(), check="auto"):
-    """Convenience constructor for F0(n1,...,nk)."""
-    return build_quotient_field(QuotientFieldSpec(exponents, relations),
-                                check=check)
+def build_f0(*exponents, check="auto"):
+    """F0(n1,...,nk); extra relations are given by `QuotientFieldSpec`."""
+    return build_quotient_field(QuotientFieldSpec(exponents), check=check)
 
 
 def cardinality(spec):
@@ -993,8 +992,6 @@ def prime_subfield(field):
     """Closure of {1} under both operations; its size is the characteristic,
     and it is isomorphic to an odd residue ring (Z/2^nZ)^odd — the
     isomorphism is constructed, not assumed."""
-    if hasattr(field, "quotient_by_ideal") and not isinstance(field, FiniteThreeField):
-        return PrimeSubfieldResult(field, math.inf, None)
     indices, _ = _subalgebra_closure(field, [field.one])
     sub_carrier = field.subset_carrier(indices)
     sub = FiniteThreeField(sub_carrier, indices.index(field.one),

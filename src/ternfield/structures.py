@@ -211,13 +211,8 @@ class MatrixFieldResult:
         self.isomorphism = isomorphism
         self.noncommutative_witness = noncommutative_witness
 
-    def matrix(self, i):
-        """Row-major matrix of envelope labels for carrier element i."""
-        cells = np.append(self.tables.tuples[i], self.env.zero)[self.layout]
-        return [[self.env.labels[e] for e in row] for row in cells.tolist()]
 
-
-def toeplitz_field(n, field, check="auto"):
+def toeplitz_field(n, field):
     """Lower-triangular Toeplitz matrices: diagonal value in F, the n-1
     subdiagonal values free in U(F).  Commutative, and isomorphic to the
     single-variable quotient field on the same base via the map that fills
@@ -232,7 +227,7 @@ def toeplitz_field(n, field, check="auto"):
     tables = _TupleTables(env, _grid((field.n,) + (env.n,) * (n - 1)), terms)
     one_value = (field.one,) + (env.zero,) * (n - 1)
     built = tables.field(["t" + _tuple_label(env.labels, v) for v in tables.tuples.tolist()],
-                         one_value, {"kind": "toeplitz", "size": n}, check)
+                         one_value, {"kind": "toeplitz", "size": n}, "auto")
     mu_table = built.carrier.mu
     if not (mu_table == mu_table.T).all():
         raise StructureError("Toeplitz multiplication must be commutative")
@@ -273,7 +268,7 @@ def _toeplitz_isomorphism(n, field, env, built, tables):
     return iso
 
 
-def triangular_field(n, field, check="auto"):
+def triangular_field(n, field):
     """Lower-triangular matrices with diagonal entries in F and strictly
     lower entries free in U(F); noncommutative for n > 1 whenever the
     envelope has products for the strict part to disagree on."""
@@ -300,7 +295,7 @@ def triangular_field(n, field, check="auto"):
                               for r in range(n)) + "]"
 
     built = tables.field([label_of(v) for v in tables.tuples.tolist()], one_value,
-                         {"kind": "triangular", "size": n}, check)
+                         {"kind": "triangular", "size": n}, "auto")
 
     mu_table = built.carrier.mu
     witness = None
@@ -357,7 +352,7 @@ def _conjugates(env, quaternions):
     return out
 
 
-def quaternion_field(field, check="auto"):
+def quaternion_field(field):
     """(F^4)^free with the quaternion product.  Requires every carrier
     element to have odd norm a0^2+a1^2+a2^2+a3^2; the inverse is then the
     conjugate scaled by the inverse of the norm."""
@@ -374,7 +369,7 @@ def quaternion_field(field, check="auto"):
 
     one_value = (env.one, env.zero, env.zero, env.zero)
     built = tables.field([_tuple_label(env.labels, v) for v in tables.tuples.tolist()],
-                         one_value, {"kind": "quaternion"}, check)
+                         one_value, {"kind": "quaternion"}, "auto")
 
     mu_table = built.carrier.mu
     commutative = bool((mu_table == mu_table.T).all())
@@ -495,7 +490,7 @@ def _norm_witness(g, identity, env):
     return tuple(env.one if h in members else env.zero for h in range(k))
 
 
-def group_algebra(group_table, field, check="auto"):
+def group_algebra(group_table, field):
     """U(F)-valued functions on a finite group with odd value sum, under
     convolution, and whether each is invertible, which makes them a 3-field;
     for a cyclic group of 2-power order over the one-element field, also
@@ -538,7 +533,7 @@ def group_algebra(group_table, field, check="auto"):
                                   None, None, "exhaustive")
 
     built = tables.field([_tuple_label(env.labels, v) for v in vectors.tolist()], one_value,
-                         {"kind": "group_algebra", "group_order": k}, check)
+                         {"kind": "group_algebra", "group_order": k}, "auto")
     iso = None
     gen = _cyclic_generator(g, identity)
     if gen is not None and k & (k - 1) == 0 and field.n == 1:

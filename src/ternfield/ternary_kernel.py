@@ -761,9 +761,9 @@ class FiniteThreeField:
     identity `one` and whose ternary addition has no zero element.
 
     check: "auto" decides the axioms when the carrier is within the gate
-    (`limit`, or `check_limit()` when it is None) and skips that above it,
-    "light" runs only the cheap invariants, False raises nothing at
-    construction; any other value raises ValueError.  The cheap invariants
+    `check_limit()` and skips that above it (the checkers' `limit=` decides
+    them at any size), "light" runs only the cheap invariants, False raises
+    nothing at construction; any other value raises ValueError.  The cheap invariants
     pass by the certified retract of nu and Light's test on mu.  Whatever
     `check` was, the carrier decides those laws once, when they are first
     read, so maps of fields that satisfy them are decided on generators.
@@ -771,7 +771,7 @@ class FiniteThreeField:
 
     algebra = None      # a quotient field's QuotientAlgebra, set by its builder
 
-    def __init__(self, carrier, one, origin=None, check="auto", limit=None):
+    def __init__(self, carrier, one, origin=None, check="auto"):
         if not (check is False or check in ("light", "auto")):
             raise ValueError(f"check must be False, 'light' or 'auto', not {check!r}")
         self.carrier = carrier
@@ -780,7 +780,7 @@ class FiniteThreeField:
         if not (0 <= self.one < carrier.n):
             raise StructureError("unit index out of range")
         if check:
-            self._validate(check, limit)
+            self._validate(check)
 
     # -- table access -------------------------------------------------------
 
@@ -813,20 +813,6 @@ class FiniteThreeField:
     def quer(self, i):
         return quer_add(self.carrier, i)
 
-    def power(self, i, k):
-        """k-th multiplicative power, k >= 0 (0 gives the unit)."""
-        acc = self.one
-        base = i
-        k = int(k)
-        if k < 0:
-            base, k = self.inv(i), -k
-        while k:
-            if k & 1:
-                acc = self.mu(acc, base)
-            base = self.mu(base, base)
-            k >>= 1
-        return acc
-
     # -- invariants ----------------------------------------------------------
 
     @functools.cached_property
@@ -845,7 +831,7 @@ class FiniteThreeField:
             raise StructureError(f"element {self.labels[x]} has no two-sided inverse")
         return inv
 
-    def _validate(self, check, limit):
+    def _validate(self, check):
         c = self.carrier
         if c.mu is None or c.mu.ndim != 2:
             raise StructureError("a 3-field needs a binary multiplication")
@@ -860,12 +846,12 @@ class FiniteThreeField:
             raise StructureError(v.detail)
         # no zero check: with a two-sided unit, inverses and an associative
         # mu, mu(mu(z,1),z^-1) = 1, so no z other than the unit absorbs tmu
-        if check == "light" or c.n > check_limit(limit):
+        if check == "light" or c.n > check_limit():
             return
-        v = check_ternary_group(c, limit)
+        v = check_ternary_group(c)
         if not v:
             raise StructureError(f"additive axioms fail: {v.detail}")
-        v = check_distributivity(c, limit)
+        v = check_distributivity(c)
         if not v:
             raise StructureError(f"distributivity fails: {v.detail}")
 

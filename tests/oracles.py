@@ -5,7 +5,8 @@ Pytest collects no tests here: the module name has no test_ prefix.  The
 oracles are the scalar and whole-table definitions the fast paths are
 tested against; the package itself never calls them.
 
-- `FIELDS`: every roster field by name, as a builder taking `check`.  Each
+- `FIELDS`: every roster field by name, as a builder taking `check`; a
+  construction that takes none is rebuilt on its tables (`rebuilt`).  Each
   test module keeps its own list of names and the check it builds them
   with, so a field is built by the same constructor and check wherever it
   is named.
@@ -13,17 +14,18 @@ tested against; the package itself never calls them.
 - `whole_cube_assoc_witness`: binary associativity over the whole n^3 cube.
 - `ring_walk_error`: every ring law walked over its table, the reference
   for a ring's proof on generators.
-- `derived_ternary_mu`, `compose_elements`, `scalar_element_orders` and
-  the translation pairs (`Pair`, `standard_form`, `pair_add`, `pair_mul`,
-  `pair_zero`): scalar definitions of what the tables compute at once.
+- `derived_ternary_mu`, `compose_elements`, `scalar_element_orders`,
+  `power` and the translation pairs (`Pair`, `standard_form`, `pair_add`,
+  `pair_mul`, `pair_zero`): scalar definitions of what the tables compute
+  at once.
 - `verdict_dict`: a Verdict's outcome as a plain dict, its method left out.
 - `gf2_mul`, `gf2_pow` and `MaskAlgebra` (through `mask_path`): a quotient
   field's elements as int bitmasks over the monomials, converted and
   multiplied one mask at a time, the reference for `QuotientAlgebra`'s
   whole-carrier arrays.
-- `tuple_index`, `add3`, `combination`, `scalar_free_resolution` and
-  `scalar_inverse_error`: the tuple constructions of `structures` one tuple
-  at a time, through a tuple -> index dict.
+- `tuple_index`, `matrix`, `add3`, `combination`, `scalar_free_resolution`
+  and `scalar_inverse_error`: the tuple constructions of `structures` one
+  tuple at a time, through a tuple -> index dict.
 - `scalar_criterion_9`: the paper suite's dyadic ledger one seeded case at
   a time through `Fraction`, `OddDenomRational` and `TruncatedDyadic`, the
   reference for the whole-array `criterion_9`.
@@ -59,6 +61,19 @@ from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
 
 # -- the roster ---------------------------------------------------------------
 
+def rebuilt(construct):
+    """The roster builder of a construction that takes no `check`: it is
+    built once, and each call rebuilds its field on a fresh carrier over
+    the same tables with the requested check, so that no construction has
+    decided a law of the field returned."""
+    construct = functools.cache(construct)
+
+    def build(check):
+        f = construct()
+        return FiniteThreeField(with_tables(f.carrier), f.one, f.origin, check=check)
+    return build
+
+
 def _dihedral_8():
     """Cayley table of the dihedral group of order 8, r^i s^j at index
     i + 4j: (r^i s^j)(r^k s^l) = r^(i + (-1)^j k) s^(j + l)."""
@@ -82,13 +97,12 @@ FIELDS = {
     "F0(3)xF0(3)": lambda check: product_field(build_f0(3), build_f0(3),
                                                check=check).field,
     # noncommutative, n = 16: lower-triangular 2x2 matrices
-    "T2(F0(2))": lambda check: triangular_field(2, build_f0(2), check=check).field,
-    "T2(odd(4))": lambda check: triangular_field(2, odd_residue_field(4),
-                                                 check=check).field,
+    "T2(F0(2))": rebuilt(lambda: triangular_field(2, build_f0(2)).field),
+    "T2(odd(4))": rebuilt(lambda: triangular_field(2, odd_residue_field(4)).field),
     # noncommutative, n = 128, beyond the scan: quaternions, and the group
     # 3-algebra of the dihedral group of order 8
-    "H(odd(4))": lambda check: quaternion_field(odd_residue_field(4), check=check).field,
-    "F0(1)[D4]": lambda check: group_algebra(_dihedral_8(), build_f0(1), check=check).field,
+    "H(odd(4))": rebuilt(lambda: quaternion_field(odd_residue_field(4)).field),
+    "F0(1)[D4]": rebuilt(lambda: group_algebra(_dihedral_8(), build_f0(1)).field),
 }
 
 
@@ -315,6 +329,21 @@ def compose_elements(field, i, j):
     return alg.index_of[out]
 
 
+def power(field, i, k):
+    """k-th multiplicative power, k >= 0 (0 gives the unit)."""
+    acc = field.one
+    base = i
+    k = int(k)
+    if k < 0:
+        base, k = field.inv(i), -k
+    while k:
+        if k & 1:
+            acc = field.mu(acc, base)
+        base = field.mu(base, base)
+        k >>= 1
+    return acc
+
+
 class Pair:
     """Standard-form translation pair q_{alpha,1} over a 3-field."""
 
@@ -373,6 +402,13 @@ def pair_zero(field):
 def tuple_index(tables):
     """The tuple -> carrier index dict of a `_TupleTables`."""
     return {tuple(v): i for i, v in enumerate(tables.tuples.tolist())}
+
+
+def matrix(result, i):
+    """Row-major matrix of envelope labels for carrier element i of a
+    `MatrixFieldResult`."""
+    cells = np.append(result.tables.tuples[i], result.env.zero)[result.layout]
+    return [[result.env.labels[e] for e in row] for row in cells.tolist()]
 
 
 def add3(space, u, v, w):

@@ -11,9 +11,13 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from ternfield import (
+    FiniteThreeField,
     QuotientFieldSpec,
     RingMorphism,
+    TernaryCarrier,
     TernaryPolynomial,
     TruncatedDyadic,
     automorphism_group,
@@ -46,6 +50,7 @@ from ternfield import (
     vector_power_space,
     verify_local,
 )
+from ternfield import _suite
 
 from oracles import FIELDS, tuple_index
 
@@ -76,6 +81,22 @@ def test_criterion_01_axiom_suite_across_roster():
         assert found["unit"] == f.one, name
         assert found["zero"] is None, f"{name} carries an additive zero"
     assert time.perf_counter() - start < 10.0
+
+
+def test_criterion_01_names_the_additive_witness_first(monkeypatch):
+    # pi o nu of odd(16) passes every cheap law and fails both checks; the
+    # suite's entry names the additive witness first, as `field check` does
+    f = odd_residue_field(16)
+    pi = np.random.default_rng(0).permutation(f.n)
+    g = FiniteThreeField(TernaryCarrier(f.labels, pi[f.carrier.nu], f.carrier.mu), f.one,
+                         check="light")
+    monkeypatch.setattr(_suite, "_suite_fields", lambda: [("pi o nu", g)])
+    ok, detail = _suite.criterion_1()
+    v_add = check_ternary_group(g.carrier, limit=g.n)
+    assert not v_add and not check_distributivity(g.carrier, limit=g.n)
+    [entry] = detail["fields"]
+    assert not ok and entry["passed"] is False
+    assert entry["witness"] == v_add.detail
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +169,7 @@ F04_MULT = [
 
 
 def _letter_rows(field, order):
-    t = cayley_table(field, "multiplication").reorder(order, letters=True)
+    t = cayley_table(field).reorder(order, letters=True)
     return [[t.entry_label(i, j, letters=True) for j in range(t.order)]
             for i in range(t.order)]
 

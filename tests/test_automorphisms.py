@@ -9,6 +9,7 @@ import pytest
 
 from ternfield import (
     CompositionTable,
+    Morphism,
     StructureError,
     TernaryPolynomial,
     automorphism_group,
@@ -21,7 +22,7 @@ from ternfield import (
     truncation_morphism,
 )
 from ternfield import pair_envelope, ternary_kernel
-from ternfield.automorphisms import PolyEndo, composition_table
+from ternfield.automorphisms import composition_table
 from ternfield.poly_fields import generated_subalgebra
 
 from oracles import compose_elements, mask_path, whole_cube_assoc_witness
@@ -82,7 +83,6 @@ def test_composition_table_matches_compose_elements(n):
     for i in range(f.n):
         for j in range(f.n):
             assert table[i, j] == compose_elements(f, i, j)
-    assert (cayley_table(f, mode="composition").table == table).all()
 
 
 def _mask_composition(f):
@@ -127,7 +127,8 @@ def test_every_element_is_an_endomorphism_image(n):
     f = build_f0(n)
     endos = enumerate_endomorphisms(f)
     assert len(endos) == f.n
-    assert sorted(e.image for e in endos) == list(range(f.n))
+    table = composition_table(f)
+    assert [e.mapping for e in endos] == [tuple(table[:, i]) for i in range(f.n)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -145,14 +146,13 @@ def test_endomorphisms_preserve_both_operations_brute_force(n):
                     assert h[f.nu(a, b, c)] == f.nu(h[a], h[b], h[c])
 
 
-def test_endo_repr_and_identity_flag():
+def test_substituting_x_is_the_identity_map():
     f = build_f0(3)
-    ident = PolyEndo(f, f.index("x"))
+    table = composition_table(f)
+    ident = Morphism(f, f, table[:, f.index("x")])
     assert ident.mapping == tuple(range(f.n))
-    assert ident.poly_label() == "x"
-    squarer = PolyEndo(f, f.index("x^2"))
+    squarer = Morphism(f, f, table[:, f.index("x^2")])
     assert squarer.mapping != tuple(range(f.n))
-    assert "x^2" in repr(squarer)
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +303,6 @@ def test_multiplication_table_matches_field_mu():
     for a in range(f.n):
         for b in range(f.n):
             assert int(t.table[a, b]) == f.mu(a, b)
-
-
-def test_composition_mode_identity_is_x():
-    f = build_f0(3)
-    t = cayley_table(f, mode="composition")
-    assert t.mode == "composition"
-    assert t.identity == f.index("x")
-    # composition over all elements is NOT a Latin square (constants absorb)
-    assert not t.is_latin_square()
-
-
-def test_unknown_table_mode_rejected():
-    with pytest.raises(StructureError, match="mode"):
-        cayley_table(build_f0(2), mode="sideways")
 
 
 # ---------------------------------------------------------------------------

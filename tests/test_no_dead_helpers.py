@@ -1,9 +1,10 @@
 """No dead helpers: every function, method and class that `src/ternfield`
 defines is used somewhere other than in its own body, in the package or in
-`perfbench`, or is public (`ternfield.__all__`) or documented (a word of
-either README).  Code that only tests call belongs with the tests
-(`tests/oracles.py` holds the shared oracles), and every definition there
-is used by a test module or by another oracle.
+`perfbench`, or is public (`ternfield.__all__`) or documented (a word
+inside a code span or fenced block of either README; an English word of
+the prose keeps nothing alive).  Code that only tests call belongs with
+the tests (`tests/oracles.py` holds the shared oracles), and every
+definition there is used by a test module or by another oracle.
 
 Uses are read from the ast, so a docstring, a comment, a string or a
 builtin of the same name keeps no helper alive:
@@ -16,8 +17,9 @@ through the command table that `@command` fills, so neither needs a use.
 
 No dead parameters either: every parameter with a default, of a function
 or constructor in `src/ternfield`, is passed by keyword or by position at
-some call in the package, `perfbench` or the tests.  Calls are matched by
-the name they call, so a call of any function of that name counts."""
+some call in the package or `perfbench`; a value only tests pass is no
+reason for an option, which is then a constant.  Calls are matched by the
+name they call, so a call of any function of that name counts."""
 
 import ast
 import math
@@ -92,9 +94,15 @@ def dead_definitions(sources, code, public=frozenset()):
     return dead
 
 
+def documented_names(path):
+    """Every word inside a code span or a fenced block of a Markdown file."""
+    for span in re.findall(r"```.*?```|`[^`\n]*`", path.read_text(), re.S):
+        yield from re.findall(r"\w+", span)
+
+
 def test_every_definition_in_src_is_used_outside_its_own_body():
     public = set(ternfield.__all__)
-    public.update(w for path in READMES for w in re.findall(r"\w+", path.read_text()))
+    public.update(w for path in READMES for w in documented_names(path))
     assert dead_definitions(SOURCES, CODE, public) == []
 
 
@@ -168,7 +176,7 @@ def calls(path):
 
 def test_every_defaulted_parameter_is_passed_somewhere():
     passed = defaultdict(list)               # name -> [(positional count, keywords)]
-    for path in CODE + TESTS:
+    for path in CODE:
         for name, count, keywords in calls(path):
             passed[name].append((count, keywords))
     unused = [f"{path.name}:{line} {function}({param}=)"

@@ -970,7 +970,7 @@ def restricted_units_as_3field(ring):
 def test_units_as_3field_matches_the_restricted_tables(name):
     env = build_envelope(FIELDS[name](check="light"))
     labels, nu, mu, one = restricted_units_as_3field(env)
-    got = units_as_3field(env, check=False)
+    got = units_as_3field(env)
     assert list(got.labels) == labels and got.one == one
     assert got.carrier.nu.tolist() == nu.tolist() and got.carrier.mu.tolist() == mu.tolist()
     assert got.origin == {"kind": "units_of_ring"}
@@ -1537,7 +1537,8 @@ def test_map_violation_is_the_least_whole_table_witness(block, monkeypatch):
 
 def whole_table_class_error(field, env, elements):
     """quotient_by_ideal's two representative-independence checks from whole
-    tables, for the classes r + elements of the odd part."""
+    tables, for the classes r + elements of the odd part; when both pass,
+    the error of the quotient's tables as a 3-field, or None."""
     n, c = field.n, field.carrier
     members = env.add[:n, sorted(elements)]
     class_of = np.where(members < n, members, n).min(axis=1)
@@ -1549,6 +1550,10 @@ def whole_table_class_error(field, env, elements):
         return "multiplication is not constant on classes"
     if (cls[c.nu] != nu[np.ix_(cls, cls, cls)]).any():
         return "addition is not constant on classes"
+    try:
+        FiniteThreeField(TernaryCarrier([field.label(r) for r in reps], nu, mu), cls[field.one])
+    except StructureError as exc:
+        return str(exc)
     return None
 
 
@@ -1556,7 +1561,8 @@ def whole_table_class_error(field, env, elements):
 def test_quotient_class_checks_give_the_whole_table_messages(block, monkeypatch):
     # the classes r + {0, p} of a translation set that is no ideal: the class
     # map then fails to carry mu onto the quotient's mu, and with mu made
-    # constant (one) it passes that check and fails on nu
+    # constant (one) it passes that check and fails on nu, or passes both
+    # and leaves a quotient whose unit is no unit
     if block:
         monkeypatch.setattr(ternary_kernel, "_BLOCK_ENTRIES", block)
     f = odd_residue_field(16)
@@ -1570,14 +1576,14 @@ def test_quotient_class_checks_give_the_whole_table_messages(block, monkeypatch)
             ideal.elements = frozenset({env.zero, p})
             want = whole_table_class_error(field, env, ideal.elements)
             try:
-                quotient_by_ideal(field, ideal, check=False)
+                quotient_by_ideal(field, ideal)
                 got = None
             except StructureError as exc:
                 got = str(exc)
             assert got == want
             seen.add(want)
     assert seen == {None, "multiplication is not constant on classes",
-                    "addition is not constant on classes"}
+                    "addition is not constant on classes", "1 is not a two-sided unit"}
 
 
 def whole_table_parity_broken(env):

@@ -37,6 +37,7 @@ from oracles import (
     combination,
     group_table_mutants,
     mask_path,
+    matrix,
     scalar_element_orders,
     scalar_free_resolution,
     scalar_inverse_error,
@@ -267,7 +268,7 @@ def test_toeplitz_over_one_element_field_is_the_quotient_field(f1):
     assert iso.source.n == 4 and iso.target.n == 4
     assert iso.is_bijective()
     # the unit is the identity matrix (off-diagonal cells hold the zero q(1))
-    assert result.matrix(result.field.one) == [
+    assert matrix(result, result.field.one) == [
         ["1", "q(1)", "q(1)"],
         ["q(1)", "1", "q(1)"],
         ["q(1)", "q(1)", "1"],
@@ -299,8 +300,8 @@ def test_toeplitz_matrices_multiply_like_the_field(f4):
     field = result.field
     for a in range(field.n):
         for b in range(field.n):
-            ma = [[env.index(l) for l in row] for row in result.matrix(a)]
-            mb = [[env.index(l) for l in row] for row in result.matrix(b)]
+            ma = [[env.index(l) for l in row] for row in matrix(result, a)]
+            mb = [[env.index(l) for l in row] for row in matrix(result, b)]
             prod = [[env.zero] * 2 for _ in range(2)]
             for r in range(2):
                 for c in range(2):
@@ -309,7 +310,7 @@ def test_toeplitz_matrices_multiply_like_the_field(f4):
                         acc = env.add_at(acc, env.mul_at(ma[r][k], mb[k][c]))
                     prod[r][c] = acc
             expect = [[env.index(l) for l in row]
-                      for row in result.matrix(field.mu(a, b))]
+                      for row in matrix(result, field.mu(a, b))]
             assert prod == expect
 
 
@@ -318,7 +319,7 @@ def test_toeplitz_isomorphism_follows_the_quotient_order(mod, size):
     # the quotient field's order enumerated independently: every tuple with
     # an odd constant, sorted by the reversed tuple
     field = odd_residue_field(mod)
-    result = toeplitz_field(size, field, check=False)
+    result = toeplitz_field(size, field)
     env = result.env
     vectors = sorted((v for v in itertools.product(range(mod), repeat=size) if v[0] % 2),
                      key=lambda v: v[::-1])
@@ -338,7 +339,7 @@ def test_toeplitz_isomorphism_over_one_element_follows_the_masks(spec, size):
     # over a one-element base the quotient field's element with bit mask m
     # has coefficient 1 of x^t exactly where bit t of m is set
     field = _base(spec)
-    result = toeplitz_field(size, field, check=False)
+    result = toeplitz_field(size, field)
     env, index = result.env, tuple_index(result.tables)
     target = build_quotient_field(QuotientFieldSpec((size,)), check="light")
     assert list(result.isomorphism.mapping) == [
@@ -347,7 +348,7 @@ def test_toeplitz_isomorphism_over_one_element_follows_the_masks(spec, size):
 
 
 def test_toeplitz_has_no_correspondence_over_other_bases():
-    assert toeplitz_field(2, build_f0(2), check=False).isomorphism is None
+    assert toeplitz_field(2, build_f0(2)).isomorphism is None
 
 
 def test_toeplitz_size_one_is_the_base_field(f4):
@@ -404,18 +405,18 @@ def test_triangular_inverses_close_over_the_table():
         result = triangular_field(size, base)
         field, env = result.field, result.env
         for a in range(field.n):
-            m = [[env.index(l) for l in row] for row in result.matrix(a)]
+            m = [[env.index(l) for l in row] for row in matrix(result, a)]
             expect = [[env.labels[e] for e in row]
                       for row in _forward_substitution_inverse(env, base, m)]
             j = field.inv(a)
-            assert result.matrix(j) == expect
+            assert matrix(result, j) == expect
             assert field.mu(a, j) == field.one
             assert field.mu(j, a) == field.one
 
 
 def test_triangular_unit_is_identity_matrix(f4):
     result = triangular_field(2, f4)
-    assert result.matrix(result.field.one) == [["1", "q(3)"], ["q(3)", "1"]]
+    assert matrix(result, result.field.one) == [["1", "q(3)"], ["q(3)", "1"]]
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +824,7 @@ def test_toeplitz_tables_match_the_reference(size, spec):
     result = toeplitz_field(size, field)
     env, values, mu_op, one, labels, entries = _reference_toeplitz(field, size)
     _assert_same_tables(result.field, env, values, mu_op, one, labels)
-    assert [result.matrix(i) for i in range(len(values))] == [
+    assert [matrix(result, i) for i in range(len(values))] == [
         [[env.labels[e] for e in row] for row in m] for m in entries]
 
 
@@ -835,7 +836,7 @@ def test_triangular_tables_match_the_reference(size, spec):
     result = triangular_field(size, field)
     env, values, mu_op, one, labels, entries = _reference_triangular(field, size)
     _assert_same_tables(result.field, env, values, mu_op, one, labels)
-    assert [result.matrix(i) for i in range(len(values))] == [
+    assert [matrix(result, i) for i in range(len(values))] == [
         [[env.labels[e] for e in row] for row in m] for m in entries]
 
 

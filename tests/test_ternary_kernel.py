@@ -52,6 +52,7 @@ from oracles import (
     FIELDS,
     derived_ternary_mu,
     perturbations,
+    power,
     relabel,
     swapped_cell_mutants,
     verdict_dict,
@@ -61,9 +62,16 @@ from oracles import (
 
 
 def decided(field):
-    """The field validated again with every axiom decided: check="auto" with
-    the gate at the field's own size."""
-    return FiniteThreeField(field.carrier, field.one, field.origin, check="auto", limit=field.n)
+    """The field validated again with every axiom decided: built "light",
+    then both checkers run with the gate at the field's own size, a failure
+    raising the message check="auto" raises within the gate."""
+    f = FiniteThreeField(field.carrier, field.one, field.origin, check="light")
+    for check, fails in ((check_ternary_group, "additive axioms fail"),
+                         (check_distributivity, "distributivity fails")):
+        v = check(f.carrier, limit=f.n)
+        if not v:
+            raise StructureError(f"{fails}: {v.detail}")
+    return f
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +211,8 @@ def test_env_var_overrides_gate(monkeypatch):
 
 
 def test_full_check_ignores_gate():
-    # an explicit limit makes check="auto" decide the axioms past the default gate
+    # check="auto" skips the axioms past the default gate, and the checkers'
+    # explicit limit decides them
     f = odd_residue_field(128, check=False)
     with mock.patch.object(tk, "_distrib_certificate",
                            wraps=tk._distrib_certificate) as decide:
@@ -271,7 +280,7 @@ def test_carrier_json_round_trip(odd8):
     back = TernaryCarrier.from_json(doc)
     assert (back.nu == odd8.carrier.nu).all()
     assert (back.mu == odd8.carrier.mu).all()
-    rebuilt = FiniteThreeField(back, doc["one"], check="auto", limit=back.n)
+    rebuilt = decided(FiniteThreeField(back, doc["one"], check=False))
     assert rebuilt.n == odd8.n
 
 
@@ -694,8 +703,8 @@ def test_chunked_invariants_match_the_whole_cube(rows, monkeypatch):
 
 
 def verdicts_and_error(carrier, one):
-    """Both checkers' verdicts in full, and the message FiniteThreeField
-    raises when it decides every axiom (None when it accepts), on a fresh
+    """Both checkers' verdicts in full, and the message a field raises when
+    every axiom is decided (`decided`; None when it accepts), on a fresh
     copy of the carrier, so that its retract is computed under the current
     chunk size."""
     carrier, n = with_tables(carrier), carrier.n
@@ -703,7 +712,7 @@ def verdicts_and_error(carrier, one):
           for v in (check_ternary_group(carrier, limit=n),
                     check_distributivity(carrier, limit=n))]
     try:
-        FiniteThreeField(carrier, one, check="auto", limit=n)
+        decided(FiniteThreeField(carrier, one, check=False))
     except StructureError as exc:
         return vs, str(exc)
     return vs, None
@@ -1074,20 +1083,18 @@ F0_SPECS = [((1,), ()), ((4,), ()), ((6,), ()), ((3, 3), ()), ((2, 2, 2), ()),
 BUILDERS = {
     **{f"odd({2 ** e})": functools.partial(odd_residue_field, 2 ** e, check=False)
        for e in range(1, 11)},
-    **{f"F0{ex}{list(rel)}": functools.partial(build_f0, *ex, relations=rel, check=False)
+    **{f"F0{ex}{list(rel)}": functools.partial(build_quotient_field,
+                                                QuotientFieldSpec(ex, rel), check=False)
        for ex, rel in F0_SPECS},
     **{f"(Z/{2 ** m}Z)^odd{ex}": z2odd(ex, m) for ex, m in (((1,), 3), ((2,), 2), ((2, 2), 2))},
-    "toeplitz(3, F0(1))": lambda: toeplitz_field(3, build_f0(1), check=False).field,
-    "toeplitz(2, odd(4))": lambda: toeplitz_field(2, odd_residue_field(4), check=False).field,
-    "triangular(2, F0(2))": lambda: triangular_field(2, build_f0(2), check=False).field,
-    "triangular(2, odd(4))": lambda: triangular_field(2, odd_residue_field(4),
-                                                      check=False).field,
-    "quaternion(F0(1))": lambda: quaternion_field(build_f0(1), check=False).field,
-    "quaternion(odd(4))": lambda: quaternion_field(odd_residue_field(4), check=False).field,
-    "groupalg(C4, F0(1))": lambda: group_algebra(cyclic_group(4), build_f0(1),
-                                                 check=False).field,
-    "groupalg(C2, odd(4))": lambda: group_algebra(cyclic_group(2), odd_residue_field(4),
-                                                  check=False).field,
+    "toeplitz(3, F0(1))": lambda: toeplitz_field(3, build_f0(1)).field,
+    "toeplitz(2, odd(4))": lambda: toeplitz_field(2, odd_residue_field(4)).field,
+    "triangular(2, F0(2))": lambda: triangular_field(2, build_f0(2)).field,
+    "triangular(2, odd(4))": lambda: triangular_field(2, odd_residue_field(4)).field,
+    "quaternion(F0(1))": lambda: quaternion_field(build_f0(1)).field,
+    "quaternion(odd(4))": lambda: quaternion_field(odd_residue_field(4)).field,
+    "groupalg(C4, F0(1))": lambda: group_algebra(cyclic_group(4), build_f0(1)).field,
+    "groupalg(C2, odd(4))": lambda: group_algebra(cyclic_group(2), odd_residue_field(4)).field,
 }
 
 
@@ -1258,11 +1265,12 @@ def test_verdict_method_records_how_it_was_reached():
 # FiniteThreeField validates itself with the checkers' own invariant and
 # decision functions: every check mode rejects a broken cheap invariant, only
 # "auto" reaches the scan, and each invariant runs once.  The test mode
-# "full" is "auto" with the gate at the carrier's own size.
+# "full" is a light field whose axioms the checkers then decide with the
+# gate at the carrier's own size (`decided`).
 
-CHECK_MODES = {"light": lambda c: {"check": "light"},
-               "auto": lambda c: {"check": "auto"},
-               "full": lambda c: {"check": "auto", "limit": c.n}}
+CHECK_MODES = {"light": lambda c, one: FiniteThreeField(c, one, check="light"),
+               "auto": lambda c, one: FiniteThreeField(c, one, check="auto"),
+               "full": lambda c, one: decided(FiniteThreeField(c, one, check=False))}
 
 def _non_symmetric_nu(c):
     nu = c.nu.copy()
@@ -1311,10 +1319,10 @@ def test_every_check_mode_rejects_a_broken_invariant(kind, check, checked_first)
     if checked_first:
         checked = verdicts(carrier)
     with pytest.raises(StructureError, match=what) as exc:
-        FiniteThreeField(carrier, one, **CHECK_MODES[check](carrier))
+        CHECK_MODES[check](carrier, one)
     fresh = build()
     with pytest.raises(StructureError) as want:
-        FiniteThreeField(fresh, one, **CHECK_MODES[check](fresh))
+        CHECK_MODES[check](fresh, one)
     assert str(exc.value) == str(want.value)
     assert (checked if checked_first else verdicts(carrier)) == verdicts(build())
 
@@ -1352,7 +1360,7 @@ def test_an_unchecked_field_finds_a_missing_inverse_when_asked():
     with pytest.raises(StructureError, match=message):
         FiniteThreeField(c, 1, check="light")
     f = FiniteThreeField(c, 1, check=False)
-    for ask in (lambda: f.inv(2), lambda: f.is_subfield([1, 2]), lambda: f.power(2, -1)):
+    for ask in (lambda: f.inv(2), lambda: f.is_subfield([1, 2]), lambda: power(f, 2, -1)):
         with pytest.raises(StructureError, match=message):
             ask()
     g = FiniteThreeField(roster_field("odd(8)").carrier, 0, check=False)
@@ -1367,10 +1375,10 @@ def test_only_the_scanning_modes_reject_a_scan_only_failure(check):
     relabelled = relabel(odd16.carrier, np.random.default_rng(5).permutation(odd16.n))
     carrier = with_tables(relabelled, mu=f4.carrier.mu)
     if check == "light":
-        FiniteThreeField(carrier, f4.one, **CHECK_MODES[check](carrier))
+        CHECK_MODES[check](carrier, f4.one)
     else:
         with pytest.raises(StructureError, match="distributivity fails: law 1"):
-            FiniteThreeField(carrier, f4.one, **CHECK_MODES[check](carrier))
+            CHECK_MODES[check](carrier, f4.one)
 
 
 def test_auto_construction_runs_each_invariant_once():
