@@ -326,10 +326,6 @@ class QOddField:
     def quer(x):
         return quer(x)
 
-    @staticmethod
-    def inv(x):
-        return inv(x)
-
     def quotient_by_ideal(self, ideal):
         """Every J_n is evenly maximal in the odd-denominator envelope: any
         strictly larger ideal contains some 2^k with k < n, whose odd

@@ -52,7 +52,6 @@ from .ternary_kernel import (
     _TABLE_LIMIT,
     _affine_on,
     _carries_on,
-    _coset_form,
     _generators,
     _identity,
     _least,
@@ -312,19 +311,16 @@ class _TupleTables:
         V = self.tuples
         return self.locate(self.products(V, V), "multiplication")
 
-    def nu(self):
-        """The (n, n, n) ternary addition table a + b + c, the coset form
-        (`_coset_form`) of its retract at the first carrier tuple v0:
-        a o b = a + b - v0, by one lookup of n^2 tuples, and k = v0+v0+v0."""
+    def field(self, labels, one, origin, check):
+        """The FiniteThreeField on these tables; one is the unit's tuple.
+        Its carrier is born from the retract of the ternary addition
+        a + b + c at the first carrier tuple v0: a o b = a + b - v0, by one
+        lookup of n^2 tuples, and k = v0+v0+v0, so nu is never built here."""
         add, V = self.ring.add, self.tuples
         v0 = V[0]
         o = self.locate(add[add[V[:, None], V[None]], self.ring.neg[v0]], "ternary addition")
         k = int(self.locate(add[add[v0, v0], v0], "ternary addition"))
-        return _coset_form(o, k)[o]
-
-    def field(self, labels, one, origin, check):
-        """The FiniteThreeField on these tables; one is the unit's tuple."""
-        carrier = TernaryCarrier(labels, self.nu(), self.mu)
+        carrier = TernaryCarrier.from_retract(labels, o, k, self.mu)
         unit = int(self.locate(np.asarray(one), "the unit"))
         return FiniteThreeField(carrier, unit, origin=origin, check=check)
 
@@ -335,14 +331,15 @@ class EnvelopeRing(RingTable):
     part, 0 on the even part.  Its proof is `_envelope_failure`."""
 
     def __init__(self, base):
-        n, one, nu, mu = base.n, base.one, base.carrier.nu, base.carrier.mu
+        n, one, mu, nu = base.n, base.one, base.carrier.mu, base.carrier.nu_of
         m1 = quer_add(base.carrier, one)
-        rows = np.arange(n)
-        odd_plus_pair = nu[:, one, :]                       # [a, beta]
-        add = np.block([[n + nu[:, :, m1], odd_plus_pair], [odd_plus_pair.T, n + nu[:, :, one]]])
-        mul = np.block([[mu, n + nu[mu, rows[:, None], m1]],   # a*q_beta: nu(a*beta, a, m1)
-                        [n + nu[mu, rows[None, :], m1],         # q_alpha*b: nu(alpha*b, b, m1)
-                         n + nu[rows[:, None], rows[None, :], mu]]])
+        rows, cols = np.arange(n)[:, None], np.arange(n)
+        odd_plus_pair = nu(rows, one, cols)                 # [a, beta]
+        add = np.block([[n + nu(rows, cols, m1), odd_plus_pair],
+                        [odd_plus_pair.T, n + nu(rows, cols, one)]])
+        mul = np.block([[mu, n + nu(mu, rows, m1)],         # a*q_beta: nu(a*beta, a, m1)
+                        [n + nu(mu, cols, m1),              # q_alpha*b: nu(alpha*b, b, m1)
+                         n + nu(rows, cols, mu)]])
         labels = list(base.labels) + [f"q({lab})" for lab in base.labels]
         self.base = base
         self._parity = np.repeat(np.array([1, 0], dtype=np.int8), n)
@@ -467,7 +464,7 @@ class Morphism(_IndexMap):
         gens = s.carrier.generators
         proven = gens and t.carrier.generators
         if not (_affine_on(m, s.carrier.retract, gens[0], *t.carrier.retract) if proven
-                else _map_violation(m, s.carrier.nu, t.carrier.nu) is None):
+                else _map_violation(m, s.carrier.nu_of, t.carrier.nu) is None):
             raise StructureError("ternary addition is not preserved")
         if not (_carries_on(m, s.carrier.mu, gens[1], t.carrier.mu) if proven
                 else _map_violation(m, s.carrier.mu, t.carrier.mu) is None):
@@ -510,7 +507,7 @@ class ThreeRingMap(_IndexMap):
                 else _map_violation(m, f.carrier.mu, r.mul) is None):
             raise StructureError("products are not preserved")
         if not (_affine_on(m, f.carrier.retract, gens[0], r.add, r.zero, r.zero) if proven
-                else _map_violation(m, f.carrier.nu, r.add, r.add) is None):   # (a+b)+c
+                else _map_violation(m, f.carrier.nu_of, r.add, r.add) is None):   # (a+b)+c
             raise StructureError("ternary sums are not preserved")
 
 
@@ -601,12 +598,12 @@ def quotient_by_ideal(field, ideal):
     cls = _renumber(class_of, reps, n)          # class position of each element
     c = field.carrier
     mu = cls[c.mu[np.ix_(reps, reps)]]
-    nu = cls[c.nu[np.ix_(reps, reps, reps)]]
+    nu = cls[c.nu_of(*np.ix_(reps, reps, reps))]
     # representative independence: the class map carries mu and nu onto
     # the quotient's tables
     if _map_violation(cls, c.mu, mu) is not None:
         raise StructureError("multiplication is not constant on classes")
-    if _map_violation(cls, c.nu, nu) is not None:
+    if _map_violation(cls, c.nu_of, nu) is not None:
         raise StructureError("addition is not constant on classes")
     report = {
         "evenly_maximal": witness is None,
@@ -632,7 +629,8 @@ class RetractAddition:
     def __init__(self, field, c):
         self.field = field
         self.c = int(c)
-        self.table = np.asarray(field.carrier.nu[:, :, self.c])
+        rows = np.arange(field.n)
+        self.table = field.carrier.nu_of(rows[:, None], rows, self.c)
         self.neutral = quer_add(field.carrier, self.c)   # nu(x, quer(c), c) = x
 
 

@@ -33,7 +33,6 @@ from .ternary_kernel import (
     StructureError,
     TernaryCarrier,
     _TABLE_LIMIT,
-    _coset_form,
     _refuse_size,
     odd_residue_field,
 )
@@ -797,7 +796,7 @@ def build_quotient_field(spec, check="auto"):
     _refuse_size(n, _TABLE_LIMIT, "carrier of size {size} exceeds the build limit {limit}")
     idx = np.arange(n, dtype=np.int32)        # index i is a coefficient vector
     o = idx[:, None] ^ idx                    # the retract at 1, with k = 0
-    carrier = TernaryCarrier(alg.labels(), _coset_form(o, 0)[o], alg.mul_table())
+    carrier = TernaryCarrier.from_retract(alg.labels(), o, 0, alg.mul_table())
     origin = {
         "kind": "quotient_field",
         "base": "F0",
@@ -923,12 +922,11 @@ def product_field(*factors, check="auto"):
     o = sum(st * f.carrier.retract[0][np.ix_(c, c)]
             for f, c, st in zip(factors, comps, strides)).astype(np.int32)
     k = sum(st * f.carrier.retract[1] for f, st in zip(factors, strides))
-    nu = _coset_form(o, k)[o]
     mu = sum(st * f.carrier.mu[np.ix_(c, c)] for f, c, st in zip(factors, comps, strides))
     labels = ["(" + ",".join(f.label(int(c[i])) for f, c in zip(factors, comps)) + ")"
               for i in range(n)]
     one = sum(st * f.one for f, st in zip(factors, strides))
-    carrier = TernaryCarrier(labels, nu, mu)
+    carrier = TernaryCarrier.from_retract(labels, o, k, mu)
     field = FiniteThreeField(carrier, int(one),
                              origin={"kind": "product",
                                      "sizes": sizes}, check=check)
@@ -1101,7 +1099,7 @@ def _subalgebra_closure(field, seeds):
     Returns the sorted reached indices and the steps (r, a, b, c) in the
     order reached: r = mu(a,b) when c is -1, else r = nu(a,b,c).
     """
-    nu, mu = field.carrier.nu, field.carrier.mu
+    carrier = field.carrier
     reached = np.zeros(field.n, dtype=bool)
     reached[seeds] = True
     steps = []
@@ -1112,9 +1110,9 @@ def _subalgebra_closure(field, seeds):
         rows = max(1, _CLOSURE_CELLS // (m * (m + 1)))
         for lo in range(0, m, rows):
             a = arr[lo:lo + rows]
-            events = np.empty((len(a), m, m + 1), dtype=nu.dtype)
-            events[:, :, 0] = mu[np.ix_(a, arr)]
-            events[:, :, 1:] = nu[np.ix_(a, arr, arr)]
+            events = np.empty((len(a), m, m + 1), dtype=np.int32)
+            events[:, :, 0] = carrier.mu[a[:, None], arr]
+            events[:, :, 1:] = carrier.nu_of(a[:, None, None], arr[:, None], arr)
             flat = events.ravel()
             pos = np.flatnonzero(~seen[flat])
             new, first = np.unique(flat[pos], return_index=True)

@@ -207,7 +207,6 @@ class MatrixFieldResult:
         self.tables = tables
         self.env = tables.ring
         self.layout = layout
-        self.shape = layout.shape
         self.isomorphism = isomorphism
         self.noncommutative_witness = noncommutative_witness
 

@@ -1,12 +1,17 @@
 """Carriers for 3-rings/3-fields and exact verification of their axioms.
 
 A carrier is a finite ordered set of elements (identified by index) together
-with dense operation tables: a ternary addition nu and, usually, a
+with operation tables: a ternary addition nu and, usually, a
 multiplication mu.  mu is binary, (n,n) with the derived ternary product
 mu(mu(x,y),z), or genuinely ternary, (n,n,n) on a ProperThreeThreeField;
-every fork on the kind of product reads mu.ndim.  Tables are immutable
-after construction and all verdicts are deterministic: every failure
-reports the lexicographically least witness.
+every fork on the kind of product reads mu.ndim.  nu is given as its
+dense (n,n,n) cube (user tables, JSON), or, by every builder, as the
+retract (o, k) whose coset form it is (`TernaryCarrier.from_retract`), in
+n^2 entries; the cube is then built only when something reads it, and
+every reader that needs n^2 or fewer entries of nu reads them through
+`TernaryCarrier.nu_of`.  Tables are immutable after construction and all
+verdicts are deterministic: every failure reports the lexicographically
+least witness.
 
 `check_ternary_group` and `check_distributivity` reach a verdict in four
 steps, and the Verdict's `method` records which step decided it:
@@ -16,13 +21,17 @@ steps, and the Verdict's `method` records which step decided it:
 2. the size gate: carriers above `check_limit()` raise CarrierSizeError;
 3. an exact certificate: by the Hosszu-Gluskin theorem a commutative
    ternary group is nu(x,y,z) = x+y+z+k over an abelian group.  That form
-   is written once, `_coset_form`: the builders that start from an
-   additive group make nu from their retract (o, k) with it, and one
-   O(n^3) certificate (`_coset_retract`) reads it back and yields the
-   retract (o, k), cached per carrier as `TernaryCarrier.retract` beside
-   its generators A; then `_distrib_certificate` tests every translation
-   of mu, binary or ternary, as affine for o on A, in O(n^2 |A|) for a
-   binary mu.  A passing certificate is a PASS ("certificate");
+   is written once, `_coset_form`.  A builder's carrier is born from its
+   retract (o, k), so its nu is that form by construction and it is
+   certified on o alone: the group checks and Light's test of
+   `_retract_certificate`, O(n^2 |A|).  A dense carrier, or a builder's
+   whose o fails those checks, is certified on the cube by
+   `_coset_retract`, which reads the form back in O(n^3).  Either yields
+   the retract (o, k), cached per carrier as `TernaryCarrier.retract`
+   beside its generators A; then `_distrib_certificate` tests every
+   translation of mu, binary or ternary, as affine for o on A, in
+   O(n^2 |A|) for a binary mu.  A passing certificate is a PASS
+   ("certificate");
 4. otherwise the O(n^5) scan, the only witness locator ("scan").  A
    certificate can fail on a binary mu the scan passes, so a failed
    certificate decides nothing by itself.
@@ -34,7 +43,9 @@ The invariants are decided certificate first: the nu invariants pass when
 the retract is certified, which also proves them, and those of a binary mu
 by Light's test on mu's generators.  Only when that fails does the O(n^3)
 walk run, to name the least witness, so a carrier that passes step 1 has
-its retract certified before the checkers read it.
+its retract certified before the checkers read it.  A builder's carrier
+passes step 1 in O(n^2 |A|) with no cube built: the closure of its nu is
+that of its validated o, and its certificate checks o alone.
 `FiniteThreeField` and `ProperThreeThreeField` (itself a carrier) read
 them the same way and decide associativity and distributivity with the
 two checkers, so `field check` decides each law once.
@@ -179,28 +190,96 @@ class TernaryCarrier:
     Entries equal to FOREIGN (-1) mark results that leave the carrier; the
     *_foreign dicts map the offending argument tuples to a label of the
     outside value, for witness reporting.
+
+    A carrier is dense, given the cube nu, or retract-born
+    (`from_retract`), given the retract (o, k) whose coset form is nu.  A
+    retract-born carrier builds its cube `nu` only when something reads it;
+    `nu_of` reads nu from (o, k) on it and from the cube otherwise, and its
+    certificate is the group checks on o alone.
     """
 
     product_axes = 2
+    _born_from = None       # the retract (o, k) of a retract-born carrier
 
     def __init__(self, labels, nu, mu=None, nu_foreign=None, mu_foreign=None):
+        self._label(labels)
+        self.nu = _table(nu, (self.n, self.n, self.n), "nu")
+        self.mu = None if mu is None else _table(mu, (self.n,) * self.product_axes, "mu")
+        self.nu_foreign = dict(nu_foreign or {})
+        self.mu_foreign = dict(mu_foreign or {})
+
+    @classmethod
+    def from_retract(cls, labels, o, k, mu):
+        """The carrier whose nu is the coset form ((x o y) o z) o k of the
+        retract (o, k): o an (n,n) table with entries in the carrier, k an
+        element.  It holds o and k, n^2 entries, and builds the cube nu on
+        its first read; every builder makes its carrier this way."""
+        carrier = cls.__new__(cls)
+        carrier._label(labels)
+        n = carrier.n
+        if not 0 <= k < n:
+            raise StructureError(f"k = {k} is not an element of the {n}-element carrier")
+        carrier._born_from = _table(o, (n, n), "retract", 0), int(k)
+        carrier.mu = _table(mu, (n,) * cls.product_axes, "mu")
+        carrier.nu_foreign, carrier.mu_foreign = {}, {}
+        return carrier
+
+    def _label(self, labels):
         self.labels = tuple(str(x) for x in labels)
         self.n = len(self.labels)
         if self.n < 1:
             raise StructureError("carrier must have at least one element")
         if len(set(self.labels)) != self.n:
             raise StructureError("carrier labels must be distinct")
-        self.nu = _table(nu, (self.n, self.n, self.n), "nu")
-        self.mu = None if mu is None else _table(mu, (self.n,) * self.product_axes, "mu")
-        self.nu_foreign = dict(nu_foreign or {})
-        self.mu_foreign = dict(mu_foreign or {})
         self._verdicts = {}             # cheap law -> Verdict or None, see _first_failure
 
     @functools.cached_property
+    def nu(self):
+        """The (n,n,n) table of a retract-born carrier, its retract's coset
+        form, built on first read and read-only (a dense carrier's nu is set
+        when it is made)."""
+        nu = self._form[self._born_from[0]]
+        nu.setflags(write=False)
+        return nu
+
+    @functools.cached_property
+    def _form(self):
+        """F = `_coset_form(o, k)` of a retract-born carrier: nu is F[o]."""
+        return _coset_form(*self._born_from)
+
+    def nu_of(self, x, y=slice(None), z=slice(None)):
+        """nu[x, y, z], for indices or index arrays broadcast together; x may
+        also be a slice of first arguments, and y and z default to whole
+        axes, so nu_of(rows) is nu[rows].  A retract-born carrier reads it
+        as F[x o y, z] from its (o, k), with no cube built; a dense one
+        reads the cube.  Every consumer of nu reads it here, except
+        `to_json` and the routes a builder's valid carrier never takes,
+        which read the cube: the certificate of a cube, the walks that name
+        a failure, the O(n^5) scans and the target of an unproven map."""
+        if self._born_from is None:
+            return self.nu[x, y, z]
+        xy = self._born_from[0][x, y]
+        if (isinstance(z, np.ndarray) and 1 <= z.ndim <= xy.ndim and xy.shape[-1] == 1
+                and z.size == z.shape[-1]):
+            # a grid whose last axis is z's alone, as np.ix_ makes it: rows
+            # of F[:, z] taken whole, several times faster than a gather
+            # of every cell
+            return np.take(self._form[:, z.ravel()], xy[..., 0], axis=0)
+        return self._form[xy, z]
+
+    @functools.cached_property
     def _certificate(self):
-        """(o, k, generators of o) when nu's retract is certified, else None:
-        see `_coset_retract`.  The tables are read-only, so it is decided
-        once per carrier."""
+        """(o, k, generators of o) when nu's retract is certified, else None.
+        A retract-born carrier's nu is the coset form of its (o, k), so the
+        group checks on o decide it (`_retract_certificate`); a dense one,
+        or one whose o fails them, is decided on the cube by
+        `_coset_retract`, which names the same retract whichever carrier
+        holds the tables.  The tables are read-only, so it is decided once
+        per carrier."""
+        if self._born_from is not None:
+            cert = _retract_certificate(*self._born_from)
+            if cert is not None:
+                return cert
         return _coset_retract(self.nu)
 
     @functools.cached_property
@@ -307,11 +386,13 @@ def _first_violation(n, width, bad):
 def _map_violation(m, src, *image):
     """Least argument tuple x, row-major, where m(src(x)) != image(m(x)), or
     None: whether the map m (an image index per element) carries the table
-    src onto `image`.  `image` is one target table, or tables nested on the
-    left, so that (add, add) is the ternary sum add(add(a, b), c).  Chunks
-    as in `_first_violation`; per chunk the image is t[m[rows]], then m
-    taken along each further axis."""
+    src onto `image`.  src is a table, or a reader of one's rows such as
+    `TernaryCarrier.nu_of`, which then builds no cube.  `image` is one
+    target table, or tables nested on the left, so that (add, add) is the
+    ternary sum add(add(a, b), c).  Chunks as in `_first_violation`; per
+    chunk the image is t[m[rows]], then m taken along each further axis."""
     m = np.asarray(m, dtype=np.int32)
+    read = src if callable(src) else src.__getitem__
 
     def bad(rows):
         out = m[rows]
@@ -319,8 +400,8 @@ def _map_violation(m, src, *image):
             out = t[out]
             for axis in range(out.ndim - t.ndim + 1, out.ndim):
                 out = np.take(out, m, axis=axis)
-        return m[src[rows]] != out
-    return _first_violation(len(src), src[0].size, bad)
+        return m[read(rows)] != out
+    return _first_violation(len(m), read(0).size, bad)
 
 
 def _assoc_violation(t):
@@ -480,7 +561,8 @@ def _mu_invariants(mu, labels):
 # invariants.  The invariants pass by the certified retract and by Light's
 # test; only a failure walks the table, to name its least witness.
 _CHEAP_LAWS = {
-    "nu closure": lambda c: _closure(c.nu, c.nu_foreign, c.labels, "nu"),
+    "nu closure": lambda c: (None if c._born_from is not None       # o is closed
+                             else _closure(c.nu, c.nu_foreign, c.labels, "nu")),
     "mu closure": lambda c: _closure(c.mu, c.mu_foreign, c.labels, "mu"),
     "nu invariants": lambda c: (None if c.retract is not None
                                 else _nu_invariants(c.nu, c.labels)),
@@ -504,7 +586,7 @@ def _first_failure(carrier, *laws):
 
 def _ternary_units(t):
     """Indices e with t(e,e,x) = x for all x, ascending: the units of a
-    ternary product, or the additively neutral elements of nu."""
+    ternary product."""
     idx = np.arange(len(t), dtype=t.dtype)
     return np.flatnonzero((t[idx, idx] == idx).all(axis=1)).tolist()   # [e,x] -> t(e,e,x)
 
@@ -512,30 +594,49 @@ def _ternary_units(t):
 def _zero_element(c, unit):
     """The least z other than `unit` that is additively neutral
     (nu(z,z,x) = x) and absorbs the ternary product of the carrier's closed
-    mu, or None.  Row z of a binary mu's product mu(mu(x,y),z) is read as
-    mu[mu[z]], so no n^3 cube is built."""
-    mu = c.mu
-    return next((z for z in _ternary_units(c.nu) if z != unit
+    mu, or None.  The neutral elements are read from the n^2 entries
+    nu(z,z,x) (`TernaryCarrier.nu_of`), and row z of a binary mu's product
+    mu(mu(x,y),z) as mu[mu[z]], so no n^3 cube is built."""
+    mu, idx = c.mu, np.arange(c.n)
+    neutral = np.flatnonzero((c.nu_of(idx[:, None], idx[:, None], idx) == idx).all(axis=1))
+    return next((z for z in neutral.tolist() if z != unit
                  and ((mu[z] if mu.ndim == 3 else mu[mu[z]]) == z).all()), None)
 
 
+def _retract_certificate(o, k):
+    """Exact O(n^2 |A|) certificate that the retract (o, k) is an abelian
+    group with identity 0: (o, k, A), A a generating set of o
+    (`_generators`, an index array), or None when a check fails.  The
+    checks, cheapest first: o is closed, has identity 0, is commutative
+    and has 0 in every row (so every element has an inverse), all O(n^2);
+    then o is associative by Light's test on A.  Then the coset form of
+    (o, k) is a commutative ternary group (see `_coset_retract`), so this
+    alone certifies a retract-born carrier, whose nu is that form."""
+    if not (o.min() >= 0 and _identity(o) == 0 and (o == o.T).all()
+            and (o == 0).any(axis=1).all()):
+        return None
+    gens = np.array(_generators(o))
+    return (o, k, gens) if _light_associative(o, gens) else None
+
+
 def _coset_retract(nu):
-    """Exact O(n^3) certificate that nu is x+y+z+k over an abelian group:
-    (o, k, A), the retract (o, k) and a generating set A of o
-    (`_generators`, an index array), or None when the check fails.
+    """Exact O(n^3) certificate that the cube nu is x+y+z+k over an abelian
+    group: (o, k, A), the retract (o, k) and a generating set A of o, or
+    None when the check fails.
 
     o is x o y = nu(x, e, y), e the unique t having nu(0,0,t) = 0, and
-    k = nu(0,0,0).  The check, cheapest first: o is closed, has identity
-    0, is commutative and has 0 in every row (so every element has an
-    inverse), all O(n^2); then o is associative by Light's test on A and
-    nu(x,y,z) = ((x o y) o z) o k on the whole table (`_is_coset_form`).
-    Sufficient for total associativity: all three regroupings of
-    nu(nu(a,b,c),d,e) equal a o b o c o d o e o k o k.  Sufficient too for
-    the commutativity and unique solvability of nu, as the form is
-    symmetric and z -> x+y+z+k is a bijection.  Passes on every
-    commutative ternary group: by the Hosszu-Gluskin theorem
-    nu(x,y,z) = x+y+z+k over the retract (G,+) at 0, whose identity is 0
-    because e is the querelement of 0, and then x o y = x+y.
+    k = nu(0,0,0).  The check: the group checks on (o, k)
+    (`_retract_certificate`), then nu(x,y,z) = ((x o y) o z) o k on the
+    whole table (`_is_coset_form`).  Sufficient for total associativity:
+    all three regroupings of nu(nu(a,b,c),d,e) equal
+    a o b o c o d o e o k o k.  Sufficient too for the commutativity and
+    unique solvability of nu, as the form is symmetric and z -> x+y+z+k is
+    a bijection.  Passes on every commutative ternary group: by the
+    Hosszu-Gluskin theorem nu(x,y,z) = x+y+z+k over the retract (G,+) at
+    0, whose identity is 0 because e is the querelement of 0, and then
+    x o y = x+y.  A retract-born carrier whose o passes the group checks
+    needs no cube: its nu is the coset form of its (o, k), and this would
+    read back that same retract.
     """
     sols = np.flatnonzero(nu[0, 0] == 0)
     if len(sols) != 1:
@@ -544,28 +645,24 @@ def _coset_retract(nu):
     o.setflags(write=False)                  # cached on the carrier
     # every value the form compares nu with comes from o, so a closed o
     # leaves no FOREIGN entry of nu unnoticed
-    if not (o.min() >= 0 and _identity(o) == 0 and (o == o.T).all()
-            and (o == 0).any(axis=1).all()):
-        return None
-    gens = np.array(_generators(o))
-    return (o, k, gens) if _is_coset_form(nu, o, k, gens) else None
+    cert = _retract_certificate(o, k)
+    return cert if cert is not None and _is_coset_form(nu, o, k) else None
 
 
 def _coset_form(o, k):
     """The table F[a, z] = (a o z) o k of the coset form
     nu(x, y, z) = ((x o y) o z) o k of the retract (o, k): nu is F[o], and
     its rows x in `rows` are F[o[rows]].  The one place nu's form is
-    written: builders that start from an additive group take nu from it,
-    and the certificate (`_is_coset_form`) reads it back."""
+    written: a retract-born carrier reads nu from it
+    (`TernaryCarrier.nu_of`) and builds its cube from it, and the
+    certificate of a dense carrier reads it back (`_is_coset_form`)."""
     return o[o, k]
 
 
-def _is_coset_form(nu, o, k, gens):
-    """Whether the closed binary o is associative, by Light's test on gens,
-    a generating set of o (`_generators`), and nu is the coset form of
-    (o, k) everywhere: O(n^2 |A|), then one O(n^3) comparison in chunks."""
-    if not _light_associative(o, gens):
-        return False
+def _is_coset_form(nu, o, k):
+    """Whether the cube nu is the coset form of (o, k) everywhere: one
+    O(n^3) comparison in chunks, run only on a dense carrier (a
+    retract-born one is that form by construction)."""
     n = len(o)
     form = _coset_form(o, k)
     return _first_violation(n, n * n, lambda rows: form[o[rows]] != nu[rows]) is None
@@ -726,7 +823,7 @@ def check_distributivity(carrier, limit=None):
 
 def quer_add(carrier, x):
     """The additive querelement: unique t with nu(x,x,t) = x."""
-    row = carrier.nu[x, x]
+    row = carrier.nu_of(x, x)
     sols = np.flatnonzero(row == x)
     if len(sols) != 1:
         raise StructureError(
@@ -793,7 +890,7 @@ class FiniteThreeField:
         return self.carrier.labels
 
     def nu(self, i, j, k):
-        return int(self.carrier.nu[i, j, k])
+        return int(self.carrier.nu_of(i, j, k))
 
     def mu(self, i, j):
         return int(self.carrier.mu[i, j])
@@ -860,7 +957,7 @@ class FiniteThreeField:
     def subset_carrier(self, indices):
         """Carrier restricted to a subset, foreign results marked."""
         s = np.array([int(i) for i in indices], dtype=np.intp)
-        nu = self.carrier.nu[np.ix_(s, s, s)]
+        nu = self.carrier.nu_of(*np.ix_(s, s, s))
         mu = self.carrier.mu[np.ix_(s, s)]
         sub_nu, sub_mu = _renumber(nu, s, self.n), _renumber(mu, s, self.n)
         return TernaryCarrier([self.label(g) for g in s], sub_nu, sub_mu,
@@ -880,7 +977,7 @@ class FiniteThreeField:
             return False
         c = self.carrier
         return all((_renumber(t, s, self.n) != FOREIGN).all()
-                   for t in (self._inv[s], c.mu[np.ix_(s, s)], c.nu[np.ix_(s, s, s)]))
+                   for t in (self._inv[s], c.mu[np.ix_(s, s)], c.nu_of(*np.ix_(s, s, s))))
 
     def to_json(self):
         doc = self.carrier.to_json(one=self.one)
@@ -948,7 +1045,7 @@ def twisted_coset(field, subfield_indices, t):
         raise StructureError("t*t must lie in the subfield")
     mu = field.carrier.mu
     coset = np.unique(mu[t, f1])
-    full = field.carrier.nu[np.ix_(coset, coset, coset)]
+    full = field.carrier.nu_of(*np.ix_(coset, coset, coset))
     nu = _renumber(full, coset, field.n)
     # mu(mu(a,b),c) over the coset only, never the whole-field mu[mu] cube
     tmu = _renumber(mu[mu[np.ix_(coset, coset)][:, :, None], coset], coset, field.n)
@@ -978,7 +1075,6 @@ def odd_residue_field(modulus, check="auto"):
     o = np.remainder(i[:, None] + i, n)
     mu = (2 * i[:, None] + 1) * i + i[:, None]
     np.remainder(mu, n, out=mu)
-    carrier = TernaryCarrier([str(2 * v + 1) for v in range(n)],
-                             _coset_form(o, 1 % n)[o], mu)
+    carrier = TernaryCarrier.from_retract([str(2 * v + 1) for v in range(n)], o, 1 % n, mu)
     return FiniteThreeField(carrier, 0, origin={"kind": "odd_residue", "modulus": m},
                             check=check)

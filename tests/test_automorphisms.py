@@ -189,16 +189,20 @@ def test_automorphism_group_builds_no_polynomials_and_composes_no_pairs():
 
 @pytest.mark.parametrize("k", [5, 6, 7])
 def test_automorphism_group_decides_one_retract_and_walks_no_map(k):
-    # the light build certifies the retract, its nu invariants passing by
-    # it, and the group's maps read that one retract
-    with mock.patch.object(ternary_kernel, "_coset_retract",
-                           wraps=ternary_kernel._coset_retract) as retract, \
+    # the light build certifies the retract it was born from on o alone,
+    # its nu invariants passing by it, and the group's maps read that one
+    # retract; no cube of nu is built or compared
+    with mock.patch.object(ternary_kernel, "_retract_certificate",
+                           wraps=ternary_kernel._retract_certificate) as retract, \
+            mock.patch.object(ternary_kernel, "_coset_retract",
+                              wraps=ternary_kernel._coset_retract) as cube, \
             mock.patch.object(pair_envelope, "_map_violation",
                               wraps=pair_envelope._map_violation) as walked:
         f = build_f0(k, check="light")
         assert retract.call_count == 1
         assert automorphism_group(f).order == 1 << (k - 2)
     assert retract.call_count == 1 and walked.call_count == 0
+    assert cube.call_count == 0 and "nu" not in vars(f.carrier)
 
 
 def test_an_unchecked_field_decides_its_retract_once():
@@ -207,14 +211,16 @@ def test_an_unchecked_field_decides_its_retract_once():
     # and no map is walked, as for the light-built field, which certifies
     # its retract when it is built, and the two groups are the same
     unchecked = build_f0(7, check=False)
-    with mock.patch.object(ternary_kernel, "_coset_retract",
-                           wraps=ternary_kernel._coset_retract) as retract, \
+    with mock.patch.object(ternary_kernel, "_retract_certificate",
+                           wraps=ternary_kernel._retract_certificate) as retract, \
+            mock.patch.object(ternary_kernel, "_coset_retract",
+                              wraps=ternary_kernel._coset_retract) as cube, \
             mock.patch.object(pair_envelope, "_map_violation",
                               wraps=pair_envelope._map_violation) as walked:
         got = automorphism_group(unchecked)
         assert retract.call_count == 1 and walked.call_count == 0
         want = automorphism_group(build_f0(7, check="light"))
-    assert retract.call_count == 2 and walked.call_count == 0
+    assert retract.call_count == 2 and walked.call_count == 0 and cube.call_count == 0
     assert got.elements == want.elements and got.identity == want.identity
     assert (got.table == want.table).all()
 

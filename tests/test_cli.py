@@ -239,23 +239,27 @@ def test_field_check_passes_on_valid_field():
                                             in [("odd(32)", 1), ("F0(5)", 1), ("F0(2)xF0(3)", 3)]])
 def test_field_check_decides_each_axiom_group_once(spec, carriers):
     # the field is built with the cheap invariants only, which pass by the
-    # certified retract and Light's test, so the coset form of nu is checked
-    # once per carrier built (a product builds its two factors too) and no
+    # certified retract and Light's test, so the retract each builder made
+    # nu from is checked once per carrier built (a product builds its two
+    # factors too), on o alone, with no coset form compared, and no
     # invariant walk runs (a failing carrier walks once: see
     # test_ternary_kernel.test_a_failing_invariant_is_walked_once); the
     # checkers read the retract and the cheap laws construction decided
     def counting(name):
         return mock.patch.object(tk, name, wraps=getattr(tk, name))
 
-    with counting("_is_coset_form") as coset, counting("_distrib_certificate") as distrib, \
+    with counting("_retract_certificate") as retract, counting("_is_coset_form") as coset, \
+            counting("_distrib_certificate") as distrib, \
             counting("_closure") as closure, counting("_nu_invariants") as nu_inv, \
             counting("_mu_invariants") as mu_inv, \
             contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["field", "check", "--spec", spec, "--format", "json"]) == 0
     assert json.loads(out.getvalue())["passed"] is True
-    assert coset.call_count == carriers and distrib.call_count == 1
-    assert closure.call_count == 2 * carriers                   # nu, then mu
+    assert retract.call_count == carriers and distrib.call_count == 1
+    assert coset.call_count == 0
+    # mu alone: a retract-born nu is closed, as its validated o is
+    assert closure.call_count == carriers
     assert nu_inv.call_count == mu_inv.call_count == 0
 
 

@@ -10,7 +10,9 @@ is; a named stdout change regenerates the file and says so in CHANGES.md:
 The argv list covers every command of README "Command line", both formats
 of `paper-suite`, the automorphism groups and checks whose output earlier
 changes compared by hand, `envelope` of F0(5) and of odd(1024) (refused by
-the ring validation guard), and `field build` of the product F0(2)xF0(2).
+the ring validation guard), `field build` of the product F0(2)xF0(2), and
+the two n = 512 commands, `struct triangular 3` over odd(4) and `field check`
+of odd(1024).
 """
 
 import contextlib
@@ -41,6 +43,8 @@ EXTRA_COMMANDS = [
     ["envelope", "--spec", "F0(5)"],
     ["envelope", "--spec", "odd(1024)"],
     ["field", "build", "--spec", "F0(2)xF0(2)"],
+    ["struct", "triangular", "3", "--spec", "odd(4)"],
+    ["field", "check", "--spec", "odd(1024)", "--limit", "512"],
 ]
 
 

@@ -262,7 +262,7 @@ def test_resolution_rejects_non_generating_set(f4):
 def test_toeplitz_over_one_element_field_is_the_quotient_field(f1):
     result = toeplitz_field(3, f1)
     assert result.field.n == 4
-    assert result.shape == (3, 3)
+    assert result.layout.shape == (3, 3)
     iso = result.isomorphism
     assert iso is not None
     assert iso.source.n == 4 and iso.target.n == 4

@@ -30,8 +30,10 @@ from ternfield import (
     kernel_backend,
     odd_residue_field,
     quer_add,
+    residue_ring,
     triangular_field,
     twisted_coset,
+    units_as_3field,
 )
 from ternfield import pair_envelope, poly_fields, ternary_kernel as tk
 from ternfield.poly_fields import (
@@ -617,6 +619,10 @@ def test_derived_structure_builds_no_derived_cube():
     # mu not associative: (0*j)*k = 0 for all j, k, though 0*(j*k) = 1
     z3 = binary_derived_carrier(3)
     carriers.append(TernaryCarrier(z3.labels, z3.nu, [[1, 1, 1], [0, 0, 0], [2, 2, 2]]))
+    # nu(0,0,0) = 0 but nu(0,0,x) != x elsewhere: 0 absorbs mu, yet is no zero
+    nu = z3.nu.copy()
+    nu[0, 0, [1, 2]] = 2, 1
+    carriers.append(TernaryCarrier(z3.labels, nu, z3.mu))
     carriers.append(twisted_coset(f3, [f3.index("1"), f3.index("x^2")], f3.index("x")))
     reports = [detect_derived_structure(c) for c in carriers]
     assert reports == [whole_cube_derived_structure(c) for c in carriers]
@@ -625,6 +631,8 @@ def test_derived_structure_builds_no_derived_cube():
     found, peak = traced_peak(detect_derived_structure, f.carrier)
     assert found == {"unit": f.one, "zero": None}
     assert peak < 8 * 2 ** 20, peak
+    # the neutral elements are read from the retract: nu's cube is not built
+    assert "nu" not in vars(f.carrier)
 
 
 def test_refused_sizes_are_written_in_decimal_within_the_digit_limit():
@@ -1043,35 +1051,29 @@ def test_retract_matches_the_split_certificates_on_hand_made_tables():
 # -- the coset form, written once ---------------------------------------------------
 #
 # Every builder that starts from an additive group hands its retract (o, k)
-# to `_coset_form` and takes nu = F[o]; the certificate reads the same form
-# back, so the certified retract of a built carrier is the builder's own
-# (o, k).  That nu is x+y+z+k itself is tested against the residue and
-# mask arithmetic (test_odd_residue_tables_match_the_residue_arithmetic,
+# to `TernaryCarrier.from_retract`, whose nu is the coset form F[o] built
+# on first read; the certificate checks o alone, so the certified retract
+# of a built carrier is the builder's own (o, k), and the dense route, which
+# reads the form back from the cube, names the same one.  That nu is
+# x+y+z+k itself is tested against the residue and mask arithmetic
+# (test_odd_residue_tables_match_the_residue_arithmetic,
 # test_poly_fields.test_index_tables_match_the_mask_path).
 
-COSET_FORM, TABLE = tk._coset_form, tk._table
+FROM_RETRACT = TernaryCarrier.from_retract
 
 
 def built_retract(build):
-    """The field build() returns, and the (o, k) of the last `_coset_form`
-    call made before its nu table, or None."""
-    events = []                         # (o, k) per form, the table per table
+    """The field build() returns, and the (o, k) its carrier was born from
+    (`TernaryCarrier.from_retract`), or None."""
+    born = []                           # (carrier, o, k) per retract-born carrier
 
-    def form(o, k):
-        events.append((o, k))
-        return COSET_FORM(o, k)
+    def from_retract(labels, o, k, mu):
+        born.append((FROM_RETRACT(labels, o, k, mu), o, k))
+        return born[-1][0]
 
-    def table(*args):
-        events.append(TABLE(*args))
-        return events[-1]
-
-    with mock.patch.object(tk, "_coset_form", form), \
-            mock.patch.object(poly_fields, "_coset_form", form), \
-            mock.patch.object(pair_envelope, "_coset_form", form), \
-            mock.patch.object(tk, "_table", table):
+    with mock.patch.object(TernaryCarrier, "from_retract", from_retract):
         f = build()
-    made = next(i for i, e in enumerate(events) if e is f.carrier.nu)
-    return f, next((e for e in reversed(events[:made]) if isinstance(e, tuple)), None)
+    return f, next(((o, k) for c, o, k in born if c is f.carrier), None)
 
 
 def z2odd(exponents, m):
@@ -1095,15 +1097,210 @@ BUILDERS = {
     "quaternion(odd(4))": lambda: quaternion_field(odd_residue_field(4)).field,
     "groupalg(C4, F0(1))": lambda: group_algebra(cyclic_group(4), build_f0(1)).field,
     "groupalg(C2, odd(4))": lambda: group_algebra(cyclic_group(2), odd_residue_field(4)).field,
+    "F0(2)xF0(3)": lambda: product_field(build_f0(2), build_f0(3), check=False).field,
+    "units(Z/16)": lambda: units_as_3field(residue_ring(16)),
 }
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))
 def test_the_certified_retract_is_the_builders_own(name):
     f, built = built_retract(BUILDERS[name])
-    r = f.carrier.retract
-    assert built is not None and r is not None
+    with mock.patch.object(tk, "_coset_retract", wraps=tk._coset_retract) as cube:
+        r = f.carrier.retract
+    assert built is not None and r is not None and cube.call_count == 0
     assert np.array_equal(built[0], r[0]) and built[1] == r[1]
+
+
+# -- retract-born carriers against their dense twins ----------------------------------
+#
+# A builder's carrier holds its retract (o, k) and builds the cube nu only
+# when something reads it; its certificate is the group checks on o, and
+# its consumers read nu through `nu_of`.  A dense carrier over the same
+# tables is the oracle: every decision that reads nu must be the same on
+# both, and where o fails a group check the dense route decides.
+
+def dense_twin(c):
+    """A dense carrier over c's tables, nothing decided (reading c.nu builds
+    c's cube)."""
+    return TernaryCarrier(c.labels, c.nu, c.mu)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the StructureError it raises."""
+    try:
+        return fn(*args)
+    except StructureError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def checker_outcome(check, c):
+    """The checker's Verdict at limit n, as a dict with its method."""
+    def run():
+        v = check(c, limit=c.n)
+        return verdict_dict(v), v.method
+    return outcome(run)
+
+
+def construction(c, one):
+    """None when c is the carrier of a 3-field with unit one, checked as
+    check="auto" checks it, else the error's type and message."""
+    return outcome(lambda: FiniteThreeField(c, one, check="auto") and None)
+
+
+def decisions(c, one, seeds=None):
+    """What the carrier c decides from nu: the certificate, each cheap law,
+    both checkers at limit n, the derived structure and the message of a
+    field's construction; with seeds, also the closure of the seeds and the
+    envelope's tables."""
+    got = {
+        "certificate": c._certificate,
+        "laws": {law: full_verdict(tk._first_failure(c, law)) for law in tk._CHEAP_LAWS},
+        "additive": checker_outcome(check_ternary_group, c),
+        "distributive": checker_outcome(check_distributivity, c),
+        "derived": detect_derived_structure(c),
+        "field": construction(c, one),
+    }
+    if seeds is not None:
+        f = FiniteThreeField(c, one, check=False)
+        env = pair_envelope.EnvelopeRing(f)
+        got["closure"] = poly_fields._subalgebra_closure(f, seeds)
+        got["envelope"] = env.add, env.mul
+    return got
+
+
+def assert_decides_as_its_dense_twin(born, one, seeds=None):
+    """The retract-born carrier decides as the dense carrier over its tables,
+    and builds its cube only where the dense route decides."""
+    got = decisions(born, one, seeds)
+    assert ("nu" in vars(born)) == (tk._retract_certificate(*born._born_from) is None)
+    np.testing.assert_equal(got, decisions(dense_twin(born), one, seeds))
+    return got
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_a_builders_carrier_decides_as_its_dense_twin(name):
+    f = BUILDERS[name]()
+    born = f.carrier
+    assert born._born_from is not None and "nu" not in vars(born)
+    got = assert_decides_as_its_dense_twin(born, f.one, [f.one, (f.one + 1) % f.n])
+    assert got["additive"][1] == got["distributive"][1] == "certificate"
+    (o, k, gens), r = got["certificate"], tk._coset_retract(born.nu)
+    assert np.array_equal(o, born.retract[0]) and k == born.retract[1]
+    assert np.array_equal(gens, born.retract_generators)
+    assert np.array_equal(r[0], o) and r[1] == k and np.array_equal(r[2], gens)
+
+
+def d4_table():
+    """The dihedral group of order 8 as a table on range(8), identity 0:
+    the symmetries of a square as permutations of its corners."""
+    r, s = (1, 2, 3, 0), (0, 3, 2, 1)
+    elements = [(0, 1, 2, 3)]
+    for g in elements:                              # closed under r and s
+        for h in (r, s):
+            gh = tuple(h[g[i]] for i in range(4))
+            if gh not in elements:
+                elements.append(gh)
+    return np.array([[elements.index(tuple(b[a[i]] for i in range(4))) for b in elements]
+                     for a in elements], dtype=np.int32)
+
+
+def mutant_retracts():
+    """Retracts (o, k) over odd(16)'s 8 elements that fail o's group checks:
+    the identity moved off 0, one cell changed, and a group that is not
+    commutative (D4)."""
+    o, k = odd_residue_field(16).carrier.retract
+    sigma = np.roll(np.arange(8, dtype=np.int32), 1)        # 0 -> 7
+    moved = sigma[o[np.ix_(np.argsort(sigma), np.argsort(sigma))]]
+    broken = o.copy()
+    broken[1, 2] = o[1, 3]
+    return {"identity off 0": (moved, k), "one cell": (broken, k), "D4": (d4_table(), k)}
+
+
+@pytest.mark.parametrize("name", ["identity off 0", "one cell", "D4"])
+def test_a_mutant_retract_keeps_the_dense_route(name):
+    f = odd_residue_field(16)
+    o, k = mutant_retracts()[name]
+    assert tk._retract_certificate(o, k) is None
+    born = TernaryCarrier.from_retract(f.labels, o, k, f.carrier.mu)
+    with mock.patch.object(tk, "_coset_retract", wraps=tk._coset_retract) as cube:
+        got = assert_decides_as_its_dense_twin(born, f.one)
+    assert cube.call_args_list[0].args[0] is born.nu          # the dense route decided
+    assert np.array_equal(born.nu, tk._coset_form(o, k)[o])
+    if name == "identity off 0":     # nu is still a commutative ternary group
+        assert got["certificate"] is not None and not np.array_equal(born.retract[0], o)
+        assert got["additive"][1] == "certificate"
+    else:
+        assert got["certificate"] is None and got["additive"][0]["ok"] is False
+        assert got["field"][0] == "StructureError"
+
+
+def test_a_retract_born_loop_decides_as_its_dense_twin():
+    # every commutative loop of order 6 passes o's checks up to Light's
+    # test, which 396 of them fail: those fall back to the dense route
+    labels = [str(i) for i in range(6)]
+    for o in commutative_loops(6):
+        born = TernaryCarrier.from_retract(labels, o, 0, o)
+        dense = TernaryCarrier(labels, tk._coset_form(o, 0)[o], o)
+        assert ([full_verdict(tk._first_failure(born, law)) for law in tk._CHEAP_LAWS]
+                == [full_verdict(tk._first_failure(dense, law)) for law in tk._CHEAP_LAWS])
+        assert (born.retract is None) == (dense.retract is None)
+        if born.retract is not None:
+            assert "nu" not in vars(born)
+            assert np.array_equal(born.retract[0], dense.retract[0])
+
+
+def test_nu_of_reads_nu_as_numpy_indexes_it():
+    for name in ("F0(3)", "odd(16)", "F0(2,2)"):
+        born = FIELDS[name](check=False).carrier
+        dense = dense_twin(born)
+        n, one = born.n, 1 % born.n
+        rows, cols = np.arange(n)[:, None], np.arange(n)
+        sub = np.array([0, n - 1])
+        for args in [(0, 1, n - 1), (one, one), (slice(1, 3),), (sub,), (rows, one, cols),
+                     (rows, cols, one), (born.mu, rows, one), (rows, cols, born.mu),
+                     np.ix_(sub, cols, sub), np.ix_(cols, sub, cols), np.ix_(sub, sub, [one]),
+                     (rows, rows, cols), (sub[:, None, None], cols[:, None], sub),
+                     (sub[:, None], one, sub), (rows[:, :, None], cols[:, None], cols[None, None, :2])]:
+            got, want = born.nu_of(*args), dense.nu_of(*args)
+            assert got.shape == want.shape and np.array_equal(got, want), args
+            assert np.array_equal(want, dense.nu[args])
+
+
+def test_a_retract_born_carrier_validates_its_retract():
+    labels = ["a", "b"]
+    mu = [[0, 1], [1, 0]]
+    for o, k, message in [([[0, 1], [1, 2]], 0, r"retract table entries must lie in \[0, 2\)"),
+                          ([[0, 1], [1, -1]], 0, r"retract table entries must lie in \[0, 2\)"),
+                          ([0, 1, 1], 0, "retract table must have shape"),
+                          ([[0, 1], [1, 0]], 2, "k = 2 is not an element of the 2-element carrier")]:
+        with pytest.raises(StructureError, match=message):
+            TernaryCarrier.from_retract(labels, o, k, mu)
+    with pytest.raises(StructureError, match="carrier labels must be distinct"):
+        TernaryCarrier.from_retract(["a", "a"], [[0, 1], [1, 0]], 0, mu)
+
+
+def test_builders_and_checkers_hold_no_cube():
+    # the builders' carriers, both checkers and the derived structure stay
+    # well below one int32 n^3 cube (64 MiB at n = 256, 512 MiB at 512);
+    # the cube is built on the first read of nu, once, read-only
+    for build in (lambda: build_f0(3, 3, check="light"),
+                  lambda: odd_residue_field(1024, check="light"),
+                  lambda: triangular_field(3, odd_residue_field(4, check="light")).field):
+        def run():
+            c = build().carrier
+            verdicts = check_ternary_group(c, limit=c.n), check_distributivity(c, limit=c.n)
+            return c, verdicts, detect_derived_structure(c)
+        (c, verdicts, found), peak = traced_peak(run)
+        assert [v.method for v in verdicts] == ["certificate"] * 2 and all(verdicts)
+        assert found["zero"] is None and found["unit"] is not None
+        cube = 4 * c.n ** 3
+        assert peak < cube / 8, (c.n, peak)
+        assert "nu" not in vars(c)
+        o, k = c._born_from
+        nu, form = c.nu, tk._coset_form(o, k)
+        assert all(np.array_equal(nu[x], form[o[x]]) for x in range(c.n))   # nu is F[o]
+        assert not nu.flags.writeable and c.nu is nu
+        del c, nu                       # the cube goes before the next build
 
 
 @pytest.mark.parametrize("name", ["odd(4)", "odd(8)", "F0(3)", "F0(2,2)", "T2(F0(2))",
@@ -1112,8 +1309,8 @@ def test_a_one_cell_change_to_nu_is_no_coset_form(name):
     # a coset form is a Latin square in its last argument, and one changed
     # cell breaks that, so no retract certifies the change
     c = FIELDS[name](check=False).carrier
-    n, (o, k), gens = c.n, c.retract, c.retract_generators
-    assert tk._is_coset_form(c.nu, o, k, gens)
+    n, (o, k) = c.n, c.retract
+    assert tk._is_coset_form(c.nu, o, k)
     rng = np.random.default_rng(n)
     cells = (list(itertools.product(range(n), repeat=3)) if n <= 4
              else [tuple(rng.integers(0, n, size=3)) for _ in range(24)])
@@ -1121,7 +1318,7 @@ def test_a_one_cell_change_to_nu_is_no_coset_form(name):
         for shift in (range(1, n) if n <= 4 else rng.integers(1, n, size=2)):
             nu = c.nu.copy()
             nu[cell] = (nu[cell] + shift) % n
-            assert not tk._is_coset_form(nu, o, k, gens), (cell, shift)
+            assert not tk._is_coset_form(nu, o, k), (cell, shift)
             assert tk._coset_retract(nu) is None, (cell, shift)
 
 
@@ -1885,11 +2082,15 @@ def test_unknown_check_value_is_rejected(odd8, check):
 def test_light_product_certifies_its_retract_once():
     # its nu invariants pass by the certified retract, which the product
     # then carries; the unchecked free field it is compared with certifies
-    # its own retract when the isomorphism's Morphism reads it
+    # its own retract when the isomorphism's Morphism reads it; both are
+    # born from their retracts, so each certificate checks o alone
     f1, f3 = build_f0(1), build_f0(3)
-    with mock.patch.object(tk, "_coset_retract", wraps=tk._coset_retract) as retract:
+    with mock.patch.object(tk, "_retract_certificate",
+                           wraps=tk._retract_certificate) as retract, \
+            mock.patch.object(tk, "_coset_retract", wraps=tk._coset_retract) as cube:
         product = product_field(f1, f3, check="light").field
         assert product.carrier.retract is not None
-    assert retract.call_count == 2
+    assert retract.call_count == 2 and cube.call_count == 0
     first, second = (call.args[0] for call in retract.call_args_list)
-    assert first is product.carrier.nu and second is not first
+    assert first is product.carrier.retract[0] and second is not first
+    assert "nu" not in vars(product.carrier)           # no cube was built
