@@ -3,12 +3,15 @@
 Every element of F0(n) is a polynomial in the generator x, so an
 endomorphism is determined by where x goes: f(x) -> f(P).  Any image P
 works, because every element satisfies (f-1)^n = 0; the implementation
-still verifies each substitution map as a `Morphism`.  The field proves
-itself when the first map reads it, so each of its n maps is checked on
-the generators of the retract and of mu in O(n log n), not walked over the
-n^3 table of nu, however the field was built.  Automorphisms
-are detected along two independent routes — a compositional inverse
-exists, or the image generates the whole carrier — which must agree.
+still verifies the substitution maps.  `automorphism_group` checks all n
+of them, the columns of the composition table, in one stacked call of the
+morphism laws on the generators of the retract and of mu, however the
+field was built; only a stack that fails is checked map by map, as
+`enumerate_endomorphisms` builds each as a `Morphism`, to name the map
+and the law.  Automorphisms are detected along two independent routes —
+a compositional inverse exists (read from the composition table), or the
+image generates the whole carrier (one batched closure of every {1, P},
+read from mu and nu only) — which must agree.
 
 Composition tables follow the convention table[P][Q] = P(Q(x)) (substitute
 Q into P).  `composition_table` builds the whole table at once from the
@@ -29,8 +32,8 @@ from .ternary_kernel import (
     _nonperm_row,
     _table,
 )
-from .pair_envelope import Morphism
-from .poly_fields import _singly_generated_algebra, _subalgebra_closure
+from .pair_envelope import Morphism, _morphism_failure
+from .poly_fields import _singly_generated_algebra, _subalgebra_closures
 
 # compact one-letter names for the small single-variable fields
 _LETTERS = {
@@ -180,26 +183,30 @@ def automorphism_group(field):
     """Automorphisms by two independent routes (compositional inverse exists;
     image generates the carrier), asserted to agree; returns the composition
     Cayley table with identity x."""
-    endos = enumerate_endomorphisms(field)
-    # the composition table, read back from the validated maps: P_i(P_j)
-    comp = np.array([p.mapping for p in endos], dtype=np.int32).T
+    n = field.n
+    # the generator route reads mu and nu only, the closures of every
+    # {1, P}, and refuses a field whose carrier proves nothing
+    seeds = np.stack([np.full(n, field.one), np.arange(n)], axis=1)
+    generating = _subalgebra_closures(field, seeds).all(axis=1)
+
+    comp = composition_table(field)
+    # every column's map checked in one stacked call on the generators; only
+    # a stack that fails is checked map by map, which names the first bad one
+    if _morphism_failure(comp, field, field):
+        comp = np.array([p.mapping for p in enumerate_endomorphisms(field)],
+                        dtype=np.int32).T
     labels = list(field.labels)
     x_idx = labels.index("x") if "x" in labels else field.one
+    invertible = ((comp == x_idx) & (comp.T == x_idx)).any(axis=1)
 
-    inverse = ((comp == x_idx) & (comp.T == x_idx)).any(axis=1)
-    invertible = {image for image in range(field.n) if inverse[image]}
-
-    generating = {image for image in range(field.n) if len(
-        _subalgebra_closure(field, [field.one, image])[0]) == field.n}
-
-    if invertible != generating:
+    if (invertible != generating).any():
         raise StructureError(
             "the two automorphism criteria disagree: "
-            f"inverse-route {sorted(invertible)} vs generator-route "
-            f"{sorted(generating)}")
+            f"inverse-route {np.flatnonzero(invertible).tolist()} vs generator-route "
+            f"{np.flatnonzero(generating).tolist()}")
 
-    elements = sorted(invertible)
-    pos = np.full(field.n, -1, dtype=np.int32)
+    elements = np.flatnonzero(invertible)
+    pos = np.full(n, -1, dtype=np.int32)
     pos[elements] = np.arange(len(elements))
     table = pos[comp[np.ix_(elements, elements)]]
     if (table < 0).any():

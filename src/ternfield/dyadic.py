@@ -122,13 +122,6 @@ def quer(x):
     return -_coerce(x)
 
 
-def inv(x):
-    x = _coerce(x)
-    if not x.is_odd_element():
-        raise StructureError(f"{x} is not invertible: even numerator")
-    return OddDenomRational(1 / x.value)
-
-
 # -- the kernels ----------------------------------------------------------------
 # On a uint64 array every step wraps mod 2^64, which a mask to n <= 64 bits
 # does not see; an int64 array viewed as uint64 keeps its residues.

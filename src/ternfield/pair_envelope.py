@@ -451,24 +451,32 @@ class _IndexMap:
         return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
 
 
+def _morphism_failure(m, s, t):
+    """The message of the first 3-field morphism law that the map m from s
+    to t breaks (the unit, then nu, then mu), or None.  Between carriers
+    with certified retracts and monoid products the generators decide each
+    law, and m may be a stack of maps, one per column, which fails when
+    one of them does; else m is one map and each law is walked."""
+    if (m[s.one] != t.one).any():
+        return "unit is not preserved"
+    gens = s.carrier.generators
+    proven = gens and t.carrier.generators
+    if not (_affine_on(m, s.carrier.retract, gens[0], *t.carrier.retract) if proven
+            else _map_violation(m, s.carrier.nu_of, t.carrier.nu) is None):
+        return "ternary addition is not preserved"
+    if not (_carries_on(m, s.carrier.mu, gens[1], t.carrier.mu) if proven
+            else _map_violation(m, s.carrier.mu, t.carrier.mu) is None):
+        return "multiplication is not preserved"
+    return None
+
+
 class Morphism(_IndexMap):
     """Structure-preserving map between two unital 3-fields."""
 
     def validate(self):
-        s, t = self.source, self.target
-        m = np.asarray(self.mapping)
-        if m[s.one] != t.one:
-            raise StructureError("unit is not preserved")
-        # between carriers with certified retracts and monoid products the
-        # generators decide each law; else each is walked
-        gens = s.carrier.generators
-        proven = gens and t.carrier.generators
-        if not (_affine_on(m, s.carrier.retract, gens[0], *t.carrier.retract) if proven
-                else _map_violation(m, s.carrier.nu_of, t.carrier.nu) is None):
-            raise StructureError("ternary addition is not preserved")
-        if not (_carries_on(m, s.carrier.mu, gens[1], t.carrier.mu) if proven
-                else _map_violation(m, s.carrier.mu, t.carrier.mu) is None):
-            raise StructureError("multiplication is not preserved")
+        failure = _morphism_failure(np.asarray(self.mapping), self.source, self.target)
+        if failure is not None:
+            raise StructureError(failure)
 
 
 class RingMorphism(_IndexMap):

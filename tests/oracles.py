@@ -26,6 +26,8 @@ tested against; the package itself never calls them.
 - `tuple_index`, `matrix`, `add3`, `combination`, `scalar_free_resolution`
   and `scalar_inverse_error`: the tuple constructions of `structures` one
   tuple at a time, through a tuple -> index dict.
+- `inv`: the inverse of an odd-fraction element, refused on an even
+  numerator.
 - `scalar_criterion_9`: the paper suite's dyadic ledger one seeded case at
   a time through `Fraction`, `OddDenomRational` and `TruncatedDyadic`, the
   reference for the whole-array `criterion_9`.
@@ -54,6 +56,7 @@ from ternfield import (
     val2,
 )
 from ternfield.automorphisms import _algebra_of
+from ternfield.dyadic import OddDenomRational, _coerce
 from ternfield.poly_fields import _monomial_name
 from ternfield import ternary_kernel as tk
 from ternfield.ternary_kernel import FiniteThreeField, TernaryCarrier
@@ -482,6 +485,13 @@ def scalar_inverse_error(result):
         if field.mu(i, j) != field.one or field.mu(j, i) != field.one:
             return f"inverse formula fails at {result.quaternion(i)}"
     return None
+
+
+def inv(x):
+    x = _coerce(x)
+    if not x.is_odd_element():
+        raise StructureError(f"{x} is not invertible: even numerator")
+    return OddDenomRational(1 / x.value)
 
 
 def scalar_criterion_9():

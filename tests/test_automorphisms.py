@@ -21,7 +21,7 @@ from ternfield import (
     odd_residue_field,
     truncation_morphism,
 )
-from ternfield import pair_envelope, ternary_kernel
+from ternfield import automorphisms, pair_envelope, poly_fields, ternary_kernel
 from ternfield.automorphisms import composition_table
 from ternfield.poly_fields import generated_subalgebra
 
@@ -160,7 +160,7 @@ def test_substituting_x_is_the_identity_map():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,order", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 8),
-                                     (6, 16), (7, 32)])
+                                     (6, 16), (7, 32), (8, 64), (9, 128)])
 def test_automorphism_group_orders(n, order):
     aut = automorphism_group(build_f0(n))
     assert aut.order == order
@@ -187,22 +187,92 @@ def test_automorphism_group_builds_no_polynomials_and_composes_no_pairs():
         assert "__mul__" in calls and "add3" in calls
 
 
+def counting(module, name, source=None):
+    return mock.patch.object(module, name, wraps=getattr(source or module, name))
+
+
 @pytest.mark.parametrize("k", [5, 6, 7])
 def test_automorphism_group_decides_one_retract_and_walks_no_map(k):
     # the light build certifies the retract it was born from on o alone,
     # its nu invariants passing by it, and the group's maps read that one
-    # retract; no cube of nu is built or compared
-    with mock.patch.object(ternary_kernel, "_retract_certificate",
-                           wraps=ternary_kernel._retract_certificate) as retract, \
-            mock.patch.object(ternary_kernel, "_coset_retract",
-                              wraps=ternary_kernel._coset_retract) as cube, \
-            mock.patch.object(pair_envelope, "_map_violation",
-                              wraps=pair_envelope._map_violation) as walked:
+    # retract; no cube of nu is built or compared.  Every substitution map
+    # is checked in one stacked call and every generator closure in one
+    # batched call: no Morphism is built and no set is closed alone
+    with counting(ternary_kernel, "_retract_certificate") as retract, \
+            counting(ternary_kernel, "_coset_retract") as cube, \
+            counting(pair_envelope, "_map_violation") as walked, \
+            counting(automorphisms, "Morphism") as built, \
+            counting(poly_fields, "_subalgebra_closure") as closed, \
+            counting(automorphisms, "_subalgebra_closures", poly_fields) as batched:
         f = build_f0(k, check="light")
         assert retract.call_count == 1
         assert automorphism_group(f).order == 1 << (k - 2)
     assert retract.call_count == 1 and walked.call_count == 0
+    assert built.call_count == closed.call_count == 0 and batched.call_count == 1
     assert cube.call_count == 0 and "nu" not in vars(f.carrier)
+
+
+def _mutated_tables(f, rng):
+    """Composition tables of f with one column's map broken: its unit image
+    moved, one other image moved, or the map replaced by the exchange of
+    the two lowest index bits, which keeps nu (the XOR of indices) and not
+    mu."""
+    table = composition_table(f)
+    swap = np.arange(f.n) & ~3 | (np.arange(f.n) & 1) << 1 | (np.arange(f.n) & 2) >> 1
+    for j in rng.choice(f.n, size=4, replace=False):
+        for i in (f.one, rng.integers(1, f.n)):
+            mutant = table.copy()
+            mutant[i, j] = (table[i, j] + rng.integers(1, f.n)) % f.n
+            yield mutant
+        mutant = table.copy()
+        mutant[:, j] = swap
+        yield mutant
+
+
+def _message(run):
+    with pytest.raises(StructureError) as exc:
+        run()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_a_failing_stack_is_named_by_the_per_map_route(k):
+    # a table whose stack fails is walked map by map: automorphism_group
+    # raises the message of the map that enumerate_endomorphisms refuses
+    f = build_f0(k, check="light")
+    messages = set()
+    for mutant in _mutated_tables(f, np.random.default_rng(k)):
+        with mock.patch.object(automorphisms, "composition_table", return_value=mutant):
+            want = _message(lambda: enumerate_endomorphisms(f))
+            assert _message(lambda: automorphism_group(f)) == want
+        messages.add(want)
+    assert messages == {"unit is not preserved", "ternary addition is not preserved",
+                        "multiplication is not preserved"}
+
+
+def test_the_two_routes_are_asserted_to_agree():
+    # the generator route is decided apart from the composition table: a
+    # closure that misses one automorphism's image is a disagreement
+    f = build_f0(5, check="light")
+    closures = poly_fields._subalgebra_closures
+
+    def short(field, seeds):
+        masks = closures(field, seeds)
+        masks[f.index("x"), 0] = False
+        return masks
+    with mock.patch.object(automorphisms, "_subalgebra_closures", short):
+        with pytest.raises(StructureError, match=r"^the two automorphism criteria disagree: "
+                           r"inverse-route \[1, .*\] vs generator-route \[\d+, "):
+            automorphism_group(f)
+
+
+def test_an_unproven_field_is_refused_by_the_generator_route(monkeypatch):
+    # the batched closure reads nu over the certified retract
+    f = build_f0(4, check=False)
+    monkeypatch.setattr(ternary_kernel.TernaryCarrier, "generators",
+                        property(lambda self: None))
+    with pytest.raises(StructureError, match="certified retract"):
+        automorphism_group(f)
 
 
 def test_an_unchecked_field_decides_its_retract_once():
@@ -227,10 +297,12 @@ def test_an_unchecked_field_decides_its_retract_once():
 
 def test_an_unchecked_field_walks_none_of_its_endomorphisms():
     f = build_f0(4, check=False)                 # no cheap law decided when built
-    with mock.patch.object(pair_envelope, "_map_violation",
-                           wraps=pair_envelope._map_violation) as walked:
+    with counting(pair_envelope, "_map_violation") as walked, \
+            counting(automorphisms, "Morphism") as built, \
+            counting(poly_fields, "_subalgebra_closure") as closed:
         assert automorphism_group(f).order == 4
-    assert walked.call_count == 0                # proved by the first map's read
+    # proved by the stack's read of the generators
+    assert walked.call_count == built.call_count == closed.call_count == 0
 
 
 def test_four_element_field_has_one_nontrivial_automorphism():

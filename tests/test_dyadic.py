@@ -37,13 +37,12 @@ from ternfield.dyadic import (
     _residue,
     _truncate,
     add3,
-    inv,
     mul,
     quer,
 )
 from ternfield.poly_fields import val2_fraction
 
-from oracles import scalar_criterion_9
+from oracles import inv, scalar_criterion_9
 
 odd_ints = st.integers(-400, 400).map(lambda k: 2 * k + 1)
 envelope_fractions = st.builds(

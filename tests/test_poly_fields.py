@@ -33,11 +33,15 @@ from ternfield import (
     product_field,
     taylor_epimorphism,
 )
+from ternfield import poly_fields
 from ternfield.poly_fields import (
     QuotientAlgebra,
+    _subalgebra_closure,
+    _subalgebra_closures,
     generated_subalgebra,
     gf2_divmod,
 )
+from ternfield.structures import triangular_field
 
 from oracles import MaskAlgebra, gf2_mul, power
 
@@ -910,6 +914,48 @@ def test_closure_of_sets_that_do_not_generate_the_field():
         sizes[name] = len(assert_closure_matches_reference(f, targets))
     assert sizes == {"x^2": 4, "x^4": 2, "x^3+x+1": 4, "1": 1, "none": 1,
                      "x^2,x^4": 4, "x,x": 16, "x^2,x^2": 4}
+
+
+# -- closures of many seed sets at once ---------------------------------------------------------
+
+BATCH_FIELDS = {
+    **{f"F0({k})": (lambda k=k: build_f0(k, check=False)) for k in range(1, 9)},
+    **{f"odd({m})": (lambda m=m: odd_residue_field(m, check="light"))
+       for m in (4, 8, 16, 32, 64, 128)},
+    "F0(2,2)": lambda: build_f0(2, 2, check="light"),
+    "F0(2)xF0(3)": lambda: product_field(build_f0(2), build_f0(3), check="light").field,
+    # noncommutative
+    "T2(odd(4))": lambda: triangular_field(2, odd_residue_field(4)).field,
+}
+
+
+def batch_seeds(f):
+    """[one, P] for every element P, then seeded random pairs and triples."""
+    rng = np.random.default_rng(f.n)
+    return [np.stack([np.full(f.n, f.one), np.arange(f.n)], axis=1),
+            rng.integers(f.n, size=(8, 2)), rng.integers(f.n, size=(8, 3))]
+
+
+@pytest.mark.parametrize("cells", [None, 1, 4096])
+@pytest.mark.parametrize("name", list(BATCH_FIELDS))
+def test_batched_closures_match_the_closure_of_each_set(name, cells, monkeypatch):
+    f = BATCH_FIELDS[name]()
+    batches = batch_seeds(f)
+    want = [[_subalgebra_closure(f, list(row))[0] for row in seeds] for seeds in batches]
+    if cells:                                   # rows split across chunks
+        monkeypatch.setattr(poly_fields, "_CLOSURE_CELLS", cells)
+    for seeds, sets in zip(batches, want):
+        masks = _subalgebra_closures(f, seeds)
+        assert masks.shape == (len(seeds), f.n)
+        assert [np.flatnonzero(m).tolist() for m in masks] == sets
+    assert "nu" not in vars(f.carrier)
+
+
+def test_batched_closures_refuse_an_unproven_carrier(monkeypatch):
+    f = build_f0(3)
+    monkeypatch.setattr(TernaryCarrier, "generators", property(lambda self: None))
+    with pytest.raises(StructureError, match="certified retract"):
+        _subalgebra_closures(f, [[f.one, 1]])
 
 
 def test_closure_rejects_targets_outside_the_field():
