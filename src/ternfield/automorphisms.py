@@ -6,9 +6,9 @@ works, because every element satisfies (f-1)^n = 0; the implementation
 still verifies the substitution maps.  `automorphism_group` checks all n
 of them, the columns of the composition table, in one stacked call of the
 morphism laws on the generators of the retract and of mu, however the
-field was built; only a stack that fails is checked map by map, as
-`enumerate_endomorphisms` builds each as a `Morphism`, to name the map
-and the law.  Automorphisms are detected along two independent routes —
+field was built, and a stack that fails raises the first law broken, as
+`enumerate_endomorphisms` would for its first bad `Morphism`.
+Automorphisms are detected along two independent routes —
 a compositional inverse exists (read from the composition table), or the
 image generates the whole carrier (one batched closure of every {1, P},
 read from mu and nu only) — which must agree.
@@ -190,11 +190,10 @@ def automorphism_group(field):
     generating = _subalgebra_closures(field, seeds).all(axis=1)
 
     comp = composition_table(field)
-    # every column's map checked in one stacked call on the generators; only
-    # a stack that fails is checked map by map, which names the first bad one
-    if _morphism_failure(comp, field, field):
-        comp = np.array([p.mapping for p in enumerate_endomorphisms(field)],
-                        dtype=np.int32).T
+    # every column's map checked in one stacked call on the generators
+    failure = _morphism_failure(comp, field, field)
+    if failure:
+        raise StructureError(failure)
     labels = list(field.labels)
     x_idx = labels.index("x") if "x" in labels else field.one
     invertible = ((comp == x_idx) & (comp.T == x_idx)).any(axis=1)

@@ -456,11 +456,13 @@ def _morphism_failure(m, s, t):
     to t breaks (the unit, then nu, then mu), or None.  Between carriers
     with certified retracts and monoid products the generators decide each
     law, and m may be a stack of maps, one per column, which fails when
-    one of them does; else m is one map and each law is walked."""
-    if (m[s.one] != t.one).any():
-        return "unit is not preserved"
+    one of them does; else m must be one map, and each law is walked."""
     gens = s.carrier.generators
     proven = gens and t.carrier.generators
+    if m.ndim > 1 and not proven:
+        raise StructureError("a stack of maps needs certified retracts and monoid products")
+    if (m[s.one] != t.one).any():
+        return "unit is not preserved"
     if not (_affine_on(m, s.carrier.retract, gens[0], *t.carrier.retract) if proven
             else _map_violation(m, s.carrier.nu_of, t.carrier.nu) is None):
         return "ternary addition is not preserved"

@@ -1150,7 +1150,7 @@ def _subalgebra_closures(field, seeds):
     active = np.flatnonzero(~reached.all(axis=1))
     while active.size:
         m = int(reached[active].sum(axis=1).max())
-        rows = max(1, _CLOSURE_CELLS // (m * (m + n)))
+        rows = max(1, _CLOSURE_CELLS // (m * (2 * m + n)))
         grown = []
         for lo in range(0, len(active), rows):
             sets = reached[active[lo:lo + rows]]

@@ -236,9 +236,9 @@ def _message(run):
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
-def test_a_failing_stack_is_named_by_the_per_map_route(k):
-    # a table whose stack fails is walked map by map: automorphism_group
-    # raises the message of the map that enumerate_endomorphisms refuses
+def test_a_failing_stack_raises_the_per_map_message(k):
+    # a table whose stack fails raises the law that enumerate_endomorphisms
+    # raises for the map it refuses
     f = build_f0(k, check="light")
     messages = set()
     for mutant in _mutated_tables(f, np.random.default_rng(k)):
@@ -248,6 +248,19 @@ def test_a_failing_stack_is_named_by_the_per_map_route(k):
         messages.add(want)
     assert messages == {"unit is not preserved", "ternary addition is not preserved",
                         "multiplication is not preserved"}
+
+
+def test_a_stack_of_maps_between_unproven_fields_is_refused(monkeypatch):
+    # an unproven side walks each law, which reads one map: a stack is
+    # refused, whatever ran before it, and its columns are decided alone
+    f = build_f0(3, check=False)
+    table = composition_table(f)
+    monkeypatch.setattr(ternary_kernel.TernaryCarrier, "generators",
+                        property(lambda self: None))
+    with pytest.raises(StructureError, match="a stack of maps needs"):
+        pair_envelope._morphism_failure(table, f, f)
+    assert [pair_envelope._morphism_failure(table[:, j], f, f) for j in range(f.n)] \
+        == [None] * f.n
 
 
 def test_the_two_routes_are_asserted_to_agree():
