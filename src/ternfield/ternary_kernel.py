@@ -51,13 +51,15 @@ them the same way and decide associativity and distributivity with the
 two checkers, so `field check` decides each law once.
 
 The scans walk the quintuples in row-major order, in blocks of consecutive
-(a, b) pairs that grow from one pair to about _BLOCK_ENTRIES entries, so
-an early witness costs one n^3 block and no array a scan allocates holds
-more than max(n^3, _BLOCK_ENTRIES) entries.  Every other O(n^3) law check,
-here and on ring and group tables, walks chunks of its first index of
-about _BLOCK_ENTRIES entries (`_first_violation`), and so does every check
-that a map carries one operation table onto another (`_map_violation`), so
-none holds an n^3 cube.
+(a, b, c) triples that grow from one triple, an (n, n) slab over (d, e), to
+about _BLOCK_ENTRIES entries, so an early witness costs one n^2 slab and no
+array a scan allocates holds more than max(n^2, _BLOCK_ENTRIES) entries.
+`check_distributivity` still builds the derived product mu[mu], an n^3
+table, for a binary mu; the bound is on the scan's own arrays.  Every other
+O(n^3) law check, here and on ring and group tables, walks chunks of its
+first index of about _BLOCK_ENTRIES entries (`_first_violation`), and so
+does every check that a map carries one operation table onto another
+(`_map_violation`), so none holds an n^3 cube.
 
 Where the groups are proved, laws and maps are decided on a generating set
 A instead (`_generators`, |A| <= 1 + log2 n on a group): associativity by
@@ -685,19 +687,31 @@ def _distrib_certificate(carrier):
 
 
 def _scan_blocks(n):
-    """(a, b0, b1) for each block of the O(n^5) scans: the (a, b) pairs with
-    b0 <= b < b1, consecutive in row-major order and inside one a.  The first
-    block is one pair and each next one twice as many, up to
-    max(1, min(n, _BLOCK_ENTRIES // n^3)) pairs, so an early witness costs
-    one n^3 block and a passing scan soon runs on cache-sized ones."""
-    cap = max(1, min(n, _BLOCK_ENTRIES // n ** 3))
+    """(a, b0, b1, c0, c1) for each block of the O(n^5) scans: the (a, b, c)
+    triples with b0 <= b < b1 and c0 <= c < c1, consecutive in row-major
+    order.  Blocks are counted in triples, up to cap = max(1, _BLOCK_ENTRIES
+    // n^2): the first is one triple and each next one twice as many.  A
+    block smaller than a pair is a range of c inside one pair, the last one
+    cut at the pair's end; a pair cut so counts as one block of n triples.
+    A block of n triples or more is a run of whole pairs inside one a.  So
+    an early witness costs one (n, n) slab, and a passing scan soon runs on
+    cache-sized blocks of whole pairs where n^3 fits the budget."""
+    cap = max(1, _BLOCK_ENTRIES // n ** 2)
     r = 1
     for a in range(n):
-        b0 = 0
-        while b0 < n:
-            b1 = min(n, b0 + r)
-            yield a, b0, b1
-            b0, r = b1, min(2 * r, cap)
+        b = 0
+        while b < n:
+            if r < n:
+                c = 0
+                while c < n:
+                    c1 = min(n, c + r)
+                    yield a, b, b + 1, c, c1
+                    c, r = c1, min(2 * r, cap)
+                b, r = b + 1, min(2 * n, cap)
+            else:
+                b1 = min(n, b + r // n)
+                yield a, b, b1, 0, n
+                b, r = b1, min(2 * r, cap)
 
 
 def _assoc_scan(t):
@@ -705,17 +719,18 @@ def _assoc_scan(t):
     ternary operation t disagree, or None if t is totally associative.
 
     The quintuples are compared in the blocks of `_scan_blocks`, each an
-    (r,n,n,n) array over (b,c,d,e); the first block that holds a violation
-    holds the least one, and no array is larger than a block."""
-    for a, b0, b1 in _scan_blocks(len(t)):
+    (rb,rc,n,n) array over (b,c,d,e) read from the rectangle t[a, b0:b1,
+    c0:c1]; the first block that holds a violation holds the least one,
+    and no array is larger than a block."""
+    for a, b0, b1, c0, c1 in _scan_blocks(len(t)):
         ta = t[a]
         tb = ta[b0:b1]
-        v1 = np.take(t, tb, axis=0)           # [b,c,d,e] = t[t[a,b,c],d,e]
-        v2 = np.take(ta, t[b0:b1], axis=0)    # [b,c,d,e] = t[a,t[b,c,d],e]
-        v3 = np.take(tb, t, axis=1)           # [b,c,d,e] = t[a,b,t[c,d,e]]
+        v1 = np.take(t, tb[:, c0:c1], axis=0)         # [b,c,d,e] = t[t[a,b,c],d,e]
+        v2 = np.take(ta, t[b0:b1, c0:c1], axis=0)     # [b,c,d,e] = t[a,t[b,c,d],e]
+        v3 = np.take(tb, t[c0:c1], axis=1)            # [b,c,d,e] = t[a,b,t[c,d,e]]
         if not (np.array_equal(v1, v2) and np.array_equal(v1, v3)):
-            b, *cde = _least((v1 != v2) | (v1 != v3))
-            return (a, b0 + b, *cde)
+            b, c, d, e = _least((v1 != v2) | (v1 != v3))
+            return (a, b0 + b, c0 + c, d, e)
     return None
 
 
@@ -728,34 +743,36 @@ def _distrib_scan(s, m):
     law 3: m(a, b, s(c,d,e)) = s(m(a,b,c), m(a,b,d), m(a,b,e))
 
     Blocks as in `_assoc_scan`.  The right-hand sides are read from the
-    flattened s at x*n^2 + y*n + z, with the terms that depend on a only
-    summed once per a.  Those indices are int32 like the tables: `_gate`
-    keeps n at most _TABLE_LIMIT, so n^3 stays below 2^31.
+    flattened s at x*n^2 + y*n + z, with the terms that depend only on a
+    and the range of c summed once per (a, c0, c1), so once per a on blocks
+    of whole pairs.  Those indices are int32 like the tables: `_gate` keeps
+    n at most _TABLE_LIMIT, so n^3 stays below 2^31.
     """
     n = len(s)
     flat = s.ravel()
-    m1 = m * n
-    for a, b0, b1 in _scan_blocks(n):
-        if b0 == 0:
+    key = None
+    for a, b0, b1, c0, c1 in _scan_blocks(n):
+        if key != (a, c0, c1):
+            key = a, c0, c1
             ma = m[a]
             ma1 = ma * n
             ma2 = ma1 * n
-            p1 = ma2 + m                           # [c,d,e] -> m(a,d,e) n^2 + m(c,d,e)
-            p2 = ma1[:, None, :] + ma[None, :, :]  # [c,d,e] -> m(a,c,e) n + m(a,d,e)
+            p1 = ma2 + m[c0:c1]                            # [c,d,e] -> m(a,d,e) n^2 + m(c,d,e)
+            p2 = ma1[c0:c1, None, :] + ma[None, :, :]      # [c,d,e] -> m(a,c,e) n + m(a,d,e)
         mb = ma[b0:b1]
-        lhs1 = np.take(m, s[a, b0:b1], axis=0)
-        rhs1 = np.take(flat, p1 + m1[b0:b1, None])
-        lhs2 = np.take(ma, s[b0:b1], axis=0)
+        lhs1 = np.take(m, s[a, b0:b1, c0:c1], axis=0)
+        rhs1 = np.take(flat, p1 + m[b0:b1, None] * n)
+        lhs2 = np.take(ma, s[b0:b1, c0:c1], axis=0)
         rhs2 = np.take(flat, p2 + ma2[b0:b1, None, None, :])
-        lhs3 = np.take(mb, s, axis=1)
-        rhs3 = np.take(flat, (ma2[b0:b1, :, None] + ma1[b0:b1, None, :])[..., None]
+        lhs3 = np.take(mb, s[c0:c1], axis=1)
+        rhs3 = np.take(flat, (ma2[b0:b1, c0:c1, None] + ma1[b0:b1, None, :])[..., None]
                        + mb[:, None, None, :])
         if not (np.array_equal(lhs1, rhs1) and np.array_equal(lhs2, rhs2)
                 and np.array_equal(lhs3, rhs3)):
             bad1, bad2 = lhs1 != rhs1, lhs2 != rhs2
             w = _least(bad1 | bad2 | (lhs3 != rhs3))
             law = 1 if bad1[w] else 2 if bad2[w] else 3
-            return (law, a, b0 + w[0], *w[1:])
+            return (law, a, b0 + w[0], c0 + w[1], *w[2:])
     return None
 
 

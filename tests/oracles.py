@@ -12,6 +12,10 @@ tested against; the package itself never calls them.
   is named.
 - `relabel`: the same structure under renamed elements.
 - `whole_cube_assoc_witness`: binary associativity over the whole n^3 cube.
+- `pair_scan_blocks`, `pair_assoc_scan` and `pair_distrib_scan`: the O(n^5)
+  scans in blocks of whole (a, b) pairs, the first one an n^3 block: the
+  reference for the kernel's scans, whose blocks start from one (a, b, c)
+  triple.
 - `ring_walk_error`: every ring law walked over its table, the reference
   for a ring's proof on generators.
 - `derived_ternary_mu`, `compose_elements`, `scalar_element_orders`,
@@ -134,6 +138,66 @@ def whole_cube_assoc_witness(table):
     """Least (a, b, c) with (ab)c != a(bc), from the whole n^3 cube, or None."""
     bad = table[table] != table[:, table]
     return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+
+
+def pair_scan_blocks(n):
+    """(a, b0, b1) for each block of the pair-block scans: the (a, b) pairs
+    with b0 <= b < b1, consecutive in row-major order and inside one a.  The
+    first block is one pair and each next one twice as many, up to
+    max(1, min(n, _BLOCK_ENTRIES // n^3)) pairs."""
+    cap = max(1, min(n, tk._BLOCK_ENTRIES // n ** 3))
+    r = 1
+    for a in range(n):
+        b0 = 0
+        while b0 < n:
+            b1 = min(n, b0 + r)
+            yield a, b0, b1
+            b0, r = b1, min(2 * r, cap)
+
+
+def pair_assoc_scan(t):
+    """`ternary_kernel._assoc_scan` in the blocks of `pair_scan_blocks`, each
+    an (r,n,n,n) array over (b,c,d,e)."""
+    for a, b0, b1 in pair_scan_blocks(len(t)):
+        ta = t[a]
+        tb = ta[b0:b1]
+        v1 = np.take(t, tb, axis=0)           # [b,c,d,e] = t[t[a,b,c],d,e]
+        v2 = np.take(ta, t[b0:b1], axis=0)    # [b,c,d,e] = t[a,t[b,c,d],e]
+        v3 = np.take(tb, t, axis=1)           # [b,c,d,e] = t[a,b,t[c,d,e]]
+        if not (np.array_equal(v1, v2) and np.array_equal(v1, v3)):
+            b, *cde = tk._least((v1 != v2) | (v1 != v3))
+            return (a, b0 + b, *cde)
+    return None
+
+
+def pair_distrib_scan(s, m):
+    """`ternary_kernel._distrib_scan` in the blocks of `pair_scan_blocks`,
+    with the terms that depend on a only summed once per a."""
+    n = len(s)
+    flat = s.ravel()
+    m1 = m * n
+    for a, b0, b1 in pair_scan_blocks(n):
+        if b0 == 0:
+            ma = m[a]
+            ma1 = ma * n
+            ma2 = ma1 * n
+            p1 = ma2 + m                           # [c,d,e] -> m(a,d,e) n^2 + m(c,d,e)
+            p2 = ma1[:, None, :] + ma[None, :, :]  # [c,d,e] -> m(a,c,e) n + m(a,d,e)
+        mb = ma[b0:b1]
+        lhs1 = np.take(m, s[a, b0:b1], axis=0)
+        rhs1 = np.take(flat, p1 + m1[b0:b1, None])
+        lhs2 = np.take(ma, s[b0:b1], axis=0)
+        rhs2 = np.take(flat, p2 + ma2[b0:b1, None, None, :])
+        lhs3 = np.take(mb, s, axis=1)
+        rhs3 = np.take(flat, (ma2[b0:b1, :, None] + ma1[b0:b1, None, :])[..., None]
+                       + mb[:, None, None, :])
+        if not (np.array_equal(lhs1, rhs1) and np.array_equal(lhs2, rhs2)
+                and np.array_equal(lhs3, rhs3)):
+            bad1, bad2 = lhs1 != rhs1, lhs2 != rhs2
+            w = tk._least(bad1 | bad2 | (lhs3 != rhs3))
+            law = 1 if bad1[w] else 2 if bad2[w] else 3
+            return (law, a, b0 + w[0], *w[1:])
+    return None
 
 
 def ring_walk_error(ring):

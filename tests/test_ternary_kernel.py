@@ -53,6 +53,9 @@ from ternfield.structures import (
 from oracles import (
     FIELDS,
     derived_ternary_mu,
+    pair_assoc_scan,
+    pair_distrib_scan,
+    pair_scan_blocks,
     perturbations,
     power,
     relabel,
@@ -463,71 +466,129 @@ def test_distrib_scan_matches_reference(build):
 
 # -- the scans' blocks -----------------------------------------------------------
 #
-# The scans compare the quintuples in blocks of consecutive (a, b) pairs: one
-# pair, then twice as many per block up to a cap.  A single planted fault puts
-# the least witness at a chosen (a, b), so that it lands on either side of a
-# block boundary.  With the block budget patched to 1 entry every block is one
-# pair.  Unpatched, the blocks of a = 0 are b = 0 | 1-2 | 3-4 at n = 5,
-# 0 | 1-2 | 3-6 | 7 at n = 8 and 0 | 1-2 | 3-6 | 7-14 | 15 at n = 16, and
-# each later a is one block.
+# The scans compare the quintuples in blocks of consecutive (a, b, c) triples:
+# one triple, then twice as many per block up to a cap.  A block smaller than
+# a pair is a range of c inside one pair; from n triples on a block is a run
+# of whole pairs inside one a.  Planted faults put the only violation at a
+# chosen (a, b, c), so that the least witness lands on either side of a block
+# boundary.  Unpatched, the first pair is c = 0 | 1-2 | 3-4 at n = 5,
+# 0 | 1-2 | 3-6 | 7 at n = 8 and 0 | 1-2 | 3-6 | 7-14 | 15 at n = 16; the
+# later blocks of a = 0 are b = 1-2 | 3-4 at n = 5, 1-2 | 3-6 | 7 at n = 8 and
+# 1-2 | 3-6 | 7-14 | 15 at n = 16, and each later a is one block.  With the
+# block budget patched to 1 entry every block is one triple; patched to n^3
+# entries the first pair is cut as unpatched and every later block is one
+# pair.
+
+def block_targets(n, pairs):
+    """(a, b, c) targets: c = 0, 1, 2, 3, 4, 7, 8 and n - 1 in pair (0, 0),
+    and the first triple of each of `pairs`."""
+    first = sorted({c for c in (0, 1, 2, 3, 4, 7, 8, n - 1) if c < n})
+    return [(0, 0, c) for c in first] + [(a, b, 0) for a, b in pairs]
+
 
 BLOCK_TARGETS = {
-    5: [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (4, 4)],
-    8: [(0, 0), (0, 1), (0, 2), (0, 3), (0, 6), (0, 7), (1, 0), (7, 0), (7, 7)],
-    16: [(0, 0), (0, 1), (0, 2), (0, 3), (0, 6), (0, 7), (0, 14), (0, 15), (1, 0),
-         (1, 15)],
+    5: block_targets(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (4, 4)]),
+    8: block_targets(8, [(0, 1), (0, 2), (0, 3), (0, 6), (0, 7), (1, 0), (7, 0), (7, 7)]),
+    16: block_targets(16, [(0, 1), (0, 2), (0, 3), (0, 6), (0, 7), (0, 14), (0, 15),
+                           (1, 0), (1, 15)]),
 }
 
 
-def spare(n, *used):
-    """Two distinct elements outside `used`."""
-    return [v for v in range(n) if v not in used][:2]
+def spare(n, *used, count=2):
+    """`count` distinct elements outside `used`."""
+    return [v for v in range(n) if v not in used][:count]
 
 
-def assoc_fault(n, a, b):
-    """A constant table k with t(a,b,z) = z: the only quintuple whose
-    regroupings disagree is (a, b, a, b, z), where t(a,b,t(c,d,e)) reads the
-    fault twice."""
-    k, z = spare(n, a, b)
+def assoc_fault(n, a, b, c):
+    """A constant table k with t(a,b,c) = p and t(p,x,x) = z: the only
+    quintuple whose regroupings disagree is (a, b, c, x, x), where
+    t(t(a,b,c),x,x) reads both cells; a, b, c and x are no values of t, so
+    no other regrouping reads either."""
+    k, p, z = spare(n, a, b, c, count=3)
+    x = spare(n, k, p, z, count=1)[0]
     t = np.full((n, n, n), k, dtype=np.int32)
-    t[a, b, z] = z
-    return t, (a, b, a, b, z)
+    t[a, b, c], t[p, x, x] = p, z
+    return t, (a, b, c, x, x)
 
 
-def law3_fault(n, a, b):
-    """Constant s and m, except m(a,b,k) = w: only law 3 at (a, b, ...) reads
-    the fault, so the least witness is (3, a, b, 0, 0, 0)."""
-    k, w = spare(n, a, b)
+def law1_fault(n, a, b, c):
+    """Constant s and m, except s(a,b,c) = a and m(a,q,q) = w: only law 1 at
+    (a, b, c, q, q) reads both, so it is the least and only witness."""
+    k, w = spare(n, a, b, c)
+    q = spare(n, k, a, count=1)[0]
     s = np.full((n, n, n), k, dtype=np.int32)
     m = s.copy()
-    m[a, b, k] = w
-    return s, m, (3, a, b, 0, 0, 0)
+    s[a, b, c], m[a, q, q] = a, w
+    return s, m, (1, a, b, c, q, q)
 
 
-@pytest.fixture(params=["cap", "one pair"])
+def law3_fault(n, a, b, c):
+    """Constant s and m, except s(c,0,0) = p and m(a,b,p) = w: only law 3 at
+    (a, b, c, 0, 0) reads both, so it is the least and only witness."""
+    k, p, w = spare(n, a, b, c, count=3)
+    s = np.full((n, n, n), k, dtype=np.int32)
+    m = s.copy()
+    s[c, 0, 0], m[a, b, p] = p, w
+    return s, m, (3, a, b, c, 0, 0)
+
+
+@pytest.fixture(params=["cap", "one triple", "one pair"])
 def block_budget(request, monkeypatch):
-    if request.param == "one pair":
+    if request.param == "one triple":
         monkeypatch.setattr(tk, "_BLOCK_ENTRIES", 1)
+    elif request.param == "one pair":
+        monkeypatch.setattr(tk, "_BLOCK_ENTRIES", request.node.callspec.params["n"] ** 3)
     return request.param
 
 
 @pytest.mark.parametrize("n", sorted(BLOCK_TARGETS))
 def test_scan_blocks_cover_the_pairs_in_row_major_order(n, block_budget):
+    # the blocks tile the (a, b, c) triples once, in row-major order: a block
+    # smaller than a pair lies inside one pair, a larger one is whole pairs
     blocks = list(tk._scan_blocks(n))
-    pairs = [(a, b) for a, b0, b1 in blocks for b in range(b0, b1)]
-    assert pairs == list(itertools.product(range(n), repeat=2))
-    sizes = [b1 - b0 for a, b0, b1 in blocks]
-    cap = 1 if block_budget == "one pair" else n
-    assert max(sizes) == cap and sizes[:2] == [1, min(2, cap)]
+    triples = [(a, b, c) for a, b0, b1, c0, c1 in blocks
+               for b in range(b0, b1) for c in range(c0, c1)]
+    assert triples == list(itertools.product(range(n), repeat=3))
+    assert all(b1 - b0 == 1 or (c0, c1) == (0, n) for a, b0, b1, c0, c1 in blocks)
+    sizes = [(b1 - b0) * (c1 - c0) for a, b0, b1, c0, c1 in blocks]
+    cap = {"cap": n * n, "one triple": 1, "one pair": n}[block_budget]
+    assert max(sizes) == cap
+    # the first pair in 1, 2, 4, ... triples, the last block cut at its end
+    first = [c1 - c0 for a, b0, b1, c0, c1 in blocks if (a, b0) == (0, 0)]
+    doubling = [min(2 ** i, cap) for i in range(len(first))]
+    assert first[:-1] == doubling[:-1] and 0 < first[-1] <= doubling[-1]
+    if block_budget == "cap":
+        later = [(a, b0, b1) for a, b0, b1, c0, c1 in blocks if (a, b0) != (0, 0)]
+        assert later == [blk for blk in pair_scan_blocks(n) if blk[:2] != (0, 0)]
+
+
+def test_scan_blocks_after_the_first_pair_are_the_pair_blocks_up_to_n_64():
+    # at the default budget a passing scan and a late witness cost what they
+    # did with whole-pair blocks; above n = 64 no block exceeds n^2 or
+    # _BLOCK_ENTRIES entries (the first blocks of n = 128, 256 and 512)
+    for n in range(1, 65):
+        blocks = list(tk._scan_blocks(n))
+        later = [blk for blk in blocks if blk[:2] != (0, 0)]
+        assert all((c0, c1) == (0, n) for a, b0, b1, c0, c1 in later), n
+        assert ([(a, b0, b1) for a, b0, b1, c0, c1 in later]
+                == [blk for blk in pair_scan_blocks(n) if blk[:2] != (0, 0)]), n
+    for n in (128, 256, 512):
+        blocks = list(itertools.islice(tk._scan_blocks(n), 4 * n))
+        sizes = [(b1 - b0) * (c1 - c0) for a, b0, b1, c0, c1 in blocks]
+        cap = max(1, tk._BLOCK_ENTRIES // n ** 2)
+        assert sizes[:3] == [1, min(2, cap), min(4, cap)] and max(sizes) == cap
+        assert cap * n * n <= max(n * n, tk._BLOCK_ENTRIES)
+        assert all(b1 - b0 == 1 for a, b0, b1, c0, c1 in blocks)
 
 
 @pytest.mark.parametrize("n", sorted(BLOCK_TARGETS))
 def test_least_witness_on_either_side_of_a_block_boundary(n, block_budget):
-    for a, b in BLOCK_TARGETS[n]:
-        t, want = assoc_fault(n, a, b)
+    for a, b, c in BLOCK_TARGETS[n]:
+        t, want = assoc_fault(n, a, b, c)
         assert tk._assoc_scan(t) == reference_assoc(t) == want
-        s, m, want = law3_fault(n, a, b)
-        assert tk._distrib_scan(s, m) == reference_distrib(s, m) == want
+        for fault in (law1_fault, law3_fault):
+            s, m, want = fault(n, a, b, c)
+            assert tk._distrib_scan(s, m) == reference_distrib(s, m) == want
 
 
 @pytest.mark.parametrize("n", [5, 8])
@@ -582,6 +643,33 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+def test_an_early_witness_at_n_128_costs_a_slab_not_a_cube():
+    # pi o nu on odd(256), n = 128, passes every cheap invariant and fails
+    # both scans in the first pair.  Blocks of whole pairs hold (n, n, n)
+    # arrays, 104 MiB traced through both checkers; the first block here is
+    # one (n, n) slab.  check_distributivity still builds the derived
+    # product mu[mu], an 8 MiB n^3 cube, so the bound is above that
+    bound = 32 * 2 ** 20
+    c = odd_residue_field(256, check=False).carrier
+    nu = np.random.default_rng(0).permutation(c.n).astype(np.int32)[c.nu]
+    perm = TernaryCarrier(c.labels, nu, c.mu)
+    verdicts, peak = traced_peak(lambda: (check_ternary_group(perm, limit=128),
+                                          check_distributivity(perm, limit=128)))
+    assert [(v.axiom, v.witness, v.method) for v in verdicts] == [
+        ("associativity", (0, 0, 0, 0, 1), "scan"),
+        ("distributivity-law-1", (0, 0, 0, 0, 1), "scan")]
+    assert peak < bound, peak
+    # a witness in the second pair, reached through the first pair's blocks
+    n = perm.n
+    t, want = assoc_fault(n, 0, 1, 0)
+    w, peak = traced_peak(tk._assoc_scan, t)
+    assert w == want and peak < bound, peak
+    for fault in (law1_fault, law3_fault):
+        s, m, want = fault(n, 0, 1, 0)
+        w, peak = traced_peak(tk._distrib_scan, s, m)
+        assert w == want and peak < bound, (fault.__name__, peak)
+
+
 def test_law_checks_hold_no_whole_cube():
     # n = 128, where one int32 n^3 cube is 8 MiB; the tables themselves are
     # built before tracing starts
@@ -594,6 +682,159 @@ def test_law_checks_hold_no_whole_cube():
     env, peak = traced_peak(build_envelope, f7)
     assert env.n == 128
     assert peak < limit, peak
+
+
+# -- the scans against the pair-block scans -----------------------------------------
+#
+# `pair_assoc_scan` and `pair_distrib_scan` (oracles.py) are the scans in
+# blocks of whole (a, b) pairs.  With them in place of the kernel's scans,
+# both checkers must return the same Verdicts: axiom, witness, detail and
+# method.
+
+def checker_verdicts(build, limit):
+    """Both checkers' Verdicts as (ok, axiom, witness, detail, method) on a
+    fresh carrier from `build()`, with the kernel's scans and with the
+    pair-block scans; asserted equal."""
+    def run():
+        c = build()
+        return [full_verdict(check(c, limit=limit))
+                for check in (check_ternary_group, check_distributivity)]
+    got = run()
+    with mock.patch.object(tk, "_assoc_scan", pair_assoc_scan), \
+            mock.patch.object(tk, "_distrib_scan", pair_distrib_scan):
+        assert run() == got
+    return got
+
+
+def refute_tables(n):
+    """The tables of the benchmark's refute workload at n: pi o nu with a
+    seeded permutation pi, and one field's nu with another's mu."""
+    fields = {**FIELDS, "F0(7)": functools.partial(build_f0, 7)}
+    permuted, swaps = {
+        16: (("odd(32)", "F0(5)", "F0(3)xF0(3)"), (("odd(32)", "F0(5)"), ("F0(5)", "odd(32)"))),
+        32: (("odd(64)", "F0(6)", "F0(3,2)"), (("odd(64)", "F0(6)"), ("F0(3,2)", "odd(64)"))),
+        64: (("odd(128)", "F0(7)"), (("odd(128)", "F0(7)"), ("F0(7)", "odd(128)"))),
+    }[n]
+    rng = np.random.default_rng(n)
+    for name in permuted:
+        c = fields[name](check=False).carrier
+        assert c.n == n
+        yield TernaryCarrier(c.labels, rng.permutation(n).astype(np.int32)[c.nu], c.mu)
+    for a, b in swaps:
+        ca, cb = fields[a](check=False).carrier, fields[b](check=False).carrier
+        yield TernaryCarrier(cb.labels, ca.nu, cb.mu)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 64, 4096])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_checkers_on_refute_tables_match_the_pair_scans(n, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(tk, "_BLOCK_ENTRIES", budget)
+    for carrier in refute_tables(n):
+        verdicts = checker_verdicts(lambda: with_tables(carrier), n)
+        assert not all(ok for ok, *_ in verdicts)
+        for ok, axiom, witness, detail, method in verdicts:
+            assert ok or (method == "scan" and witness[:2] == (0, 0))
+
+
+def first_pair_boundaries(n):
+    """c on both sides of each boundary between the first pair's blocks at
+    the default budget: 0 | 1-2 | 3-6 | 7-14 | ..."""
+    starts = [c0 for a, b0, b1, c0, c1 in itertools.islice(tk._scan_blocks(n), n)
+              if (a, b0) == (0, 0)]
+    return sorted({c for c0 in starts for c in (c0 - 1, c0) if 0 <= c < n})
+
+
+def raised_cells(table, n):
+    """`table` with one cell raised by 1 mod n: cells (p,p,p), then
+    (p,n-1,n-1), for each p."""
+    for cell in [*((p, p, p) for p in range(n)), *((p, n - 1, n - 1) for p in range(n))]:
+        t = table.copy()
+        t[cell] = (t[cell] + 1) % n
+        yield t
+
+
+@pytest.mark.parametrize("name", ["odd(32)", "F0(5)", "odd(64)", "F0(6)", "odd(128)"])
+def test_one_cell_mutants_match_the_pair_scans_on_every_first_pair_boundary(name):
+    # a one-cell mutant of a field's nu or of its ternary product is picked
+    # for each c beside a block boundary of the first pair, where its least
+    # witness falls; scans and checkers agree with the pair-block scans
+    f = FIELDS[name](check=False)
+    n, labels, nu, mu = f.n, f.labels, f.carrier.nu, f.carrier.mu
+    tmu = derived_ternary_mu(f.carrier)
+    targets = first_pair_boundaries(n)
+    reached = {"nu": set(), "mu": set()}
+
+    def first_at_a_new_target(which, w):
+        """Whether w, an (a,b,c,d,e) witness or None, is the first one seen
+        in pair (0, 0) at a target c."""
+        if w is None or w[:2] != (0, 0) or w[2] not in targets or w[2] in reached[which]:
+            return False
+        reached[which].add(w[2])
+        return True
+
+    for t in raised_cells(nu, n):
+        w = tk._assoc_scan(t)
+        if first_at_a_new_target("nu", w):
+            assert w == pair_assoc_scan(t)
+            assert tk._distrib_scan(t, tmu) == pair_distrib_scan(t, tmu)
+            checker_verdicts(lambda: TernaryCarrier(labels, t, mu), n)
+    for t in raised_cells(tmu, n):
+        w = tk._distrib_scan(nu, t)
+        if first_at_a_new_target("mu", w and w[1:]):
+            assert w == pair_distrib_scan(nu, t)
+            _, v_mul = checker_verdicts(lambda: unchecked_coset(labels, nu, t), n)
+            assert v_mul[1:3] == (f"distributivity-law-{w[0]}", w[1:])
+    # every boundary but the last triple is some mutant's least witness; in
+    # F0(k) a changed cell of the product is mostly first seen in a later pair
+    for which in ("nu", "mu") if name.startswith("odd") else ("nu",):
+        assert reached[which] >= set(targets) - {n - 1}, (which, sorted(reached[which]))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_one_cell_mutants_of_constant_tables_match_the_pair_scans_in_later_pairs(n):
+    # a constant table with one cell changed puts the least witness at the
+    # start of any pair: the second pair, and for n <= 32 the last, which
+    # the pair-block scans reach only after n^5 quintuples
+    pairs = [(0, 1)] + ([(n - 1, n - 1)] if n <= 32 else [])
+    labels = [str(v) for v in range(n)]
+    for a, b in pairs:
+        k, z = spare(n, a, b)
+        t = np.full((n, n, n), k, dtype=np.int32)
+        t[a, b, k] = z                    # t(a,b,t(c,d,e)) = z, the others k
+        assert tk._assoc_scan(t) == pair_assoc_scan(t) == (a, b, 0, 0, 0)
+        m = t.copy()
+        t[a, b, k] = k                    # law 3: m(a,b,s(c,d,e)) = z
+        assert tk._distrib_scan(t, m) == pair_distrib_scan(t, m) == (3, a, b, 0, 0, 0)
+        v_add, v_mul = checker_verdicts(lambda: unchecked_coset(labels, t, m), n)
+        assert not v_add[0] and v_add[4] == "cheap"
+        assert (v_mul[1], v_mul[2], v_mul[4]) == ("distributivity-law-3", (a, b, 0, 0, 0), "scan")
+
+
+def test_a_proper_three_three_field_decides_associativity_as_the_pair_scan():
+    # ProperThreeThreeField scans mu itself when mu has no coset form: on the
+    # noncommutative coset of T4(F0(1)) and each of its one-cell mutants it
+    # raises, or does not, exactly as with the pair-block scan
+    f = triangular_field(4, build_f0(1)).field
+    coset = twisted_coset(f, generated_subalgebra(f, [10])[0], 25)
+    outcomes = set()
+    for cell in itertools.product(range(coset.n), repeat=3):
+        for shift in range(coset.n):
+            mu = coset.mu.copy()
+            mu[cell] = (mu[cell] + shift) % coset.n
+            messages = []
+            for scan in (tk._assoc_scan, pair_assoc_scan):
+                with mock.patch.object(tk, "_assoc_scan", scan):
+                    try:
+                        ProperThreeThreeField(coset.labels, coset.nu, mu)
+                        messages.append(None)
+                    except StructureError as exc:
+                        messages.append(str(exc))
+            assert messages[0] == messages[1]
+            outcomes.add(messages[0] is None)
+            if messages[0] is not None:
+                assert messages[0].startswith("ternary multiplication not associative")
+    assert outcomes == {True, False}
 
 
 def whole_cube_derived_structure(obj):
