@@ -35,6 +35,10 @@ tested against; the package itself never calls them.
 - `scalar_criterion_9`: the paper suite's dyadic ledger one seeded case at
   a time through `Fraction`, `OddDenomRational` and `TruncatedDyadic`, the
   reference for the whole-array `criterion_9`.
+- `SCALAR_DRAWS` (`morphism_draws`, `truncation_draws`, `valuation_draws`,
+  through `draw_rows`): each criterion 9 section's draws, one
+  `rng.randrange` call at a time, the reference for the program's replay
+  of them from the generator's raw words.
 - `swapped_cell_mutants`, `perturbations`, `group_table_mutants` and
   `one_image_mutants`: tables and maps that break, or merely move, a law.
 """
@@ -556,6 +560,44 @@ def inv(x):
     if not x.is_odd_element():
         raise StructureError(f"{x} is not invertible: even numerator")
     return OddDenomRational(1 / x.value)
+
+
+def draw_rows(cases, count, width):
+    """The first `count` tuples of `cases` as an int64 array, one row each,
+    drawn one case at a time so no list of them is ever held."""
+    return np.fromiter(cases, np.dtype((np.int64, width)), count)
+
+
+def morphism_draws(rng, count):
+    """Per case the halves of x, y and z's numerators and denominators, then
+    the precision n."""
+    rr = rng.randrange
+    return draw_rows(((rr(-500, 500), rr(0, 500), rr(-500, 500), rr(0, 500),
+                       rr(-500, 500), rr(0, 500), rr(1, 17)) for _ in range(count)), count, 7)
+
+
+def truncation_draws(rng, count):
+    """Per case the precisions big and small, then the halves of a, b, c."""
+    rr = rng.randrange
+
+    def cases():
+        for _ in range(count):
+            big = rr(2, 17)
+            top = 1 << (big - 1)
+            yield big, rr(1, big + 1), rr(0, top), rr(0, top), rr(0, top)
+
+    return draw_rows(cases(), count, 5)
+
+
+def valuation_draws(rng, count):
+    """Per case the numerators of x and y, then their denominators' halves."""
+    rr = rng.randrange
+    return draw_rows(((rr(-2000, 2001) or 1, rr(-2000, 2001) or 1, rr(0, 1000), rr(0, 1000))
+                      for _ in range(count)), count, 4)
+
+
+SCALAR_DRAWS = {"morphism": morphism_draws, "truncation": truncation_draws,
+                "val2": valuation_draws}
 
 
 def scalar_criterion_9():

@@ -1,5 +1,6 @@
 """Odd-denominator rationals, the 2-adic valuation and truncation towers."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -23,11 +24,13 @@ from ternfield import (
 )
 from ternfield import _suite, dyadic
 from ternfield._suite import (
+    _CHUNK,
     _DYADIC_CASES,
+    _DYADIC_SECTIONS,
     _DYADIC_SEED,
-    _morphism_draws,
-    _truncation_draws,
-    _valuation_draws,
+    _MORPHISM_RANGES,
+    _VALUATION_RANGES,
+    _replay,
     criterion_9,
 )
 from ternfield.dyadic import (
@@ -42,7 +45,8 @@ from ternfield.dyadic import (
 )
 from ternfield.poly_fields import val2_fraction
 
-from oracles import inv, scalar_criterion_9
+from oracles import SCALAR_DRAWS, inv, scalar_criterion_9
+from test_random_words import CRITERION_9_RANGES
 
 odd_ints = st.integers(-400, 400).map(lambda k: 2 * k + 1)
 envelope_fractions = st.builds(
@@ -323,9 +327,48 @@ def test_low_bit_is_the_power_of_the_valuation(num):
     assert _low_bit(0) == 0
 
 
-def test_kernels_on_uint64_arrays_agree_with_ints_over_criterion_9s_draws():
+def fed_rows(sections):
+    """criterion_9 run on `sections` in place of its own: its ledger, and the
+    rows each section's laws were fed."""
+    fed = {}
+
+    def recorded(section):
+        def laws(rows):
+            fed[section.name] = rows.copy()
+            return section.laws(rows)
+        return section._replace(laws=laws)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_suite, "_DYADIC_SECTIONS", [recorded(s) for s in sections])
+        return criterion_9(), fed
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_rows(failing=None, case=None):
+    """Each section's 10,000 rows drawn one `randrange` call at a time from
+    the seed, the section after `failing` starting after its case `case`."""
     rng = random.Random(_DYADIC_SEED)
-    rows = _morphism_draws(rng, _DYADIC_CASES)
+    rows = {}
+    for section in _DYADIC_SECTIONS:
+        draws = SCALAR_DRAWS[section.name]
+        origin = rng.getstate()
+        rows[section.name] = draws(rng, _DYADIC_CASES)
+        if section.name == failing:
+            rng.setstate(origin)
+            draws(rng, case + 1)
+    return rows
+
+
+def assert_rows_equal(fed, expected):
+    assert fed.keys() == expected.keys()
+    for name, rows in fed.items():
+        assert rows.dtype == np.int64 and np.array_equal(rows, expected[name]), name
+
+
+def test_kernels_on_uint64_arrays_agree_with_ints_over_criterion_9s_draws():
+    _, fed = fed_rows(_DYADIC_SECTIONS)
+    assert_rows_equal(fed, scalar_rows())
+    rows = fed["morphism"]
     p, q = 2 * rows[:, :6:2].ravel() + 1, 2 * rows[:, 1:6:2].ravel() + 1
     n = np.repeat(rows[:, 6], 3)
     got = _residue(p.view(np.uint64), q.view(np.uint64), n.astype(np.uint64), bits=64)
@@ -333,7 +376,7 @@ def test_kernels_on_uint64_arrays_agree_with_ints_over_criterion_9s_draws():
     assert got.tolist() == [_residue(a, b, k)
                             for a, b, k in zip(p.tolist(), q.tolist(), n.tolist())]
 
-    rows = _truncation_draws(rng, _DYADIC_CASES)
+    rows = fed["truncation"]
     big, small = rows[:, 0].tolist(), rows[:, 1].tolist()
     a = (2 * rows[:, 2] + 1).tolist()
     ua = np.array(a, dtype=np.uint64)
@@ -342,7 +385,7 @@ def test_kernels_on_uint64_arrays_agree_with_ints_over_criterion_9s_draws():
     assert _truncate(ua * ua, usmall).tolist() == [
         _truncate(x * x, k) for x, k in zip(a, small)]
 
-    rows = _valuation_draws(rng, _DYADIC_CASES)
+    rows = fed["val2"]
     nums = (rows[:, 0] * rows[:, 1]).tolist()
     assert _low_bit(np.array(nums).view(np.uint64)).tolist() == [_low_bit(x) for x in nums]
 
@@ -350,18 +393,91 @@ def test_kernels_on_uint64_arrays_agree_with_ints_over_criterion_9s_draws():
 def test_criterion_9s_intermediates_cannot_wrap():
     # the largest is the sum numerator of three odd fractions, |.| <= 3 * 999^3
     assert 3 * 999 ** 3 < 2 ** 63
-    rng = random.Random(_DYADIC_SEED)
-    rows = _morphism_draws(rng, _DYADIC_CASES).tolist()
+    _, fed = fed_rows(_DYADIC_SECTIONS)
+    assert_rows_equal(fed, scalar_rows())
+    rows = fed["morphism"].tolist()
     assert max(abs(row[k]) for row in rows for k in range(6)) <= 500
     total = max(abs((2 * px + 1) * (2 * qy + 1) * (2 * qz + 1)
                     + (2 * py + 1) * (2 * qx + 1) * (2 * qz + 1)
                     + (2 * pz + 1) * (2 * qx + 1) * (2 * qy + 1))
                 for px, qx, py, qy, pz, qz, _ in rows)
     assert total <= 3 * 999 ** 3
-    _truncation_draws(rng, _DYADIC_CASES)
-    rows = _valuation_draws(rng, _DYADIC_CASES).tolist()
+    rows = fed["val2"].tolist()
     assert max(abs(n1 * (2 * h2 + 1)) + abs(n2 * (2 * h1 + 1))
                for n1, n2, h1, h2 in rows) <= 2 * 2000 * 1999 < 2 ** 63
+
+
+# -- criterion 9's draws: the replay against one randrange call at a time --------
+
+def test_the_word_model_covers_every_range_the_replay_draws():
+    assert set(_MORPHISM_RANGES + _VALUATION_RANGES) <= set(CRITERION_9_RANGES)
+
+
+@pytest.mark.parametrize("seed", [_DYADIC_SEED, 0, 1, 2, 7, 123456789, 2 ** 64 + 7])
+def test_each_section_replays_the_scalar_draws_and_leaves_the_stream_where_they_do(seed):
+    rng, scalar = random.Random(seed), random.Random(seed)
+    for section in _DYADIC_SECTIONS:
+        rows, ends = _replay(rng, section, _DYADIC_CASES)
+        assert np.array_equal(rows, SCALAR_DRAWS[section.name](scalar, _DYADIC_CASES))
+        assert rng.getstate() == scalar.getstate()
+        assert rng.getrandbits(32) == scalar.getrandbits(32)
+        assert ends.dtype == np.int32 and (np.diff(ends) > 0).all()
+
+
+@pytest.mark.parametrize("count", [1, _CHUNK - 1, 2 * _CHUNK + 7])
+def test_a_count_that_is_no_whole_number_of_chunks_replays_the_scalar_draws(count):
+    rng, scalar = random.Random(3), random.Random(3)
+    for section in _DYADIC_SECTIONS:
+        origin = rng.getstate()
+        rows, ends = _replay(rng, section, count)
+        assert np.array_equal(rows, SCALAR_DRAWS[section.name](scalar, count))
+        assert rng.getstate() == scalar.getstate()
+        # each case ends where a loop drawing it and the cases before it stops
+        for case in sorted({0, count // 2, count - 1}):
+            replayed, looped = random.Random(), random.Random()
+            replayed.setstate(origin)
+            looped.setstate(origin)
+            replayed.getrandbits(32 * int(ends[case]))
+            SCALAR_DRAWS[section.name](looped, case + 1)
+            assert replayed.getstate() == looped.getstate()
+
+
+@pytest.mark.parametrize("case", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, _DYADIC_CASES - 1])
+@pytest.mark.parametrize("failing", [section.name for section in _DYADIC_SECTIONS])
+def test_a_failing_case_resumes_the_next_section_where_its_draws_end(failing, case):
+    def fails(rows):
+        return [np.arange(len(rows)) == case]
+
+    sections = [s._replace(laws=fails) if s.name == failing else s for s in _DYADIC_SECTIONS]
+    (ok, detail), fed = fed_rows(sections)
+    expected = scalar_rows(failing, case)
+    assert_rows_equal(fed, expected)
+    section = next(s for s in _DYADIC_SECTIONS if s.name == failing)
+    assert not ok and detail[f"{failing}_cases"] == case
+    assert detail[f"{failing}_counterexample"] == section.counterexample(
+        expected[failing][case].tolist(), 0)
+    assert all(detail[f"{s.name}_cases"] == _DYADIC_CASES
+               for s in _DYADIC_SECTIONS if s.name != failing)
+
+
+@pytest.mark.parametrize("failing", [None, "morphism"])
+def test_a_window_that_runs_out_grows(monkeypatch, failing):
+    fetched = []
+    words = _suite._words
+    monkeypatch.setattr(_suite, "_words",
+                        lambda rng, count: fetched.append(count) or words(rng, count))
+
+    def fails(rows):
+        return [np.arange(len(rows)) == _CHUNK + 1]
+
+    # one word per case: a chunk's first window is too short, and grows
+    sections = [s._replace(words_per_case=1, laws=fails if s.name == failing else s.laws)
+                for s in _DYADIC_SECTIONS]
+    ledger, fed = fed_rows(sections)
+    assert_rows_equal(fed, scalar_rows(failing, None if failing is None else _CHUNK + 1))
+    if failing is None:
+        assert ledger == scalar_criterion_9()
+    assert len(fetched) >= 2 * len(_DYADIC_SECTIONS) * _DYADIC_CASES // _CHUNK
 
 
 # -- criterion 9: the array route against the case-at-a-time oracle -----------------
