@@ -30,6 +30,7 @@ from .ternary_kernel import (
     _element_orders,
     _identity,
     _nonperm_row,
+    _positions,
     _table,
 )
 from .pair_envelope import Morphism, _morphism_failure
@@ -205,8 +206,7 @@ def automorphism_group(field):
             f"{np.flatnonzero(generating).tolist()}")
 
     elements = np.flatnonzero(invertible)
-    pos = np.full(n, -1, dtype=np.int32)
-    pos[elements] = np.arange(len(elements))
+    pos = _positions(elements, n)
     table = pos[comp[np.ix_(elements, elements)]]
     if (table < 0).any():
         raise StructureError("automorphisms are not closed under composition")

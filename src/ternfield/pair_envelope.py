@@ -52,13 +52,13 @@ from .ternary_kernel import (
     _TABLE_LIMIT,
     _affine_on,
     _carries_on,
+    _coset_form,
     _generators,
     _identity,
     _least,
     _light_associative,
     _map_violation,
     _nonperm_row,
-    _renumber,
     _table,
     _translations,
     quer_add,
@@ -580,7 +580,8 @@ def quotient_by_ideal(field, ideal):
     verdict is reported.  A proper ideal holds no unit, so the condition
     holds outright when every odd element is a unit of the envelope (always,
     when the base is a 3-field); otherwise the over-ideals are enumerated and
-    the smallest one meeting the odd part is the witness."""
+    the smallest one meeting the odd part is the witness.  The quotient is
+    born from its retract (`FiniteThreeField._restriction`), with no cube."""
     if not isinstance(ideal, IdealHandle):
         raise StructureError("quotient needs an IdealHandle")
     env = ideal.env
@@ -604,16 +605,13 @@ def quotient_by_ideal(field, ideal):
     # class of r is r + ideal, named by its least odd member
     members = env.add[:n, sorted(ideal.elements)]
     class_of = np.where(members < n, members, n).min(axis=1)
-    reps = np.unique(class_of)
-    cls = _renumber(class_of, reps, n)          # class position of each element
-    c = field.carrier
-    mu = cls[c.mu[np.ix_(reps, reps)]]
-    nu = cls[c.nu_of(*np.ix_(reps, reps, reps))]
-    # representative independence: the class map carries mu and nu onto
-    # the quotient's tables
-    if _map_violation(cls, c.mu, mu) is not None:
+    reps, cls = np.unique(class_of, return_inverse=True)    # cls: each element's class
+    o, k, mu = field._restriction(reps, cls)
+    # representative independence: the class map carries mu onto the
+    # quotient's mu, and nu onto its coset form F[o], F = `_coset_form`
+    if _map_violation(cls, field.carrier.mu, mu) is not None:
         raise StructureError("multiplication is not constant on classes")
-    if _map_violation(cls, c.nu_of, nu) is not None:
+    if _map_violation(cls, field.carrier.nu_of, o, _coset_form(o, k)) is not None:
         raise StructureError("addition is not constant on classes")
     report = {
         "evenly_maximal": witness is None,
@@ -625,7 +623,7 @@ def quotient_by_ideal(field, ideal):
             "quotient is not a 3-field: a proper over-ideal meets the odd part "
             f"at {witness['odd_members']}", witness)
     labels = [field.label(r) for r in reps]
-    carrier = TernaryCarrier(labels, nu, mu)
+    carrier = TernaryCarrier.from_retract(labels, o, k, mu)
     out = FiniteThreeField(carrier, cls[field.one], origin={"kind": "quotient"})
     return QuotientResult(out, labels, report)
 

@@ -987,12 +987,11 @@ class PrimeSubfieldResult:
 
 
 def prime_subfield(field):
-    """Closure of {1} under both operations; its size is the characteristic,
-    and it is isomorphic to an odd residue ring (Z/2^nZ)^odd — the
-    isomorphism is constructed, not assumed."""
-    indices, _ = _subalgebra_closure(field, [field.one])
-    sub_carrier = field.subset_carrier(indices)
-    sub = FiniteThreeField(sub_carrier, indices.index(field.one),
+    """Closure of {1} under both operations, on a carrier born from its
+    retract; its size is the characteristic, and it is isomorphic to an odd
+    residue ring (Z/2^nZ)^odd — the isomorphism is constructed, not assumed."""
+    indices = np.flatnonzero(_subalgebra_closures(field, [[field.one]])[0]).tolist()
+    sub = FiniteThreeField(field.subset_carrier(indices), indices.index(field.one),
                            origin={"kind": "prime_subfield"})
     char = len(indices)
     if char & (char - 1):
@@ -1183,11 +1182,7 @@ def generated_subalgebra(field, targets):
     explicit polynomial witness for every element reached: x_i for the i-th
     target, a*b or a+b+c over the witnesses of the event that first reached
     it (see `_subalgebra_closure`)."""
-    targets = [int(t) for t in targets]
-    for t in targets:
-        if not 0 <= t < field.n:
-            raise StructureError(
-                f"target {t} is not an element of the {field.n}-element field")
+    targets = field._indices(targets, "target").tolist()
     k = len(targets)
     vars = tuple(f"x{i+1}" for i in range(k)) if k > 1 else ("x",)
     one_poly = TernaryPolynomial.constant(1, vars)

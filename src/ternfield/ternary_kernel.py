@@ -189,9 +189,7 @@ class TernaryCarrier:
     nu: (n,n,n) index table for the ternary addition.
     mu: optional index table for the multiplication, with `product_axes`
     axes: (n,n), binary, on this class.
-    Entries equal to FOREIGN (-1) mark results that leave the carrier; the
-    *_foreign dicts map the offending argument tuples to a label of the
-    outside value, for witness reporting.
+    FOREIGN (-1) entries mark results outside the carrier, reported as "?".
 
     A carrier is dense, given the cube nu, or retract-born
     (`from_retract`), given the retract (o, k) whose coset form is nu.  A
@@ -203,19 +201,17 @@ class TernaryCarrier:
     product_axes = 2
     _born_from = None       # the retract (o, k) of a retract-born carrier
 
-    def __init__(self, labels, nu, mu=None, nu_foreign=None, mu_foreign=None):
+    def __init__(self, labels, nu, mu=None):
         self._label(labels)
         self.nu = _table(nu, (self.n, self.n, self.n), "nu")
         self.mu = None if mu is None else _table(mu, (self.n,) * self.product_axes, "mu")
-        self.nu_foreign = dict(nu_foreign or {})
-        self.mu_foreign = dict(mu_foreign or {})
 
     @classmethod
     def from_retract(cls, labels, o, k, mu):
         """The carrier whose nu is the coset form ((x o y) o z) o k of the
         retract (o, k): o an (n,n) table with entries in the carrier, k an
         element.  It holds o and k, n^2 entries, and builds the cube nu on
-        its first read; every builder makes its carrier this way."""
+        its first read; every builder, sub-carrier and quotient is made so."""
         carrier = cls.__new__(cls)
         carrier._label(labels)
         n = carrier.n
@@ -223,7 +219,6 @@ class TernaryCarrier:
             raise StructureError(f"k = {k} is not an element of the {n}-element carrier")
         carrier._born_from = _table(o, (n, n), "retract", 0), int(k)
         carrier.mu = _table(mu, (n,) * cls.product_axes, "mu")
-        carrier.nu_foreign, carrier.mu_foreign = {}, {}
         return carrier
 
     def _label(self, labels):
@@ -351,25 +346,28 @@ def _least(mask):
     return tuple(int(v) for v in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
-def _renumber(table, subset, n):
-    """Positions in `subset` of the indices in `table`, a table of an
-    n-element parent already gathered over the subset with np.ix_; FOREIGN
-    where a result lies outside the subset."""
+def _positions(subset, n):
+    """The position in `subset` of each of n elements, FOREIGN outside it:
+    indexing it with a table gathered over the subset renumbers the table."""
     back = np.full(n, FOREIGN, dtype=np.int32)
     back[subset] = np.arange(len(subset), dtype=np.int32)
-    return back[table]
+    return back
 
 
-def _closure(table, foreign_map, labels, opname):
+def _closed(o, k, mu):
+    """Whether the tables of `FiniteThreeField._restriction` stay in its subset."""
+    return FOREIGN not in (k, o.min(), mu.min())
+
+
+def _closure(table, labels, opname):
     """Closure of an operation table: a failing Verdict at the least entry
     that leaves the carrier, or None when the table is closed."""
     if table.min() >= 0:               # no n^3 mask for a closed table
         return None
     idx = _least(table < 0)
-    outside = foreign_map.get(idx, "?")
     args = ",".join(labels[v] for v in idx)
     return Verdict(False, "closure", idx,
-                   f"{opname}({args}) = {outside} not in carrier", method="cheap")
+                   f"{opname}({args}) = ? not in carrier", method="cheap")
 
 
 def _first_violation(n, width, bad):
@@ -564,14 +562,20 @@ def _mu_invariants(mu, labels):
 # test; only a failure walks the table, to name its least witness.
 _CHEAP_LAWS = {
     "nu closure": lambda c: (None if c._born_from is not None       # o is closed
-                             else _closure(c.nu, c.nu_foreign, c.labels, "nu")),
-    "mu closure": lambda c: _closure(c.mu, c.mu_foreign, c.labels, "mu"),
+                             else _closure(c.nu, c.labels, "nu")),
+    "mu closure": lambda c: _closure(c.mu, c.labels, "mu"),
     "nu invariants": lambda c: (None if c.retract is not None
                                 else _nu_invariants(c.nu, c.labels)),
     "mu invariants": lambda c: (None if c.mu.ndim == 3
                                 or _light_associative(c.mu, c.mu_generators)
                                 else _mu_invariants(c.mu, c.labels)),
 }
+
+
+def _require(v, what=None):
+    """StructureError with a failing Verdict's detail, after "what: " if given."""
+    if v is not None and not v:
+        raise StructureError(v.detail if what is None else f"{what}: {v.detail}")
 
 
 def _first_failure(carrier, *laws):
@@ -949,52 +953,60 @@ class FiniteThreeField:
         c = self.carrier
         if c.mu is None or c.mu.ndim != 2:
             raise StructureError("a 3-field needs a binary multiplication")
-        v = _first_failure(c, "nu closure", "mu closure")
-        if v is not None:
-            raise StructureError(f"field operations must be closed: {v.detail}")
+        _require(_first_failure(c, "nu closure", "mu closure"), "field operations must be closed")
         if c.unit != self.one:
             raise StructureError(f"{self.label(self.one)} is not a two-sided unit")
         self._inv                       # raises unless every element has an inverse
-        v = _first_failure(c, "nu invariants", "mu invariants")
-        if v is not None:
-            raise StructureError(v.detail)
+        _require(_first_failure(c, "nu invariants", "mu invariants"))
         # no zero check: with a two-sided unit, inverses and an associative
         # mu, mu(mu(z,1),z^-1) = 1, so no z other than the unit absorbs tmu
         if check == "light" or c.n > check_limit():
             return
-        v = check_ternary_group(c)
-        if not v:
-            raise StructureError(f"additive axioms fail: {v.detail}")
-        v = check_distributivity(c)
-        if not v:
-            raise StructureError(f"distributivity fails: {v.detail}")
+        _require(check_ternary_group(c), "additive axioms fail")
+        _require(check_distributivity(c), "distributivity fails")
 
     # -- derived views -------------------------------------------------------
 
-    def subset_carrier(self, indices):
-        """Carrier restricted to a subset, foreign results marked."""
+    def _indices(self, indices, what="index"):
+        """The indices as an index array, refused unless each is an element."""
         s = np.array([int(i) for i in indices], dtype=np.intp)
-        nu = self.carrier.nu_of(*np.ix_(s, s, s))
-        mu = self.carrier.mu[np.ix_(s, s)]
-        sub_nu, sub_mu = _renumber(nu, s, self.n), _renumber(mu, s, self.n)
-        return TernaryCarrier([self.label(g) for g in s], sub_nu, sub_mu,
-                              self._foreign_labels(sub_nu, nu),
-                              self._foreign_labels(sub_mu, mu))
+        bad = s[(s < 0) | (s >= self.n)]
+        if bad.size:
+            raise StructureError(f"{what} {bad[0]} is not an element of the {self.n}-element field")
+        return s
 
-    def _foreign_labels(self, sub, full):
-        """Label of every result that left the subset, keyed by the argument
-        positions (a renumbered table `sub` and its gathered table `full`)."""
-        return {tuple(w): self.label(full[tuple(w)])
-                for w in np.argwhere(sub == FOREIGN).tolist()}
+    def _restriction(self, reps, pos):
+        """The retract (o, k) of nu re-based at b = reps[0], and mu, read on
+        `reps` and renumbered by `pos` (a position per element, FOREIGN
+        outside): x o y = nu(x, quer(b), y) and k = nu(b, b, b).  As nu is
+        x+y+z+k over its certified retract (`_coset_retract`), its coset form
+        is nu on `reps`, and `reps` is closed under nu iff o and k stay in it
+        (`_closed`).  O(m^2) reads and no cube; needs a certified retract."""
+        c = self.carrier
+        if c.retract is None:
+            raise StructureError("a restriction needs a certified retract of nu")
+        b = int(reps[0])
+        o = pos[c.nu_of(reps[:, None], quer_add(c, b), reps)]
+        return o, int(pos[c.nu_of(b, b, b)]), pos[c.mu[np.ix_(reps, reps)]]
+
+    def subset_carrier(self, indices):
+        """The carrier of a subset closed under nu and mu, in the given order,
+        born from the retract at its first element (`_restriction`)."""
+        s = self._indices(indices)
+        if not len(s):
+            raise StructureError("carrier must have at least one element")
+        o, k, mu = self._restriction(s, _positions(s, self.n))
+        if not _closed(o, k, mu):
+            raise StructureError("the subset is not closed under nu and mu")
+        return TernaryCarrier.from_retract([self.label(g) for g in s], o, k, mu)
 
     def is_subfield(self, indices):
-        """Whether the subset is a unital 3-subfield (unit, closure, inverses)."""
-        s = np.unique(np.array([int(i) for i in indices], dtype=np.intp))
-        if self.one not in s:
-            return False
-        c = self.carrier
-        return all((_renumber(t, s, self.n) != FOREIGN).all()
-                   for t in (self._inv[s], c.mu[np.ix_(s, s)], c.nu_of(*np.ix_(s, s, s))))
+        """Whether the subset holds the unit and its inverses and is closed
+        under mu and nu, decided on its tables from `_restriction`."""
+        s = np.unique(self._indices(indices))
+        pos = _positions(s, self.n)
+        return (self.one in s and FOREIGN not in pos[self._inv[s]]
+                and _closed(*self._restriction(s, pos)))
 
     def to_json(self):
         doc = self.carrier.to_json(one=self.one)
@@ -1012,11 +1024,10 @@ class FiniteThreeField:
 
 class ProperThreeThreeField(TernaryCarrier):
     """(3,3)-field with a genuinely ternary multiplication and no unit: a
-    carrier whose mu is the (n,n,n) product table, whose foreign results
-    `mu_foreign` holds by argument triple.  Validated when built, under the
-    default gate: the total associativity of mu by mu's own coset retract
-    (`_coset_retract`), with the O(n^5) scan only when that fails, and
-    distributivity by mu's 3n^2 translations on o's generators."""
+    carrier whose mu is the (n,n,n) product table.  Validated when built,
+    under the default gate: the total associativity of mu by mu's own coset
+    retract (`_coset_retract`), with the O(n^5) scan only when that fails,
+    and distributivity by mu's 3n^2 translations on o's generators."""
 
     product_axes = 3
 
@@ -1024,12 +1035,8 @@ class ProperThreeThreeField(TernaryCarrier):
         super().__init__(labels, nu, mu)
         if self.mu is None:
             raise StructureError("a proper (3,3)-field needs a ternary multiplication")
-        v = _first_failure(self, "nu closure", "mu closure")
-        if v is not None:
-            raise StructureError(f"operations must be closed: {v.detail}")
-        v = check_ternary_group(self)
-        if not v:
-            raise StructureError(f"additive axioms fail: {v.detail}")
+        _require(_first_failure(self, "nu closure", "mu closure"), "operations must be closed")
+        _require(check_ternary_group(self), "additive axioms fail")
         units = _ternary_units(self.mu)
         if units:
             raise StructureError(f"multiplicative unit {self.labels[units[0]]} found; "
@@ -1037,9 +1044,7 @@ class ProperThreeThreeField(TernaryCarrier):
         w = None if _coset_retract(self.mu) is not None else _assoc_scan(self.mu)
         if w is not None:
             raise StructureError(f"ternary multiplication not associative at {w}")
-        v = check_distributivity(self)
-        if not v:
-            raise StructureError(f"distributivity fails: {v.detail}")
+        _require(check_distributivity(self), "distributivity fails")
 
     def __repr__(self):
         return f"ProperThreeThreeField({self.n} elements)"
@@ -1053,7 +1058,7 @@ def twisted_coset(field, subfield_indices, t):
     closed, or if the result has a multiplicative unit (properness).
     """
     f1 = sorted(int(i) for i in subfield_indices)
-    t = int(t)
+    t = int(field._indices([t])[0])
     if not field.is_subfield(f1):
         raise StructureError("given subset is not a unital 3-subfield")
     if t in f1:
@@ -1063,9 +1068,9 @@ def twisted_coset(field, subfield_indices, t):
     mu = field.carrier.mu
     coset = np.unique(mu[t, f1])
     full = field.carrier.nu_of(*np.ix_(coset, coset, coset))
-    nu = _renumber(full, coset, field.n)
+    back = _positions(coset, field.n)
     # mu(mu(a,b),c) over the coset only, never the whole-field mu[mu] cube
-    tmu = _renumber(mu[mu[np.ix_(coset, coset)][:, :, None], coset], coset, field.n)
+    nu, tmu = back[full], back[mu[mu[np.ix_(coset, coset)][:, :, None], coset]]
     bad = (nu == FOREIGN) | (tmu == FOREIGN)
     if bad.any():
         w = _least(bad)

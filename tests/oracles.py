@@ -11,6 +11,9 @@ tested against; the package itself never calls them.
   with, so a field is built by the same constructor and check wherever it
   is named.
 - `relabel`: the same structure under renamed elements.
+- `gathered_subset_carrier`: a subset's dense tables from the (m, m, m)
+  gather of nu, the reference for the sub-carriers born from their
+  retract.
 - `whole_cube_assoc_witness`: binary associativity over the whole n^3 cube.
 - `pair_scan_blocks`, `pair_assoc_scan` and `pair_distrib_scan`: the O(n^5)
   scans in blocks of whole (a, b) pairs, the first one an n^3 block: the
@@ -134,6 +137,19 @@ def with_tables(carrier, nu=None, mu=None):
     return TernaryCarrier(carrier.labels,
                           carrier.nu if nu is None else nu,
                           carrier.mu if mu is None else mu)
+
+
+def gathered_subset_carrier(field, indices):
+    """A dense carrier on the subset, its elements in the given order, from
+    the (m, m, m) gather of nu and the (m, m) gather of mu, FOREIGN where a
+    result leaves the subset: the reference for
+    `FiniteThreeField.subset_carrier`, which reads O(m^2) entries of nu
+    through its retract, and on a subset that is not closed a carrier
+    whose tables leave it."""
+    s = np.asarray(indices, dtype=np.intp)
+    back, c = tk._positions(s, field.n), field.carrier
+    return TernaryCarrier([field.label(g) for g in s],
+                          back[c.nu_of(*np.ix_(s, s, s))], back[c.mu[np.ix_(s, s)]])
 
 
 # -- whole-table and scalar definitions ----------------------------------------

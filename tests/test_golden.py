@@ -11,8 +11,9 @@ The argv list covers every command of README "Command line", both formats
 of `paper-suite`, the automorphism groups and checks whose output earlier
 changes compared by hand, `envelope` of F0(5) and of odd(1024) (refused by
 the ring validation guard), `field build` of the product F0(2)xF0(2), and
-the two n = 512 commands, `struct triangular 3` over odd(4) and `field check`
-of odd(1024), and `field aut` of F0(9), 128 automorphisms of a 256-element
+the three n = 512 commands, `struct triangular 3` over odd(4), `field check`
+of odd(1024) and `field build` of odd(1024), whose prime subfield is the
+whole field, and `field aut` of F0(9), 128 automorphisms of a 256-element
 field, a size at which checking each map alone took seconds.
 """
 
@@ -47,6 +48,7 @@ EXTRA_COMMANDS = [
     ["struct", "triangular", "3", "--spec", "odd(4)"],
     ["field", "check", "--spec", "odd(1024)", "--limit", "512"],
     ["field", "aut", "--spec", "F0(9)", "--labels", "canonical"],
+    ["field", "build", "--spec", "odd(1024)"],
 ]
 
 

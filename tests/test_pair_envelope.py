@@ -959,10 +959,10 @@ def restricted_units_as_3field(ring):
     (labels, nu, mu, unit)."""
     u = np.setdiff1d(np.arange(ring.n), sorted(ring.maximal_ideals()[0]))
     ix = np.ix_(u, u)
-    mu = ternary_kernel._renumber(ring.mul[ix], u, ring.n)
-    nu = ternary_kernel._renumber(ring.add[ring.add[ix][..., None], u], u, ring.n)
-    return ([ring.labels[g] for g in u], nu, mu,
-            int(ternary_kernel._renumber(ring.one, u, ring.n)))
+    back = ternary_kernel._positions(u, ring.n)
+    mu = back[ring.mul[ix]]
+    nu = back[ring.add[ring.add[ix][..., None], u]]
+    return ([ring.labels[g] for g in u], nu, mu, int(back[ring.one]))
 
 
 @pytest.mark.parametrize("name", ["odd(4)", "odd(8)", "odd(16)", "F0(2)", "F0(3)",
@@ -1000,9 +1000,15 @@ def reference_quotient(field, ideal):
     return ([field.label(r) for r in reps], nu, mu, rep_index[class_of[field.one]])
 
 
-@pytest.mark.parametrize("build", [lambda: odd_residue_field(16), lambda: build_f0(4)],
-                         ids=["odd(16)", "F0(4)"])
+@pytest.mark.parametrize("build", [
+    lambda: odd_residue_field(16),
+    lambda: build_f0(4),
+    # unit at index 6: the least class member is rarely the unit's
+    lambda: triangular_field(2, odd_residue_field(4)).field,
+], ids=["odd(16)", "F0(4)", "triangular_field(2, odd(4))"])
 def test_quotient_by_every_principal_pair_ideal_matches_reference(build):
+    # the quotient is born from its classes' retract tables: its tables,
+    # retract and retract generators are those of the dense reference
     f = build()
     env = build_envelope(f)
     for alpha in f.elements():
@@ -1010,7 +1016,10 @@ def test_quotient_by_every_principal_pair_ideal_matches_reference(build):
         labels, nu, mu, one = reference_quotient(f, ideal)
         got = quotient_by_ideal(f, ideal)
         assert got.class_reps == labels and got.field.one == one
-        assert (got.field.carrier.nu == nu).all() and (got.field.carrier.mu == mu).all()
+        c, dense = got.field.carrier, TernaryCarrier(labels, nu, mu)
+        assert (c.nu == nu).all() and (c.mu == mu).all()
+        assert c.retract[1] == dense.retract[1] and (c.retract[0] == dense.retract[0]).all()
+        assert (c.retract_generators == dense.retract_generators).all()
 
 
 # -- two-sided ideals in a noncommutative ring -----------------------------------------------

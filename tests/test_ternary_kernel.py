@@ -53,6 +53,7 @@ from ternfield.structures import (
 from oracles import (
     FIELDS,
     derived_ternary_mu,
+    gathered_subset_carrier,
     pair_assoc_scan,
     pair_distrib_scan,
     pair_scan_blocks,
@@ -1773,18 +1774,18 @@ def test_each_caller_keeps_its_order_of_laws(field_first):
     c = _non_symmetric_nu(roster_field("odd(16)").carrier)
     mu = c.mu.copy()
     mu[1, 2] = tk.FOREIGN
-    carrier = TernaryCarrier(c.labels, c.nu, mu, mu_foreign={(1, 2): "99"})
+    carrier = with_tables(c, mu=mu)
 
     def build():
         with pytest.raises(StructureError, match=r"^field operations must be closed: "
-                                                 r"mu\(3,5\) = 99 not in carrier$"):
+                                                 r"mu\(3,5\) = \? not in carrier$"):
             FiniteThreeField(carrier, 0, check="light")
 
     def check():
         v = check_ternary_group(carrier, limit=carrier.n)
         assert (v.axiom, v.witness, v.method) == ("commutativity", (0, 1, 2), "cheap")
         v = check_distributivity(carrier, limit=carrier.n)
-        assert (v.axiom, v.witness, v.detail) == ("closure", (1, 2), "mu(3,5) = 99 not in carrier")
+        assert (v.axiom, v.witness, v.detail) == ("closure", (1, 2), "mu(3,5) = ? not in carrier")
 
     for step in (build, check) if field_first else (check, build):
         step()
@@ -1892,24 +1893,44 @@ def test_check_distributivity_builds_no_second_ternary_product():
 # -- sub-tables against their scalar definitions ------------------------------
 
 def reference_subset_carrier(field, indices):
-    """The restriction built one cell at a time: (labels, nu, mu, nu_foreign,
-    mu_foreign)."""
+    """The restriction built one cell at a time: (labels, nu, mu), FOREIGN
+    where a result leaves the subset."""
     back = {g: s for s, g in enumerate(indices)}
     n = len(indices)
     nu = np.empty((n, n, n), dtype=np.int32)
     mu = np.empty((n, n), dtype=np.int32)
-    nu_f, mu_f = {}, {}
     for (a, ga), (b, gb) in itertools.product(enumerate(indices), repeat=2):
-        r = field.mu(ga, gb)
-        mu[a, b] = back.get(r, tk.FOREIGN)
-        if r not in back:
-            mu_f[(a, b)] = field.label(r)
+        mu[a, b] = back.get(field.mu(ga, gb), tk.FOREIGN)
         for c, gc in enumerate(indices):
-            r = field.nu(ga, gb, gc)
-            nu[a, b, c] = back.get(r, tk.FOREIGN)
-            if r not in back:
-                nu_f[(a, b, c)] = field.label(r)
-    return [field.label(g) for g in indices], nu, mu, nu_f, mu_f
+            nu[a, b, c] = back.get(field.nu(ga, gb, gc), tk.FOREIGN)
+    return [field.label(g) for g in indices], nu, mu
+
+
+def assert_subset_carrier_matches_the_gather(field, indices):
+    """subset_carrier against the dense gather of the subset's tables: the
+    same labels, tables, retract and retract generators on a closed subset,
+    a refusal on one that is not; and the closure test on the retract
+    tables against the one on the gathered cube.  Returns whether the
+    subset is closed under nu, and whether under nu and mu."""
+    dense = gathered_subset_carrier(field, indices)
+    s = np.asarray(indices, dtype=np.intp)
+    o, k, mu = field._restriction(s, tk._positions(s, field.n))
+    nu_closed = dense.nu.min() >= 0
+    assert (k != tk.FOREIGN and o.min() >= 0) == nu_closed
+    if nu_closed:           # a coset of an additive subgroup, re-based at s[0]
+        assert dense.retract[1] == k and (dense.retract[0] == o).all()
+    closed = nu_closed and dense.mu.min() >= 0
+    assert tk._closed(o, k, mu) == closed
+    if not closed:
+        with pytest.raises(StructureError, match="^the subset is not closed under nu and mu$"):
+            field.subset_carrier(indices)
+        return nu_closed, False
+    c = field.subset_carrier(indices)
+    assert c.labels == dense.labels
+    assert (c.nu == dense.nu).all() and (c.mu == dense.mu).all()
+    assert c.retract[1] == dense.retract[1] and (c.retract[0] == dense.retract[0]).all()
+    assert (c.retract_generators == dense.retract_generators).all()
+    return True, True
 
 
 def reference_is_subfield(field, indices):
@@ -1941,21 +1962,24 @@ def random_subsets(field, count, seed):
 
 @pytest.mark.parametrize("name", ["F0(4)", "F0(5)", "odd(32)"])
 def test_subset_carrier_matches_reference(name):
+    # the gather oracle against the scalar one, FOREIGN entries included,
+    # then the sub-carrier against the gather
     f = roster_field(name)
+    closed = []
     for s in random_subsets(f, 20, seed=11):
-        c = f.subset_carrier(s)
-        labels, nu, mu, nu_f, mu_f = reference_subset_carrier(f, s)
-        assert list(c.labels) == labels
-        assert (c.nu == nu).all() and (c.mu == mu).all()
-        assert c.nu_foreign == nu_f and c.mu_foreign == mu_f
-        assert all(type(v) is int for key in (*c.nu_foreign, *c.mu_foreign) for v in key)
+        labels, nu, mu = reference_subset_carrier(f, s)
+        dense = gathered_subset_carrier(f, s)
+        assert list(dense.labels) == labels
+        assert (dense.nu == nu).all() and (dense.mu == mu).all()
+        closed.append(assert_subset_carrier_matches_the_gather(f, s)[1])
+    assert any(closed) and not all(closed)
 
 
 def test_retract_is_read_only_and_none_on_carriers_that_are_not_closed():
     f = roster_field("F0(4)")
     o, k = f.carrier.retract
     assert not o.flags.writeable
-    carriers = [f.subset_carrier(s) for s in random_subsets(f, 20, seed=13)]
+    carriers = [gathered_subset_carrier(f, s) for s in random_subsets(f, 20, seed=13)]
     not_closed = [c for c in carriers if c.nu.min() < 0]
     assert not_closed and all(c.retract is None for c in not_closed)
 
@@ -1967,6 +1991,92 @@ def test_is_subfield_matches_reference_on_every_subset_of_f0_3():
     verdicts = [f.is_subfield(s) for s in subsets]
     assert verdicts == [reference_is_subfield(f, s) for s in subsets]
     assert sum(verdicts) == 3        # {1}, {1, x^2} and the whole field
+
+
+def test_sub_carriers_match_the_gather_on_every_subset_of_f0_3():
+    # each subset in both orders, so that each element is a base of the
+    # retract read on it
+    f = roster_field("F0(3)")
+    subsets = [list(s) for r in range(1, f.n + 1) for s in itertools.combinations(range(f.n), r)]
+    closed = [assert_subset_carrier_matches_the_gather(f, s[::step])
+              for s in subsets for step in (1, -1)]
+    # nu: every coset of a subgroup of the retract (Z/2)^2, so the 4 points,
+    # the 6 pairs and the whole field; mu too: {1}, {1, x^2} and the field
+    assert [sum(c) for c in zip(*closed)] == [2 * 11, 2 * 3]
+
+
+def subsets_and_cosets(field, seed):
+    """`random_subsets`, and cosets mu[t, S] of the subfields S it holds, in
+    S's order, for random t: closed under nu, and unless t lies in S, not
+    holding the unit."""
+    subsets = random_subsets(field, 20, seed)
+    rng = np.random.default_rng(seed)
+    subfields = [s for s in subsets if reference_is_subfield(field, s)]
+    return subsets + [field.carrier.mu[t, s].tolist()
+                      for s in subfields for t in rng.integers(field.n, size=3)]
+
+
+SUBFIELD_FIELDS = {
+    "F0(5)": lambda: roster_field("F0(5)"),
+    "odd(32)": lambda: roster_field("odd(32)"),
+    # units at 15, 6 and 31: a subset holding the unit is rarely based at it
+    "toeplitz_field(3, odd(4))": lambda: toeplitz_field(3, odd_residue_field(4)).field,
+    "triangular_field(2, odd(4))": lambda: triangular_field(2, odd_residue_field(4)).field,
+    "quaternion_field(odd(4))": lambda: quaternion_field(odd_residue_field(4)).field,
+}
+
+
+@pytest.mark.parametrize("name", list(SUBFIELD_FIELDS))
+def test_sub_carriers_and_subfields_match_the_gather_on_subsets_and_cosets(name):
+    f = SUBFIELD_FIELDS[name]()
+    subsets = subsets_and_cosets(f, seed=17)
+    closed = [assert_subset_carrier_matches_the_gather(f, s) for s in subsets]
+    verdicts = [f.is_subfield(s) for s in subsets]
+    assert verdicts == [reference_is_subfield(f, s) for s in subsets]
+    # a subset closed under mu is a group, so every closed subset holds the
+    # unit; the cosets of subfields outside them are closed under nu alone
+    # (odd(32) has none: its only subset closed under nu is the whole field)
+    assert [v for _, v in closed] == verdicts and any(verdicts)
+    assert any(nu and not v for nu, v in closed) == (name != "odd(32)")
+
+
+@pytest.mark.parametrize("bad,ask", [
+    ("index -2", lambda f: f.is_subfield([0, -2])),   # -2 would wrap to x^2: {1, x^2} is a subfield
+    ("index -2", lambda f: f.subset_carrier([0, -2])),
+    ("index 9", lambda f: f.is_subfield([0, 9])),
+    ("index -2", lambda f: twisted_coset(f, [0, -2], 1)),
+    ("index -1", lambda f: twisted_coset(f, [0, 2], -1)),     # -1 would wrap to x^2+x+1
+    ("index 4", lambda f: twisted_coset(f, [0, 2], 4)),
+    ("target -2", lambda f: generated_subalgebra(f, [1, -2])),  # the same check
+], ids=["is_subfield", "subset_carrier", "is_subfield-past-the-end", "twisted_coset",
+        "twisted_coset-t", "twisted_coset-t-past-the-end", "generated_subalgebra"])
+def test_indices_outside_the_field_are_refused(bad, ask):
+    f = roster_field("F0(3)")
+    with pytest.raises(StructureError, match=f"^{bad} is not an element of the 4-element field$"):
+        ask(f)
+
+
+def test_is_subfield_checks_the_inverses_when_mu_is_no_group():
+    # an unchecked F0(3) whose mu has x x = x and x x^2 = x^2 x = 1: {1, x}
+    # is closed under mu and nu, but the inverse of x lies outside it
+    f = roster_field("F0(3)")
+    mu = np.array([[0, 1, 2, 3], [1, 1, 0, 3], [2, 0, 3, 3], [3, 3, 3, 0]])
+    g = FiniteThreeField(TernaryCarrier.from_retract(f.labels, *f.carrier.retract, mu),
+                         f.one, check=False)
+    assert g.inv(1) == 2 and gathered_subset_carrier(g, [0, 1]).mu.min() >= 0
+    assert not g.is_subfield([0, 1]) and not reference_is_subfield(g, [0, 1])
+    assert g.is_subfield([0, 1, 2, 3]) and reference_is_subfield(g, [0, 1, 2, 3])
+
+
+def test_a_subset_carrier_needs_a_certified_retract():
+    # nu of odd(16) under a permutation of its values: no coset form, so
+    # no retract to read the subset's tables on
+    f = roster_field("odd(16)")
+    nu = np.random.default_rng(3).permutation(f.n).astype(np.int32)[f.carrier.nu]
+    g = FiniteThreeField(with_tables(f.carrier, nu=nu), f.one, check=False)
+    for ask in (lambda: g.subset_carrier([0]), lambda: g.is_subfield([0])):
+        with pytest.raises(StructureError, match="certified retract"):
+            ask()
 
 
 @pytest.mark.parametrize("name", ["odd(16)", "F0(5)"])
@@ -2038,7 +2148,6 @@ def test_twisted_coset_matches_reference_over_every_subfield():
             # the split certificates did; its genuine product is certified
             # on the certified retract, and scanned without one
             assert isinstance(coset, TernaryCarrier) and coset.mu.ndim == 3
-            assert coset.nu_foreign == coset.mu_foreign == {}
             certified = split_assoc_certificate(coset.nu) is not None
             assert (coset.retract is not None) == certified
             v_add, v_mul = check_ternary_group(coset), check_distributivity(coset)
