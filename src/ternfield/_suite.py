@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ternary_kernel import (
+    _field_verdict,
     check_distributivity,
     check_ternary_group,
     detect_derived_structure,
@@ -118,13 +119,10 @@ def criterion_1():
         v_add = check_ternary_group(f.carrier, limit=f.n)
         v_mul = check_distributivity(f.carrier, limit=f.n)
         found = detect_derived_structure(f.carrier)
-        passed = (bool(v_add) and bool(v_mul)
-                  and found["unit"] == f.one and found["zero"] is None)
+        passed, witness = _field_verdict(v_add, v_mul, found, f.one)
         entry = {"field": name, "size": f.n, "passed": passed}
-        if not v_add:
-            entry["witness"] = v_add.detail
-        elif not v_mul:
-            entry["witness"] = v_mul.detail
+        if witness is not None:
+            entry["witness"] = witness
         detail["fields"].append(entry)
         ok = ok and passed
     return ok, detail

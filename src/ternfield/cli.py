@@ -30,6 +30,7 @@ from . import __version__
 from .ternary_kernel import (
     CarrierSizeError,
     StructureError,
+    _field_verdict,
     check_distributivity,
     check_limit,
     check_ternary_group,
@@ -235,12 +236,9 @@ def cmd_field_check(args):
         "zero_element": None if found["zero"] is None
                         else field.label(found["zero"]),
     }
-    ok = (bool(v_add) and bool(v_mul) and found["unit"] == field.one
-          and found["zero"] is None)
-    if not v_add:
-        doc["witness"] = v_add.detail
-    elif not v_mul:
-        doc["witness"] = v_mul.detail
+    ok, witness = _field_verdict(v_add, v_mul, found, field.one)
+    if witness is not None:
+        doc["witness"] = witness
     doc["passed"] = ok
     return doc, 0 if ok else 1
 

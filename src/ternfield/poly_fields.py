@@ -39,6 +39,7 @@ from .ternary_kernel import (
 from .dyadic import _val2_int
 from .pair_envelope import (
     EnvelopeRing,
+    Morphism,
     RingTable,
     _TupleTables,
     field_isomorphism,
@@ -987,20 +988,36 @@ class PrimeSubfieldResult:
 
 
 def prime_subfield(field):
-    """Closure of {1} under both operations, on a carrier born from its
-    retract; its size is the characteristic, and it is isomorphic to an odd
-    residue ring (Z/2^nZ)^odd — the isomorphism is constructed, not assumed."""
-    indices = np.flatnonzero(_subalgebra_closures(field, [[field.one]])[0]).tolist()
-    sub = FiniteThreeField(field.subset_carrier(indices), indices.index(field.one),
+    """The closure of {1} under both operations: the orbit of 1 under
+    t -> nu(t, 1, 1), the odd multiples (2i+1)*1, on a carrier born from
+    its retract over the sorted orbit.  Its size is the characteristic, a
+    power of two c, and the isomorphism onto (Z/2cZ)^odd is written down,
+    not searched for: the orbit's i-th point goes to the residue 2i+1, the
+    only choice for a map that fixes 1 and keeps nu, and it is checked as
+    a Morphism.  The walk stops after n steps, so a table whose orbit never
+    returns to 1 raises instead of looping."""
+    one = field.one
+    step = field.carrier.nu_of(np.arange(field.n), one, one)      # t -> nu(t, 1, 1)
+    orbit = [one]
+    for _ in range(field.n):
+        t = int(step[orbit[-1]])
+        if t == one:
+            break
+        orbit.append(t)
+    else:
+        raise StructureError("the orbit of 1 under nu(t, 1, 1) does not return to 1")
+    indices = sorted(orbit)
+    order = np.argsort(orbit)           # indices[j] is the orbit's order[j]-th point
+    sub = FiniteThreeField(field.subset_carrier(indices), indices.index(one),
                            origin={"kind": "prime_subfield"})
     char = len(indices)
     if char & (char - 1):
         raise StructureError(f"characteristic {char} is not a power of two")
-    target = odd_residue_field(2 * char)
-    iso = field_isomorphism(sub, target)
-    if iso is None:
+    try:
+        iso = Morphism(sub, odd_residue_field(2 * char), order)
+    except StructureError:
         raise StructureError(
-            f"prime subfield of size {char} is not an odd residue field")
+            f"prime subfield of size {char} is not an odd residue field") from None
     return PrimeSubfieldResult(sub, char, iso)
 
 
@@ -1138,7 +1155,8 @@ def _subalgebra_closures(field, seeds):
     row retires when it is full or a round leaves it unchanged.  Rows are
     taken in chunks of at most _CLOSURE_CELLS reads.  A carrier whose
     generators are unproven has no certified retract to read, and is
-    refused."""
+    refused.  Its caller is `automorphism_group`, which closes {1, P} for
+    every candidate image P."""
     carrier = field.carrier
     if carrier.generators is None:
         raise StructureError("a batched closure needs a certified retract and a monoid mu")

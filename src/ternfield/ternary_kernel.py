@@ -53,12 +53,12 @@ two checkers, so `field check` decides each law once.
 The scans walk the quintuples in row-major order, in blocks of consecutive
 (a, b, c) triples that grow from one triple, an (n, n) slab over (d, e), to
 about _BLOCK_ENTRIES entries, so an early witness costs one n^2 slab and no
-array a scan allocates holds more than max(n^2, _BLOCK_ENTRIES) entries.
-`check_distributivity` still builds the derived product mu[mu], an n^3
-table, for a binary mu; the bound is on the scan's own arrays.  Every other
-O(n^3) law check, here and on ring and group tables, walks chunks of its
-first index of about _BLOCK_ENTRIES entries (`_first_violation`), and so
-does every check that a map carries one operation table onto another
+array a scan allocates holds more than max(n^2, _BLOCK_ENTRIES) entries;
+the distributivity scan reads a binary mu's derived product by rows
+(`TernaryCarrier.product_of`), never as an n^3 table.  Every other O(n^3)
+law check, here and on ring and group tables, walks chunks of its first
+index of about _BLOCK_ENTRIES entries (`_first_violation`), and so does
+every check that a map carries one operation table onto another
 (`_map_violation`), so none holds an n^3 cube.
 
 Where the groups are proved, laws and maps are decided on a generating set
@@ -247,9 +247,10 @@ class TernaryCarrier:
     def nu_of(self, x, y=slice(None), z=slice(None)):
         """nu[x, y, z], for indices or index arrays broadcast together; x may
         also be a slice of first arguments, and y and z default to whole
-        axes, so nu_of(rows) is nu[rows].  A retract-born carrier reads it
-        as F[x o y, z] from its (o, k), with no cube built; a dense one
-        reads the cube.  Every consumer of nu reads it here, except
+        axes, so nu_of(rows) is nu[rows]; `product_of` reads the ternary
+        product the same way.  A retract-born carrier reads it as
+        F[x o y, z] from its (o, k), with no cube built; a dense one reads
+        the cube.  Every consumer of nu reads it here, except
         `to_json` and the routes a builder's valid carrier never takes,
         which read the cube: the certificate of a cube, the walks that name
         a failure, the O(n^5) scans and the target of an unproven map."""
@@ -263,6 +264,20 @@ class TernaryCarrier:
             # of every cell
             return np.take(self._form[:, z.ravel()], xy[..., 0], axis=0)
         return self._form[xy, z]
+
+    def product_of(self, x, y=slice(None), z=slice(None)):
+        """The ternary product at (x, y, z), indexed and broadcast as in
+        `nu_of`, so product_of(rows) is its rows: mu[x, y, z] for a ternary
+        mu, and the derived product mu(mu(x,y),z), read as mu[mu[x, y], z],
+        for a binary one.  The one place that product is written; no reader
+        of it builds its n^3 table."""
+        mu = self.mu
+        if mu.ndim == 3:
+            return mu[x, y, z]
+        xy = mu[x, y]
+        # whole rows mu[xy] by np.take, several times faster than indexing
+        # with a trailing slice
+        return np.take(mu, xy, axis=0)[..., z] if isinstance(z, slice) else mu[xy, z]
 
     @functools.cached_property
     def _certificate(self):
@@ -601,12 +616,15 @@ def _zero_element(c, unit):
     """The least z other than `unit` that is additively neutral
     (nu(z,z,x) = x) and absorbs the ternary product of the carrier's closed
     mu, or None.  The neutral elements are read from the n^2 entries
-    nu(z,z,x) (`TernaryCarrier.nu_of`), and row z of a binary mu's product
-    mu(mu(x,y),z) as mu[mu[z]], so no n^3 cube is built."""
-    mu, idx = c.mu, np.arange(c.n)
+    nu(z,z,x) (`TernaryCarrier.nu_of`), and absorption from the rows z of
+    the product (`TernaryCarrier.product_of`), for the candidates in chunks
+    as in `_first_violation`, so no n^3 cube is built."""
+    idx = np.arange(c.n)
     neutral = np.flatnonzero((c.nu_of(idx[:, None], idx[:, None], idx) == idx).all(axis=1))
-    return next((z for z in neutral.tolist() if z != unit
-                 and ((mu[z] if mu.ndim == 3 else mu[mu[z]]) == z).all()), None)
+    cand = neutral[neutral != unit]
+    w = _first_violation(len(cand), c.n ** 2, lambda rows: (
+        c.product_of(cand[rows]) == cand[rows, None, None]).all(axis=(1, 2)))
+    return None if w is None else int(cand[w[0]])
 
 
 def _retract_certificate(o, k):
@@ -746,26 +764,32 @@ def _distrib_scan(s, m):
     law 2: m(a, s(b,c,d), e) = s(m(a,b,e), m(a,c,e), m(a,d,e))
     law 3: m(a, b, s(c,d,e)) = s(m(a,b,c), m(a,b,d), m(a,b,e))
 
-    Blocks as in `_assoc_scan`.  The right-hand sides are read from the
+    m is a table, or a reader of its rows such as
+    `TernaryCarrier.product_of`, which reads a binary mu's derived product
+    from mu itself, so no n^3 table of it is built.  Blocks as in
+    `_assoc_scan`, each reading the rows m[a], m[b0:b1], m[c0:c1] and those
+    at s[a, b0:b1, c0:c1].  The right-hand sides are read from the
     flattened s at x*n^2 + y*n + z, with the terms that depend only on a
     and the range of c summed once per (a, c0, c1), so once per a on blocks
     of whole pairs.  Those indices are int32 like the tables: `_gate` keeps
     n at most _TABLE_LIMIT, so n^3 stays below 2^31.
     """
     n = len(s)
+    read = m if callable(m) else m.__getitem__
     flat = s.ravel()
     key = None
     for a, b0, b1, c0, c1 in _scan_blocks(n):
-        if key != (a, c0, c1):
-            key = a, c0, c1
-            ma = m[a]
+        if key is None or key[0] != a:
+            ma = read(a)
             ma1 = ma * n
             ma2 = ma1 * n
-            p1 = ma2 + m[c0:c1]                            # [c,d,e] -> m(a,d,e) n^2 + m(c,d,e)
+        if key != (a, c0, c1):
+            key = a, c0, c1
+            p1 = ma2 + read(slice(c0, c1))                 # [c,d,e] -> m(a,d,e) n^2 + m(c,d,e)
             p2 = ma1[c0:c1, None, :] + ma[None, :, :]      # [c,d,e] -> m(a,c,e) n + m(a,d,e)
         mb = ma[b0:b1]
-        lhs1 = np.take(m, s[a, b0:b1, c0:c1], axis=0)
-        rhs1 = np.take(flat, p1 + m[b0:b1, None] * n)
+        lhs1 = read(s[a, b0:b1, c0:c1])
+        rhs1 = np.take(flat, p1 + read(slice(b0, b1))[:, None] * n)
         lhs2 = np.take(ma, s[b0:b1, c0:c1], axis=0)
         rhs2 = np.take(flat, p2 + ma2[b0:b1, None, None, :])
         lhs3 = np.take(mb, s[c0:c1], axis=1)
@@ -824,8 +848,7 @@ def check_distributivity(carrier, limit=None):
     v = _first_failure(carrier, "nu closure")
     if v is not None:
         return v
-    mu = carrier.mu
-    if mu is None:
+    if carrier.mu is None:
         raise StructureError("carrier has no multiplication to check")
     v = _first_failure(carrier, "mu closure", "mu invariants")
     if v is not None:
@@ -833,7 +856,7 @@ def check_distributivity(carrier, limit=None):
     _gate(carrier.n, limit)
     if carrier.retract is not None and _distrib_certificate(carrier):
         return Verdict(True, method="certificate")
-    w = _distrib_scan(carrier.nu, mu if mu.ndim == 3 else mu[mu])   # [i,j,k] -> mu[mu[i,j],k]
+    w = _distrib_scan(carrier.nu, carrier.product_of)
     if w is not None:
         law, *abcde = w
         return Verdict(False, f"distributivity-law-{law}", tuple(abcde), f"law {law} "
@@ -872,6 +895,18 @@ def detect_derived_structure(obj):
     else:
         unit = obj.unit
     return {"unit": unit, "zero": _zero_element(obj, unit)}
+
+
+def _field_verdict(v_add, v_mul, found, one):
+    """(passed, witness) of a 3-field check, from the Verdicts of
+    `check_ternary_group` and `check_distributivity` and the report of
+    `detect_derived_structure`: it passes when both checkers pass, the unit
+    is `one` and there is no zero element.  The witness is the failing
+    additive Verdict's detail, else the failing distributive one's, else
+    None."""
+    passed = bool(v_add) and bool(v_mul) and found["unit"] == one and found["zero"] is None
+    failed = next((v for v in (v_add, v_mul) if not v), None)
+    return passed, None if failed is None else failed.detail
 
 
 class FiniteThreeField:
@@ -1065,12 +1100,11 @@ def twisted_coset(field, subfield_indices, t):
         raise StructureError("t must lie outside the subfield")
     if field.mu(t, t) not in set(f1):
         raise StructureError("t*t must lie in the subfield")
-    mu = field.carrier.mu
-    coset = np.unique(mu[t, f1])
-    full = field.carrier.nu_of(*np.ix_(coset, coset, coset))
+    coset = np.unique(field.carrier.mu[t, f1])
+    grid = np.ix_(coset, coset, coset)
+    full = field.carrier.nu_of(*grid)
     back = _positions(coset, field.n)
-    # mu(mu(a,b),c) over the coset only, never the whole-field mu[mu] cube
-    nu, tmu = back[full], back[mu[mu[np.ix_(coset, coset)][:, :, None], coset]]
+    nu, tmu = back[full], back[field.carrier.product_of(*grid)]
     bad = (nu == FOREIGN) | (tmu == FOREIGN)
     if bad.any():
         w = _least(bad)

@@ -192,7 +192,11 @@ def pair_assoc_scan(t):
 
 def pair_distrib_scan(s, m):
     """`ternary_kernel._distrib_scan` in the blocks of `pair_scan_blocks`,
-    with the terms that depend on a only summed once per a."""
+    with the terms that depend on a only summed once per a.  m is a table,
+    or a reader of its rows such as `TernaryCarrier.product_of`, read here
+    into the whole table."""
+    if callable(m):
+        m = m(slice(None))
     n = len(s)
     flat = s.ravel()
     m1 = m * n

@@ -41,7 +41,8 @@ from ternfield.poly_fields import (
     generated_subalgebra,
     gf2_divmod,
 )
-from ternfield.structures import triangular_field
+from ternfield.pair_envelope import field_isomorphism
+from ternfield.structures import quaternion_field, toeplitz_field, triangular_field
 
 from oracles import MaskAlgebra, gf2_mul, power
 
@@ -819,6 +820,51 @@ def test_characteristic_of_quotient_fields_is_one():
     for n in (1, 2, 3, 4):
         res = prime_subfield(build_f0(n))
         assert res.characteristic == 1
+
+
+PRIME_SUBFIELD_FIELDS = {
+    **{f"F0({k})": lambda k=k: build_f0(k) for k in (1, 2, 3, 5, 8)},
+    **{f"odd({m})": lambda m=m: odd_residue_field(m) for m in (2, 4, 64, 1024)},
+    "F0(2,2)": lambda: build_quotient_field(QuotientFieldSpec((2, 2))),
+    "F0(2)xodd(8)": lambda: product_field(build_f0(2), odd_residue_field(8)).field,
+    "toeplitz(3, odd(4))": lambda: toeplitz_field(3, odd_residue_field(4)).field,
+    "triangular(2, odd(8))": lambda: triangular_field(2, odd_residue_field(8)).field,
+    "quaternion(odd(4))": lambda: quaternion_field(odd_residue_field(4)).field,
+    "F0(2) over odd(8)": lambda: build_quotient_field(QuotientFieldSpec((2,), base=3)),
+}
+
+
+@pytest.mark.parametrize("name", list(PRIME_SUBFIELD_FIELDS))
+def test_prime_subfield_is_the_closure_of_one_with_the_searched_isomorphism(name):
+    # the subfield is the closure of {1}, and the isomorphism written down
+    # is the one the envelope search finds
+    f = PRIME_SUBFIELD_FIELDS[name]()
+    res = prime_subfield(f)
+    closure = _subalgebra_closure(f, [f.one])[0]
+    assert res.subfield.labels == tuple(f.label(i) for i in closure)
+    assert res.subfield.label(res.subfield.one) == f.label(f.one)
+    assert res.characteristic == len(closure)
+    iso = field_isomorphism(res.subfield, odd_residue_field(2 * res.characteristic))
+    assert res.isomorphism.mapping == iso.mapping
+
+
+def test_prime_subfield_refuses_an_unchecked_table_without_a_retract():
+    # F0(3)'s nu followed by a transposition is no coset form; and an odd
+    # residue table whose orbit of 1 under nu(t, 1, 1) runs into a cycle
+    # that misses 1 stops after n steps
+    f = build_f0(3)
+    pi = np.arange(f.n, dtype=np.int32)
+    pi[[0, 3]] = 3, 0
+    twisted = FiniteThreeField(TernaryCarrier(f.labels, pi[f.carrier.nu], f.carrier.mu),
+                               f.one, check=False)
+    with pytest.raises(StructureError, match="needs a certified retract"):
+        prime_subfield(twisted)
+    o = odd_residue_field(16, check=False)
+    nu = o.carrier.nu.copy()
+    nu[3, o.one, o.one] = 2                     # 1, 3, 5, 7, 5, 7, ...
+    looped = FiniteThreeField(TernaryCarrier(o.labels, nu, o.carrier.mu), o.one, check=False)
+    with pytest.raises(StructureError, match="does not return to 1"):
+        prime_subfield(looped)
 
 
 # -- evaluation morphisms -------------------------------------------------------------------------

@@ -648,9 +648,7 @@ def test_an_early_witness_at_n_128_costs_a_slab_not_a_cube():
     # pi o nu on odd(256), n = 128, passes every cheap invariant and fails
     # both scans in the first pair.  Blocks of whole pairs hold (n, n, n)
     # arrays, 104 MiB traced through both checkers; the first block here is
-    # one (n, n) slab.  check_distributivity still builds the derived
-    # product mu[mu], an 8 MiB n^3 cube, so the bound is above that
-    bound = 32 * 2 ** 20
+    # one (n, n) slab, and the derived product is read by rows
     c = odd_residue_field(256, check=False).carrier
     nu = np.random.default_rng(0).permutation(c.n).astype(np.int32)[c.nu]
     perm = TernaryCarrier(c.labels, nu, c.mu)
@@ -659,8 +657,10 @@ def test_an_early_witness_at_n_128_costs_a_slab_not_a_cube():
     assert [(v.axiom, v.witness, v.method) for v in verdicts] == [
         ("associativity", (0, 0, 0, 0, 1), "scan"),
         ("distributivity-law-1", (0, 0, 0, 0, 1), "scan")]
-    assert peak < bound, peak
-    # a witness in the second pair, reached through the first pair's blocks
+    assert peak < 4 * 2 ** 20, peak
+    # a witness in the second pair, reached through the first pair's
+    # blocks, each holding several arrays of up to _BLOCK_ENTRIES entries
+    bound = 32 * 2 ** 20
     n = perm.n
     t, want = assoc_fault(n, 0, 1, 0)
     w, peak = traced_peak(tk._assoc_scan, t)
@@ -736,6 +736,41 @@ def test_checkers_on_refute_tables_match_the_pair_scans(n, budget, monkeypatch):
         assert not all(ok for ok, *_ in verdicts)
         for ok, axiom, witness, detail, method in verdicts:
             assert ok or (method == "scan" and witness[:2] == (0, 0))
+
+
+def assert_distributivity_is_the_dense_pair_scan(c):
+    """check_distributivity's Verdict on c is the pair-block scan's on the
+    dense ternary product, mu[mu] for a binary mu; returns the failing law
+    or None."""
+    w = pair_distrib_scan(c.nu, c.mu if c.mu.ndim == 3 else derived_ternary_mu(c))
+    v = check_distributivity(c, limit=c.n)
+    if w is None:
+        assert v and v.method in ("certificate", "scan"), v
+        return None
+    law, *abcde = w
+    assert (v.axiom, v.witness, v.method) == (f"distributivity-law-{law}", tuple(abcde), "scan")
+    return law
+
+
+def test_check_distributivity_is_the_pair_scan_on_the_dense_product():
+    # the refute tables, one-cell mutants of a field's nu under its binary
+    # mu (the triangular field's noncommutative), and the cosets with one
+    # cell of their genuine product moved
+    laws = {assert_distributivity_is_the_dense_pair_scan(c)
+            for n in (16, 32, 64) for c in refute_tables(n)}
+    for f in (FIELDS["odd(32)"](check=False), FIELDS["F0(5)"](check=False), triangular_f0_2()):
+        laws |= {assert_distributivity_is_the_dense_pair_scan(
+            TernaryCarrier(f.labels, t, f.carrier.mu)) for t in raised_cells(f.carrier.nu, f.n)}
+    rng = np.random.default_rng(38)
+    for coset in proper_cosets():
+        assert assert_distributivity_is_the_dense_pair_scan(coset) is None
+        for _ in range(4):
+            mu = coset.mu.copy()
+            cell = tuple(rng.integers(coset.n, size=3))
+            mu[cell] = (mu[cell] + 1) % coset.n
+            laws.add(assert_distributivity_is_the_dense_pair_scan(
+                unchecked_coset(coset.labels, coset.nu, mu)))
+    assert laws == {None, 1, 2, 3}
 
 
 def first_pair_boundaries(n):
@@ -1508,6 +1543,25 @@ def test_nu_of_reads_nu_as_numpy_indexes_it():
             assert np.array_equal(want, dense.nu[args])
 
 
+def test_product_of_reads_the_ternary_product_as_numpy_indexes_it():
+    # a binary mu's derived product against its dense table, and a twisted
+    # coset's genuine product against itself
+    carriers = [FIELDS[name](check=False).carrier for name in ("F0(3)", "odd(16)", "F0(2,2)")]
+    carriers += [dense_twin(carriers[1]), triangular_f0_2().carrier, *proper_cosets()[:2]]
+    for c in carriers:
+        dense = derived_ternary_mu(c) if c.mu.ndim == 2 else c.mu
+        n = c.n
+        rows, cols = np.arange(n)[:, None], np.arange(n)
+        sub = np.array([0, n - 1])
+        for args in [(0, 1, n - 1), (1, 1), (n - 1,), (slice(1, 3),), (sub,), (rows,),
+                     (rows, 1, cols), (rows, cols, 1), (slice(None), slice(None), slice(1, 3)),
+                     (0, cols, sub[:, None]), np.ix_(sub, cols, sub), np.ix_(cols, sub, cols),
+                     np.ix_(sub, sub, [1]), (rows, rows, cols),
+                     (sub[:, None, None], cols[:, None], sub)]:
+            got = c.product_of(*args)
+            assert got.shape == dense[args].shape and np.array_equal(got, dense[args]), args
+
+
 def test_a_retract_born_carrier_validates_its_retract():
     labels = ["a", "b"]
     mu = [[0, 1], [1, 0]]
@@ -1682,6 +1736,20 @@ def test_a_stack_of_maps_is_decided_as_its_maps(per_chunk, monkeypatch):
             assert tk._affine_on(maps[:, idx], r, gens, *r) == all(each[i] for i in idx)
         assert not tk._affine_on(np.concatenate([good, moved[:, -1:]], axis=1), r, gens, *r)
         monkeypatch.undo()
+
+
+def test_a_field_passes_on_both_checkers_its_unit_and_no_zero():
+    # the rule `field check` and paper-suite share: the additive witness
+    # is named before the distributive one
+    ok = tk.Verdict(True, method="certificate")
+    add, mul = (tk.Verdict(False, axiom, (0,), axiom, "scan")
+                for axiom in ("associativity", "distributivity-law-1"))
+    plain = {"unit": 0, "zero": None}
+    assert tk._field_verdict(ok, ok, plain, 0) == (True, None)
+    assert tk._field_verdict(add, mul, plain, 0) == (False, "associativity")
+    assert tk._field_verdict(ok, mul, plain, 0) == (False, "distributivity-law-1")
+    assert tk._field_verdict(ok, ok, plain, 1) == (False, None)
+    assert tk._field_verdict(ok, ok, {"unit": 0, "zero": 1}, 0) == (False, None)
 
 
 def test_verdict_method_records_how_it_was_reached():
