@@ -1,12 +1,14 @@
 """End-to-end verification suite behind the `paper-suite` CLI verb.
 
-Eleven criteria re-derive the package's central results from scratch and
-check them against frozen reference data: axiom scans, envelope locality,
+Eleven criteria re-derive the package's central results and check them
+against frozen reference data: axiom scans, envelope locality,
 cardinalities, multiplication tables, automorphism groups, the
 completely-even factorization law, the embedding criterion, product fields,
 dyadic coherence, free resolutions, and the matrix / quaternion / group
-constructions.  Every value in the ledger is computed exactly; timings go
-to stderr so the data stream stays byte-identical across runs.
+constructions.  One `run_suite` call builds each field and envelope once
+and shares it across the criteria (`_shared`); a criterion called on its
+own builds its own.  Every value in the ledger is computed exactly; timings
+go to stderr so the data stream stays byte-identical across runs.
 """
 
 import math
@@ -97,17 +99,41 @@ AUT5_COMPOSITION_REFERENCE = [
 
 _BUDGETS = {1: 10.0, 5: 5.0, 11: 30.0}
 
+# The builds of the running `run_suite` call, or None outside one: each
+# (builder, arguments, keywords) key maps to the build and its arguments.  A
+# field argument is keyed by its identity, so the memo keeps it alive.
+_memo = None
+
+
+def _shared(build, *args, **kwargs):
+    """build(*args, **kwargs), built once per `run_suite` call.  Tables are
+    read-only and every proof a carrier caches is exact, so a shared build
+    changes no verdict.  The criteria name each builder as a module global,
+    read at call time, so a rebound builder is the one called and keyed."""
+    if _memo is None:
+        return build(*args, **kwargs)
+    key = (build, tuple(a if isinstance(a, (int, str)) else (id(a),) for a in args),
+           tuple(sorted(kwargs.items())))
+    if key not in _memo:
+        _memo[key] = build(*args, **kwargs), args
+    return _memo[key][0]
+
+
+def _f0(*terms):
+    return _shared(build_f0, *terms, check="light")
+
+
+def _odd(modulus):
+    return _shared(odd_residue_field, modulus, check="light")
+
 
 def _suite_fields():
-    """The field roster shared by criteria 1, 2, 3 and 7."""
-    roster = []
-    for n in range(1, 7):
-        roster.append((f"odd(2^{n})", odd_residue_field(1 << n, check="light")))
-    for n in range(1, 7):
-        roster.append((f"F0({n})", build_f0(n, check="light")))
-    roster.append(("F0(2,2)", build_f0(2, 2, check="light")))
-    prod = product_field(build_f0(2, check="light"), build_f0(2, check="light"))
-    roster.append(("F0(2)xF0(2)", prod.field))
+    """The field roster of criteria 1, 2, 3 and 7; within one `run_suite`
+    call every roster holds the same fields, each built once."""
+    roster = [(f"odd(2^{n})", _odd(1 << n)) for n in range(1, 7)]
+    roster += [(f"F0({n})", _f0(n)) for n in range(1, 7)]
+    roster.append(("F0(2,2)", _f0(2, 2)))
+    roster.append(("F0(2)xF0(2)", _shared(product_field, _f0(2), _f0(2)).field))
     return roster
 
 
@@ -133,7 +159,7 @@ def criterion_2():
     detail = {"fields": [], "constructed_isomorphisms": []}
     ok = True
     for name, f in _suite_fields():
-        env = build_envelope(f)
+        env = _shared(build_envelope, f)
         report = verify_local(env)
         passed = (env.n == 2 * f.n
                   and report["is_local_with_z2_residue"]
@@ -147,8 +173,8 @@ def criterion_2():
         ok = ok and passed
     for n in range(1, 7):
         mod = 1 << n
-        f = odd_residue_field(mod, check="light")
-        env = build_envelope(f)
+        f = _odd(mod)
+        env = _shared(build_envelope, f)
         ring = residue_ring(mod)
         mapping = [0] * env.n
         for i in range(f.n):
@@ -173,7 +199,7 @@ def criterion_3():
         detail["sizes"].append({"field": name, "size": f.n, "power_of_two": is_pow2})
         ok = ok and is_pow2
     for n in range(1, 9):
-        f = build_f0(n, check="light")
+        f = _f0(n)
         expected = 1 << (n - 1)
         match = (f.n == expected
                  and cardinality(QuotientFieldSpec((n,))) == expected)
@@ -187,7 +213,7 @@ def criterion_4():
     """Multiplication tables against the frozen references, with the
     corrected (c,c) cell reported explicitly."""
     detail = {}
-    f3 = build_f0(3, check="light")
+    f3 = _f0(3)
     t3 = cayley_table(f3).reorder(F03_LETTER_ORDER, letters=True)
     rows3 = [[t3.entry_label(i, j, letters=True) for j in range(t3.order)]
              for i in range(t3.order)]
@@ -200,7 +226,7 @@ def criterion_4():
         "discrepancy_confirmed": cc == "b" and cc != F03_TRANSCRIBED_CC,
     }
 
-    f4 = build_f0(4, check="light")
+    f4 = _f0(4)
     t4 = cayley_table(f4).reorder(F04_LETTER_ORDER, letters=True)
     rows4 = [[t4.entry_label(i, j, letters=True) for j in range(t4.order)]
              for i in range(t4.order)]
@@ -219,18 +245,18 @@ def criterion_5():
 
     orders = {}
     for n in range(2, 6):
-        f = build_f0(n, check="light")
+        f = _f0(n)
         orders[n] = automorphism_group(f).order
     detail["orders"] = {f"F0({n})": orders[n] for n in orders}
     ok = ok and orders[2] == 1 and orders[3] == 2 and orders[4] == 4 and orders[5] == 8
 
-    f3 = build_f0(3, check="light")
+    f3 = _f0(3)
     t3 = automorphism_group(f3)
     pos_c = t3.position("c", letters=True)
     detail["f03_c_after_c_is_x"] = int(t3.table[pos_c, pos_c]) == t3.identity
     ok = ok and detail["f03_c_after_c_is_x"]
 
-    f4 = build_f0(4, check="light")
+    f4 = _f0(4)
     t4 = automorphism_group(f4)
     labs4 = t4.labels(letters=True)
     nontrivial = [l for i, l in enumerate(labs4) if i != t4.identity]
@@ -240,7 +266,7 @@ def criterion_5():
     detail["f04_all_involutions"] = involutions
     ok = ok and sorted(nontrivial) == ["c", "d", "f"] and involutions
 
-    f5 = build_f0(5, check="light")
+    f5 = _f0(5)
     t5 = automorphism_group(f5).reorder(AUT5_LETTER_ORDER, letters=True)
     rows5 = [[t5.entry_label(i, j, letters=True) for j in range(t5.order)]
              for i in range(t5.order)]
@@ -341,10 +367,10 @@ def criterion_7():
 def criterion_8():
     """Product of two 2-term quotient fields vs the two-variable quotient
     field, with the presentation relations checked inside the product."""
-    f2 = build_f0(2, check="light")
-    prod = product_field(f2, f2)
+    f2 = _f0(2)
+    prod = _shared(product_field, f2, f2)
     fp = prod.field
-    f22 = build_f0(2, 2, check="light")
+    f22 = _f0(2, 2)
     detail = {
         "product_size": fp.n,
         "two_variable_size": f22.n,
@@ -586,15 +612,22 @@ def _skip(rng, count):
 def _replay(rng, section, count):
     """The rows of the section's first `count` cases, and the number of words
     from rng's position to the end of each case.  rng is left where a loop
-    drawing those cases leaves it."""
+    drawing those cases leaves it: set back to its state before the fetch
+    that holds the first unused word, and advanced to that word."""
     rows = np.empty((count, section.columns), np.int64)
     ends = np.empty(count, np.int32)
-    origin = rng.getstate()
     words, used = np.empty(0, np.uint32), 0
+    # (the offset of a fetch's first word, rng's state before it), from the
+    # last fetch that starts at or before `used`
+    marks = []
+
+    def fetch(size):
+        marks.append((used + words.size, rng.getstate()))
+        return np.concatenate([words, _words(rng, size)])
+
     for first in range(0, count, _CHUNK):
         cases = min(_CHUNK, count - first)
-        fresh = math.ceil(cases * section.words_per_case) - words.size
-        words = np.concatenate([words, _words(rng, max(0, fresh))])
+        words = fetch(max(0, math.ceil(cases * section.words_per_case) - words.size))
         while True:
             window = _Window(words)
             after = section.replay(window, np.arange(window.size + 2, dtype=np.int32), None)
@@ -602,12 +635,15 @@ def _replay(rng, section, count):
             end = int(after[starts[-1]])
             if end <= window.size:
                 break
-            words = np.concatenate([words, _words(rng, words.size)])
+            words = fetch(words.size)
         section.replay(window, starts, rows[first:first + cases])
         ends[first:first + cases] = used + after.take(starts)
         words, used = words[end:], used + end
-    rng.setstate(origin)
-    _skip(rng, used)
+        while len(marks) > 1 and marks[1][0] <= used:
+            del marks[0]
+    offset, state = marks[0]
+    rng.setstate(state)
+    _skip(rng, used - offset)
     return rows, ends
 
 
@@ -641,7 +677,7 @@ def criterion_10():
     """Free resolution of the rank-2 vector power over the 4-residue odd
     field by the generators (1,1) and (3,1): the kernel is enumerated over
     all of U(F)^2 and the cardinality identity checked."""
-    f = odd_residue_field(4, check="light")
+    f = _odd(4)
     space = vector_power_space(f, 2)
     g1 = space.from_labels(("1", "1"))
     g2 = space.from_labels(("3", "1"))
@@ -664,12 +700,12 @@ def criterion_11():
     detail = {}
     ok = True
 
-    f1 = odd_residue_field(2, check="light")
-    f4 = odd_residue_field(4, check="light")
+    f1 = _odd(2)
+    f4 = _odd(4)
 
     tp = toeplitz_field(3, f1)
     iso_ok = tp.isomorphism is not None and tp.isomorphism.is_bijective()
-    independent = field_isomorphism(tp.field, build_f0(3, check="light"))
+    independent = field_isomorphism(tp.field, _f0(3))
     detail["toeplitz"] = {
         "size": tp.field.n,
         "constructed_isomorphism": iso_ok,
@@ -745,21 +781,26 @@ def run_suite(stream=None):
     """Run every criterion; returns the machine-readable ledger dict."""
     entries = []
     all_ok = True
-    for number, title, fn in _CRITERIA:
-        start = time.perf_counter()
-        ok, detail = fn()
-        elapsed = time.perf_counter() - start
-        budget = _BUDGETS.get(number)
-        entry = {"criterion": number, "title": title, "passed": bool(ok)}
-        if budget is not None:
-            entry["budget_seconds"] = budget
-            entry["within_budget"] = elapsed < budget
-            entry["passed"] = entry["passed"] and entry["within_budget"]
-        entry["detail"] = detail
-        entries.append(entry)
-        all_ok = all_ok and entry["passed"]
-        if stream is not None:
-            print(f"criterion {number:2d} "
-                  f"[{'pass' if entry['passed'] else 'FAIL'}] "
-                  f"{elapsed:6.2f}s  {title}", file=stream)
+    global _memo
+    _memo = {}
+    try:
+        for number, title, fn in _CRITERIA:
+            start = time.perf_counter()
+            ok, detail = fn()
+            elapsed = time.perf_counter() - start
+            budget = _BUDGETS.get(number)
+            entry = {"criterion": number, "title": title, "passed": bool(ok)}
+            if budget is not None:
+                entry["budget_seconds"] = budget
+                entry["within_budget"] = elapsed < budget
+                entry["passed"] = entry["passed"] and entry["within_budget"]
+            entry["detail"] = detail
+            entries.append(entry)
+            all_ok = all_ok and entry["passed"]
+            if stream is not None:
+                print(f"criterion {number:2d} "
+                      f"[{'pass' if entry['passed'] else 'FAIL'}] "
+                      f"{elapsed:6.2f}s  {title}", file=stream)
+    finally:
+        _memo = None
     return {"schema": 1, "criteria": entries, "all_passed": all_ok}

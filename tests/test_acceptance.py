@@ -2,16 +2,20 @@
 the library (and, for the last one, the installed command line).  Every
 expected value is frozen here as a literal; nothing is routed through the
 packaged verification suite except criterion 12, which runs it as a
-subprocess exactly the way a user would."""
+subprocess exactly the way a user would, and the closing tests of the
+builds one run of it shares."""
 
+import contextlib
 import json
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import pytest
 
 from ternfield import (
     FiniteThreeField,
@@ -490,3 +494,88 @@ def test_criterion_12_cli_suite_ledger():
     assert budgets == {1: 10.0, 5: 5.0, 11: 30.0}
     assert all(e["within_budget"] for e in ledger["criteria"]
                if "within_budget" in e)
+
+
+# ---------------------------------------------------------------------------
+# one `run_suite` call builds each field and envelope once; the shared builds
+# change no entry of the ledger, and nothing is kept between runs
+# ---------------------------------------------------------------------------
+
+def test_shared_builds_change_no_criterion():
+    ledger = _suite.run_suite()
+    for entry, (number, title, fn) in zip(ledger["criteria"], _suite._CRITERIA, strict=True):
+        assert entry.pop("within_budget", True)
+        ok, detail = fn()
+        alone = {"criterion": number, "title": title, "passed": bool(ok)}
+        if number in _suite._BUDGETS:
+            alone["budget_seconds"] = _suite._BUDGETS[number]
+        alone["detail"] = detail
+        assert entry == alone
+        assert json.dumps(entry) == json.dumps(alone)
+
+
+_BUILDERS = ("build_f0", "odd_residue_field", "product_field", "build_envelope")
+# what one run builds: the roster's odd(2^1..2^6), F0(1..6), F0(2,2) and
+# F0(2)xF0(2), criterion 3's F0(7) and F0(8), and the roster's envelopes
+_BUILDS_PER_RUN = {"build_f0": 9, "odd_residue_field": 6, "product_field": 1,
+                   "build_envelope": 14}
+
+
+@contextlib.contextmanager
+def counted_builders():
+    with contextlib.ExitStack() as stack:
+        yield {name: stack.enter_context(
+                   mock.patch.object(_suite, name, wraps=getattr(_suite, name)))
+               for name in _BUILDERS}
+
+
+def builds(builders, since=None):
+    """Per builder, the argument tuples of its calls after the first
+    `len(since[name])`, a field argument by its identity; the calls keep
+    every argument alive."""
+    out = {}
+    for name, builder in builders.items():
+        calls = builder.call_args_list[len(since[name]) if since else 0:]
+        out[name] = [(tuple(a if isinstance(a, (int, str)) else id(a) for a in c.args),
+                      tuple(sorted(c.kwargs.items()))) for c in calls]
+    return out
+
+
+def counts(calls):
+    return {name: len(c) for name, c in calls.items()}
+
+
+def test_one_run_builds_each_field_and_envelope_once():
+    with counted_builders() as builders:
+        _suite.run_suite()
+        first = builds(builders)
+        _suite.run_suite()
+        again = builds(builders, since=first)
+    assert counts(first) == counts(again) == _BUILDS_PER_RUN
+    assert all(len(set(calls)) == len(calls) for calls in first.values())
+    # the second run builds its own fields: no envelope is of a field of the first
+    assert not set(first["build_envelope"]) & set(again["build_envelope"])
+
+
+def test_a_failing_criterion_drops_the_shared_builds(monkeypatch):
+    def fails():
+        _suite.criterion_2()
+        raise RuntimeError("criterion 2 failed")
+
+    criteria = _suite._CRITERIA
+    with counted_builders() as builders:
+        monkeypatch.setattr(_suite, "_CRITERIA",
+                            [(n, t, fails if n == 2 else fn) for n, t, fn in criteria])
+        with pytest.raises(RuntimeError, match="criterion 2 failed"):
+            _suite.run_suite()
+        failed = builds(builders)
+        # called on its own, criterion 8 builds F0(2), its square and F0(2,2)
+        _suite.criterion_8()
+        alone = builds(builders, since=failed)
+        monkeypatch.setattr(_suite, "_CRITERIA", criteria)
+        _suite.run_suite()
+        after = builds(builders, since={name: failed[name] + alone[name] for name in failed})
+    assert len(failed["build_envelope"]) == _BUILDS_PER_RUN["build_envelope"]
+    assert counts(alone) == {"build_f0": 2, "odd_residue_field": 0, "product_field": 1,
+                             "build_envelope": 0}
+    assert counts(after) == _BUILDS_PER_RUN
